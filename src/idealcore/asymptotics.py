@@ -10,8 +10,11 @@ values themselves (exact level values, or values attained on the supporting
 hits), not from cell boundaries, which keeps the discretization error well
 inside the grid resolution.
 
-``oracle_core`` is the independent verification path: it ignores the grid and
-horizon entirely and decides the positivity of each level set symbolically.
+``classify_levels`` is the one place where level sets are decided: symbolically
+when the structural analysis applies, by the numeric estimator otherwise, and
+each decision says which.  ``oracle_core`` is the independent verification
+path: it ignores the grid and horizon and reads the cluster values straight off
+the level-set decisions.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import Ideal, MembershipResult, PositivityResult, membership
+from .ideals import Ideal, MembershipResult, PositivityResult, decide_membership, estimate_membership
 from .sequences import BoundedSequence
 from .sets import contains_predicate
 
@@ -31,6 +34,7 @@ __all__ = [
     "ClusterSet",
     "InconclusiveCellsError",
     "UnsupportedInstanceError",
+    "classify_levels",
     "cluster_points",
     "cluster_of_values",
     "ideal_limsup",
@@ -75,7 +79,7 @@ class ClusterSet:
 
     points: tuple[tuple[float, float], ...]
     inconclusive: tuple[tuple[float, float], ...]
-    exact: bool
+    exact: bool  # every level set was decided symbolically
 
     @property
     def sup(self) -> float:
@@ -90,7 +94,9 @@ class ClusterSet:
 class CoreInterval:
     lo: float
     hi: float
-    method: str  # "exact" (symbolic oracle) or "numeric" (grid + horizon)
+    # "exact" (oracle, every level set decided symbolically), "mixed" (oracle,
+    # some level sets decided by the numeric estimator), "numeric" (grid + horizon)
+    method: str
     horizon: int | None = None
     grid: float | None = None
     theta: float | None = None
@@ -179,30 +185,39 @@ def cluster_of_values(
     return ClusterSet(points, inconclusive, exact=False)
 
 
+_LEVEL_STATUS = {
+    MembershipResult.IN_IDEAL: "null",
+    MembershipResult.POSITIVE: "pos",
+    MembershipResult.IN_DUAL_FILTER: "pos",
+    MembershipResult.INCONCLUSIVE: "inc",
+}
+
+
+def classify_levels(levels, ideal: Ideal, horizon: int, theta: float) -> list[tuple[float, str, bool]]:
+    """Decide each ``(value, level set)`` pair: ``(value, status, exact)`` per level.
+
+    ``status`` is ``"pos"`` (positive, or in the dual filter), ``"null"`` (in
+    the ideal) or ``"inc"`` (undecided).  ``exact`` says the symbolic analysis
+    decided the level; otherwise the ideal's positivity estimator judged the
+    level set and its complement on the prefix below ``horizon`` at ``theta``.
+    """
+    out = []
+    for value, level_set in levels:
+        verdict = decide_membership(level_set, ideal)
+        exact = verdict is not None
+        if not exact:
+            verdict = estimate_membership(level_set, ideal, horizon, theta)
+        out.append((value, _LEVEL_STATUS[verdict], exact))
+    return out
+
+
 def _structured_cluster(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig) -> ClusterSet:
-    decisions: list[tuple[float, str]] = []
-    exact = True
-    for value, level_set in x.level_sets:
-        verdict = membership(level_set, ideal, horizon=cfg.horizon)
-        if verdict in (MembershipResult.POSITIVE, MembershipResult.IN_DUAL_FILTER):
-            decisions.append((value, "pos"))
-        elif verdict is MembershipResult.IN_IDEAL:
-            decisions.append((value, "null"))
-        else:
-            exact = False
-            hits = np.fromiter(level_set.enumerate_prefix(cfg.horizon), dtype=np.int64)
-            v, _ = ideal.positivity(hits, cfg.horizon, cfg.theta)
-            if v is PositivityResult.POSITIVE:
-                decisions.append((value, "pos"))
-            elif v is PositivityResult.NULL:
-                decisions.append((value, "null"))
-            else:
-                decisions.append((value, "inc"))
+    decisions = classify_levels(x.level_sets, ideal, cfg.horizon, cfg.theta)
     cells: list[tuple[int, _CellVerdict]] = []
     for i in _cell_range(x.bound, cfg.grid):
         wlo = (i - _ENLARGE) * cfg.grid
         whi = (i + 1 + _ENLARGE) * cfg.grid
-        in_window = [(v, s) for v, s in decisions if wlo <= v <= whi]
+        in_window = [(v, s) for v, s, _ in decisions if wlo <= v <= whi]
         pos = [v for v, s in in_window if s == "pos"]
         if pos:
             cells.append((i, _CellVerdict("pos", min(pos), max(pos))))
@@ -213,7 +228,7 @@ def _structured_cluster(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig) -> Cl
     points, inconclusive = _merge(cells, cfg.grid)
     if not points and not inconclusive:
         raise InconclusiveCellsError("no positively attained value")
-    return ClusterSet(points, inconclusive, exact=exact)
+    return ClusterSet(points, inconclusive, exact=all(e for _, _, e in decisions))
 
 
 def cluster_points(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> ClusterSet:
@@ -273,29 +288,34 @@ def core(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> Cor
     )
 
 
+_ORACLE_HORIZON = 100_000  # prefix for the levels the symbolic analysis leaves open
+
+
 def oracle_core(x: BoundedSequence, ideal: Ideal) -> CoreInterval:
-    """Exact core for finitely-valued sequences over exactly decidable level sets.
+    """Core of a finitely-valued sequence, read off its level-set decisions.
 
     Independent of the grid/horizon machinery: a value is a cluster point iff
-    its level set is positive, decided symbolically.  Raises
-    :class:`UnsupportedInstanceError` whenever exactness cannot be guaranteed.
+    its level set is positive.  The method is ``"exact"`` when every level set
+    was decided symbolically and ``"mixed"`` when the numeric estimator decided
+    some of them on a prefix.  Raises :class:`UnsupportedInstanceError` for
+    unstructured sequences, predicate level sets and undecided level sets.
     """
     if x.level_sets is None:
         raise UnsupportedInstanceError(f"{x.label}: no level-set structure")
-    positives: list[float] = []
     for value, level_set in x.level_sets:
         if contains_predicate(level_set):
             raise UnsupportedInstanceError(f"{x.label}: predicate level set for value {value}")
-        verdict = membership(level_set, ideal)
-        if verdict is MembershipResult.INCONCLUSIVE:
+    decisions = classify_levels(x.level_sets, ideal, _ORACLE_HORIZON, ideal.theta)
+    for value, status, _ in decisions:
+        if status == "inc":
             raise UnsupportedInstanceError(
                 f"{x.label}: membership of the level set of {value} is undecided"
             )
-        if verdict in (MembershipResult.POSITIVE, MembershipResult.IN_DUAL_FILTER):
-            positives.append(value)
+    positives = [value for value, status, _ in decisions if status == "pos"]
     if not positives:
         raise UnsupportedInstanceError(f"{x.label}: no positively attained value")
-    return CoreInterval(lo=min(positives), hi=max(positives), method="exact")
+    method = "exact" if all(e for _, _, e in decisions) else "mixed"
+    return CoreInterval(lo=min(positives), hi=max(positives), method=method)
 
 
 def ideal_lim_check(

@@ -13,13 +13,12 @@ from . import harness
 from .asymptotics import CoreConfig, core, oracle_core, UnsupportedInstanceError
 from .ideals import empirical_density, exact_density, UnsupportedSetError
 from .regularity import (
+    CHECKS,
     CheckConfig,
+    FamilyMisclassifiedError,
+    NegativeEntryError,
     Status,
     TestFamily,
-    allen_check,
-    cfo_check,
-    leo_check,
-    silverman_toeplitz_check,
 )
 from .sequences import corpus_entry
 from .specs import ConfigError, parse_experiment_config, parse_ideal, parse_matrix, parse_set
@@ -29,7 +28,12 @@ _STATUS_EXIT = {Status.SATISFIED: 0, Status.VIOLATED: 1, Status.INCONCLUSIVE: 2}
 
 def _default_horizon() -> int | None:
     raw = os.environ.get("IDEALCORE_DEFAULT_HORIZON")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise click.ClickException(f"IDEALCORE_DEFAULT_HORIZON: not an integer: {raw!r}")
 
 
 def _json_arg(raw: str, path: str):
@@ -75,7 +79,7 @@ def _ideal_arg(raw: str, name: str):
 @click.option("--matrix", required=True, help="matrix name or JSON spec")
 @click.option("--ideal-i", default="fin", show_default=True)
 @click.option("--ideal-j", default="fin", show_default=True)
-@click.option("--theorem", type=click.Choice(["st", "allen", "cfo", "leo"]), required=True)
+@click.option("--theorem", type=click.Choice(list(CHECKS)), required=True)
 @click.option("--family", type=click.Path(exists=True), default=None, help="JSON file with family set lists")
 @common_options
 def check(matrix, ideal_i, ideal_j, theorem, family, horizon, tol, grid, theta, seed):
@@ -99,14 +103,8 @@ def check(matrix, ideal_i, ideal_j, theorem, family, horizon, tol, grid, theta, 
                 tuple(parse_set(s, "family.sets_positive") for s in raw.get("sets_positive", [])),
                 tuple(parse_set(s, "family.sets_infinite") for s in raw.get("sets_infinite", [])),
             )
-        checker = {
-            "st": lambda: silverman_toeplitz_check(a, ii, jj, family=fam, cfg=cfg),
-            "allen": lambda: allen_check(a, family=fam, cfg=cfg),
-            "cfo": lambda: cfo_check(a, ii, jj, family=fam, cfg=cfg),
-            "leo": lambda: leo_check(a, ii, jj, family=fam, cfg=cfg),
-        }[theorem]
-        verdict = checker()
-    except ConfigError as exc:
+        verdict = CHECKS[theorem](a, ii, jj, family=fam, cfg=cfg)
+    except (ConfigError, FamilyMisclassifiedError, NegativeEntryError) as exc:
         raise click.ClickException(str(exc))
     click.echo(json.dumps(verdict.to_dict(), sort_keys=True, indent=2))
     sys.exit(_STATUS_EXIT[verdict.status])

@@ -23,12 +23,13 @@ from .asymptotics import (
     CoreConfig,
     CoreInterval,
     UnsupportedInstanceError,
+    classify_levels,
     core,
     ideal_lim_check,
     ideal_limsup,
     oracle_core,
 )
-from .ideals import Ideal, MembershipResult, _member_mask, membership
+from .ideals import Ideal, _member_mask
 from .matrices import InfiniteMatrix, identity, matrix_sum, rk_matrix, transform
 from .regularity import CheckConfig, Status, Verdict, leo_check
 from .sequences import BoundedSequence, affine, combine
@@ -98,19 +99,12 @@ class StabilityReport:
 def _difference_is_null(d: BoundedSequence, ideal: Ideal, cfg: CoreConfig, tol: float) -> bool | None:
     """Is the ideal limit of the difference sequence 0 (within tol)?"""
     if d.level_sets is not None:
-        exact = True
-        for value, level_set in d.level_sets:
-            if abs(value) <= tol:
-                continue
-            verdict = membership(level_set, ideal, horizon=cfg.horizon)
-            if verdict in (MembershipResult.POSITIVE, MembershipResult.IN_DUAL_FILTER):
-                return False
-            if verdict is not MembershipResult.IN_IDEAL:
-                exact = False
-                break
-        else:
-            if exact:
-                return True
+        big = [(value, level_set) for value, level_set in d.level_sets if abs(value) > tol]
+        statuses = {status for _, status, _ in classify_levels(big, ideal, cfg.horizon, cfg.theta)}
+        if "pos" in statuses:
+            return False
+        if statuses <= {"null"}:
+            return True
     ok, _ = ideal_lim_check(d.prefix(cfg.horizon), 0.0, tol, ideal, cfg.theta)
     return ok
 

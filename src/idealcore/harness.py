@@ -1,9 +1,9 @@
 """Suite execution, catalog listing, and deterministic report emission.
 
-Suite items are independent and run in a worker pool; results are assembled
-in declaration order, so parallelism never changes the report.  Written
-reports embed the fully resolved configuration and contain no timestamps,
-making identical configs produce byte-identical files.  Wall-clock timings
+Suite items run one after another in declaration order, and each item's
+entry in ``ReportBundle.timings`` is the wall time of that item alone.
+Written reports embed the fully resolved configuration and contain no
+timestamps, making identical configs produce byte-identical files.  Timings
 live only in the returned bundle.
 """
 
@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from . import sequences as seq
 from . import sets as sd
 from .asymptotics import CoreConfig
 from .constructions import core_equality_experiment
-from .regularity import CheckConfig, allen_check, cfo_check, leo_check, silverman_toeplitz_check
+from .regularity import CHECKS, CheckConfig
 from .specs import ConfigError, ExperimentConfig, parse_ideal, parse_matrix
 
 __all__ = ["ReportBundle", "run_suite", "list_catalog", "write_reports", "exit_code"]
@@ -43,14 +42,6 @@ _CSV_COLUMNS = [
     "core_ax_lo",
     "core_ax_hi",
 ]
-
-_CHECKS = {
-    "st": lambda a, i, j, cfg: silverman_toeplitz_check(a, i, j, cfg=cfg),
-    "allen": lambda a, i, j, cfg: allen_check(a, cfg=cfg),
-    "cfo": lambda a, i, j, cfg: cfo_check(a, i, j, cfg=cfg),
-    "leo": lambda a, i, j, cfg: leo_check(a, i, j, cfg=cfg),
-}
-
 
 @dataclass(frozen=True)
 class ReportBundle:
@@ -90,7 +81,7 @@ def _run_item(item: dict, config: ExperimentConfig) -> dict:
                 grid=config.grid,
                 seed=config.seed,
             )
-            verdict = _CHECKS[item["theorem"]](a, ideal_i, ideal_j, cfg)
+            verdict = CHECKS[item["theorem"]](a, ideal_i, ideal_j, cfg=cfg)
             payload["status"] = verdict.status.value
             payload["verdict"] = verdict.to_dict()
         else:
@@ -122,28 +113,20 @@ def run_suite(config: ExperimentConfig) -> ReportBundle:
                 items.append({"kind": "check", "theorem": theorem, **base})
             if config.core_equality:
                 items.append({"kind": "experiment", "theorem": "", **base})
+
+    results: list[dict] = []
+    timings: list[tuple[str, float]] = []
     for i, item in enumerate(items):
         item["item"] = i
+        t0 = time.perf_counter()
+        results.append(_run_item(item, config))
+        timings.append((f"item{i}", time.perf_counter() - t0))
 
-    results: list[dict | None] = [None] * len(items)
-    timings: list[tuple[str, float]] = []
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        def job(index_item):
-            index, item = index_item
-            t0 = time.perf_counter()
-            out = _run_item(item, config)
-            return index, out, time.perf_counter() - t0
-
-        for index, out, elapsed in pool.map(job, enumerate(items)):
-            results[index] = out
-            timings.append((f"item{index}", elapsed))
-
-    final = tuple(r for r in results if r is not None)
     counts = {"satisfied": 0, "violated": 0, "inconclusive": 0, "error": 0}
-    for r in final:
+    for r in results:
         counts[r["status"]] = counts.get(r["status"], 0) + 1
-    summary = {"counts": counts, "exit_code": exit_code(final)}
-    return ReportBundle(final, config.resolved(), summary, tuple(timings))
+    summary = {"counts": counts, "exit_code": exit_code(results)}
+    return ReportBundle(tuple(results), config.resolved(), summary, tuple(timings))
 
 
 def _spec_label(spec) -> str:
@@ -157,7 +140,7 @@ def _spec_label(spec) -> str:
 def exit_code(items) -> int:
     """0 iff everything satisfied, 1 on any violation/error, 2 when only inconclusive remain."""
     statuses = {r["status"] for r in items}
-    if statuses & {"violated", "refuted", "error"}:
+    if statuses & {"violated", "error"}:
         return 1
     if "inconclusive" in statuses:
         return 2

@@ -49,6 +49,8 @@ __all__ = [
     "countably_generated",
     "fin_times_empty",
     "membership",
+    "decide_membership",
+    "estimate_membership",
     "exact_density",
     "empirical_density",
     "classify",
@@ -295,19 +297,17 @@ class ErdosUlamIdeal(Ideal):
         if callable(weights):
             self.weight_fn = weights
             name = "custom"
-        elif weights in ("log", "unit"):
+        elif weights == "log":
             self.weight_fn = None
             name = weights
         else:
-            raise ValueError("weights must be 'log', 'unit', or a callable")
+            raise ValueError("weights must be 'log' or a callable")
         super().__init__(f"ErdosUlam({name})", theta)
         self.weights = name
 
     def _weight_array(self, horizon: int) -> np.ndarray:
         if self.weights == "log":
             return _harmonic_weights(horizon)
-        if self.weights == "unit":
-            return np.ones(horizon, dtype=np.float64)
         w = np.fromiter((self.weight_fn(n) for n in range(horizon)), dtype=np.float64, count=horizon)
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
@@ -316,14 +316,8 @@ class ErdosUlamIdeal(Ideal):
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
             return True
-        d = s.density_bounds()
-        if self.weights == "unit":
-            if d is not None:
-                if d.upper == 0:
-                    return True
-                if d.exact or d.lower > 0:
-                    return d.upper == 0 if d.exact else False
-        elif self.weights == "log":
+        if self.weights == "log":
+            d = s.density_bounds()
             if d is not None and d.has_limit:
                 return d.value == 0
             if isinstance(s, sd.GeometricBlocks):
@@ -571,6 +565,39 @@ def fin_times_empty(theta: float = DEFAULT_THETA) -> ColumnBlockIdeal:
 # Operations
 
 
+def decide_membership(s: SetDescription, ideal: Ideal) -> MembershipResult | None:
+    """Symbolic half of :func:`membership`: ``decide_in`` on S and its complement.
+
+    ``None`` when neither decision is derivable.
+    """
+    a = ideal.decide_in(s)
+    if a is True:
+        return MembershipResult.IN_IDEAL
+    if ideal.decide_in(sd.complement(s)) is True:
+        return MembershipResult.IN_DUAL_FILTER
+    if a is False:
+        return MembershipResult.POSITIVE
+    return None
+
+
+def estimate_membership(
+    s: SetDescription, ideal: Ideal, horizon: int, theta: float | None = None
+) -> MembershipResult:
+    """Numeric half of :func:`membership`: positivity of S and its complement
+    on the prefix below ``horizon`` at threshold ``theta`` (default: the ideal's)."""
+    hits_s = np.fromiter(s.enumerate_prefix(horizon), dtype=np.int64)
+    hits_c = np.fromiter(sd.complement(s).enumerate_prefix(horizon), dtype=np.int64)
+    vs, _ = ideal.positivity(hits_s, horizon, theta)
+    vc, _ = ideal.positivity(hits_c, horizon, theta)
+    if vs is PositivityResult.NULL:
+        return MembershipResult.IN_IDEAL
+    if vc is PositivityResult.NULL:
+        return MembershipResult.IN_DUAL_FILTER
+    if vs is PositivityResult.POSITIVE:
+        return MembershipResult.POSITIVE
+    return MembershipResult.INCONCLUSIVE
+
+
 def membership(s: SetDescription, ideal: Ideal, horizon: int = 100_000) -> MembershipResult:
     """Four-way membership verdict of S against the ideal.
 
@@ -579,27 +606,8 @@ def membership(s: SetDescription, ideal: Ideal, horizon: int = 100_000) -> Membe
     below ``horizon`` (possible for predicate sets), which can return
     inconclusive.
     """
-    comp = sd.complement(s)
-    a = ideal.decide_in(s)
-    b = ideal.decide_in(comp)
-    if a is True:
-        return MembershipResult.IN_IDEAL
-    if b is True:
-        return MembershipResult.IN_DUAL_FILTER
-    if a is False:
-        return MembershipResult.POSITIVE
-    # Numeric fallback on the prefix.
-    hits_s = np.fromiter(s.enumerate_prefix(horizon), dtype=np.int64)
-    hits_c = np.fromiter(comp.enumerate_prefix(horizon), dtype=np.int64)
-    vs, _ = ideal.positivity(hits_s, horizon)
-    vc, _ = ideal.positivity(hits_c, horizon)
-    if vs is PositivityResult.NULL:
-        return MembershipResult.IN_IDEAL
-    if vc is PositivityResult.NULL:
-        return MembershipResult.IN_DUAL_FILTER
-    if vs is PositivityResult.POSITIVE:
-        return MembershipResult.POSITIVE
-    return MembershipResult.INCONCLUSIVE
+    verdict = decide_membership(s, ideal)
+    return verdict if verdict is not None else estimate_membership(s, ideal, horizon)
 
 
 def exact_density(s: SetDescription):

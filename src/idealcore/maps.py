@@ -20,7 +20,6 @@ class IndexMap:
     fn: Callable[[int], int]
     label: str
     injective: bool = False
-    finite_to_one: bool = False
 
     def __call__(self, n: int) -> int:
         return int(self.fn(n))
@@ -39,13 +38,13 @@ class IndexMap:
 
 
 def identity_map() -> IndexMap:
-    return IndexMap(lambda n: n, "identity", injective=True, finite_to_one=True)
+    return IndexMap(lambda n: n, "identity", injective=True)
 
 
 def affine_map(mul: int, add: int = 0) -> IndexMap:
     if mul < 1 or add < 0:
         raise ValueError("need mul >= 1 and add >= 0")
-    return IndexMap(lambda n: mul * n + add, f"n -> {mul}*n+{add}", injective=True, finite_to_one=True)
+    return IndexMap(lambda n: mul * n + add, f"n -> {mul}*n+{add}", injective=True)
 
 
 def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMap:
@@ -56,7 +55,7 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
     description.
     """
     cache: list[int] = []
-    lock = threading.Lock()
+    lock = threading.Lock()  # for callers that share the map across threads
     state = {"horizon": 1024}
 
     def fn(n: int) -> int:
@@ -73,4 +72,4 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
                         raise RuntimeError("enumeration horizon exhausted; set looks finite")
             return cache[n]
 
-    return IndexMap(fn, label or "enumeration", injective=True, finite_to_one=True)
+    return IndexMap(fn, label or "enumeration", injective=True)

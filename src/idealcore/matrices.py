@@ -75,7 +75,7 @@ class InfiniteMatrix:
         self.nonnegative = nonnegative
         self._row_cache: dict[int, MatrixRow] = {}
         self._flat_cache: dict[int, tuple | None] = {}
-        self._cache_lock = threading.Lock()
+        self._cache_lock = threading.Lock()  # for callers that share a matrix across threads
 
     def _row(self, n: int) -> MatrixRow:
         raise NotImplementedError

@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "allen_check",
     "cfo_check",
     "leo_check",
+    "CHECKS",
 ]
 
 
@@ -214,10 +217,6 @@ def _matrix_nonnegative(a: InfiniteMatrix, horizon: int) -> bool:
     return find_negative_entry(a, horizon) is None
 
 
-def _col_mask(s: SetDescription, size: int) -> np.ndarray:
-    return _member_mask(s, size)
-
-
 def _lim_condition(
     name: str,
     values: np.ndarray,
@@ -265,6 +264,46 @@ def _limsup_condition(
         details=details,
         witness_set=witness_set if not ok else None,
     )
+
+
+_STATUS_OK = {Status.SATISFIED: True, Status.VIOLATED: False, Status.INCONCLUSIVE: None}
+
+
+def _regular_condition(
+    name: str, a: InfiniteMatrix, ideal_i: Ideal, ideal_j: Ideal, family: TestFamily, cfg: CheckConfig
+) -> ConditionReport:
+    """The regularity condition of a characterization: the Silverman–Toeplitz
+    verdict folded into one condition that carries its strongest witness."""
+    base = silverman_toeplitz_check(a, ideal_i, ideal_j, family=family, cfg=cfg)
+    return ConditionReport(
+        name=name,
+        ok=_STATUS_OK[base.status],
+        margin=max((c.margin for c in base.conditions if c.ok is False), default=0.0),
+        details={"status": base.status.value},
+        witness_set=base.witness_set,
+        witness_row=base.witness_row,
+    )
+
+
+def _family_conditions(
+    prefix: str,
+    a: InfiniteMatrix,
+    sets: tuple[SetDescription, ...],
+    cfg: CheckConfig,
+    judge: Callable[..., ConditionReport],
+    absolute: bool = True,
+) -> list[ConditionReport]:
+    """One condition ``prefix[E]`` per family set E, judging the row sums of A
+    over the columns in E: ``judge(name, row_sums, witness_set=E)``."""
+    support = a.max_support(cfg.horizon)
+    return [
+        judge(
+            f"{prefix}[{_set_label(e)}]",
+            a.masked_row_sums(_member_mask(e, support), cfg.horizon, absolute=absolute),
+            witness_set=e,
+        )
+        for e in sets
+    ]
 
 
 def _assemble(
@@ -349,13 +388,8 @@ def silverman_toeplitz_check(
     row_sums = a.row_sums(cfg.horizon)
     conditions.append(_lim_condition("T2(row-sums)", row_sums, 1.0, ideal_j, cfg))
 
-    support = a.max_support(cfg.horizon)
-    for e in family.sets_in_ideal:
-        mask = _col_mask(e, support)
-        sums = a.masked_row_sums(mask, cfg.horizon, absolute=True)
-        conditions.append(
-            _lim_condition(f"T3[{_set_label(e)}]", sums, 0.0, ideal_j, cfg, witness_set=e)
-        )
+    judge = partial(_lim_condition, target=0.0, ideal_j=ideal_j, cfg=cfg)
+    conditions += _family_conditions("T3", a, family.sets_in_ideal, cfg, judge)
     return _assemble(conditions, guard_ok, notes, cfg)
 
 
@@ -370,24 +404,12 @@ def allen_check(
     cfg = cfg or CheckConfig()
     fin_ideal = FinIdeal()
     family = family if family is not None else default_family(fin_ideal, cfg.seed)
-    base = silverman_toeplitz_check(a, fin_ideal, fin_ideal, family=family, cfg=cfg)
-    conditions: list[ConditionReport] = [
-        ConditionReport(
-            name="A1(regular)",
-            ok={Status.SATISFIED: True, Status.VIOLATED: False, Status.INCONCLUSIVE: None}[base.status],
-            margin=max((c.margin for c in base.conditions if c.ok is False), default=0.0),
-            details={"status": base.status.value},
-            witness_set=base.witness_set,
-            witness_row=base.witness_row,
-        )
+    conditions = [
+        _regular_condition("A1(regular)", a, fin_ideal, fin_ideal, family, cfg),
+        _lim_condition("A2(abs-row-sums)", a.row_sums(cfg.horizon, absolute=True), 1.0, fin_ideal, cfg),
     ]
-    abs_sums = a.row_sums(cfg.horizon, absolute=True)
-    conditions.append(_lim_condition("A2(abs-row-sums)", abs_sums, 1.0, fin_ideal, cfg))
-    support = a.max_support(cfg.horizon)
-    for e in family.sets_infinite:
-        mask = _col_mask(e, support)
-        sums = a.masked_row_sums(mask, cfg.horizon, absolute=True)
-        conditions.append(_limsup_condition(f"A3[{_set_label(e)}]", sums, fin_ideal, cfg, e))
+    judge = partial(_limsup_condition, ideal_j=fin_ideal, cfg=cfg)
+    conditions += _family_conditions("A3", a, family.sets_infinite, cfg, judge)
     return _assemble(conditions, True, [], cfg)
 
 
@@ -405,22 +427,9 @@ def cfo_check(
     if neg is not None:
         raise NegativeEntryError(*neg)
     family = family if family is not None else default_family(ideal_i, cfg.seed)
-    base = silverman_toeplitz_check(a, ideal_i, ideal_j, family=family, cfg=cfg)
-    conditions: list[ConditionReport] = [
-        ConditionReport(
-            name="C1(regular)",
-            ok={Status.SATISFIED: True, Status.VIOLATED: False, Status.INCONCLUSIVE: None}[base.status],
-            margin=max((c.margin for c in base.conditions if c.ok is False), default=0.0),
-            details={"status": base.status.value},
-            witness_set=base.witness_set,
-            witness_row=base.witness_row,
-        )
-    ]
-    support = a.max_support(cfg.horizon)
-    for e in family.sets_positive:
-        mask = _col_mask(e, support)
-        sums = a.masked_row_sums(mask, cfg.horizon, absolute=False)
-        conditions.append(_limsup_condition(f"C2[{_set_label(e)}]", sums, ideal_j, cfg, e))
+    conditions = [_regular_condition("C1(regular)", a, ideal_i, ideal_j, family, cfg)]
+    judge = partial(_limsup_condition, ideal_j=ideal_j, cfg=cfg)
+    conditions += _family_conditions("C2", a, family.sets_positive, cfg, judge, absolute=False)
     return _assemble(conditions, True, [], cfg)
 
 
@@ -450,20 +459,18 @@ def leo_check(
             "(needs a countably generated J or a nonnegative matrix); "
             "verdict stamped inconclusive-as-characterization"
         )
-    base = silverman_toeplitz_check(a, ideal_i, ideal_j, family=family, cfg=cfg)
-    conditions: list[ConditionReport] = [
-        ConditionReport(
-            name="L1(regular)",
-            ok={Status.SATISFIED: True, Status.VIOLATED: False, Status.INCONCLUSIVE: None}[base.status],
-            margin=max((c.margin for c in base.conditions if c.ok is False), default=0.0),
-            details={"status": base.status.value},
-            witness_set=base.witness_set,
-            witness_row=base.witness_row,
-        )
-    ]
-    support = a.max_support(cfg.horizon)
-    for e in family.sets_positive:
-        mask = _col_mask(e, support)
-        sums = a.masked_row_sums(mask, cfg.horizon, absolute=True)
-        conditions.append(_limsup_condition(f"L2[{_set_label(e)}]", sums, ideal_j, cfg, e))
+    conditions = [_regular_condition("L1(regular)", a, ideal_i, ideal_j, family, cfg)]
+    judge = partial(_limsup_condition, ideal_j=ideal_j, cfg=cfg)
+    conditions += _family_conditions("L2", a, family.sets_positive, cfg, judge)
     return _assemble(conditions, guard_ok, notes, cfg)
+
+
+# Theorem name -> checker, called as ``check(a, ideal_i, ideal_j, family=None,
+# cfg=None)``.  The entries look the checkers up when called, so a rebinding of
+# the module attributes (a wrapper, a mock) reaches every caller of the registry.
+CHECKS: dict[str, Callable[..., Verdict]] = {
+    "st": lambda a, i, j, family=None, cfg=None: silverman_toeplitz_check(a, i, j, family=family, cfg=cfg),
+    "allen": lambda a, i, j, family=None, cfg=None: allen_check(a, family=family, cfg=cfg),
+    "cfo": lambda a, i, j, family=None, cfg=None: cfo_check(a, i, j, family=family, cfg=cfg),
+    "leo": lambda a, i, j, family=None, cfg=None: leo_check(a, i, j, family=family, cfg=cfg),
+}

@@ -46,6 +46,7 @@ class BoundedSequence:
     label: str
     level_sets: tuple[tuple[float, SetDescription], ...] | None = None
     _cache: np.ndarray | None = field(default=None, repr=False)
+    # Guards the cache for callers that share a sequence across threads.
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):

@@ -13,6 +13,8 @@ from . import ideals as ide
 from . import maps
 from . import matrices as mat
 from . import sets as sd
+from .constructions import perturb_identity
+from .regularity import CHECKS
 
 __all__ = [
     "ConfigError",
@@ -168,11 +170,8 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
         except mat.ComposeUnsupportedError as exc:
             raise ConfigError(path, str(exc)) from exc
     if kind == "perturb_identity":
-        return mat.matrix_sum(parse_matrix(_require(obj, "of", path), f"{path}.of"), mat.identity())
+        return perturb_identity(parse_matrix(_require(obj, "of", path), f"{path}.of"))
     raise ConfigError(f"{path}.type", f"unknown matrix type {kind!r}")
-
-
-_THEOREMS = ("st", "allen", "cfo", "leo")
 
 
 @dataclass(frozen=True)
@@ -229,8 +228,8 @@ def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> Exp
     if not isinstance(theorems, list):
         raise ConfigError("config.theorems", "must be a list")
     for i, t in enumerate(theorems):
-        if t not in _THEOREMS:
-            raise ConfigError(f"config.theorems[{i}]", f"unknown theorem {t!r}; known: {_THEOREMS}")
+        if t not in CHECKS:
+            raise ConfigError(f"config.theorems[{i}]", f"unknown theorem {t!r}; known: {tuple(CHECKS)}")
     core_equality = bool(obj.get("core_equality", False))
     if not theorems and not core_equality:
         raise ConfigError("config", "nothing to run: no theorems and core_equality is false")

@@ -72,6 +72,31 @@ def test_oracle_core_examples():
     assert asy.oracle_core(x, FIN).method == "exact"
 
 
+def test_oracle_core_reports_mixed_provenance():
+    # The trace-finite ideal cannot decide the level set of 0 (the odd blocks)
+    # symbolically, so that level falls back to the numeric estimator.
+    blocks = seq.corpus_entry("indicator_blocks")
+    assert asy.oracle_core(blocks, FO_EVENS).method == "mixed"
+    assert asy.cluster_points(blocks, FO_EVENS, FAST).exact is False
+    alternating = seq.corpus_entry("alternating")
+    assert asy.oracle_core(alternating, FIN).method == "exact"
+    assert asy.cluster_points(alternating, FIN, FAST).exact is True
+
+
+def test_classify_levels_reports_provenance():
+    ideal = ide.fin_times_empty()
+    levels = [
+        (0.0, sd.explicit(1, 2, 3)),  # finite: decided symbolically
+        (1.0, sd.Predicate(lambda n: n % 2 == 0)),  # predicate: fresh columns keep appearing
+        (2.0, ideal.generator(0)),  # one column: the estimator cannot tell
+    ]
+    assert asy.classify_levels(levels, ideal, 10_000, 1e-3) == [
+        (0.0, "null", True),
+        (1.0, "pos", False),
+        (2.0, "inc", False),
+    ]
+
+
 def test_oracle_refuses_unstructured():
     with pytest.raises(asy.UnsupportedInstanceError):
         asy.oracle_core(seq.corpus_entry("rotation_golden"), FIN)

@@ -1,17 +1,36 @@
 """Suite execution, report determinism, config validation, CLI surface."""
 
+import hashlib
 import importlib.resources
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
 from idealcore import harness, specs
 from idealcore.cli import main
+from idealcore.regularity import CHECKS
+
+
+def _bundled_path(name):
+    return importlib.resources.files("idealcore").joinpath(f"configs/{name}")
 
 
 def _bundled(name):
-    return json.loads(importlib.resources.files("idealcore").joinpath(f"configs/{name}").read_text())
+    return json.loads(_bundled_path(name).read_text())
+
+
+@pytest.fixture(scope="module")
+def bundled_runs():
+    """Each bundled suite run once: config name -> (bundle, wall time of run_suite)."""
+    runs = {}
+    for name in ("knopp.json", "thm25.json"):
+        config = specs.parse_experiment_config(_bundled(name))
+        t0 = time.perf_counter()
+        bundle = harness.run_suite(config)
+        runs[name] = (bundle, time.perf_counter() - t0)
+    return runs
 
 
 # -- config parsing ---------------------------------------------------------------
@@ -52,9 +71,8 @@ def test_parse_ideal_shorthands():
 # -- suite runs -------------------------------------------------------------------
 
 
-def test_knopp_suite():
-    config = specs.parse_experiment_config(_bundled("knopp.json"))
-    bundle = harness.run_suite(config)
+def test_knopp_suite(bundled_runs):
+    bundle, _ = bundled_runs["knopp.json"]
     assert bundle.summary["exit_code"] == 1
     check = next(i for i in bundle.items if i["kind"] == "check")
     assert check["status"] == "violated"
@@ -63,13 +81,41 @@ def test_knopp_suite():
     assert experiment["experiment"]["max_deviation"] >= 0.9
 
 
-def test_thm25_suite():
-    config = specs.parse_experiment_config(_bundled("thm25.json"))
-    bundle = harness.run_suite(config)
+def test_thm25_suite(bundled_runs):
+    bundle, _ = bundled_runs["thm25.json"]
     assert bundle.summary["exit_code"] == 0
     assert all(i["status"] == "satisfied" for i in bundle.items)
     experiment = next(i for i in bundle.items if i["kind"] == "experiment")
     assert experiment["experiment"]["max_deviation"] <= 1e-2
+
+
+def test_suite_timings_are_per_item(bundled_runs):
+    # Items run one at a time, so their own times cannot add up to more than
+    # the suite's wall time.
+    bundle, wall = bundled_runs["thm25.json"]
+    assert [name for name, _ in bundle.timings] == [f"item{i}" for i in range(len(bundle.items))]
+    assert sum(elapsed for _, elapsed in bundle.timings) <= wall
+
+
+# sha256 of the (json, csv) reports of the bundled configs.  Only a deliberate
+# change of results, noted in CHANGES.md, may update these hashes.
+_REPORT_SHA256 = {
+    "knopp.json": (
+        "76ea35dd1844f3623427991a6fa90176589e5668b244e72d0e928845d9bd0b03",
+        "fd62eac81ec744f0143e8eaa8a6f9c401e4c70c535d452249c23a7ce197aca93",
+    ),
+    "thm25.json": (
+        "44d64b939c6d5a3bd77983415351bff4d45f06e8281d22d728c3e90801b2bbe2",
+        "4ec91a0db27a4cd3c0f1c31a00eceebc25132188e579af737e29f992ba2f2858",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_SHA256))
+def test_bundled_reports_are_pinned(bundled_runs, name):
+    bundle, _ = bundled_runs[name]
+    rendered = (harness.render_json(bundle), harness.render_csv(bundle))
+    assert tuple(hashlib.sha256(r.encode()).hexdigest() for r in rendered) == _REPORT_SHA256[name]
 
 
 def test_suite_reports_are_byte_identical(tmp_path):
@@ -215,3 +261,67 @@ def test_cli_catalog():
     assert result.exit_code == 0
     assert "DensityZero: P-ideal, tall" in result.output
     assert "Cesaro" in result.output
+
+
+@pytest.mark.parametrize("theorem", list(CHECKS))
+def test_cli_check_matches_suite_verdict(theorem):
+    matrix = {"type": "rk", "map": {"type": "affine", "mul": 2}}
+    config = specs.ExperimentConfig(
+        matrices=(matrix,),
+        ideal_pairs=(("fin_oplus_evens", "fin"),),
+        theorems=(theorem,),
+        corpus_labels=("all",),
+        core_equality=False,
+        check_horizon=2000,
+        core_horizon=2000,
+        tol=0.02,
+        grid=0.01,
+        theta=0.001,
+        seed=3,
+    )
+    (item,) = harness.run_suite(config).items
+    result = CliRunner().invoke(
+        main,
+        [
+            "check", "--matrix", json.dumps(matrix), "--ideal-i", "fin_oplus_evens", "--ideal-j", "fin",
+            "--theorem", theorem, "--horizon", "2000", "--tol", "0.02", "--grid", "0.01",
+            "--theta", "0.001", "--seed", "3",
+        ],
+    )
+    assert result.output == json.dumps(item["verdict"], sort_keys=True, indent=2) + "\n"
+    assert result.exit_code == {"satisfied": 0, "violated": 1, "inconclusive": 2}[item["status"]]
+
+
+def test_cli_check_negative_entry_is_a_cli_error():
+    matrix = json.dumps({"type": "scaled", "factor": -1, "of": "identity"})
+    result = CliRunner().invoke(main, ["check", "--matrix", matrix, "--theorem", "cfo"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a reported error, not a traceback
+    assert "Error: negative entry a[0,0] = -1.0" in result.output
+
+
+def test_cli_check_misclassified_family_is_a_cli_error(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"sets_in_ideal": [{"type": "arithmetic_progression", "offset": 0, "step": 2}]}))
+    result = CliRunner().invoke(main, ["check", "--matrix", "identity", "--theorem", "st", "--family", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "is not in the ideal" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--matrix", "identity", "--theorem", "st"],
+        ["experiment", "--config", str(_bundled_path("knopp.json"))],
+        ["core", "--sequence", "alternating"],
+        ["density", "--set", '{"type": "squares"}'],
+    ],
+    ids=lambda args: args[0],
+)
+def test_cli_malformed_env_horizon_is_a_cli_error(monkeypatch, args):
+    monkeypatch.setenv("IDEALCORE_DEFAULT_HORIZON", "abc")
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "IDEALCORE_DEFAULT_HORIZON" in result.output

@@ -261,7 +261,7 @@ def test_rk_below_fin_identity():
 
 def test_rk_below_unknowns():
     assert not ide.rk_below(Z, FIN).has_witness
-    eu_pair = ide.rk_below(EU, ide.erdos_ulam("unit"))
+    eu_pair = ide.rk_below(EU, ide.erdos_ulam("log"))
     assert not eu_pair.has_witness
     assert "known to exist" in eu_pair.note
     assert not ide.rk_below(SUM, Z).has_witness
