@@ -36,6 +36,14 @@ def _default_horizon() -> int | None:
         raise click.ClickException(f"IDEALCORE_DEFAULT_HORIZON: not an integer: {raw!r}")
 
 
+def _core_config(horizon: int, grid: float, theta: float) -> CoreConfig:
+    """The core engine's configuration; a value it rejects is a CLI error."""
+    try:
+        return CoreConfig(horizon=horizon, grid=grid, theta=theta)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
 def _json_arg(raw: str, path: str):
     try:
         return json.loads(raw)
@@ -95,6 +103,7 @@ def check(matrix, ideal_i, ideal_j, theorem, family, horizon, tol, grid, theta, 
             theta=theta,
             seed=seed,
         )
+        _core_config(cfg.horizon, grid, theta)  # the checkers' limsup conditions run on it
         fam = None
         if family:
             raw = json.loads(Path(family).read_text())
@@ -150,7 +159,7 @@ def core_cmd(sequence, ideal, oracle, horizon, tol, grid, theta, seed):
         if oracle:
             interval = oracle_core(x, ii)
         else:
-            cfg = CoreConfig(horizon=horizon or _default_horizon() or 100_000, grid=grid, theta=theta)
+            cfg = _core_config(horizon or _default_horizon() or 100_000, grid, theta)
             interval = core(x, ii, cfg)
     except (ConfigError, UnsupportedInstanceError) as exc:
         raise click.ClickException(str(exc))

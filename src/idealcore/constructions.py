@@ -29,7 +29,7 @@ from .asymptotics import (
     ideal_limsup,
     oracle_core,
 )
-from .ideals import Ideal, _member_mask
+from .ideals import Ideal
 from .matrices import InfiniteMatrix, identity, matrix_sum, rk_matrix, transform
 from .regularity import CheckConfig, Status, Verdict, leo_check
 from .sequences import BoundedSequence, affine, combine
@@ -255,16 +255,13 @@ def sufficiency_certificate(
     lower_set = _threshold_set(shifted, eta + delta, upper=False)
 
     horizon = cfg.horizon
-    support = a.max_support(horizon)
-    mask_e = _member_mask(upper_set, support)
-    mask_e2 = _member_mask(lower_set, support)
 
     pos_total = a.row_sums(horizon, absolute=False)
     abs_total = a.row_sums(horizon, absolute=True)
     pos_part_total = a.masked_row_sums(None, horizon, positive_part=True)
     neg_part_total = pos_part_total - pos_total
-    pos_on_e = a.masked_row_sums(mask_e, horizon, positive_part=True)
-    pos_on_e2 = a.masked_row_sums(mask_e2, horizon, positive_part=True)
+    pos_on_e = a.masked_row_sums(upper_set, horizon, positive_part=True)
+    pos_on_e2 = a.masked_row_sums(lower_set, horizon, positive_part=True)
 
     in_s = (pos_on_e >= 1.0 - delta - _FLOAT_SLACK) & (abs_total <= 1.0 + delta + _FLOAT_SLACK)
     in_s2 = (pos_on_e2 >= 1.0 - delta - _FLOAT_SLACK) & (abs_total <= 1.0 + delta + _FLOAT_SLACK)

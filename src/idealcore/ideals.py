@@ -104,16 +104,6 @@ class ClassificationReport:
         return ", ".join(parts) + f"; canonical form: {self.canonical_form}"
 
 
-@lru_cache(maxsize=256)
-def _member_mask(s: SetDescription, horizon: int) -> np.ndarray:
-    mask = np.zeros(horizon, dtype=bool)
-    idx = np.fromiter(s.enumerate_prefix(horizon), dtype=np.int64)
-    if idx.size:
-        mask[idx] = True
-    mask.setflags(write=False)
-    return mask
-
-
 def _tail(hits: np.ndarray, horizon: int) -> np.ndarray:
     return hits[hits >= horizon // 2]
 
@@ -428,7 +418,7 @@ class TraceFinIdeal(Ideal):
         return None
 
     def positivity(self, hits, horizon, theta=None):
-        mask = _member_mask(self.trace, horizon)
+        mask = self.trace.mask(horizon)
         traced = hits[mask[hits]] if hits.size else hits
         tail = _tail(traced, horizon)
         if tail.size:
@@ -468,7 +458,7 @@ class GeneratedIdeal(Ideal):
 
     def positivity(self, hits, horizon, theta=None):
         if self.generators:
-            mask = _member_mask(self._union, horizon)
+            mask = self._union.mask(horizon)
             outside = hits[~mask[hits]] if hits.size else hits
         else:
             outside = hits
@@ -487,6 +477,19 @@ def _pair_column(n: int) -> int:
     w = (math.isqrt(8 * n + 1) - 1) // 2
     t = w * (w + 1) // 2
     return n - t
+
+
+def _pair_columns(ns: np.ndarray) -> np.ndarray:
+    """``_pair_column`` of each entry: a float square root, then an exact integer fix-up.
+
+    ``w`` must be the largest integer with ``w(w+1)/2 <= n``; the float root
+    is off by at most one, so one step either way restores it.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    w = ((np.sqrt(8.0 * ns + 1.0) - 1.0) // 2.0).astype(np.int64)
+    w -= w * (w + 1) // 2 > ns
+    w += (w + 1) * (w + 2) // 2 <= ns
+    return ns - w * (w + 1) // 2
 
 
 class ColumnBlockIdeal(Ideal):
@@ -514,7 +517,7 @@ class ColumnBlockIdeal(Ideal):
         support = _support(hits, horizon)
         if hits.size == 0:
             return PositivityResult.NULL, support
-        cols = np.fromiter((_pair_column(int(h)) for h in hits), dtype=np.int64, count=hits.size)
+        cols = _pair_columns(hits)
         tail = _tail(hits, horizon)
         if tail.size == 0:
             return PositivityResult.NULL, support
@@ -585,8 +588,9 @@ def estimate_membership(
 ) -> MembershipResult:
     """Numeric half of :func:`membership`: positivity of S and its complement
     on the prefix below ``horizon`` at threshold ``theta`` (default: the ideal's)."""
-    hits_s = np.fromiter(s.enumerate_prefix(horizon), dtype=np.int64)
-    hits_c = np.fromiter(sd.complement(s).enumerate_prefix(horizon), dtype=np.int64)
+    mask = s.mask(horizon)
+    hits_s = np.flatnonzero(mask)
+    hits_c = np.flatnonzero(~mask)
     vs, _ = ideal.positivity(hits_s, horizon, theta)
     vc, _ = ideal.positivity(hits_c, horizon, theta)
     if vs is PositivityResult.NULL:
@@ -627,7 +631,7 @@ def empirical_density(s: SetDescription, horizon: int) -> tuple[float, float]:
     """(min, max) of the counting ratio |S ∩ [0, n)| / n over n in [horizon/2, horizon]."""
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    hits = np.fromiter(s.enumerate_prefix(horizon + 1), dtype=np.int64)
+    hits = np.flatnonzero(s.mask(horizon + 1))
     ns = np.arange(horizon // 2, horizon + 1, dtype=np.int64)
     counts = np.searchsorted(hits, ns, side="left")
     ratios = counts / ns

@@ -1,9 +1,16 @@
-"""Total maps ω → ω used as Rudin–Keisler witnesses and matrix row selectors."""
+"""Total maps ω → ω used as Rudin–Keisler witnesses and matrix row selectors.
+
+``IndexMap.prefix`` is the one way to materialize ``h(0) … h(H-1)``.  The
+identity and affine maps carry closed-form array rules, and an enumeration map
+slices the int64 array of the elements it has discovered, taking its lock once
+per call.  A map built from a bare callable takes the scalar path, ``fn`` per
+index.
+"""
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -15,17 +22,24 @@ __all__ = ["IndexMap", "identity_map", "affine_map", "enumeration_map"]
 
 @dataclass(frozen=True, eq=False)
 class IndexMap:
-    """A deterministic total map h: ω → ω with declared structural flags."""
+    """A deterministic total map h: ω → ω with declared structural flags.
+
+    ``rule``, when given, maps a horizon H to the int64 array ``h(0) … h(H-1)``
+    and must agree with ``fn``.
+    """
 
     fn: Callable[[int], int]
     label: str
     injective: bool = False
+    rule: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
 
     def __call__(self, n: int) -> int:
         return int(self.fn(n))
 
     def prefix(self, horizon: int) -> np.ndarray:
         """Values ``h(0), …, h(horizon−1)`` as an int64 array."""
+        if self.rule is not None:
+            return self.rule(horizon)
         return np.fromiter((self.fn(n) for n in range(horizon)), dtype=np.int64, count=horizon)
 
     def validate_flags(self, horizon: int = 10_000) -> None:
@@ -38,13 +52,20 @@ class IndexMap:
 
 
 def identity_map() -> IndexMap:
-    return IndexMap(lambda n: n, "identity", injective=True)
+    return IndexMap(
+        lambda n: n, "identity", injective=True, rule=lambda horizon: np.arange(horizon, dtype=np.int64)
+    )
 
 
 def affine_map(mul: int, add: int = 0) -> IndexMap:
     if mul < 1 or add < 0:
         raise ValueError("need mul >= 1 and add >= 0")
-    return IndexMap(lambda n: mul * n + add, f"n -> {mul}*n+{add}", injective=True)
+    return IndexMap(
+        lambda n: mul * n + add,
+        f"n -> {mul}*n+{add}",
+        injective=True,
+        rule=lambda horizon: mul * np.arange(horizon, dtype=np.int64) + add,
+    )
 
 
 def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMap:
@@ -52,24 +73,26 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
 
     Elements are discovered lazily by doubling the enumeration horizon, so the
     map stays cheap for structured sets while remaining total for any infinite
-    description.
+    description.  The search reads ``enumerate_prefix``, never a mask: for a
+    sparse set such as the squares the horizon runs far ahead of the count.
     """
-    cache: list[int] = []
     lock = threading.Lock()  # for callers that share the map across threads
-    state = {"horizon": 1024}
+    state = {"horizon": 1024, "found": np.zeros(0, dtype=np.int64)}
 
-    def fn(n: int) -> int:
+    def first(count: int) -> np.ndarray:
+        """The ``count`` smallest elements, as a read-only int64 array."""
         with lock:
-            while len(cache) <= n:
+            while len(state["found"]) < count:
                 horizon = state["horizon"]
                 found = target.enumerate_prefix(horizon)
-                if len(found) > len(cache):
-                    cache.clear()
-                    cache.extend(found)
-                if len(cache) <= n:
+                if len(found) > len(state["found"]):
+                    arr = np.array(found, dtype=np.int64)
+                    arr.setflags(write=False)
+                    state["found"] = arr
+                if len(state["found"]) < count:
                     state["horizon"] = horizon * 2
                     if state["horizon"] > 2**40:
                         raise RuntimeError("enumeration horizon exhausted; set looks finite")
-            return cache[n]
+            return state["found"][:count]
 
-    return IndexMap(fn, label or "enumeration", injective=True)
+    return IndexMap(lambda n: int(first(n + 1)[n]), label or "enumeration", injective=True, rule=first)

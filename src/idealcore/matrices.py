@@ -18,6 +18,7 @@ import numpy as np
 
 from .maps import IndexMap
 from .sequences import BoundedSequence
+from .sets import SetDescription
 
 __all__ = [
     "MatrixRow",
@@ -40,6 +41,9 @@ __all__ = [
 
 _CACHE_SUPPORT_LIMIT = 1024
 _FLAT_NNZ_LIMIT = 4_000_000
+# A row-selection matrix reads sequences and column sets pointwise on the image
+# of h once the largest selected column exceeds this multiple of the horizon.
+_SPARSE_IMAGE_FACTOR = 16
 
 
 class ComposeUnsupportedError(ValueError):
@@ -147,16 +151,18 @@ class InfiniteMatrix:
 
     def masked_row_sums(
         self,
-        mask: np.ndarray | None,
+        columns: SetDescription | None,
         horizon: int,
         absolute: bool = False,
         positive_part: bool = False,
     ) -> np.ndarray:
-        """Per-row sums of a_nk (optionally |a_nk| or a_nk^+) over columns in the mask.
+        """Per-row sums of a_nk (optionally |a_nk| or a_nk^+) over the columns k in the set
+        (all columns when ``columns`` is None).
 
         Tail bounds are added for absolute sums (they dominate the missing mass)
         and ignored otherwise.
         """
+        mask = columns.mask(self.max_support(horizon)) if columns is not None else None
         flat = self._flat(horizon)
         if flat is not None:
             idx, val, ptr, tails = flat
@@ -167,8 +173,6 @@ class InfiniteMatrix:
             else:
                 sel = val
             if mask is not None:
-                if idx.size and int(idx.max()) >= len(mask):
-                    raise ValueError("mask shorter than the row support")
                 sel = sel * mask[idx]
             cum = np.concatenate(([0.0], np.cumsum(sel)))
             out = cum[ptr[1:]] - cum[ptr[:-1]]
@@ -178,8 +182,6 @@ class InfiniteMatrix:
             r = self.row(n)
             vals = r.values
             if mask is not None:
-                if len(r.indices) and int(r.indices[-1]) >= len(mask):
-                    raise ValueError("mask shorter than the row support")
                 vals = vals[mask[r.indices]] if len(r.indices) else vals[:0]
             if positive_part:
                 vals = np.clip(vals, 0.0, None)
@@ -222,11 +224,11 @@ class _CesaroMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return horizon
 
-    def masked_row_sums(self, mask, horizon, absolute=False, positive_part=False):
+    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
         ns = np.arange(1, horizon + 1, dtype=np.float64)
-        if mask is None:
+        if columns is None:
             return np.ones(horizon, dtype=np.float64)
-        counts = np.cumsum(mask[:horizon].astype(np.float64))
+        counts = np.cumsum(columns.mask(horizon).astype(np.float64))
         return counts / ns
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
@@ -235,10 +237,15 @@ class _CesaroMatrix(InfiniteMatrix):
 
 
 class _DiagonalMatrix(InfiniteMatrix):
+    """Diagonal entries ``diag(n)``; ``rule``, when given, maps a horizon H to the
+    array ``diag(0) … diag(H-1)`` and must agree with ``diag`` bit for bit."""
+
     def __init__(self, diag: Callable[[int], float], label: str,
-                 norm_bound: float | None = None, nonnegative: bool | None = None):
+                 norm_bound: float | None = None, nonnegative: bool | None = None,
+                 rule: Callable[[int], np.ndarray] | None = None):
         super().__init__(label, norm_bound=norm_bound, nonnegative=nonnegative)
         self.diag = diag
+        self.rule = rule
 
     def _row(self, n: int) -> MatrixRow:
         v = float(self.diag(n))
@@ -247,20 +254,22 @@ class _DiagonalMatrix(InfiniteMatrix):
         return MatrixRow(np.array([n], dtype=np.int64), np.array([v]))
 
     def _diag_prefix(self, horizon: int) -> np.ndarray:
+        if self.rule is not None:
+            return self.rule(horizon)
         return np.fromiter((self.diag(n) for n in range(horizon)), dtype=np.float64, count=horizon)
 
     def max_support(self, horizon: int) -> int:
         return horizon
 
-    def masked_row_sums(self, mask, horizon, absolute=False, positive_part=False):
+    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
         d = self._diag_prefix(horizon)
         if positive_part:
             d = np.clip(d, 0.0, None)
         elif absolute:
             d = np.abs(d)
-        if mask is None:
+        if columns is None:
             return d
-        return d * mask[:horizon]
+        return d * columns.mask(horizon)
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
         return self._diag_prefix(horizon) * x.prefix(horizon)
@@ -282,15 +291,26 @@ class _RkMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return int(self.h.prefix(horizon).max()) + 1 if horizon else 0
 
-    def masked_row_sums(self, mask, horizon, absolute=False, positive_part=False):
-        if mask is None:
+    def _on_image(self, horizon: int, prefix: Callable, point: Callable, dtype) -> np.ndarray:
+        """``prefix(support)[h(n)]`` for the rows n below the horizon.
+
+        When the image is sparse (e.g. the squares) the largest selected column
+        far exceeds the horizon, so ``point(h(n))`` is read per row instead of a
+        prefix the size of that column.
+        """
+        hs = self.h.prefix(horizon)
+        support = int(hs.max()) + 1 if horizon else 0
+        if support > _SPARSE_IMAGE_FACTOR * horizon:
+            return np.fromiter((point(int(k)) for k in hs), dtype=dtype, count=horizon)
+        return prefix(support)[hs]
+
+    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
+        if columns is None:
             return np.ones(horizon, dtype=np.float64)
-        return mask[self.h.prefix(horizon)].astype(np.float64)
+        return self._on_image(horizon, columns.mask, columns.contains, bool).astype(np.float64)
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
-        hs = self.h.prefix(horizon)
-        xs = x.prefix(int(hs.max()) + 1 if horizon else 0)
-        return xs[hs]
+        return self._on_image(horizon, x.prefix, x.fn, np.float64)
 
 
 class _BandedMatrix(InfiniteMatrix):
@@ -406,16 +426,18 @@ def cesaro() -> InfiniteMatrix:
 
 
 def identity() -> InfiniteMatrix:
-    return _DiagonalMatrix(lambda n: 1.0, "Identity", norm_bound=1.0, nonnegative=True)
+    return _DiagonalMatrix(lambda n: 1.0, "Identity", norm_bound=1.0, nonnegative=True, rule=np.ones)
 
 
 def zero_matrix() -> InfiniteMatrix:
-    return _DiagonalMatrix(lambda n: 0.0, "Zero", norm_bound=0.0, nonnegative=True)
+    return _DiagonalMatrix(lambda n: 0.0, "Zero", norm_bound=0.0, nonnegative=True, rule=np.zeros)
 
 
 def diagonal(values: Callable[[int], float], label: str = "Diagonal",
-             norm_bound: float | None = None, nonnegative: bool | None = None) -> InfiniteMatrix:
-    return _DiagonalMatrix(values, label, norm_bound=norm_bound, nonnegative=nonnegative)
+             norm_bound: float | None = None, nonnegative: bool | None = None,
+             rule: Callable[[int], np.ndarray] | None = None) -> InfiniteMatrix:
+    """Diagonal matrix with entries ``values(n)``; ``rule`` is its optional array form."""
+    return _DiagonalMatrix(values, label, norm_bound=norm_bound, nonnegative=nonnegative, rule=rule)
 
 
 def rk_matrix(h: IndexMap) -> InfiniteMatrix:

@@ -5,6 +5,16 @@ test failures, never silently clamped) and, when the sequence takes finitely
 many values on symbolically described index sets, an optional level-set map
 ``value -> SetDescription``.  Level sets are what make exact core computations
 possible downstream.
+
+``BoundedSequence.prefix`` is the one way to materialize ``x_0 … x_{H-1}``,
+and every route it takes is bit-identical to calling ``fn`` per index:
+
+* an array ``rule`` (horizon -> values) when the sequence has one: the closed
+  forms of the corpus and the pointwise ``affine``/``combine`` operations;
+* otherwise, for level sets free of predicates, ``out[S.mask(H)] = value`` per
+  level, after checking that the level sets partition the prefix;
+* otherwise the scalar path, ``fn`` per index, which extends the cached prefix
+  from its current length.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from .sets import SetDescription
 __all__ = [
     "BoundedSequence",
     "OverlapError",
+    "LevelSetError",
     "indicator",
     "signed_indicator",
     "affine",
@@ -37,14 +48,23 @@ class OverlapError(ValueError):
     """Raised when the two parts of a signed indicator share an element."""
 
 
+class LevelSetError(ValueError):
+    """Raised when the level sets of a sequence do not partition a prefix."""
+
+
 @dataclass(eq=False)
 class BoundedSequence:
-    """A total map ω → ℝ with declared bound ``|x_n| <= bound`` and a label."""
+    """A total map ω → ℝ with declared bound ``|x_n| <= bound`` and a label.
+
+    ``rule``, when given, maps a horizon H to the array ``fn(0) … fn(H-1)``
+    and must agree with ``fn`` bit for bit.
+    """
 
     fn: Callable[[int], float]
     bound: float
     label: str
     level_sets: tuple[tuple[float, SetDescription], ...] | None = None
+    rule: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
     _cache: np.ndarray | None = field(default=None, repr=False)
     # Guards the cache for callers that share a sequence across threads.
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -60,12 +80,32 @@ class BoundedSequence:
         """Values ``x_0 … x_{horizon-1}``; cached and grown monotonically."""
         with self._lock:
             if self._cache is None or len(self._cache) < horizon:
-                arr = np.fromiter(
-                    (self.fn(n) for n in range(horizon)), dtype=np.float64, count=horizon
-                )
+                if self.rule is not None:
+                    arr = np.asarray(self.rule(horizon), dtype=np.float64)
+                elif self.level_sets is not None and not any(
+                    sd.contains_predicate(s) for _, s in self.level_sets
+                ):
+                    arr = self._from_level_sets(horizon)
+                else:
+                    start = 0 if self._cache is None else len(self._cache)
+                    tail = np.fromiter(
+                        (self.fn(n) for n in range(start, horizon)), dtype=np.float64, count=horizon - start
+                    )
+                    arr = tail if self._cache is None else np.concatenate((self._cache, tail))
                 arr.setflags(write=False)
                 self._cache = arr
             return self._cache[:horizon]
+
+    def _from_level_sets(self, horizon: int) -> np.ndarray:
+        out = np.full(horizon, np.nan)
+        covered = 0
+        for value, level_set in self.level_sets:
+            mask = level_set.mask(horizon)
+            out[mask] = value
+            covered += int(np.count_nonzero(mask))
+        if covered != horizon or np.isnan(out).any():
+            raise LevelSetError(f"{self.label}: level sets do not partition the prefix below {horizon}")
+        return out
 
     def seed_prefix(self, values: np.ndarray) -> "BoundedSequence":
         """Pre-populate the prefix cache (used for transformed sequences)."""
@@ -106,9 +146,9 @@ def signed_indicator(
     complement of F ∪ G symbolically when the caller knows a sharper
     description than the generic complement node.
     """
-    common = set(f.enumerate_prefix(check_horizon)) & set(g.enumerate_prefix(check_horizon))
-    if common:
-        raise OverlapError(f"sets share element {min(common)}")
+    common = np.flatnonzero(f.mask(check_horizon) & g.mask(check_horizon))
+    if common.size:
+        raise OverlapError(f"sets share element {common[0]}")
     zero = zero_set if zero_set is not None else sd.complement(sd.Union(f, g))
     levels = ((1.0, f), (-1.0, g), (0.0, zero))
 
@@ -135,6 +175,7 @@ def affine(x: BoundedSequence, mul: float, add: float, label: str | None = None)
         bound=abs(mul) * x.bound + abs(add),
         label=label or f"{mul}*{x.label}+{add}",
         level_sets=levels,
+        rule=lambda horizon: mul * x.prefix(horizon) + add,
     )
 
 
@@ -155,6 +196,7 @@ def combine(x: BoundedSequence, y: BoundedSequence, op: str, label: str | None =
         bound=x.bound + y.bound,
         label=label or f"{x.label}{'+' if op == 'add' else '-'}{y.label}",
         level_sets=levels,
+        rule=lambda horizon: x.prefix(horizon) + sign * y.prefix(horizon),
     )
 
 
@@ -213,7 +255,13 @@ def _rotation_golden() -> BoundedSequence:
         fn=lambda n: math.modf(n * GOLDEN)[0],
         bound=1.0,
         label="rotation_golden",
+        rule=lambda horizon: np.modf(np.arange(horizon) * GOLDEN)[0],
     )
+
+
+def _alternating_decay_values(horizon: int) -> np.ndarray:
+    n = np.arange(horizon)
+    return np.where(n % 2, -1.0, 1.0) / (n + 1.0)
 
 
 def _alternating_decay() -> BoundedSequence:
@@ -221,6 +269,7 @@ def _alternating_decay() -> BoundedSequence:
         fn=lambda n: (-1.0) ** (n % 2) / (n + 1.0),
         bound=1.0,
         label="alternating_decay",
+        rule=_alternating_decay_values,
     )
 
 

@@ -1,8 +1,16 @@
 """Symbolic subsets of the naturals with exact density and cardinality analysis.
 
 A :class:`SetDescription` is an immutable expression tree over ω = {0, 1, 2, …}.
-Every description answers membership queries and enumerates its prefix
-``{n < N : n ∈ S}``.  Every non-predicate description additionally supports an
+Every description answers membership queries, enumerates its prefix
+``{n < N : n ∈ S}`` as sorted indices, and builds the same prefix as a boolean
+``mask(N)``.  The mask is the primitive that prefix consumers read (level-set
+sequences, membership estimates, masked row sums): arithmetic progressions and
+the block families set slices, and the boolean nodes combine their children's
+masks with ``| & &~ ~``.  Only explicit sets, squares, finite block lists and
+predicates scatter their enumeration, and a predicate's enumeration is the one
+scalar path (``contains`` per index).  ``enumerate_prefix`` stays the sparse
+path, for callers such as enumeration maps that search horizons far beyond any
+prefix they keep.  Every non-predicate description additionally supports an
 exact density analysis: the asymptotic density exists and is a rational, or the
 set oscillates and its exact lower/upper densities are known (block families),
 or only sound interval bounds on the lower/upper densities can be derived from
@@ -21,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "Cardinality",
@@ -55,6 +65,9 @@ _ONE = Fraction(1)
 
 # Residue-form moduli beyond this are not worth materializing.
 _LCM_CAP = 10**6
+
+# Masks kept by ``SetDescription.mask``; at a 200k horizon each takes 200 kB.
+_MASK_CACHE_SIZE = 64
 
 
 class Cardinality(enum.Enum):
@@ -125,6 +138,15 @@ class SetDescription:
     def _enumerate(self, horizon: int) -> tuple[int, ...]:
         return tuple(n for n in range(horizon) if self.contains(n))
 
+    def mask(self, horizon: int) -> np.ndarray:
+        """Read-only bool array of length ``horizon`` with ``mask[n]`` iff ``n ∈ S``."""
+        return _cached_mask(self, int(horizon))
+
+    def _mask(self, horizon: int) -> np.ndarray:
+        out = np.zeros(horizon, dtype=bool)
+        out[np.fromiter(self.enumerate_prefix(horizon), dtype=np.int64)] = True
+        return out
+
     def density_bounds(self) -> DensityBounds | None:
         """Density analysis; ``None`` when a predicate blocks it."""
         return _density(self)
@@ -183,6 +205,11 @@ class ArithmeticProgression(SetDescription):
 
     def _enumerate(self, horizon: int) -> tuple[int, ...]:
         return tuple(range(self.offset, horizon, self.step))
+
+    def _mask(self, horizon: int) -> np.ndarray:
+        out = np.zeros(horizon, dtype=bool)
+        out[self.offset :: self.step] = True
+        return out
 
 
 @dataclass(frozen=True)
@@ -262,6 +289,14 @@ class GeometricBlocks(SetDescription):
             i += self.modulus
         return tuple(out)
 
+    def _mask(self, horizon: int) -> np.ndarray:
+        out = np.zeros(horizon, dtype=bool)
+        i = self.residue
+        while self.base**i < horizon:
+            out[self.base**i : self.base ** (i + 1)] = True
+            i += self.modulus
+        return out
+
     def exact_bounds(self) -> tuple[Fraction, Fraction]:
         b, m = self.base, self.modulus
         lower = Fraction(b - 1, b**m - 1)
@@ -295,6 +330,14 @@ class RootBlocks(SetDescription):
             i += self.modulus
         return tuple(out)
 
+    def _mask(self, horizon: int) -> np.ndarray:
+        out = np.zeros(horizon, dtype=bool)
+        i = self.residue
+        while i * i < horizon:
+            out[i * i : (i + 1) * (i + 1)] = True
+            i += self.modulus
+        return out
+
 
 @dataclass(frozen=True)
 class Union(SetDescription):
@@ -306,6 +349,9 @@ class Union(SetDescription):
 
     def _enumerate(self, horizon: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.left.enumerate_prefix(horizon)) | set(self.right.enumerate_prefix(horizon))))
+
+    def _mask(self, horizon: int) -> np.ndarray:
+        return self.left.mask(horizon) | self.right.mask(horizon)
 
 
 @dataclass(frozen=True)
@@ -319,6 +365,9 @@ class Intersection(SetDescription):
     def _enumerate(self, horizon: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.left.enumerate_prefix(horizon)) & set(self.right.enumerate_prefix(horizon))))
 
+    def _mask(self, horizon: int) -> np.ndarray:
+        return self.left.mask(horizon) & self.right.mask(horizon)
+
 
 @dataclass(frozen=True)
 class Difference(SetDescription):
@@ -331,6 +380,9 @@ class Difference(SetDescription):
     def _enumerate(self, horizon: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.left.enumerate_prefix(horizon)) - set(self.right.enumerate_prefix(horizon))))
 
+    def _mask(self, horizon: int) -> np.ndarray:
+        return self.left.mask(horizon) & ~self.right.mask(horizon)
+
 
 @dataclass(frozen=True)
 class Complement(SetDescription):
@@ -342,6 +394,9 @@ class Complement(SetDescription):
     def _enumerate(self, horizon: int) -> tuple[int, ...]:
         members = set(self.inner.enumerate_prefix(horizon))
         return tuple(n for n in range(horizon) if n not in members)
+
+    def _mask(self, horizon: int) -> np.ndarray:
+        return ~self.inner.mask(horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,7 +466,7 @@ def contains_predicate(s: SetDescription) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Prefix cache
+# Prefix and mask caches
 
 
 @lru_cache(maxsize=512)
@@ -419,6 +474,15 @@ def _prefix(s: SetDescription, horizon: int) -> tuple[int, ...]:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     return s._enumerate(horizon)
+
+
+@lru_cache(maxsize=_MASK_CACHE_SIZE)
+def _cached_mask(s: SetDescription, horizon: int) -> np.ndarray:
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    out = s._mask(horizon)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from . import ideals as ide
 from . import maps
 from . import matrices as mat
@@ -93,19 +95,21 @@ def parse_index_map(obj: Any, path: str = "map") -> maps.IndexMap:
 
 
 def _parse_diagonal_values(obj: Any, path: str):
+    """(entry function, array rule or None, norm bound) of a diagonal values spec."""
     if not isinstance(obj, dict):
         raise ConfigError(path, "diagonal values spec must be an object")
     kind = obj.get("kind")
     if kind == "constant":
         value = float(_require(obj, "value", path))
-        return (lambda n: value), abs(value)
+        return (lambda n: value), (lambda horizon: np.full(horizon, value)), abs(value)
     if kind == "geometric":
         ratio = float(_require(obj, "ratio", path))
         if not 0 <= abs(ratio) <= 1:
             raise ConfigError(f"{path}.ratio", "ratio must lie in [-1, 1] for a bounded matrix")
-        return (lambda n: ratio**n), 1.0
+        # No array rule: ratio ** np.arange(H) can differ from ratio**n in the last ulp.
+        return (lambda n: ratio**n), None, 1.0
     if kind == "harmonic":
-        return (lambda n: 1.0 / (n + 1.0)), 1.0
+        return (lambda n: 1.0 / (n + 1.0)), (lambda horizon: 1.0 / (np.arange(horizon) + 1.0)), 1.0
     raise ConfigError(f"{path}.kind", f"unknown diagonal kind {kind!r}")
 
 
@@ -131,8 +135,8 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
     if kind == "scaled_identity":
         return mat.scalar_mul(float(_require(obj, "factor", path)), mat.identity())
     if kind == "diagonal":
-        values, bound = _parse_diagonal_values(_require(obj, "values", path), f"{path}.values")
-        return mat.diagonal(values, label="Diagonal", norm_bound=bound)
+        values, rule, bound = _parse_diagonal_values(_require(obj, "values", path), f"{path}.values")
+        return mat.diagonal(values, label="Diagonal", norm_bound=bound, rule=rule)
     if kind == "rk":
         return mat.rk_matrix(parse_index_map(_require(obj, "map", path), f"{path}.map"))
     if kind == "banded":

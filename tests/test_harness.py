@@ -325,3 +325,18 @@ def test_cli_malformed_env_horizon_is_a_cli_error(monkeypatch, args):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "IDEALCORE_DEFAULT_HORIZON" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--matrix", "cesaro", "--theorem", "allen", "--horizon", "50"],
+        ["core", "--sequence", "alternating", "--horizon", "50"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_cli_small_horizon_is_a_cli_error(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: horizon must be at least 100" in result.output

@@ -189,6 +189,12 @@ def test_density_zero_positivity_bands():
     assert Z.positivity(band, horizon)[0] is PR.INCONCLUSIVE
 
 
+def test_pair_columns_match_scalar_inverse():
+    ns = np.arange(10**6 + 1, dtype=np.int64)
+    expected = np.fromiter((ide._pair_column(n) for n in range(10**6 + 1)), dtype=np.int64)
+    assert np.array_equal(ide._pair_columns(ns), expected)
+
+
 def test_trace_positivity_filters():
     horizon = 10**4
     odd_hits = np.arange(1, horizon, 2, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Lazy matrices: rows, transforms, norms, algebra, splits, composition."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from idealcore import maps
 from idealcore import matrices as mat
 from idealcore import sequences as seq
+from idealcore import sets as sd
+from idealcore import specs
 
 
 def test_cesaro_rows():
@@ -155,14 +158,68 @@ def test_bulk_paths_match_scalar():
         bulk = a.transform_prefix(x, 50)
         scalar = np.array([mat.transform(a, x, n) for n in range(50)])
         assert np.allclose(bulk, scalar, atol=1e-12)
-        mask = np.zeros(a.max_support(50), dtype=bool)
-        mask[::2] = True
-        masked = a.masked_row_sums(mask, 50, absolute=True)
+        masked = a.masked_row_sums(sd.evens(), 50, absolute=True)
         want = []
         for n in range(50):
             r = a.row(n)
             want.append(sum(abs(v) for k, v in zip(r.indices, r.values) if k % 2 == 0))
         assert np.allclose(masked, np.array(want), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        maps.identity_map(),
+        maps.affine_map(3, 2),
+        maps.enumeration_map(sd.evens()),
+        maps.enumeration_map(sd.squares()),
+        maps.enumeration_map(sd.GeometricBlocks(2, 1, 2)),
+        maps.IndexMap(lambda n: n // 2, "halve"),
+    ],
+    ids=lambda h: h.label,
+)
+def test_index_map_prefix_equals_fn(h):
+    for horizon in (0, 1, 100, 5000):
+        values = h.prefix(horizon)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, np.array([h.fn(n) for n in range(horizon)], dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "identity",
+        "zero",
+        {"type": "diagonal", "values": {"kind": "constant", "value": -0.3}},
+        {"type": "diagonal", "values": {"kind": "harmonic"}},
+        {"type": "diagonal", "values": {"kind": "geometric", "ratio": 0.7}},
+    ],
+)
+def test_diagonal_prefix_is_bit_identical_to_entries(spec):
+    a = specs.parse_matrix(spec)
+    expected = np.array([float(a.diag(n)) for n in range(4097)])
+    assert a._diag_prefix(4097).tobytes() == expected.tobytes()
+
+
+def test_rk_over_sparse_map_reads_the_image_only():
+    # rk(enumeration(squares)) selects columns up to ~H^2; neither the transform
+    # nor the masked row sums may materialize a prefix up to the largest one
+    # (4e8 floats at H = 20k).
+    horizon = 20_000
+    a = mat.rk_matrix(maps.enumeration_map(sd.squares()))
+    x = seq.corpus_entry("periodic_three_level")
+    columns = sd.ap(1, 3)
+    hs = a.h.prefix(horizon)
+    tracemalloc.start()
+    try:
+        values = a.transform_prefix(x, horizon)
+        sums = a.masked_row_sums(columns, horizon, absolute=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert np.array_equal(values, [x.fn(int(k)) for k in hs])
+    assert np.array_equal(sums, [float(columns.contains(int(k))) for k in hs])
 
 
 def test_find_negative_entry():

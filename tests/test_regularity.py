@@ -167,6 +167,16 @@ def test_default_family_is_exactly_classified():
     assert set(fam_fin.sets_positive) == set(s for s in fam_fin.sets_infinite)
 
 
+def test_default_family_classification_provenance():
+    for ideal in (FIN, FO_EVENS):
+        fam = reg.default_family(ideal, seed=0)
+        for s in fam.sets_in_ideal + fam.sets_positive:
+            assert ide.decide_membership(s, ideal) is not None, (ideal.label, s)
+    fte = ide.fin_times_empty()
+    fam = reg.default_family(fte, seed=0)
+    assert any(ide.decide_membership(s, fte) is None for s in fam.sets_in_ideal + fam.sets_positive)
+
+
 def test_family_validation_rejects_misclassification():
     bad = reg.TestFamily(sets_in_ideal=(), sets_positive=(sd.squares(),), sets_infinite=())
     with pytest.raises(reg.FamilyMisclassifiedError):
@@ -189,9 +199,7 @@ def test_witness_survives_double_horizon():
     cond = next(c for c in verdict.conditions if c.ok is False and c.name == "A3[squares]")
     margin = cond.margin
     double = CheckConfig(horizon=2 * CFG.horizon)
-    support = mat.cesaro().max_support(double.horizon)
-    mask = ide._member_mask(sd.squares(), support)
-    sums = mat.cesaro().masked_row_sums(mask, double.horizon, absolute=True)
+    sums = mat.cesaro().masked_row_sums(sd.squares(), double.horizon, absolute=True)
     from idealcore.asymptotics import limsup_of_values
 
     est = limsup_of_values(sums, FIN, double.core_config())

@@ -96,3 +96,56 @@ def test_prefix_cache_grows():
 def test_bound_validation():
     with pytest.raises(ValueError):
         seq.BoundedSequence(lambda n: 0.0, bound=-1.0, label="bad")
+
+
+def _derived():
+    rot = seq.corpus_entry("rotation_golden")
+    blocks = seq.corpus_entry("indicator_blocks")
+    return [
+        seq.affine(rot, -2.0, 0.5),
+        seq.affine(blocks, 0.0, 3.0),
+        seq.affine(blocks, -0.5, 0.25),
+        seq.combine(seq.corpus_entry("alternating"), seq.corpus_entry("alternating_decay"), "sub"),
+        seq.combine(seq.corpus_entry("indicator_evens"), seq.corpus_entry("indicator_squares"), "add"),
+        seq.combine(rot, blocks, "add"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(seq.corpus()) + len(_derived())))
+def test_prefix_is_bit_identical_to_fn(index):
+    x = (seq.corpus() + _derived())[index]
+    for horizon in (100, 4097, 200_000):
+        values = x.prefix(horizon)
+        expected = np.array([x.fn(n) for n in range(horizon)], dtype=np.float64)
+        assert np.array_equal(values, expected), (x.label, horizon)
+        assert values.tobytes() == expected.tobytes(), (x.label, horizon)
+        assert not values.flags.writeable
+
+
+def test_scalar_prefix_extends_the_cache():
+    calls = []
+
+    def fn(n):
+        calls.append(n)
+        return 1.0 / (n + 2.0)
+
+    x = seq.BoundedSequence(fn, bound=1.0, label="scalar")
+    x.prefix(10)
+    x.prefix(100)
+    x.prefix(50)
+    assert calls == list(range(100))
+    assert np.array_equal(x.prefix(100), [1.0 / (n + 2.0) for n in range(100)])
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        ((1.0, sd.evens()), (0.0, sd.ap(0, 3))),  # overlap at multiples of 6, gap at 1 and 5 mod 6
+        ((1.0, sd.evens()), (0.0, sd.omega())),  # overlap only
+        ((1.0, sd.evens()),),  # gap only
+    ],
+)
+def test_level_sets_must_partition_the_prefix(levels):
+    x = seq.BoundedSequence(lambda n: float(n % 2 == 0), bound=1.0, label="bad", level_sets=levels)
+    with pytest.raises(seq.LevelSetError, match="partition"):
+        x.prefix(100)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,10 +62,14 @@ def test_explicit_normalizes():
         sd.Intersection(sd.ap(0, 3), EVENS),
         sd.Difference(EVENS, SQUARES),
         sd.complement(SQUARES),
+        sd.Predicate(lambda n: n % 7 == 1, name="one_mod_seven"),
     ],
 )
 def test_enumerate_matches_membership(s):
     assert s.enumerate_prefix(2000) == brute_prefix(s, 2000)
+    mask = s.mask(2000)
+    assert mask.dtype == bool and not mask.flags.writeable
+    assert tuple(np.flatnonzero(mask).tolist()) == brute_prefix(s, 2000)
 
 
 def test_geometric_blocks_membership():
@@ -231,6 +236,22 @@ def _trees(depth=2):
 @given(_trees())
 def test_tree_enumeration_matches_membership(s):
     assert s.enumerate_prefix(400) == brute_prefix(s, 400)
+
+
+_ODD_CUBES = sd.Predicate(lambda n: n % 2 == 1 and round(n ** (1 / 3)) ** 3 == n, name="odd_cubes")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trees(), st.sampled_from([None, "union", "difference"]), st.sampled_from([0, 1, 400, 1025]))
+def test_tree_mask_matches_membership(s, with_predicate, horizon):
+    if with_predicate == "union":
+        s = sd.Union(s, _ODD_CUBES)
+    elif with_predicate == "difference":
+        s = sd.Difference(s, _ODD_CUBES)
+    mask = s.mask(horizon)
+    assert len(mask) == horizon
+    members = tuple(np.flatnonzero(mask).tolist())
+    assert members == s.enumerate_prefix(horizon) == brute_prefix(s, horizon)
 
 
 @settings(max_examples=60, deadline=None)
