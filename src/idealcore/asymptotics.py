@@ -1,30 +1,32 @@
 """Ideal limsup/liminf, cluster sets, and cores of bounded sequences.
 
-The numeric engine partitions the value range into grid cells of width
-``grid`` and keeps a cell iff the index set hitting its slightly enlarged
-window (width 1.5·grid, so boundary values are never lost to discretization)
-is judged positive for the ideal.  Judgments are exact via set descriptions
-when the sequence carries level sets, and use the ideal's numeric positivity
-estimator otherwise.  Reported interval endpoints come from the witnessing
-values themselves (exact level values, or values attained on the supporting
-hits), not from cell boundaries, which keeps the discretization error well
-inside the grid resolution.
+A finitely-valued sequence (one that carries its level sets) has as cluster
+points exactly the values whose level sets are positive, so its cluster set is
+read off one decision per level, with no grid.  ``classify_levels`` is the one
+place where level sets are decided: symbolically when the structural analysis
+applies, by the numeric estimator at the run's ``theta`` otherwise, and each
+decision says which.  ``core``, ``cluster_points`` and ``oracle_core`` all read
+finitely-valued sequences through it.
 
-``classify_levels`` is the one place where level sets are decided: symbolically
-when the structural analysis applies, by the numeric estimator otherwise, and
-each decision says which.  ``oracle_core`` is the independent verification
-path: it ignores the grid and horizon and reads the cluster values straight off
-the level-set decisions.
+Value prefixes go through the numeric engine: it partitions the value range
+into grid cells of width ``grid`` and keeps a cell iff the index set hitting
+its slightly enlarged window (width 1.5·grid, so boundary values are never
+lost to discretization) is judged positive by the ideal's estimator.  Reported
+interval endpoints come from the values attained on the supporting hits, not
+from cell boundaries, which keeps the discretization error well inside the
+grid resolution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .ideals import Ideal, MembershipResult, PositivityResult, decide_membership, estimate_membership
+from .ideals import DEFAULT_THETA, Ideal, MembershipResult, PositivityResult
+from .ideals import decide_membership, estimate_membership
 from .sequences import BoundedSequence
 from .sets import contains_predicate
 
@@ -64,7 +66,7 @@ class CoreConfig:
 
     horizon: int = 100_000
     grid: float = 0.01
-    theta: float = 1e-3
+    theta: float = DEFAULT_THETA
 
     def __post_init__(self):
         if self.horizon < 100:
@@ -94,8 +96,8 @@ class ClusterSet:
 class CoreInterval:
     lo: float
     hi: float
-    # "exact" (oracle, every level set decided symbolically), "mixed" (oracle,
-    # some level sets decided by the numeric estimator), "numeric" (grid + horizon)
+    # "exact" (every level set decided symbolically), "mixed" (some level sets
+    # decided by the numeric estimator), "numeric" (a value prefix on the grid)
     method: str
     horizon: int | None = None
     grid: float | None = None
@@ -114,40 +116,17 @@ def _cell_range(bound: float, grid: float) -> range:
     return range(lo, hi)
 
 
-@dataclass
-class _CellVerdict:
-    status: str  # "pos" | "null" | "inc"
-    wmin: float = math.nan
-    wmax: float = math.nan
-
-
-def _merge(cells: list[tuple[int, _CellVerdict]], grid: float):
-    """Merge runs of adjacent cells; returns value intervals for positive runs."""
+def _merge(cells: list[tuple[int, str, float, float]], grid: float):
+    """Merge runs of adjacent cells ``(index, status, wmin, wmax)`` of one status:
+    the value range of each positive run, the cell range of each inconclusive run."""
     points: list[tuple[float, float]] = []
     inconclusive: list[tuple[float, float]] = []
-    run: list[tuple[int, _CellVerdict]] = []
-
-    def flush():
-        if not run:
-            return
-        status = run[0][1].status
+    for status, group in groupby(cells, key=lambda cell: cell[1]):
+        run = list(group)
         if status == "pos":
-            points.append((min(c.wmin for _, c in run), max(c.wmax for _, c in run)))
-        else:
+            points.append((min(c[2] for c in run), max(c[3] for c in run)))
+        elif status == "inc":
             inconclusive.append((run[0][0] * grid, (run[-1][0] + 1) * grid))
-        run.clear()
-
-    prev_i = None
-    for i, verdict in cells:
-        if verdict.status == "null":
-            flush()
-            prev_i = None
-            continue
-        if run and (verdict.status != run[0][1].status or prev_i != i - 1):
-            flush()
-        run.append((i, verdict))
-        prev_i = i
-    flush()
     return tuple(points), tuple(inconclusive)
 
 
@@ -161,24 +140,21 @@ def cluster_of_values(
     horizon = len(values)
     order = np.argsort(values, kind="stable")
     sv = values[order]
-    cells: list[tuple[int, _CellVerdict]] = []
-    for i in _cell_range(bound, cfg.grid):
+    cells: list[tuple[int, str, float, float]] = []
+    for i in _cell_range(bound, cfg.grid):  # consecutive cells, so equal neighbours merge
         wlo = (i - _ENLARGE) * cfg.grid
         whi = (i + 1 + _ENLARGE) * cfg.grid
         a = int(np.searchsorted(sv, wlo, side="left"))
         b = int(np.searchsorted(sv, whi, side="right"))
         if a == b:
-            cells.append((i, _CellVerdict("null")))
+            cells.append((i, "null", 0.0, 0.0))
             continue
-        hits = np.sort(order[a:b])
-        verdict, support = ideal.positivity(hits, horizon, cfg.theta)
+        verdict, support = ideal.positivity(np.sort(order[a:b]), horizon, cfg.theta)
         if verdict is PositivityResult.POSITIVE:
             witness = values[support]
-            cells.append((i, _CellVerdict("pos", float(witness.min()), float(witness.max()))))
-        elif verdict is PositivityResult.INCONCLUSIVE:
-            cells.append((i, _CellVerdict("inc")))
+            cells.append((i, "pos", float(witness.min()), float(witness.max())))
         else:
-            cells.append((i, _CellVerdict("null")))
+            cells.append((i, "inc" if verdict is PositivityResult.INCONCLUSIVE else "null", 0.0, 0.0))
     points, inconclusive = _merge(cells, cfg.grid)
     if not points and not inconclusive:
         raise InconclusiveCellsError("no cell survived; sequence prefix may be empty")
@@ -211,31 +187,37 @@ def classify_levels(levels, ideal: Ideal, horizon: int, theta: float) -> list[tu
     return out
 
 
-def _structured_cluster(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig) -> ClusterSet:
-    decisions = classify_levels(x.level_sets, ideal, cfg.horizon, cfg.theta)
-    cells: list[tuple[int, _CellVerdict]] = []
-    for i in _cell_range(x.bound, cfg.grid):
-        wlo = (i - _ENLARGE) * cfg.grid
-        whi = (i + 1 + _ENLARGE) * cfg.grid
-        in_window = [(v, s) for v, s, _ in decisions if wlo <= v <= whi]
-        pos = [v for v, s in in_window if s == "pos"]
-        if pos:
-            cells.append((i, _CellVerdict("pos", min(pos), max(pos))))
-        elif any(s == "inc" for _, s in in_window):
-            cells.append((i, _CellVerdict("inc")))
-        else:
-            cells.append((i, _CellVerdict("null")))
-    points, inconclusive = _merge(cells, cfg.grid)
-    if not points and not inconclusive:
+_MAX_LEVELS = 64  # finitely-valued sequences with more levels take the value-prefix path
+
+
+def _finitely_valued(x: BoundedSequence) -> bool:
+    return x.level_sets is not None and len(x.level_sets) <= _MAX_LEVELS
+
+
+def _level_cluster(x: BoundedSequence, ideal: Ideal, horizon: int, theta: float) -> ClusterSet:
+    """Cluster set of a finitely-valued sequence, one decision per level.
+
+    The values of positive levels are the cluster points; the values of
+    undecided levels (and of no positive one) are inconclusive points.
+    ``exact`` says every level was decided symbolically.
+    """
+    decisions = classify_levels(x.level_sets, ideal, horizon, theta)
+    positive = {v for v, status, _ in decisions if status == "pos"}
+    undecided = {v for v, status, _ in decisions if status == "inc"} - positive
+    if not positive and not undecided:
         raise InconclusiveCellsError("no positively attained value")
-    return ClusterSet(points, inconclusive, exact=all(e for _, _, e in decisions))
+    return ClusterSet(
+        points=tuple((v, v) for v in sorted(positive)),
+        inconclusive=tuple((v, v) for v in sorted(undecided)),
+        exact=all(e for _, _, e in decisions),
+    )
 
 
 def cluster_points(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> ClusterSet:
     """Cluster-point intervals of the sequence under the ideal."""
     cfg = cfg or CoreConfig()
-    if x.level_sets is not None and len(x.level_sets) <= 64:
-        return _structured_cluster(x, ideal, cfg)
+    if _finitely_valued(x):
+        return _level_cluster(x, ideal, cfg.horizon, cfg.theta)
     return cluster_of_values(x.prefix(cfg.horizon), ideal, cfg, bound=x.bound)
 
 
@@ -281,7 +263,7 @@ def core(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> Cor
     return CoreInterval(
         lo=_inf_of(cluster),
         hi=_sup_of(cluster),
-        method="numeric",
+        method=("exact" if cluster.exact else "mixed") if _finitely_valued(x) else "numeric",
         horizon=cfg.horizon,
         grid=cfg.grid,
         theta=cfg.theta,
@@ -291,31 +273,30 @@ def core(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> Cor
 _ORACLE_HORIZON = 100_000  # prefix for the levels the symbolic analysis leaves open
 
 
-def oracle_core(x: BoundedSequence, ideal: Ideal) -> CoreInterval:
+def oracle_core(x: BoundedSequence, ideal: Ideal, theta: float = DEFAULT_THETA) -> CoreInterval:
     """Core of a finitely-valued sequence, read off its level-set decisions.
 
-    Independent of the grid/horizon machinery: a value is a cluster point iff
-    its level set is positive.  The method is ``"exact"`` when every level set
-    was decided symbolically and ``"mixed"`` when the numeric estimator decided
-    some of them on a prefix.  Raises :class:`UnsupportedInstanceError` for
-    unstructured sequences, predicate level sets and undecided level sets.
+    Independent of the grid: a value is a cluster point iff its level set is
+    positive.  The method is ``"exact"`` when every level set was decided
+    symbolically and ``"mixed"`` when the numeric estimator decided some of
+    them on a prefix at threshold ``theta``.  Raises
+    :class:`UnsupportedInstanceError` for unstructured sequences, predicate
+    level sets and undecided level sets.
     """
     if x.level_sets is None:
         raise UnsupportedInstanceError(f"{x.label}: no level-set structure")
     for value, level_set in x.level_sets:
         if contains_predicate(level_set):
             raise UnsupportedInstanceError(f"{x.label}: predicate level set for value {value}")
-    decisions = classify_levels(x.level_sets, ideal, _ORACLE_HORIZON, ideal.theta)
-    for value, status, _ in decisions:
-        if status == "inc":
-            raise UnsupportedInstanceError(
-                f"{x.label}: membership of the level set of {value} is undecided"
-            )
-    positives = [value for value, status, _ in decisions if status == "pos"]
-    if not positives:
-        raise UnsupportedInstanceError(f"{x.label}: no positively attained value")
-    method = "exact" if all(e for _, _, e in decisions) else "mixed"
-    return CoreInterval(lo=min(positives), hi=max(positives), method=method)
+    try:
+        cluster = _level_cluster(x, ideal, _ORACLE_HORIZON, theta)
+    except InconclusiveCellsError:
+        raise UnsupportedInstanceError(f"{x.label}: no positively attained value") from None
+    if cluster.inconclusive:
+        raise UnsupportedInstanceError(
+            f"{x.label}: membership of the level set of {cluster.inconclusive[0][0]} is undecided"
+        )
+    return CoreInterval(lo=cluster.inf, hi=cluster.sup, method="exact" if cluster.exact else "mixed")
 
 
 def ideal_lim_check(
@@ -323,7 +304,7 @@ def ideal_lim_check(
     target: float,
     tol: float,
     ideal: Ideal,
-    theta: float | None = None,
+    theta: float = DEFAULT_THETA,
 ) -> tuple[bool | None, dict]:
     """Does the ideal limit of the value prefix equal ``target`` within ``tol``?
 

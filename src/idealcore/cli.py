@@ -11,7 +11,7 @@ import click
 
 from . import harness
 from .asymptotics import CoreConfig, core, oracle_core, UnsupportedInstanceError
-from .ideals import empirical_density, exact_density, UnsupportedSetError
+from .ideals import DEFAULT_THETA, empirical_density, exact_density, UnsupportedSetError
 from .regularity import (
     CHECKS,
     CheckConfig,
@@ -60,7 +60,7 @@ _common = [
     click.option("--horizon", type=int, default=None, help="truncation horizon (env IDEALCORE_DEFAULT_HORIZON)"),
     click.option("--tol", type=float, default=1e-2, show_default=True),
     click.option("--grid", type=float, default=1e-2, show_default=True),
-    click.option("--theta", type=float, default=1e-3, show_default=True),
+    click.option("--theta", type=float, default=DEFAULT_THETA, show_default=True),
     click.option("--seed", type=int, default=0, show_default=True),
 ]
 
@@ -157,7 +157,7 @@ def core_cmd(sequence, ideal, oracle, horizon, tol, grid, theta, seed):
     try:
         ii = _ideal_arg(ideal, "--ideal")
         if oracle:
-            interval = oracle_core(x, ii)
+            interval = oracle_core(x, ii, theta)
         else:
             cfg = _core_config(horizon or _default_horizon() or 100_000, grid, theta)
             interval = core(x, ii, cfg)
@@ -198,7 +198,7 @@ def density(set_spec, horizon, tol, grid, theta, seed):
                 out["exact"] = {"value": str(exact)}
         except UnsupportedSetError:
             out["exact"] = None
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a horizon empirical_density rejects
         raise click.ClickException(str(exc))
     click.echo(json.dumps(out, sort_keys=True, indent=2))
 

@@ -235,7 +235,7 @@ def sufficiency_certificate(
         raise ValueError("matrix violates the limsup conditions; no certificate exists")
 
     try:
-        eta = oracle_core(x, ideal_i).hi
+        eta = oracle_core(x, ideal_i, core_cfg.theta).hi
     except UnsupportedInstanceError:
         eta = ideal_limsup(x, ideal_i, core_cfg)
     # Translate only when the upper endpoint is not safely positive; the

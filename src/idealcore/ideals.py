@@ -5,10 +5,11 @@ Each catalog ideal pairs two decision channels:
 * ``decide_in(S)``: a tri-state *exact* decision (``True``/``False``/``None``)
   on a :class:`~idealcore.sets.SetDescription`, derived from the structural
   density/cardinality analysis.  ``None`` means "not derivable", never a guess.
-* ``positivity(hits, horizon)``: a numeric estimator on an index prefix
+* ``positivity(hits, horizon, theta)``: a numeric estimator on an index prefix
   (the indices below the horizon where some event happened), used by the
   cluster-point machinery and by membership queries on predicate sets.  Its
-  rules are finite-horizon approximations and are documented per ideal.
+  rules are finite-horizon approximations and are documented per ideal.  The
+  threshold ``theta`` is a run setting (``cfg.theta``, ``--theta``).
 
 ``membership`` combines both channels into the four-way verdict
 in-ideal / positive / in-dual-filter / inconclusive.
@@ -59,6 +60,7 @@ __all__ = [
     "ideal_to_dict",
     "ideal_from_dict",
     "UnsupportedSetError",
+    "DEFAULT_THETA",
 ]
 
 DEFAULT_THETA = 1e-3
@@ -138,6 +140,21 @@ def _max_running_ratio(hits: np.ndarray, horizon: int, weights: np.ndarray | Non
     return best
 
 
+def _density_positivity(hits: np.ndarray, horizon: int, theta: float, weight_array=None):
+    """The (weighted, when ``weight_array`` maps a horizon to the weights) upper-density
+    estimate against the band: above ``theta`` positive, below ``theta/10`` null,
+    in between inconclusive."""
+    support = _support(hits, horizon)
+    if hits.size == 0:
+        return PositivityResult.NULL, support
+    est = _max_running_ratio(hits, horizon, weight_array(horizon) if weight_array else None)
+    if est > theta:
+        return PositivityResult.POSITIVE, support
+    if est < theta / 10.0:
+        return PositivityResult.NULL, support
+    return PositivityResult.INCONCLUSIVE, support
+
+
 @lru_cache(maxsize=16)
 def _harmonic_weights(horizon: int) -> np.ndarray:
     w = 1.0 / (np.arange(horizon, dtype=np.float64) + 1.0)
@@ -150,18 +167,18 @@ class Ideal:
 
     kind: str = "abstract"
 
-    def __init__(self, label: str, theta: float = DEFAULT_THETA):
+    def __init__(self, label: str):
         self.label = label
-        self.theta = float(theta)
 
     def decide_in(self, s: SetDescription) -> bool | None:
         """Exact tri-state decision of ``S ∈ I``; ``None`` when underivable."""
         raise NotImplementedError
 
     def positivity(
-        self, hits: np.ndarray, horizon: int, theta: float | None = None
+        self, hits: np.ndarray, horizon: int, theta: float
     ) -> tuple[PositivityResult, np.ndarray]:
-        """Numeric positivity of an index prefix; returns (verdict, supporting hits)."""
+        """Numeric positivity of an index prefix at threshold ``theta`` (ignored by rules
+        without one); returns (verdict, supporting hits)."""
         raise NotImplementedError
 
     def classify(self) -> ClassificationReport:
@@ -209,8 +226,8 @@ class FinIdeal(Ideal):
 
     kind = "fin"
 
-    def __init__(self, theta: float = DEFAULT_THETA):
-        super().__init__("Fin", theta)
+    def __init__(self):
+        super().__init__("Fin")
 
     def decide_in(self, s: SetDescription) -> bool | None:
         card = s.cardinality()
@@ -220,7 +237,7 @@ class FinIdeal(Ideal):
             return False
         return None
 
-    def positivity(self, hits, horizon, theta=None):
+    def positivity(self, hits, horizon, theta):
         tail = _tail(hits, horizon)
         if tail.size:
             return PositivityResult.POSITIVE, tail
@@ -240,8 +257,8 @@ class DensityZeroIdeal(Ideal):
 
     kind = "density_zero"
 
-    def __init__(self, theta: float = DEFAULT_THETA):
-        super().__init__("DensityZero", theta)
+    def __init__(self):
+        super().__init__("DensityZero")
 
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
@@ -254,23 +271,36 @@ class DensityZeroIdeal(Ideal):
                 return d.upper == 0 if d.exact else False
         return self._propagate(s)
 
-    def positivity(self, hits, horizon, theta=None):
-        theta = self.theta if theta is None else theta
-        support = _support(hits, horizon)
-        if hits.size == 0:
-            return PositivityResult.NULL, support
-        est = _max_running_ratio(hits, horizon)
-        if est > theta:
-            return PositivityResult.POSITIVE, support
-        if est < theta / 10.0:
-            return PositivityResult.NULL, support
-        return PositivityResult.INCONCLUSIVE, support
+    def positivity(self, hits, horizon, theta):
+        return _density_positivity(hits, horizon, theta)
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(True, False, True, False, False, "Z")
 
 
-class ErdosUlamIdeal(Ideal):
+class _WeightedIdeal(Ideal):
+    """An ideal defined by a weight sequence: the named preset (weights 1/(n+1))
+    or a custom callable, whose evaluated prefix must be positive."""
+
+    def __init__(self, label: str, weights: str | Callable[[int], float], preset: str):
+        if callable(weights):
+            self.weight_fn, self.weights = weights, "custom"
+        elif weights == preset:
+            self.weight_fn, self.weights = None, preset
+        else:
+            raise ValueError(f"weights must be {preset!r} or a callable")
+        super().__init__(f"{label}({self.weights})")
+
+    def _weight_array(self, horizon: int) -> np.ndarray:
+        if self.weight_fn is None:
+            return _harmonic_weights(horizon)
+        w = np.fromiter((self.weight_fn(n) for n in range(horizon)), dtype=np.float64, count=horizon)
+        if np.any(w <= 0):
+            raise ValueError("weights must be positive")
+        return w
+
+
+class ErdosUlamIdeal(_WeightedIdeal):
     """Weighted-density-zero ideal for a divergent weight sequence.
 
     The ``log`` preset (weights 1/(n+1)) is the logarithmic-density ideal; for
@@ -283,25 +313,8 @@ class ErdosUlamIdeal(Ideal):
 
     kind = "erdos_ulam"
 
-    def __init__(self, weights: str | Callable[[int], float] = "log", theta: float = DEFAULT_THETA):
-        if callable(weights):
-            self.weight_fn = weights
-            name = "custom"
-        elif weights == "log":
-            self.weight_fn = None
-            name = weights
-        else:
-            raise ValueError("weights must be 'log' or a callable")
-        super().__init__(f"ErdosUlam({name})", theta)
-        self.weights = name
-
-    def _weight_array(self, horizon: int) -> np.ndarray:
-        if self.weights == "log":
-            return _harmonic_weights(horizon)
-        w = np.fromiter((self.weight_fn(n) for n in range(horizon)), dtype=np.float64, count=horizon)
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        return w
+    def __init__(self, weights: str | Callable[[int], float] = "log"):
+        super().__init__("ErdosUlam", weights, "log")
 
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
@@ -315,23 +328,14 @@ class ErdosUlamIdeal(Ideal):
                 return False
         return self._propagate(s)
 
-    def positivity(self, hits, horizon, theta=None):
-        theta = self.theta if theta is None else theta
-        support = _support(hits, horizon)
-        if hits.size == 0:
-            return PositivityResult.NULL, support
-        est = _max_running_ratio(hits, horizon, self._weight_array(horizon))
-        if est > theta:
-            return PositivityResult.POSITIVE, support
-        if est < theta / 10.0:
-            return PositivityResult.NULL, support
-        return PositivityResult.INCONCLUSIVE, support
+    def positivity(self, hits, horizon, theta):
+        return _density_positivity(hits, horizon, theta, self._weight_array)
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(True, False, True, False, False, f"Erdos-Ulam({self.weights})")
 
 
-class SummableIdeal(Ideal):
+class SummableIdeal(_WeightedIdeal):
     """Sets whose weight series converges (harmonic preset: sum of 1/(n+1)).
 
     Numeric rule (a documented heuristic): a partial sum above the divergence
@@ -341,31 +345,9 @@ class SummableIdeal(Ideal):
 
     kind = "summable"
 
-    def __init__(
-        self,
-        weights: str | Callable[[int], float] = "harmonic",
-        cutoff: float = SUMMABLE_CUTOFF,
-        theta: float = DEFAULT_THETA,
-    ):
-        if callable(weights):
-            self.weight_fn = weights
-            name = "custom"
-        elif weights == "harmonic":
-            self.weight_fn = None
-            name = weights
-        else:
-            raise ValueError("weights must be 'harmonic' or a callable")
-        super().__init__(f"Summable({name})", theta)
-        self.weights = name
+    def __init__(self, weights: str | Callable[[int], float] = "harmonic", cutoff: float = SUMMABLE_CUTOFF):
+        super().__init__("Summable", weights, "harmonic")
         self.cutoff = float(cutoff)
-
-    def _weight_array(self, horizon: int) -> np.ndarray:
-        if self.weights == "harmonic":
-            return _harmonic_weights(horizon)
-        w = np.fromiter((self.weight_fn(n) for n in range(horizon)), dtype=np.float64, count=horizon)
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        return w
 
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
@@ -385,7 +367,7 @@ class SummableIdeal(Ideal):
             return False
         return self._propagate(s)
 
-    def positivity(self, hits, horizon, theta=None):
+    def positivity(self, hits, horizon, theta):
         support = _support(hits, horizon)
         if hits.size == 0:
             return PositivityResult.NULL, support
@@ -403,10 +385,10 @@ class TraceFinIdeal(Ideal):
 
     kind = "fin_oplus_full"
 
-    def __init__(self, trace: SetDescription, theta: float = DEFAULT_THETA):
+    def __init__(self, trace: SetDescription):
         if trace.cardinality() is not Cardinality.INFINITE:
             raise ValueError("trace set must be certifiably infinite")
-        super().__init__("FinOplusFull", theta)
+        super().__init__("FinOplusFull")
         self.trace = trace
 
     def decide_in(self, s: SetDescription) -> bool | None:
@@ -417,7 +399,7 @@ class TraceFinIdeal(Ideal):
             return False
         return None
 
-    def positivity(self, hits, horizon, theta=None):
+    def positivity(self, hits, horizon, theta):
         mask = self.trace.mask(horizon)
         traced = hits[mask[hits]] if hits.size else hits
         tail = _tail(traced, horizon)
@@ -440,11 +422,11 @@ class GeneratedIdeal(Ideal):
 
     kind = "countably_generated"
 
-    def __init__(self, generators: tuple[SetDescription, ...], theta: float = DEFAULT_THETA):
+    def __init__(self, generators: tuple[SetDescription, ...]):
         union = sd.union_all(list(generators))
         if sd.complement(union).cardinality() is not Cardinality.INFINITE:
             raise ValueError("generator union must be co-infinite (proper ideal)")
-        super().__init__("CountablyGenerated", theta)
+        super().__init__("CountablyGenerated")
         self.generators = tuple(generators)
         self._union = union
 
@@ -456,7 +438,7 @@ class GeneratedIdeal(Ideal):
             return False
         return None
 
-    def positivity(self, hits, horizon, theta=None):
+    def positivity(self, hits, horizon, theta):
         if self.generators:
             mask = self._union.mask(horizon)
             outside = hits[~mask[hits]] if hits.size else hits
@@ -502,8 +484,8 @@ class ColumnBlockIdeal(Ideal):
 
     kind = "fin_times_empty"
 
-    def __init__(self, theta: float = DEFAULT_THETA):
-        super().__init__("FinTimesEmpty", theta)
+    def __init__(self):
+        super().__init__("FinTimesEmpty")
 
     def generator(self, column: int) -> SetDescription:
         return sd.Predicate(lambda n, c=column: _pair_column(n) == c, name=f"column_{column}")
@@ -513,7 +495,7 @@ class ColumnBlockIdeal(Ideal):
             return True
         return None
 
-    def positivity(self, hits, horizon, theta=None):
+    def positivity(self, hits, horizon, theta):
         support = _support(hits, horizon)
         if hits.size == 0:
             return PositivityResult.NULL, support
@@ -536,32 +518,32 @@ class ColumnBlockIdeal(Ideal):
 # Catalog constructors
 
 
-def fin(theta: float = DEFAULT_THETA) -> FinIdeal:
-    return FinIdeal(theta)
+def fin() -> FinIdeal:
+    return FinIdeal()
 
 
-def density_zero(theta: float = DEFAULT_THETA) -> DensityZeroIdeal:
-    return DensityZeroIdeal(theta)
+def density_zero() -> DensityZeroIdeal:
+    return DensityZeroIdeal()
 
 
-def erdos_ulam(weights: str | Callable[[int], float] = "log", theta: float = DEFAULT_THETA) -> ErdosUlamIdeal:
-    return ErdosUlamIdeal(weights, theta)
+def erdos_ulam(weights: str | Callable[[int], float] = "log") -> ErdosUlamIdeal:
+    return ErdosUlamIdeal(weights)
 
 
 def summable(weights: str | Callable[[int], float] = "harmonic", cutoff: float = SUMMABLE_CUTOFF) -> SummableIdeal:
     return SummableIdeal(weights, cutoff)
 
 
-def fin_oplus_full(trace: SetDescription, theta: float = DEFAULT_THETA) -> TraceFinIdeal:
-    return TraceFinIdeal(trace, theta)
+def fin_oplus_full(trace: SetDescription) -> TraceFinIdeal:
+    return TraceFinIdeal(trace)
 
 
-def countably_generated(generators: list[SetDescription], theta: float = DEFAULT_THETA) -> GeneratedIdeal:
-    return GeneratedIdeal(tuple(generators), theta)
+def countably_generated(generators: list[SetDescription]) -> GeneratedIdeal:
+    return GeneratedIdeal(tuple(generators))
 
 
-def fin_times_empty(theta: float = DEFAULT_THETA) -> ColumnBlockIdeal:
-    return ColumnBlockIdeal(theta)
+def fin_times_empty() -> ColumnBlockIdeal:
+    return ColumnBlockIdeal()
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +566,10 @@ def decide_membership(s: SetDescription, ideal: Ideal) -> MembershipResult | Non
 
 
 def estimate_membership(
-    s: SetDescription, ideal: Ideal, horizon: int, theta: float | None = None
+    s: SetDescription, ideal: Ideal, horizon: int, theta: float = DEFAULT_THETA
 ) -> MembershipResult:
     """Numeric half of :func:`membership`: positivity of S and its complement
-    on the prefix below ``horizon`` at threshold ``theta`` (default: the ideal's)."""
+    on the prefix below ``horizon`` at threshold ``theta``."""
     mask = s.mask(horizon)
     hits_s = np.flatnonzero(mask)
     hits_c = np.flatnonzero(~mask)
@@ -602,16 +584,18 @@ def estimate_membership(
     return MembershipResult.INCONCLUSIVE
 
 
-def membership(s: SetDescription, ideal: Ideal, horizon: int = 100_000) -> MembershipResult:
+def membership(
+    s: SetDescription, ideal: Ideal, horizon: int = 100_000, theta: float = DEFAULT_THETA
+) -> MembershipResult:
     """Four-way membership verdict of S against the ideal.
 
     Exact whenever the structural analysis decides both S and its complement;
     otherwise falls back to the numeric positivity estimator on the prefix
-    below ``horizon`` (possible for predicate sets), which can return
-    inconclusive.
+    below ``horizon`` at threshold ``theta`` (possible for predicate sets),
+    which can return inconclusive.
     """
     verdict = decide_membership(s, ideal)
-    return verdict if verdict is not None else estimate_membership(s, ideal, horizon)
+    return verdict if verdict is not None else estimate_membership(s, ideal, horizon, theta)
 
 
 def exact_density(s: SetDescription):
@@ -687,11 +671,11 @@ def ideal_to_dict(ideal: Ideal) -> dict:
     if isinstance(ideal, FinIdeal):
         return {"type": "fin"}
     if isinstance(ideal, DensityZeroIdeal):
-        return {"type": "density_zero", "theta": ideal.theta}
+        return {"type": "density_zero"}
     if isinstance(ideal, ErdosUlamIdeal):
         if ideal.weights == "custom":
             raise ValueError("custom weight callables have no JSON encoding")
-        return {"type": "erdos_ulam", "weights": ideal.weights, "theta": ideal.theta}
+        return {"type": "erdos_ulam", "weights": ideal.weights}
     if isinstance(ideal, SummableIdeal):
         if ideal.weights == "custom":
             raise ValueError("custom weight callables have no JSON encoding")
@@ -706,20 +690,21 @@ def ideal_to_dict(ideal: Ideal) -> dict:
 
 
 def ideal_from_dict(d: dict) -> Ideal:
+    if "theta" in d:
+        raise ValueError("theta is a run setting, not part of an ideal: set cfg.theta or --theta")
     kind = d.get("type")
-    theta = float(d.get("theta", DEFAULT_THETA))
     if kind == "fin":
-        return fin(theta)
+        return fin()
     if kind in ("density_zero", "z"):
-        return density_zero(theta)
+        return density_zero()
     if kind == "erdos_ulam":
-        return erdos_ulam(d.get("weights", "log"), theta)
+        return erdos_ulam(d.get("weights", "log"))
     if kind == "summable":
         return summable(d.get("weights", "harmonic"), float(d.get("cutoff", SUMMABLE_CUTOFF)))
     if kind == "fin_oplus_full":
-        return fin_oplus_full(sd.set_from_dict(d["trace"]), theta)
+        return fin_oplus_full(sd.set_from_dict(d["trace"]))
     if kind == "countably_generated":
-        return countably_generated([sd.set_from_dict(g) for g in d.get("generators", [])], theta)
+        return countably_generated([sd.set_from_dict(g) for g in d.get("generators", [])])
     if kind == "fin_times_empty":
-        return fin_times_empty(theta)
+        return fin_times_empty()
     raise ValueError(f"unknown ideal type: {kind!r}")

@@ -24,6 +24,7 @@ __all__ = [
     "MatrixRow",
     "InfiniteMatrix",
     "ComposeUnsupportedError",
+    "BandedRowError",
     "cesaro",
     "identity",
     "zero_matrix",
@@ -50,6 +51,14 @@ class ComposeUnsupportedError(ValueError):
     """Raised when the left factor of a composition has an infinite-support row."""
 
 
+class BandedRowError(ValueError):
+    """An explicit banded row with a negative or repeated column; ``row`` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
 @dataclass(frozen=True)
 class MatrixRow:
     """A sparse row: sorted column indices, aligned values, and a tail bound.
@@ -62,12 +71,16 @@ class MatrixRow:
     values: np.ndarray
     tail_bound: float = 0.0
 
-    @staticmethod
-    def from_pairs(pairs: list[tuple[int, float]], tail_bound: float = 0.0) -> "MatrixRow":
-        pairs = sorted(pairs)
-        idx = np.array([k for k, _ in pairs], dtype=np.int64)
-        val = np.array([v for _, v in pairs], dtype=np.float64)
-        return MatrixRow(idx, val, tail_bound)
+
+def _merged_row(indices: np.ndarray, values: np.ndarray, tail_bound: float = 0.0) -> MatrixRow:
+    """The row with the values that share a column summed, columns sorted.
+
+    ``bincount`` adds each column's values in input order starting from 0.0,
+    so the sums are the ones an entry-by-entry accumulation would give.
+    """
+    cols, inv = np.unique(indices, return_inverse=True)
+    sums = np.bincount(inv, weights=values, minlength=cols.size)
+    return MatrixRow(cols.astype(np.int64, copy=False), sums.astype(np.float64, copy=False), tail_bound)
 
 
 class InfiniteMatrix:
@@ -322,7 +335,12 @@ class _BandedMatrix(InfiniteMatrix):
         if tail_mode == "repeat_last" and not rows:
             raise ValueError("repeat_last needs at least one explicit row")
         super().__init__(label)
-        self.explicit_rows = [MatrixRow.from_pairs(list(r)) for r in rows]
+        self.explicit_rows = []
+        for i, r in enumerate(rows):
+            cols = np.array([k for k, _ in r], dtype=np.int64)
+            if np.any(cols < 0) or np.unique(cols).size != cols.size:
+                raise BandedRowError(i, f"columns must be distinct naturals, got {cols.tolist()}")
+            self.explicit_rows.append(_merged_row(cols, np.array([v for _, v in r], dtype=np.float64)))
         self.tail_mode = tail_mode
 
     def _row(self, n: int) -> MatrixRow:
@@ -346,12 +364,11 @@ class _SumMatrix(InfiniteMatrix):
 
     def _row(self, n: int) -> MatrixRow:
         ra, rb = self.a.row(n), self.b.row(n)
-        merged: dict[int, float] = {}
-        for idx, val in zip(ra.indices.tolist(), ra.values.tolist()):
-            merged[idx] = merged.get(idx, 0.0) + val
-        for idx, val in zip(rb.indices.tolist(), rb.values.tolist()):
-            merged[idx] = merged.get(idx, 0.0) + val
-        return MatrixRow.from_pairs(list(merged.items()), ra.tail_bound + rb.tail_bound)
+        return _merged_row(
+            np.concatenate((ra.indices, rb.indices)),
+            np.concatenate((ra.values, rb.values)),
+            ra.tail_bound + rb.tail_bound,
+        )
 
 
 class _ScaledMatrix(InfiniteMatrix):
@@ -387,14 +404,16 @@ class _ComposedMatrix(InfiniteMatrix):
         rb = self.b.row(n)
         if rb.tail_bound != 0.0:
             raise ComposeUnsupportedError(f"left factor has an infinite-support row (row {n})")
-        merged: dict[int, float] = {}
-        tail = 0.0
-        for j, bval in zip(rb.indices.tolist(), rb.values.tolist()):
-            ra = self.a.row(j)
-            tail += abs(bval) * ra.tail_bound
-            for k, aval in zip(ra.indices.tolist(), ra.values.tolist()):
-                merged[k] = merged.get(k, 0.0) + bval * aval
-        return MatrixRow.from_pairs(list(merged.items()), tail)
+        rows = [self.a.row(j) for j in rb.indices.tolist()]
+        tail = sum((abs(bval) * ra.tail_bound for bval, ra in zip(rb.values.tolist(), rows)), 0.0)
+        if not rows:
+            return MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0), tail)
+        lengths = [len(ra.indices) for ra in rows]
+        return _merged_row(
+            np.concatenate([ra.indices for ra in rows]),
+            np.repeat(rb.values, lengths) * np.concatenate([ra.values for ra in rows]),
+            tail,
+        )
 
 
 class _EntrywisePart(InfiniteMatrix):

@@ -21,6 +21,7 @@ import numpy as np
 from . import sets as sd
 from .asymptotics import CoreConfig, InconclusiveCellsError, ideal_lim_check, limsup_of_values
 from .ideals import (
+    DEFAULT_THETA,
     FinIdeal,
     GeneratedIdeal,
     Ideal,
@@ -68,7 +69,7 @@ class Status(enum.Enum):
 class CheckConfig:
     horizon: int = 10_000
     tol: float = 1e-2
-    theta: float = 1e-3
+    theta: float = DEFAULT_THETA
     grid: float = 1e-2
     seed: int = 0
     norm_cap: float = 1e3  # uncertified row-sum sups above this flag a boundedness violation

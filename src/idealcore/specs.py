@@ -6,7 +6,8 @@ the offending field (e.g. ``matrices[1].map.set.step``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -39,6 +40,19 @@ def _require(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return obj[key]
+
+
+def _number(obj: dict, key: str, path: str, convert=float, default=None):
+    """``convert(obj[key])`` (``default`` when absent, if given); a missing required
+    field or a non-number or non-finite number is a :class:`ConfigError` at ``path.key``."""
+    raw = _require(obj, key, path) if default is None else obj.get(key, default)
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}.{key}", f"must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}", f"must be finite, got {raw!r}")
+    return value
 
 
 def parse_set(obj: Any, path: str = "set") -> sd.SetDescription:
@@ -100,10 +114,10 @@ def _parse_diagonal_values(obj: Any, path: str):
         raise ConfigError(path, "diagonal values spec must be an object")
     kind = obj.get("kind")
     if kind == "constant":
-        value = float(_require(obj, "value", path))
+        value = _number(obj, "value", path)
         return (lambda n: value), (lambda horizon: np.full(horizon, value)), abs(value)
     if kind == "geometric":
-        ratio = float(_require(obj, "ratio", path))
+        ratio = _number(obj, "ratio", path)
         if not 0 <= abs(ratio) <= 1:
             raise ConfigError(f"{path}.ratio", "ratio must lie in [-1, 1] for a bounded matrix")
         # No array rule: ratio ** np.arange(H) can differ from ratio**n in the last ulp.
@@ -116,13 +130,9 @@ def _parse_diagonal_values(obj: Any, path: str):
 def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
     if isinstance(obj, str):
         key = obj.strip().lower()
-        if key == "cesaro":
-            return mat.cesaro()
-        if key == "identity":
-            return mat.identity()
-        if key == "zero":
-            return mat.zero_matrix()
-        raise ConfigError(path, f"unknown matrix name {obj!r}; known: cesaro, identity, zero")
+        if key not in ("cesaro", "identity", "zero"):
+            raise ConfigError(path, f"unknown matrix name {obj!r}; known: cesaro, identity, zero")
+        obj = {"type": key}
     if not isinstance(obj, dict):
         raise ConfigError(path, "matrix spec must be a name or an object")
     kind = obj.get("type")
@@ -133,7 +143,7 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
     if kind == "zero":
         return mat.zero_matrix()
     if kind == "scaled_identity":
-        return mat.scalar_mul(float(_require(obj, "factor", path)), mat.identity())
+        return mat.scalar_mul(_number(obj, "factor", path), mat.identity())
     if kind == "diagonal":
         values, rule, bound = _parse_diagonal_values(_require(obj, "values", path), f"{path}.values")
         return mat.diagonal(values, label="Diagonal", norm_bound=bound, rule=rule)
@@ -152,6 +162,8 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
         tail = obj.get("tail", "identity")
         try:
             return mat.banded(parsed_rows, tail_mode=tail)
+        except mat.BandedRowError as exc:
+            raise ConfigError(f"{path}.rows[{exc.row}]", exc.reason) from exc
         except ValueError as exc:
             raise ConfigError(f"{path}.tail", str(exc)) from exc
     if kind == "sum":
@@ -163,9 +175,7 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
             out = mat.matrix_sum(out, parse_matrix(term, f"{path}.terms[{i}]"))
         return out
     if kind == "scaled":
-        return mat.scalar_mul(
-            float(_require(obj, "factor", path)), parse_matrix(_require(obj, "of", path), f"{path}.of")
-        )
+        return mat.scalar_mul(_number(obj, "factor", path), parse_matrix(_require(obj, "of", path), f"{path}.of"))
     if kind == "compose":
         left = parse_matrix(_require(obj, "left", path), f"{path}.left")
         right = parse_matrix(_require(obj, "right", path), f"{path}.right")
@@ -243,8 +253,8 @@ def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> Exp
     cfg = obj.get("cfg", {})
     if not isinstance(cfg, dict):
         raise ConfigError("config.cfg", "must be an object")
-    check_horizon = int(cfg.get("check_horizon", default_horizon or 10_000))
-    core_horizon = int(cfg.get("core_horizon", default_horizon or 100_000))
+    check_horizon = _number(cfg, "check_horizon", "config.cfg", int, default_horizon or 10_000)
+    core_horizon = _number(cfg, "core_horizon", "config.cfg", int, default_horizon or 100_000)
     if check_horizon < 100 or core_horizon < 100:
         raise ConfigError("config.cfg", "horizons must be at least 100")
     return ExperimentConfig(
@@ -255,8 +265,8 @@ def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> Exp
         core_equality=core_equality,
         check_horizon=check_horizon,
         core_horizon=core_horizon,
-        tol=float(cfg.get("tol", 1e-2)),
-        grid=float(cfg.get("grid", 1e-2)),
-        theta=float(cfg.get("theta", 1e-3)),
-        seed=int(cfg.get("seed", 0)),
+        tol=_number(cfg, "tol", "config.cfg", float, 1e-2),
+        grid=_number(cfg, "grid", "config.cfg", float, 1e-2),
+        theta=_number(cfg, "theta", "config.cfg", float, ide.DEFAULT_THETA),
+        seed=_number(cfg, "seed", "config.cfg", int, 0),
     )

@@ -198,5 +198,10 @@ def test_config_validation():
 
 
 def test_core_interval_records_method():
+    # Finitely-valued: read off the level decisions, so exact or mixed.
     c = asy.core(seq.corpus_entry("alternating"), FIN, FAST)
+    assert c.method == "exact" and c.horizon == FAST.horizon and c.grid == FAST.grid
+    assert asy.core(seq.corpus_entry("indicator_blocks"), FO_EVENS, FAST).method == "mixed"
+    # A value prefix goes through the grid.
+    c = asy.core(seq.corpus_entry("rotation_golden"), FIN, FAST)
     assert c.method == "numeric" and c.horizon == FAST.horizon and c.grid == FAST.grid

@@ -62,6 +62,36 @@ def test_parse_matrix_shorthand_and_json():
         specs.parse_ideal("mystery")
 
 
+@pytest.mark.parametrize(
+    "spec, path",
+    [
+        ({"type": "scaled", "factor": "two", "of": "cesaro"}, "matrix.factor"),
+        ({"type": "scaled_identity", "factor": None}, "matrix.factor"),
+        ({"type": "scaled_identity", "factor": float("nan")}, "matrix.factor"),
+        ({"type": "diagonal", "values": {"kind": "constant", "value": [1]}}, "matrix.values.value"),
+        ({"type": "diagonal", "values": {"kind": "geometric", "ratio": "half"}}, "matrix.values.ratio"),
+    ],
+)
+def test_numeric_matrix_fields_are_config_errors(spec, path):
+    with pytest.raises(specs.ConfigError) as err:
+        specs.parse_matrix(spec)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("key", ["check_horizon", "core_horizon", "tol", "grid", "theta", "seed"])
+def test_numeric_cfg_fields_are_config_errors(key):
+    raw = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": ["st"], "cfg": {key: "x"}}
+    with pytest.raises(specs.ConfigError) as err:
+        specs.parse_experiment_config(raw)
+    assert err.value.path == f"config.cfg.{key}"
+
+
+def test_ideal_spec_theta_is_a_config_error():
+    with pytest.raises(specs.ConfigError, match="cfg.theta or --theta") as err:
+        specs.parse_ideal({"type": "density_zero", "theta": 0.001}, "config.ideal_pairs[0][0]")
+    assert err.value.path == "config.ideal_pairs[0][0]"
+
+
 def test_parse_ideal_shorthands():
     assert specs.parse_ideal("fin").kind == "fin"
     assert specs.parse_ideal("z").kind == "density_zero"
@@ -116,6 +146,37 @@ def test_bundled_reports_are_pinned(bundled_runs, name):
     bundle, _ = bundled_runs[name]
     rendered = (harness.render_json(bundle), harness.render_csv(bundle))
     assert tuple(hashlib.sha256(r.encode()).hexdigest() for r in rendered) == _REPORT_SHA256[name]
+
+
+_RK_2N = {"type": "rk", "map": {"type": "affine", "mul": 2}}
+# Composed, summed and banded matrices take the generic row path (row merges and
+# the flat CSR arrays), which the closed-form matrices of the bundled configs skip.
+_GENERIC_SUITE = {
+    "matrices": [
+        {"type": "compose", "left": _RK_2N, "right": "cesaro"},
+        {"type": "compose", "left": "cesaro", "right": _RK_2N},
+        {"type": "perturb_identity", "of": "cesaro"},
+        {
+            "type": "banded",
+            "rows": [[[2, 0.5], [0, 0.5]], [[1, 0.25], [0, 0.25], [3, 0.5]], [[1, 1.0]]],
+            "tail": "identity",
+        },
+    ],
+    "ideal_pairs": [["fin", "fin"]],
+    "theorems": ["st", "leo"],
+    "core_equality": False,
+    "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
+}
+_GENERIC_SHA256 = (
+    "ac3012a6074e8b2842d87a76e71b9a66ed8dfdea7acf41d6f4b35992bc158654",
+    "fc4cc730aef9c6e8c0ee5fd79c406947b069008988f25de2eb57e6aa7b824bd0",
+)
+
+
+def test_generic_matrix_reports_are_pinned():
+    bundle = harness.run_suite(specs.parse_experiment_config(_GENERIC_SUITE))
+    rendered = (harness.render_json(bundle), harness.render_csv(bundle))
+    assert tuple(hashlib.sha256(r.encode()).hexdigest() for r in rendered) == _GENERIC_SHA256
 
 
 def test_suite_reports_are_byte_identical(tmp_path):
@@ -340,3 +401,27 @@ def test_cli_small_horizon_is_a_cli_error(args):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Error: horizon must be at least 100" in result.output
+
+
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        ({"matrices": [{"type": "scaled", "factor": "two", "of": "cesaro"}]}, "config.matrices[0].factor"),
+        ({"matrices": ["cesaro"], "cfg": {"tol": "x"}}, "config.cfg.tol"),
+    ],
+    ids=["factor", "tol"],
+)
+def test_cli_experiment_non_numeric_field_is_a_cli_error(tmp_path, config, path):
+    path_file = tmp_path / "config.json"
+    path_file.write_text(json.dumps({"ideal_pairs": [["fin", "fin"]], "theorems": ["st"], **config}))
+    result = CliRunner().invoke(main, ["experiment", "--config", str(path_file)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {path}: must be a number" in result.output
+
+
+def test_cli_density_small_horizon_is_a_cli_error():
+    result = CliRunner().invoke(main, ["density", "--set", '{"type": "squares"}', "--horizon", "1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: horizon must be at least 2" in result.output

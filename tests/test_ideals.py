@@ -170,10 +170,10 @@ def test_empirical_sandwiched_by_exact():
 def test_fin_positivity_tail_rule():
     horizon = 10**4
     early = np.arange(100, dtype=np.int64)
-    verdict, _ = FIN.positivity(early, horizon)
+    verdict, _ = FIN.positivity(early, horizon, ide.DEFAULT_THETA)
     assert verdict is PR.NULL
     spread = np.arange(0, horizon, 7, dtype=np.int64)
-    verdict, support = FIN.positivity(spread, horizon)
+    verdict, support = FIN.positivity(spread, horizon, ide.DEFAULT_THETA)
     assert verdict is PR.POSITIVE
     assert support.min() >= horizon // 2
 
@@ -181,12 +181,12 @@ def test_fin_positivity_tail_rule():
 def test_density_zero_positivity_bands():
     horizon = 10**5
     evens_hits = np.arange(0, horizon, 2, dtype=np.int64)
-    assert Z.positivity(evens_hits, horizon)[0] is PR.POSITIVE
+    assert Z.positivity(evens_hits, horizon, ide.DEFAULT_THETA)[0] is PR.POSITIVE
     tiny = np.array([0, 1, 2], dtype=np.int64)
-    assert Z.positivity(tiny, horizon)[0] is PR.NULL
+    assert Z.positivity(tiny, horizon, ide.DEFAULT_THETA)[0] is PR.NULL
     # ~3e-4 density sits inside the uncertainty band (theta/10, theta)
     band = np.arange(0, horizon, 3000, dtype=np.int64)
-    assert Z.positivity(band, horizon)[0] is PR.INCONCLUSIVE
+    assert Z.positivity(band, horizon, ide.DEFAULT_THETA)[0] is PR.INCONCLUSIVE
 
 
 def test_pair_columns_match_scalar_inverse():
@@ -198,10 +198,10 @@ def test_pair_columns_match_scalar_inverse():
 def test_trace_positivity_filters():
     horizon = 10**4
     odd_hits = np.arange(1, horizon, 2, dtype=np.int64)
-    verdict, support = FO_EVENS.positivity(odd_hits, horizon)
+    verdict, support = FO_EVENS.positivity(odd_hits, horizon, ide.DEFAULT_THETA)
     assert verdict is PR.NULL and support.size == 0
     all_hits = np.arange(horizon, dtype=np.int64)
-    verdict, support = FO_EVENS.positivity(all_hits, horizon)
+    verdict, support = FO_EVENS.positivity(all_hits, horizon, ide.DEFAULT_THETA)
     assert verdict is PR.POSITIVE
     assert np.all(support % 2 == 0)
 
@@ -210,8 +210,8 @@ def test_summable_positivity_is_heuristic():
     horizon = 10**5
     hits = np.arange(horizon, dtype=np.int64)
     # harmonic partial sums at desk horizons stay far below the cutoff
-    assert SUM.positivity(hits, horizon)[0] is PR.INCONCLUSIVE
-    assert SUM.positivity(np.zeros(0, dtype=np.int64), horizon)[0] is PR.NULL
+    assert SUM.positivity(hits, horizon, ide.DEFAULT_THETA)[0] is PR.INCONCLUSIVE
+    assert SUM.positivity(np.zeros(0, dtype=np.int64), horizon, ide.DEFAULT_THETA)[0] is PR.NULL
 
 
 # -- classification ----------------------------------------------------------------
@@ -288,6 +288,11 @@ def test_custom_weight_sequences():
 
 def test_ideal_json_roundtrip():
     for ideal in [FIN, Z, EU, SUM, FO_EVENS, ide.countably_generated([ODDS]), ide.fin_times_empty()]:
-        rebuilt = ide.ideal_from_dict(ide.ideal_to_dict(ideal))
+        spec = ide.ideal_to_dict(ideal)
+        rebuilt = ide.ideal_from_dict(spec)
         assert type(rebuilt) is type(ideal)
         assert rebuilt.label == ideal.label
+        # The positivity threshold belongs to the run, not to the ideal.
+        assert "theta" not in spec and not hasattr(ideal, "theta")
+    with pytest.raises(ValueError, match="cfg.theta or --theta"):
+        ide.ideal_from_dict({"type": "density_zero", "theta": 0.2})

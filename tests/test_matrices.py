@@ -152,6 +152,71 @@ def test_banded_tail_modes():
         mat.banded(rows, "bogus")
 
 
+def test_banded_rejects_negative_and_repeated_columns():
+    with pytest.raises(mat.BandedRowError) as err:
+        mat.banded([[(0, 1.0)], [(-3, 1.0)]])
+    assert err.value.row == 1
+    with pytest.raises(mat.BandedRowError) as err:
+        mat.banded([[(2, 1.0), (0, 0.5), (2, 0.5)]])
+    assert err.value.row == 0
+    with pytest.raises(specs.ConfigError) as err:
+        specs.parse_matrix({"type": "banded", "rows": [[[0, 1]], [[-3, 1]]]})
+    assert err.value.path == "matrix.rows[1]"
+    with pytest.raises(specs.ConfigError) as err:
+        specs.parse_matrix({"type": "banded", "rows": [[[1, 1], [1, 2]]]})
+    assert err.value.path == "matrix.rows[0]"
+
+
+def _dict_merge(pairs, tail_bound=0.0):
+    """Reference row merge: accumulate each column's values in a dict, in input order."""
+    merged = {}
+    for k, v in pairs:
+        merged[k] = merged.get(k, 0.0) + v
+    items = sorted(merged.items())
+    return [k for k, _ in items], [v for _, v in items], tail_bound
+
+
+def _row_triple(r):
+    return r.indices.tolist(), r.values.tolist(), r.tail_bound
+
+
+def test_row_merge_matches_dict_reference():
+    # Overlapping columns, zeros (also -0.0) and negative values; the sums must
+    # agree bit for bit, so the values are chosen where addition order shows.
+    idx = np.array([3, 1, 3, 0, 3, 1, 7], dtype=np.int64)
+    val = np.array([0.1, 0.0, 0.2, -0.0, -0.3, -1e16, 1e-16])
+    got = mat._merged_row(idx, val, 0.25)
+    assert _row_triple(got) == _dict_merge(zip(idx.tolist(), val.tolist()), 0.25)
+    assert got.indices.dtype == np.int64 and got.values.dtype == np.float64
+    empty = mat._merged_row(np.zeros(0, dtype=np.int64), np.zeros(0))
+    assert empty.indices.dtype == np.int64 and empty.values.dtype == np.float64 and empty.values.size == 0
+
+    rng = np.random.default_rng(5)
+
+    def random_rows(count):
+        rows = []
+        for _ in range(count):
+            cols = rng.choice(12, size=int(rng.integers(0, 8)), replace=False)
+            vals = rng.choice([0.0, -0.0, 0.1, 0.2, -0.3, 1e16, -1e16, 1.0 / 3.0], size=cols.size)
+            rows.append([(int(k), float(v)) for k, v in zip(cols, vals)])
+        return rows
+
+    a = mat.banded(random_rows(20), tail_mode="zero")
+    b = mat.banded(random_rows(20), tail_mode="identity")
+    s = mat.matrix_sum(a, b)
+    c = mat.compose(a, b)
+    for n in range(25):
+        ra, rb = a.row(n), b.row(n)
+        pairs = list(zip(ra.indices.tolist(), ra.values.tolist())) + list(zip(rb.indices.tolist(), rb.values.tolist()))
+        assert _row_triple(s.row(n)) == _dict_merge(pairs, ra.tail_bound + rb.tail_bound), n
+        products = [
+            (k, bval * aval)
+            for j, bval in zip(ra.indices.tolist(), ra.values.tolist())
+            for k, aval in zip(b.row(j).indices.tolist(), b.row(j).values.tolist())
+        ]
+        assert _row_triple(c.row(n)) == _dict_merge(products), n
+
+
 def test_bulk_paths_match_scalar():
     x = seq.corpus_entry("alternating")
     for a in (mat.cesaro(), mat.rk_matrix(maps.affine_map(3, 1)), mat.banded([[(0, 1.0), (4, -2.0)]])):
