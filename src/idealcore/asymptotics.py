@@ -116,6 +116,33 @@ def _cell_range(bound: float, grid: float) -> range:
     return range(lo, hi)
 
 
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array (``np.unique`` without its
+    hash table, which costs about 1 MB per call)."""
+    first = np.ones(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
+    return ascending[first]
+
+
+def _hit_cells(sv: np.ndarray, bound: float, grid: float):
+    """The cells of the range whose window holds a value of the sorted prefix
+    ``sv``, ascending, each with the slice ``[a, b)`` of ``sv`` in its window.
+
+    A value v lies only in the windows of the cells next to ``floor(v / grid)``,
+    so only those cells are searched, two vectorized ``searchsorted`` calls in
+    all; the other cells of the range hold no value.
+    """
+    span = _cell_range(bound, grid)
+    near = sv / grid
+    np.floor(near, out=near)  # ascending, like sv
+    cand = _distinct(np.sort((_distinct(near)[:, None] + np.arange(-2.0, 3.0)).ravel()))
+    cand = cand[(cand >= span.start) & (cand < span.stop)]
+    a = np.searchsorted(sv, (cand - _ENLARGE) * grid, side="left")
+    b = np.searchsorted(sv, (cand + 1 + _ENLARGE) * grid, side="right")
+    hit = a < b
+    return cand[hit].astype(np.int64).tolist(), a[hit].tolist(), b[hit].tolist()
+
+
 def _merge(cells: list[tuple[int, str, float, float]], grid: float):
     """Merge runs of adjacent cells ``(index, status, wmin, wmax)`` of one status:
     the value range of each positive run, the cell range of each inconclusive run."""
@@ -141,14 +168,9 @@ def cluster_of_values(
     order = np.argsort(values, kind="stable")
     sv = values[order]
     cells: list[tuple[int, str, float, float]] = []
-    for i in _cell_range(bound, cfg.grid):  # consecutive cells, so equal neighbours merge
-        wlo = (i - _ENLARGE) * cfg.grid
-        whi = (i + 1 + _ENLARGE) * cfg.grid
-        a = int(np.searchsorted(sv, wlo, side="left"))
-        b = int(np.searchsorted(sv, whi, side="right"))
-        if a == b:
-            cells.append((i, "null", 0.0, 0.0))
-            continue
+    for i, a, b in zip(*_hit_cells(sv, bound, cfg.grid)):
+        if cells and cells[-1][0] != i - 1:  # an empty cell in between splits the runs
+            cells.append((i - 1, "null", 0.0, 0.0))
         verdict, support = ideal.positivity(np.sort(order[a:b]), horizon, cfg.theta)
         if verdict is PositivityResult.POSITIVE:
             witness = values[support]
@@ -279,7 +301,8 @@ def oracle_core(x: BoundedSequence, ideal: Ideal, theta: float = DEFAULT_THETA) 
     Independent of the grid: a value is a cluster point iff its level set is
     positive.  The method is ``"exact"`` when every level set was decided
     symbolically and ``"mixed"`` when the numeric estimator decided some of
-    them on a prefix at threshold ``theta``.  Raises
+    them on the prefix below ``_ORACLE_HORIZON`` at threshold ``theta``; a
+    mixed result records that horizon and threshold.  Raises
     :class:`UnsupportedInstanceError` for unstructured sequences, predicate
     level sets and undecided level sets.
     """
@@ -296,7 +319,9 @@ def oracle_core(x: BoundedSequence, ideal: Ideal, theta: float = DEFAULT_THETA) 
         raise UnsupportedInstanceError(
             f"{x.label}: membership of the level set of {cluster.inconclusive[0][0]} is undecided"
         )
-    return CoreInterval(lo=cluster.inf, hi=cluster.sup, method="exact" if cluster.exact else "mixed")
+    if cluster.exact:
+        return CoreInterval(lo=cluster.inf, hi=cluster.sup, method="exact")
+    return CoreInterval(lo=cluster.inf, hi=cluster.sup, method="mixed", horizon=_ORACLE_HORIZON, theta=theta)
 
 
 def ideal_lim_check(

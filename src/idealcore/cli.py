@@ -173,6 +173,7 @@ def core_cmd(sequence, ideal, oracle, horizon, tol, grid, theta, seed):
                 "method": interval.method,
                 "horizon": interval.horizon,
                 "grid": interval.grid,
+                "theta": interval.theta,
             },
             sort_keys=True,
             indent=2,

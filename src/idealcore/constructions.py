@@ -64,7 +64,7 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     if a.norm_bound is not None:
         bound = a.norm_bound * x.bound
     else:
-        sup = max(a.row_abs_sum(n) for n in range(horizon))
+        sup = float(np.max(a.row_abs_sums(horizon)))
         bound = max(sup * x.bound, float(np.max(np.abs(values))) if len(values) else 0.0)
     ax = BoundedSequence(
         fn=lambda n: transform(a, x, n),

@@ -1,10 +1,15 @@
 """Lazy infinite real matrices with sparse rows.
 
 Rows are materialized on demand and cached (small rows only; uniform rows like
-the Cesàro means are cheap to rebuild and would dominate memory).  Scalar
-accumulations (``transform``, ``row_abs_sum`` on explicit rows) use
-``math.fsum``; bulk prefix computations use numpy's pairwise summation, whose
-error at the sizes involved here is far below every stated tolerance.
+the Cesàro means are cheap to rebuild and would dominate memory).  Bulk prefix
+computations read all rows below a horizon at once: closed forms where the
+matrix has one, otherwise one concatenated CSR of the rows (``_flat``), which
+banded matrices build in closed form.  ``row_abs_sums`` and
+``find_negative_entry`` return exactly what the scalar row methods
+(``row_abs_sum``, ``row``) give, bit for bit; the masked and transformed row
+sums use cumulative sums, whose error at the sizes involved here is far below
+every stated tolerance.  ``transform`` computes one entry of A·x with
+``math.fsum``.
 """
 
 from __future__ import annotations
@@ -72,6 +77,28 @@ class MatrixRow:
     tail_bound: float = 0.0
 
 
+_EMPTY_ROW = MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+def _abs_segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """``np.sum(np.abs(values[ptr[n]:ptr[n + 1]]))`` for every n, bit for bit.
+
+    Segments of at most two entries are summed in one vectorized pass.  numpy
+    sums longer ones pairwise, which neither ``np.add.reduceat`` nor cumulative
+    sums reproduce, so those are summed one slice at a time (which also keeps
+    an ``abs`` copy of all the values out of memory).
+    """
+    starts, lengths = ptr[:-1], np.diff(ptr)
+    out = np.zeros(lengths.size)
+    nonempty = lengths > 0
+    out[nonempty] = np.abs(values[starts[nonempty]])
+    pairs = lengths == 2
+    out[pairs] += np.abs(values[starts[pairs] + 1])
+    for n in np.flatnonzero(lengths > 2).tolist():
+        out[n] = np.sum(np.abs(values[ptr[n] : ptr[n + 1]]))
+    return out
+
+
 def _merged_row(indices: np.ndarray, values: np.ndarray, tail_bound: float = 0.0) -> MatrixRow:
     """The row with the values that share a column summed, columns sorted.
 
@@ -129,35 +156,45 @@ class InfiniteMatrix:
 
     # -- bulk prefix computations -------------------------------------------
 
+    def row_abs_sums(self, horizon: int) -> np.ndarray:
+        """``row_abs_sum(n)`` for every row n below the horizon, bit for bit."""
+        flat = self._flat(horizon)
+        if flat is None:
+            return np.fromiter((self.row_abs_sum(n) for n in range(horizon)), dtype=np.float64, count=horizon)
+        _, val, ptr, tails = flat
+        return _abs_segment_sums(val, ptr) + tails
+
     def _flat(self, horizon: int):
         """Concatenated (indices, values, row pointers, tails) for rows below the
         horizon, or None when the total support is too large to materialize."""
         with self._cache_lock:
             if horizon in self._flat_cache:
                 return self._flat_cache[horizon]
-        idx_parts, val_parts = [], []
-        ptr = np.zeros(horizon + 1, dtype=np.int64)
-        tails = np.zeros(horizon, dtype=np.float64)
-        nnz = 0
-        flat = None
-        for n in range(horizon):
-            r = self.row(n)
-            nnz += len(r.indices)
-            if nnz > _FLAT_NNZ_LIMIT:
-                break
-            idx_parts.append(r.indices)
-            val_parts.append(r.values)
-            ptr[n + 1] = nnz
-            tails[n] = r.tail_bound
-        else:
-            idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=np.int64)
-            val = np.concatenate(val_parts) if val_parts else np.zeros(0)
-            flat = (idx, val, ptr, tails)
+        flat = self._build_flat(horizon)
         with self._cache_lock:
             if len(self._flat_cache) > 4:
                 self._flat_cache.clear()
             self._flat_cache[horizon] = flat
         return flat
+
+    def _build_flat(self, horizon: int):
+        """The uncached ``_flat``, assembled row by row."""
+        idx_parts, val_parts = [], []
+        ptr = np.zeros(horizon + 1, dtype=np.int64)
+        tails = np.zeros(horizon, dtype=np.float64)
+        nnz = 0
+        for n in range(horizon):
+            r = self.row(n)
+            nnz += len(r.indices)
+            if nnz > _FLAT_NNZ_LIMIT:
+                return None
+            idx_parts.append(r.indices)
+            val_parts.append(r.values)
+            ptr[n + 1] = nnz
+            tails[n] = r.tail_bound
+        idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=np.int64)
+        val = np.concatenate(val_parts) if val_parts else np.zeros(0)
+        return idx, val, ptr, tails
 
     def row_sums(self, horizon: int, absolute: bool = False) -> np.ndarray:
         return self.masked_row_sums(None, horizon, absolute=absolute)
@@ -234,6 +271,9 @@ class _CesaroMatrix(InfiniteMatrix):
         # Uniform rational rows sum to 1 exactly.
         return 1.0
 
+    def row_abs_sums(self, horizon: int) -> np.ndarray:
+        return np.ones(horizon, dtype=np.float64)
+
     def max_support(self, horizon: int) -> int:
         return horizon
 
@@ -263,7 +303,7 @@ class _DiagonalMatrix(InfiniteMatrix):
     def _row(self, n: int) -> MatrixRow:
         v = float(self.diag(n))
         if v == 0.0:
-            return MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0))
+            return _EMPTY_ROW
         return MatrixRow(np.array([n], dtype=np.int64), np.array([v]))
 
     def _diag_prefix(self, horizon: int) -> np.ndarray:
@@ -273,6 +313,9 @@ class _DiagonalMatrix(InfiniteMatrix):
 
     def max_support(self, horizon: int) -> int:
         return horizon
+
+    def row_abs_sums(self, horizon: int) -> np.ndarray:
+        return np.abs(self._diag_prefix(horizon))
 
     def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
         d = self._diag_prefix(horizon)
@@ -301,6 +344,9 @@ class _RkMatrix(InfiniteMatrix):
     def row_abs_sum(self, n: int) -> float:
         return 1.0
 
+    def row_abs_sums(self, horizon: int) -> np.ndarray:
+        return np.ones(horizon, dtype=np.float64)
+
     def max_support(self, horizon: int) -> int:
         return int(self.h.prefix(horizon).max()) + 1 if horizon else 0
 
@@ -327,20 +373,26 @@ class _RkMatrix(InfiniteMatrix):
 
 
 class _BandedMatrix(InfiniteMatrix):
-    """Finitely many explicit rows with a declared continuation rule."""
+    """Finitely many explicit rows with a declared continuation rule.
+
+    The tail rows add only 1s (identity), nothing (zero) or copies of the last
+    explicit row, so the matrix is nonnegative iff its explicit entries are.
+    """
 
     def __init__(self, rows: list[list[tuple[int, float]]], tail_mode: str = "identity", label: str = "Banded"):
         if tail_mode not in ("identity", "zero", "repeat_last"):
             raise ValueError("tail_mode must be identity, zero or repeat_last")
         if tail_mode == "repeat_last" and not rows:
             raise ValueError("repeat_last needs at least one explicit row")
-        super().__init__(label)
-        self.explicit_rows = []
+        explicit_rows = []
         for i, r in enumerate(rows):
             cols = np.array([k for k, _ in r], dtype=np.int64)
             if np.any(cols < 0) or np.unique(cols).size != cols.size:
                 raise BandedRowError(i, f"columns must be distinct naturals, got {cols.tolist()}")
-            self.explicit_rows.append(_merged_row(cols, np.array([v for _, v in r], dtype=np.float64)))
+            explicit_rows.append(_merged_row(cols, np.array([v for _, v in r], dtype=np.float64)))
+        nonneg = all(bool(np.all(r.values >= 0.0)) for r in explicit_rows)
+        super().__init__(label, nonnegative=True if nonneg else None)
+        self.explicit_rows = explicit_rows
         self.tail_mode = tail_mode
 
     def _row(self, n: int) -> MatrixRow:
@@ -349,8 +401,27 @@ class _BandedMatrix(InfiniteMatrix):
         if self.tail_mode == "identity":
             return MatrixRow(np.array([n], dtype=np.int64), np.array([1.0]))
         if self.tail_mode == "zero":
-            return MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0))
+            return _EMPTY_ROW
         return self.explicit_rows[-1]
+
+    def _build_flat(self, horizon: int):
+        """The explicit rows below the horizon, then the tail rows in closed form."""
+        head = self.explicit_rows[:horizon]
+        rest = horizon - len(head)
+        pattern = self.explicit_rows[-1] if self.tail_mode == "repeat_last" else _EMPTY_ROW
+        tail_len = 1 if self.tail_mode == "identity" else len(pattern.indices)
+        head_len = [len(r.indices) for r in head]
+        if sum(head_len) + tail_len * rest > _FLAT_NNZ_LIMIT:
+            return None
+        lengths = np.concatenate((np.array(head_len, dtype=np.int64), np.full(rest, tail_len, dtype=np.int64)))
+        ptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lengths)))
+        if self.tail_mode == "identity":
+            tail_idx, tail_val = np.arange(len(head), horizon, dtype=np.int64), np.ones(rest)
+        else:
+            tail_idx, tail_val = np.tile(pattern.indices, rest), np.tile(pattern.values, rest)
+        idx = np.concatenate([r.indices for r in head] + [tail_idx])
+        val = np.concatenate([r.values for r in head] + [tail_val])
+        return idx, val, ptr, np.zeros(horizon, dtype=np.float64)
 
 
 class _SumMatrix(InfiniteMatrix):
@@ -500,18 +571,25 @@ def norm_estimate(a: InfiniteMatrix, horizon: int) -> tuple[float, bool]:
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    sup = max(a.row_abs_sum(n) for n in range(horizon))
-    return sup, a.norm_bound is not None
+    return float(np.max(a.row_abs_sums(horizon))), a.norm_bound is not None
 
 
 def find_negative_entry(a: InfiniteMatrix, horizon: int) -> tuple[int, int, float] | None:
     """First (row, column, value) with a negative entry below the horizon, if any."""
     if a.nonnegative:
         return None
-    for n in range(horizon):
-        r = a.row(n)
-        neg = np.nonzero(r.values < 0.0)[0]
-        if neg.size:
-            j = int(neg[0])
-            return n, int(r.indices[j]), float(r.values[j])
-    return None
+    flat = a._flat(horizon)
+    if flat is None:
+        for n in range(horizon):
+            r = a.row(n)
+            neg = np.flatnonzero(r.values < 0.0)
+            if neg.size:
+                j = int(neg[0])
+                return n, int(r.indices[j]), float(r.values[j])
+        return None
+    idx, val, ptr, _ = flat
+    neg = np.flatnonzero(val < 0.0)
+    if not neg.size:
+        return None
+    j = int(neg[0])
+    return int(np.searchsorted(ptr, j, side="right")) - 1, int(idx[j]), float(val[j])

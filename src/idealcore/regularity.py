@@ -377,7 +377,7 @@ def silverman_toeplitz_check(
     t1_ok = certified or sup <= cfg.norm_cap
     t1_row = None
     if not t1_ok:
-        t1_row = int(max(range(cfg.horizon), key=a.row_abs_sum))
+        t1_row = int(np.argmax(a.row_abs_sums(cfg.horizon)))
     conditions.append(
         ConditionReport(
             name="T1(bounded-norm)",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealcore import asymptotics as asy
 from idealcore import ideals as ide
@@ -74,12 +76,15 @@ def test_oracle_core_examples():
 
 def test_oracle_core_reports_mixed_provenance():
     # The trace-finite ideal cannot decide the level set of 0 (the odd blocks)
-    # symbolically, so that level falls back to the numeric estimator.
+    # symbolically, so that level falls back to the numeric estimator, whose
+    # prefix and threshold the result records.
     blocks = seq.corpus_entry("indicator_blocks")
-    assert asy.oracle_core(blocks, FO_EVENS).method == "mixed"
+    mixed = asy.oracle_core(blocks, FO_EVENS, theta=2e-3)
+    assert (mixed.method, mixed.horizon, mixed.theta, mixed.grid) == ("mixed", asy._ORACLE_HORIZON, 2e-3, None)
     assert asy.cluster_points(blocks, FO_EVENS, FAST).exact is False
     alternating = seq.corpus_entry("alternating")
-    assert asy.oracle_core(alternating, FIN).method == "exact"
+    exact = asy.oracle_core(alternating, FIN)
+    assert (exact.method, exact.horizon, exact.theta, exact.grid) == ("exact", None, None, None)
     assert asy.cluster_points(alternating, FIN, FAST).exact is True
 
 
@@ -205,3 +210,82 @@ def test_core_interval_records_method():
     # A value prefix goes through the grid.
     c = asy.core(seq.corpus_entry("rotation_golden"), FIN, FAST)
     assert c.method == "numeric" and c.horizon == FAST.horizon and c.grid == FAST.grid
+
+
+# -- the vectorized cell search against a per-cell scan ---------------------------
+
+
+def _per_cell_cluster(values, ideal, cfg, bound=None):
+    """``cluster_of_values`` with two ``searchsorted`` calls per cell of the range."""
+    values = np.asarray(values, dtype=np.float64)
+    if bound is None:
+        bound = float(np.max(np.abs(values))) if values.size else 0.0
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    cells = []
+    for i in asy._cell_range(bound, cfg.grid):
+        a = int(np.searchsorted(sv, (i - asy._ENLARGE) * cfg.grid, side="left"))
+        b = int(np.searchsorted(sv, (i + 1 + asy._ENLARGE) * cfg.grid, side="right"))
+        if a == b:
+            cells.append((i, "null", 0.0, 0.0))
+            continue
+        verdict, support = ideal.positivity(np.sort(order[a:b]), len(values), cfg.theta)
+        if verdict is ide.PositivityResult.POSITIVE:
+            witness = values[support]
+            cells.append((i, "pos", float(witness.min()), float(witness.max())))
+        else:
+            cells.append((i, "inc" if verdict is ide.PositivityResult.INCONCLUSIVE else "null", 0.0, 0.0))
+    points, inconclusive = asy._merge(cells, cfg.grid)
+    if not points and not inconclusive:
+        raise asy.InconclusiveCellsError("no cell survived; sequence prefix may be empty")
+    return asy.ClusterSet(points, inconclusive, exact=False)
+
+
+_CATALOG = [
+    ide.fin(),
+    ide.density_zero(),
+    ide.erdos_ulam("log"),
+    ide.summable(),
+    ide.fin_oplus_full(sd.evens()),
+    ide.countably_generated([sd.evens()]),
+    ide.fin_times_empty(),
+]
+
+
+@st.composite
+def _value_prefixes(draw):
+    """Values near a few levels (one of them only on a sparse or finite set), with noise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 400))
+    levels = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.02, 0.3]))
+    values = levels[rng.integers(0, levels.size, n)] + noise * rng.standard_normal(n)
+    rare = draw(st.sampled_from([None, "head", "squares"]))
+    if rare == "head":
+        values[: min(n, 5)] = 2.5
+    elif rare == "squares":
+        values[np.arange(int(np.sqrt(n))) ** 2] = -2.5
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _value_prefixes(),
+    st.sampled_from(_CATALOG),
+    st.one_of(st.sampled_from([0.01, 0.1, 0.25]), st.floats(0.004, 0.6)),
+    st.sampled_from([None, 0.5, 1.0, 1.7]),
+    st.sampled_from([1e-3, 0.05]),
+)
+def test_cluster_of_values_matches_per_cell_scan(values, ideal, grid, bound_scale, theta):
+    cfg = asy.CoreConfig(horizon=100, grid=grid, theta=theta)
+    bound = None
+    if bound_scale is not None:
+        bound = bound_scale * (float(np.max(np.abs(values))) if values.size else 1.0)
+    try:
+        expected = _per_cell_cluster(values, ideal, cfg, bound)
+    except asy.InconclusiveCellsError as exc:
+        with pytest.raises(asy.InconclusiveCellsError) as got:
+            asy.cluster_of_values(values, ideal, cfg, bound)
+        assert (str(got.value), got.value.cells) == (str(exc), exc.cells)
+        return
+    assert asy.cluster_of_values(values, ideal, cfg, bound) == expected

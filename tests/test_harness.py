@@ -179,6 +179,41 @@ def test_generic_matrix_reports_are_pinned():
     assert tuple(hashlib.sha256(r.encode()).hexdigest() for r in rendered) == _GENERIC_SHA256
 
 
+# Signed banded rows reach the checkers' negative-entry search (cfo items end in
+# NegativeEntryError), the applicability-guard notes, the row-sum sup past the
+# norm cap and its T1 witness row; identity and Cesaro reach the closed forms.
+_SIGNED_SUITE = {
+    "matrices": [
+        {
+            "type": "banded",
+            "rows": [[[0, 0.5], [1, -0.25], [2, 0.75]], [[1, 501.0], [3, -500.0]], [[2, 1.0]]],
+            "tail": "zero",
+        },
+        {
+            "type": "banded",
+            "rows": [[[0, 1.0]], [[0, 0.1], [2, -0.2], [1, 0.3], [4, 0.8]]],
+            "tail": "repeat_last",
+        },
+        "identity",
+        "cesaro",
+    ],
+    "ideal_pairs": [["z", "z"], ["erdos-ulam-log", "erdos-ulam-log"], ["fin-oplus-evens", "fin"]],
+    "theorems": ["st", "allen", "cfo", "leo"],
+    "core_equality": False,
+    "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
+}
+_SIGNED_SHA256 = (
+    "27e11006d653a81e394a294ad3f395c1617f2f119be9595e175d01b74940f993",
+    "8ac2ad120b20d2d9773d5b26fdb124a0fef27a39bf8efb371c1ad802ee0dfef2",
+)
+
+
+def test_signed_matrix_reports_are_pinned():
+    bundle = harness.run_suite(specs.parse_experiment_config(_SIGNED_SUITE))
+    rendered = (harness.render_json(bundle), harness.render_csv(bundle))
+    assert tuple(hashlib.sha256(r.encode()).hexdigest() for r in rendered) == _SIGNED_SHA256
+
+
 def test_suite_reports_are_byte_identical(tmp_path):
     config = specs.parse_experiment_config(_bundled("knopp.json"))
     paths = []
@@ -274,9 +309,20 @@ def test_cli_core_and_oracle():
     payload = json.loads(result.output)
     assert (payload["lo"], payload["hi"]) == (-1.0, 1.0)
     assert payload["horizon"] == 10000
+    assert payload["theta"] == 1e-3
     result = runner.invoke(main, ["core", "--sequence", "indicator_squares", "--ideal", "z", "--oracle"])
     payload = json.loads(result.output)
     assert payload["method"] == "exact" and (payload["lo"], payload["hi"]) == (0.0, 0.0)
+    assert payload["horizon"] is None and payload["theta"] is None
+
+
+def test_cli_mixed_oracle_records_horizon_and_theta():
+    args = ["core", "--sequence", "indicator_blocks", "--ideal", "fin-oplus-evens", "--oracle", "--theta", "0.002"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["method"] == "mixed"
+    assert (payload["horizon"], payload["theta"], payload["grid"]) == (100_000, 0.002, None)
 
 
 def test_cli_check_with_family_file(tmp_path):

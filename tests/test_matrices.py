@@ -313,3 +313,117 @@ def test_row_cache_thread_safe():
         rows = list(pool.map(lambda n: a.row(n % 50), range(400)))
     for n, r in enumerate(rows):
         assert len(r.indices) == (n % 50) + 1
+
+
+# -- bulk row reductions: bit-identical to the scalar row methods ----------------
+
+
+class _TailRows(mat.InfiniteMatrix):
+    """Rows of growing length whose tails carry unknown mass."""
+
+    def _row(self, n):
+        k = n % 5
+        return mat.MatrixRow(
+            np.arange(k, dtype=np.int64), np.linspace(-0.3, 0.7, k), tail_bound=0.1 * (n % 3)
+        )
+
+
+def _signed_rows():
+    rng = np.random.default_rng(5)
+    long_row = [(int(k), float(v)) for k, v in zip(rng.choice(400, 140, replace=False), rng.normal(size=140))]
+    return [[(0, 0.1), (2, -0.2), (1, 0.3)], [], [(3, -1.5)], [(1, 0.7), (4, 0.2)], long_row]
+
+
+def _matrix_kinds():
+    evens = maps.enumeration_map(sd.evens())
+    rk_2n = mat.rk_matrix(maps.affine_map(2))
+    signed = {tail: mat.banded(_signed_rows(), tail_mode=tail) for tail in ("identity", "zero", "repeat_last")}
+    pos, neg = mat.pos_neg_split(signed["repeat_last"])
+    return {
+        "cesaro": mat.cesaro(),
+        "identity": mat.identity(),
+        "diagonal": mat.diagonal(lambda n: 0.0 if n % 3 == 0 else (-1.0) ** n / (n + 1)),
+        "rk_affine": rk_2n,
+        "rk_enumeration": mat.rk_matrix(evens),
+        **{f"banded_{tail}": m for tail, m in signed.items()},
+        "sum": mat.matrix_sum(mat.cesaro(), signed["identity"]),
+        "negative_multiple": mat.scalar_mul(-0.3, mat.cesaro()),
+        "compose_rk_cesaro": mat.compose(rk_2n, mat.cesaro()),
+        "compose_cesaro_rk": mat.compose(mat.cesaro(), rk_2n),
+        "positive_part": pos,
+        "negative_part": neg,
+        "tail_bound": _TailRows("tails"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_matrix_kinds()))
+def test_row_abs_sums_match_row_abs_sum(kind):
+    a = _matrix_kinds()[kind]
+    horizon = 300
+    expected = np.array([a.row_abs_sum(n) for n in range(horizon)], dtype=np.float64)
+    assert a.row_abs_sums(horizon).tobytes() == expected.tobytes()
+
+
+def test_row_abs_sums_past_the_flat_limit(monkeypatch):
+    a = mat.matrix_sum(mat.cesaro(), mat.banded(_signed_rows(), tail_mode="repeat_last"))
+    expected = np.array([a.row_abs_sum(n) for n in range(200)])
+    monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 50)
+    assert a._flat(200) is None
+    assert a.row_abs_sums(200).tobytes() == expected.tobytes()
+
+
+def _first_negative(a, horizon):
+    for n in range(horizon):
+        r = a.row(n)
+        for k, v in zip(r.indices.tolist(), r.values.tolist()):
+            if v < 0.0:
+                return n, k, v
+    return None
+
+
+@pytest.mark.parametrize("kind", sorted(_matrix_kinds()))
+def test_find_negative_entry_matches_row_scan(kind):
+    a = _matrix_kinds()[kind]
+    assert mat.find_negative_entry(a, 300) == _first_negative(a, 300)
+
+
+def test_find_negative_entry_late_and_past_the_flat_limit(monkeypatch):
+    late = mat.banded([[(0, 1.0)]] * 7 + [[], [(2, 0.5), (9, -0.25)]], tail_mode="zero")
+    assert mat.find_negative_entry(late, 100) == (8, 9, -0.25) == _first_negative(late, 100)
+    assert mat.find_negative_entry(late, 8) is None
+    a = mat.matrix_sum(mat.cesaro(), mat.scalar_mul(-1.0, mat.identity()))
+    expected = _first_negative(a, 200)
+    monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 50)
+    assert mat.find_negative_entry(a, 200) == expected
+
+
+@pytest.mark.parametrize("tail", ["identity", "zero", "repeat_last"])
+@pytest.mark.parametrize("horizon", [0, 3, 5, 6, 250])
+def test_banded_flat_matches_row_assembly(tail, horizon):
+    a = mat.banded(_signed_rows(), tail_mode=tail)
+    closed, generic = a._flat(horizon), mat.InfiniteMatrix._build_flat(a, horizon)
+    for got, want in zip(closed, generic):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_banded_flat_respects_the_nnz_limit(monkeypatch):
+    monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 100)
+    a = mat.banded(_signed_rows(), tail_mode="repeat_last")
+    assert a._flat(50) is None and mat.InfiniteMatrix._build_flat(a, 50) is None
+
+
+@pytest.mark.parametrize(
+    "rows, tails, nonnegative",
+    [
+        ([], ["identity", "zero"], True),
+        ([[(0, 0.5), (1, 0.0)], []], ["identity", "zero", "repeat_last"], True),
+        ([[(0, 0.5)], [(1, -0.0)]], ["identity", "zero", "repeat_last"], True),
+        ([[(0, 0.5)], [(1, -1e-300)]], ["identity", "zero", "repeat_last"], None),
+        (_signed_rows(), ["identity", "zero", "repeat_last"], None),
+    ],
+)
+def test_banded_nonnegative_flag(rows, tails, nonnegative):
+    for tail in tails:
+        a = mat.banded(rows, tail_mode=tail)
+        assert a.nonnegative is nonnegative
+        assert (_first_negative(a, 50) is None) == (nonnegative is True)
