@@ -3,8 +3,14 @@
 Rows are materialized on demand and cached (small rows only; uniform rows like
 the Cesàro means are cheap to rebuild and would dominate memory).  Bulk prefix
 computations read all rows below a horizon at once: closed forms where the
-matrix has one, otherwise one concatenated CSR of the rows (``_flat``), which
-banded matrices build in closed form.  ``row_abs_sums`` and
+matrix has one, otherwise one concatenated CSR of the rows (``_flat``).  Every
+built-in matrix gathers that CSR in bulk (``_gather``), bit for bit equal to
+the row-by-row assembly (``InfiniteMatrix._build_flat``): Cesàro, diagonal,
+row-selection and banded matrices in closed form, and sums, multiples,
+entrywise parts and products from their operands' CSRs.  A product B·A
+gathers only the distinct rows of A that B selects, then expands and merges
+whole rows in chunks of bounded size into preallocated output; where an
+operand cannot be gathered, the row path decides.  ``row_abs_sums`` and
 ``find_negative_entry`` return exactly what the scalar row methods
 (``row_abs_sum``, ``row``) give, bit for bit; the masked and transformed row
 sums use cumulative sums, whose error at the sizes involved here is far below
@@ -47,6 +53,11 @@ __all__ = [
 
 _CACHE_SUPPORT_LIMIT = 1024
 _FLAT_NNZ_LIMIT = 4_000_000
+# Unmerged entries that a composite's bulk gather expands and merges at once.
+_MERGE_CHUNK = 1 << 16
+# A chunk merges over a dense (row, column) key range when it has at most this
+# many keys per entry, and by sorting otherwise.
+_DENSE_KEYS = 4
 # A row-selection matrix reads sequences and column sets pointwise on the image
 # of h once the largest selected column exceeds this multiple of the horizon.
 _SPARSE_IMAGE_FACTOR = 16
@@ -99,6 +110,33 @@ def _abs_segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pointers(lengths: np.ndarray) -> np.ndarray:
+    """CSR row pointers for the given row lengths."""
+    ptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
+
+
+def _segment_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + l)`` over the pairs (s, l)."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
+
+
+def _at_rows(rows: np.ndarray, prefix: Callable, point: Callable, dtype) -> np.ndarray:
+    """``prefix(support)[rows]``, where support is 1 + the largest row.
+
+    When the rows are sparse (e.g. the image of the squares) the largest one
+    far exceeds their count, so ``point(n)`` is read per row instead of a
+    prefix that long.
+    """
+    support = int(rows.max()) + 1 if rows.size else 0
+    if support > _SPARSE_IMAGE_FACTOR * rows.size:
+        return np.fromiter((point(n) for n in rows.tolist()), dtype=dtype, count=rows.size)
+    return prefix(support)[rows]
+
+
 def _merged_row(indices: np.ndarray, values: np.ndarray, tail_bound: float = 0.0) -> MatrixRow:
     """The row with the values that share a column summed, columns sorted.
 
@@ -108,6 +146,94 @@ def _merged_row(indices: np.ndarray, values: np.ndarray, tail_bound: float = 0.0
     cols, inv = np.unique(indices, return_inverse=True)
     sums = np.bincount(inv, weights=values, minlength=cols.size)
     return MatrixRow(cols.astype(np.int64, copy=False), sums.astype(np.float64, copy=False), tail_bound)
+
+
+def _merge_chunk(indices: np.ndarray, values: np.ndarray, ptr: np.ndarray):
+    """``_merged_row`` applied to every row of a CSR chunk, bit for bit.
+
+    Returns (columns, sums, row lengths).  Rows whose columns already increase
+    strictly come out as they are, plus 0.0 as ``bincount`` adds it (so −0.0
+    becomes 0.0).  Otherwise every (row, column) pair gets a key, and
+    ``bincount`` sums each key's values in input order from 0.0: over a dense
+    key range directly, else over the keys' ranks in sorted order.
+    """
+    lengths = np.diff(ptr)
+    row_start = np.zeros(indices.size, dtype=bool)
+    row_start[ptr[:-1][lengths > 0]] = True
+    if np.all((indices[1:] > indices[:-1]) | row_start[1:]):
+        return indices, values + 0.0, lengths
+    rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    span = int(indices.max()) + 1
+    if span * lengths.size <= _DENSE_KEYS * indices.size:
+        key = rows * span + indices
+        present = np.zeros(span * lengths.size, dtype=bool)
+        present[key] = True
+        keys = np.flatnonzero(present)
+        sums = np.bincount(key, weights=values, minlength=present.size)[keys]
+        return keys % span, sums, np.bincount(keys // span, minlength=lengths.size)
+    cols = indices
+    if span * lengths.size >= 2**63:  # rank the columns so the keys fit
+        cols = np.unique(cols, return_inverse=True)[1]
+    key = rows * (int(cols.max()) + 1) + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    group = np.empty(key.size, dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    sums = np.bincount(group, weights=values, minlength=int(first.sum()))
+    heads = order[first]
+    return indices[heads], sums, np.bincount(rows[heads], minlength=lengths.size)
+
+
+def _merged_flat(seg_ptr, starts, lengths, weights, src_idx, src_val, tails):
+    """The ``_flat`` of rows that ``_merged_row`` merges from weighted segments
+    of a source CSR (``src_idx``, ``src_val``).
+
+    Row n concatenates, for its segments s in ``seg_ptr[n]`` … ``seg_ptr[n+1]−1``,
+    ``weights[s]`` times the source entries ``starts[s]`` … ``starts[s] +
+    lengths[s] − 1``.  Whole rows are expanded and merged in chunks of at most
+    ``_MERGE_CHUNK`` entries (a longer row is a chunk of its own), into output
+    sized by the unmerged total capped at the nnz limit; None once the merged
+    rows pass that limit.
+    """
+    expanded_ptr = _pointers(lengths)[seg_ptr]
+    cap = min(int(expanded_ptr[-1]), _FLAT_NNZ_LIMIT)
+    idx, val = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.float64)
+    row_len = np.empty(tails.size, dtype=np.int64)
+    nnz, r0 = 0, 0
+    while r0 < tails.size:
+        end = int(np.searchsorted(expanded_ptr, expanded_ptr[r0] + _MERGE_CHUNK, side="right")) - 1
+        r1 = max(r0 + 1, end)
+        s0, s1 = seg_ptr[r0], seg_ptr[r1]
+        src = _segment_arange(starts[s0:s1], lengths[s0:s1])
+        cols, sums, row_len[r0:r1] = _merge_chunk(
+            src_idx[src],
+            np.repeat(weights[s0:s1], lengths[s0:s1]) * src_val[src],
+            expanded_ptr[r0 : r1 + 1] - expanded_ptr[r0],
+        )
+        if nnz + cols.size > cap:
+            return None
+        idx[nnz : nnz + cols.size], val[nnz : nnz + cols.size] = cols, sums
+        nnz, r0 = nnz + cols.size, r1
+    if nnz < cap:
+        idx, val = idx[:nnz].copy(), val[:nnz].copy()
+    return idx, val, _pointers(row_len), tails
+
+
+class _UseRowPath(Exception):
+    """An operand's bulk gather raised or passed the nnz limit: the row path decides."""
+
+
+def _operand_gather(m: InfiniteMatrix, rows: np.ndarray) -> tuple:
+    """``m._gather(rows)``; raises ``_UseRowPath`` where that is None or raises."""
+    try:
+        flat = m._gather(rows)
+    except ComposeUnsupportedError:
+        raise _UseRowPath from None
+    if flat is None:
+        raise _UseRowPath
+    return flat
 
 
 class InfiniteMatrix:
@@ -170,7 +296,7 @@ class InfiniteMatrix:
         with self._cache_lock:
             if horizon in self._flat_cache:
                 return self._flat_cache[horizon]
-        flat = self._build_flat(horizon)
+        flat = self._gather(np.arange(horizon, dtype=np.int64))
         with self._cache_lock:
             if len(self._flat_cache) > 4:
                 self._flat_cache.clear()
@@ -178,20 +304,29 @@ class InfiniteMatrix:
         return flat
 
     def _build_flat(self, horizon: int):
-        """The uncached ``_flat``, assembled row by row."""
+        """The uncached ``_flat`` assembled row by row: what every bulk ``_gather`` reproduces."""
+        return InfiniteMatrix._gather(self, np.arange(horizon, dtype=np.int64))
+
+    def _gather(self, rows: np.ndarray):
+        """(indices, values, row pointers, tails) of the given increasing rows,
+        concatenated, or None when their total support passes ``_FLAT_NNZ_LIMIT``.
+
+        This one reads ``row`` per row; subclasses gather in bulk, bit for bit,
+        with the same None decision and the same errors.
+        """
         idx_parts, val_parts = [], []
-        ptr = np.zeros(horizon + 1, dtype=np.int64)
-        tails = np.zeros(horizon, dtype=np.float64)
+        ptr = np.zeros(rows.size + 1, dtype=np.int64)
+        tails = np.zeros(rows.size, dtype=np.float64)
         nnz = 0
-        for n in range(horizon):
+        for i, n in enumerate(rows.tolist()):
             r = self.row(n)
             nnz += len(r.indices)
             if nnz > _FLAT_NNZ_LIMIT:
                 return None
             idx_parts.append(r.indices)
             val_parts.append(r.values)
-            ptr[n + 1] = nnz
-            tails[n] = r.tail_bound
+            ptr[i + 1] = nnz
+            tails[i] = r.tail_bound
         idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=np.int64)
         val = np.concatenate(val_parts) if val_parts else np.zeros(0)
         return idx, val, ptr, tails
@@ -267,6 +402,15 @@ class _CesaroMatrix(InfiniteMatrix):
         w = 1.0 / (n + 1.0)
         return MatrixRow(np.arange(n + 1, dtype=np.int64), np.full(n + 1, w))
 
+    def _gather(self, rows: np.ndarray):
+        lengths = rows + 1
+        nnz = int(lengths.sum())
+        if nnz > _FLAT_NNZ_LIMIT:
+            return None
+        ptr = _pointers(lengths)
+        idx = np.arange(nnz, dtype=np.int64) - np.repeat(ptr[:-1], lengths)
+        return idx, np.repeat(1.0 / (rows + 1.0), lengths), ptr, np.zeros(rows.size)
+
     def row_abs_sum(self, n: int) -> float:
         # Uniform rational rows sum to 1 exactly.
         return 1.0
@@ -311,6 +455,13 @@ class _DiagonalMatrix(InfiniteMatrix):
             return self.rule(horizon)
         return np.fromiter((self.diag(n) for n in range(horizon)), dtype=np.float64, count=horizon)
 
+    def _gather(self, rows: np.ndarray):
+        d = _at_rows(rows, self._diag_prefix, self.diag, np.float64)
+        keep = d != 0.0
+        if np.count_nonzero(keep) > _FLAT_NNZ_LIMIT:
+            return None
+        return rows[keep], d[keep], _pointers(keep), np.zeros(rows.size)
+
     def max_support(self, horizon: int) -> int:
         return horizon
 
@@ -341,6 +492,12 @@ class _RkMatrix(InfiniteMatrix):
     def _row(self, n: int) -> MatrixRow:
         return MatrixRow(np.array([self.h(n)], dtype=np.int64), np.array([1.0]))
 
+    def _gather(self, rows: np.ndarray):
+        if rows.size > _FLAT_NNZ_LIMIT:
+            return None
+        hs = _at_rows(rows, self.h.prefix, self.h, np.int64)
+        return hs, np.ones(rows.size), np.arange(rows.size + 1, dtype=np.int64), np.zeros(rows.size)
+
     def row_abs_sum(self, n: int) -> float:
         return 1.0
 
@@ -350,26 +507,13 @@ class _RkMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return int(self.h.prefix(horizon).max()) + 1 if horizon else 0
 
-    def _on_image(self, horizon: int, prefix: Callable, point: Callable, dtype) -> np.ndarray:
-        """``prefix(support)[h(n)]`` for the rows n below the horizon.
-
-        When the image is sparse (e.g. the squares) the largest selected column
-        far exceeds the horizon, so ``point(h(n))`` is read per row instead of a
-        prefix the size of that column.
-        """
-        hs = self.h.prefix(horizon)
-        support = int(hs.max()) + 1 if horizon else 0
-        if support > _SPARSE_IMAGE_FACTOR * horizon:
-            return np.fromiter((point(int(k)) for k in hs), dtype=dtype, count=horizon)
-        return prefix(support)[hs]
-
     def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
         if columns is None:
             return np.ones(horizon, dtype=np.float64)
-        return self._on_image(horizon, columns.mask, columns.contains, bool).astype(np.float64)
+        return _at_rows(self.h.prefix(horizon), columns.mask, columns.contains, bool).astype(np.float64)
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
-        return self._on_image(horizon, x.prefix, x.fn, np.float64)
+        return _at_rows(self.h.prefix(horizon), x.prefix, x.fn, np.float64)
 
 
 class _BandedMatrix(InfiniteMatrix):
@@ -384,47 +528,76 @@ class _BandedMatrix(InfiniteMatrix):
             raise ValueError("tail_mode must be identity, zero or repeat_last")
         if tail_mode == "repeat_last" and not rows:
             raise ValueError("repeat_last needs at least one explicit row")
-        explicit_rows = []
-        for i, r in enumerate(rows):
-            cols = np.array([k for k, _ in r], dtype=np.int64)
-            if np.any(cols < 0) or np.unique(cols).size != cols.size:
-                raise BandedRowError(i, f"columns must be distinct naturals, got {cols.tolist()}")
-            explicit_rows.append(_merged_row(cols, np.array([v for _, v in r], dtype=np.float64)))
-        nonneg = all(bool(np.all(r.values >= 0.0)) for r in explicit_rows)
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        cols = np.array([k for r in rows for k, _ in r], dtype=np.int64)
+        vals = np.array([v for r in rows for _, v in r], dtype=np.float64)
+        ptr = _pointers(counts)
+        row_of = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        order = np.lexsort((cols, row_of))
+        sorted_cols, sorted_rows = cols[order], row_of[order]
+        repeated = (sorted_cols[1:] == sorted_cols[:-1]) & (sorted_rows[1:] == sorted_rows[:-1])
+        bad = np.concatenate((row_of[cols < 0], sorted_rows[1:][repeated]))
+        if bad.size:
+            i = int(bad.min())
+            raise BandedRowError(i, f"columns must be distinct naturals, got {cols[ptr[i] : ptr[i + 1]].tolist()}")
+        # Sorted rows, with 0.0 added as ``_merged_row`` adds it (−0.0 becomes 0.0).
+        self._cols, self._vals, self._ptr = sorted_cols, vals[order] + 0.0, ptr
+        nonneg = bool(np.all(self._vals >= 0.0))
         super().__init__(label, nonnegative=True if nonneg else None)
-        self.explicit_rows = explicit_rows
         self.tail_mode = tail_mode
 
+    def _explicit_row(self, n: int) -> MatrixRow:
+        p, q = self._ptr[n], self._ptr[n + 1]
+        return MatrixRow(self._cols[p:q], self._vals[p:q])
+
     def _row(self, n: int) -> MatrixRow:
-        if n < len(self.explicit_rows):
-            return self.explicit_rows[n]
+        n_explicit = self._ptr.size - 1
+        if n < n_explicit:
+            return self._explicit_row(n)
         if self.tail_mode == "identity":
             return MatrixRow(np.array([n], dtype=np.int64), np.array([1.0]))
         if self.tail_mode == "zero":
             return _EMPTY_ROW
-        return self.explicit_rows[-1]
+        return self._explicit_row(n_explicit - 1)
 
-    def _build_flat(self, horizon: int):
-        """The explicit rows below the horizon, then the tail rows in closed form."""
-        head = self.explicit_rows[:horizon]
-        rest = horizon - len(head)
-        pattern = self.explicit_rows[-1] if self.tail_mode == "repeat_last" else _EMPTY_ROW
-        tail_len = 1 if self.tail_mode == "identity" else len(pattern.indices)
-        head_len = [len(r.indices) for r in head]
-        if sum(head_len) + tail_len * rest > _FLAT_NNZ_LIMIT:
+    def _gather(self, rows: np.ndarray):
+        """The explicit rows among ``rows``, then the tail rows in closed form."""
+        n_explicit = self._ptr.size - 1
+        k = int(np.searchsorted(rows, n_explicit))
+        head, rest = rows[:k], rows[k:]
+        head_len = self._ptr[head + 1] - self._ptr[head]
+        pattern = self._explicit_row(n_explicit - 1) if self.tail_mode == "repeat_last" else _EMPTY_ROW
+        tail_len = 1 if self.tail_mode == "identity" else pattern.indices.size
+        if int(head_len.sum()) + tail_len * rest.size > _FLAT_NNZ_LIMIT:
             return None
-        lengths = np.concatenate((np.array(head_len, dtype=np.int64), np.full(rest, tail_len, dtype=np.int64)))
-        ptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lengths)))
         if self.tail_mode == "identity":
-            tail_idx, tail_val = np.arange(len(head), horizon, dtype=np.int64), np.ones(rest)
+            tail_idx, tail_val = rest, np.ones(rest.size)
         else:
-            tail_idx, tail_val = np.tile(pattern.indices, rest), np.tile(pattern.values, rest)
-        idx = np.concatenate([r.indices for r in head] + [tail_idx])
-        val = np.concatenate([r.values for r in head] + [tail_val])
-        return idx, val, ptr, np.zeros(horizon, dtype=np.float64)
+            tail_idx, tail_val = np.tile(pattern.indices, rest.size), np.tile(pattern.values, rest.size)
+        src = _segment_arange(self._ptr[head], head_len)
+        lengths = np.concatenate((head_len, np.full(rest.size, tail_len, dtype=np.int64)))
+        idx = np.concatenate((self._cols[src], tail_idx))
+        val = np.concatenate((self._vals[src], tail_val))
+        return idx, val, _pointers(lengths), np.zeros(rows.size)
 
 
-class _SumMatrix(InfiniteMatrix):
+class _Composite(InfiniteMatrix):
+    """A matrix made from operand matrices; ``_bulk_gather`` builds its rows
+    from the operands' gathers.
+
+    Where an operand's gather raises or passes the nnz limit, the row path
+    decides instead, so the CSR, the None and the error are always the row
+    path's.
+    """
+
+    def _gather(self, rows: np.ndarray):
+        try:
+            return self._bulk_gather(rows)
+        except _UseRowPath:
+            return InfiniteMatrix._gather(self, rows)
+
+
+class _SumMatrix(_Composite):
     def __init__(self, a: InfiniteMatrix, b: InfiniteMatrix):
         bound = None
         if a.norm_bound is not None and b.norm_bound is not None:
@@ -441,8 +614,20 @@ class _SumMatrix(InfiniteMatrix):
             ra.tail_bound + rb.tail_bound,
         )
 
+    def _bulk_gather(self, rows: np.ndarray):
+        """Row n of A then row n of B, as two segments of one source CSR with
+        weight 1.0 (which leaves every value as it is)."""
+        a_idx, a_val, a_ptr, a_tails = _operand_gather(self.a, rows)
+        b_idx, b_val, b_ptr, b_tails = _operand_gather(self.b, rows)
+        starts = np.stack((a_ptr[:-1], b_ptr[:-1] + a_ptr[-1]), axis=1).ravel()
+        lengths = np.stack((np.diff(a_ptr), np.diff(b_ptr)), axis=1).ravel()
+        return _merged_flat(
+            np.arange(0, starts.size + 1, 2), starts, lengths, np.ones(starts.size),
+            np.concatenate((a_idx, b_idx)), np.concatenate((a_val, b_val)), a_tails + b_tails,
+        )
 
-class _ScaledMatrix(InfiniteMatrix):
+
+class _ScaledMatrix(_Composite):
     def __init__(self, c: float, a: InfiniteMatrix):
         bound = abs(c) * a.norm_bound if a.norm_bound is not None else None
         nonneg = True if (a.nonnegative and c >= 0) else None
@@ -453,8 +638,12 @@ class _ScaledMatrix(InfiniteMatrix):
         r = self.a.row(n)
         return MatrixRow(r.indices, self.c * r.values, abs(self.c) * r.tail_bound)
 
+    def _bulk_gather(self, rows: np.ndarray):
+        idx, val, ptr, tails = _operand_gather(self.a, rows)
+        return idx, self.c * val, ptr, abs(self.c) * tails
 
-class _ComposedMatrix(InfiniteMatrix):
+
+class _ComposedMatrix(_Composite):
     """B·A for row-finite B: row n of BA = sum_j b_nj * (row j of A)."""
 
     def __init__(self, b: InfiniteMatrix, a: InfiniteMatrix):
@@ -486,8 +675,23 @@ class _ComposedMatrix(InfiniteMatrix):
             tail,
         )
 
+    def _bulk_gather(self, rows: np.ndarray):
+        """Each left entry (n, j, b) is a segment: b times row j of A.  Only the
+        distinct rows j are gathered."""
+        b_idx, b_val, b_ptr, b_tails = _operand_gather(self.b, rows)
+        if np.any(b_tails != 0.0):
+            raise _UseRowPath  # the row path raises, unless it passes the nnz limit first
+        js, which = np.unique(b_idx, return_inverse=True)
+        a_idx, a_val, a_ptr, a_tails = _operand_gather(self.a, js)
+        tails = np.zeros(rows.size)
+        if a_tails.any():
+            contrib = np.abs(b_val) * a_tails[which]
+            for n in np.unique(np.searchsorted(b_ptr, np.flatnonzero(contrib), side="right") - 1).tolist():
+                tails[n] = sum(contrib[b_ptr[n] : b_ptr[n + 1]].tolist(), 0.0)
+        return _merged_flat(b_ptr, a_ptr[which], np.diff(a_ptr)[which], b_val, a_idx, a_val, tails)
 
-class _EntrywisePart(InfiniteMatrix):
+
+class _EntrywisePart(_Composite):
     """Positive or negative part of a base matrix, entrywise."""
 
     def __init__(self, base: InfiniteMatrix, positive: bool):
@@ -505,6 +709,11 @@ class _EntrywisePart(InfiniteMatrix):
             keep = r.values < 0.0
             vals = -r.values[keep]
         return MatrixRow(r.indices[keep], vals, r.tail_bound)
+
+    def _bulk_gather(self, rows: np.ndarray):
+        idx, val, ptr, tails = _operand_gather(self.base, rows)
+        keep = val > 0.0 if self.positive else val < 0.0
+        return idx[keep], val[keep] if self.positive else -val[keep], _pointers(keep)[ptr], tails
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,15 @@ def default_family(ideal: Ideal, seed: int = 0) -> TestFamily:
     return TestFamily(tuple(in_ideal), tuple(positive), tuple(infinite))
 
 
+def _resolve_family(family: TestFamily | None, ideal: Ideal, seed: int) -> TestFamily:
+    """The caller's family, validated against the ideal, or else the default
+    family, which its construction classifies already."""
+    if family is None:
+        return default_family(ideal, seed)
+    family.validate(ideal)
+    return family
+
+
 def _set_label(s: SetDescription) -> str:
     d = sd.set_to_dict(s)
     kind = d["type"]
@@ -278,7 +287,7 @@ def _regular_condition(
 ) -> ConditionReport:
     """The regularity condition of a characterization: the Silverman–Toeplitz
     verdict folded into one condition that carries its strongest witness."""
-    base = silverman_toeplitz_check(a, ideal_i, ideal_j, family=family, cfg=cfg)
+    base = _silverman_toeplitz(a, ideal_i, ideal_j, family, cfg)
     return ConditionReport(
         name=name,
         ok=_STATUS_OK[base.status],
@@ -358,8 +367,13 @@ def silverman_toeplitz_check(
     conditions are still reported but the verdict is stamped inconclusive.
     """
     cfg = cfg or CheckConfig()
-    family = family if family is not None else default_family(ideal_i, cfg.seed)
-    family.validate(ideal_i)
+    return _silverman_toeplitz(a, ideal_i, ideal_j, _resolve_family(family, ideal_i, cfg.seed), cfg)
+
+
+def _silverman_toeplitz(
+    a: InfiniteMatrix, ideal_i: Ideal, ideal_j: Ideal, family: TestFamily, cfg: CheckConfig
+) -> Verdict:
+    """``silverman_toeplitz_check`` on a family that is already classified."""
     notes: list[str] = []
     guard_ok = (
         _is_countably_generated(ideal_j)
@@ -406,7 +420,7 @@ def allen_check(
     sums equal to 1 along every infinite family set."""
     cfg = cfg or CheckConfig()
     fin_ideal = FinIdeal()
-    family = family if family is not None else default_family(fin_ideal, cfg.seed)
+    family = _resolve_family(family, fin_ideal, cfg.seed)
     conditions = [
         _regular_condition("A1(regular)", a, fin_ideal, fin_ideal, family, cfg),
         _lim_condition("A2(abs-row-sums)", a.row_sums(cfg.horizon, absolute=True), 1.0, fin_ideal, cfg),
@@ -429,7 +443,7 @@ def cfo_check(
     neg = None if a.nonnegative else find_negative_entry(a, cfg.horizon)
     if neg is not None:
         raise NegativeEntryError(*neg)
-    family = family if family is not None else default_family(ideal_i, cfg.seed)
+    family = _resolve_family(family, ideal_i, cfg.seed)
     conditions = [_regular_condition("C1(regular)", a, ideal_i, ideal_j, family, cfg)]
     judge = partial(_limsup_condition, ideal_j=ideal_j, cfg=cfg)
     conditions += _family_conditions("C2", a, family.sets_positive, cfg, judge, absolute=False)
@@ -453,7 +467,7 @@ def leo_check(
     conditions are reported as evidence only.
     """
     cfg = cfg or CheckConfig()
-    family = family if family is not None else default_family(ideal_i, cfg.seed)
+    family = _resolve_family(family, ideal_i, cfg.seed)
     guard_ok = _is_countably_generated(ideal_j) or _matrix_nonnegative(a, cfg.horizon)
     notes: list[str] = []
     if not guard_ok:

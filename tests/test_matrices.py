@@ -1,5 +1,6 @@
 """Lazy matrices: rows, transforms, norms, algebra, splits, composition."""
 
+import functools
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -334,22 +335,47 @@ def _signed_rows():
     return [[(0, 0.1), (2, -0.2), (1, 0.3)], [], [(3, -1.5)], [(1, 0.7), (4, 0.2)], long_row]
 
 
+def _composite_kinds():
+    """Products, sums, multiples and parts whose CSR is gathered in bulk."""
+    rk_2n = mat.rk_matrix(maps.affine_map(2))
+    mixed = mat.matrix_sum(mat.matrix_sum(mat.cesaro(), mat.identity()), mat.scalar_mul(-0.3, mat.cesaro()))
+    banded_mixed = mat.compose(mat.banded(_signed_rows(), tail_mode="repeat_last"), mixed)
+    pos, neg = mat.pos_neg_split(banded_mixed)
+    # Row 1 is -1 times a row of zeros: the products are -0.0, which merging turns into 0.0.
+    negative_zero = mat.compose(
+        mat.banded([[(0, -1.0), (1, 2.0)], [(1, -1.0)]], tail_mode="zero"),
+        mat.banded([[(0, 0.0)], [(0, 0.0), (3, 1.0)]], tail_mode="identity"),
+    )
+    return {
+        "sum": mat.matrix_sum(mat.cesaro(), mat.banded(_signed_rows(), tail_mode="identity")),
+        "negative_multiple": mat.scalar_mul(-0.3, mat.cesaro()),
+        "compose_rk_cesaro": mat.compose(rk_2n, mat.cesaro()),
+        "compose_cesaro_rk": mat.compose(mat.cesaro(), rk_2n),
+        "compose_cesaro_cesaro": mat.compose(mat.cesaro(), mat.cesaro()),
+        "compose_rk_rk": mat.compose(rk_2n, mat.rk_matrix(maps.affine_map(3, 1))),
+        "compose_banded_mixed": banded_mixed,
+        "product_positive_part": pos,
+        "product_negative_part": neg,
+        "compose_negative_zero": negative_zero,
+    }
+
+
+@functools.cache
 def _matrix_kinds():
+    """One instance per kind for the whole module, so the row paths that the
+    references read fill each row cache once."""
     evens = maps.enumeration_map(sd.evens())
     rk_2n = mat.rk_matrix(maps.affine_map(2))
     signed = {tail: mat.banded(_signed_rows(), tail_mode=tail) for tail in ("identity", "zero", "repeat_last")}
     pos, neg = mat.pos_neg_split(signed["repeat_last"])
     return {
+        **_composite_kinds(),
         "cesaro": mat.cesaro(),
         "identity": mat.identity(),
         "diagonal": mat.diagonal(lambda n: 0.0 if n % 3 == 0 else (-1.0) ** n / (n + 1)),
         "rk_affine": rk_2n,
         "rk_enumeration": mat.rk_matrix(evens),
         **{f"banded_{tail}": m for tail, m in signed.items()},
-        "sum": mat.matrix_sum(mat.cesaro(), signed["identity"]),
-        "negative_multiple": mat.scalar_mul(-0.3, mat.cesaro()),
-        "compose_rk_cesaro": mat.compose(rk_2n, mat.cesaro()),
-        "compose_cesaro_rk": mat.compose(mat.cesaro(), rk_2n),
         "positive_part": pos,
         "negative_part": neg,
         "tail_bound": _TailRows("tails"),
@@ -427,3 +453,109 @@ def test_banded_nonnegative_flag(rows, tails, nonnegative):
         a = mat.banded(rows, tail_mode=tail)
         assert a.nonnegative is nonnegative
         assert (_first_negative(a, 50) is None) == (nonnegative is True)
+
+
+def _assert_same_flat(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, 300])
+@pytest.mark.parametrize("kind", sorted(_composite_kinds()))
+def test_composite_flat_matches_row_assembly(kind, horizon, monkeypatch):
+    want = mat.InfiniteMatrix._build_flat(_matrix_kinds()[kind], horizon)
+    for chunk in (7, mat._MERGE_CHUNK):
+        monkeypatch.setattr(mat, "_MERGE_CHUNK", chunk)
+        _assert_same_flat(_composite_kinds()[kind]._flat(horizon), want)
+
+
+@pytest.mark.parametrize("limit", [0, 3, 60, 1500, 20_000])
+def test_composite_flat_none_decision_matches_row_assembly(limit, monkeypatch):
+    monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", limit)
+    for kind in sorted(_composite_kinds()):
+        want = mat.InfiniteMatrix._build_flat(_composite_kinds()[kind], 50)
+        _assert_same_flat(_composite_kinds()[kind]._flat(50), want)
+
+
+class _TailFrom(mat.InfiniteMatrix):
+    """The identity, with unknown mass beyond every row from ``first`` on."""
+
+    def __init__(self, first):
+        super().__init__("tail-from")
+        self.first = first
+
+    def _row(self, n):
+        return mat.MatrixRow(np.array([n], dtype=np.int64), np.array([1.0]), 0.5 if n >= self.first else 0.0)
+
+
+@pytest.mark.parametrize("wrap", ["product", "sum_of_product", "product_of_product"])
+def test_left_factor_tail_raises_the_row_path_error(wrap, monkeypatch):
+    def build():
+        product = mat.compose(_TailFrom(5), mat.cesaro())
+        if wrap == "sum_of_product":
+            return mat.matrix_sum(mat.identity(), product)
+        if wrap == "product_of_product":
+            return mat.compose(mat.cesaro(), product)
+        return product
+
+    with pytest.raises(mat.ComposeUnsupportedError) as row_path:
+        mat.InfiniteMatrix._build_flat(build(), 50)
+    with pytest.raises(mat.ComposeUnsupportedError) as bulk:
+        build()._flat(50)
+    assert str(bulk.value) == str(row_path.value) and "row 5" in str(row_path.value)
+    # A limit passed before the faulty row decides first, on both paths.
+    monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 3)
+    assert build()._flat(50) is None and mat.InfiniteMatrix._build_flat(build(), 50) is None
+
+
+def test_tail_bounds_of_a_product_match_the_row_path():
+    a = mat.compose(mat.banded(_signed_rows(), tail_mode="zero"), mat.matrix_sum(_TailRows("tails"), mat.identity()))
+    _assert_same_flat(a._flat(40), mat.InfiniteMatrix._build_flat(a, 40))
+    assert a._flat(40)[3].any()
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        maps.IndexMap(lambda n: 7 * (n // 2) ** 2, "sparse-repeats"),  # too sparse for dense keys
+        maps.IndexMap(lambda n: 2**62 + n % 3, "huge"),  # (row, column) keys past int64
+    ],
+    ids=lambda h: h.label,
+)
+def test_sparse_column_merges_match_row_assembly(h):
+    a = mat.compose(mat.cesaro(), mat.rk_matrix(h))
+    _assert_same_flat(a._flat(40), mat.InfiniteMatrix._build_flat(a, 40))
+
+
+def test_product_flat_memory_is_bounded():
+    # The product's CSR is written into preallocated output while the right
+    # factor's rows are expanded a bounded chunk at a time.
+    a = mat.compose(mat.rk_matrix(maps.affine_map(2)), mat.cesaro())
+    tracemalloc.start()
+    try:
+        flat = a._flat(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sum(part.nbytes for part in flat)
+
+
+def test_banded_rows_are_merged_rows():
+    rows = _signed_rows() + [[(4, -0.0), (1, 0.25)], [(2, 1.0), (0, -0.5)]]
+    a = mat.banded(rows, tail_mode="zero")
+    for n, r in enumerate(rows):
+        want = mat._merged_row(np.array([k for k, _ in r], dtype=np.int64), np.array([v for _, v in r]))
+        got = a.row(n)
+        assert got.indices.dtype == np.int64 and got.values.dtype == np.float64
+        assert got.indices.tobytes() == want.indices.tobytes() and got.values.tobytes() == want.values.tobytes()
+
+
+def test_banded_error_names_the_first_bad_row():
+    with pytest.raises(mat.BandedRowError) as err:
+        mat.banded([[(0, 1.0)], [(3, 1.0), (1, 1.0), (3, 2.0)], [(-1, 1.0)]])
+    assert err.value.row == 1 and str(err.value) == "row 1: columns must be distinct naturals, got [3, 1, 3]"
+    with pytest.raises(mat.BandedRowError) as err:
+        mat.banded([[(0, 1.0)], [], [(2, 1.0), (-4, 1.0)], [(1, 1.0), (1, 1.0)]])
+    assert err.value.row == 2 and str(err.value) == "row 2: columns must be distinct naturals, got [2, -4]"

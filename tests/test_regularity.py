@@ -183,6 +183,25 @@ def test_family_validation_rejects_misclassification():
         bad.validate(Z)
 
 
+@pytest.mark.parametrize("theorem", ["st", "allen", "cfo", "leo"])
+def test_each_family_is_classified_once(theorem, monkeypatch):
+    calls = []
+
+    def counting_membership(s, ideal):
+        calls.append(s)
+        return ide.membership(s, ideal)
+
+    monkeypatch.setattr(reg, "membership", counting_membership)
+    a = mat.rk_matrix(maps.affine_map(2))
+    reg.CHECKS[theorem](a, FO_EVENS, FIN, cfg=FAST)
+    assert len(calls) == len(reg._default_pool(FAST.seed))  # default_family alone
+    ideal = FIN if theorem == "allen" else FO_EVENS
+    family = reg.default_family(ideal, FAST.seed)
+    calls.clear()
+    reg.CHECKS[theorem](a, FO_EVENS, FIN, family=family, cfg=FAST)
+    assert len(calls) == len(family.sets_in_ideal) + len(family.sets_positive)  # one validation
+
+
 def test_family_determinism_by_seed():
     a = reg.default_family(FIN, seed=7)
     b = reg.default_family(FIN, seed=7)
