@@ -5,7 +5,7 @@ the Cesàro means are cheap to rebuild and would dominate memory).  Bulk prefix
 computations read all rows below a horizon at once: closed forms where the
 matrix has one, otherwise one concatenated CSR of the rows (``_flat``).  Every
 built-in matrix gathers that CSR in bulk (``_gather``), bit for bit equal to
-the row-by-row assembly (``InfiniteMatrix._build_flat``): Cesàro, diagonal,
+the row-by-row assembly (``InfiniteMatrix._gather``): Cesàro, diagonal,
 row-selection and banded matrices in closed form, and sums, multiples,
 entrywise parts and products from their operands' CSRs.  A product B·A
 gathers only the distinct rows of A that B selects, then expands and merges
@@ -55,9 +55,6 @@ _CACHE_SUPPORT_LIMIT = 1024
 _FLAT_NNZ_LIMIT = 4_000_000
 # Unmerged entries that a composite's bulk gather expands and merges at once.
 _MERGE_CHUNK = 1 << 16
-# A chunk merges over a dense (row, column) key range when it has at most this
-# many keys per entry, and by sorting otherwise.
-_DENSE_KEYS = 4
 # A row-selection matrix reads sequences and column sets pointwise on the image
 # of h once the largest selected column exceeds this multiple of the horizon.
 _SPARSE_IMAGE_FACTOR = 16
@@ -154,8 +151,8 @@ def _merge_chunk(indices: np.ndarray, values: np.ndarray, ptr: np.ndarray):
     Returns (columns, sums, row lengths).  Rows whose columns already increase
     strictly come out as they are, plus 0.0 as ``bincount`` adds it (so −0.0
     becomes 0.0).  Otherwise every (row, column) pair gets a key, and
-    ``bincount`` sums each key's values in input order from 0.0: over a dense
-    key range directly, else over the keys' ranks in sorted order.
+    ``bincount`` sums each key's values in input order from 0.0 over the keys'
+    ranks in sorted order.
     """
     lengths = np.diff(ptr)
     row_start = np.zeros(indices.size, dtype=bool)
@@ -163,16 +160,8 @@ def _merge_chunk(indices: np.ndarray, values: np.ndarray, ptr: np.ndarray):
     if np.all((indices[1:] > indices[:-1]) | row_start[1:]):
         return indices, values + 0.0, lengths
     rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    span = int(indices.max()) + 1
-    if span * lengths.size <= _DENSE_KEYS * indices.size:
-        key = rows * span + indices
-        present = np.zeros(span * lengths.size, dtype=bool)
-        present[key] = True
-        keys = np.flatnonzero(present)
-        sums = np.bincount(key, weights=values, minlength=present.size)[keys]
-        return keys % span, sums, np.bincount(keys // span, minlength=lengths.size)
     cols = indices
-    if span * lengths.size >= 2**63:  # rank the columns so the keys fit
+    if (int(indices.max()) + 1) * lengths.size >= 2**63:  # rank the columns so the keys fit
         cols = np.unique(cols, return_inverse=True)[1]
     key = rows * (int(cols.max()) + 1) + cols
     order = np.argsort(key, kind="stable")
@@ -226,9 +215,14 @@ class _UseRowPath(Exception):
 
 
 def _operand_gather(m: InfiniteMatrix, rows: np.ndarray) -> tuple:
-    """``m._gather(rows)``; raises ``_UseRowPath`` where that is None or raises."""
+    """The CSR of the given rows of an operand; raises ``_UseRowPath`` where it
+    is None or raises.
+
+    A composite operand is read through its bulk path alone, so where that
+    gives up the row path runs once, at the outermost composite.
+    """
     try:
-        flat = m._gather(rows)
+        flat = m._bulk_gather(rows) if isinstance(m, _Composite) else m._gather(rows)
     except ComposeUnsupportedError:
         raise _UseRowPath from None
     if flat is None:
@@ -302,10 +296,6 @@ class InfiniteMatrix:
                 self._flat_cache.clear()
             self._flat_cache[horizon] = flat
         return flat
-
-    def _build_flat(self, horizon: int):
-        """The uncached ``_flat`` assembled row by row: what every bulk ``_gather`` reproduces."""
-        return InfiniteMatrix._gather(self, np.arange(horizon, dtype=np.int64))
 
     def _gather(self, rows: np.ndarray):
         """(indices, values, row pointers, tails) of the given increasing rows,
@@ -587,7 +577,8 @@ class _Composite(InfiniteMatrix):
 
     Where an operand's gather raises or passes the nnz limit, the row path
     decides instead, so the CSR, the None and the error are always the row
-    path's.
+    path's.  A composite operand's own fallback is left to this one, so the
+    rows are built once.
     """
 
     def _gather(self, rows: np.ndarray):

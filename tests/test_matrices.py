@@ -423,11 +423,17 @@ def test_find_negative_entry_late_and_past_the_flat_limit(monkeypatch):
     assert mat.find_negative_entry(a, 200) == expected
 
 
+def _row_assembly(a, horizon):
+    """The uncached CSR of the rows below the horizon, read with ``row`` one row
+    at a time: what every bulk gather reproduces."""
+    return mat.InfiniteMatrix._gather(a, np.arange(horizon, dtype=np.int64))
+
+
 @pytest.mark.parametrize("tail", ["identity", "zero", "repeat_last"])
 @pytest.mark.parametrize("horizon", [0, 3, 5, 6, 250])
 def test_banded_flat_matches_row_assembly(tail, horizon):
     a = mat.banded(_signed_rows(), tail_mode=tail)
-    closed, generic = a._flat(horizon), mat.InfiniteMatrix._build_flat(a, horizon)
+    closed, generic = a._flat(horizon), _row_assembly(a, horizon)
     for got, want in zip(closed, generic):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -435,7 +441,7 @@ def test_banded_flat_matches_row_assembly(tail, horizon):
 def test_banded_flat_respects_the_nnz_limit(monkeypatch):
     monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 100)
     a = mat.banded(_signed_rows(), tail_mode="repeat_last")
-    assert a._flat(50) is None and mat.InfiniteMatrix._build_flat(a, 50) is None
+    assert a._flat(50) is None and _row_assembly(a, 50) is None
 
 
 @pytest.mark.parametrize(
@@ -465,7 +471,7 @@ def _assert_same_flat(got, want):
 @pytest.mark.parametrize("horizon", [0, 1, 7, 300])
 @pytest.mark.parametrize("kind", sorted(_composite_kinds()))
 def test_composite_flat_matches_row_assembly(kind, horizon, monkeypatch):
-    want = mat.InfiniteMatrix._build_flat(_matrix_kinds()[kind], horizon)
+    want = _row_assembly(_matrix_kinds()[kind], horizon)
     for chunk in (7, mat._MERGE_CHUNK):
         monkeypatch.setattr(mat, "_MERGE_CHUNK", chunk)
         _assert_same_flat(_composite_kinds()[kind]._flat(horizon), want)
@@ -475,8 +481,30 @@ def test_composite_flat_matches_row_assembly(kind, horizon, monkeypatch):
 def test_composite_flat_none_decision_matches_row_assembly(limit, monkeypatch):
     monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", limit)
     for kind in sorted(_composite_kinds()):
-        want = mat.InfiniteMatrix._build_flat(_composite_kinds()[kind], 50)
+        want = _row_assembly(_composite_kinds()[kind], 50)
         _assert_same_flat(_composite_kinds()[kind]._flat(50), want)
+
+
+@pytest.mark.parametrize("part", ["scaled", "positive", "negative"])
+def test_nested_fallback_builds_rows_once(part, monkeypatch):
+    # Past the nnz limit the bulk path gives up; the rows of the inner product
+    # are then built by the outermost row path alone, as often as there.
+    def build():
+        product = mat.compose(mat.cesaro(), mat.cesaro())
+        if part == "scaled":
+            return mat.scalar_mul(-1.0, product)
+        return mat.pos_neg_split(product)[part == "negative"]
+
+    calls = []
+    row = mat.InfiniteMatrix.row
+    monkeypatch.setattr(mat.InfiniteMatrix, "row", lambda self, n: calls.append((self.label, n)) or row(self, n))
+    monkeypatch.setattr(mat, "_CACHE_SUPPORT_LIMIT", -1)
+    monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 500)
+    want = _row_assembly(build(), 60)
+    row_path_calls, calls[:] = sorted(calls), []
+    _assert_same_flat(build()._flat(60), want)
+    assert sorted(calls) == row_path_calls
+    assert sum(label == "(Cesaro.Cesaro)" for label, _ in calls) > 1
 
 
 class _TailFrom(mat.InfiniteMatrix):
@@ -501,32 +529,32 @@ def test_left_factor_tail_raises_the_row_path_error(wrap, monkeypatch):
         return product
 
     with pytest.raises(mat.ComposeUnsupportedError) as row_path:
-        mat.InfiniteMatrix._build_flat(build(), 50)
+        _row_assembly(build(), 50)
     with pytest.raises(mat.ComposeUnsupportedError) as bulk:
         build()._flat(50)
     assert str(bulk.value) == str(row_path.value) and "row 5" in str(row_path.value)
     # A limit passed before the faulty row decides first, on both paths.
     monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 3)
-    assert build()._flat(50) is None and mat.InfiniteMatrix._build_flat(build(), 50) is None
+    assert build()._flat(50) is None and _row_assembly(build(), 50) is None
 
 
 def test_tail_bounds_of_a_product_match_the_row_path():
     a = mat.compose(mat.banded(_signed_rows(), tail_mode="zero"), mat.matrix_sum(_TailRows("tails"), mat.identity()))
-    _assert_same_flat(a._flat(40), mat.InfiniteMatrix._build_flat(a, 40))
+    _assert_same_flat(a._flat(40), _row_assembly(a, 40))
     assert a._flat(40)[3].any()
 
 
 @pytest.mark.parametrize(
     "h",
     [
-        maps.IndexMap(lambda n: 7 * (n // 2) ** 2, "sparse-repeats"),  # too sparse for dense keys
+        maps.IndexMap(lambda n: 7 * (n // 2) ** 2, "sparse-repeats"),  # sparse repeated columns
         maps.IndexMap(lambda n: 2**62 + n % 3, "huge"),  # (row, column) keys past int64
     ],
     ids=lambda h: h.label,
 )
 def test_sparse_column_merges_match_row_assembly(h):
     a = mat.compose(mat.cesaro(), mat.rk_matrix(h))
-    _assert_same_flat(a._flat(40), mat.InfiniteMatrix._build_flat(a, 40))
+    _assert_same_flat(a._flat(40), _row_assembly(a, 40))
 
 
 def test_product_flat_memory_is_bounded():
