@@ -1,10 +1,17 @@
 """Suite execution, catalog listing, and deterministic report emission.
 
-Suite items run one after another in declaration order, and each item's
-entry in ``ReportBundle.timings`` is the wall time of that item alone.
-Written reports embed the fully resolved configuration and contain no
-timestamps, making identical configs produce byte-identical files.  Timings
-live only in the returned bundle.
+Suite items run one after another in declaration order, matrix by matrix.
+Each ideal spec is parsed once per suite and each default test family is built
+once per (ideal, seed).  A matrix is parsed once for its group of items (its
+ideal pairs times its theorems and experiment), and within the group the
+Silverman–Toeplitz verdict of each pair and the Allen verdict are computed
+once (``regularity.CheckMemo``).  When the group ends the matrix goes, with
+every row and CSR cached on it.  Each item's entry in ``ReportBundle.timings``
+is its wall time, so the first item of a group carries the matrix parse, and
+the first item to need a shared result carries its cost.  Written reports
+embed the fully resolved configuration and contain no timestamps, making
+identical configs produce byte-identical files.  Timings live only in the
+returned bundle.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from . import sequences as seq
 from . import sets as sd
 from .asymptotics import CoreConfig
 from .constructions import core_equality_experiment
-from .regularity import CHECKS, CheckConfig
+from .regularity import CHECKS, CheckConfig, CheckMemo
 from .specs import ConfigError, ExperimentConfig, parse_ideal, parse_matrix
 
 __all__ = ["ReportBundle", "run_suite", "list_catalog", "write_reports", "exit_code"]
@@ -65,62 +72,78 @@ def _select_corpus(labels: tuple[str, ...]) -> list[seq.BoundedSequence]:
     return [by_label[l] for l in labels]
 
 
-def _run_item(item: dict, config: ExperimentConfig) -> dict:
-    payload = dict(item)
-    for key in ("matrix_spec", "ideal_i_spec", "ideal_j_spec"):
-        payload.pop(key)
-    try:
-        a = parse_matrix(item["matrix_spec"])
-        ideal_i = parse_ideal(item["ideal_i_spec"])
-        ideal_j = parse_ideal(item["ideal_j_spec"])
-        if item["kind"] == "check":
-            cfg = CheckConfig(
-                horizon=config.check_horizon,
-                tol=config.tol,
-                theta=config.theta,
-                grid=config.grid,
-                seed=config.seed,
-            )
-            verdict = CHECKS[item["theorem"]](a, ideal_i, ideal_j, cfg=cfg)
-            payload["status"] = verdict.status.value
-            payload["verdict"] = verdict.to_dict()
-        else:
-            cfg = CoreConfig(horizon=config.core_horizon, grid=config.grid, theta=config.theta)
-            corpus_entries = _select_corpus(config.corpus_labels)
-            report = core_equality_experiment(a, ideal_i, ideal_j, corpus_entries, cfg)
-            payload["status"] = "satisfied" if report.max_deviation <= config.tol else "violated"
-            payload["experiment"] = report.to_dict()
-    except Exception as exc:  # collected per item, never aborts the suite
-        payload["status"] = "error"
-        payload["error"] = f"{type(exc).__name__}: {exc}"
-    return payload
+def _parse_once(cache: dict, parse, spec):
+    """``parse(spec)``, kept in ``cache`` under the spec's JSON text.  A failed
+    parse is not kept: the next item parses again and fails the same way."""
+    key = json.dumps(spec, sort_keys=True)
+    if key not in cache:
+        cache[key] = parse(spec)
+    return cache[key]
+
+
+def _run_group(
+    mspec,
+    config: ExperimentConfig,
+    ideals: dict,
+    memo: CheckMemo,
+    results: list[dict],
+    timings: list[tuple[str, float]],
+) -> None:
+    """Run the items of one matrix, appending to ``results`` and ``timings``.
+
+    The first item parses the matrix; the group's items share it and ``memo``,
+    and both go, with every row and CSR cached on the matrix, when the group
+    returns.
+    """
+    cfg = CheckConfig(
+        horizon=config.check_horizon, tol=config.tol, theta=config.theta, grid=config.grid, seed=config.seed
+    )
+    kinds = [("check", theorem) for theorem in config.theorems]
+    if config.core_equality:
+        kinds.append(("experiment", ""))
+    a = None
+    for ispec, jspec in config.ideal_pairs:
+        for kind, theorem in kinds:
+            i = len(results)
+            t0 = time.perf_counter()
+            payload = {
+                "kind": kind,
+                "theorem": theorem,
+                "matrix": _spec_label(mspec),
+                "ideal_i": _spec_label(ispec),
+                "ideal_j": _spec_label(jspec),
+                "item": i,
+            }
+            try:
+                if a is None:
+                    a = parse_matrix(mspec)
+                ideal_i = _parse_once(ideals, parse_ideal, ispec)
+                ideal_j = _parse_once(ideals, parse_ideal, jspec)
+                if kind == "check":
+                    verdict = CHECKS[theorem](a, ideal_i, ideal_j, cfg=cfg, memo=memo)
+                    payload["status"] = verdict.status.value
+                    payload["verdict"] = verdict.to_dict()
+                else:
+                    core_cfg = CoreConfig(horizon=config.core_horizon, grid=config.grid, theta=config.theta)
+                    corpus_entries = _select_corpus(config.corpus_labels)
+                    report = core_equality_experiment(a, ideal_i, ideal_j, corpus_entries, core_cfg)
+                    payload["status"] = "satisfied" if report.max_deviation <= config.tol else "violated"
+                    payload["experiment"] = report.to_dict()
+            except Exception as exc:  # collected per item, never aborts the suite
+                payload["status"] = "error"
+                payload["error"] = f"{type(exc).__name__}: {exc}"
+            results.append(payload)
+            timings.append((f"item{i}", time.perf_counter() - t0))
 
 
 def run_suite(config: ExperimentConfig) -> ReportBundle:
     """Execute every requested check and experiment; failures are per-item."""
-    items: list[dict] = []
-    for mi, mspec in enumerate(config.matrices):
-        for pi, (ispec, jspec) in enumerate(config.ideal_pairs):
-            base = {
-                "matrix": _spec_label(mspec),
-                "ideal_i": _spec_label(ispec),
-                "ideal_j": _spec_label(jspec),
-                "matrix_spec": mspec,
-                "ideal_i_spec": ispec,
-                "ideal_j_spec": jspec,
-            }
-            for theorem in config.theorems:
-                items.append({"kind": "check", "theorem": theorem, **base})
-            if config.core_equality:
-                items.append({"kind": "experiment", "theorem": "", **base})
-
     results: list[dict] = []
     timings: list[tuple[str, float]] = []
-    for i, item in enumerate(items):
-        item["item"] = i
-        t0 = time.perf_counter()
-        results.append(_run_item(item, config))
-        timings.append((f"item{i}", time.perf_counter() - t0))
+    ideals: dict = {}
+    families: dict = {}
+    for mspec in config.matrices:
+        _run_group(mspec, config, ideals, CheckMemo(families), results, timings)
 
     counts = {"satisfied": 0, "violated": 0, "inconclusive": 0, "error": 0}
     for r in results:

@@ -91,19 +91,28 @@ _EMPTY_ROW = MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0))
 def _abs_segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """``np.sum(np.abs(values[ptr[n]:ptr[n + 1]]))`` for every n, bit for bit.
 
-    Segments of at most two entries are summed in one vectorized pass.  numpy
-    sums longer ones pairwise, which neither ``np.add.reduceat`` nor cumulative
-    sums reproduce, so those are summed one slice at a time (which also keeps
-    an ``abs`` copy of all the values out of memory).
+    numpy sums a row pairwise, which neither ``np.add.reduceat`` nor cumulative
+    sums reproduce, but ``sum(axis=1)`` of a C-ordered 2-D block adds each of
+    its rows exactly as the 1-D ``np.sum`` does.  So rows of equal length are
+    gathered into blocks of at most ``_MERGE_CHUNK`` entries (or one row) and
+    summed a block at a time, which also keeps an ``abs`` copy of all the
+    values out of memory.
     """
-    starts, lengths = ptr[:-1], np.diff(ptr)
+    lengths = np.diff(ptr)
     out = np.zeros(lengths.size)
-    nonempty = lengths > 0
-    out[nonempty] = np.abs(values[starts[nonempty]])
-    pairs = lengths == 2
-    out[pairs] += np.abs(values[starts[pairs] + 1])
-    for n in np.flatnonzero(lengths > 2).tolist():
-        out[n] = np.sum(np.abs(values[ptr[n] : ptr[n + 1]]))
+    order = np.argsort(lengths)
+    by_length, first = np.unique(lengths[order], return_index=True)
+    ends = np.append(first[1:], lengths.size)
+    for length, lo, hi in zip(by_length.tolist(), first.tolist(), ends.tolist()):
+        step = max(1, _MERGE_CHUNK // max(length, 1))
+        for r0 in range(lo, hi, step):
+            rows = order[r0 : min(r0 + step, hi)]
+            if rows.size == 1:  # a view, without the index array of a gather
+                start = int(ptr[rows[0]])
+                block = values[start : start + length].reshape(1, length)
+            else:
+                block = values[ptr[rows, None] + np.arange(length)]
+            out[rows] = np.abs(block).sum(axis=1)
     return out
 
 

@@ -6,13 +6,19 @@ the family at the horizon"; the checkers are falsifiers/corroborators, and
 each verdict records the horizon and tolerances it used.  Limit conditions are
 decided through the ideal-limit deviation test, limsup conditions through the
 same cluster estimator that powers the core computations.
+
+Checks of one matrix share work through a :class:`CheckMemo` passed as
+``memo``: the default family per (ideal, seed), the Silverman–Toeplitz verdict
+that every characterization's regularity condition reads, and the Allen
+verdict.  A memo changes no verdict; a checker called without one makes its own.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -27,6 +33,7 @@ from .ideals import (
     Ideal,
     MembershipResult,
     TraceFinIdeal,
+    ideal_to_dict,
     membership,
 )
 from .matrices import InfiniteMatrix, find_negative_entry, norm_estimate
@@ -196,11 +203,48 @@ def default_family(ideal: Ideal, seed: int = 0) -> TestFamily:
     return TestFamily(tuple(in_ideal), tuple(positive), tuple(infinite))
 
 
-def _resolve_family(family: TestFamily | None, ideal: Ideal, seed: int) -> TestFamily:
+def _ideal_key(ideal: Ideal):
+    """An ideal as a memo key: its JSON encoding, so that equal ideals parsed
+    apart (or built by ``allen_check``) share entries; an ideal without an
+    encoding is its own key."""
+    try:
+        return json.dumps(ideal_to_dict(ideal), sort_keys=True)
+    except ValueError:
+        return ideal
+
+
+@dataclass
+class CheckMemo:
+    """Results that several checks of the same matrix and ideals share.
+
+    ``families`` holds the default family per (ideal, seed) and ``verdicts``
+    the Silverman–Toeplitz and Allen verdicts per (matrix, ideals, family,
+    config).  Keys hold the matrix itself, so a memo keeps its matrices alive:
+    ``harness.run_suite`` gives each matrix its own memo over one suite-wide
+    ``families``.  A checker called without a memo makes a fresh one, so a
+    direct call computes everything itself.  A result that raises is not kept.
+    """
+
+    families: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)
+
+    def family(self, ideal: Ideal, seed: int) -> TestFamily:
+        key = (_ideal_key(ideal), seed)
+        if key not in self.families:
+            self.families[key] = default_family(ideal, seed)
+        return self.families[key]
+
+    def verdict(self, key: tuple, compute: Callable[[], Verdict]) -> Verdict:
+        if key not in self.verdicts:
+            self.verdicts[key] = compute()
+        return self.verdicts[key]
+
+
+def _resolve_family(family: TestFamily | None, ideal: Ideal, seed: int, memo: CheckMemo) -> TestFamily:
     """The caller's family, validated against the ideal, or else the default
     family, which its construction classifies already."""
     if family is None:
-        return default_family(ideal, seed)
+        return memo.family(ideal, seed)
     family.validate(ideal)
     return family
 
@@ -283,11 +327,17 @@ _STATUS_OK = {Status.SATISFIED: True, Status.VIOLATED: False, Status.INCONCLUSIV
 
 
 def _regular_condition(
-    name: str, a: InfiniteMatrix, ideal_i: Ideal, ideal_j: Ideal, family: TestFamily, cfg: CheckConfig
+    name: str,
+    a: InfiniteMatrix,
+    ideal_i: Ideal,
+    ideal_j: Ideal,
+    family: TestFamily,
+    cfg: CheckConfig,
+    memo: CheckMemo,
 ) -> ConditionReport:
     """The regularity condition of a characterization: the Silverman–Toeplitz
     verdict folded into one condition that carries its strongest witness."""
-    base = _silverman_toeplitz(a, ideal_i, ideal_j, family, cfg)
+    base = _silverman_toeplitz(a, ideal_i, ideal_j, family, cfg, memo)
     return ConditionReport(
         name=name,
         ok=_STATUS_OK[base.status],
@@ -358,6 +408,8 @@ def silverman_toeplitz_check(
     ideal_j: Ideal,
     family: TestFamily | None = None,
     cfg: CheckConfig | None = None,
+    *,
+    memo: CheckMemo | None = None,
 ) -> Verdict:
     """Regularity conditions: bounded norm, row sums with ideal limit 1, and
     vanishing ideal limit of absolute row sums over every family set in I.
@@ -367,13 +419,23 @@ def silverman_toeplitz_check(
     conditions are still reported but the verdict is stamped inconclusive.
     """
     cfg = cfg or CheckConfig()
-    return _silverman_toeplitz(a, ideal_i, ideal_j, _resolve_family(family, ideal_i, cfg.seed), cfg)
+    memo = memo or CheckMemo()
+    family = _resolve_family(family, ideal_i, cfg.seed, memo)
+    return _silverman_toeplitz(a, ideal_i, ideal_j, family, cfg, memo)
 
 
 def _silverman_toeplitz(
+    a: InfiniteMatrix, ideal_i: Ideal, ideal_j: Ideal, family: TestFamily, cfg: CheckConfig, memo: CheckMemo
+) -> Verdict:
+    """``silverman_toeplitz_check`` on a family that is already classified,
+    computed once per memo."""
+    key = ("st", a, _ideal_key(ideal_i), _ideal_key(ideal_j), family, cfg)
+    return memo.verdict(key, lambda: _silverman_toeplitz_conditions(a, ideal_i, ideal_j, family, cfg))
+
+
+def _silverman_toeplitz_conditions(
     a: InfiniteMatrix, ideal_i: Ideal, ideal_j: Ideal, family: TestFamily, cfg: CheckConfig
 ) -> Verdict:
-    """``silverman_toeplitz_check`` on a family that is already classified."""
     notes: list[str] = []
     guard_ok = (
         _is_countably_generated(ideal_j)
@@ -414,15 +476,22 @@ def allen_check(
     a: InfiniteMatrix,
     family: TestFamily | None = None,
     cfg: CheckConfig | None = None,
+    *,
+    memo: CheckMemo | None = None,
 ) -> Verdict:
     """Knopp-core preservation conditions for the classical (Fin, Fin) case:
     regularity, absolute row sums converging to 1, and limsup of absolute row
     sums equal to 1 along every infinite family set."""
     cfg = cfg or CheckConfig()
+    memo = memo or CheckMemo()
+    family = _resolve_family(family, FinIdeal(), cfg.seed, memo)
+    return memo.verdict(("allen", a, family, cfg), lambda: _allen_conditions(a, family, cfg, memo))
+
+
+def _allen_conditions(a: InfiniteMatrix, family: TestFamily, cfg: CheckConfig, memo: CheckMemo) -> Verdict:
     fin_ideal = FinIdeal()
-    family = _resolve_family(family, fin_ideal, cfg.seed)
     conditions = [
-        _regular_condition("A1(regular)", a, fin_ideal, fin_ideal, family, cfg),
+        _regular_condition("A1(regular)", a, fin_ideal, fin_ideal, family, cfg, memo),
         _lim_condition("A2(abs-row-sums)", a.row_sums(cfg.horizon, absolute=True), 1.0, fin_ideal, cfg),
     ]
     judge = partial(_limsup_condition, ideal_j=fin_ideal, cfg=cfg)
@@ -436,15 +505,18 @@ def cfo_check(
     ideal_j: Ideal,
     family: TestFamily | None = None,
     cfg: CheckConfig | None = None,
+    *,
+    memo: CheckMemo | None = None,
 ) -> Verdict:
     """Core preservation conditions for nonnegative matrices: regularity plus
     limsup of row sums over every positive family set equal to 1."""
     cfg = cfg or CheckConfig()
+    memo = memo or CheckMemo()
     neg = None if a.nonnegative else find_negative_entry(a, cfg.horizon)
     if neg is not None:
         raise NegativeEntryError(*neg)
-    family = _resolve_family(family, ideal_i, cfg.seed)
-    conditions = [_regular_condition("C1(regular)", a, ideal_i, ideal_j, family, cfg)]
+    family = _resolve_family(family, ideal_i, cfg.seed, memo)
+    conditions = [_regular_condition("C1(regular)", a, ideal_i, ideal_j, family, cfg, memo)]
     judge = partial(_limsup_condition, ideal_j=ideal_j, cfg=cfg)
     conditions += _family_conditions("C2", a, family.sets_positive, cfg, judge, absolute=False)
     return _assemble(conditions, True, [], cfg)
@@ -456,6 +528,8 @@ def leo_check(
     ideal_j: Ideal,
     family: TestFamily | None = None,
     cfg: CheckConfig | None = None,
+    *,
+    memo: CheckMemo | None = None,
 ) -> Verdict:
     """Core preservation conditions for general matrices: regularity plus
     limsup of absolute row sums over every positive family set equal to 1.
@@ -467,7 +541,8 @@ def leo_check(
     conditions are reported as evidence only.
     """
     cfg = cfg or CheckConfig()
-    family = _resolve_family(family, ideal_i, cfg.seed)
+    memo = memo or CheckMemo()
+    family = _resolve_family(family, ideal_i, cfg.seed, memo)
     guard_ok = _is_countably_generated(ideal_j) or _matrix_nonnegative(a, cfg.horizon)
     notes: list[str] = []
     if not guard_ok:
@@ -476,18 +551,21 @@ def leo_check(
             "(needs a countably generated J or a nonnegative matrix); "
             "verdict stamped inconclusive-as-characterization"
         )
-    conditions = [_regular_condition("L1(regular)", a, ideal_i, ideal_j, family, cfg)]
+    conditions = [_regular_condition("L1(regular)", a, ideal_i, ideal_j, family, cfg, memo)]
     judge = partial(_limsup_condition, ideal_j=ideal_j, cfg=cfg)
     conditions += _family_conditions("L2", a, family.sets_positive, cfg, judge)
     return _assemble(conditions, guard_ok, notes, cfg)
 
 
 # Theorem name -> checker, called as ``check(a, ideal_i, ideal_j, family=None,
-# cfg=None)``.  The entries look the checkers up when called, so a rebinding of
-# the module attributes (a wrapper, a mock) reaches every caller of the registry.
+# cfg=None, memo=None)``.  The entries look the checkers up when called, so a
+# rebinding of the module attributes (a wrapper, a mock) reaches every caller of
+# the registry.
 CHECKS: dict[str, Callable[..., Verdict]] = {
-    "st": lambda a, i, j, family=None, cfg=None: silverman_toeplitz_check(a, i, j, family=family, cfg=cfg),
-    "allen": lambda a, i, j, family=None, cfg=None: allen_check(a, family=family, cfg=cfg),
-    "cfo": lambda a, i, j, family=None, cfg=None: cfo_check(a, i, j, family=family, cfg=cfg),
-    "leo": lambda a, i, j, family=None, cfg=None: leo_check(a, i, j, family=family, cfg=cfg),
+    "st": lambda a, i, j, family=None, cfg=None, memo=None: silverman_toeplitz_check(
+        a, i, j, family=family, cfg=cfg, memo=memo
+    ),
+    "allen": lambda a, i, j, family=None, cfg=None, memo=None: allen_check(a, family=family, cfg=cfg, memo=memo),
+    "cfo": lambda a, i, j, family=None, cfg=None, memo=None: cfo_check(a, i, j, family=family, cfg=cfg, memo=memo),
+    "leo": lambda a, i, j, family=None, cfg=None, memo=None: leo_check(a, i, j, family=family, cfg=cfg, memo=memo),
 }

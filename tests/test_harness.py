@@ -4,6 +4,7 @@ import hashlib
 import importlib.resources
 import json
 import time
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -212,6 +213,43 @@ def test_signed_matrix_reports_are_pinned():
     bundle = harness.run_suite(specs.parse_experiment_config(_SIGNED_SUITE))
     rendered = (harness.render_json(bundle), harness.render_csv(bundle))
     assert tuple(hashlib.sha256(r.encode()).hexdigest() for r in rendered) == _SIGNED_SHA256
+
+
+def test_shared_work_changes_no_item():
+    """Each item of a suite equals the item of a one-item suite with the same
+    matrix, pair and theorem (or experiment), whose parse, family and verdicts
+    are its own."""
+    pairs = [["fin", "fin"], ["fin-times-empty", "fin-times-empty"], ["fin-oplus-evens", "fin"]]
+    suite = {**_SIGNED_SUITE, "ideal_pairs": pairs, "core_equality": True}
+    items = harness.run_suite(specs.parse_experiment_config(suite)).items
+    tasks = [{"theorems": [t], "core_equality": False} for t in suite["theorems"]]
+    tasks.append({"theorems": [], "core_equality": True})
+    alone = [
+        harness.run_suite(
+            specs.parse_experiment_config({**suite, "matrices": [m], "ideal_pairs": [pair], **task})
+        ).items[0]
+        for m in suite["matrices"]
+        for pair in pairs
+        for task in tasks
+    ]
+    assert [{**item, "item": 0} for item in items] == alone
+    assert any(item.get("error", "").startswith("NegativeEntryError") for item in items)
+    assert any("experiment" in item for item in items)
+
+
+def test_a_matrix_is_released_when_its_group_ends(monkeypatch):
+    refs, released = [], []
+
+    def watched_parse(spec, *args):
+        if refs:
+            released.append(refs[-1]() is None)
+        a = specs.parse_matrix(spec, *args)
+        refs.append(weakref.ref(a))
+        return a
+
+    monkeypatch.setattr(harness, "parse_matrix", watched_parse)
+    harness.run_suite(specs.parse_experiment_config(_SIGNED_SUITE))
+    assert released == [True] * (len(_SIGNED_SUITE["matrices"]) - 1)
 
 
 def test_suite_reports_are_byte_identical(tmp_path):

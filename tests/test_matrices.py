@@ -398,6 +398,50 @@ def test_row_abs_sums_past_the_flat_limit(monkeypatch):
     assert a.row_abs_sums(200).tobytes() == expected.tobytes()
 
 
+def _mixed_length_csr():
+    """A CSR whose rows, shuffled, have lengths 0 to 5000 (most lengths on many
+    rows, 129 on more than one merge chunk's worth) and values of both signs,
+    magnitudes 1e-8 to 1e8 and some -0.0."""
+    rng = np.random.default_rng(11)
+    lengths = rng.permutation(
+        np.repeat([0, 1, 2, 3, 8, 9, 128, 129, 5000], [5, 40, 40, 30, 700, 600, 20, 600, 3])
+    )
+    ptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    values = rng.standard_normal(int(ptr[-1])) * 10.0 ** rng.integers(-8, 9, size=int(ptr[-1]))
+    values[::97] = -0.0
+    return values, ptr
+
+
+class _MixedRows(mat.InfiniteMatrix):
+    """The rows of ``_mixed_length_csr``, with tail bounds."""
+
+    def __init__(self):
+        super().__init__("mixed")
+        self.values, self.ptr = _mixed_length_csr()
+
+    def _row(self, n):
+        vals = self.values[self.ptr[n] : self.ptr[n + 1]]
+        return mat.MatrixRow(np.arange(vals.size, dtype=np.int64), vals, tail_bound=0.25 * (n % 3))
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_abs_segment_sums_match_per_row_sums(chunk, monkeypatch):
+    if chunk is not None:  # blocks of one row, and blocks cut short at the end of a length
+        monkeypatch.setattr(mat, "_MERGE_CHUNK", chunk)
+    values, ptr = _mixed_length_csr()
+    expected = np.array([np.sum(np.abs(values[ptr[n] : ptr[n + 1]])) for n in range(ptr.size - 1)])
+    assert mat._abs_segment_sums(values, ptr).tobytes() == expected.tobytes()
+    assert mat._abs_segment_sums(values[:0], ptr[:1]).size == 0
+
+
+def test_row_abs_sums_with_tails_over_mixed_lengths():
+    a = _MixedRows()
+    horizon = a.ptr.size - 1
+    expected = np.array([a.row_abs_sum(n) for n in range(horizon)])
+    assert a.row_abs_sums(horizon).tobytes() == expected.tobytes()
+
+
 def _first_negative(a, horizon):
     for n in range(horizon):
         r = a.row(n)

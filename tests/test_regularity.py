@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from idealcore import harness, specs
 from idealcore import ideals as ide
 from idealcore import maps
 from idealcore import matrices as mat
@@ -192,14 +193,60 @@ def test_each_family_is_classified_once(theorem, monkeypatch):
         return ide.membership(s, ideal)
 
     monkeypatch.setattr(reg, "membership", counting_membership)
+    st_calls = _count_calls(monkeypatch, "_silverman_toeplitz_conditions")
     a = mat.rk_matrix(maps.affine_map(2))
     reg.CHECKS[theorem](a, FO_EVENS, FIN, cfg=FAST)
     assert len(calls) == len(reg._default_pool(FAST.seed))  # default_family alone
+    assert len(st_calls) == 1
     ideal = FIN if theorem == "allen" else FO_EVENS
     family = reg.default_family(ideal, FAST.seed)
     calls.clear()
     reg.CHECKS[theorem](a, FO_EVENS, FIN, family=family, cfg=FAST)
     assert len(calls) == len(family.sets_in_ideal) + len(family.sets_positive)  # one validation
+    assert len(st_calls) == 2  # a direct call shares nothing with the one before
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``reg.<name>`` to record, per call, the labels of its matrix and ideals."""
+    calls = []
+    fn = getattr(reg, name)
+
+    def counting(a, *args):
+        calls.append((a.label, *(x.label for x in args if isinstance(x, ide.Ideal))))
+        return fn(a, *args)
+
+    monkeypatch.setattr(reg, name, counting)
+    return calls
+
+
+def test_a_suite_computes_each_shared_result_once(monkeypatch):
+    membership_calls = []
+    monkeypatch.setattr(reg, "membership", lambda s, ideal: membership_calls.append(s) or ide.membership(s, ideal))
+    family_calls = []
+    default_family = reg.default_family
+    monkeypatch.setattr(
+        reg, "default_family", lambda ideal, seed: family_calls.append(ideal.label) or default_family(ideal, seed)
+    )
+    st_calls = _count_calls(monkeypatch, "_silverman_toeplitz_conditions")
+    allen_calls = _count_calls(monkeypatch, "_allen_conditions")
+    matrices = ["cesaro", "identity", {"type": "rk", "map": {"type": "affine", "mul": 2}}]
+    pairs = [["fin", "fin"], ["z", "z"], ["fin-oplus-evens", "fin"], ["z", {"type": "fin"}]]
+    cfg = {"check_horizon": 2000, "core_horizon": 2000, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 3}
+    config = {
+        "matrices": matrices,
+        "ideal_pairs": pairs,
+        "theorems": ["st", "allen", "cfo", "leo"],
+        "core_equality": False,
+        "cfg": cfg,
+    }
+    bundle = harness.run_suite(specs.parse_experiment_config(config))
+    assert "error" not in {i["status"] for i in bundle.items}
+    # One default family per distinct (ideal, seed): Fin (allen's too), Z and Fin ⊕ P(evens).
+    assert sorted(family_calls) == sorted(["Fin", "DensityZero", FO_EVENS.label])
+    assert len(membership_calls) == len(family_calls) * len(reg._default_pool(3))
+    # Silverman–Toeplitz once per (matrix, pair), allen's A1 being the (Fin, Fin) one; allen once per matrix.
+    assert len(st_calls) == len(set(st_calls)) == len(matrices) * len(pairs)
+    assert sorted(allen_calls) == sorted((specs.parse_matrix(m).label,) for m in matrices)
 
 
 def test_family_determinism_by_seed():
