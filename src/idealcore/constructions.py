@@ -10,6 +10,12 @@
   core preservation: the threshold sets, the row sets where the positive-part
   mass concentrates, and the residual-mass bounds.
 * ``core_equality_experiment`` measures core deviation across the corpus.
+  Given a ``regularity.CheckMemo`` it reads core(x, I) and core(A·x, J)
+  from the memo and computes each only when missing; A·x is built only for a
+  missing core and dropped as soon as that core is known, so the memo holds
+  intervals, never transformed sequences.  ``harness.run_suite`` passes one
+  memo per matrix over suite-wide cores, so each core(x, I) is computed once
+  per suite and each core(A·x, J) once per matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .asymptotics import (
 )
 from .ideals import Ideal
 from .matrices import InfiniteMatrix, identity, matrix_sum, rk_matrix, transform
-from .regularity import CheckConfig, Status, Verdict, leo_check
+from .regularity import CheckConfig, CheckMemo, Status, Verdict, leo_check
 from .sequences import BoundedSequence, affine, combine
 
 __all__ = [
@@ -352,24 +358,31 @@ class ExperimentReport:
         }
 
 
+def _image_core(a: InfiniteMatrix, x: BoundedSequence, ideal: Ideal, cfg: CoreConfig) -> CoreInterval:
+    """core(A·x, J); A·x lives only in this call."""
+    return core(transformed_sequence(a, x, cfg.horizon), ideal, cfg)
+
+
 def core_equality_experiment(
     a: InfiniteMatrix,
     ideal_i: Ideal,
     ideal_j: Ideal,
     corpus_entries: list[BoundedSequence],
     cfg: CoreConfig | None = None,
+    *,
+    memo: CheckMemo | None = None,
 ) -> ExperimentReport:
     """Compare core(x, I) against core(A x, J) across the corpus.
 
     Rows are ordered by corpus label; the summary flags the largest endpoint
-    deviation.
+    deviation.  Cores already in ``memo`` are read from it.
     """
     cfg = cfg or CoreConfig()
+    memo = memo or CheckMemo()
     rows: list[ExperimentRow] = []
     for x in sorted(corpus_entries, key=lambda s: s.label):
-        cx = core(x, ideal_i, cfg)
-        ax = transformed_sequence(a, x, cfg.horizon)
-        cax = core(ax, ideal_j, cfg)
+        cx = memo.core(x, ideal_i, cfg)
+        cax = memo.image_core(a, x, ideal_j, cfg, lambda: _image_core(a, x, ideal_j, cfg))
         deviation = max(abs(cx.lo - cax.lo), abs(cx.hi - cax.hi))
         rows.append(ExperimentRow(x.label, cx, cax, deviation))
     worst = max(rows, key=lambda r: r.deviation)

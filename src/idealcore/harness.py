@@ -1,17 +1,21 @@
 """Suite execution, catalog listing, and deterministic report emission.
 
 Suite items run one after another in declaration order, matrix by matrix.
-Each ideal spec is parsed once per suite and each default test family is built
-once per (ideal, seed).  A matrix is parsed once for its group of items (its
-ideal pairs times its theorems and experiment), and within the group the
-Silverman–Toeplitz verdict of each pair and the Allen verdict are computed
-once (``regularity.CheckMemo``).  When the group ends the matrix goes, with
-every row and CSR cached on it.  Each item's entry in ``ReportBundle.timings``
-is its wall time, so the first item of a group carries the matrix parse, and
-the first item to need a shared result carries its cost.  Written reports
-embed the fully resolved configuration and contain no timestamps, making
-identical configs produce byte-identical files.  Timings live only in the
-returned bundle.
+Each ideal spec is parsed once per suite, the corpus is built once per suite,
+and each default test family is built once per (ideal, seed).  A matrix is
+parsed once for its group of items (its ideal pairs times its theorems and
+experiment).  Shared results live in a ``regularity.CheckMemo``: each
+core(x, I) of a corpus entry once per suite, and, within a group, the
+Silverman–Toeplitz verdict of each pair, the Allen verdict and each
+core(A·x, J) once.  When the group ends the matrix goes, with every row and
+CSR cached on it and its memo entries.  Each item's entry in
+``ReportBundle.timings`` is its wall time, so the first item of a group
+carries the matrix parse, and the first item to need a shared result carries
+its cost.  An item that raises ``InconclusiveCellsError`` (an experiment
+whose cores the estimators cannot decide) is ``inconclusive``, with the
+estimator's message.  Written reports embed the fully resolved configuration
+and contain no timestamps, making identical configs produce byte-identical
+files.  Timings live only in the returned bundle.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from pathlib import Path
 from . import ideals as ide
 from . import sequences as seq
 from . import sets as sd
-from .asymptotics import CoreConfig
+from .asymptotics import CoreConfig, InconclusiveCellsError
 from .constructions import core_equality_experiment
 from .regularity import CHECKS, CheckConfig, CheckMemo
 from .specs import ConfigError, ExperimentConfig, parse_ideal, parse_matrix
@@ -73,8 +77,9 @@ def _select_corpus(labels: tuple[str, ...]) -> list[seq.BoundedSequence]:
 
 
 def _parse_once(cache: dict, parse, spec):
-    """``parse(spec)``, kept in ``cache`` under the spec's JSON text.  A failed
-    parse is not kept: the next item parses again and fails the same way."""
+    """``parse(spec)``, kept in ``cache`` under the spec's JSON text (the
+    corpus under its list of labels).  A failed parse is not kept: the next
+    item parses again and fails the same way."""
     key = json.dumps(spec, sort_keys=True)
     if key not in cache:
         cache[key] = parse(spec)
@@ -84,7 +89,7 @@ def _parse_once(cache: dict, parse, spec):
 def _run_group(
     mspec,
     config: ExperimentConfig,
-    ideals: dict,
+    parsed: dict,
     memo: CheckMemo,
     results: list[dict],
     timings: list[tuple[str, float]],
@@ -93,7 +98,7 @@ def _run_group(
 
     The first item parses the matrix; the group's items share it and ``memo``,
     and both go, with every row and CSR cached on the matrix, when the group
-    returns.
+    returns.  ``parsed`` holds the suite's ideals and corpus.
     """
     cfg = CheckConfig(
         horizon=config.check_horizon, tol=config.tol, theta=config.theta, grid=config.grid, seed=config.seed
@@ -117,18 +122,21 @@ def _run_group(
             try:
                 if a is None:
                     a = parse_matrix(mspec)
-                ideal_i = _parse_once(ideals, parse_ideal, ispec)
-                ideal_j = _parse_once(ideals, parse_ideal, jspec)
+                ideal_i = _parse_once(parsed, parse_ideal, ispec)
+                ideal_j = _parse_once(parsed, parse_ideal, jspec)
                 if kind == "check":
                     verdict = CHECKS[theorem](a, ideal_i, ideal_j, cfg=cfg, memo=memo)
                     payload["status"] = verdict.status.value
                     payload["verdict"] = verdict.to_dict()
                 else:
                     core_cfg = CoreConfig(horizon=config.core_horizon, grid=config.grid, theta=config.theta)
-                    corpus_entries = _select_corpus(config.corpus_labels)
-                    report = core_equality_experiment(a, ideal_i, ideal_j, corpus_entries, core_cfg)
+                    corpus_entries = _parse_once(parsed, _select_corpus, config.corpus_labels)
+                    report = core_equality_experiment(a, ideal_i, ideal_j, corpus_entries, core_cfg, memo=memo)
                     payload["status"] = "satisfied" if report.max_deviation <= config.tol else "violated"
                     payload["experiment"] = report.to_dict()
+            except InconclusiveCellsError as exc:
+                payload["status"] = "inconclusive"
+                payload["message"] = f"{type(exc).__name__}: {exc}"
             except Exception as exc:  # collected per item, never aborts the suite
                 payload["status"] = "error"
                 payload["error"] = f"{type(exc).__name__}: {exc}"
@@ -140,10 +148,11 @@ def run_suite(config: ExperimentConfig) -> ReportBundle:
     """Execute every requested check and experiment; failures are per-item."""
     results: list[dict] = []
     timings: list[tuple[str, float]] = []
-    ideals: dict = {}
+    parsed: dict = {}
     families: dict = {}
+    cores: dict = {}
     for mspec in config.matrices:
-        _run_group(mspec, config, ideals, CheckMemo(families), results, timings)
+        _run_group(mspec, config, parsed, CheckMemo(families, cores), results, timings)
 
     counts = {"satisfied": 0, "violated": 0, "inconclusive": 0, "error": 0}
     for r in results:

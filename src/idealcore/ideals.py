@@ -115,11 +115,15 @@ def _support(hits: np.ndarray, horizon: int) -> np.ndarray:
     return tail if tail.size else hits
 
 
-def _max_running_ratio(hits: np.ndarray, horizon: int, weights: np.ndarray | None = None) -> float:
+def _max_running_ratio(hits: np.ndarray, horizon: int, weight_table: np.ndarray | None = None) -> float:
     """Max over n in [horizon/2, horizon) of (weighted) count of hits in [0, n) over the
-    (weighted) measure of [0, n).  This is the documented upper-density estimate."""
+    (weighted) measure of [0, n).  This is the documented upper-density estimate.
+
+    ``weight_table``, when given, holds two rows: the weights below the horizon
+    and their running totals (``_with_totals``).
+    """
     n0 = horizon // 2
-    if weights is None:
+    if weight_table is None:
         c0 = int(np.searchsorted(hits, n0, side="left"))
         best = c0 / n0 if n0 > 0 else 0.0
         window = hits[(hits >= n0) & (hits < horizon)]
@@ -128,7 +132,7 @@ def _max_running_ratio(hits: np.ndarray, horizon: int, weights: np.ndarray | Non
             counts = np.searchsorted(hits, window, side="left") + 1
             best = max(best, float(np.max(counts / (window + 1))))
         return best
-    totals = np.cumsum(weights)
+    weights, totals = weight_table
     hit_weights = np.cumsum(weights[hits]) if hits.size else np.zeros(0)
     c0 = int(np.searchsorted(hits, n0, side="left"))
     mass0 = float(hit_weights[c0 - 1]) if c0 > 0 else 0.0
@@ -140,14 +144,14 @@ def _max_running_ratio(hits: np.ndarray, horizon: int, weights: np.ndarray | Non
     return best
 
 
-def _density_positivity(hits: np.ndarray, horizon: int, theta: float, weight_array=None):
-    """The (weighted, when ``weight_array`` maps a horizon to the weights) upper-density
+def _density_positivity(hits: np.ndarray, horizon: int, theta: float, weight_table=None):
+    """The (weighted, when ``weight_table`` maps a horizon to the weight table) upper-density
     estimate against the band: above ``theta`` positive, below ``theta/10`` null,
     in between inconclusive."""
     support = _support(hits, horizon)
     if hits.size == 0:
         return PositivityResult.NULL, support
-    est = _max_running_ratio(hits, horizon, weight_array(horizon) if weight_array else None)
+    est = _max_running_ratio(hits, horizon, weight_table(horizon) if weight_table else None)
     if est > theta:
         return PositivityResult.POSITIVE, support
     if est < theta / 10.0:
@@ -155,11 +159,17 @@ def _density_positivity(hits: np.ndarray, horizon: int, theta: float, weight_arr
     return PositivityResult.INCONCLUSIVE, support
 
 
-@lru_cache(maxsize=16)
+def _with_totals(w: np.ndarray) -> np.ndarray:
+    """The weights ``w`` and their running totals, as the two rows of one read-only array."""
+    table = np.stack((w, np.cumsum(w)))
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=4)
 def _harmonic_weights(horizon: int) -> np.ndarray:
-    w = 1.0 / (np.arange(horizon, dtype=np.float64) + 1.0)
-    w.setflags(write=False)
-    return w
+    """``_with_totals`` of the weights 1/(n+1) below the horizon."""
+    return _with_totals(1.0 / (np.arange(horizon, dtype=np.float64) + 1.0))
 
 
 class Ideal:
@@ -291,13 +301,14 @@ class _WeightedIdeal(Ideal):
             raise ValueError(f"weights must be {preset!r} or a callable")
         super().__init__(f"{label}({self.weights})")
 
-    def _weight_array(self, horizon: int) -> np.ndarray:
+    def _weight_table(self, horizon: int) -> np.ndarray:
+        """The weights below the horizon and their running totals (``_with_totals``)."""
         if self.weight_fn is None:
             return _harmonic_weights(horizon)
         w = np.fromiter((self.weight_fn(n) for n in range(horizon)), dtype=np.float64, count=horizon)
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-        return w
+        return _with_totals(w)
 
 
 class ErdosUlamIdeal(_WeightedIdeal):
@@ -329,7 +340,7 @@ class ErdosUlamIdeal(_WeightedIdeal):
         return self._propagate(s)
 
     def positivity(self, hits, horizon, theta):
-        return _density_positivity(hits, horizon, theta, self._weight_array)
+        return _density_positivity(hits, horizon, theta, self._weight_table)
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(True, False, True, False, False, f"Erdos-Ulam({self.weights})")
@@ -371,7 +382,7 @@ class SummableIdeal(_WeightedIdeal):
         support = _support(hits, horizon)
         if hits.size == 0:
             return PositivityResult.NULL, support
-        total = float(np.sum(self._weight_array(horizon)[hits]))
+        total = float(np.sum(self._weight_table(horizon)[0][hits]))
         if total > self.cutoff:
             return PositivityResult.POSITIVE, support
         return PositivityResult.INCONCLUSIVE, support
@@ -474,6 +485,14 @@ def _pair_columns(ns: np.ndarray) -> np.ndarray:
     return ns - w * (w + 1) // 2
 
 
+@lru_cache(maxsize=4)
+def _pair_column_table(horizon: int) -> np.ndarray:
+    """``_pair_columns`` of every index below the horizon, read-only."""
+    cols = _pair_columns(np.arange(horizon))
+    cols.setflags(write=False)
+    return cols
+
+
 class ColumnBlockIdeal(Ideal):
     """Sets covered by finitely many columns of the Cantor pairing (a Fin×{∅} copy).
 
@@ -499,7 +518,7 @@ class ColumnBlockIdeal(Ideal):
         support = _support(hits, horizon)
         if hits.size == 0:
             return PositivityResult.NULL, support
-        cols = _pair_columns(hits)
+        cols = _pair_column_table(horizon)[hits]
         tail = _tail(hits, horizon)
         if tail.size == 0:
             return PositivityResult.NULL, support

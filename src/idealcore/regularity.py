@@ -10,7 +10,8 @@ same cluster estimator that powers the core computations.
 Checks of one matrix share work through a :class:`CheckMemo` passed as
 ``memo``: the default family per (ideal, seed), the Silverman–Toeplitz verdict
 that every characterization's regularity condition reads, and the Allen
-verdict.  A memo changes no verdict; a checker called without one makes its own.
+verdict.  The core equality experiment shares its cores through the same memo.
+A memo changes no result; a caller without one makes its own.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from typing import Callable
 import numpy as np
 
 from . import sets as sd
-from .asymptotics import CoreConfig, InconclusiveCellsError, ideal_lim_check, limsup_of_values
+from .asymptotics import (
+    CoreConfig,
+    CoreInterval,
+    InconclusiveCellsError,
+    core,
+    ideal_lim_check,
+    limsup_of_values,
+)
 from .ideals import (
     DEFAULT_THETA,
     FinIdeal,
@@ -37,6 +45,7 @@ from .ideals import (
     membership,
 )
 from .matrices import InfiniteMatrix, find_negative_entry, norm_estimate
+from .sequences import BoundedSequence
 from .sets import Cardinality, SetDescription
 
 __all__ = [
@@ -215,18 +224,22 @@ def _ideal_key(ideal: Ideal):
 
 @dataclass
 class CheckMemo:
-    """Results that several checks of the same matrix and ideals share.
+    """Results that several checks and experiments of a suite share.
 
-    ``families`` holds the default family per (ideal, seed) and ``verdicts``
-    the Silverman–Toeplitz and Allen verdicts per (matrix, ideals, family,
-    config).  Keys hold the matrix itself, so a memo keeps its matrices alive:
+    ``families`` holds the default family per (ideal, seed) and ``cores`` the
+    core of a sequence per (sequence, ideal, config); ``results`` holds the
+    Silverman–Toeplitz and Allen verdicts per (matrix, ideals, family,
+    config) and the core of A·x per (matrix, x, ideal, config).  Keys hold the
+    matrix and the sequence themselves, so a memo keeps them alive:
     ``harness.run_suite`` gives each matrix its own memo over one suite-wide
-    ``families``.  A checker called without a memo makes a fresh one, so a
-    direct call computes everything itself.  A result that raises is not kept.
+    ``families`` and ``cores``.  A caller without a memo makes a fresh one,
+    so a direct call computes everything itself.  A result that raises is not
+    kept.
     """
 
     families: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
+    cores: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
 
     def family(self, ideal: Ideal, seed: int) -> TestFamily:
         key = (_ideal_key(ideal), seed)
@@ -234,10 +247,28 @@ class CheckMemo:
             self.families[key] = default_family(ideal, seed)
         return self.families[key]
 
-    def verdict(self, key: tuple, compute: Callable[[], Verdict]) -> Verdict:
-        if key not in self.verdicts:
-            self.verdicts[key] = compute()
-        return self.verdicts[key]
+    def core(self, x: BoundedSequence, ideal: Ideal, cfg: CoreConfig) -> CoreInterval:
+        key = (x, _ideal_key(ideal), cfg)
+        if key not in self.cores:
+            self.cores[key] = core(x, ideal, cfg)
+        return self.cores[key]
+
+    def result(self, key: tuple, compute: Callable[[], Verdict | CoreInterval]) -> Verdict | CoreInterval:
+        if key not in self.results:
+            self.results[key] = compute()
+        return self.results[key]
+
+    def image_core(
+        self,
+        a: InfiniteMatrix,
+        x: BoundedSequence,
+        ideal: Ideal,
+        cfg: CoreConfig,
+        compute: Callable[[], CoreInterval],
+    ) -> CoreInterval:
+        """The core of A·x under ``ideal``, from ``compute()``.  Keyed by x, not
+        by A·x, so A·x is built only when the core is computed and is never kept."""
+        return self.result(("core", a, x, _ideal_key(ideal), cfg), compute)
 
 
 def _resolve_family(family: TestFamily | None, ideal: Ideal, seed: int, memo: CheckMemo) -> TestFamily:
@@ -430,7 +461,7 @@ def _silverman_toeplitz(
     """``silverman_toeplitz_check`` on a family that is already classified,
     computed once per memo."""
     key = ("st", a, _ideal_key(ideal_i), _ideal_key(ideal_j), family, cfg)
-    return memo.verdict(key, lambda: _silverman_toeplitz_conditions(a, ideal_i, ideal_j, family, cfg))
+    return memo.result(key, lambda: _silverman_toeplitz_conditions(a, ideal_i, ideal_j, family, cfg))
 
 
 def _silverman_toeplitz_conditions(
@@ -485,7 +516,7 @@ def allen_check(
     cfg = cfg or CheckConfig()
     memo = memo or CheckMemo()
     family = _resolve_family(family, FinIdeal(), cfg.seed, memo)
-    return memo.verdict(("allen", a, family, cfg), lambda: _allen_conditions(a, family, cfg, memo))
+    return memo.result(("allen", a, family, cfg), lambda: _allen_conditions(a, family, cfg, memo))
 
 
 def _allen_conditions(a: InfiniteMatrix, family: TestFamily, cfg: CheckConfig, memo: CheckMemo) -> Verdict:

@@ -1,5 +1,6 @@
 """Suite execution, report determinism, config validation, CLI surface."""
 
+import collections
 import hashlib
 import importlib.resources
 import json
@@ -9,7 +10,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from idealcore import harness, specs
+from idealcore import asymptotics, constructions, harness, regularity, sequences, specs
 from idealcore.cli import main
 from idealcore.regularity import CHECKS
 
@@ -219,7 +220,13 @@ def test_shared_work_changes_no_item():
     """Each item of a suite equals the item of a one-item suite with the same
     matrix, pair and theorem (or experiment), whose parse, family and verdicts
     are its own."""
-    pairs = [["fin", "fin"], ["fin-times-empty", "fin-times-empty"], ["fin-oplus-evens", "fin"]]
+    pairs = [
+        ["fin", "fin"],
+        ["fin-times-empty", "fin-times-empty"],
+        ["fin-oplus-evens", "fin"],
+        ["z", "z"],
+        ["erdos-ulam-log", "erdos-ulam-log"],
+    ]
     suite = {**_SIGNED_SUITE, "ideal_pairs": pairs, "core_equality": True}
     items = harness.run_suite(specs.parse_experiment_config(suite)).items
     tasks = [{"theorems": [t], "core_equality": False} for t in suite["theorems"]]
@@ -250,6 +257,87 @@ def test_a_matrix_is_released_when_its_group_ends(monkeypatch):
     monkeypatch.setattr(harness, "parse_matrix", watched_parse)
     harness.run_suite(specs.parse_experiment_config(_SIGNED_SUITE))
     assert released == [True] * (len(_SIGNED_SUITE["matrices"]) - 1)
+
+
+_EXPERIMENT_SUITE = {
+    "matrices": ["identity", {"type": "rk", "map": {"type": "affine", "mul": 2}}, "cesaro"],
+    "ideal_pairs": [
+        ["fin", "fin"],
+        ["fin-oplus-evens", "fin"],
+        ["erdos-ulam-log", "erdos-ulam-log"],
+        [{"type": "fin"}, "fin"],
+    ],
+    "theorems": [],
+    "core_equality": True,
+    "cfg": {"check_horizon": 2000, "core_horizon": 20000, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
+}
+
+
+def test_a_suite_computes_each_core_once(monkeypatch):
+    core_calls, transform_calls = [], []
+    core = regularity.core
+    transformed = constructions.transformed_sequence
+
+    def counting_core(x, ideal, cfg):
+        core_calls.append((x.label, ideal.label))
+        return core(x, ideal, cfg)
+
+    def counting_transform(a, x, horizon):
+        transform_calls.append((a.label, x.label, horizon))
+        return transformed(a, x, horizon)
+
+    monkeypatch.setattr(regularity, "core", counting_core)
+    monkeypatch.setattr(constructions, "transformed_sequence", counting_transform)
+    bundle = harness.run_suite(specs.parse_experiment_config(_EXPERIMENT_SUITE))
+    assert {i["status"] for i in bundle.items} <= {"satisfied", "violated"}
+    labels = [x.label for x in sequences.corpus()]
+    # core(x, I) once per (corpus entry, I) for the whole suite: I is Fin, Fin ⊕ P(evens) or log.
+    assert len(core_calls) == len(set(core_calls)) == 3 * len(labels)
+    # One A·x per (matrix, entry, J), J being Fin or log: the (fin-oplus-evens, fin) and
+    # ({"type": "fin"}, fin) items read the Fin cores of the (fin, fin) item.
+    per_row = collections.Counter(transform_calls)
+    assert len(per_row) == len(_EXPERIMENT_SUITE["matrices"]) * len(labels)
+    assert set(per_row.values()) == {2}
+
+    # A direct call has no memo to read from and computes every core itself.
+    a, fin = specs.parse_matrix("cesaro"), specs.parse_ideal("fin")
+    corpus, cfg = sequences.corpus(), asymptotics.CoreConfig(horizon=2000)
+    core_calls.clear()
+    transform_calls.clear()
+    for _ in range(2):
+        constructions.core_equality_experiment(a, fin, fin, corpus, cfg)
+    assert len(core_calls) == len(transform_calls) == 2 * len(labels)
+
+
+def test_no_transformed_sequence_outlives_its_row(monkeypatch):
+    refs, alive = [], []
+    transformed = constructions.transformed_sequence
+
+    def watched_transform(a, x, horizon):
+        alive.append(sum(ref() is not None for ref in refs))
+        ax = transformed(a, x, horizon)
+        refs.append(weakref.ref(ax))
+        return ax
+
+    monkeypatch.setattr(constructions, "transformed_sequence", watched_transform)
+    pairs = [*_EXPERIMENT_SUITE["ideal_pairs"], ["z", "z"]]
+    suite = {**_EXPERIMENT_SUITE, "ideal_pairs": pairs}
+    bundle = harness.run_suite(specs.parse_experiment_config(suite))
+    assert {i["status"] for i in bundle.items} == {"satisfied", "violated", "inconclusive"}
+    # No A·x is alive when the next one is built, nor after the suite, where the
+    # last one came from a Cesàro (z, z) row whose core raised.
+    assert alive and alive == [0] * len(alive)
+    assert all(ref() is None for ref in refs)
+
+
+def test_undecidable_experiment_is_inconclusive():
+    suite = {**_EXPERIMENT_SUITE, "matrices": ["identity"], "ideal_pairs": [["z", "z"]]}
+    bundle = harness.run_suite(specs.parse_experiment_config(suite))
+    (item,) = bundle.items
+    assert item["status"] == "inconclusive"
+    assert item["message"].startswith("InconclusiveCellsError: inconclusive cells")
+    assert "experiment" not in item and "error" not in item
+    assert bundle.summary["exit_code"] == 2
 
 
 def test_suite_reports_are_byte_identical(tmp_path):

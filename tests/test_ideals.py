@@ -195,6 +195,57 @@ def test_pair_columns_match_scalar_inverse():
     assert np.array_equal(ide._pair_columns(ns), expected)
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 3, 100, 1000, 20000])
+def test_pair_column_table_matches_pair_columns(horizon):
+    table = ide._pair_column_table(horizon)
+    assert np.array_equal(table, ide._pair_columns(np.arange(horizon, dtype=np.int64)))
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert ide._pair_column_table.cache_info().maxsize <= 4
+
+
+def test_fin_times_empty_reads_a_hit_at_the_last_index():
+    fte, horizon = ide.fin_times_empty(), 1000
+    assert ide._pair_column(horizon - 1) == 9 == ide._pair_column(54)
+    # Index H-1 opens column 9, which no head hit reached.
+    verdict, support = fte.positivity(np.array([0, 1, horizon - 1]), horizon, ide.DEFAULT_THETA)
+    assert verdict is PR.POSITIVE and support.tolist() == [horizon - 1]
+    # With index 54 in the head, column 9 is no longer fresh.
+    verdict, _ = fte.positivity(np.array([0, 54, horizon - 1]), horizon, ide.DEFAULT_THETA)
+    assert verdict is PR.INCONCLUSIVE
+
+
+def _max_running_ratio_reference(hits, horizon, weights):
+    """The weighted estimate with the running totals summed on every call."""
+    n0 = horizon // 2
+    totals = np.cumsum(weights)
+    hit_weights = np.cumsum(weights[hits]) if hits.size else np.zeros(0)
+    c0 = int(np.searchsorted(hits, n0, side="left"))
+    best = (float(hit_weights[c0 - 1]) if c0 > 0 else 0.0) / float(totals[n0 - 1]) if n0 > 0 else 0.0
+    window_idx = np.nonzero((hits >= n0) & (hits < horizon))[0]
+    if window_idx.size:
+        best = max(best, float(np.max(hit_weights[window_idx] / totals[hits[window_idx]])))
+    return best
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 100, 1001, 20000])
+def test_weight_totals_match_cumsum(horizon):
+    table = ide._harmonic_weights(horizon)
+    weights = 1.0 / (np.arange(horizon, dtype=np.float64) + 1.0)
+    assert table.shape == (2, horizon) and not table.flags.writeable
+    assert np.array_equal(table[0], weights)
+    assert np.array_equal(table[1], np.cumsum(weights))
+    assert ide._harmonic_weights.cache_info().maxsize <= 4
+    custom = ide.erdos_ulam(lambda n: 1.0 + (n % 7))._weight_table(horizon)
+    assert np.array_equal(custom[1], np.cumsum(custom[0]))
+    rng = np.random.default_rng(horizon)
+    for density in (0.0, 0.001, 0.1, 0.9):
+        hits = np.flatnonzero(rng.random(horizon) < density)
+        hits = np.union1d(hits, [horizon - 1]) if density else hits
+        for t in (table, custom):
+            got = ide._max_running_ratio(hits, horizon, t)
+            assert got == _max_running_ratio_reference(hits, horizon, np.array(t[0]))
+
+
 def test_trace_positivity_filters():
     horizon = 10**4
     odd_hits = np.arange(1, horizon, 2, dtype=np.int64)
