@@ -6,6 +6,9 @@ matrices lazily, decides the classical matrix characterizations of core
 preservation at configurable finite truncation (with exact symbolic oracles on
 structured instances), and ships the explicit constructions that realize core
 equality across distinct ideals.
+
+Sequences, index maps and matrices cache what they compute, without locks:
+library objects are not to be shared across threads.
 """
 
 from .asymptotics import (

@@ -18,10 +18,9 @@ from .regularity import (
     FamilyMisclassifiedError,
     NegativeEntryError,
     Status,
-    TestFamily,
 )
 from .sequences import corpus_entry
-from .specs import ConfigError, parse_experiment_config, parse_ideal, parse_matrix, parse_set
+from .specs import ConfigError, parse_experiment_config, parse_family, parse_ideal, parse_matrix, parse_set
 
 _STATUS_EXIT = {Status.SATISFIED: 0, Status.VIOLATED: 1, Status.INCONCLUSIVE: 2}
 
@@ -104,14 +103,7 @@ def check(matrix, ideal_i, ideal_j, theorem, family, horizon, tol, grid, theta, 
             seed=seed,
         )
         _core_config(cfg.horizon, grid, theta)  # the checkers' limsup conditions run on it
-        fam = None
-        if family:
-            raw = json.loads(Path(family).read_text())
-            fam = TestFamily(
-                tuple(parse_set(s, "family.sets_in_ideal") for s in raw.get("sets_in_ideal", [])),
-                tuple(parse_set(s, "family.sets_positive") for s in raw.get("sets_positive", [])),
-                tuple(parse_set(s, "family.sets_infinite") for s in raw.get("sets_infinite", [])),
-            )
+        fam = parse_family(_json_arg(Path(family).read_text(), "--family")) if family else None
         verdict = CHECKS[theorem](a, ii, jj, family=fam, cfg=cfg)
     except (ConfigError, FamilyMisclassifiedError, NegativeEntryError) as exc:
         raise click.ClickException(str(exc))

@@ -247,7 +247,6 @@ def list_catalog() -> str:
         ide.erdos_ulam("log"),
         ide.summable(),
         ide.fin_oplus_full(sd.evens()),
-        ide.countably_generated([sd.odds()]),
         ide.fin_times_empty(),
     ]
     for ideal in catalog:

@@ -40,7 +40,6 @@ __all__ = [
     "ErdosUlamIdeal",
     "SummableIdeal",
     "TraceFinIdeal",
-    "GeneratedIdeal",
     "ColumnBlockIdeal",
     "fin",
     "density_zero",
@@ -58,7 +57,6 @@ __all__ = [
     "rk_below",
     "RkResult",
     "ideal_to_dict",
-    "ideal_from_dict",
     "UnsupportedSetError",
     "DEFAULT_THETA",
 ]
@@ -392,7 +390,8 @@ class SummableIdeal(_WeightedIdeal):
 
 
 class TraceFinIdeal(Ideal):
-    """Sets with finite trace on a fixed infinite set T (a Fin⊕P(ω) copy)."""
+    """Sets with finite trace on a fixed infinite set T (a Fin⊕P(ω) copy, or Fin
+    when T is cofinite); ``countably_generated`` builds one from its generators."""
 
     kind = "fin_oplus_full"
 
@@ -421,47 +420,6 @@ class TraceFinIdeal(Ideal):
     def classify(self) -> ClassificationReport:
         cofinite = sd.complement(self.trace).cardinality() is Cardinality.FINITE
         form = "Fin" if cofinite else "Fin(+)P(omega) copy"
-        return ClassificationReport(True, True, False, True, True, form)
-
-
-class GeneratedIdeal(Ideal):
-    """Ideal generated by finitely many sets together with Fin.
-
-    ``S ∈ I`` iff ``S \\ (G_0 ∪ … ∪ G_m)`` is finite.  The union of the
-    generators must be co-infinite, otherwise the ideal would be improper.
-    """
-
-    kind = "countably_generated"
-
-    def __init__(self, generators: tuple[SetDescription, ...]):
-        union = sd.union_all(list(generators))
-        if sd.complement(union).cardinality() is not Cardinality.INFINITE:
-            raise ValueError("generator union must be co-infinite (proper ideal)")
-        super().__init__("CountablyGenerated")
-        self.generators = tuple(generators)
-        self._union = union
-
-    def decide_in(self, s: SetDescription) -> bool | None:
-        card = sd.Difference(s, self._union).cardinality()
-        if card is Cardinality.FINITE:
-            return True
-        if card is Cardinality.INFINITE:
-            return False
-        return None
-
-    def positivity(self, hits, horizon, theta):
-        if self.generators:
-            mask = self._union.mask(horizon)
-            outside = hits[~mask[hits]] if hits.size else hits
-        else:
-            outside = hits
-        tail = _tail(outside, horizon)
-        if tail.size:
-            return PositivityResult.POSITIVE, tail
-        return PositivityResult.NULL, tail
-
-    def classify(self) -> ClassificationReport:
-        form = "Fin" if self._union.cardinality() is Cardinality.FINITE else "Fin(+)P(omega) copy"
         return ClassificationReport(True, True, False, True, True, form)
 
 
@@ -557,8 +515,17 @@ def fin_oplus_full(trace: SetDescription) -> TraceFinIdeal:
     return TraceFinIdeal(trace)
 
 
-def countably_generated(generators: list[SetDescription]) -> GeneratedIdeal:
-    return GeneratedIdeal(tuple(generators))
+def countably_generated(generators: list[SetDescription]) -> TraceFinIdeal:
+    """The ideal generated by finitely many sets together with Fin.
+
+    ``S ∈ I`` iff ``S \\ (G_0 ∪ … ∪ G_m)`` is finite, so I is the trace-finite
+    ideal of the complement of the union; the union must be co-infinite,
+    otherwise the ideal would be improper.
+    """
+    trace = sd.complement(sd.union_all(list(generators)))
+    if trace.cardinality() is not Cardinality.INFINITE:
+        raise ValueError("generator union must be co-infinite (proper ideal)")
+    return TraceFinIdeal(trace)
 
 
 def fin_times_empty() -> ColumnBlockIdeal:
@@ -683,7 +650,7 @@ def rk_below(ideal_i: Ideal, ideal_j: Ideal) -> RkResult:
 
 
 # ---------------------------------------------------------------------------
-# JSON codec
+# JSON encoding; ``specs.parse_ideal`` decodes it.
 
 
 def ideal_to_dict(ideal: Ideal) -> dict:
@@ -701,29 +668,6 @@ def ideal_to_dict(ideal: Ideal) -> dict:
         return {"type": "summable", "weights": ideal.weights, "cutoff": ideal.cutoff}
     if isinstance(ideal, TraceFinIdeal):
         return {"type": "fin_oplus_full", "trace": sd.set_to_dict(ideal.trace)}
-    if isinstance(ideal, GeneratedIdeal):
-        return {"type": "countably_generated", "generators": [sd.set_to_dict(g) for g in ideal.generators]}
     if isinstance(ideal, ColumnBlockIdeal):
         return {"type": "fin_times_empty"}
     raise ValueError(f"{type(ideal).__name__} has no JSON encoding")
-
-
-def ideal_from_dict(d: dict) -> Ideal:
-    if "theta" in d:
-        raise ValueError("theta is a run setting, not part of an ideal: set cfg.theta or --theta")
-    kind = d.get("type")
-    if kind == "fin":
-        return fin()
-    if kind in ("density_zero", "z"):
-        return density_zero()
-    if kind == "erdos_ulam":
-        return erdos_ulam(d.get("weights", "log"))
-    if kind == "summable":
-        return summable(d.get("weights", "harmonic"), float(d.get("cutoff", SUMMABLE_CUTOFF)))
-    if kind == "fin_oplus_full":
-        return fin_oplus_full(sd.set_from_dict(d["trace"]))
-    if kind == "countably_generated":
-        return countably_generated([sd.set_from_dict(g) for g in d.get("generators", [])])
-    if kind == "fin_times_empty":
-        return fin_times_empty()
-    raise ValueError(f"unknown ideal type: {kind!r}")

@@ -2,14 +2,12 @@
 
 ``IndexMap.prefix`` is the one way to materialize ``h(0) … h(H-1)``.  The
 identity and affine maps carry closed-form array rules, and an enumeration map
-slices the int64 array of the elements it has discovered, taking its lock once
-per call.  A map built from a bare callable takes the scalar path, ``fn`` per
-index.
+slices the int64 array of the elements it has discovered.  A map built from a
+bare callable takes the scalar path, ``fn`` per index.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,23 +74,21 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
     description.  The search reads ``enumerate_prefix``, never a mask: for a
     sparse set such as the squares the horizon runs far ahead of the count.
     """
-    lock = threading.Lock()  # for callers that share the map across threads
     state = {"horizon": 1024, "found": np.zeros(0, dtype=np.int64)}
 
     def first(count: int) -> np.ndarray:
         """The ``count`` smallest elements, as a read-only int64 array."""
-        with lock:
-            while len(state["found"]) < count:
-                horizon = state["horizon"]
-                found = target.enumerate_prefix(horizon)
-                if len(found) > len(state["found"]):
-                    arr = np.array(found, dtype=np.int64)
-                    arr.setflags(write=False)
-                    state["found"] = arr
-                if len(state["found"]) < count:
-                    state["horizon"] = horizon * 2
-                    if state["horizon"] > 2**40:
-                        raise RuntimeError("enumeration horizon exhausted; set looks finite")
-            return state["found"][:count]
+        while len(state["found"]) < count:
+            horizon = state["horizon"]
+            found = target.enumerate_prefix(horizon)
+            if len(found) > len(state["found"]):
+                arr = np.array(found, dtype=np.int64)
+                arr.setflags(write=False)
+                state["found"] = arr
+            if len(state["found"]) < count:
+                state["horizon"] = horizon * 2
+                if state["horizon"] > 2**40:
+                    raise RuntimeError("enumeration horizon exhausted; set looks finite")
+        return state["found"][:count]
 
     return IndexMap(lambda n: int(first(n + 1)[n]), label or "enumeration", injective=True, rule=first)

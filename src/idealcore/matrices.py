@@ -21,7 +21,6 @@ every stated tolerance.  ``transform`` computes one entry of A·x with
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -248,7 +247,6 @@ class InfiniteMatrix:
         self.nonnegative = nonnegative
         self._row_cache: dict[int, MatrixRow] = {}
         self._flat_cache: dict[int, tuple | None] = {}
-        self._cache_lock = threading.Lock()  # for callers that share a matrix across threads
 
     def _row(self, n: int) -> MatrixRow:
         raise NotImplementedError
@@ -256,14 +254,12 @@ class InfiniteMatrix:
     def row(self, n: int) -> MatrixRow:
         if n < 0:
             raise ValueError("row index must be a natural")
-        with self._cache_lock:
-            cached = self._row_cache.get(n)
+        cached = self._row_cache.get(n)
         if cached is not None:
             return cached
         r = self._row(n)
         if len(r.indices) <= _CACHE_SUPPORT_LIMIT:
-            with self._cache_lock:
-                self._row_cache.setdefault(n, r)
+            self._row_cache[n] = r
         return r
 
     def row_abs_sum(self, n: int) -> float:
@@ -296,14 +292,12 @@ class InfiniteMatrix:
     def _flat(self, horizon: int):
         """Concatenated (indices, values, row pointers, tails) for rows below the
         horizon, or None when the total support is too large to materialize."""
-        with self._cache_lock:
-            if horizon in self._flat_cache:
-                return self._flat_cache[horizon]
+        if horizon in self._flat_cache:
+            return self._flat_cache[horizon]
         flat = self._gather(np.arange(horizon, dtype=np.int64))
-        with self._cache_lock:
-            if len(self._flat_cache) > 4:
-                self._flat_cache.clear()
-            self._flat_cache[horizon] = flat
+        if len(self._flat_cache) > 4:
+            self._flat_cache.clear()
+        self._flat_cache[horizon] = flat
         return flat
 
     def _gather(self, rows: np.ndarray):

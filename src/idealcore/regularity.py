@@ -37,10 +37,8 @@ from .asymptotics import (
 from .ideals import (
     DEFAULT_THETA,
     FinIdeal,
-    GeneratedIdeal,
     Ideal,
     MembershipResult,
-    TraceFinIdeal,
     ideal_to_dict,
     membership,
 )
@@ -295,10 +293,6 @@ def _set_label(s: SetDescription) -> str:
     return kind
 
 
-def _is_countably_generated(ideal: Ideal) -> bool:
-    return isinstance(ideal, (FinIdeal, TraceFinIdeal, GeneratedIdeal))
-
-
 def _matrix_nonnegative(a: InfiniteMatrix, horizon: int) -> bool:
     if a.nonnegative:
         return True
@@ -469,7 +463,7 @@ def _silverman_toeplitz_conditions(
 ) -> Verdict:
     notes: list[str] = []
     guard_ok = (
-        _is_countably_generated(ideal_j)
+        ideal_j.classify().is_countably_generated
         or isinstance(ideal_i, FinIdeal)
         or _matrix_nonnegative(a, cfg.horizon)
     )
@@ -574,7 +568,7 @@ def leo_check(
     cfg = cfg or CheckConfig()
     memo = memo or CheckMemo()
     family = _resolve_family(family, ideal_i, cfg.seed, memo)
-    guard_ok = _is_countably_generated(ideal_j) or _matrix_nonnegative(a, cfg.horizon)
+    guard_ok = ideal_j.classify().is_countably_generated or _matrix_nonnegative(a, cfg.horizon)
     notes: list[str] = []
     if not guard_ok:
         notes.append(

@@ -20,7 +20,6 @@ and every route it takes is bit-identical to calling ``fn`` per index:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,8 +65,6 @@ class BoundedSequence:
     level_sets: tuple[tuple[float, SetDescription], ...] | None = None
     rule: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
     _cache: np.ndarray | None = field(default=None, repr=False)
-    # Guards the cache for callers that share a sequence across threads.
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
         if self.bound < 0:
@@ -78,23 +75,22 @@ class BoundedSequence:
 
     def prefix(self, horizon: int) -> np.ndarray:
         """Values ``x_0 … x_{horizon-1}``; cached and grown monotonically."""
-        with self._lock:
-            if self._cache is None or len(self._cache) < horizon:
-                if self.rule is not None:
-                    arr = np.asarray(self.rule(horizon), dtype=np.float64)
-                elif self.level_sets is not None and not any(
-                    sd.contains_predicate(s) for _, s in self.level_sets
-                ):
-                    arr = self._from_level_sets(horizon)
-                else:
-                    start = 0 if self._cache is None else len(self._cache)
-                    tail = np.fromiter(
-                        (self.fn(n) for n in range(start, horizon)), dtype=np.float64, count=horizon - start
-                    )
-                    arr = tail if self._cache is None else np.concatenate((self._cache, tail))
-                arr.setflags(write=False)
-                self._cache = arr
-            return self._cache[:horizon]
+        if self._cache is None or len(self._cache) < horizon:
+            if self.rule is not None:
+                arr = np.asarray(self.rule(horizon), dtype=np.float64)
+            elif self.level_sets is not None and not any(
+                sd.contains_predicate(s) for _, s in self.level_sets
+            ):
+                arr = self._from_level_sets(horizon)
+            else:
+                start = 0 if self._cache is None else len(self._cache)
+                tail = np.fromiter(
+                    (self.fn(n) for n in range(start, horizon)), dtype=np.float64, count=horizon - start
+                )
+                arr = tail if self._cache is None else np.concatenate((self._cache, tail))
+            arr.setflags(write=False)
+            self._cache = arr
+        return self._cache[:horizon]
 
     def _from_level_sets(self, horizon: int) -> np.ndarray:
         out = np.full(horizon, np.nan)
@@ -111,9 +107,8 @@ class BoundedSequence:
         """Pre-populate the prefix cache (used for transformed sequences)."""
         arr = np.asarray(values, dtype=np.float64).copy()
         arr.setflags(write=False)
-        with self._lock:
-            if self._cache is None or len(self._cache) < len(arr):
-                self._cache = arr
+        if self._cache is None or len(self._cache) < len(arr):
+            self._cache = arr
         return self
 
     @property

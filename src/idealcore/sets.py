@@ -57,7 +57,6 @@ __all__ = [
     "union_all",
     "contains_predicate",
     "set_to_dict",
-    "set_from_dict",
 ]
 
 _ZERO = Fraction(0)
@@ -691,7 +690,8 @@ def _intersection_cardinality(a: SetDescription, b: SetDescription) -> Cardinali
 
 
 # ---------------------------------------------------------------------------
-# JSON codec (tagged union; Predicate sets are deliberately not serializable)
+# JSON encoding (tagged union; Predicate sets are deliberately not serializable).
+# ``specs.parse_set`` decodes it.
 
 
 def set_to_dict(s: SetDescription) -> dict:
@@ -716,28 +716,3 @@ def set_to_dict(s: SetDescription) -> dict:
     if isinstance(s, Complement):
         return {"type": "complement", "of": set_to_dict(s.inner)}
     raise ValueError(f"{type(s).__name__} has no JSON encoding")
-
-
-def set_from_dict(d: dict) -> SetDescription:
-    kind = d.get("type")
-    if kind in ("arithmetic_progression", "ap"):
-        return ArithmeticProgression(int(d["offset"]), int(d["step"]))
-    if kind == "explicit":
-        return Explicit(tuple(int(e) for e in d["elements"]))
-    if kind == "squares":
-        return Squares()
-    if kind == "blocks":
-        return Blocks(tuple((int(a), int(b)) for a, b in d["intervals"]))
-    if kind == "geometric_blocks":
-        return GeometricBlocks(int(d["base"]), int(d["residue"]), int(d["modulus"]))
-    if kind == "root_blocks":
-        return RootBlocks(int(d["residue"]), int(d["modulus"]))
-    if kind == "union":
-        return Union(set_from_dict(d["left"]), set_from_dict(d["right"]))
-    if kind == "intersection":
-        return Intersection(set_from_dict(d["left"]), set_from_dict(d["right"]))
-    if kind == "difference":
-        return Difference(set_from_dict(d["left"]), set_from_dict(d["right"]))
-    if kind == "complement":
-        return complement(set_from_dict(d["of"]))
-    raise ValueError(f"unknown set type: {kind!r}")

@@ -1,7 +1,13 @@
-"""Parsing of JSON specs for sets, ideals, index maps, matrices, and suite configs.
+"""The one decoder of outside JSON: sets, ideals, index maps, matrices, test
+families and suite configs.
 
-Every parse error is reported as a :class:`ConfigError` carrying the path of
-the offending field (e.g. ``matrices[1].map.set.step``).
+Each kind has a single ``parse_*`` function, and every error it finds is a
+:class:`ConfigError` whose ``path`` names the offending field, e.g.
+``config.matrices[1].map.set.step``.  Integer fields take integers (an
+integral float or a numeric string reads as its integer), never a number with
+a fractional part; numeric fields take finite numbers.  The encoders
+(``sets.set_to_dict``, ``ideals.ideal_to_dict``) live beside their types,
+since they never see outside input.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from . import maps
 from . import matrices as mat
 from . import sets as sd
 from .constructions import perturb_identity
-from .regularity import CHECKS
+from .regularity import CHECKS, TestFamily
 
 __all__ = [
     "ConfigError",
@@ -25,6 +31,7 @@ __all__ = [
     "parse_ideal",
     "parse_index_map",
     "parse_matrix",
+    "parse_family",
     "ExperimentConfig",
     "parse_experiment_config",
 ]
@@ -36,34 +43,110 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
+def _require(obj: dict, key: str, path: str, default=None) -> Any:
+    """``obj[key]``; when absent, ``default``, or an error if there is none."""
+    if key in obj:
+        return obj[key]
+    if default is None:
         raise ConfigError(f"{path}.{key}", "missing required field")
-    return obj[key]
+    return default
 
 
-def _number(obj: dict, key: str, path: str, convert=float, default=None):
-    """``convert(obj[key])`` (``default`` when absent, if given); a missing required
-    field or a non-number or non-finite number is a :class:`ConfigError` at ``path.key``."""
-    raw = _require(obj, key, path) if default is None else obj.get(key, default)
+def _integral(raw) -> int:
+    """``int(raw)``, except that a number with a fractional part is a ValueError
+    (``int`` would truncate 1.7 to 1)."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(raw)
+
+
+def _convert(raw, path: str, convert=float):
+    """``convert(raw)``; a value it rejects, or a non-finite one, is a
+    :class:`ConfigError` at ``path``."""
     try:
         value = convert(raw)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}.{key}", f"must be a number, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}", f"must be finite, got {raw!r}")
+        kind = "an integer" if convert is _integral else "a number"
+        raise ConfigError(path, f"must be {kind}, got {raw!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {raw!r}")
     return value
 
 
-def parse_set(obj: Any, path: str = "set") -> sd.SetDescription:
+def _number(obj: dict, key: str, path: str, convert=float, default=None):
+    """``_require(obj, key, path, default)`` through :func:`_convert`; ``convert``
+    is ``float`` or ``_integral``."""
+    return _convert(_require(obj, key, path, default), f"{path}.{key}", convert)
+
+
+def _integers(obj: dict, path: str, *keys: str) -> tuple[int, ...]:
+    return tuple(_number(obj, key, path, _integral) for key in keys)
+
+
+def _list(obj: dict, key: str, path: str, default=None) -> list | tuple:
+    """``_require(obj, key, path, default)``, which must be a list."""
+    raw = _require(obj, key, path, default)
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{path}.{key}", f"must be a list, got {raw!r}")
+    return raw
+
+
+def _kind(obj: Any, path: str, not_an_object: str) -> str:
+    """The ``type`` of an object spec; ``not_an_object`` is the error for anything else."""
     if not isinstance(obj, dict):
-        raise ConfigError(path, "set spec must be an object")
+        raise ConfigError(path, not_an_object)
+    kind = _require(obj, "type", path)
+    if not isinstance(kind, str):
+        raise ConfigError(f"{path}.type", f"must be a string, got {kind!r}")
+    return kind
+
+
+def _build(make, path: str, *args):
+    """``make(*args)``; a ValueError it raises is a :class:`ConfigError` at ``path``."""
     try:
-        return sd.set_from_dict(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+        return make(*args)
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
+_SET_PAIRS = {"union": sd.Union, "intersection": sd.Intersection, "difference": sd.Difference}
+
+
+def parse_set(obj: Any, path: str = "set") -> sd.SetDescription:
+    kind = _kind(obj, path, "set spec must be an object")
+    if kind in ("arithmetic_progression", "ap"):
+        return _build(sd.ArithmeticProgression, path, *_integers(obj, path, "offset", "step"))
+    if kind == "explicit":
+        elements = _list(obj, "elements", path)
+        return _build(
+            sd.Explicit,
+            f"{path}.elements",
+            tuple(_convert(e, f"{path}.elements[{i}]", _integral) for i, e in enumerate(elements)),
+        )
+    if kind == "squares":
+        return sd.Squares()
+    if kind == "blocks":
+        intervals = []
+        for i, iv in enumerate(_list(obj, "intervals", path)):
+            at = f"{path}.intervals[{i}]"
+            if not isinstance(iv, (list, tuple)) or len(iv) != 2:
+                raise ConfigError(at, f"must be a [lo, hi] pair, got {iv!r}")
+            intervals.append(tuple(_convert(b, f"{at}[{j}]", _integral) for j, b in enumerate(iv)))
+        return _build(sd.Blocks, f"{path}.intervals", tuple(intervals))
+    if kind == "geometric_blocks":
+        return _build(sd.GeometricBlocks, path, *_integers(obj, path, "base", "residue", "modulus"))
+    if kind == "root_blocks":
+        return _build(sd.RootBlocks, path, *_integers(obj, path, "residue", "modulus"))
+    if kind in _SET_PAIRS:
+        left = parse_set(_require(obj, "left", path), f"{path}.left")
+        return _SET_PAIRS[kind](left, parse_set(_require(obj, "right", path), f"{path}.right"))
+    if kind == "complement":
+        return sd.complement(parse_set(_require(obj, "of", path), f"{path}.of"))
+    raise ConfigError(f"{path}.type", f"unknown set type {kind!r}")
+
+
+# Ideal names, accepted wherever an ideal spec is; a name that stands for a bare
+# type (such as "z") is accepted as that ideal's "type" too.
 _IDEAL_SHORTHAND = {
     "fin": {"type": "fin"},
     "z": {"type": "density_zero"},
@@ -84,25 +167,40 @@ def parse_ideal(obj: Any, path: str = "ideal") -> ide.Ideal:
         if key not in _IDEAL_SHORTHAND:
             raise ConfigError(path, f"unknown ideal name {obj!r}; known: {sorted(_IDEAL_SHORTHAND)}")
         obj = _IDEAL_SHORTHAND[key]
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "ideal spec must be a name or an object")
-    try:
-        return ide.ideal_from_dict(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+    kind = _kind(obj, path, "ideal spec must be a name or an object")
+    if "theta" in obj:
+        raise ConfigError(f"{path}.theta", "theta is a run setting, not part of an ideal: set cfg.theta or --theta")
+    if _IDEAL_SHORTHAND.get(kind, {}).keys() == {"type"}:
+        kind = _IDEAL_SHORTHAND[kind]["type"]
+    if kind == "fin":
+        return ide.fin()
+    if kind == "density_zero":
+        return ide.density_zero()
+    if kind == "erdos_ulam":
+        return _build(ide.erdos_ulam, f"{path}.weights", obj.get("weights", "log"))
+    if kind == "summable":
+        cutoff = _number(obj, "cutoff", path, float, ide.SUMMABLE_CUTOFF)
+        return _build(ide.summable, f"{path}.weights", obj.get("weights", "harmonic"), cutoff)
+    if kind == "fin_oplus_full":
+        trace = parse_set(_require(obj, "trace", path), f"{path}.trace")
+        return _build(ide.fin_oplus_full, f"{path}.trace", trace)
+    if kind == "countably_generated":
+        generators = [
+            parse_set(g, f"{path}.generators[{i}]") for i, g in enumerate(_list(obj, "generators", path, ()))
+        ]
+        return _build(ide.countably_generated, f"{path}.generators", generators)
+    if kind == "fin_times_empty":
+        return ide.fin_times_empty()
+    raise ConfigError(f"{path}.type", f"unknown ideal type {kind!r}")
 
 
 def parse_index_map(obj: Any, path: str = "map") -> maps.IndexMap:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "index map spec must be an object")
-    kind = obj.get("type")
+    kind = _kind(obj, path, "index map spec must be an object")
     if kind == "identity":
         return maps.identity_map()
     if kind == "affine":
-        try:
-            return maps.affine_map(int(_require(obj, "mul", path)), int(obj.get("add", 0)))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        mul, add = _number(obj, "mul", path, _integral), _number(obj, "add", path, _integral, 0)
+        return _build(maps.affine_map, path, mul, add)
     if kind == "enumeration":
         return maps.enumeration_map(parse_set(_require(obj, "set", path), f"{path}.set"))
     raise ConfigError(f"{path}.type", f"unknown index map type {kind!r}")
@@ -133,9 +231,7 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
         if key not in ("cesaro", "identity", "zero"):
             raise ConfigError(path, f"unknown matrix name {obj!r}; known: cesaro, identity, zero")
         obj = {"type": key}
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "matrix spec must be a name or an object")
-    kind = obj.get("type")
+    kind = _kind(obj, path, "matrix spec must be a name or an object")
     if kind == "cesaro":
         return mat.cesaro()
     if kind == "identity":
@@ -150,13 +246,10 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
     if kind == "rk":
         return mat.rk_matrix(parse_index_map(_require(obj, "map", path), f"{path}.map"))
     if kind == "banded":
-        rows = _require(obj, "rows", path)
-        if not isinstance(rows, list):
-            raise ConfigError(f"{path}.rows", "must be a list of rows")
         parsed_rows = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(_list(obj, "rows", path)):
             try:
-                parsed_rows.append([(int(k), float(v)) for k, v in row])
+                parsed_rows.append([(_integral(k), float(v)) for k, v in row])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}.rows[{i}]", f"row must be [[col, value], ...]: {exc}") from exc
         tail = obj.get("tail", "identity")
@@ -186,6 +279,17 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
     if kind == "perturb_identity":
         return perturb_identity(parse_matrix(_require(obj, "of", path), f"{path}.of"))
     raise ConfigError(f"{path}.type", f"unknown matrix type {kind!r}")
+
+
+def parse_family(obj: Any, path: str = "family") -> TestFamily:
+    """A test family: lists of set specs ``sets_in_ideal``, ``sets_positive`` and
+    ``sets_infinite``, each optional."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "family spec must be an object")
+    slots = ("sets_in_ideal", "sets_positive", "sets_infinite")
+    return TestFamily(
+        *(tuple(parse_set(s, f"{path}.{key}[{i}]") for i, s in enumerate(_list(obj, key, path, ()))) for key in slots)
+    )
 
 
 @dataclass(frozen=True)
@@ -253,8 +357,8 @@ def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> Exp
     cfg = obj.get("cfg", {})
     if not isinstance(cfg, dict):
         raise ConfigError("config.cfg", "must be an object")
-    check_horizon = _number(cfg, "check_horizon", "config.cfg", int, default_horizon or 10_000)
-    core_horizon = _number(cfg, "core_horizon", "config.cfg", int, default_horizon or 100_000)
+    check_horizon = _number(cfg, "check_horizon", "config.cfg", _integral, default_horizon or 10_000)
+    core_horizon = _number(cfg, "core_horizon", "config.cfg", _integral, default_horizon or 100_000)
     if check_horizon < 100 or core_horizon < 100:
         raise ConfigError("config.cfg", "horizons must be at least 100")
     return ExperimentConfig(
@@ -268,5 +372,5 @@ def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> Exp
         tol=_number(cfg, "tol", "config.cfg", float, 1e-2),
         grid=_number(cfg, "grid", "config.cfg", float, 1e-2),
         theta=_number(cfg, "theta", "config.cfg", float, ide.DEFAULT_THETA),
-        seed=_number(cfg, "seed", "config.cfg", int, 0),
+        seed=_number(cfg, "seed", "config.cfg", _integral, 0),
     )

@@ -6,6 +6,7 @@ import importlib.resources
 import json
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -91,7 +92,129 @@ def test_numeric_cfg_fields_are_config_errors(key):
 def test_ideal_spec_theta_is_a_config_error():
     with pytest.raises(specs.ConfigError, match="cfg.theta or --theta") as err:
         specs.parse_ideal({"type": "density_zero", "theta": 0.001}, "config.ideal_pairs[0][0]")
-    assert err.value.path == "config.ideal_pairs[0][0]"
+    assert err.value.path == "config.ideal_pairs[0][0].theta"
+
+
+_AP_NO_STEP = {"type": "arithmetic_progression", "offset": 1}
+_SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": ["st"]}
+
+
+@pytest.mark.parametrize(
+    "parse, spec, path",
+    [
+        # sets
+        (specs.parse_set, "evens", "set"),
+        (specs.parse_set, {"offset": 0, "step": 1}, "set.type"),
+        (specs.parse_set, {"type": 3}, "set.type"),
+        (specs.parse_set, {"type": "cantor"}, "set.type"),
+        (specs.parse_set, {"type": "explicit", "elements": "12"}, "set.elements"),
+        (specs.parse_set, {"type": "explicit", "elements": [1, 2.5]}, "set.elements[1]"),
+        (specs.parse_set, {"type": "explicit", "elements": [-1]}, "set.elements"),
+        (specs.parse_set, {"type": "ap", "offset": 1.7, "step": 2}, "set.offset"),
+        (specs.parse_set, _AP_NO_STEP, "set.step"),
+        (specs.parse_set, {**_AP_NO_STEP, "step": "two"}, "set.step"),
+        (specs.parse_set, {**_AP_NO_STEP, "step": float("inf")}, "set.step"),
+        (specs.parse_set, {"type": "blocks", "intervals": [[2, 5], [7]]}, "set.intervals[1]"),
+        (specs.parse_set, {"type": "blocks", "intervals": [[2, 5.5]]}, "set.intervals[0][1]"),
+        (specs.parse_set, {"type": "blocks", "intervals": [[5, 9], [2, 3]]}, "set.intervals"),
+        (specs.parse_set, {"type": "geometric_blocks", "base": 2, "modulus": 2}, "set.residue"),
+        (specs.parse_set, {"type": "root_blocks", "residue": 1, "modulus": 2.5}, "set.modulus"),
+        (specs.parse_set, {"type": "union", "left": {"type": "squares"}}, "set.right"),
+        (specs.parse_set, {"type": "union", "left": _AP_NO_STEP, "right": {"type": "squares"}}, "set.left.step"),
+        (
+            specs.parse_set,
+            {"type": "intersection", "left": {"type": "squares"}, "right": {"type": "explicit", "elements": "3"}},
+            "set.right.elements",
+        ),
+        (specs.parse_set, {"type": "complement"}, "set.of"),
+        (specs.parse_set, {"type": "complement", "of": {"type": None}}, "set.of.type"),
+        # ideals
+        (specs.parse_ideal, 3, "ideal"),
+        (specs.parse_ideal, "mystery", "ideal"),
+        (specs.parse_ideal, {"type": "hausdorff"}, "ideal.type"),
+        (specs.parse_ideal, {"type": "z", "theta": 0.1}, "ideal.theta"),
+        (specs.parse_ideal, {"type": "erdos_ulam", "weights": "sqrt"}, "ideal.weights"),
+        (specs.parse_ideal, {"type": "summable", "cutoff": "big"}, "ideal.cutoff"),
+        (specs.parse_ideal, {"type": "fin_oplus_full"}, "ideal.trace"),
+        (specs.parse_ideal, {"type": "fin_oplus_full", "trace": {"type": "explicit", "elements": [1]}}, "ideal.trace"),
+        (specs.parse_ideal, {"type": "fin_oplus_full", "trace": _AP_NO_STEP}, "ideal.trace.step"),
+        (specs.parse_ideal, {"type": "countably_generated", "generators": {"type": "squares"}}, "ideal.generators"),
+        (
+            specs.parse_ideal,
+            {"type": "countably_generated", "generators": [{"type": "squares"}, _AP_NO_STEP]},
+            "ideal.generators[1].step",
+        ),
+        (
+            specs.parse_ideal,
+            {"type": "countably_generated", "generators": [{"type": "complement", "of": {"type": "explicit", "elements": [0]}}]},
+            "ideal.generators",
+        ),
+        # index maps, as a matrix reads them
+        (specs.parse_matrix, {"type": "rk"}, "matrix.map"),
+        (specs.parse_matrix, {"type": "rk", "map": "affine"}, "matrix.map"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "shift"}}, "matrix.map.type"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "affine"}}, "matrix.map.mul"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "affine", "mul": "x"}}, "matrix.map.mul"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "affine", "mul": 2.5}}, "matrix.map.mul"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "affine", "mul": 2, "add": 0.5}}, "matrix.map.add"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "affine", "mul": 0}}, "matrix.map"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration"}}, "matrix.map.set"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration", "set": _AP_NO_STEP}}, "matrix.map.set.step"),
+        (specs.parse_matrix, {"type": "banded", "rows": [[[1.5, 1.0]]]}, "matrix.rows[0]"),
+        # check --family lists
+        (specs.parse_family, [], "family"),
+        (specs.parse_family, {"sets_positive": {"type": "squares"}}, "family.sets_positive"),
+        (
+            specs.parse_family,
+            {"sets_in_ideal": [{"type": "squares"}, {"type": "explicit", "elements": "12"}]},
+            "family.sets_in_ideal[1].elements",
+        ),
+        (specs.parse_family, {"sets_infinite": [{"type": "bogus"}]}, "family.sets_infinite[0].type"),
+        # suite configs
+        (specs.parse_experiment_config, {**_SUITE, "cfg": {"check_horizon": 1000.7}}, "config.cfg.check_horizon"),
+        (specs.parse_experiment_config, {**_SUITE, "cfg": {"seed": 1.5}}, "config.cfg.seed"),
+        (
+            specs.parse_experiment_config,
+            {**_SUITE, "matrices": ["cesaro", {"type": "rk", "map": {"type": "enumeration", "set": _AP_NO_STEP}}]},
+            "config.matrices[1].map.set.step",
+        ),
+        (
+            specs.parse_experiment_config,
+            {**_SUITE, "ideal_pairs": [["fin", {"type": "fin_oplus_full", "trace": _AP_NO_STEP}]]},
+            "config.ideal_pairs[0][1].trace.step",
+        ),
+    ],
+)
+def test_malformed_specs_name_the_field(parse, spec, path):
+    with pytest.raises(specs.ConfigError) as err:
+        parse(spec)
+    assert err.value.path == path
+
+
+def test_integral_values_and_numeric_strings_parse_as_integers():
+    assert specs.parse_set({"type": "ap", "offset": "1", "step": 2.0}) == specs.parse_set(
+        {"type": "arithmetic_progression", "offset": 1, "step": 2}
+    )
+    assert specs.parse_set({"type": "explicit", "elements": [3.0, "1"]}).elements == (1, 3)
+    assert specs.parse_index_map({"type": "affine", "mul": "3", "add": 1.0}).prefix(3).tolist() == [1, 4, 7]
+    config = specs.parse_experiment_config({**_SUITE, "cfg": {"check_horizon": 1000.0, "seed": "2"}})
+    assert (config.check_horizon, config.seed) == (1000, 2)
+    assert type(config.check_horizon) is int and type(config.seed) is int
+
+
+def test_readme_json_specs_parse():
+    """Every concrete one-line spec in the README's JSON formats section parses."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## JSON formats\n", 1)[1].split("\n## ", 1)[0]
+    parsers = {"Sets": specs.parse_set, "Ideals": specs.parse_ideal, "Matrices": specs.parse_matrix}
+    parse, parsed = None, collections.Counter()
+    for line in section.splitlines():
+        if line.startswith("**"):
+            parse = parsers.get(line[2:].split("**", 1)[0])
+        elif line.startswith("{") and "..." not in line and "|" not in line:
+            parse(json.loads(line))
+            parsed[parse.__name__] += 1
+    assert parsed == {"parse_set": 6, "parse_ideal": 7, "parse_matrix": 4}
 
 
 def test_parse_ideal_shorthands():
@@ -387,6 +510,14 @@ def test_list_catalog_contents():
     assert "alternating" in text
 
 
+def test_list_catalog_lists_each_ideal_once():
+    # A countably generated ideal is a trace-finite copy, already listed as one.
+    ideals = harness.list_catalog().split("\n\n", 1)[0].splitlines()[1:]
+    summaries = [line.split(": ", 1)[1] for line in ideals]
+    assert len(set(summaries)) == len(summaries) == 6
+    assert sum("Fin(+)P(omega) copy" in s for s in summaries) == 1
+
+
 # -- CLI --------------------------------------------------------------------------
 
 
@@ -540,6 +671,15 @@ def test_cli_check_misclassified_family_is_a_cli_error(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "is not in the ideal" in result.output
+
+
+def test_cli_check_malformed_family_names_the_set(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"sets_positive": [{"type": "squares"}, {"type": "explicit", "elements": "12"}]}))
+    result = CliRunner().invoke(main, ["check", "--matrix", "identity", "--theorem", "leo", "--family", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "family.sets_positive[1].elements: must be a list" in result.output
 
 
 @pytest.mark.parametrize(

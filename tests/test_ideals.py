@@ -5,6 +5,7 @@ import pytest
 
 from idealcore import ideals as ide
 from idealcore import sets as sd
+from idealcore import specs
 from idealcore.ideals import MembershipResult as MR
 from idealcore.ideals import PositivityResult as PR
 
@@ -305,9 +306,11 @@ def test_core_preserving_flag_consistency():
 
 
 def test_rk_below_trace_to_fin():
-    result = ide.rk_below(FO_EVENS, FIN)
-    assert result.has_witness
-    assert [result.witness(n) for n in range(5)] == [0, 2, 4, 6, 8]
+    # Generated by the odds over Fin is the trace-finite copy on the evens.
+    for ideal in (FO_EVENS, ide.countably_generated([ODDS])):
+        result = ide.rk_below(ideal, FIN)
+        assert result.has_witness
+        assert [result.witness(n) for n in range(5)] == [0, 2, 4, 6, 8]
 
 
 def test_rk_below_fin_identity():
@@ -338,12 +341,29 @@ def test_custom_weight_sequences():
 
 
 def test_ideal_json_roundtrip():
-    for ideal in [FIN, Z, EU, SUM, FO_EVENS, ide.countably_generated([ODDS]), ide.fin_times_empty()]:
+    catalog = [FIN, Z, EU, SUM, FO_EVENS, ide.fin_times_empty()]
+    for ideal in catalog + [ide.countably_generated([]), ide.countably_generated([ODDS])]:
         spec = ide.ideal_to_dict(ideal)
-        rebuilt = ide.ideal_from_dict(spec)
+        rebuilt = specs.parse_ideal(spec)
         assert type(rebuilt) is type(ideal)
         assert rebuilt.label == ideal.label
+        assert ide.ideal_to_dict(rebuilt) == spec
         # The positivity threshold belongs to the run, not to the ideal.
         assert "theta" not in spec and not hasattr(ideal, "theta")
     with pytest.raises(ValueError, match="cfg.theta or --theta"):
-        ide.ideal_from_dict({"type": "density_zero", "theta": 0.2})
+        specs.parse_ideal({"type": "density_zero", "theta": 0.2})
+
+
+def test_countably_generated_is_the_trace_finite_copy_of_the_complement():
+    gen = ide.countably_generated([ODDS])
+    assert isinstance(gen, ide.TraceFinIdeal)
+    assert ide.ideal_to_dict(gen) == ide.ideal_to_dict(ide.fin_oplus_full(sd.complement(ODDS)))
+    for s in [EVENS, ODDS, SQUARES, sd.ap(0, 4), sd.ap(1, 4), sd.explicit(2, 4), sd.Union(ODDS, sd.explicit(0, 2))]:
+        assert ide.membership(s, gen) is ide.membership(s, FO_EVENS), s
+    assert gen.classify() == FO_EVENS.classify()
+    hits = np.array([0, 3, 520, 601, 998])
+    assert gen.positivity(hits, 1000, 1e-3)[1].tolist() == FO_EVENS.positivity(hits, 1000, 1e-3)[1].tolist()
+    assert ide.countably_generated([]).classify().canonical_form == "Fin"
+    # A spec of the countably generated kind parses to the same trace-finite ideal.
+    spec = {"type": "countably_generated", "generators": [{"type": "ap", "offset": 1, "step": 2}]}
+    assert ide.ideal_to_dict(specs.parse_ideal(spec)) == ide.ideal_to_dict(gen)

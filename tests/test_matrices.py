@@ -3,7 +3,6 @@
 import functools
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -306,14 +305,6 @@ def test_tail_bounds_enter_absolute_sums():
     assert np.allclose(a.masked_row_sums(None, 10, absolute=True), 0.75)
     # raw sums ignore the unknown tail
     assert np.allclose(a.row_sums(10), 0.5)
-
-
-def test_row_cache_thread_safe():
-    a = mat.cesaro()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        rows = list(pool.map(lambda n: a.row(n % 50), range(400)))
-    for n, r in enumerate(rows):
-        assert len(r.indices) == (n % 50) + 1
 
 
 # -- bulk row reductions: bit-identical to the scalar row methods ----------------

@@ -156,6 +156,19 @@ def test_st_guard_note_when_unmet():
     assert any("guard" in note for note in verdict.notes)
 
 
+def test_fin_times_empty_target_meets_the_guard():
+    # Fin×∅ is countably generated, so a signed matrix under it is judged by the
+    # characterization, with no guard note.
+    a = specs.parse_matrix(
+        {"type": "banded", "rows": [[[0, 0.5], [1, -0.25], [2, 0.75]], [[1, 501.0], [3, -500.0]]], "tail": "zero"}
+    )
+    fte = ide.fin_times_empty()
+    cfg = CheckConfig(horizon=300)
+    assert mat.find_negative_entry(a, 300) is not None
+    for check in (reg.silverman_toeplitz_check, reg.leo_check):
+        assert check(a, fte, fte, cfg=cfg).notes == (), check.__name__
+
+
 # -- families -----------------------------------------------------------------------
 
 

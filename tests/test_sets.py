@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealcore import sets as sd
+from idealcore import specs
 
 EVENS = sd.evens()
 ODDS = sd.odds()
@@ -268,7 +269,7 @@ def test_tree_density_bounds_sound(s):
 @settings(max_examples=60, deadline=None)
 @given(_trees())
 def test_tree_json_roundtrip(s):
-    assert sd.set_from_dict(sd.set_to_dict(s)) == s
+    assert specs.parse_set(sd.set_to_dict(s)) == s
 
 
 def test_predicate_not_serializable():
