@@ -15,6 +15,13 @@ lost to discretization) is judged positive by the ideal's estimator.  Reported
 interval endpoints come from the values attained on the supporting hits, not
 from cell boundaries, which keeps the discretization error well inside the
 grid resolution.
+
+A core reads only the two ends of the cluster set, and a limsup or liminf only
+one, so ``core``, ``ideal_limsup``, ``ideal_liminf`` and ``limsup_of_values``
+decide cells from the ends of the value range inward (``_scan_end``) and leave
+the cells between undecided; their answers and errors are those of the full
+scan.  ``cluster_points`` and ``cluster_of_values`` decide every cell.  The hits
+of a cell's window are read off the prefix in index order, with no sort of it.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
 
 def _hit_cells(sv: np.ndarray, bound: float, grid: float):
     """The cells of the range whose window holds a value of the sorted prefix
-    ``sv``, ascending, each with the slice ``[a, b)`` of ``sv`` in its window.
+    ``sv``, ascending, with the float bounds ``lo`` and ``hi`` of each window.
 
     A value v lies only in the windows of the cells next to ``floor(v / grid)``,
     so only those cells are searched, two vectorized ``searchsorted`` calls in
@@ -137,19 +144,21 @@ def _hit_cells(sv: np.ndarray, bound: float, grid: float):
     np.floor(near, out=near)  # ascending, like sv
     cand = _distinct(np.sort((_distinct(near)[:, None] + np.arange(-2.0, 3.0)).ravel()))
     cand = cand[(cand >= span.start) & (cand < span.stop)]
-    a = np.searchsorted(sv, (cand - _ENLARGE) * grid, side="left")
-    b = np.searchsorted(sv, (cand + 1 + _ENLARGE) * grid, side="right")
-    hit = a < b
-    return cand[hit].astype(np.int64).tolist(), a[hit].tolist(), b[hit].tolist()
+    lo = (cand - _ENLARGE) * grid
+    hi = (cand + 1 + _ENLARGE) * grid
+    hit = np.searchsorted(sv, lo, side="left") < np.searchsorted(sv, hi, side="right")
+    return cand[hit].astype(np.int64).tolist(), lo[hit].tolist(), hi[hit].tolist()
 
 
 def _merge(cells: list[tuple[int, str, float, float]], grid: float):
-    """Merge runs of adjacent cells ``(index, status, wmin, wmax)`` of one status:
-    the value range of each positive run, the cell range of each inconclusive run."""
+    """Merge runs of adjacent cells ``(index, status, wmin, wmax)`` of one status,
+    given in ascending index order (a missing index splits a run): the value
+    range of each positive run, the cell range of each inconclusive run."""
     points: list[tuple[float, float]] = []
     inconclusive: list[tuple[float, float]] = []
-    for status, group in groupby(cells, key=lambda cell: cell[1]):
-        run = list(group)
+    # along a run of adjacent cells, index minus list position stays the same
+    for (status, _), group in groupby(enumerate(cells), key=lambda pc: (pc[1][1], pc[1][0] - pc[0])):
+        run = [cell for _, cell in group]
         if status == "pos":
             points.append((min(c[2] for c in run), max(c[3] for c in run)))
         elif status == "inc":
@@ -157,27 +166,69 @@ def _merge(cells: list[tuple[int, str, float, float]], grid: float):
     return tuple(points), tuple(inconclusive)
 
 
+def _scan_end(decide, cells: list[int], order: range) -> None:
+    """Decide the hit cells in ``order``, from one end, up to the first positive
+    cell p; then go on past p while the next cell is adjacent, and stop after
+    the first one that is not inconclusive.
+
+    A cell two or more past p has its window beyond every value of p's, so only
+    p and its neighbour can hold the extreme witness, and only the inconclusive
+    run that starts at that neighbour can block the extreme from past p; it is
+    read to its end.  With no positive cell the scan reaches the other end.
+    """
+    steps = iter(order)
+    for k in steps:
+        if decide(k) == "pos":
+            break
+    else:
+        return
+    for k in steps:
+        if abs(cells[k] - cells[k - order.step]) != 1 or decide(k) != "inc":
+            return
+
+
 def cluster_of_values(
-    values: np.ndarray, ideal: Ideal, cfg: CoreConfig, bound: float | None = None
+    values: np.ndarray,
+    ideal: Ideal,
+    cfg: CoreConfig,
+    bound: float | None = None,
+    *,
+    ends: str | None = None,
 ) -> ClusterSet:
-    """Numeric cluster-set estimate from a value prefix."""
+    """Numeric cluster-set estimate from a value prefix.
+
+    Without ``ends`` every hit cell is decided.  With ``ends`` ``"hi"``,
+    ``"lo"`` or ``"both"`` only the cells that can change the sup, the inf or
+    both are decided, scanning from that end (``_scan_end``), each at most
+    once: the result has the sup, the inf and the blocking inconclusive runs
+    of the full cluster set, but lacks the cells between the ends.
+    """
     values = np.asarray(values, dtype=np.float64)
     if bound is None:
         bound = float(np.max(np.abs(values))) if values.size else 0.0
-    horizon = len(values)
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    cells: list[tuple[int, str, float, float]] = []
-    for i, a, b in zip(*_hit_cells(sv, bound, cfg.grid)):
-        if cells and cells[-1][0] != i - 1:  # an empty cell in between splits the runs
-            cells.append((i - 1, "null", 0.0, 0.0))
-        verdict, support = ideal.positivity(np.sort(order[a:b]), horizon, cfg.theta)
-        if verdict is PositivityResult.POSITIVE:
-            witness = values[support]
-            cells.append((i, "pos", float(witness.min()), float(witness.max())))
-        else:
-            cells.append((i, "inc" if verdict is PositivityResult.INCONCLUSIVE else "null", 0.0, 0.0))
-    points, inconclusive = _merge(cells, cfg.grid)
+    cells, lo, hi = _hit_cells(np.sort(values), bound, cfg.grid)
+    decided: dict[int, tuple[int, str, float, float]] = {}
+
+    def decide(k: int) -> str:
+        if k not in decided:
+            # the hits of the window in index order, without an argsort of the prefix
+            hits = np.flatnonzero((values >= lo[k]) & (values <= hi[k]))
+            verdict, support = ideal.positivity(hits, len(values), cfg.theta)
+            if verdict is PositivityResult.POSITIVE:
+                witness = values[support]
+                decided[k] = (cells[k], "pos", float(witness.min()), float(witness.max()))
+            else:
+                decided[k] = (cells[k], "inc" if verdict is PositivityResult.INCONCLUSIVE else "null", 0.0, 0.0)
+        return decided[k][1]
+
+    if ends is None:
+        for k in range(len(cells)):
+            decide(k)
+    if ends in ("hi", "both"):
+        _scan_end(decide, cells, range(len(cells) - 1, -1, -1))
+    if ends in ("lo", "both"):
+        _scan_end(decide, cells, range(len(cells)))
+    points, inconclusive = _merge([decided[k] for k in sorted(decided)], cfg.grid)
     if not points and not inconclusive:
         raise InconclusiveCellsError("no cell survived; sequence prefix may be empty")
     return ClusterSet(points, inconclusive, exact=False)
@@ -235,12 +286,18 @@ def _level_cluster(x: BoundedSequence, ideal: Ideal, horizon: int, theta: float)
     )
 
 
-def cluster_points(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> ClusterSet:
-    """Cluster-point intervals of the sequence under the ideal."""
+def cluster_points(
+    x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None, *, ends: str | None = None
+) -> ClusterSet:
+    """Cluster-point intervals of the sequence under the ideal.
+
+    ``ends`` reaches ``cluster_of_values`` on the value-prefix path; the level
+    path decides every level.
+    """
     cfg = cfg or CoreConfig()
     if _finitely_valued(x):
         return _level_cluster(x, ideal, cfg.horizon, cfg.theta)
-    return cluster_of_values(x.prefix(cfg.horizon), ideal, cfg, bound=x.bound)
+    return cluster_of_values(x.prefix(cfg.horizon), ideal, cfg, bound=x.bound, ends=ends)
 
 
 def _sup_of(cluster: ClusterSet) -> float:
@@ -264,24 +321,24 @@ def _inf_of(cluster: ClusterSet) -> float:
 
 
 def ideal_limsup(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> float:
-    return _sup_of(cluster_points(x, ideal, cfg))
+    return _sup_of(cluster_points(x, ideal, cfg, ends="hi"))
 
 
 def ideal_liminf(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> float:
-    return _inf_of(cluster_points(x, ideal, cfg))
+    return _inf_of(cluster_points(x, ideal, cfg, ends="lo"))
 
 
 def limsup_of_values(
     values: np.ndarray, ideal: Ideal, cfg: CoreConfig, bound: float | None = None
 ) -> float:
     """Ideal limsup estimate for a derived value prefix (row sums and the like)."""
-    return _sup_of(cluster_of_values(values, ideal, cfg, bound=bound))
+    return _sup_of(cluster_of_values(values, ideal, cfg, bound=bound, ends="hi"))
 
 
 def core(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> CoreInterval:
     """The core interval [ideal liminf, ideal limsup] at the configured truncation."""
     cfg = cfg or CoreConfig()
-    cluster = cluster_points(x, ideal, cfg)
+    cluster = cluster_points(x, ideal, cfg, ends="both")
     return CoreInterval(
         lo=_inf_of(cluster),
         hi=_sup_of(cluster),

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sets import SetDescription
+from .sets import Cardinality, SetDescription
 
 __all__ = ["IndexMap", "identity_map", "affine_map", "enumeration_map"]
 
@@ -73,7 +73,10 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
     map stays cheap for structured sets while remaining total for any infinite
     description.  The search reads ``enumerate_prefix``, never a mask: for a
     sparse set such as the squares the horizon runs far ahead of the count.
+    A target that is provably finite is refused with ``ValueError``.
     """
+    if target.cardinality() is Cardinality.FINITE:
+        raise ValueError(f"enumeration target {target!r} is finite")
     state = {"horizon": 1024, "found": np.zeros(0, dtype=np.int64)}
 
     def first(count: int) -> np.ndarray:

@@ -202,7 +202,8 @@ def parse_index_map(obj: Any, path: str = "map") -> maps.IndexMap:
         mul, add = _number(obj, "mul", path, _integral), _number(obj, "add", path, _integral, 0)
         return _build(maps.affine_map, path, mul, add)
     if kind == "enumeration":
-        return maps.enumeration_map(parse_set(_require(obj, "set", path), f"{path}.set"))
+        target = f"{path}.set"
+        return _build(maps.enumeration_map, target, parse_set(_require(obj, "set", path), target))
     raise ConfigError(f"{path}.type", f"unknown index map type {kind!r}")
 
 

@@ -1,5 +1,7 @@
 """Cluster sets, ideal limsup/liminf, cores, and the symbolic oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,31 +254,63 @@ _CATALOG = [
 ]
 
 
+def _step(n, head, band, every=25, spread=0.0, rng=None):
+    """In grid units: the first half of the prefix at ``head``, the rest at
+    ``head - 6`` except every ``every``-th value, which lies in [band - spread, band]."""
+    values = np.where(np.arange(n) < n // 2, head, head - 6.0)
+    tail = values[n // 2 :: every]
+    tail[:] = band - spread * (rng or np.random.default_rng(0)).random(tail.size)
+    return values
+
+
 @st.composite
-def _value_prefixes(draw):
-    """Values near a few levels (one of them only on a sparse or finite set), with noise."""
+def _value_prefixes(draw, grid):
+    """Values near a few levels (one of them only on a sparse or finite set), with
+    noise; a monotone decaying prefix; or a ``_step`` whose sparse tail band sits
+    near the head's cell, or its mirror image.  Any may carry a sparse band of
+    values around its top.  The density and summable estimators leave such
+    bands inconclusive, so inconclusive runs sit above, at and next to the
+    extreme positive cells."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(0, 400))
-    levels = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
-    noise = draw(st.sampled_from([0.0, 1e-3, 0.02, 0.3]))
-    values = levels[rng.integers(0, levels.size, n)] + noise * rng.standard_normal(n)
-    rare = draw(st.sampled_from([None, "head", "squares"]))
+    shape = draw(st.sampled_from(["levels", "decay", "step"]))
+    if shape == "decay":
+        power = draw(st.sampled_from([0.3, 1.0, 2.0]))
+        values = draw(st.floats(-1.0, 1.0)) + draw(st.floats(-2.0, 2.0)) * (np.arange(n) + 1.0) ** -power
+    elif shape == "step":
+        p = draw(st.integers(-5, 5))
+        head, band = p + draw(st.floats(0.25, 0.75)), p + draw(st.floats(-0.5, 2.0))
+        every, spread = draw(st.sampled_from([12, 25, 50])), draw(st.sampled_from([0.0, 2.0]))
+        values = _step(n, head, band, every, spread, rng) * draw(st.sampled_from([grid, -grid]))
+    else:
+        levels = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
+        noise = draw(st.sampled_from([0.0, 1e-3, 0.02, 0.3]))
+        values = levels[rng.integers(0, levels.size, n)] + noise * rng.standard_normal(n)
+    rare = draw(st.sampled_from([None, "head", "squares", "band"]))
     if rare == "head":
         values[: min(n, 5)] = 2.5
     elif rare == "squares":
         values[np.arange(int(np.sqrt(n))) ** 2] = -2.5
+    elif rare == "band" and n:
+        step = draw(st.sampled_from([12, 25, 50]))
+        values[::step] = values.max() + draw(st.floats(-0.05, 0.3)) + 0.01 * rng.standard_normal(values[::step].size)
     return values
+
+
+_GRIDDED_PREFIXES = st.one_of(st.sampled_from([0.01, 0.1, 0.25]), st.floats(0.004, 0.6)).flatmap(
+    lambda grid: st.tuples(_value_prefixes(grid), st.just(grid))
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    _value_prefixes(),
+    _GRIDDED_PREFIXES,
     st.sampled_from(_CATALOG),
-    st.one_of(st.sampled_from([0.01, 0.1, 0.25]), st.floats(0.004, 0.6)),
     st.sampled_from([None, 0.5, 1.0, 1.7]),
     st.sampled_from([1e-3, 0.05]),
 )
-def test_cluster_of_values_matches_per_cell_scan(values, ideal, grid, bound_scale, theta):
+def test_cluster_of_values_matches_per_cell_scan(gridded, ideal, bound_scale, theta):
+    values, grid = gridded
     cfg = asy.CoreConfig(horizon=100, grid=grid, theta=theta)
     bound = None
     if bound_scale is not None:
@@ -289,3 +323,104 @@ def test_cluster_of_values_matches_per_cell_scan(values, ideal, grid, bound_scal
         assert (str(got.value), got.value.cells) == (str(exc), exc.cells)
         return
     assert asy.cluster_of_values(values, ideal, cfg, bound) == expected
+
+
+def _outcome(thunk):
+    """``thunk()``, or the message and cells of the ``InconclusiveCellsError`` it raises."""
+    try:
+        return thunk()
+    except asy.InconclusiveCellsError as exc:
+        return ("raised", str(exc), exc.cells)
+
+
+def _assert_ends_match_full_scan(values, ideal, cfg, bound):
+    """The limsup of ``values``, and the limsup, liminf and core of a sequence
+    without level sets whose prefix repeats them, equal what the per-cell scan
+    gives, errors included."""
+    assert _outcome(lambda: asy.limsup_of_values(values, ideal, cfg, bound)) == _outcome(
+        lambda: asy._sup_of(_per_cell_cluster(values, ideal, cfg, bound))
+    )
+    prefix = np.resize(values, cfg.horizon) if values.size else np.zeros(cfg.horizon)
+    x = seq.BoundedSequence(lambda n: float(prefix[n]), bound, "drawn", rule=lambda h: prefix[:h])
+
+    def reference(read):
+        return _outcome(lambda: read(_per_cell_cluster(prefix, ideal, cfg, bound)))
+
+    assert _outcome(lambda: asy.ideal_limsup(x, ideal, cfg)) == reference(asy._sup_of)
+    assert _outcome(lambda: asy.ideal_liminf(x, ideal, cfg)) == reference(asy._inf_of)
+    assert _outcome(lambda: asy.core(x, ideal, cfg).as_tuple()) == reference(
+        lambda cluster: (asy._inf_of(cluster), asy._sup_of(cluster))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _GRIDDED_PREFIXES,
+    st.sampled_from(_CATALOG),
+    st.sampled_from([1.0, 1.7]),
+    st.sampled_from([1e-3, 0.05]),
+)
+def test_end_scans_match_per_cell_scan(gridded, ideal, bound_scale, theta):
+    values, grid = gridded
+    cfg = asy.CoreConfig(horizon=max(100, values.size), grid=grid, theta=theta)
+    bound = bound_scale * (float(np.max(np.abs(values))) if values.size else 1.0)
+    _assert_ends_match_full_scan(values, ideal, cfg, bound)
+
+
+_ABOVE = "inconclusive cells above the largest surviving value"
+
+
+@pytest.mark.parametrize(
+    "step, blocking",
+    [
+        # the band's cell, just below the head's, is inconclusive and ends above every band value
+        ((2.5, 1.9), ((1, 2),)),
+        # the same run, spread over two cells
+        ((2.5, 1.9, 25, 2.0), ((0, 2),)),
+        # the band's cells lie above the head's
+        ((2.5, 4.0), ((3, 5),)),
+        # the band's cell ends below the head, so nothing blocks
+        ((2.5, 1.6), ()),
+    ],
+)
+def test_end_scans_read_blocking_runs(step, blocking):
+    # Density-zero at theta 0.05 leaves a band of one value in 25 inconclusive.
+    cfg = asy.CoreConfig(horizon=400, grid=0.1, theta=0.05)
+    values = _step(400, *step) * cfg.grid
+    expected = ("raised", _ABOVE, tuple((a * cfg.grid, b * cfg.grid) for a, b in blocking))
+    assert _outcome(lambda: asy._sup_of(_per_cell_cluster(values, Z, cfg))) == (
+        expected if blocking else step[0] * cfg.grid
+    )
+    for mirror in (values, -values):  # the mirror image reads the same at the liminf
+        _assert_ends_match_full_scan(mirror, Z, cfg, float(np.max(np.abs(values))))
+
+
+class _CountingFin(ide.FinIdeal):
+    """Fin, recording the hits of every positivity call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def positivity(self, hits, horizon, theta):
+        self.calls.append(hits.tobytes())
+        return super().positivity(hits, horizon, theta)
+
+
+def test_end_scans_decide_few_cells():
+    horizon = 20_000
+    x = seq.BoundedSequence(math.sin, 1.0, "sin", rule=lambda h: np.sin(np.arange(h, dtype=np.float64)))
+    cfg = asy.CoreConfig(horizon=horizon)
+    fin = _CountingFin()
+    assert asy.core(x, fin, cfg).as_tuple() == pytest.approx((-1.0, 1.0), abs=1e-3)
+    assert len(fin.calls) <= 6 and len(set(fin.calls)) == len(fin.calls)
+    # the full scan decides every hit cell, once
+    fin = _CountingFin()
+    asy.cluster_of_values(x.prefix(horizon), fin, cfg, bound=x.bound)
+    hit_cells = asy._hit_cells(np.sort(x.prefix(horizon)), x.bound, cfg.grid)[0]
+    assert len(fin.calls) == len(set(fin.calls)) == len(hit_cells) > 200
+    # a top value in the middle of its cell hits no other cell; the next hit cell
+    # down is not adjacent, so the limsup decides the top cell alone
+    fin = _CountingFin()
+    assert asy.limsup_of_values(np.tile([0.505, -0.505], 500), fin, cfg) == 0.505
+    assert len(fin.calls) == 1

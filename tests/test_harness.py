@@ -96,6 +96,11 @@ def test_ideal_spec_theta_is_a_config_error():
 
 
 _AP_NO_STEP = {"type": "arithmetic_progression", "offset": 1}
+_EVENS_AND_ODDS = {
+    "type": "intersection",
+    "left": {"type": "ap", "offset": 0, "step": 2},
+    "right": {"type": "ap", "offset": 1, "step": 2},
+}
 _SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": ["st"]}
 
 
@@ -182,6 +187,13 @@ _SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": [
             specs.parse_experiment_config,
             {**_SUITE, "ideal_pairs": [["fin", {"type": "fin_oplus_full", "trace": _AP_NO_STEP}]]},
             "config.ideal_pairs[0][1].trace.step",
+        ),
+        # a provably finite set has no enumeration map
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration", "set": _EVENS_AND_ODDS}}, "matrix.map.set"),
+        (
+            specs.parse_matrix,
+            {"type": "rk", "map": {"type": "enumeration", "set": {"type": "explicit", "elements": [1, 2, 3]}}},
+            "matrix.map.set",
         ),
     ],
 )
