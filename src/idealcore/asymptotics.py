@@ -80,6 +80,8 @@ class CoreConfig:
             raise ValueError("horizon must be at least 100")
         if self.grid <= 0:
             raise ValueError("grid resolution must be positive")
+        if not 0 < self.theta < 1:
+            raise ValueError("theta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from . import harness
-from .asymptotics import CoreConfig, core, oracle_core, UnsupportedInstanceError
+from .asymptotics import CoreConfig, InconclusiveCellsError, core, oracle_core, UnsupportedInstanceError
 from .ideals import DEFAULT_THETA, empirical_density, exact_density, UnsupportedSetError
 from .regularity import (
     CHECKS,
@@ -35,10 +35,10 @@ def _default_horizon() -> int | None:
         raise click.ClickException(f"IDEALCORE_DEFAULT_HORIZON: not an integer: {raw!r}")
 
 
-def _core_config(horizon: int, grid: float, theta: float) -> CoreConfig:
-    """The core engine's configuration; a value it rejects is a CLI error."""
+def _run_config(make, **settings):
+    """``make(**settings)``, a run configuration; a value it rejects is a CLI error."""
     try:
-        return CoreConfig(horizon=horizon, grid=grid, theta=theta)
+        return make(**settings)
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
@@ -55,19 +55,11 @@ def main():
     """Ideal cores of bounded sequences and core-preserving matrix checks."""
 
 
-_common = [
-    click.option("--horizon", type=int, default=None, help="truncation horizon (env IDEALCORE_DEFAULT_HORIZON)"),
-    click.option("--tol", type=float, default=1e-2, show_default=True),
-    click.option("--grid", type=float, default=1e-2, show_default=True),
-    click.option("--theta", type=float, default=DEFAULT_THETA, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-]
-
-
-def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+_horizon = click.option("--horizon", type=int, default=None, help="truncation horizon (env IDEALCORE_DEFAULT_HORIZON)")
+_tol = click.option("--tol", type=float, default=1e-2, show_default=True)
+_grid = click.option("--grid", type=float, default=1e-2, show_default=True)
+_theta = click.option("--theta", type=float, default=DEFAULT_THETA, show_default=True)
+_seed = click.option("--seed", type=int, default=0, show_default=True)
 
 
 def _matrix_arg(raw: str):
@@ -88,21 +80,21 @@ def _ideal_arg(raw: str, name: str):
 @click.option("--ideal-j", default="fin", show_default=True)
 @click.option("--theorem", type=click.Choice(list(CHECKS)), required=True)
 @click.option("--family", type=click.Path(exists=True), default=None, help="JSON file with family set lists")
-@common_options
+@_horizon
+@_tol
+@_grid
+@_theta
+@_seed
 def check(matrix, ideal_i, ideal_j, theorem, family, horizon, tol, grid, theta, seed):
     """Run a condition checker; exit code 0=satisfied, 1=violated, 2=inconclusive."""
     try:
         a = _matrix_arg(matrix)
         ii = _ideal_arg(ideal_i, "--ideal-i")
         jj = _ideal_arg(ideal_j, "--ideal-j")
-        cfg = CheckConfig(
-            horizon=horizon or _default_horizon() or 10_000,
-            tol=tol,
-            grid=grid,
-            theta=theta,
-            seed=seed,
+        cfg = _run_config(
+            CheckConfig, horizon=horizon or _default_horizon() or 10_000, tol=tol, grid=grid, theta=theta, seed=seed
         )
-        _core_config(cfg.horizon, grid, theta)  # the checkers' limsup conditions run on it
+        _run_config(cfg.core_config)  # the checkers' limsup conditions run on it
         fam = parse_family(_json_arg(Path(family).read_text(), "--family")) if family else None
         verdict = CHECKS[theorem](a, ii, jj, family=fam, cfg=cfg)
     except (ConfigError, FamilyMisclassifiedError, NegativeEntryError) as exc:
@@ -139,44 +131,37 @@ def experiment(config_path, output, fmt):
 @click.option("--sequence", required=True, help="corpus entry label")
 @click.option("--ideal", default="fin", show_default=True)
 @click.option("--oracle", is_flag=True, help="use the exact symbolic oracle instead of the grid")
-@common_options
-def core_cmd(sequence, ideal, oracle, horizon, tol, grid, theta, seed):
-    """Compute the core interval of a corpus sequence under an ideal."""
+@_horizon
+@_grid
+@_theta
+def core_cmd(sequence, ideal, oracle, horizon, grid, theta):
+    """Compute the core interval of a corpus sequence under an ideal; exit code 2 when inconclusive."""
     try:
         x = corpus_entry(sequence)
     except KeyError as exc:
         raise click.ClickException(str(exc))
+    cfg = _run_config(CoreConfig, horizon=horizon or _default_horizon() or 100_000, grid=grid, theta=theta)
     try:
         ii = _ideal_arg(ideal, "--ideal")
-        if oracle:
-            interval = oracle_core(x, ii, theta)
-        else:
-            cfg = _core_config(horizon or _default_horizon() or 100_000, grid, theta)
-            interval = core(x, ii, cfg)
+        interval = oracle_core(x, ii, cfg.theta) if oracle else core(x, ii, cfg)
+        result = {"lo": interval.lo, "hi": interval.hi, "method": interval.method}
+        basis = interval
     except (ConfigError, UnsupportedInstanceError) as exc:
         raise click.ClickException(str(exc))
-    click.echo(
-        json.dumps(
-            {
-                "sequence": x.label,
-                "ideal": ideal,
-                "lo": interval.lo,
-                "hi": interval.hi,
-                "method": interval.method,
-                "horizon": interval.horizon,
-                "grid": interval.grid,
-                "theta": interval.theta,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
+    except InconclusiveCellsError as exc:
+        result = {"status": "inconclusive", "message": f"{type(exc).__name__}: {exc}", "cells": exc.cells}
+        basis = cfg
+    # The horizon, grid and theta the answer rests on.
+    result.update(sequence=x.label, ideal=ideal, horizon=basis.horizon, grid=basis.grid, theta=basis.theta)
+    click.echo(json.dumps(result, sort_keys=True, indent=2))
+    if "status" in result:
+        sys.exit(_STATUS_EXIT[Status.INCONCLUSIVE])
 
 
 @main.command()
 @click.option("--set", "set_spec", required=True, help="JSON set spec")
-@common_options
-def density(set_spec, horizon, tol, grid, theta, seed):
+@_horizon
+def density(set_spec, horizon):
     """Exact and empirical density of a set description."""
     try:
         s = parse_set(_json_arg(set_spec, "--set"))

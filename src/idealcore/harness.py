@@ -30,9 +30,9 @@ from pathlib import Path
 from . import ideals as ide
 from . import sequences as seq
 from . import sets as sd
-from .asymptotics import CoreConfig, InconclusiveCellsError
+from .asymptotics import InconclusiveCellsError
 from .constructions import core_equality_experiment
-from .regularity import CHECKS, CheckConfig, CheckMemo
+from .regularity import CHECKS, CheckMemo
 from .specs import ConfigError, ExperimentConfig, parse_ideal, parse_matrix
 
 __all__ = ["ReportBundle", "run_suite", "list_catalog", "write_reports", "exit_code"]
@@ -100,9 +100,7 @@ def _run_group(
     and both go, with every row and CSR cached on the matrix, when the group
     returns.  ``parsed`` holds the suite's ideals and corpus.
     """
-    cfg = CheckConfig(
-        horizon=config.check_horizon, tol=config.tol, theta=config.theta, grid=config.grid, seed=config.seed
-    )
+    cfg = config.check_config()
     kinds = [("check", theorem) for theorem in config.theorems]
     if config.core_equality:
         kinds.append(("experiment", ""))
@@ -129,9 +127,10 @@ def _run_group(
                     payload["status"] = verdict.status.value
                     payload["verdict"] = verdict.to_dict()
                 else:
-                    core_cfg = CoreConfig(horizon=config.core_horizon, grid=config.grid, theta=config.theta)
                     corpus_entries = _parse_once(parsed, _select_corpus, config.corpus_labels)
-                    report = core_equality_experiment(a, ideal_i, ideal_j, corpus_entries, core_cfg, memo=memo)
+                    report = core_equality_experiment(
+                        a, ideal_i, ideal_j, corpus_entries, config.core_config(), memo=memo
+                    )
                     payload["status"] = "satisfied" if report.max_deviation <= config.tol else "violated"
                     payload["experiment"] = report.to_dict()
             except InconclusiveCellsError as exc:

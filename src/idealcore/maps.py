@@ -71,9 +71,11 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
 
     Elements are discovered lazily by doubling the enumeration horizon, so the
     map stays cheap for structured sets while remaining total for any infinite
-    description.  The search reads ``enumerate_prefix``, never a mask: for a
-    sparse set such as the squares the horizon runs far ahead of the count.
-    A target that is provably finite is refused with ``ValueError``.
+    description.  The search reads ``enumerate_prefix`` and keeps the int64
+    array it returns, never a mask: for a sparse set such as the squares, or a
+    union of sparse sets, the horizon runs far ahead of the count, and only
+    the members found are stored.  A target that is provably finite is refused
+    with ``ValueError``.
     """
     if target.cardinality() is Cardinality.FINITE:
         raise ValueError(f"enumeration target {target!r} is finite")
@@ -85,9 +87,8 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
             horizon = state["horizon"]
             found = target.enumerate_prefix(horizon)
             if len(found) > len(state["found"]):
-                arr = np.array(found, dtype=np.int64)
-                arr.setflags(write=False)
-                state["found"] = arr
+                found.setflags(write=False)
+                state["found"] = found
             if len(state["found"]) < count:
                 state["horizon"] = horizon * 2
                 if state["horizon"] > 2**40:

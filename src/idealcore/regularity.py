@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 
+# Uncertified row-sum sups above this flag a boundedness violation.
+_NORM_CAP = 1e3
+
+
 class FamilyMisclassifiedError(ValueError):
     """A family set fails the membership slot it was claimed for."""
 
@@ -86,7 +90,10 @@ class CheckConfig:
     theta: float = DEFAULT_THETA
     grid: float = 1e-2
     seed: int = 0
-    norm_cap: float = 1e3  # uncertified row-sum sups above this flag a boundedness violation
+
+    def __post_init__(self):
+        if not self.tol >= 0:
+            raise ValueError("tol must be nonnegative")
 
     def core_config(self) -> CoreConfig:
         return CoreConfig(horizon=self.horizon, grid=self.grid, theta=self.theta)
@@ -475,7 +482,7 @@ def _silverman_toeplitz_conditions(
     conditions: list[ConditionReport] = []
 
     sup, certified = norm_estimate(a, cfg.horizon)
-    t1_ok = certified or sup <= cfg.norm_cap
+    t1_ok = certified or sup <= _NORM_CAP
     t1_row = None
     if not t1_ok:
         t1_row = int(np.argmax(a.row_abs_sums(cfg.horizon)))
@@ -483,8 +490,8 @@ def _silverman_toeplitz_conditions(
         ConditionReport(
             name="T1(bounded-norm)",
             ok=t1_ok,
-            margin=(sup - cfg.norm_cap) if not t1_ok else 0.0,
-            details={"sup_rowsum": float(sup), "certified": certified, "cap": cfg.norm_cap},
+            margin=(sup - _NORM_CAP) if not t1_ok else 0.0,
+            details={"sup_rowsum": float(sup), "certified": certified, "cap": _NORM_CAP},
             witness_row=t1_row,
         )
     )

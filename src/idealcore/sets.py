@@ -1,19 +1,26 @@
 """Symbolic subsets of the naturals with exact density and cardinality analysis.
 
 A :class:`SetDescription` is an immutable expression tree over ω = {0, 1, 2, …}.
-Every description answers membership queries, enumerates its prefix
-``{n < N : n ∈ S}`` as sorted indices, and builds the same prefix as a boolean
-``mask(N)``.  The mask is the primitive that prefix consumers read (level-set
-sequences, membership estimates, masked row sums): arithmetic progressions and
-the block families set slices, and the boolean nodes combine their children's
-masks with ``| & &~ ~``.  Only explicit sets, squares, finite block lists and
-predicates scatter their enumeration, and a predicate's enumeration is the one
-scalar path (``contains`` per index).  ``enumerate_prefix`` stays the sparse
-path, for callers such as enumeration maps that search horizons far beyond any
-prefix they keep.  Every non-predicate description additionally supports an
-exact density analysis: the asymptotic density exists and is a rational, or the
-set oscillates and its exact lower/upper densities are known (block families),
-or only sound interval bounds on the lower/upper densities can be derived from
+Every description answers membership queries and materializes its prefix
+``{n < N : n ∈ S}`` in two forms: ``enumerate_prefix(N)``, the members as a
+sorted int64 array, and ``mask(N)``, a boolean array.  Each node builds the
+form that fits its shape and derives the other from it.  Arithmetic
+progressions, the block families and complements build the mask (slices, or
+``~``), and their enumeration is the mask's nonzero indices.  Explicit sets,
+squares, finite block lists and predicates list their members, and their mask
+scatters the list; a predicate's list is the one scalar path (``contains`` per
+index).  Unions, intersections and differences build both: the masks combine
+with ``| & &~`` and the member lists with sorted-array set operations, so
+``enumerate_prefix`` stays the sparse path.  A tree of sparse sets such as
+``squares ∪ {2, 3}`` enumerates toward horizons far beyond any mask, as
+enumeration maps need.  Masks are cached (prefix consumers such as level-set
+sequences, membership estimates and masked row sums read them repeatedly);
+enumerations are not.
+
+Every non-predicate description additionally supports an exact density
+analysis: the asymptotic density exists and is a rational, or the set
+oscillates and its exact lower/upper densities are known (block families), or
+only sound interval bounds on the lower/upper densities can be derived from
 the components.
 
 The analysis backs the exact membership decisions of the ideal catalog, so the
@@ -23,6 +30,7 @@ provable from the structure of the description.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -122,7 +130,11 @@ class ResidueForm:
 
 
 class SetDescription:
-    """Base class for symbolic subsets of ω."""
+    """Base class for symbolic subsets of ω.
+
+    Every node overrides at least one of ``_enumerate`` and ``_mask``; each
+    default derives its form from the other.
+    """
 
     def contains(self, n: int) -> bool:
         raise NotImplementedError
@@ -130,12 +142,15 @@ class SetDescription:
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
 
-    def enumerate_prefix(self, horizon: int) -> tuple[int, ...]:
-        """Return exactly ``{n < horizon : n ∈ S}``, sorted ascending."""
-        return _prefix(self, int(horizon))
+    def enumerate_prefix(self, horizon: int) -> np.ndarray:
+        """Return exactly ``{n < horizon : n ∈ S}`` as a sorted int64 array."""
+        horizon = int(horizon)
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        return self._enumerate(horizon)
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        return tuple(n for n in range(horizon) if self.contains(n))
+    def _enumerate(self, horizon: int) -> np.ndarray:
+        return np.flatnonzero(self.mask(horizon))
 
     def mask(self, horizon: int) -> np.ndarray:
         """Read-only bool array of length ``horizon`` with ``mask[n]`` iff ``n ∈ S``."""
@@ -143,15 +158,12 @@ class SetDescription:
 
     def _mask(self, horizon: int) -> np.ndarray:
         out = np.zeros(horizon, dtype=bool)
-        out[np.fromiter(self.enumerate_prefix(horizon), dtype=np.int64)] = True
+        out[self._enumerate(horizon)] = True
         return out
 
     def density_bounds(self) -> DensityBounds | None:
         """Density analysis; ``None`` when a predicate blocks it."""
         return _density(self)
-
-    def residue_form(self) -> ResidueForm | None:
-        return _residue_form(self)
 
     def cardinality(self) -> Cardinality:
         return _cardinality(self)
@@ -184,8 +196,8 @@ class Explicit(SetDescription):
     def contains(self, n: int) -> bool:
         return n in self.elements
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        return tuple(e for e in self.elements if e < horizon)
+    def _enumerate(self, horizon: int) -> np.ndarray:
+        return np.array(self.elements[: bisect.bisect_left(self.elements, horizon)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -202,9 +214,6 @@ class ArithmeticProgression(SetDescription):
     def contains(self, n: int) -> bool:
         return n >= self.offset and (n - self.offset) % self.step == 0
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        return tuple(range(self.offset, horizon, self.step))
-
     def _mask(self, horizon: int) -> np.ndarray:
         out = np.zeros(horizon, dtype=bool)
         out[self.offset :: self.step] = True
@@ -218,8 +227,9 @@ class Squares(SetDescription):
     def contains(self, n: int) -> bool:
         return n >= 0 and math.isqrt(n) ** 2 == n
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        return tuple(k * k for k in range(math.isqrt(max(horizon - 1, 0)) + 1) if k * k < horizon)
+    def _enumerate(self, horizon: int) -> np.ndarray:
+        roots = math.isqrt(horizon - 1) + 1 if horizon else 0
+        return np.arange(roots, dtype=np.int64) ** 2
 
 
 @dataclass(frozen=True)
@@ -241,11 +251,9 @@ class Blocks(SetDescription):
     def contains(self, n: int) -> bool:
         return any(a <= n < b for a, b in self.intervals)
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        out: list[int] = []
-        for a, b in self.intervals:
-            out.extend(range(a, min(b, horizon)))
-        return tuple(out)
+    def _enumerate(self, horizon: int) -> np.ndarray:
+        runs = [np.arange(a, min(b, horizon), dtype=np.int64) for a, b in self.intervals if a < horizon]
+        return np.concatenate(runs) if runs else np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -277,16 +285,6 @@ class GeometricBlocks(SetDescription):
         if n < 1:
             return False
         return self._exponent(n) % self.modulus == self.residue
-
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        out: list[int] = []
-        i = self.residue
-        while self.base**i < horizon:
-            lo = self.base**i
-            hi = min(self.base ** (i + 1), horizon)
-            out.extend(range(lo, hi))
-            i += self.modulus
-        return tuple(out)
 
     def _mask(self, horizon: int) -> np.ndarray:
         out = np.zeros(horizon, dtype=bool)
@@ -321,14 +319,6 @@ class RootBlocks(SetDescription):
     def contains(self, n: int) -> bool:
         return n >= 0 and math.isqrt(n) % self.modulus == self.residue
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        out: list[int] = []
-        i = self.residue
-        while i * i < horizon:
-            out.extend(range(i * i, min((i + 1) * (i + 1), horizon)))
-            i += self.modulus
-        return tuple(out)
-
     def _mask(self, horizon: int) -> np.ndarray:
         out = np.zeros(horizon, dtype=bool)
         i = self.residue
@@ -346,8 +336,8 @@ class Union(SetDescription):
     def contains(self, n: int) -> bool:
         return self.left.contains(n) or self.right.contains(n)
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self.left.enumerate_prefix(horizon)) | set(self.right.enumerate_prefix(horizon))))
+    def _enumerate(self, horizon: int) -> np.ndarray:
+        return np.union1d(self.left.enumerate_prefix(horizon), self.right.enumerate_prefix(horizon))
 
     def _mask(self, horizon: int) -> np.ndarray:
         return self.left.mask(horizon) | self.right.mask(horizon)
@@ -361,8 +351,9 @@ class Intersection(SetDescription):
     def contains(self, n: int) -> bool:
         return self.left.contains(n) and self.right.contains(n)
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self.left.enumerate_prefix(horizon)) & set(self.right.enumerate_prefix(horizon))))
+    def _enumerate(self, horizon: int) -> np.ndarray:
+        left, right = self.left.enumerate_prefix(horizon), self.right.enumerate_prefix(horizon)
+        return np.intersect1d(left, right, assume_unique=True)
 
     def _mask(self, horizon: int) -> np.ndarray:
         return self.left.mask(horizon) & self.right.mask(horizon)
@@ -376,8 +367,9 @@ class Difference(SetDescription):
     def contains(self, n: int) -> bool:
         return self.left.contains(n) and not self.right.contains(n)
 
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self.left.enumerate_prefix(horizon)) - set(self.right.enumerate_prefix(horizon))))
+    def _enumerate(self, horizon: int) -> np.ndarray:
+        left, right = self.left.enumerate_prefix(horizon), self.right.enumerate_prefix(horizon)
+        return np.setdiff1d(left, right, assume_unique=True)
 
     def _mask(self, horizon: int) -> np.ndarray:
         return self.left.mask(horizon) & ~self.right.mask(horizon)
@@ -389,10 +381,6 @@ class Complement(SetDescription):
 
     def contains(self, n: int) -> bool:
         return not self.inner.contains(n)
-
-    def _enumerate(self, horizon: int) -> tuple[int, ...]:
-        members = set(self.inner.enumerate_prefix(horizon))
-        return tuple(n for n in range(horizon) if n not in members)
 
     def _mask(self, horizon: int) -> np.ndarray:
         return ~self.inner.mask(horizon)
@@ -407,6 +395,9 @@ class Predicate(SetDescription):
 
     def contains(self, n: int) -> bool:
         return bool(self.fn(n))
+
+    def _enumerate(self, horizon: int) -> np.ndarray:
+        return np.fromiter((n for n in range(horizon) if self.contains(n)), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +456,7 @@ def contains_predicate(s: SetDescription) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Prefix and mask caches
-
-
-@lru_cache(maxsize=512)
-def _prefix(s: SetDescription, horizon: int) -> tuple[int, ...]:
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    return s._enumerate(horizon)
+# Mask cache
 
 
 @lru_cache(maxsize=_MASK_CACHE_SIZE)

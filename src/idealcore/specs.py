@@ -23,7 +23,8 @@ from . import maps
 from . import matrices as mat
 from . import sets as sd
 from .constructions import perturb_identity
-from .regularity import CHECKS, TestFamily
+from .asymptotics import CoreConfig
+from .regularity import CHECKS, CheckConfig, TestFamily
 
 __all__ = [
     "ConfigError",
@@ -309,6 +310,12 @@ class ExperimentConfig:
     theta: float
     seed: int
 
+    def check_config(self) -> CheckConfig:
+        return CheckConfig(horizon=self.check_horizon, tol=self.tol, theta=self.theta, grid=self.grid, seed=self.seed)
+
+    def core_config(self) -> CoreConfig:
+        return CoreConfig(horizon=self.core_horizon, grid=self.grid, theta=self.theta)
+
     def resolved(self) -> dict:
         return {
             "matrices": list(self.matrices),
@@ -358,20 +365,22 @@ def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> Exp
     cfg = obj.get("cfg", {})
     if not isinstance(cfg, dict):
         raise ConfigError("config.cfg", "must be an object")
-    check_horizon = _number(cfg, "check_horizon", "config.cfg", _integral, default_horizon or 10_000)
-    core_horizon = _number(cfg, "core_horizon", "config.cfg", _integral, default_horizon or 100_000)
-    if check_horizon < 100 or core_horizon < 100:
-        raise ConfigError("config.cfg", "horizons must be at least 100")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         matrices=tuple(matrices),
         ideal_pairs=tuple((p[0], p[1]) for p in pairs),
         theorems=tuple(theorems),
         corpus_labels=tuple(labels),
         core_equality=core_equality,
-        check_horizon=check_horizon,
-        core_horizon=core_horizon,
+        check_horizon=_number(cfg, "check_horizon", "config.cfg", _integral, default_horizon or 10_000),
+        core_horizon=_number(cfg, "core_horizon", "config.cfg", _integral, default_horizon or 100_000),
         tol=_number(cfg, "tol", "config.cfg", float, 1e-2),
         grid=_number(cfg, "grid", "config.cfg", float, 1e-2),
         theta=_number(cfg, "theta", "config.cfg", float, ide.DEFAULT_THETA),
         seed=_number(cfg, "seed", "config.cfg", _integral, 0),
     )
+    try:  # the configs the suite runs on hold the rules for its settings
+        config.check_config().core_config()
+        config.core_config()
+    except ValueError as exc:
+        raise ConfigError("config.cfg", str(exc)) from None
+    return config

@@ -1,5 +1,7 @@
 """Constructions: RK matrices, perturbations, stability, certificates, experiments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,19 @@ def test_enumeration_map_matches_affine_for_evens():
     h = maps.enumeration_map(sd.evens())
     assert [h(n) for n in range(6)] == [0, 2, 4, 6, 8, 10]
     h.validate_flags(2000)
+
+
+def test_enumeration_map_of_sparse_union_keeps_no_mask():
+    # The 20 000th member is near 4e8; a mask up to that horizon would take ~400 MB.
+    h = maps.enumeration_map(sd.Union(sd.squares(), sd.explicit(2, 3)))
+    tracemalloc.start()
+    try:
+        values = h.prefix(20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tolist() == sorted([k * k for k in range(19_998)] + [2, 3])
+    assert peak < 10 * 2**20
 
 
 # -- perturbation ----------------------------------------------------------------

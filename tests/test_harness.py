@@ -203,6 +203,25 @@ def test_malformed_specs_name_the_field(parse, spec, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"check_horizon": 50}, "horizon must be at least 100"),
+        ({"core_horizon": 99}, "horizon must be at least 100"),
+        ({"theta": -1}, "theta must lie in (0, 1)"),
+        ({"theta": 1}, "theta must lie in (0, 1)"),
+        ({"tol": -0.5}, "tol must be nonnegative"),
+        ({"grid": 0}, "grid resolution must be positive"),
+    ],
+    ids=["check_horizon", "core_horizon", "theta-negative", "theta-one", "tol", "grid"],
+)
+def test_out_of_range_cfg_values_are_config_errors(cfg, message):
+    with pytest.raises(specs.ConfigError) as err:
+        specs.parse_experiment_config({**_SUITE, "cfg": cfg})
+    assert err.value.path == "config.cfg"
+    assert str(err.value) == f"config.cfg: {message}"
+
+
 def test_integral_values_and_numeric_strings_parse_as_integers():
     assert specs.parse_set({"type": "ap", "offset": "1", "step": 2.0}) == specs.parse_set(
         {"type": "arithmetic_progression", "offset": 1, "step": 2}
@@ -594,6 +613,27 @@ def test_cli_mixed_oracle_records_horizon_and_theta():
     assert (payload["horizon"], payload["theta"], payload["grid"]) == (100_000, 0.002, None)
 
 
+@pytest.mark.parametrize(
+    "sequence, ideal, message, cells",
+    [
+        ("alternating_decay", "z", "inconclusive cells below the smallest surviving value", 5),
+        ("rotation_golden", "summable_harmonic", "only inconclusive cells survived", 1),
+    ],
+    ids=["alternating_decay-z", "rotation_golden-summable_harmonic"],
+)
+def test_cli_inconclusive_core_reports_and_exits_2(sequence, ideal, message, cells):
+    args = ["core", "--sequence", sequence, "--ideal", ideal, "--horizon", "20000"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)
+    assert payload["status"] == "inconclusive"
+    assert payload["message"] == f"InconclusiveCellsError: {message}"
+    assert (payload["sequence"], payload["ideal"]) == (sequence, ideal)
+    assert (payload["horizon"], payload["grid"], payload["theta"]) == (20000, 0.01, 1e-3)
+    assert len(payload["cells"]) == cells
+    assert all(lo < hi for lo, hi in payload["cells"])
+
+
 def test_cli_check_with_family_file(tmp_path):
     family = {
         "sets_in_ideal": [{"type": "explicit", "elements": [0, 1]}],
@@ -725,6 +765,51 @@ def test_cli_small_horizon_is_a_cli_error(args):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Error: horizon must be at least 100" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["core", "--sequence", "alternating_decay", "--ideal", "z", "--theta", "-1"], "theta must lie in (0, 1)"),
+        (["core", "--sequence", "indicator_squares", "--oracle", "--theta", "2"], "theta must lie in (0, 1)"),
+        (["core", "--sequence", "indicator_squares", "--oracle", "--horizon", "50"], "horizon must be at least 100"),
+        (["check", "--matrix", "identity", "--theorem", "st", "--tol", "-1"], "tol must be nonnegative"),
+        (["check", "--matrix", "identity", "--theorem", "st", "--theta", "0"], "theta must lie in (0, 1)"),
+    ],
+    ids=["core-theta", "oracle-theta", "oracle-horizon", "check-tol", "check-theta"],
+)
+def test_cli_out_of_range_settings_are_cli_errors(args, message):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+
+
+def test_cli_experiment_out_of_range_cfg_is_a_cli_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_SUITE, "cfg": {"theta": -1}}))
+    result = CliRunner().invoke(main, ["experiment", "--config", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: config.cfg: theta must lie in (0, 1)" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["core", "--sequence", "alternating", "--tol", "0.1"],
+        ["core", "--sequence", "alternating", "--seed", "1"],
+        ["density", "--set", '{"type": "squares"}', "--tol", "0.1"],
+        ["density", "--set", '{"type": "squares"}', "--grid", "0.1"],
+        ["density", "--set", '{"type": "squares"}', "--theta", "0.1"],
+        ["density", "--set", '{"type": "squares"}', "--seed", "1"],
+    ],
+    ids=lambda args: f"{args[0]}{args[-2]}",
+)
+def test_cli_commands_take_only_the_settings_they_read(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.output and args[-2] in result.output
 
 
 @pytest.mark.parametrize(
