@@ -598,11 +598,19 @@ def exact_density(s: SetDescription):
 
 
 def empirical_density(s: SetDescription, horizon: int) -> tuple[float, float]:
-    """(min, max) of the counting ratio |S ∩ [0, n)| / n over n in [horizon/2, horizon]."""
+    """(min, max) of the counting ratio |S ∩ [0, n)| / n over n in [horizon/2, horizon].
+
+    The count rises by one just past each member k and the ratio falls in
+    between, so the extremes lie at the window's ends and at k and k + 1 for
+    the members k in the window: only those n are evaluated.
+    """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    hits = np.flatnonzero(s.mask(horizon + 1))
-    ns = np.arange(horizon // 2, horizon + 1, dtype=np.int64)
+    lo = horizon // 2
+    hits = s.enumerate_prefix(horizon + 1)
+    near = hits[np.searchsorted(hits, lo) :]
+    ns = np.concatenate(([lo, horizon], near, near + 1))
+    ns = ns[ns <= horizon]
     counts = np.searchsorted(hits, ns, side="left")
     ratios = counts / ns
     return float(np.min(ratios)), float(np.max(ratios))

@@ -10,12 +10,22 @@ row-selection and banded matrices in closed form, and sums, multiples,
 entrywise parts and products from their operands' CSRs.  A product B·A
 gathers only the distinct rows of A that B selects, then expands and merges
 whole rows in chunks of bounded size into preallocated output; where an
-operand cannot be gathered, the row path decides.  ``row_abs_sums`` and
+operand cannot be gathered, the row path decides.
+
+Masked row sums and transforms are linear, so sums, multiples and products
+take them from their operands' own bulk paths instead of their CSR:
+(B·A)·1_E = B·(A·1_E), (A+B)·1_E = A·1_E + B·1_E, (cA)·1_E = c·(A·1_E), and
+likewise for A·x.  B acts on A's values through ``_apply``, the step of
+``transform_prefix`` after x is read.  Absolute and positive-part sums take
+this route only for a nonnegative composite, where |a| = a⁺ = a (tails add
+up the same way); a product takes it only when its left factor is known to
+be row-finite and selects no columns past ``_SPARSE_IMAGE_FACTOR`` times the
+horizon.  Everything else reads the CSR, summed with cumulative sums: signed
+composites' absolute and positive-part sums, entrywise parts and banded
+matrices.  The entrywise quantities always read it: ``row_abs_sums`` and
 ``find_negative_entry`` return exactly what the scalar row methods
-(``row_abs_sum``, ``row``) give, bit for bit; the masked and transformed row
-sums use cumulative sums, whose error at the sizes involved here is far below
-every stated tolerance.  ``transform`` computes one entry of A·x with
-``math.fsum``.
+(``row_abs_sum``, ``row``) give, bit for bit.  ``transform`` computes one
+entry of A·x with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -241,6 +251,9 @@ def _operand_gather(m: InfiniteMatrix, rows: np.ndarray) -> tuple:
 class InfiniteMatrix:
     """Base class; subclasses define ``_row`` and may override the bulk paths."""
 
+    # True where every row is known to carry a zero tail bound.
+    _row_finite = False
+
     def __init__(self, label: str, norm_bound: float | None = None, nonnegative: bool | None = None):
         self.label = label
         self.norm_bound = norm_bound  # certified sup_n (sum_k |a_nk| + tail); None if unknown
@@ -267,7 +280,8 @@ class InfiniteMatrix:
         return float(np.sum(np.abs(r.values))) + r.tail_bound
 
     def max_support(self, horizon: int) -> int:
-        """1 + the largest column index on rows below the horizon."""
+        """1 + the largest column index on rows below the horizon (a product
+        may return a larger bound; see ``_ComposedMatrix.max_support``)."""
         flat = self._flat(horizon)
         if flat is not None:
             idx = flat[0]
@@ -370,14 +384,17 @@ class InfiniteMatrix:
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
         """The transformed values (A x)_n for n below the horizon."""
+        support = self.max_support(horizon)
+        return self._apply(x.prefix(support) if support else np.zeros(0), horizon)
+
+    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
+        """(A x)_n for n below the horizon, where ``xs`` holds x_0 … x_{S-1}
+        for some S >= ``max_support(horizon)``."""
         flat = self._flat(horizon)
         if flat is not None:
             idx, val, ptr, _ = flat
-            xs = x.prefix(int(idx.max()) + 1) if idx.size else np.zeros(0)
             cum = np.concatenate(([0.0], np.cumsum(val * xs[idx])))
             return cum[ptr[1:]] - cum[ptr[:-1]]
-        support = self.max_support(horizon)
-        xs = x.prefix(support) if support else np.zeros(0)
         out = np.empty(horizon, dtype=np.float64)
         for n in range(horizon):
             r = self.row(n)
@@ -387,6 +404,8 @@ class InfiniteMatrix:
 
 class _CesaroMatrix(InfiniteMatrix):
     """Row n averages x_0 … x_n with uniform weight 1/(n+1)."""
+
+    _row_finite = True
 
     def __init__(self):
         super().__init__("Cesaro", norm_bound=1.0, nonnegative=True)
@@ -421,9 +440,8 @@ class _CesaroMatrix(InfiniteMatrix):
         counts = np.cumsum(columns.mask(horizon).astype(np.float64))
         return counts / ns
 
-    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
-        xs = x.prefix(horizon)
-        return np.cumsum(xs) / np.arange(1, horizon + 1, dtype=np.float64)
+    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
+        return np.cumsum(xs[:horizon]) / np.arange(1, horizon + 1, dtype=np.float64)
 
 
 class _DiagonalMatrix(InfiniteMatrix):
@@ -471,12 +489,14 @@ class _DiagonalMatrix(InfiniteMatrix):
             return d
         return d * columns.mask(horizon)
 
-    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
-        return self._diag_prefix(horizon) * x.prefix(horizon)
+    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
+        return self._diag_prefix(horizon) * xs[:horizon]
 
 
 class _RkMatrix(InfiniteMatrix):
     """Row n carries a single 1 in column h(n)."""
+
+    _row_finite = True
 
     def __init__(self, h: IndexMap):
         super().__init__(f"Rk[{h.label}]", norm_bound=1.0, nonnegative=True)
@@ -508,6 +528,9 @@ class _RkMatrix(InfiniteMatrix):
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
         return _at_rows(self.h.prefix(horizon), x.prefix, x.fn, np.float64)
 
+    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
+        return xs[self.h.prefix(horizon)]
+
 
 class _BandedMatrix(InfiniteMatrix):
     """Finitely many explicit rows with a declared continuation rule.
@@ -515,6 +538,8 @@ class _BandedMatrix(InfiniteMatrix):
     The tail rows add only 1s (identity), nothing (zero) or copies of the last
     explicit row, so the matrix is nonnegative iff its explicit entries are.
     """
+
+    _row_finite = True
 
     def __init__(self, rows: list[list[tuple[int, float]]], tail_mode: str = "identity", label: str = "Banded"):
         if tail_mode not in ("identity", "zero", "repeat_last"):
@@ -590,6 +615,12 @@ class _Composite(InfiniteMatrix):
         except _UseRowPath:
             return InfiniteMatrix._gather(self, rows)
 
+    def _by_operands(self, absolute: bool, positive_part: bool) -> bool:
+        """Whether the operands' masked row sums give this composite's: always
+        for signed sums, and for absolute and positive-part sums when the
+        composite is nonnegative, where |a| = a⁺ = a."""
+        return bool(self.nonnegative) or not (absolute or positive_part)
+
 
 class _SumMatrix(_Composite):
     def __init__(self, a: InfiniteMatrix, b: InfiniteMatrix):
@@ -599,6 +630,7 @@ class _SumMatrix(_Composite):
         nonneg = True if (a.nonnegative and b.nonnegative) else None
         super().__init__(f"({a.label}+{b.label})", norm_bound=bound, nonnegative=nonneg)
         self.a, self.b = a, b
+        self._row_finite = a._row_finite and b._row_finite
 
     def _row(self, n: int) -> MatrixRow:
         ra, rb = self.a.row(n), self.b.row(n)
@@ -620,6 +652,21 @@ class _SumMatrix(_Composite):
             np.concatenate((a_idx, b_idx)), np.concatenate((a_val, b_val)), a_tails + b_tails,
         )
 
+    def max_support(self, horizon: int) -> int:
+        return max(self.a.max_support(horizon), self.b.max_support(horizon))
+
+    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
+        if not self._by_operands(absolute, positive_part):
+            return super().masked_row_sums(columns, horizon, absolute, positive_part)
+        return (self.a.masked_row_sums(columns, horizon, absolute, positive_part)
+                + self.b.masked_row_sums(columns, horizon, absolute, positive_part))
+
+    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
+        return self.a.transform_prefix(x, horizon) + self.b.transform_prefix(x, horizon)
+
+    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
+        return self.a._apply(xs, horizon) + self.b._apply(xs, horizon)
+
 
 class _ScaledMatrix(_Composite):
     def __init__(self, c: float, a: InfiniteMatrix):
@@ -627,6 +674,7 @@ class _ScaledMatrix(_Composite):
         nonneg = True if (a.nonnegative and c >= 0) else None
         super().__init__(f"{c}*{a.label}", norm_bound=bound, nonnegative=nonneg)
         self.c, self.a = float(c), a
+        self._row_finite = a._row_finite
 
     def _row(self, n: int) -> MatrixRow:
         r = self.a.row(n)
@@ -635,6 +683,20 @@ class _ScaledMatrix(_Composite):
     def _bulk_gather(self, rows: np.ndarray):
         idx, val, ptr, tails = _operand_gather(self.a, rows)
         return idx, self.c * val, ptr, abs(self.c) * tails
+
+    def max_support(self, horizon: int) -> int:
+        return self.a.max_support(horizon)
+
+    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
+        if not self._by_operands(absolute, positive_part):
+            return super().masked_row_sums(columns, horizon, absolute, positive_part)
+        return self.c * self.a.masked_row_sums(columns, horizon, absolute, positive_part)
+
+    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
+        return self.c * self.a.transform_prefix(x, horizon)
+
+    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
+        return self.c * self.a._apply(xs, horizon)
 
 
 class _ComposedMatrix(_Composite):
@@ -647,6 +709,7 @@ class _ComposedMatrix(_Composite):
         nonneg = True if (a.nonnegative and b.nonnegative) else None
         super().__init__(f"({b.label}.{a.label})", norm_bound=bound, nonnegative=nonneg)
         self.b, self.a = b, a
+        self._row_finite = a._row_finite and b._row_finite
         self._probe()
 
     def _probe(self):
@@ -684,6 +747,45 @@ class _ComposedMatrix(_Composite):
                 tails[n] = sum(contrib[b_ptr[n] : b_ptr[n + 1]].tolist(), 0.0)
         return _merged_flat(b_ptr, a_ptr[which], np.diff(a_ptr)[which], b_val, a_idx, a_val, tails)
 
+    def _left_support(self, horizon: int) -> int | None:
+        """``b.max_support(horizon)`` where B may act on A's values in place of
+        the product's CSR, else None.
+
+        B must be known row-finite, or a tail that the row path rejects would
+        pass unseen, and its columns must reach no further than
+        ``_SPARSE_IMAGE_FACTOR`` times the horizon (a sparse image, such as
+        rk(enumeration(squares))), or A would be read on a longer prefix than
+        the CSR path reads.
+        """
+        if not self.b._row_finite:
+            return None
+        support = self.b.max_support(horizon)
+        return support if support <= _SPARSE_IMAGE_FACTOR * horizon else None
+
+    def max_support(self, horizon: int) -> int:
+        """A's support over the rows below B's: at least the product's own,
+        and what ``_apply`` reads."""
+        support = self._left_support(horizon)
+        return super().max_support(horizon) if support is None else self.a.max_support(support)
+
+    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
+        support = self._left_support(horizon) if self._by_operands(absolute, positive_part) else None
+        if support is None:
+            return super().masked_row_sums(columns, horizon, absolute, positive_part)
+        return self.b._apply(self.a.masked_row_sums(columns, support, absolute, positive_part), horizon)
+
+    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
+        support = self._left_support(horizon)
+        if support is None:
+            return super().transform_prefix(x, horizon)
+        return self.b._apply(self.a.transform_prefix(x, support), horizon)
+
+    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
+        support = self._left_support(horizon)
+        if support is None:
+            return super()._apply(xs, horizon)
+        return self.b._apply(self.a._apply(xs, support), horizon)
+
 
 class _EntrywisePart(_Composite):
     """Positive or negative part of a base matrix, entrywise."""
@@ -692,6 +794,7 @@ class _EntrywisePart(_Composite):
         sign = "+" if positive else "-"
         super().__init__(f"{base.label}{sign}", norm_bound=base.norm_bound, nonnegative=True)
         self.base = base
+        self._row_finite = base._row_finite
         self.positive = positive
 
     def _row(self, n: int) -> MatrixRow:

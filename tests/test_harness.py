@@ -324,15 +324,45 @@ _GENERIC_SUITE = {
     "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
 }
 _GENERIC_SHA256 = (
-    "ac3012a6074e8b2842d87a76e71b9a66ed8dfdea7acf41d6f4b35992bc158654",
-    "fc4cc730aef9c6e8c0ee5fd79c406947b069008988f25de2eb57e6aa7b824bd0",
+    "d357eb9e6f04be1c3782efab94a7eefef4bfc04da437e2bb58b953f7a66bd26b",
+    "c79a1462189c0aa0f9a4a1ac8e2fb7039483f1e374d4d360f526b752476bc0ba",
 )
+# Per item of the generic suite: (status, label of the witness set, witness
+# row), both witnesses from the strongest violated condition as the verdict
+# picks it.  A re-pin of _GENERIC_SHA256 for moved values must leave these as
+# they are.  Every row sum of Cesaro + Id is exactly 2, so its T2 deviations
+# tie and the witness is the first row of the tail window.
+_GENERIC_VERDICTS = [
+    ("violated", "explicit[0..9]", 150),
+    ("violated", "squares", None),
+    ("violated", "explicit[0..9]", 150),
+    ("violated", "ap(1,2)", None),
+    ("violated", None, 150),
+    ("violated", None, 150),
+    ("satisfied", None, None),
+    ("satisfied", None, None),
+]
 
 
-def test_generic_matrix_reports_are_pinned():
-    bundle = harness.run_suite(specs.parse_experiment_config(_GENERIC_SUITE))
-    rendered = (harness.render_json(bundle), harness.render_csv(bundle))
+@pytest.fixture(scope="module")
+def generic_bundle():
+    return harness.run_suite(specs.parse_experiment_config(_GENERIC_SUITE))
+
+
+def test_generic_matrix_reports_are_pinned(generic_bundle):
+    rendered = (harness.render_json(generic_bundle), harness.render_csv(generic_bundle))
     assert tuple(hashlib.sha256(r.encode()).hexdigest() for r in rendered) == _GENERIC_SHA256
+
+
+def test_generic_matrix_verdicts_are_pinned(generic_bundle):
+    got = []
+    for item in generic_bundle.items:
+        violated = [c for c in item["verdict"]["conditions"] if c["ok"] is False]
+        strongest = max(violated, key=lambda c: c["margin"], default={})
+        witness_set = strongest.get("witness_set")
+        label = regularity._set_label(specs.parse_set(witness_set)) if witness_set else None
+        got.append((item["status"], label, strongest.get("witness_row")))
+    assert got == _GENERIC_VERDICTS
 
 
 # Signed banded rows reach the checkers' negative-entry search (cfo items end in

@@ -1,5 +1,7 @@
 """Ideal catalog: membership decisions, densities, classification, RK witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,33 @@ def test_empirical_density_examples():
     assert hi <= 0.02
     with pytest.raises(ValueError):
         ide.empirical_density(EVENS, 1)
+
+
+def _empirical_density_reference(s, horizon):
+    """The counting ratio at every n in [horizon/2, horizon], from a full mask."""
+    hits = np.flatnonzero(s.mask(horizon + 1))
+    ns = np.arange(horizon // 2, horizon + 1, dtype=np.int64)
+    ratios = np.searchsorted(hits, ns, side="left") / ns
+    return float(np.min(ratios)), float(np.max(ratios))
+
+
+@pytest.mark.parametrize(
+    "s", [SQUARES, EVENS, sd.ap(1, 3), sd.GeometricBlocks(2, 0, 2), sd.explicit(0, 1, 5, 6, 7, 50, 51, 4096)]
+)
+def test_empirical_density_matches_every_window_ratio(s):
+    for horizon in (2, 3, 10, 101, 1000, 4097, 65536):
+        assert ide.empirical_density(s, horizon) == _empirical_density_reference(s, horizon), horizon
+
+
+def test_empirical_density_reads_members_only():
+    tracemalloc.start()
+    try:
+        lo, hi = ide.empirical_density(SQUARES, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert 0.0 < lo <= hi < 1e-3
 
 
 def test_empirical_sandwiched_by_exact():

@@ -1,8 +1,10 @@
 """Lazy matrices: rows, transforms, norms, algebra, splits, composition."""
 
 import functools
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -320,6 +322,17 @@ class _TailRows(mat.InfiniteMatrix):
         )
 
 
+class _TailFrom(mat.InfiniteMatrix):
+    """The identity, with unknown mass beyond every row from ``first`` on."""
+
+    def __init__(self, first):
+        super().__init__("tail-from", nonnegative=True)
+        self.first = first
+
+    def _row(self, n):
+        return mat.MatrixRow(np.array([n], dtype=np.int64), np.array([1.0]), 0.5 if n >= self.first else 0.0)
+
+
 def _signed_rows():
     rng = np.random.default_rng(5)
     long_row = [(int(k), float(v)) for k, v in zip(rng.choice(400, 140, replace=False), rng.normal(size=140))]
@@ -348,6 +361,10 @@ def _composite_kinds():
         "product_positive_part": pos,
         "product_negative_part": neg,
         "compose_negative_zero": negative_zero,
+        # Nonnegative, with tails from row 100 on: absolute sums add them up.
+        "compose_with_tails": mat.compose(
+            mat.cesaro(), mat.matrix_sum(_TailFrom(100), mat.scalar_mul(0.5, mat.identity()))
+        ),
     }
 
 
@@ -542,17 +559,6 @@ def test_nested_fallback_builds_rows_once(part, monkeypatch):
     assert sum(label == "(Cesaro.Cesaro)" for label, _ in calls) > 1
 
 
-class _TailFrom(mat.InfiniteMatrix):
-    """The identity, with unknown mass beyond every row from ``first`` on."""
-
-    def __init__(self, first):
-        super().__init__("tail-from")
-        self.first = first
-
-    def _row(self, n):
-        return mat.MatrixRow(np.array([n], dtype=np.int64), np.array([1.0]), 0.5 if n >= self.first else 0.0)
-
-
 @pytest.mark.parametrize("wrap", ["product", "sum_of_product", "product_of_product"])
 def test_left_factor_tail_raises_the_row_path_error(wrap, monkeypatch):
     def build():
@@ -568,6 +574,12 @@ def test_left_factor_tail_raises_the_row_path_error(wrap, monkeypatch):
     with pytest.raises(mat.ComposeUnsupportedError) as bulk:
         build()._flat(50)
     assert str(bulk.value) == str(row_path.value) and "row 5" in str(row_path.value)
+    # Row sums and transforms do not act through a left factor with tails.
+    x = seq.corpus_entry("alternating")
+    for bulk_sum in (lambda a: a.row_sums(50), lambda a: a.transform_prefix(x, 50)):
+        with pytest.raises(mat.ComposeUnsupportedError) as bulk:
+            bulk_sum(build())
+        assert str(bulk.value) == str(row_path.value)
     # A limit passed before the faulty row decides first, on both paths.
     monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 3)
     assert build()._flat(50) is None and _row_assembly(build(), 50) is None
@@ -603,6 +615,89 @@ def test_product_flat_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * sum(part.nbytes for part in flat)
+
+
+# -- masked row sums and transforms of composites, from their operands -------------
+
+_COLUMN_SETS = {"all": None, "evens": sd.evens(), "squares": sd.squares(), "explicit": sd.explicit(*range(10))}
+_FLAGS = list(itertools.product((False, True), repeat=2))
+
+
+def _row_reference_sums(a, columns, horizon, absolute, positive_part):
+    """``masked_row_sums`` from ``row``, each row's entries summed exactly
+    rounded (``math.fsum``)."""
+    out = []
+    for n in range(horizon):
+        r = a.row(n)
+        vals = r.values if columns is None else r.values[[columns.contains(k) for k in r.indices.tolist()]]
+        vals = np.clip(vals, 0.0, None) if positive_part else np.abs(vals) if absolute else vals
+        out.append(math.fsum(vals.tolist()) + (r.tail_bound if absolute else 0.0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", sorted(_composite_kinds()))
+def test_composite_sums_and_transforms_match_the_rows(kind):
+    # Sums that still read the CSR (absolute or positive-part sums of a signed
+    # composite) equal the CSR's bit for bit.  The rest agree with each row's
+    # exactly rounded sum to 1e-12 relative; the CSR's cumulative sums miss
+    # that by up to 1.5e-11 at this horizon (row sums of "sum").
+    a = _matrix_kinds()[kind]
+    horizon = 300
+    for (absolute, positive_part), (name, columns) in itertools.product(_FLAGS, _COLUMN_SETS.items()):
+        got = a.masked_row_sums(columns, horizon, absolute=absolute, positive_part=positive_part)
+        if (absolute or positive_part) and not a.nonnegative:
+            csr = mat.InfiniteMatrix.masked_row_sums(a, columns, horizon, absolute, positive_part)
+            assert got.tobytes() == csr.tobytes(), (name, absolute, positive_part)
+        else:
+            want = _row_reference_sums(a, columns, horizon, absolute, positive_part)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=f"{name} {absolute} {positive_part}")
+    for label in ("alternating", "rotation_golden", "indicator_squares"):
+        x = seq.corpus_entry(label)
+        want = [mat.transform(a, x, n) for n in range(horizon)]
+        np.testing.assert_allclose(a.transform_prefix(x, horizon), want, rtol=1e-12, atol=1e-12, err_msg=label)
+
+
+def test_product_sums_are_exact_and_read_no_csr(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a composite's CSR was gathered")
+
+    monkeypatch.setattr(mat._ComposedMatrix, "_bulk_gather", refuse)
+    monkeypatch.setattr(mat.InfiniteMatrix, "_gather", refuse)
+    horizon = 1000
+    a = mat.compose(mat.rk_matrix(maps.affine_map(2)), mat.cesaro())
+    # Row n averages columns 0 … 2n, of which n + 1 are even.
+    want = np.array([float(Fraction(n + 1, 2 * n + 1)) for n in range(horizon)])
+    assert a.masked_row_sums(sd.evens(), horizon).tobytes() == want.tobytes()
+    for absolute, positive_part in _FLAGS:
+        sums = a.masked_row_sums(sd.evens(), horizon, absolute=absolute, positive_part=positive_part)
+        assert sums.tobytes() == want.tobytes()
+    assert a.row_sums(horizon).tobytes() == np.ones(horizon).tobytes()
+    assert a.row_sums(horizon, absolute=True).tobytes() == np.ones(horizon).tobytes()
+    x = seq.corpus_entry("alternating")
+    assert a.transform_prefix(x, horizon).tobytes() == (1.0 / (2.0 * np.arange(horizon) + 1.0)).tobytes()
+    # Signed products and products of products act through their factors too.
+    for b in (_composite_kinds()["compose_banded_mixed"], mat.compose(mat.cesaro(), a)):
+        assert b.transform_prefix(x, horizon).shape == (horizon,)
+        assert b.masked_row_sums(sd.squares(), horizon).shape == (horizon,)
+
+
+def test_sparse_left_factor_keeps_the_csr_route():
+    # rk(enumeration(squares)) reaches column (H-1)^2: B cannot act on A's
+    # values without A reading that long a prefix, so the product's CSR decides
+    # (its cumulative sums are some 5e-12 off the exact row sums here).
+    horizon = 40
+    a = mat.compose(mat.rk_matrix(maps.enumeration_map(sd.squares())), mat.cesaro())
+    assert a._left_support(horizon) is None
+    assert a.max_support(horizon) == (horizon - 1) ** 2 + 1
+    for columns in (None, sd.ap(1, 3)):
+        got = a.masked_row_sums(columns, horizon)
+        assert got.tobytes() == mat.InfiniteMatrix.masked_row_sums(a, columns, horizon).tobytes()
+        want = _row_reference_sums(a, columns, horizon, False, False)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    x = seq.corpus_entry("rotation_golden")
+    got = a.transform_prefix(x, horizon)
+    assert got.tobytes() == mat.InfiniteMatrix._apply(a, x.prefix(a.max_support(horizon)), horizon).tobytes()
+    np.testing.assert_allclose(got, [mat.transform(a, x, n) for n in range(horizon)], rtol=0, atol=1e-10)
 
 
 def test_banded_rows_are_merged_rows():
