@@ -70,7 +70,7 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     if a.norm_bound is not None:
         bound = a.norm_bound * x.bound
     else:
-        sup = float(np.max(a.row_abs_sums(horizon)))
+        sup = float(np.max(a.row_sums(horizon, absolute=True)))
         bound = max(sup * x.bound, float(np.max(np.abs(values))) if len(values) else 0.0)
     ax = BoundedSequence(
         fn=lambda n: transform(a, x, n),

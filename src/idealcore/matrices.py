@@ -3,29 +3,26 @@
 Rows are materialized on demand and cached (small rows only; uniform rows like
 the Cesàro means are cheap to rebuild and would dominate memory).  Bulk prefix
 computations read all rows below a horizon at once: closed forms where the
-matrix has one, otherwise one concatenated CSR of the rows (``_flat``).  Every
-built-in matrix gathers that CSR in bulk (``_gather``), bit for bit equal to
-the row-by-row assembly (``InfiniteMatrix._gather``): Cesàro, diagonal,
-row-selection and banded matrices in closed form, and sums, multiples,
-entrywise parts and products from their operands' CSRs.  A product B·A
-gathers only the distinct rows of A that B selects, then expands and merges
-whole rows in chunks of bounded size into preallocated output; where an
-operand cannot be gathered, the row path decides.
+matrix has one, otherwise one concatenated CSR of the rows (``_flat``).
+Diagonal and banded matrices gather that CSR in closed form, bit for bit equal
+to the row-by-row assembly (``InfiniteMatrix._gather``) that every other
+matrix uses.
 
-Masked row sums and transforms are linear, so sums, multiples and products
-take them from their operands' own bulk paths instead of their CSR:
-(B·A)·1_E = B·(A·1_E), (A+B)·1_E = A·1_E + B·1_E, (cA)·1_E = c·(A·1_E), and
-likewise for A·x.  B acts on A's values through ``_apply``, the step of
-``transform_prefix`` after x is read.  Absolute and positive-part sums take
-this route only for a nonnegative composite, where |a| = a⁺ = a (tails add
-up the same way); a product takes it only when its left factor is known to
-be row-finite and selects no columns past ``_SPARSE_IMAGE_FACTOR`` times the
-horizon.  Everything else reads the CSR, summed with cumulative sums: signed
-composites' absolute and positive-part sums, entrywise parts and banded
-matrices.  The entrywise quantities always read it: ``row_abs_sums`` and
-``find_negative_entry`` return exactly what the scalar row methods
-(``row_abs_sum``, ``row``) give, bit for bit.  ``transform`` computes one
-entry of A·x with ``math.fsum``.
+Every row sum comes from ``masked_row_sums``: ``row_sums(H, absolute=True)``
+gives the absolute row sums whose sup ``norm_estimate`` reports.  Masked row
+sums and transforms are linear, so sums, multiples and products take them from
+their operands' own bulk paths instead of their CSR: (B·A)·1_E = B·(A·1_E),
+(A+B)·1_E = A·1_E + B·1_E, (cA)·1_E = c·(A·1_E), and likewise for A·x.  B acts
+on A's values through ``_apply``, the step of ``transform_prefix`` after x is
+read.  Absolute and positive-part sums take this route only for a nonnegative
+composite, where |a| = a⁺ = a (tails add up the same way); a product takes it
+only when its left factor is known to be row-finite and selects no columns
+past ``_SPARSE_IMAGE_FACTOR`` times the horizon.  Everything else reads the
+CSR: signed composites' absolute and positive-part sums, entrywise parts and
+banded matrices.  There each row is summed on its own (``_segment_sums``), bit
+for bit as ``np.sum`` sums that row alone, and past ``_FLAT_NNZ_LIMIT`` the
+row loop gives the same bits.  ``find_negative_entry`` reads entries.
+``transform`` computes one entry of A·x with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ __all__ = [
 
 _CACHE_SUPPORT_LIMIT = 1024
 _FLAT_NNZ_LIMIT = 4_000_000
-# Unmerged entries that a composite's bulk gather expands and merges at once.
+# Entries that ``_segment_sums`` gathers into one block of equal-length rows.
 _MERGE_CHUNK = 1 << 16
 # A row-selection matrix reads sequences and column sets pointwise on the image
 # of h once the largest selected column exceeds this multiple of the horizon.
@@ -97,23 +94,27 @@ class MatrixRow:
 _EMPTY_ROW = MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
-def _abs_segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """``np.sum(np.abs(values[ptr[n]:ptr[n + 1]]))`` for every n, bit for bit.
+def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """``np.sum(values[ptr[n]:ptr[n + 1]])`` for every n, bit for bit.
 
     numpy sums a row pairwise, which neither ``np.add.reduceat`` nor cumulative
-    sums reproduce, but ``sum(axis=1)`` of a C-ordered 2-D block adds each of
-    its rows exactly as the 1-D ``np.sum`` does.  So rows of equal length are
-    gathered into blocks of at most ``_MERGE_CHUNK`` entries (or one row) and
-    summed a block at a time, which also keeps an ``abs`` copy of all the
-    values out of memory.
+    sums reproduce (a running sum also carries each row's rounding into the
+    next), but ``sum(axis=1)`` of a C-ordered 2-D block adds each of its rows
+    exactly as the 1-D ``np.sum`` does.  So rows of equal length are gathered
+    into blocks of at most ``_MERGE_CHUNK`` entries (or one row) and summed a
+    block at a time.  A row of one entry is that entry plus 0.0, as ``np.sum``
+    gives it (−0.0 becomes 0.0), and an empty row sums to 0.0.
     """
     lengths = np.diff(ptr)
     out = np.zeros(lengths.size)
-    order = np.argsort(lengths)
+    single = lengths == 1
+    out[single] = values[ptr[:-1][single]] + 0.0
+    longer = np.flatnonzero(lengths > 1)
+    order = longer[np.argsort(lengths[longer])]
     by_length, first = np.unique(lengths[order], return_index=True)
-    ends = np.append(first[1:], lengths.size)
+    ends = np.append(first[1:], order.size)
     for length, lo, hi in zip(by_length.tolist(), first.tolist(), ends.tolist()):
-        step = max(1, _MERGE_CHUNK // max(length, 1))
+        step = max(1, _MERGE_CHUNK // length)
         for r0 in range(lo, hi, step):
             rows = order[r0 : min(r0 + step, hi)]
             if rows.size == 1:  # a view, without the index array of a gather
@@ -121,7 +122,7 @@ def _abs_segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
                 block = values[start : start + length].reshape(1, length)
             else:
                 block = values[ptr[rows, None] + np.arange(length)]
-            out[rows] = np.abs(block).sum(axis=1)
+            out[rows] = block.sum(axis=1)
     return out
 
 
@@ -130,13 +131,6 @@ def _pointers(lengths: np.ndarray) -> np.ndarray:
     ptr = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=ptr[1:])
     return ptr
-
-
-def _segment_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(s, s + l)`` over the pairs (s, l)."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
 
 
 def _at_rows(rows: np.ndarray, prefix: Callable, point: Callable, dtype) -> np.ndarray:
@@ -161,91 +155,6 @@ def _merged_row(indices: np.ndarray, values: np.ndarray, tail_bound: float = 0.0
     cols, inv = np.unique(indices, return_inverse=True)
     sums = np.bincount(inv, weights=values, minlength=cols.size)
     return MatrixRow(cols.astype(np.int64, copy=False), sums.astype(np.float64, copy=False), tail_bound)
-
-
-def _merge_chunk(indices: np.ndarray, values: np.ndarray, ptr: np.ndarray):
-    """``_merged_row`` applied to every row of a CSR chunk, bit for bit.
-
-    Returns (columns, sums, row lengths).  Rows whose columns already increase
-    strictly come out as they are, plus 0.0 as ``bincount`` adds it (so −0.0
-    becomes 0.0).  Otherwise every (row, column) pair gets a key, and
-    ``bincount`` sums each key's values in input order from 0.0 over the keys'
-    ranks in sorted order.
-    """
-    lengths = np.diff(ptr)
-    row_start = np.zeros(indices.size, dtype=bool)
-    row_start[ptr[:-1][lengths > 0]] = True
-    if np.all((indices[1:] > indices[:-1]) | row_start[1:]):
-        return indices, values + 0.0, lengths
-    rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    cols = indices
-    if (int(indices.max()) + 1) * lengths.size >= 2**63:  # rank the columns so the keys fit
-        cols = np.unique(cols, return_inverse=True)[1]
-    key = rows * (int(cols.max()) + 1) + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    group = np.empty(key.size, dtype=np.int64)
-    group[order] = np.cumsum(first) - 1
-    sums = np.bincount(group, weights=values, minlength=int(first.sum()))
-    heads = order[first]
-    return indices[heads], sums, np.bincount(rows[heads], minlength=lengths.size)
-
-
-def _merged_flat(seg_ptr, starts, lengths, weights, src_idx, src_val, tails):
-    """The ``_flat`` of rows that ``_merged_row`` merges from weighted segments
-    of a source CSR (``src_idx``, ``src_val``).
-
-    Row n concatenates, for its segments s in ``seg_ptr[n]`` … ``seg_ptr[n+1]−1``,
-    ``weights[s]`` times the source entries ``starts[s]`` … ``starts[s] +
-    lengths[s] − 1``.  Whole rows are expanded and merged in chunks of at most
-    ``_MERGE_CHUNK`` entries (a longer row is a chunk of its own), into output
-    sized by the unmerged total capped at the nnz limit; None once the merged
-    rows pass that limit.
-    """
-    expanded_ptr = _pointers(lengths)[seg_ptr]
-    cap = min(int(expanded_ptr[-1]), _FLAT_NNZ_LIMIT)
-    idx, val = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.float64)
-    row_len = np.empty(tails.size, dtype=np.int64)
-    nnz, r0 = 0, 0
-    while r0 < tails.size:
-        end = int(np.searchsorted(expanded_ptr, expanded_ptr[r0] + _MERGE_CHUNK, side="right")) - 1
-        r1 = max(r0 + 1, end)
-        s0, s1 = seg_ptr[r0], seg_ptr[r1]
-        src = _segment_arange(starts[s0:s1], lengths[s0:s1])
-        cols, sums, row_len[r0:r1] = _merge_chunk(
-            src_idx[src],
-            np.repeat(weights[s0:s1], lengths[s0:s1]) * src_val[src],
-            expanded_ptr[r0 : r1 + 1] - expanded_ptr[r0],
-        )
-        if nnz + cols.size > cap:
-            return None
-        idx[nnz : nnz + cols.size], val[nnz : nnz + cols.size] = cols, sums
-        nnz, r0 = nnz + cols.size, r1
-    if nnz < cap:
-        idx, val = idx[:nnz].copy(), val[:nnz].copy()
-    return idx, val, _pointers(row_len), tails
-
-
-class _UseRowPath(Exception):
-    """An operand's bulk gather raised or passed the nnz limit: the row path decides."""
-
-
-def _operand_gather(m: InfiniteMatrix, rows: np.ndarray) -> tuple:
-    """The CSR of the given rows of an operand; raises ``_UseRowPath`` where it
-    is None or raises.
-
-    A composite operand is read through its bulk path alone, so where that
-    gives up the row path runs once, at the outermost composite.
-    """
-    try:
-        flat = m._bulk_gather(rows) if isinstance(m, _Composite) else m._gather(rows)
-    except ComposeUnsupportedError:
-        raise _UseRowPath from None
-    if flat is None:
-        raise _UseRowPath
-    return flat
 
 
 class InfiniteMatrix:
@@ -275,10 +184,6 @@ class InfiniteMatrix:
             self._row_cache[n] = r
         return r
 
-    def row_abs_sum(self, n: int) -> float:
-        r = self.row(n)
-        return float(np.sum(np.abs(r.values))) + r.tail_bound
-
     def max_support(self, horizon: int) -> int:
         """1 + the largest column index on rows below the horizon (a product
         may return a larger bound; see ``_ComposedMatrix.max_support``)."""
@@ -295,45 +200,37 @@ class InfiniteMatrix:
 
     # -- bulk prefix computations -------------------------------------------
 
-    def row_abs_sums(self, horizon: int) -> np.ndarray:
-        """``row_abs_sum(n)`` for every row n below the horizon, bit for bit."""
-        flat = self._flat(horizon)
-        if flat is None:
-            return np.fromiter((self.row_abs_sum(n) for n in range(horizon)), dtype=np.float64, count=horizon)
-        _, val, ptr, tails = flat
-        return _abs_segment_sums(val, ptr) + tails
-
     def _flat(self, horizon: int):
         """Concatenated (indices, values, row pointers, tails) for rows below the
         horizon, or None when the total support is too large to materialize."""
         if horizon in self._flat_cache:
             return self._flat_cache[horizon]
-        flat = self._gather(np.arange(horizon, dtype=np.int64))
+        flat = self._gather(horizon)
         if len(self._flat_cache) > 4:
             self._flat_cache.clear()
         self._flat_cache[horizon] = flat
         return flat
 
-    def _gather(self, rows: np.ndarray):
-        """(indices, values, row pointers, tails) of the given increasing rows,
+    def _gather(self, horizon: int):
+        """(indices, values, row pointers, tails) of the rows below the horizon,
         concatenated, or None when their total support passes ``_FLAT_NNZ_LIMIT``.
 
-        This one reads ``row`` per row; subclasses gather in bulk, bit for bit,
-        with the same None decision and the same errors.
+        This one reads ``row`` per row; diagonal and banded matrices gather in
+        closed form, bit for bit, with the same None decision.
         """
         idx_parts, val_parts = [], []
-        ptr = np.zeros(rows.size + 1, dtype=np.int64)
-        tails = np.zeros(rows.size, dtype=np.float64)
+        ptr = np.zeros(horizon + 1, dtype=np.int64)
+        tails = np.zeros(horizon, dtype=np.float64)
         nnz = 0
-        for i, n in enumerate(rows.tolist()):
+        for n in range(horizon):
             r = self.row(n)
             nnz += len(r.indices)
             if nnz > _FLAT_NNZ_LIMIT:
                 return None
             idx_parts.append(r.indices)
             val_parts.append(r.values)
-            ptr[i + 1] = nnz
-            tails[i] = r.tail_bound
+            ptr[n + 1] = nnz
+            tails[n] = r.tail_bound
         idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=np.int64)
         val = np.concatenate(val_parts) if val_parts else np.zeros(0)
         return idx, val, ptr, tails
@@ -352,34 +249,28 @@ class InfiniteMatrix:
         (all columns when ``columns`` is None).
 
         Tail bounds are added for absolute sums (they dominate the missing mass)
-        and ignored otherwise.
+        and ignored otherwise.  Each row is summed on its own, by ``np.sum``
+        over its entries (times the 0/1 mask), from the CSR or row by row alike.
         """
         mask = columns.mask(self.max_support(horizon)) if columns is not None else None
+
+        def entries(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+            if positive_part:
+                values = np.clip(values, 0.0, None)
+            elif absolute:
+                values = np.abs(values)
+            return values if mask is None else values * mask[indices]
+
         flat = self._flat(horizon)
         if flat is not None:
             idx, val, ptr, tails = flat
-            if positive_part:
-                sel = np.clip(val, 0.0, None)
-            elif absolute:
-                sel = np.abs(val)
-            else:
-                sel = val
-            if mask is not None:
-                sel = sel * mask[idx]
-            cum = np.concatenate(([0.0], np.cumsum(sel)))
-            out = cum[ptr[1:]] - cum[ptr[:-1]]
+            out = _segment_sums(entries(val, idx), ptr)
             return out + tails if absolute else out
         out = np.empty(horizon, dtype=np.float64)
         for n in range(horizon):
             r = self.row(n)
-            vals = r.values
-            if mask is not None:
-                vals = vals[mask[r.indices]] if len(r.indices) else vals[:0]
-            if positive_part:
-                vals = np.clip(vals, 0.0, None)
-            elif absolute:
-                vals = np.abs(vals)
-            out[n] = np.sum(vals) + (r.tail_bound if absolute else 0.0)
+            total = np.sum(entries(r.values, r.indices))
+            out[n] = total + r.tail_bound if absolute else total
         return out
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
@@ -393,12 +284,11 @@ class InfiniteMatrix:
         flat = self._flat(horizon)
         if flat is not None:
             idx, val, ptr, _ = flat
-            cum = np.concatenate(([0.0], np.cumsum(val * xs[idx])))
-            return cum[ptr[1:]] - cum[ptr[:-1]]
+            return _segment_sums(val * xs[idx], ptr)
         out = np.empty(horizon, dtype=np.float64)
         for n in range(horizon):
             r = self.row(n)
-            out[n] = np.dot(r.values, xs[r.indices]) if len(r.indices) else 0.0
+            out[n] = np.sum(r.values * xs[r.indices])
         return out
 
 
@@ -413,22 +303,6 @@ class _CesaroMatrix(InfiniteMatrix):
     def _row(self, n: int) -> MatrixRow:
         w = 1.0 / (n + 1.0)
         return MatrixRow(np.arange(n + 1, dtype=np.int64), np.full(n + 1, w))
-
-    def _gather(self, rows: np.ndarray):
-        lengths = rows + 1
-        nnz = int(lengths.sum())
-        if nnz > _FLAT_NNZ_LIMIT:
-            return None
-        ptr = _pointers(lengths)
-        idx = np.arange(nnz, dtype=np.int64) - np.repeat(ptr[:-1], lengths)
-        return idx, np.repeat(1.0 / (rows + 1.0), lengths), ptr, np.zeros(rows.size)
-
-    def row_abs_sum(self, n: int) -> float:
-        # Uniform rational rows sum to 1 exactly.
-        return 1.0
-
-    def row_abs_sums(self, horizon: int) -> np.ndarray:
-        return np.ones(horizon, dtype=np.float64)
 
     def max_support(self, horizon: int) -> int:
         return horizon
@@ -466,18 +340,15 @@ class _DiagonalMatrix(InfiniteMatrix):
             return self.rule(horizon)
         return np.fromiter((self.diag(n) for n in range(horizon)), dtype=np.float64, count=horizon)
 
-    def _gather(self, rows: np.ndarray):
-        d = _at_rows(rows, self._diag_prefix, self.diag, np.float64)
+    def _gather(self, horizon: int):
+        d = self._diag_prefix(horizon)
         keep = d != 0.0
         if np.count_nonzero(keep) > _FLAT_NNZ_LIMIT:
             return None
-        return rows[keep], d[keep], _pointers(keep), np.zeros(rows.size)
+        return np.flatnonzero(keep), d[keep], _pointers(keep), np.zeros(horizon)
 
     def max_support(self, horizon: int) -> int:
         return horizon
-
-    def row_abs_sums(self, horizon: int) -> np.ndarray:
-        return np.abs(self._diag_prefix(horizon))
 
     def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
         d = self._diag_prefix(horizon)
@@ -504,18 +375,6 @@ class _RkMatrix(InfiniteMatrix):
 
     def _row(self, n: int) -> MatrixRow:
         return MatrixRow(np.array([self.h(n)], dtype=np.int64), np.array([1.0]))
-
-    def _gather(self, rows: np.ndarray):
-        if rows.size > _FLAT_NNZ_LIMIT:
-            return None
-        hs = _at_rows(rows, self.h.prefix, self.h, np.int64)
-        return hs, np.ones(rows.size), np.arange(rows.size + 1, dtype=np.int64), np.zeros(rows.size)
-
-    def row_abs_sum(self, n: int) -> float:
-        return 1.0
-
-    def row_abs_sums(self, horizon: int) -> np.ndarray:
-        return np.ones(horizon, dtype=np.float64)
 
     def max_support(self, horizon: int) -> int:
         return int(self.h.prefix(horizon).max()) + 1 if horizon else 0
@@ -578,42 +437,28 @@ class _BandedMatrix(InfiniteMatrix):
             return _EMPTY_ROW
         return self._explicit_row(n_explicit - 1)
 
-    def _gather(self, rows: np.ndarray):
-        """The explicit rows among ``rows``, then the tail rows in closed form."""
+    def _gather(self, horizon: int):
+        """The explicit rows below the horizon, then the tail rows in closed form."""
         n_explicit = self._ptr.size - 1
-        k = int(np.searchsorted(rows, n_explicit))
-        head, rest = rows[:k], rows[k:]
-        head_len = self._ptr[head + 1] - self._ptr[head]
+        k, n_tail = min(horizon, n_explicit), max(horizon - n_explicit, 0)
+        nnz = int(self._ptr[k])
         pattern = self._explicit_row(n_explicit - 1) if self.tail_mode == "repeat_last" else _EMPTY_ROW
         tail_len = 1 if self.tail_mode == "identity" else pattern.indices.size
-        if int(head_len.sum()) + tail_len * rest.size > _FLAT_NNZ_LIMIT:
+        if nnz + tail_len * n_tail > _FLAT_NNZ_LIMIT:
             return None
         if self.tail_mode == "identity":
-            tail_idx, tail_val = rest, np.ones(rest.size)
+            tail_idx, tail_val = np.arange(k, horizon, dtype=np.int64), np.ones(n_tail)
         else:
-            tail_idx, tail_val = np.tile(pattern.indices, rest.size), np.tile(pattern.values, rest.size)
-        src = _segment_arange(self._ptr[head], head_len)
-        lengths = np.concatenate((head_len, np.full(rest.size, tail_len, dtype=np.int64)))
-        idx = np.concatenate((self._cols[src], tail_idx))
-        val = np.concatenate((self._vals[src], tail_val))
-        return idx, val, _pointers(lengths), np.zeros(rows.size)
+            tail_idx, tail_val = np.tile(pattern.indices, n_tail), np.tile(pattern.values, n_tail)
+        lengths = np.concatenate((np.diff(self._ptr[: k + 1]), np.full(n_tail, tail_len, dtype=np.int64)))
+        idx = np.concatenate((self._cols[:nnz], tail_idx))
+        val = np.concatenate((self._vals[:nnz], tail_val))
+        return idx, val, _pointers(lengths), np.zeros(horizon)
 
 
 class _Composite(InfiniteMatrix):
-    """A matrix made from operand matrices; ``_bulk_gather`` builds its rows
-    from the operands' gathers.
-
-    Where an operand's gather raises or passes the nnz limit, the row path
-    decides instead, so the CSR, the None and the error are always the row
-    path's.  A composite operand's own fallback is left to this one, so the
-    rows are built once.
-    """
-
-    def _gather(self, rows: np.ndarray):
-        try:
-            return self._bulk_gather(rows)
-        except _UseRowPath:
-            return InfiniteMatrix._gather(self, rows)
+    """A matrix made from operand matrices; its CSR, where one is read, is the
+    row path's (``InfiniteMatrix._gather``)."""
 
     def _by_operands(self, absolute: bool, positive_part: bool) -> bool:
         """Whether the operands' masked row sums give this composite's: always
@@ -638,18 +483,6 @@ class _SumMatrix(_Composite):
             np.concatenate((ra.indices, rb.indices)),
             np.concatenate((ra.values, rb.values)),
             ra.tail_bound + rb.tail_bound,
-        )
-
-    def _bulk_gather(self, rows: np.ndarray):
-        """Row n of A then row n of B, as two segments of one source CSR with
-        weight 1.0 (which leaves every value as it is)."""
-        a_idx, a_val, a_ptr, a_tails = _operand_gather(self.a, rows)
-        b_idx, b_val, b_ptr, b_tails = _operand_gather(self.b, rows)
-        starts = np.stack((a_ptr[:-1], b_ptr[:-1] + a_ptr[-1]), axis=1).ravel()
-        lengths = np.stack((np.diff(a_ptr), np.diff(b_ptr)), axis=1).ravel()
-        return _merged_flat(
-            np.arange(0, starts.size + 1, 2), starts, lengths, np.ones(starts.size),
-            np.concatenate((a_idx, b_idx)), np.concatenate((a_val, b_val)), a_tails + b_tails,
         )
 
     def max_support(self, horizon: int) -> int:
@@ -679,10 +512,6 @@ class _ScaledMatrix(_Composite):
     def _row(self, n: int) -> MatrixRow:
         r = self.a.row(n)
         return MatrixRow(r.indices, self.c * r.values, abs(self.c) * r.tail_bound)
-
-    def _bulk_gather(self, rows: np.ndarray):
-        idx, val, ptr, tails = _operand_gather(self.a, rows)
-        return idx, self.c * val, ptr, abs(self.c) * tails
 
     def max_support(self, horizon: int) -> int:
         return self.a.max_support(horizon)
@@ -731,21 +560,6 @@ class _ComposedMatrix(_Composite):
             np.repeat(rb.values, lengths) * np.concatenate([ra.values for ra in rows]),
             tail,
         )
-
-    def _bulk_gather(self, rows: np.ndarray):
-        """Each left entry (n, j, b) is a segment: b times row j of A.  Only the
-        distinct rows j are gathered."""
-        b_idx, b_val, b_ptr, b_tails = _operand_gather(self.b, rows)
-        if np.any(b_tails != 0.0):
-            raise _UseRowPath  # the row path raises, unless it passes the nnz limit first
-        js, which = np.unique(b_idx, return_inverse=True)
-        a_idx, a_val, a_ptr, a_tails = _operand_gather(self.a, js)
-        tails = np.zeros(rows.size)
-        if a_tails.any():
-            contrib = np.abs(b_val) * a_tails[which]
-            for n in np.unique(np.searchsorted(b_ptr, np.flatnonzero(contrib), side="right") - 1).tolist():
-                tails[n] = sum(contrib[b_ptr[n] : b_ptr[n + 1]].tolist(), 0.0)
-        return _merged_flat(b_ptr, a_ptr[which], np.diff(a_ptr)[which], b_val, a_idx, a_val, tails)
 
     def _left_support(self, horizon: int) -> int | None:
         """``b.max_support(horizon)`` where B may act on A's values in place of
@@ -806,11 +620,6 @@ class _EntrywisePart(_Composite):
             keep = r.values < 0.0
             vals = -r.values[keep]
         return MatrixRow(r.indices[keep], vals, r.tail_bound)
-
-    def _bulk_gather(self, rows: np.ndarray):
-        idx, val, ptr, tails = _operand_gather(self.base, rows)
-        keep = val > 0.0 if self.positive else val < 0.0
-        return idx[keep], val[keep] if self.positive else -val[keep], _pointers(keep)[ptr], tails
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +686,7 @@ def norm_estimate(a: InfiniteMatrix, horizon: int) -> tuple[float, bool]:
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    return float(np.max(a.row_abs_sums(horizon))), a.norm_bound is not None
+    return float(np.max(a.row_sums(horizon, absolute=True))), a.norm_bound is not None
 
 
 def find_negative_entry(a: InfiniteMatrix, horizon: int) -> tuple[int, int, float] | None:

@@ -42,7 +42,7 @@ from .ideals import (
     ideal_to_dict,
     membership,
 )
-from .matrices import InfiniteMatrix, find_negative_entry, norm_estimate
+from .matrices import InfiniteMatrix, find_negative_entry
 from .sequences import BoundedSequence
 from .sets import Cardinality, SetDescription
 
@@ -300,12 +300,6 @@ def _set_label(s: SetDescription) -> str:
     return kind
 
 
-def _matrix_nonnegative(a: InfiniteMatrix, horizon: int) -> bool:
-    if a.nonnegative:
-        return True
-    return find_negative_entry(a, horizon) is None
-
-
 def _lim_condition(
     name: str,
     values: np.ndarray,
@@ -472,7 +466,7 @@ def _silverman_toeplitz_conditions(
     guard_ok = (
         ideal_j.classify().is_countably_generated
         or isinstance(ideal_i, FinIdeal)
-        or _matrix_nonnegative(a, cfg.horizon)
+        or find_negative_entry(a, cfg.horizon) is None
     )
     if not guard_ok:
         notes.append(
@@ -481,18 +475,16 @@ def _silverman_toeplitz_conditions(
         )
     conditions: list[ConditionReport] = []
 
-    sup, certified = norm_estimate(a, cfg.horizon)
+    abs_sums = a.row_sums(cfg.horizon, absolute=True)
+    sup, certified = float(np.max(abs_sums)), a.norm_bound is not None
     t1_ok = certified or sup <= _NORM_CAP
-    t1_row = None
-    if not t1_ok:
-        t1_row = int(np.argmax(a.row_abs_sums(cfg.horizon)))
     conditions.append(
         ConditionReport(
             name="T1(bounded-norm)",
             ok=t1_ok,
             margin=(sup - _NORM_CAP) if not t1_ok else 0.0,
-            details={"sup_rowsum": float(sup), "certified": certified, "cap": _NORM_CAP},
-            witness_row=t1_row,
+            details={"sup_rowsum": sup, "certified": certified, "cap": _NORM_CAP},
+            witness_row=None if t1_ok else int(np.argmax(abs_sums)),
         )
     )
 
@@ -544,7 +536,7 @@ def cfo_check(
     limsup of row sums over every positive family set equal to 1."""
     cfg = cfg or CheckConfig()
     memo = memo or CheckMemo()
-    neg = None if a.nonnegative else find_negative_entry(a, cfg.horizon)
+    neg = find_negative_entry(a, cfg.horizon)
     if neg is not None:
         raise NegativeEntryError(*neg)
     family = _resolve_family(family, ideal_i, cfg.seed, memo)
@@ -575,7 +567,7 @@ def leo_check(
     cfg = cfg or CheckConfig()
     memo = memo or CheckMemo()
     family = _resolve_family(family, ideal_i, cfg.seed, memo)
-    guard_ok = ideal_j.classify().is_countably_generated or _matrix_nonnegative(a, cfg.horizon)
+    guard_ok = ideal_j.classify().is_countably_generated or find_negative_entry(a, cfg.horizon) is None
     notes: list[str] = []
     if not guard_ok:
         notes.append(

@@ -324,7 +324,7 @@ _GENERIC_SUITE = {
     "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
 }
 _GENERIC_SHA256 = (
-    "d357eb9e6f04be1c3782efab94a7eefef4bfc04da437e2bb58b953f7a66bd26b",
+    "7f093330844cef32d007e0409323343aea9ef73adea135a9d5815f86b591b9e8",
     "c79a1462189c0aa0f9a4a1ac8e2fb7039483f1e374d4d360f526b752476bc0ba",
 )
 # Per item of the generic suite: (status, label of the witness set, witness
@@ -389,7 +389,7 @@ _SIGNED_SUITE = {
     "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
 }
 _SIGNED_SHA256 = (
-    "27e11006d653a81e394a294ad3f395c1617f2f119be9595e175d01b74940f993",
+    "c28f31fd7cd854711de6c3dd95436f756b6974615d4544f6e0e39701773b9672",
     "8ac2ad120b20d2d9773d5b26fdb124a0fef27a39bf8efb371c1ad802ee0dfef2",
 )
 

@@ -77,8 +77,9 @@ def test_linearity():
 def test_transform_bounded_by_rowsum():
     a = mat.cesaro()
     x = seq.corpus_entry("rotation_golden")
+    abs_sums = a.row_sums(101, absolute=True)
     for n in (0, 10, 100):
-        assert abs(mat.transform(a, x, n)) <= a.row_abs_sum(n) * x.bound + 1e-12
+        assert abs(mat.transform(a, x, n)) <= abs_sums[n] * x.bound + 1e-12
 
 
 def test_pos_neg_split():
@@ -301,7 +302,7 @@ def test_tail_bounds_enter_absolute_sums():
             return mat.MatrixRow(np.array([n], dtype=np.int64), np.array([0.5]), tail_bound=0.25)
 
     a = TailRow("tails")
-    assert a.row_abs_sum(3) == 0.75
+    assert a.row_sums(10, absolute=True)[3] == 0.75
     sup, certified = mat.norm_estimate(a, 10)
     assert sup == 0.75 and not certified
     assert np.allclose(a.masked_row_sums(None, 10, absolute=True), 0.75)
@@ -309,7 +310,7 @@ def test_tail_bounds_enter_absolute_sums():
     assert np.allclose(a.row_sums(10), 0.5)
 
 
-# -- bulk row reductions: bit-identical to the scalar row methods ----------------
+# -- bulk row reductions: bit-identical to each row's own sum ---------------------
 
 
 class _TailRows(mat.InfiniteMatrix):
@@ -340,7 +341,7 @@ def _signed_rows():
 
 
 def _composite_kinds():
-    """Products, sums, multiples and parts whose CSR is gathered in bulk."""
+    """Products, sums, multiples and parts, whose CSR is the row path's."""
     rk_2n = mat.rk_matrix(maps.affine_map(2))
     mixed = mat.matrix_sum(mat.matrix_sum(mat.cesaro(), mat.identity()), mat.scalar_mul(-0.3, mat.cesaro()))
     banded_mixed = mat.compose(mat.banded(_signed_rows(), tail_mode="repeat_last"), mixed)
@@ -390,26 +391,53 @@ def _matrix_kinds():
     }
 
 
+def _row_reference_sums(a, columns, horizon, absolute, positive_part, total=math.fsum):
+    """``masked_row_sums`` from ``row``: ``total`` of each row's entries times
+    the 0/1 mask, by default exactly rounded (``math.fsum``)."""
+    out = []
+    for n in range(horizon):
+        r = a.row(n)
+        vals = np.clip(r.values, 0.0, None) if positive_part else np.abs(r.values) if absolute else r.values
+        if columns is not None:
+            vals = vals * np.array([columns.contains(k) for k in r.indices.tolist()], dtype=bool)
+        out.append(total(vals) + r.tail_bound if absolute else total(vals))
+    return np.array(out)
+
+
+# Absolute row sums that come from a closed form of many-entry rows, or from
+# the operands of a nonnegative composite, rather than from the entries.
+_ABS_SUMS_BY_OPERANDS = {
+    "cesaro", "compose_rk_cesaro", "compose_cesaro_rk", "compose_cesaro_cesaro", "compose_rk_rk", "compose_with_tails",
+}
+
+
 @pytest.mark.parametrize("kind", sorted(_matrix_kinds()))
 def test_row_abs_sums_match_row_abs_sum(kind):
+    # ``row_sums(absolute=True)`` equals each row's own absolute sum bit for bit
+    # where it reads the entries, and agrees with the exactly rounded sum to
+    # 1e-12 where it does not.
     a = _matrix_kinds()[kind]
     horizon = 300
-    expected = np.array([a.row_abs_sum(n) for n in range(horizon)], dtype=np.float64)
-    assert a.row_abs_sums(horizon).tobytes() == expected.tobytes()
+    got = a.row_sums(horizon, absolute=True)
+    if kind in _ABS_SUMS_BY_OPERANDS:
+        want = _row_reference_sums(a, None, horizon, True, False)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    else:
+        assert got.tobytes() == _row_reference_sums(a, None, horizon, True, False, np.sum).tobytes()
 
 
 def test_row_abs_sums_past_the_flat_limit(monkeypatch):
     a = mat.matrix_sum(mat.cesaro(), mat.banded(_signed_rows(), tail_mode="repeat_last"))
-    expected = np.array([a.row_abs_sum(n) for n in range(200)])
+    expected = _row_reference_sums(a, None, 200, True, False, np.sum)
     monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 50)
     assert a._flat(200) is None
-    assert a.row_abs_sums(200).tobytes() == expected.tobytes()
+    assert a.row_sums(200, absolute=True).tobytes() == expected.tobytes()
 
 
 def _mixed_length_csr():
     """A CSR whose rows, shuffled, have lengths 0 to 5000 (most lengths on many
-    rows, 129 on more than one merge chunk's worth) and values of both signs,
-    magnitudes 1e-8 to 1e8 and some -0.0."""
+    rows, 129 on more than one chunk's worth) and values of both signs,
+    magnitudes 1e-8 to 1e8 and some -0.0, among them rows of -0.0 alone."""
     rng = np.random.default_rng(11)
     lengths = rng.permutation(
         np.repeat([0, 1, 2, 3, 8, 9, 128, 129, 5000], [5, 40, 40, 30, 700, 600, 20, 600, 3])
@@ -418,6 +446,9 @@ def _mixed_length_csr():
     np.cumsum(lengths, out=ptr[1:])
     values = rng.standard_normal(int(ptr[-1])) * 10.0 ** rng.integers(-8, 9, size=int(ptr[-1]))
     values[::97] = -0.0
+    for length in (1, 2, 9):  # rows whose entries are all -0.0
+        n = int(np.flatnonzero(lengths == length)[0])
+        values[ptr[n] : ptr[n + 1]] = -0.0
     return values, ptr
 
 
@@ -434,20 +465,23 @@ class _MixedRows(mat.InfiniteMatrix):
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
-def test_abs_segment_sums_match_per_row_sums(chunk, monkeypatch):
+def test_segment_sums_match_per_row_sums(chunk, monkeypatch):
     if chunk is not None:  # blocks of one row, and blocks cut short at the end of a length
         monkeypatch.setattr(mat, "_MERGE_CHUNK", chunk)
     values, ptr = _mixed_length_csr()
-    expected = np.array([np.sum(np.abs(values[ptr[n] : ptr[n + 1]])) for n in range(ptr.size - 1)])
-    assert mat._abs_segment_sums(values, ptr).tobytes() == expected.tobytes()
-    assert mat._abs_segment_sums(values[:0], ptr[:1]).size == 0
+    expected = np.array([np.sum(values[ptr[n] : ptr[n + 1]]) for n in range(ptr.size - 1)])
+    assert mat._segment_sums(values, ptr).tobytes() == expected.tobytes()
+    assert mat._segment_sums(values[:0], ptr[:1]).size == 0
+    # Rows of -0.0 alone, of one entry or more, sum to 0.0 as ``np.sum`` gives it.
+    zeros = mat._segment_sums(np.array([-0.0, -0.0, -0.0]), np.array([0, 1, 1, 3]))
+    assert zeros.tolist() == [0.0, 0.0, 0.0] and not np.signbit(zeros).any()
 
 
 def test_row_abs_sums_with_tails_over_mixed_lengths():
     a = _MixedRows()
     horizon = a.ptr.size - 1
-    expected = np.array([a.row_abs_sum(n) for n in range(horizon)])
-    assert a.row_abs_sums(horizon).tobytes() == expected.tobytes()
+    expected = _row_reference_sums(a, None, horizon, True, False, np.sum)
+    assert a.row_sums(horizon, absolute=True).tobytes() == expected.tobytes()
 
 
 def _first_negative(a, horizon):
@@ -477,8 +511,8 @@ def test_find_negative_entry_late_and_past_the_flat_limit(monkeypatch):
 
 def _row_assembly(a, horizon):
     """The uncached CSR of the rows below the horizon, read with ``row`` one row
-    at a time: what every bulk gather reproduces."""
-    return mat.InfiniteMatrix._gather(a, np.arange(horizon, dtype=np.int64))
+    at a time: what a composite's CSR is and every closed-form gather reproduces."""
+    return mat.InfiniteMatrix._gather(a, horizon)
 
 
 @pytest.mark.parametrize("tail", ["identity", "zero", "repeat_last"])
@@ -522,11 +556,10 @@ def _assert_same_flat(got, want):
 
 @pytest.mark.parametrize("horizon", [0, 1, 7, 300])
 @pytest.mark.parametrize("kind", sorted(_composite_kinds()))
-def test_composite_flat_matches_row_assembly(kind, horizon, monkeypatch):
+def test_composite_flat_matches_row_assembly(kind, horizon):
+    # The CSR of a fresh composite equals the one read from warm row caches.
     want = _row_assembly(_matrix_kinds()[kind], horizon)
-    for chunk in (7, mat._MERGE_CHUNK):
-        monkeypatch.setattr(mat, "_MERGE_CHUNK", chunk)
-        _assert_same_flat(_composite_kinds()[kind]._flat(horizon), want)
+    _assert_same_flat(_composite_kinds()[kind]._flat(horizon), want)
 
 
 @pytest.mark.parametrize("limit", [0, 3, 60, 1500, 20_000])
@@ -539,8 +572,9 @@ def test_composite_flat_none_decision_matches_row_assembly(limit, monkeypatch):
 
 @pytest.mark.parametrize("part", ["scaled", "positive", "negative"])
 def test_nested_fallback_builds_rows_once(part, monkeypatch):
-    # Past the nnz limit the bulk path gives up; the rows of the inner product
-    # are then built by the outermost row path alone, as often as there.
+    # A composite's CSR is the row path's alone: past the nnz limit no operand
+    # CSR is gathered, and the rows of the inner product are built as often
+    # as the row assembly builds them.
     def build():
         product = mat.compose(mat.cesaro(), mat.cesaro())
         if part == "scaled":
@@ -605,8 +639,8 @@ def test_sparse_column_merges_match_row_assembly(h):
 
 
 def test_product_flat_memory_is_bounded():
-    # The product's CSR is written into preallocated output while the right
-    # factor's rows are expanded a bounded chunk at a time.
+    # The product's CSR costs a small multiple of its own size: the cached rows
+    # and their concatenation.
     a = mat.compose(mat.rk_matrix(maps.affine_map(2)), mat.cesaro())
     tracemalloc.start()
     try:
@@ -623,24 +657,11 @@ _COLUMN_SETS = {"all": None, "evens": sd.evens(), "squares": sd.squares(), "expl
 _FLAGS = list(itertools.product((False, True), repeat=2))
 
 
-def _row_reference_sums(a, columns, horizon, absolute, positive_part):
-    """``masked_row_sums`` from ``row``, each row's entries summed exactly
-    rounded (``math.fsum``)."""
-    out = []
-    for n in range(horizon):
-        r = a.row(n)
-        vals = r.values if columns is None else r.values[[columns.contains(k) for k in r.indices.tolist()]]
-        vals = np.clip(vals, 0.0, None) if positive_part else np.abs(vals) if absolute else vals
-        out.append(math.fsum(vals.tolist()) + (r.tail_bound if absolute else 0.0))
-    return np.array(out)
-
-
 @pytest.mark.parametrize("kind", sorted(_composite_kinds()))
 def test_composite_sums_and_transforms_match_the_rows(kind):
     # Sums that still read the CSR (absolute or positive-part sums of a signed
     # composite) equal the CSR's bit for bit.  The rest agree with each row's
-    # exactly rounded sum to 1e-12 relative; the CSR's cumulative sums miss
-    # that by up to 1.5e-11 at this horizon (row sums of "sum").
+    # exactly rounded sum to 1e-12 relative.
     a = _matrix_kinds()[kind]
     horizon = 300
     for (absolute, positive_part), (name, columns) in itertools.product(_FLAGS, _COLUMN_SETS.items()):
@@ -657,11 +678,30 @@ def test_composite_sums_and_transforms_match_the_rows(kind):
         np.testing.assert_allclose(a.transform_prefix(x, horizon), want, rtol=1e-12, atol=1e-12, err_msg=label)
 
 
+@pytest.mark.parametrize("kind", ["sum", "compose_banded_mixed"])
+def test_csr_sums_are_each_rows_own_sum(kind, monkeypatch):
+    # Every row is summed on its own, so no rounding carries from one row into
+    # the next, and the row loop past the nnz limit gives the same bits.
+    horizon = 300
+    reference = _matrix_kinds()[kind]
+    cases = list(itertools.product(_FLAGS, _COLUMN_SETS.values()))
+    want = [_row_reference_sums(reference, columns, horizon, *flags, np.sum) for flags, columns in cases]
+    xs = seq.corpus_entry("rotation_golden").prefix(reference.max_support(horizon))
+    want_ax = np.array([np.sum(r.values * xs[r.indices]) for r in map(reference.row, range(horizon))])
+    for limit in (mat._FLAT_NNZ_LIMIT, 50):
+        monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", limit)
+        a = _composite_kinds()[kind]
+        assert (a._flat(horizon) is None) == (limit == 50)
+        for ((absolute, positive_part), columns), sums in zip(cases, want):
+            got = mat.InfiniteMatrix.masked_row_sums(a, columns, horizon, absolute, positive_part)
+            assert got.tobytes() == sums.tobytes(), (limit, columns, absolute, positive_part)
+        assert mat.InfiniteMatrix._apply(a, xs, horizon).tobytes() == want_ax.tobytes(), limit
+
+
 def test_product_sums_are_exact_and_read_no_csr(monkeypatch):
     def refuse(*args):
         raise AssertionError("a composite's CSR was gathered")
 
-    monkeypatch.setattr(mat._ComposedMatrix, "_bulk_gather", refuse)
     monkeypatch.setattr(mat.InfiniteMatrix, "_gather", refuse)
     horizon = 1000
     a = mat.compose(mat.rk_matrix(maps.affine_map(2)), mat.cesaro())
@@ -683,8 +723,7 @@ def test_product_sums_are_exact_and_read_no_csr(monkeypatch):
 
 def test_sparse_left_factor_keeps_the_csr_route():
     # rk(enumeration(squares)) reaches column (H-1)^2: B cannot act on A's
-    # values without A reading that long a prefix, so the product's CSR decides
-    # (its cumulative sums are some 5e-12 off the exact row sums here).
+    # values without A reading that long a prefix, so the product's CSR decides.
     horizon = 40
     a = mat.compose(mat.rk_matrix(maps.enumeration_map(sd.squares())), mat.cesaro())
     assert a._left_support(horizon) is None

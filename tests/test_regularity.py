@@ -295,6 +295,26 @@ def test_satisfied_norm_consistency():
         assert certified and sup <= a.norm_bound + 1e-12
 
 
+def test_t1_of_nonnegative_composites_reads_no_csr(monkeypatch):
+    # A nonnegative composite's absolute row sums are its row sums, which its
+    # operands give exactly: T1 reads no CSR and reports the exact sup.
+    def refuse(*args):
+        raise AssertionError("a CSR was gathered")
+
+    monkeypatch.setattr(mat.InfiniteMatrix, "_gather", refuse)
+    cfg = CheckConfig(horizon=1000)
+    rk_2n = mat.rk_matrix(maps.affine_map(2))
+    cases = [
+        (mat.compose(rk_2n, mat.cesaro()), 1.0),
+        (mat.compose(mat.cesaro(), rk_2n), 1.0),
+        (mat.matrix_sum(mat.cesaro(), mat.identity()), 2.0),
+    ]
+    for a, sup in cases:
+        st = reg.silverman_toeplitz_check(a, FIN, FIN, cfg=cfg)
+        assert st.conditions[0].name == "T1(bounded-norm)" and st.conditions[0].details["sup_rowsum"] == sup
+        reg.leo_check(a, FIN, FIN, cfg=cfg)  # and neither do Leo's conditions
+
+
 def test_verdict_serialization():
     verdict = reg.allen_check(mat.cesaro())
     d = verdict.to_dict()
