@@ -6,9 +6,11 @@ and each default test family is built once per (ideal, seed).  A matrix is
 parsed once for its group of items (its ideal pairs times its theorems and
 experiment).  Shared results live in a ``regularity.CheckMemo``: each
 core(x, I) of a corpus entry once per suite, and, within a group, the
-Silverman–Toeplitz verdict of each pair, the Allen verdict and each
-core(A·x, J) once.  When the group ends the matrix goes, with every row and
-CSR cached on it and its memo entries.  Each item's entry in
+Silverman–Toeplitz verdict of each pair, the Allen verdict, each family
+condition (the row sums over one family set judged under J: T3, A3, C2 and
+L2, so the C2 and L2 of a nonnegative matrix and its (Fin, Fin) A3 are one
+computation) and each core(A·x, J) once.  When the group ends the matrix goes,
+with every row and CSR cached on it and its memo entries.  Each item's entry in
 ``ReportBundle.timings`` is its wall time, so the first item of a group
 carries the matrix parse, and the first item to need a shared result carries
 its cost.  An item that raises ``InconclusiveCellsError`` (an experiment

@@ -20,8 +20,11 @@ only when its left factor is known to be row-finite and selects no columns
 past ``_SPARSE_IMAGE_FACTOR`` times the horizon.  Everything else reads the
 CSR: signed composites' absolute and positive-part sums, entrywise parts and
 banded matrices.  There each row is summed on its own (``_segment_sums``), bit
-for bit as ``np.sum`` sums that row alone, and past ``_FLAT_NNZ_LIMIT`` the
-row loop gives the same bits.  ``find_negative_entry`` reads entries.
+for bit as ``np.sum`` sums that row alone.  Past ``_FLAT_NNZ_LIMIT`` the CSR
+holds the rows up to the one at which the support passes the limit, and a
+bulk computation reads the rows after those one at a time with the same bits,
+so one bulk call builds each row once.  ``abs_sums_are_sums`` says where the
+absolute flag cannot change a sum.  ``find_negative_entry`` reads entries.
 ``transform`` computes one entry of A·x with ``math.fsum``.
 """
 
@@ -126,6 +129,14 @@ def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gathered_rows(lengths: np.ndarray) -> int:
+    """How many of the rows with these lengths a CSR holds: all of them, or
+    those up to the first at which the running support passes
+    ``_FLAT_NNZ_LIMIT``."""
+    over = np.flatnonzero(np.cumsum(lengths) > _FLAT_NNZ_LIMIT)
+    return int(over[0]) + 1 if over.size else lengths.size
+
+
 def _pointers(lengths: np.ndarray) -> np.ndarray:
     """CSR row pointers for the given row lengths."""
     ptr = np.zeros(lengths.size + 1, dtype=np.int64)
@@ -168,7 +179,16 @@ class InfiniteMatrix:
         self.norm_bound = norm_bound  # certified sup_n (sum_k |a_nk| + tail); None if unknown
         self.nonnegative = nonnegative
         self._row_cache: dict[int, MatrixRow] = {}
-        self._flat_cache: dict[int, tuple | None] = {}
+        self._flat_cache: dict[int, tuple] = {}
+
+    @property
+    def abs_sums_are_sums(self) -> bool:
+        """Whether absolute masked row sums are known to equal the signed ones bit
+        for bit: true for a nonnegative matrix whose rows carry no tail bound
+        and no −0.0 entry (which ``np.abs`` would turn into 0.0).  Only a
+        diagonal rule or a subclass's own rows can hold −0.0 in a nonnegative
+        matrix; banded rows and merged composite rows add 0.0 to theirs."""
+        return bool(self.nonnegative) and self._row_finite
 
     def _row(self, n: int) -> MatrixRow:
         raise NotImplementedError
@@ -187,13 +207,9 @@ class InfiniteMatrix:
     def max_support(self, horizon: int) -> int:
         """1 + the largest column index on rows below the horizon (a product
         may return a larger bound; see ``_ComposedMatrix.max_support``)."""
-        flat = self._flat(horizon)
-        if flat is not None:
-            idx = flat[0]
-            return int(idx.max()) + 1 if idx.size else 0
-        best = 0
-        for n in range(horizon):
-            r = self.row(n)
+        idx, _, ptr, _ = self._flat(horizon)
+        best = int(idx.max()) + 1 if idx.size else 0
+        for _, r in self._rows_past(ptr, horizon):
             if len(r.indices):
                 best = max(best, int(r.indices[-1]) + 1)
         return best
@@ -201,8 +217,10 @@ class InfiniteMatrix:
     # -- bulk prefix computations -------------------------------------------
 
     def _flat(self, horizon: int):
-        """Concatenated (indices, values, row pointers, tails) for rows below the
-        horizon, or None when the total support is too large to materialize."""
+        """Concatenated (indices, values, row pointers, tails) of the first rows
+        below the horizon: all of them, or, when their total support passes
+        ``_FLAT_NNZ_LIMIT``, those up to the first row at which it does.  A bulk
+        computation reads the rest one at a time (``_rows_past``)."""
         if horizon in self._flat_cache:
             return self._flat_cache[horizon]
         flat = self._gather(horizon)
@@ -212,28 +230,31 @@ class InfiniteMatrix:
         return flat
 
     def _gather(self, horizon: int):
-        """(indices, values, row pointers, tails) of the rows below the horizon,
-        concatenated, or None when their total support passes ``_FLAT_NNZ_LIMIT``.
+        """The CSR that ``_flat`` returns, uncached.
 
-        This one reads ``row`` per row; diagonal and banded matrices gather in
-        closed form, bit for bit, with the same None decision.
+        This one reads ``row`` per row, so the rows it stops after are the ones
+        it has built, and none is built again; diagonal and banded matrices
+        gather the same rows in closed form, bit for bit.
         """
-        idx_parts, val_parts = [], []
-        ptr = np.zeros(horizon + 1, dtype=np.int64)
-        tails = np.zeros(horizon, dtype=np.float64)
+        idx_parts, val_parts, lengths, tails = [], [], [], []
         nnz = 0
         for n in range(horizon):
+            if nnz > _FLAT_NNZ_LIMIT:
+                break
             r = self.row(n)
             nnz += len(r.indices)
-            if nnz > _FLAT_NNZ_LIMIT:
-                return None
             idx_parts.append(r.indices)
             val_parts.append(r.values)
-            ptr[n + 1] = nnz
-            tails[n] = r.tail_bound
+            lengths.append(len(r.indices))
+            tails.append(r.tail_bound)
         idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=np.int64)
         val = np.concatenate(val_parts) if val_parts else np.zeros(0)
-        return idx, val, ptr, tails
+        return idx, val, _pointers(np.array(lengths, dtype=np.int64)), np.array(tails, dtype=np.float64)
+
+    def _rows_past(self, ptr: np.ndarray, horizon: int):
+        """(n, row n) for the rows below the horizon that the CSR with row
+        pointers ``ptr`` leaves out, built one at a time."""
+        return ((n, self.row(n)) for n in range(ptr.size - 1, horizon))
 
     def row_sums(self, horizon: int, absolute: bool = False) -> np.ndarray:
         return self.masked_row_sums(None, horizon, absolute=absolute)
@@ -261,14 +282,11 @@ class InfiniteMatrix:
                 values = np.abs(values)
             return values if mask is None else values * mask[indices]
 
-        flat = self._flat(horizon)
-        if flat is not None:
-            idx, val, ptr, tails = flat
-            out = _segment_sums(entries(val, idx), ptr)
-            return out + tails if absolute else out
+        idx, val, ptr, tails = self._flat(horizon)
         out = np.empty(horizon, dtype=np.float64)
-        for n in range(horizon):
-            r = self.row(n)
+        sums = _segment_sums(entries(val, idx), ptr)
+        out[: ptr.size - 1] = sums + tails if absolute else sums
+        for n, r in self._rows_past(ptr, horizon):
             total = np.sum(entries(r.values, r.indices))
             out[n] = total + r.tail_bound if absolute else total
         return out
@@ -281,13 +299,10 @@ class InfiniteMatrix:
     def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
         """(A x)_n for n below the horizon, where ``xs`` holds x_0 … x_{S-1}
         for some S >= ``max_support(horizon)``."""
-        flat = self._flat(horizon)
-        if flat is not None:
-            idx, val, ptr, _ = flat
-            return _segment_sums(val * xs[idx], ptr)
+        idx, val, ptr, _ = self._flat(horizon)
         out = np.empty(horizon, dtype=np.float64)
-        for n in range(horizon):
-            r = self.row(n)
+        out[: ptr.size - 1] = _segment_sums(val * xs[idx], ptr)
+        for n, r in self._rows_past(ptr, horizon):
             out[n] = np.sum(r.values * xs[r.indices])
         return out
 
@@ -340,12 +355,18 @@ class _DiagonalMatrix(InfiniteMatrix):
             return self.rule(horizon)
         return np.fromiter((self.diag(n) for n in range(horizon)), dtype=np.float64, count=horizon)
 
+    @property
+    def abs_sums_are_sums(self) -> bool:
+        # No row has a tail; of the rules, those of the identity and the zero
+        # matrix are the ones known to give no −0.0.
+        return bool(self.nonnegative) and self.rule in (np.ones, np.zeros)
+
     def _gather(self, horizon: int):
         d = self._diag_prefix(horizon)
         keep = d != 0.0
-        if np.count_nonzero(keep) > _FLAT_NNZ_LIMIT:
-            return None
-        return np.flatnonzero(keep), d[keep], _pointers(keep), np.zeros(horizon)
+        rows = _gathered_rows(keep)
+        d, keep = d[:rows], keep[:rows]
+        return np.flatnonzero(keep), d[keep], _pointers(keep), np.zeros(rows)
 
     def max_support(self, horizon: int) -> int:
         return horizon
@@ -440,20 +461,24 @@ class _BandedMatrix(InfiniteMatrix):
     def _gather(self, horizon: int):
         """The explicit rows below the horizon, then the tail rows in closed form."""
         n_explicit = self._ptr.size - 1
-        k, n_tail = min(horizon, n_explicit), max(horizon - n_explicit, 0)
-        nnz = int(self._ptr[k])
         pattern = self._explicit_row(n_explicit - 1) if self.tail_mode == "repeat_last" else _EMPTY_ROW
         tail_len = 1 if self.tail_mode == "identity" else pattern.indices.size
-        if nnz + tail_len * n_tail > _FLAT_NNZ_LIMIT:
-            return None
+        n_tail = max(horizon - n_explicit, 0)
+        if tail_len:  # past this many tail rows the support has passed the limit
+            n_tail = min(n_tail, _FLAT_NNZ_LIMIT + 1)
+        lengths = np.concatenate(
+            (np.diff(self._ptr[: min(horizon, n_explicit) + 1]), np.full(n_tail, tail_len, dtype=np.int64))
+        )
+        rows = _gathered_rows(lengths)
+        k, n_tail = min(rows, n_explicit), max(rows - n_explicit, 0)
+        nnz = int(self._ptr[k])
         if self.tail_mode == "identity":
-            tail_idx, tail_val = np.arange(k, horizon, dtype=np.int64), np.ones(n_tail)
+            tail_idx, tail_val = np.arange(k, rows, dtype=np.int64), np.ones(n_tail)
         else:
             tail_idx, tail_val = np.tile(pattern.indices, n_tail), np.tile(pattern.values, n_tail)
-        lengths = np.concatenate((np.diff(self._ptr[: k + 1]), np.full(n_tail, tail_len, dtype=np.int64)))
         idx = np.concatenate((self._cols[:nnz], tail_idx))
         val = np.concatenate((self._vals[:nnz], tail_val))
-        return idx, val, _pointers(lengths), np.zeros(horizon)
+        return idx, val, _pointers(lengths[:rows]), np.zeros(rows)
 
 
 class _Composite(InfiniteMatrix):
@@ -693,18 +718,14 @@ def find_negative_entry(a: InfiniteMatrix, horizon: int) -> tuple[int, int, floa
     """First (row, column, value) with a negative entry below the horizon, if any."""
     if a.nonnegative:
         return None
-    flat = a._flat(horizon)
-    if flat is None:
-        for n in range(horizon):
-            r = a.row(n)
-            neg = np.flatnonzero(r.values < 0.0)
-            if neg.size:
-                j = int(neg[0])
-                return n, int(r.indices[j]), float(r.values[j])
-        return None
-    idx, val, ptr, _ = flat
+    idx, val, ptr, _ = a._flat(horizon)
     neg = np.flatnonzero(val < 0.0)
-    if not neg.size:
-        return None
-    j = int(neg[0])
-    return int(np.searchsorted(ptr, j, side="right")) - 1, int(idx[j]), float(val[j])
+    if neg.size:
+        j = int(neg[0])
+        return int(np.searchsorted(ptr, j, side="right")) - 1, int(idx[j]), float(val[j])
+    for n, r in a._rows_past(ptr, horizon):
+        neg = np.flatnonzero(r.values < 0.0)
+        if neg.size:
+            j = int(neg[0])
+            return n, int(r.indices[j]), float(r.values[j])
+    return None

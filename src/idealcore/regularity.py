@@ -9,18 +9,23 @@ same cluster estimator that powers the core computations.
 
 Checks of one matrix share work through a :class:`CheckMemo` passed as
 ``memo``: the default family per (ideal, seed), the Silverman–Toeplitz verdict
-that every characterization's regularity condition reads, and the Allen
-verdict.  The core equality experiment shares its cores through the same memo.
-A memo changes no result; a caller without one makes its own.
+that every characterization's regularity condition reads, the Allen verdict,
+and each family condition (T3, A3, C2, L2: the row sums over one family set,
+judged under J).  A condition is judged once per matrix, set, J and config
+and handed to each checker under its own name, so CFO's C2 and Leo's L2 of a
+nonnegative matrix, whose absolute row sums are its row sums, are one
+computation, and Allen's A3 is Leo's L2 under (Fin, Fin).  The core equality
+experiment shares its cores through the same memo.  A memo changes no result;
+a caller without one makes its own.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import json
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -234,8 +239,10 @@ class CheckMemo:
     ``families`` holds the default family per (ideal, seed) and ``cores`` the
     core of a sequence per (sequence, ideal, config); ``results`` holds the
     Silverman–Toeplitz and Allen verdicts per (matrix, ideals, family,
-    config) and the core of A·x per (matrix, x, ideal, config).  Keys hold the
-    matrix and the sequence themselves, so a memo keeps them alive:
+    config), the family conditions per (judge, matrix, absoluteness, J,
+    config, target), as a table by family set (see ``_family_conditions``),
+    and the core of A·x per (matrix, x, ideal, config).  Keys hold the matrix, the sets and the
+    sequence themselves, so a memo keeps them alive:
     ``harness.run_suite`` gives each matrix its own memo over one suite-wide
     ``families`` and ``cores``.  A caller without a memo makes a fresh one,
     so a direct call computes everything itself.  A result that raises is not
@@ -258,10 +265,13 @@ class CheckMemo:
             self.cores[key] = core(x, ideal, cfg)
         return self.cores[key]
 
-    def result(self, key: tuple, compute: Callable[[], Verdict | CoreInterval]) -> Verdict | CoreInterval:
-        if key not in self.results:
-            self.results[key] = compute()
-        return self.results[key]
+    def result(
+        self, key: tuple, compute: Callable[[], Verdict | CoreInterval | dict]
+    ) -> Verdict | CoreInterval | dict:
+        result = self.results.get(key)
+        if result is None:
+            result = self.results[key] = compute()
+        return result
 
     def image_core(
         self,
@@ -324,6 +334,7 @@ def _lim_condition(
 def _limsup_condition(
     name: str,
     values: np.ndarray,
+    target: float,
     ideal_j: Ideal,
     cfg: CheckConfig,
     witness_set: SetDescription,
@@ -337,7 +348,7 @@ def _limsup_condition(
     except InconclusiveCellsError as exc:
         details["inconclusive_cells"] = [list(w) for w in exc.cells]
         return ConditionReport(name=name, ok=None, margin=0.0, details=details)
-    deviation = abs(est - 1.0)
+    deviation = abs(est - target)
     ok = deviation <= cfg.tol
     details["limsup_estimate"] = float(est)
     return ConditionReport(
@@ -376,22 +387,41 @@ def _regular_condition(
 
 def _family_conditions(
     prefix: str,
+    judge: Callable[..., ConditionReport],
+    target: float,
     a: InfiniteMatrix,
     sets: tuple[SetDescription, ...],
+    ideal_j: Ideal,
     cfg: CheckConfig,
-    judge: Callable[..., ConditionReport],
+    memo: CheckMemo,
     absolute: bool = True,
 ) -> list[ConditionReport]:
     """One condition ``prefix[E]`` per family set E, judging the row sums of A
-    over the columns in E: ``judge(name, row_sums, witness_set=E)``."""
-    return [
-        judge(
-            f"{prefix}[{_set_label(e)}]",
-            a.masked_row_sums(e, cfg.horizon, absolute=absolute),
-            witness_set=e,
+    over the columns in E: ``judge(name, row_sums, target, ideal_j, cfg,
+    witness_set=E)``, where ``judge`` is ``_lim_condition`` (their J-limit is
+    the target) or ``_limsup_condition`` (their J-limsup is).
+
+    Each condition is judged once per memo, keyed by everything the judge
+    reads: the memo holds one table of judged sets per (judge, matrix,
+    absoluteness, J, config, target), where the absolute flag drops out if
+    A's absolute row sums are its row sums bit for bit.  Every caller gets
+    its own report, named by its prefix, with its own copy of the details.
+    """
+    absolute = absolute and not a.abs_sums_are_sums
+    judged = memo.result(("conditions", judge, a, absolute, _ideal_key(ideal_j), cfg, target), dict)
+    reports = []
+    for e in sets:
+        name = f"{prefix}[{_set_label(e)}]"
+        shared = judged.get(e)
+        if shared is None:
+            values = a.masked_row_sums(e, cfg.horizon, absolute=absolute)
+            shared = judged[e] = judge(name, values, target, ideal_j, cfg, e)
+        # Scalars are immutable; the lists (inconclusive cells) are copied.
+        details = {k: copy.deepcopy(v) if isinstance(v, list) else v for k, v in shared.details.items()}
+        reports.append(
+            ConditionReport(name, shared.ok, shared.margin, details, shared.witness_set, shared.witness_row)
         )
-        for e in sets
-    ]
+    return reports
 
 
 def _assemble(
@@ -456,11 +486,11 @@ def _silverman_toeplitz(
     """``silverman_toeplitz_check`` on a family that is already classified,
     computed once per memo."""
     key = ("st", a, _ideal_key(ideal_i), _ideal_key(ideal_j), family, cfg)
-    return memo.result(key, lambda: _silverman_toeplitz_conditions(a, ideal_i, ideal_j, family, cfg))
+    return memo.result(key, lambda: _silverman_toeplitz_conditions(a, ideal_i, ideal_j, family, cfg, memo))
 
 
 def _silverman_toeplitz_conditions(
-    a: InfiniteMatrix, ideal_i: Ideal, ideal_j: Ideal, family: TestFamily, cfg: CheckConfig
+    a: InfiniteMatrix, ideal_i: Ideal, ideal_j: Ideal, family: TestFamily, cfg: CheckConfig, memo: CheckMemo
 ) -> Verdict:
     notes: list[str] = []
     guard_ok = (
@@ -491,8 +521,7 @@ def _silverman_toeplitz_conditions(
     row_sums = a.row_sums(cfg.horizon)
     conditions.append(_lim_condition("T2(row-sums)", row_sums, 1.0, ideal_j, cfg))
 
-    judge = partial(_lim_condition, target=0.0, ideal_j=ideal_j, cfg=cfg)
-    conditions += _family_conditions("T3", a, family.sets_in_ideal, cfg, judge)
+    conditions += _family_conditions("T3", _lim_condition, 0.0, a, family.sets_in_ideal, ideal_j, cfg, memo)
     return _assemble(conditions, guard_ok, notes, cfg)
 
 
@@ -518,8 +547,7 @@ def _allen_conditions(a: InfiniteMatrix, family: TestFamily, cfg: CheckConfig, m
         _regular_condition("A1(regular)", a, fin_ideal, fin_ideal, family, cfg, memo),
         _lim_condition("A2(abs-row-sums)", a.row_sums(cfg.horizon, absolute=True), 1.0, fin_ideal, cfg),
     ]
-    judge = partial(_limsup_condition, ideal_j=fin_ideal, cfg=cfg)
-    conditions += _family_conditions("A3", a, family.sets_infinite, cfg, judge)
+    conditions += _family_conditions("A3", _limsup_condition, 1.0, a, family.sets_infinite, fin_ideal, cfg, memo)
     return _assemble(conditions, True, [], cfg)
 
 
@@ -541,8 +569,9 @@ def cfo_check(
         raise NegativeEntryError(*neg)
     family = _resolve_family(family, ideal_i, cfg.seed, memo)
     conditions = [_regular_condition("C1(regular)", a, ideal_i, ideal_j, family, cfg, memo)]
-    judge = partial(_limsup_condition, ideal_j=ideal_j, cfg=cfg)
-    conditions += _family_conditions("C2", a, family.sets_positive, cfg, judge, absolute=False)
+    conditions += _family_conditions(
+        "C2", _limsup_condition, 1.0, a, family.sets_positive, ideal_j, cfg, memo, absolute=False
+    )
     return _assemble(conditions, True, [], cfg)
 
 
@@ -576,8 +605,7 @@ def leo_check(
             "verdict stamped inconclusive-as-characterization"
         )
     conditions = [_regular_condition("L1(regular)", a, ideal_i, ideal_j, family, cfg, memo)]
-    judge = partial(_limsup_condition, ideal_j=ideal_j, cfg=cfg)
-    conditions += _family_conditions("L2", a, family.sets_positive, cfg, judge)
+    conditions += _family_conditions("L2", _limsup_condition, 1.0, a, family.sets_positive, ideal_j, cfg, memo)
     return _assemble(conditions, guard_ok, notes, cfg)
 
 

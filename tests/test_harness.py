@@ -493,6 +493,80 @@ def test_a_suite_computes_each_core_once(monkeypatch):
     assert len(core_calls) == len(transform_calls) == 2 * len(labels)
 
 
+_BANDED = {"type": "banded", "rows": [[[0, 0.5], [1, 0.5]], [[1, 1.0]], [[0, 0.25], [2, 0.75]]], "tail": "identity"}
+_SHARING_SUITE = {
+    "matrices": [_BANDED],
+    "ideal_pairs": [["fin", "fin"], ["fin-oplus-evens", "fin"]],
+    "theorems": ["allen", "cfo", "leo"],
+    "cfg": {"check_horizon": 2000, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
+}
+
+
+def _conditions(verdict: dict, prefix: str) -> list:
+    """A verdict's conditions ``prefix[E]`` in order, as (set label, report without its name)."""
+    return [
+        (c["name"][len(prefix) :], {k: v for k, v in c.items() if k != "name"})
+        for c in verdict["conditions"]
+        if c["name"].startswith(prefix + "[")
+    ]
+
+
+def test_a_suite_judges_each_family_condition_once(monkeypatch):
+    limsup_calls = []
+    limsup = regularity.limsup_of_values
+
+    def counting_limsup(values, ideal, cfg, bound=None):
+        limsup_calls.append(ideal.label)
+        return limsup(values, ideal, cfg, bound=bound)
+
+    monkeypatch.setattr(regularity, "limsup_of_values", counting_limsup)
+    bundle = harness.run_suite(specs.parse_experiment_config(_SHARING_SUITE))
+    assert {i["status"] for i in bundle.items} <= {"satisfied", "violated"}
+    # One limsup per distinct (set, J): J is Fin throughout, and the sets are
+    # Allen's infinite sets and the positive sets of both pairs.
+    fin, fin_oplus_evens = specs.parse_ideal("fin"), specs.parse_ideal("fin-oplus-evens")
+    fin_family = regularity.default_family(fin, 0)
+    sets = {*fin_family.sets_infinite, *fin_family.sets_positive}
+    sets |= set(regularity.default_family(fin_oplus_evens, 0).sets_positive)
+    assert len(limsup_calls) == len(sets)
+    allen, cfo, leo, _, cfo_oplus, leo_oplus = (i["verdict"] for i in bundle.items)
+    # CFO's C2 and Leo's L2 of a nonnegative matrix agree apart from their
+    # names, and under (Fin, Fin) they are Allen's A3.
+    assert _conditions(cfo, "C2") == _conditions(leo, "L2") == _conditions(allen, "A3")
+    assert len(_conditions(cfo, "C2")) == len(fin_family.sets_positive)
+    assert _conditions(cfo_oplus, "C2") == _conditions(leo_oplus, "L2") != []
+
+    # Each verdict has its own reports: changing one leaves the others and the memo as they were.
+    a, cfg = specs.parse_matrix(_BANDED), regularity.CheckConfig(horizon=2000, theta=0.001)
+    memo = regularity.CheckMemo()
+    first = [CHECKS[t](a, fin, fin, cfg=cfg, memo=memo) for t in ("allen", "cfo", "leo")]
+    before = [v.to_dict() for v in first]
+    for condition in first[1].conditions:
+        condition.details["limsup_estimate"] = -1.0
+    assert first[0].to_dict() == before[0] and first[2].to_dict() == before[2]
+    again = [CHECKS[t](a, fin, fin, cfg=cfg, memo=memo) for t in ("allen", "cfo", "leo")]
+    assert [v.to_dict() for v in again] == before
+
+
+def test_absolute_conditions_of_a_signed_matrix_are_judged_apart(monkeypatch):
+    # -1·Cesàro: the signed row sums over E are minus the absolute ones, so a
+    # signed result would put a negative limsup into L2.
+    a, fin = specs.parse_matrix({"type": "scaled", "factor": -1.0, "of": "cesaro"}), specs.parse_ideal("fin")
+    cfg = regularity.CheckConfig(horizon=2000)
+    alone = regularity.leo_check(a, fin, fin, cfg=cfg)
+    memo = regularity.CheckMemo()
+    family = memo.family(fin, cfg.seed)
+    signed = regularity._family_conditions(
+        "L2", regularity._limsup_condition, 1.0, a, family.sets_positive, fin, cfg, memo, absolute=False
+    )
+    assert all(c.ok is False and c.details["limsup_estimate"] < 0 for c in signed)
+    limsup_calls = []
+    limsup = regularity.limsup_of_values
+    monkeypatch.setattr(regularity, "limsup_of_values", lambda *args, **kw: limsup_calls.append(1) or limsup(*args, **kw))
+    assert regularity.leo_check(a, fin, fin, cfg=cfg, memo=memo).to_dict() == alone.to_dict()
+    assert len(limsup_calls) == len(family.sets_positive)
+
+
 def test_no_transformed_sequence_outlives_its_row(monkeypatch):
     refs, alive = [], []
     transformed = constructions.transformed_sequence

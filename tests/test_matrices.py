@@ -430,8 +430,48 @@ def test_row_abs_sums_past_the_flat_limit(monkeypatch):
     a = mat.matrix_sum(mat.cesaro(), mat.banded(_signed_rows(), tail_mode="repeat_last"))
     expected = _row_reference_sums(a, None, 200, True, False, np.sum)
     monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 50)
-    assert a._flat(200) is None
+    assert _gathered(a._flat(200)) < 200
     assert a.row_sums(200, absolute=True).tobytes() == expected.tobytes()
+
+
+def _gathered(flat):
+    """The number of rows a CSR holds."""
+    return flat[2].size - 1
+
+
+def test_bulk_calls_past_the_flat_limit_build_each_row_once(monkeypatch):
+    # Past the nnz limit the CSR keeps the rows it gathered, up to the one at
+    # which the support passed the limit, and a bulk call builds only the rows
+    # after those: each row once (rows past 1024 entries are not cached), with
+    # the bits of the full CSR.
+    horizon = 60
+    xs = seq.corpus_entry("rotation_golden").prefix(horizon)
+    bulk_calls = {
+        "abs_sums": lambda a: a.row_sums(horizon, absolute=True),
+        "sums": lambda a: mat.InfiniteMatrix.masked_row_sums(a, None, horizon),
+        "apply": lambda a: mat.InfiniteMatrix._apply(a, xs, horizon),
+        "max_support": lambda a: np.array([mat.InfiniteMatrix.max_support(a, horizon)]),
+    }
+
+    def build():
+        return mat.matrix_sum(mat.identity(), mat.scalar_mul(-0.3, mat.cesaro()))
+
+    want = {name: call(build()).tobytes() for name, call in bulk_calls.items()}
+    calls = []
+    row = mat._SumMatrix._row
+    monkeypatch.setattr(mat._SumMatrix, "_row", lambda self, n: calls.append(n) or row(self, n))
+    monkeypatch.setattr(mat, "_CACHE_SUPPORT_LIMIT", -1)
+    monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 200)
+    for name, call in bulk_calls.items():
+        a = build()
+        calls.clear()
+        assert call(a).tobytes() == want[name], name
+        assert calls == list(range(horizon)), name
+        gathered = _gathered(a._flat(horizon))
+        assert 0 < gathered < horizon and a._flat(horizon)[2][-2] <= 200 < a._flat(horizon)[2][-1]
+        calls.clear()
+        assert call(a).tobytes() == want[name], name
+        assert calls == list(range(gathered, horizon)), name
 
 
 def _mixed_length_csr():
@@ -525,9 +565,15 @@ def test_banded_flat_matches_row_assembly(tail, horizon):
 
 
 def test_banded_flat_respects_the_nnz_limit(monkeypatch):
-    monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 100)
-    a = mat.banded(_signed_rows(), tail_mode="repeat_last")
-    assert a._flat(50) is None and _row_assembly(a, 50) is None
+    # Past the limit the closed-form gathers stop at the row the row assembly
+    # stops at, in the explicit rows or in the tail.
+    for limit in (0, 3, 60):
+        monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", limit)
+        matrices = [mat.banded(_signed_rows(), tail_mode=tail) for tail in ("identity", "repeat_last")]
+        for a in matrices + [mat.diagonal(lambda n: float(n % 3), rule=lambda h: np.arange(h) % 3.0)]:
+            flat = a._flat(150)
+            _assert_same_flat(flat, _row_assembly(a, 150))
+            assert _gathered(flat) < 150 and flat[2][-2] <= limit < flat[2][-1]
 
 
 @pytest.mark.parametrize(
@@ -548,10 +594,8 @@ def test_banded_nonnegative_flag(rows, tails, nonnegative):
 
 
 def _assert_same_flat(got, want):
-    assert (got is None) == (want is None)
-    if want is not None:
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 7, 300])
@@ -614,9 +658,15 @@ def test_left_factor_tail_raises_the_row_path_error(wrap, monkeypatch):
         with pytest.raises(mat.ComposeUnsupportedError) as bulk:
             bulk_sum(build())
         assert str(bulk.value) == str(row_path.value)
-    # A limit passed before the faulty row decides first, on both paths.
+    # A limit passed before the faulty row cuts the CSR short of it, on both
+    # paths, and the row loop after the CSR raises the same error.
     monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 3)
-    assert build()._flat(50) is None and _row_assembly(build(), 50) is None
+    flat = build()._flat(50)
+    _assert_same_flat(flat, _row_assembly(build(), 50))
+    assert _gathered(flat) <= 5
+    with pytest.raises(mat.ComposeUnsupportedError) as bulk:
+        build().row_sums(50, absolute=True)
+    assert str(bulk.value) == str(row_path.value)
 
 
 def test_tail_bounds_of_a_product_match_the_row_path():
@@ -691,7 +741,7 @@ def test_csr_sums_are_each_rows_own_sum(kind, monkeypatch):
     for limit in (mat._FLAT_NNZ_LIMIT, 50):
         monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", limit)
         a = _composite_kinds()[kind]
-        assert (a._flat(horizon) is None) == (limit == 50)
+        assert (_gathered(a._flat(horizon)) < horizon) == (limit == 50)
         for ((absolute, positive_part), columns), sums in zip(cases, want):
             got = mat.InfiniteMatrix.masked_row_sums(a, columns, horizon, absolute, positive_part)
             assert got.tobytes() == sums.tobytes(), (limit, columns, absolute, positive_part)

@@ -262,6 +262,57 @@ def test_a_suite_computes_each_shared_result_once(monkeypatch):
     assert sorted(allen_calls) == sorted((specs.parse_matrix(m).label,) for m in matrices)
 
 
+def _nonnegative_catalog() -> dict:
+    rk_2n = mat.rk_matrix(maps.affine_map(2))
+    rows = [[(0, 0.5), (1, 0.5)], [(1, 1.0), (3, -0.0)], [(0, 0.25), (2, 0.75)], [(4, 0.0)]]
+    kinds = {
+        "cesaro": mat.cesaro(),
+        "identity": mat.identity(),
+        "zero": mat.zero_matrix(),
+        "rk(2n)": rk_2n,
+        **{f"banded_{tail}": mat.banded(rows, tail_mode=tail) for tail in ("identity", "zero", "repeat_last")},
+        "sum": mat.matrix_sum(mat.cesaro(), mat.banded(rows)),
+        "sum_with_identity": mat.matrix_sum(mat.identity(), rk_2n),
+        "multiple": mat.scalar_mul(0.5, mat.cesaro()),
+        "multiple_by_minus_zero": mat.scalar_mul(-0.0, mat.banded(rows)),
+        "product_rk_cesaro": mat.compose(rk_2n, mat.cesaro()),
+        "product_cesaro_rk": mat.compose(mat.cesaro(), rk_2n),
+        "product_identity_banded": mat.compose(mat.identity(), mat.banded(rows, tail_mode="repeat_last")),
+    }
+    assert all(a.nonnegative for a in kinds.values())
+    return kinds
+
+
+@pytest.mark.parametrize("kind", sorted(_nonnegative_catalog()))
+def test_absolute_sums_of_nonnegative_matrices_are_their_sums(kind):
+    # What lets a condition on absolute row sums share its result with one on
+    # row sums: the two are bit for bit equal, signed zeros included.
+    a = _nonnegative_catalog()[kind]
+    for columns in [None, *reg._default_pool(0), *reg._default_pool(1)[-5:]]:
+        signed = a.masked_row_sums(columns, 300)
+        absolute = a.masked_row_sums(columns, 300, absolute=True)
+        assert np.array_equal(signed.view(np.int64), absolute.view(np.int64)), columns
+    # The checkers share the conditions of the bulk matrices.
+    if kind in ("cesaro", "identity", "zero", "rk(2n)") or kind.startswith("banded"):
+        assert a.abs_sums_are_sums
+
+
+def test_negative_zero_diagonal_keeps_its_absolute_flag():
+    # A diagonal rule of -0.0 is nonnegative, but its absolute row sums are 0.0
+    # where its row sums are -0.0, so C2 and L2 are judged apart and each report
+    # prints its own zero.
+    a = mat.diagonal(lambda n: -0.0, nonnegative=True, rule=lambda h: np.full(h, -0.0))
+    assert not a.abs_sums_are_sums
+    memo = reg.CheckMemo()
+    cfo, leo = reg.cfo_check(a, FIN, FIN, cfg=FAST, memo=memo), reg.leo_check(a, FIN, FIN, cfg=FAST, memo=memo)
+    c2 = [c for c in cfo.conditions if c.name.startswith("C2")]
+    l2 = [c for c in leo.conditions if c.name.startswith("L2")]
+    assert c2 and all(np.signbit(c.details["value_at_horizon"]) for c in c2)
+    assert l2 and not any(np.signbit(c.details["value_at_horizon"]) for c in l2)
+    assert cfo.to_dict() == reg.cfo_check(a, FIN, FIN, cfg=FAST).to_dict()
+    assert leo.to_dict() == reg.leo_check(a, FIN, FIN, cfg=FAST).to_dict()
+
+
 def test_family_determinism_by_seed():
     a = reg.default_family(FIN, seed=7)
     b = reg.default_family(FIN, seed=7)
