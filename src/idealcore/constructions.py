@@ -9,6 +9,12 @@
   quantitative bookkeeping that makes the limsup conditions sufficient for
   core preservation: the threshold sets, the row sets where the positive-part
   mass concentrates, and the residual-mass bounds.
+* ``transformed_sequence`` builds A·x.  Row-selection matrices (the identity
+  and rk matrices, ``InfiniteMatrix.row_selection``) keep x's level sets as
+  their preimages h⁻¹(S) (``sets.preimage``), so core(A·x, J) is one decision
+  per level, as core(x, I) is.  Every other matrix (Cesàro, diagonals other
+  than the identity, banded matrices, sums, multiples and products) gives A·x
+  as a value prefix, read on the grid.
 * ``core_equality_experiment`` measures core deviation across the corpus.
   Given a ``regularity.CheckMemo`` it reads core(x, I) and core(A·x, J)
   from the memo and computes each only when missing; A·x is built only for a
@@ -61,22 +67,36 @@ def perturb_identity(a: InfiniteMatrix) -> InfiniteMatrix:
 
 
 def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) -> BoundedSequence:
-    """A·x as a bounded sequence, with the prefix below the horizon materialized.
+    """A·x as a bounded sequence labelled ``A[x]``.
 
-    The declared bound is the certified matrix norm times the bound of x when
-    available, otherwise the at-horizon row-sum sup (recorded in the label).
+    When A selects rows, (A x)_n = x_{h(n)} (``row_selection``: the identity
+    and rk matrices), and x carries level sets free of predicates, A·x takes
+    the value v exactly on h⁻¹(S_v): it carries those preimages as its level
+    sets, so its core is one decision per level, and it builds no prefix
+    here; one is read, when asked for, from ``a.transform_prefix``.  For every
+    other matrix or sequence the prefix below the horizon is materialized.
+
+    The declared bound is x's bound for a row selection, else the certified
+    matrix norm times x's bound when A has one, else the larger of the row-sum
+    sup below the horizon times x's bound and the largest |value| of the prefix.
     """
+    h, levels = a.row_selection(), x.level_sets
+    label = f"{a.label}[{x.label}]"
+    if h is not None and levels is not None and not any(sd.contains_predicate(s) for _, s in levels):
+        return BoundedSequence(
+            fn=lambda n: transform(a, x, n),
+            bound=x.bound,
+            label=label,
+            level_sets=tuple((v, sd.preimage(s, h)) for v, s in levels),
+            rule=lambda n: a.transform_prefix(x, n),
+        )
     values = a.transform_prefix(x, horizon)
     if a.norm_bound is not None:
         bound = a.norm_bound * x.bound
     else:
         sup = float(np.max(a.row_sums(horizon, absolute=True)))
         bound = max(sup * x.bound, float(np.max(np.abs(values))) if len(values) else 0.0)
-    ax = BoundedSequence(
-        fn=lambda n: transform(a, x, n),
-        bound=bound,
-        label=f"{a.label}[{x.label}]",
-    )
+    ax = BoundedSequence(fn=lambda n: transform(a, x, n), bound=bound, label=label)
     return ax.seed_prefix(values)
 
 

@@ -4,6 +4,10 @@
 identity and affine maps carry closed-form array rules, and an enumeration map
 slices the int64 array of the elements it has discovered.  A map built from a
 bare callable takes the scalar path, ``fn`` per index.
+
+``affine = (mul, add)`` declares h(n) = mul·n + add.  The identity, the affine
+maps and the enumeration of an arithmetic progression carry it, and
+``sets.preimage`` reads it to pull sets back along h exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sets import Cardinality, SetDescription
+from .sets import ArithmeticProgression, Cardinality, SetDescription
 
 __all__ = ["IndexMap", "identity_map", "affine_map", "enumeration_map"]
 
@@ -23,12 +27,14 @@ class IndexMap:
     """A deterministic total map h: ω → ω with declared structural flags.
 
     ``rule``, when given, maps a horizon H to the int64 array ``h(0) … h(H-1)``
-    and must agree with ``fn``.
+    and must agree with ``fn``.  ``affine``, when given, is ``(mul, add)`` with
+    h(n) = mul·n + add, mul >= 1 and add >= 0.
     """
 
     fn: Callable[[int], int]
     label: str
     injective: bool = False
+    affine: tuple[int, int] | None = None
     rule: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
 
     def __call__(self, n: int) -> int:
@@ -47,11 +53,16 @@ class IndexMap:
             raise ValueError(f"{self.label}: negative value on prefix")
         if self.injective and len(np.unique(values)) != horizon:
             raise ValueError(f"{self.label}: declared injective but repeats a value")
+        if self.affine is not None:
+            mul, add = self.affine
+            if not np.array_equal(values, mul * np.arange(horizon, dtype=np.int64) + add):
+                raise ValueError(f"{self.label}: declared affine {self.affine} but differs on prefix")
 
 
 def identity_map() -> IndexMap:
     return IndexMap(
-        lambda n: n, "identity", injective=True, rule=lambda horizon: np.arange(horizon, dtype=np.int64)
+        lambda n: n, "identity", injective=True, affine=(1, 0),
+        rule=lambda horizon: np.arange(horizon, dtype=np.int64),
     )
 
 
@@ -62,6 +73,7 @@ def affine_map(mul: int, add: int = 0) -> IndexMap:
         lambda n: mul * n + add,
         f"n -> {mul}*n+{add}",
         injective=True,
+        affine=(mul, add),
         rule=lambda horizon: mul * np.arange(horizon, dtype=np.int64) + add,
     )
 
@@ -75,7 +87,8 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
     array it returns, never a mask: for a sparse set such as the squares, or a
     union of sparse sets, the horizon runs far ahead of the count, and only
     the members found are stored.  A target that is provably finite is refused
-    with ``ValueError``.
+    with ``ValueError``.  The enumeration of an arithmetic progression is the
+    affine map ``n -> step·n + offset`` and says so.
     """
     if target.cardinality() is Cardinality.FINITE:
         raise ValueError(f"enumeration target {target!r} is finite")
@@ -95,4 +108,7 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
                     raise RuntimeError("enumeration horizon exhausted; set looks finite")
         return state["found"][:count]
 
-    return IndexMap(lambda n: int(first(n + 1)[n]), label or "enumeration", injective=True, rule=first)
+    affine = (target.step, target.offset) if isinstance(target, ArithmeticProgression) else None
+    return IndexMap(
+        lambda n: int(first(n + 1)[n]), label or "enumeration", injective=True, affine=affine, rule=first
+    )

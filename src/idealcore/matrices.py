@@ -24,7 +24,10 @@ for bit as ``np.sum`` sums that row alone.  Past ``_FLAT_NNZ_LIMIT`` the CSR
 holds the rows up to the one at which the support passes the limit, and a
 bulk computation reads the rows after those one at a time with the same bits,
 so one bulk call builds each row once.  ``abs_sums_are_sums`` says where the
-absolute flag cannot change a sum.  ``find_negative_entry`` reads entries.
+absolute flag cannot change a sum; sums and nonnegative multiples take it from
+their operands.  ``row_selection`` names the map h of a matrix with
+(A x)_n = x_{h(n)} (rk matrices and the identity), through which A·x keeps the
+level sets of x.  ``find_negative_entry`` reads entries.
 ``transform`` computes one entry of A·x with ``math.fsum``.
 """
 
@@ -36,9 +39,9 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import IndexMap
+from .maps import IndexMap, identity_map
 from .sequences import BoundedSequence
-from .sets import SetDescription
+from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows
 
 __all__ = [
     "MatrixRow",
@@ -64,9 +67,6 @@ _CACHE_SUPPORT_LIMIT = 1024
 _FLAT_NNZ_LIMIT = 4_000_000
 # Entries that ``_segment_sums`` gathers into one block of equal-length rows.
 _MERGE_CHUNK = 1 << 16
-# A row-selection matrix reads sequences and column sets pointwise on the image
-# of h once the largest selected column exceeds this multiple of the horizon.
-_SPARSE_IMAGE_FACTOR = 16
 
 
 class ComposeUnsupportedError(ValueError):
@@ -144,19 +144,6 @@ def _pointers(lengths: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _at_rows(rows: np.ndarray, prefix: Callable, point: Callable, dtype) -> np.ndarray:
-    """``prefix(support)[rows]``, where support is 1 + the largest row.
-
-    When the rows are sparse (e.g. the image of the squares) the largest one
-    far exceeds their count, so ``point(n)`` is read per row instead of a
-    prefix that long.
-    """
-    support = int(rows.max()) + 1 if rows.size else 0
-    if support > _SPARSE_IMAGE_FACTOR * rows.size:
-        return np.fromiter((point(n) for n in rows.tolist()), dtype=dtype, count=rows.size)
-    return prefix(support)[rows]
-
-
 def _merged_row(indices: np.ndarray, values: np.ndarray, tail_bound: float = 0.0) -> MatrixRow:
     """The row with the values that share a column summed, columns sorted.
 
@@ -189,6 +176,11 @@ class InfiniteMatrix:
         diagonal rule or a subclass's own rows can hold −0.0 in a nonnegative
         matrix; banded rows and merged composite rows add 0.0 to theirs."""
         return bool(self.nonnegative) and self._row_finite
+
+    def row_selection(self) -> IndexMap | None:
+        """The map h with (A x)_n = x_{h(n)} for every x when A is known to be
+        one (rk matrices and the identity), else None."""
+        return None
 
     def _row(self, n: int) -> MatrixRow:
         raise NotImplementedError
@@ -361,6 +353,9 @@ class _DiagonalMatrix(InfiniteMatrix):
         # matrix are the ones known to give no −0.0.
         return bool(self.nonnegative) and self.rule in (np.ones, np.zeros)
 
+    def row_selection(self) -> IndexMap | None:
+        return identity_map() if self.rule is np.ones else None
+
     def _gather(self, horizon: int):
         d = self._diag_prefix(horizon)
         keep = d != 0.0
@@ -396,6 +391,9 @@ class _RkMatrix(InfiniteMatrix):
 
     def _row(self, n: int) -> MatrixRow:
         return MatrixRow(np.array([self.h(n)], dtype=np.int64), np.array([1.0]))
+
+    def row_selection(self) -> IndexMap:
+        return self.h
 
     def max_support(self, horizon: int) -> int:
         return int(self.h.prefix(horizon).max()) + 1 if horizon else 0
@@ -502,6 +500,11 @@ class _SumMatrix(_Composite):
         self.a, self.b = a, b
         self._row_finite = a._row_finite and b._row_finite
 
+    @property
+    def abs_sums_are_sums(self) -> bool:
+        # Both operands nonnegative: the sums are the operands' (``_by_operands``).
+        return self.a.abs_sums_are_sums and self.b.abs_sums_are_sums
+
     def _row(self, n: int) -> MatrixRow:
         ra, rb = self.a.row(n), self.b.row(n)
         return _merged_row(
@@ -533,6 +536,11 @@ class _ScaledMatrix(_Composite):
         super().__init__(f"{c}*{a.label}", norm_bound=bound, nonnegative=nonneg)
         self.c, self.a = float(c), a
         self._row_finite = a._row_finite
+
+    @property
+    def abs_sums_are_sums(self) -> bool:
+        # Nonnegative: the sums are c times the operand's (``_by_operands``).
+        return bool(self.nonnegative) and self.a.abs_sums_are_sums
 
     def _row(self, n: int) -> MatrixRow:
         r = self.a.row(n)

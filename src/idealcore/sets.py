@@ -17,6 +17,17 @@ enumeration maps need.  Masks are cached (prefix consumers such as level-set
 sequences, membership estimates and masked row sums read them repeatedly);
 enumerations are not.
 
+``preimage(S, h)`` pulls a set back along an index map h: ω → ω, to
+h⁻¹(S) = {n : h(n) ∈ S}.  It distributes over the set operations and, for an
+affine h(n) = a·n + b, turns arithmetic progressions and explicit sets into
+sets of the same kind; every other leaf becomes a ``Preimage`` node, whose
+mask reads the leaf at h's values and which keeps exact residue-form, density
+and cardinality rules under an affine h.  This is how a row-selection matrix
+keeps a sequence's level sets: (A x)_n = x_{h(n)} takes the value v exactly
+on h⁻¹(S_v), so ``constructions.transformed_sequence`` gives A·x the
+preimages of x's level sets for the identity and rk matrices (and for no
+other matrix).
+
 Every non-predicate description additionally supports an exact density
 analysis: the asymptotic density exists and is a rational, or the set
 oscillates and its exact lower/upper densities are known (block families), or
@@ -36,9 +47,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .maps import IndexMap
 
 __all__ = [
     "Cardinality",
@@ -55,6 +69,7 @@ __all__ = [
     "Difference",
     "Complement",
     "Predicate",
+    "Preimage",
     "ap",
     "evens",
     "odds",
@@ -63,6 +78,7 @@ __all__ = [
     "squares",
     "complement",
     "union_all",
+    "preimage",
     "contains_predicate",
     "set_to_dict",
 ]
@@ -75,6 +91,10 @@ _LCM_CAP = 10**6
 
 # Masks kept by ``SetDescription.mask``; at a 200k horizon each takes 200 kB.
 _MASK_CACHE_SIZE = 64
+
+# ``_at_rows`` reads pointwise once the largest row exceeds this multiple of
+# the number of rows (a sparse image, such as that of the squares' enumeration).
+_SPARSE_IMAGE_FACTOR = 16
 
 
 class Cardinality(enum.Enum):
@@ -400,6 +420,37 @@ class Predicate(SetDescription):
         return np.fromiter((n for n in range(horizon) if self.contains(n)), dtype=np.int64)
 
 
+@dataclass(frozen=True)
+class Preimage(SetDescription):
+    """``h⁻¹(inner) = {n : h(n) ∈ inner}`` for an index map h (``preimage`` builds it).
+
+    The mask reads ``inner`` at h(0) … h(H−1) (``_at_rows``), so a sparse
+    image never makes a mask that reaches the largest of them.
+    """
+
+    inner: SetDescription
+    h: "IndexMap"
+
+    def contains(self, n: int) -> bool:
+        return self.inner.contains(self.h(n))
+
+    def _mask(self, horizon: int) -> np.ndarray:
+        return _at_rows(self.h.prefix(horizon), self.inner.mask, self.inner.contains, bool)
+
+
+def _at_rows(rows: np.ndarray, prefix: Callable, point: Callable, dtype) -> np.ndarray:
+    """``prefix(support)[rows]``, where support is 1 + the largest row.
+
+    When the rows are sparse (e.g. the image of the squares) the largest one
+    far exceeds their count, so ``point(n)`` is read per row instead of a
+    prefix that long.
+    """
+    support = int(rows.max()) + 1 if rows.size else 0
+    if support > _SPARSE_IMAGE_FACTOR * rows.size:
+        return np.fromiter((point(n) for n in rows.tolist()), dtype=dtype, count=rows.size)
+    return prefix(support)[rows]
+
+
 # ---------------------------------------------------------------------------
 # Construction helpers
 
@@ -444,13 +495,49 @@ def union_all(sets: list[SetDescription]) -> SetDescription:
     return out
 
 
+def preimage(s: SetDescription, h: "IndexMap") -> SetDescription:
+    """``h⁻¹(S) = {n : h(n) ∈ S}``.
+
+    Distributes over unions, intersections, differences and complements.
+    Under an affine h(n) = a·n + b (``h.affine``) the identity returns S, an
+    arithmetic progression becomes one (or the empty set) and an explicit set
+    its solutions; every other leaf becomes a ``Preimage`` node.
+    """
+    if h.affine == (1, 0):
+        return s
+    if isinstance(s, (Union, Intersection, Difference)):
+        return type(s)(preimage(s.left, h), preimage(s.right, h))
+    if isinstance(s, Complement):
+        return complement(preimage(s.inner, h))
+    if h.affine is not None:
+        a, b = h.affine
+        if isinstance(s, Explicit):
+            return Explicit(tuple((e - b) // a for e in s.elements if e >= b and (e - b) % a == 0))
+        if isinstance(s, ArithmeticProgression):
+            return _affine_preimage_of_ap(s, a, b)
+    return Preimage(s, h)
+
+
+def _affine_preimage_of_ap(s: ArithmeticProgression, a: int, b: int) -> SetDescription:
+    """``{n : a·n + b ∈ s}``: the n >= ceil((offset − b)/a) that solve
+    a·n ≡ offset − b (mod step), an arithmetic progression of step step/g
+    where g = gcd(a, step), or the empty set when g does not divide offset − b."""
+    g = math.gcd(a, s.step)
+    if (s.offset - b) % g:
+        return Explicit(())
+    step = s.step // g
+    root = (s.offset - b) // g * pow(a // g, -1, step) % step
+    lo = max(0, -((b - s.offset) // a))
+    return ArithmeticProgression(lo + (root - lo) % step, step)
+
+
 def contains_predicate(s: SetDescription) -> bool:
     """True when a Predicate leaf blocks exact analysis anywhere in the tree."""
     if isinstance(s, Predicate):
         return True
     if isinstance(s, (Union, Intersection, Difference)):
         return contains_predicate(s.left) or contains_predicate(s.right)
-    if isinstance(s, Complement):
+    if isinstance(s, (Complement, Preimage)):
         return contains_predicate(s.inner)
     return False
 
@@ -502,6 +589,14 @@ def _residue_form(s: SetDescription) -> ResidueForm | None:
         else:
             residues = ra.residues - rb.residues
         return ResidueForm(m, residues, max(ra.start, rb.start))
+    if isinstance(s, Preimage) and s.h.affine is not None:
+        rf = _residue_form(s.inner)
+        if rf is None:
+            return None
+        # For n >= start', h(n) = a·n + b >= start, where the inner form holds.
+        a, b = s.h.affine
+        residues = frozenset(r for r in range(rf.modulus) if (a * r + b) % rf.modulus in rf.residues)
+        return ResidueForm(rf.modulus, residues, max(0, -((b - rf.start) // a)))
     return None
 
 
@@ -571,6 +666,15 @@ def _density(s: SetDescription) -> DensityBounds | None:
         if _is_null(da) or _is_full(db):
             return _bounds(_ZERO, _ZERO, True)
         return _bounds(max(_ZERO, da.lower - db.upper), min(da.upper, _ONE - db.lower), False)
+    if isinstance(s, Preimage):
+        d = _density(s.inner)
+        if d is None:
+            return None
+        if s.h.affine is None:
+            return _bounds(_ZERO, _ONE, False)
+        # {n < N : a·n + b ∈ S} has at most |S ∩ [0, a·N + b)| members.
+        upper = min(_ONE, s.h.affine[0] * d.upper)
+        return _bounds(_ZERO, upper, upper == 0)
     return None
 
 
@@ -613,6 +717,23 @@ def _cardinality(s: SetDescription) -> Cardinality:
         return _cardinality(Intersection(s.left, complement(s.right)))
     if isinstance(s, Intersection):
         return _intersection_cardinality(s.left, s.right)
+    if isinstance(s, Preimage):
+        return _preimage_cardinality(s)
+    return Cardinality.UNKNOWN
+
+
+def _preimage_cardinality(s: Preimage) -> Cardinality:
+    if s.h.injective and _cardinality(s.inner) is Cardinality.FINITE:
+        return Cardinality.FINITE
+    if s.h.affine is None:
+        return Cardinality.UNKNOWN
+    a, b = s.h.affine
+    # A run longer than a holds a value of a·n + b, and the runs grow without bound.
+    if isinstance(s.inner, (GeometricBlocks, RootBlocks)):
+        return Cardinality.INFINITE
+    # a·n + b = k² has a solution n >= 0 for infinitely many k iff r² ≡ b (mod a) for some r.
+    if isinstance(s.inner, Squares):
+        return Cardinality.INFINITE if any((r * r - b) % a == 0 for r in range(a)) else Cardinality.FINITE
     return Cardinality.UNKNOWN
 
 

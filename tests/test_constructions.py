@@ -1,9 +1,12 @@
 """Constructions: RK matrices, perturbations, stability, certificates, experiments."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealcore import asymptotics as asy
 from idealcore import constructions as con
@@ -57,6 +60,115 @@ def test_enumeration_map_of_sparse_union_keeps_no_mask():
         tracemalloc.stop()
     assert values.tolist() == sorted([k * k for k in range(19_998)] + [2, 3])
     assert peak < 10 * 2**20
+
+
+# -- level sets of A·x ------------------------------------------------------------
+
+_FINITELY_VALUED = [x.label for x in seq.corpus() if x.level_sets is not None]
+_ROW_SELECTIONS = {
+    "identity": mat.identity,
+    "rk(2n)": lambda: mat.rk_matrix(maps.affine_map(2)),
+    "rk(2n+1)": lambda: mat.rk_matrix(maps.affine_map(2, 1)),
+    "rk(enumeration(evens))": lambda: mat.rk_matrix(maps.enumeration_map(sd.evens())),
+    "rk(enumeration(squares))": lambda: mat.rk_matrix(maps.enumeration_map(sd.squares())),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROW_SELECTIONS))
+def test_row_selection_level_sets_rebuild_the_transform(kind):
+    # A·x = x∘h takes the value v exactly on h⁻¹(S_v), so the preimages
+    # partition every prefix and rebuild the transform bit for bit.
+    assert len(_FINITELY_VALUED) == 7
+    horizon = 5000
+    tracemalloc.start()
+    try:
+        for label in _FINITELY_VALUED:
+            a, x = _ROW_SELECTIONS[kind](), seq.corpus_entry(label)
+            ax = con.transformed_sequence(a, x, horizon)
+            assert ax.level_sets is not None and len(ax.level_sets) == len(x.level_sets), label
+            rebuilt = np.full(horizon, np.nan)
+            covered = np.zeros(horizon, dtype=int)
+            for value, level_set in ax.level_sets:
+                mask = level_set.mask(horizon)
+                rebuilt[mask] = value
+                covered += mask
+            assert np.all(covered == 1), label
+            want = a.transform_prefix(x, horizon)
+            assert np.array_equal(rebuilt.view(np.int64), want.view(np.int64)), label
+            assert np.array_equal(ax.prefix(horizon).view(np.int64), want.view(np.int64)), label
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # h(4999) is about 2.5e7 for the squares: no mask or prefix reaches it.
+    assert peak < 10 * 2**20
+
+
+def test_only_row_selections_keep_level_sets():
+    x = seq.corpus_entry("indicator_evens")
+    for a in (mat.cesaro(), mat.scalar_mul(1.0, mat.identity()), mat.diagonal(lambda n: 1.0)):
+        assert a.row_selection() is None
+        assert con.transformed_sequence(a, x, 1000).level_sets is None, a.label
+    # A sequence without level sets, or with a predicate level set, keeps the value path.
+    predicate = seq.indicator(sd.Predicate(lambda n: n % 3 == 0), label="thirds")
+    for y in (seq.corpus_entry("rotation_golden"), predicate):
+        assert con.transformed_sequence(mat.identity(), y, 1000).level_sets is None
+
+
+_CATALOG = [
+    FIN,
+    Z,
+    ide.erdos_ulam("log"),
+    ide.summable(),
+    FO_EVENS,
+    ide.countably_generated([sd.evens()]),
+    ide.fin_times_empty(),
+]
+_THEORY_CORE = asy.CoreConfig(horizon=20_000)
+
+
+def _core_outcome(x, ideal):
+    try:
+        c = asy.core(x, ideal, _THEORY_CORE)
+    except asy.InconclusiveCellsError as exc:
+        return type(exc).__name__
+    return c.lo, c.hi, c.method
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CATALOG), st.sampled_from([x.label for x in seq.corpus()]))
+def test_identity_keeps_every_core(ideal, label):
+    x = seq.corpus_entry(label)
+    ax = con.transformed_sequence(mat.identity(), x, _THEORY_CORE.horizon)
+    assert _core_outcome(ax, ideal) == _core_outcome(x, ideal)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_FINITELY_VALUED))
+def test_rk_over_the_evens_carries_the_trace_core_to_fin(label):
+    # Thm 2.5: core_{Ax}(Fin) = core_x(Fin ⊕ P(ω) copy) for A = rk(enumeration(evens)).
+    # The image side is decided exactly; the source side may need the estimator
+    # (indicator_blocks' zero level meets the evens in an undecided union).
+    x = seq.corpus_entry(label)
+    a = mat.rk_matrix(maps.enumeration_map(sd.evens()))
+    image = _core_outcome(con.transformed_sequence(a, x, _THEORY_CORE.horizon), FIN)
+    assert image[:2] == _core_outcome(x, FO_EVENS)[:2]
+    assert image[2] == "exact"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CATALOG), st.sampled_from(_FINITELY_VALUED))
+def test_image_cores_read_no_sequence_prefix(ideal, label):
+    # The image cores of the two tests above finish, with the same answers,
+    # when no sequence may build a prefix.
+    images = [(mat.identity, ideal), (lambda: mat.rk_matrix(maps.enumeration_map(sd.evens())), FIN)]
+
+    def outcomes():
+        x = seq.corpus_entry(label)
+        return [_core_outcome(con.transformed_sequence(a(), x, _THEORY_CORE.horizon), j) for a, j in images]
+
+    want = outcomes()
+    with mock.patch.object(seq.BoundedSequence, "prefix", side_effect=AssertionError("prefix read")):
+        assert outcomes() == want
 
 
 # -- perturbation ----------------------------------------------------------------

@@ -273,6 +273,7 @@ def _nonnegative_catalog() -> dict:
         **{f"banded_{tail}": mat.banded(rows, tail_mode=tail) for tail in ("identity", "zero", "repeat_last")},
         "sum": mat.matrix_sum(mat.cesaro(), mat.banded(rows)),
         "sum_with_identity": mat.matrix_sum(mat.identity(), rk_2n),
+        "cesaro_plus_identity": mat.matrix_sum(mat.cesaro(), mat.identity()),
         "multiple": mat.scalar_mul(0.5, mat.cesaro()),
         "multiple_by_minus_zero": mat.scalar_mul(-0.0, mat.banded(rows)),
         "product_rk_cesaro": mat.compose(rk_2n, mat.cesaro()),
@@ -292,9 +293,10 @@ def test_absolute_sums_of_nonnegative_matrices_are_their_sums(kind):
         signed = a.masked_row_sums(columns, 300)
         absolute = a.masked_row_sums(columns, 300, absolute=True)
         assert np.array_equal(signed.view(np.int64), absolute.view(np.int64)), columns
-    # The checkers share the conditions of the bulk matrices.
-    if kind in ("cesaro", "identity", "zero", "rk(2n)") or kind.startswith("banded"):
-        assert a.abs_sums_are_sums
+    # The checkers share the conditions of all but the product with a diagonal
+    # factor: sums and multiples take the flag from their operands, products ask
+    # for row-finite factors.
+    assert a.abs_sums_are_sums is (kind != "product_identity_banded")
 
 
 def test_negative_zero_diagonal_keeps_its_absolute_flag():

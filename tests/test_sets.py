@@ -1,6 +1,7 @@
 """Set-description algebra: membership, enumeration, densities, cardinality."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealcore import maps
 from idealcore import sets as sd
 from idealcore import specs
 
@@ -272,6 +274,85 @@ def test_tree_density_bounds_sound(s):
 @given(_trees())
 def test_tree_json_roundtrip(s):
     assert specs.parse_set(sd.set_to_dict(s)) == s
+
+
+# -- preimages along affine maps ------------------------------------------------
+
+_preimage_leaves = st.one_of(
+    st.builds(sd.ap, st.integers(0, 10), st.integers(1, 7)),
+    st.lists(st.integers(0, 60), max_size=6).map(lambda e: sd.explicit(*e)),
+    st.just(SQUARES),
+    st.sampled_from([GB, RB, sd.Blocks(((3, 8), (20, 31)))]),
+)
+_preimage_inners = st.one_of(
+    _preimage_leaves,
+    st.builds(sd.Union, _preimage_leaves, _preimage_leaves),
+    st.builds(sd.complement, _preimage_leaves),
+    st.builds(sd.complement, st.builds(sd.Union, _preimage_leaves, _preimage_leaves)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_preimage_inners, st.integers(1, 7), st.integers(0, 10))
+def test_affine_preimage_rules_agree_with_its_mask(inner, mul, add):
+    # Both the rewritten preimage and the bare node, whose own rules then apply
+    # to the whole inner tree.
+    h = maps.affine_map(mul, add)
+    horizon = 6000
+    brute = np.array([inner.contains(mul * n + add) for n in range(horizon)])
+    for p in (sd.preimage(inner, h), sd.Preimage(inner, h)):
+        mask = p.mask(horizon)
+        assert np.array_equal(mask, brute)
+        assert all(p.contains(n) == brute[n] for n in range(0, horizon, 37))
+        rf = sd._residue_form(p)
+        if rf is not None:
+            tail = np.arange(rf.start, horizon)
+            assert np.array_equal(mask[rf.start :], np.isin(tail % rf.modulus, list(rf.residues)))
+        d = p.density_bounds()
+        assert d is not None and 0 <= d.lower <= d.upper <= 1
+        ratio = np.count_nonzero(mask) / horizon
+        assert float(d.lower) - 0.1 <= ratio <= float(d.upper) + 0.1
+        if d.upper == 0:
+            assert d.exact and ratio < 0.05
+        card = p.cardinality()
+        if card is sd.Cardinality.FINITE:
+            assert not mask[horizon // 2 :].any()
+        elif card is sd.Cardinality.INFINITE:
+            assert mask[horizon // 2 :].any()
+
+
+def test_preimage_structure():
+    double, shifted = maps.affine_map(2), maps.affine_map(3, 1)
+    assert sd.preimage(GB, maps.identity_map()) is GB
+    assert sd.preimage(EVENS, double) == sd.omega()
+    assert sd.preimage(ODDS, double) == sd.explicit()
+    assert sd.preimage(sd.ap(5, 4), shifted) == sd.ap(4, 4)  # 3n + 1 ≡ 1 (mod 4), n >= 4/3
+    assert sd.preimage(sd.explicit(1, 4, 9, 10), shifted) == sd.explicit(0, 1, 3)
+    assert sd.preimage(EVENS | SQUARES, double) == sd.Union(sd.omega(), sd.Preimage(SQUARES, double))
+    assert sd.preimage(~SQUARES, double) == sd.complement(sd.Preimage(SQUARES, double))
+    # An enumeration of a progression is affine; one of the squares is not.
+    assert sd.preimage(ODDS, maps.enumeration_map(sd.ap(1, 4))) == sd.omega()
+    enum_squares = maps.enumeration_map(SQUARES)
+    assert sd.preimage(EVENS, enum_squares) == sd.Preimage(EVENS, enum_squares)
+    assert sd.preimage(sd.explicit(9), enum_squares).cardinality() is sd.Cardinality.FINITE
+    # Two is a square modulo 7 (3² = 9) but not modulo 3.
+    assert sd.Preimage(SQUARES, maps.affine_map(7, 2)).cardinality() is sd.Cardinality.INFINITE
+    assert sd.Preimage(SQUARES, maps.affine_map(3, 2)).cardinality() is sd.Cardinality.FINITE
+    with pytest.raises(ValueError, match="no JSON encoding"):
+        sd.set_to_dict(sd.Preimage(SQUARES, double))
+
+
+def test_sparse_preimage_mask_reads_members_pointwise():
+    # h(19 999) is about 4e8: the mask reads the evens at h's values, never a prefix that long.
+    p = sd.Preimage(EVENS, maps.enumeration_map(SQUARES))
+    tracemalloc.start()
+    try:
+        mask = p.mask(20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mask, np.arange(20_000) % 2 == 0)
+    assert peak < 10 * 2**20
 
 
 def test_predicate_not_serializable():
