@@ -42,7 +42,7 @@ from .asymptotics import (
     oracle_core,
 )
 from .ideals import Ideal
-from .matrices import InfiniteMatrix, identity, matrix_sum, rk_matrix, transform
+from .matrices import InfiniteMatrix, identity, matrix_sum, pos_neg_split, rk_matrix, transform
 from .regularity import CheckConfig, CheckMemo, Status, Verdict, leo_check
 from .sequences import BoundedSequence, affine, combine
 
@@ -74,7 +74,8 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     the value v exactly on h⁻¹(S_v): it carries those preimages as its level
     sets, so its core is one decision per level, and it builds no prefix
     here; one is read, when asked for, from ``a.transform_prefix``.  For every
-    other matrix or sequence the prefix below the horizon is materialized.
+    other matrix or sequence the prefix below the horizon is materialized, and
+    a longer one comes from ``a.transform_prefix`` too, with the same bits.
 
     The declared bound is x's bound for a row selection, else the certified
     matrix norm times x's bound when A has one, else the larger of the row-sum
@@ -96,7 +97,9 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     else:
         sup = float(np.max(a.row_sums(horizon, absolute=True)))
         bound = max(sup * x.bound, float(np.max(np.abs(values))) if len(values) else 0.0)
-    ax = BoundedSequence(fn=lambda n: transform(a, x, n), bound=bound, label=label)
+    ax = BoundedSequence(
+        fn=lambda n: transform(a, x, n), bound=bound, label=label, rule=lambda n: a.transform_prefix(x, n)
+    )
     return ax.seed_prefix(values)
 
 
@@ -282,12 +285,13 @@ def sufficiency_certificate(
 
     horizon = cfg.horizon
 
+    positive = a if a.nonnegative else pos_neg_split(a)[0]
     pos_total = a.row_sums(horizon, absolute=False)
     abs_total = a.row_sums(horizon, absolute=True)
-    pos_part_total = a.masked_row_sums(None, horizon, positive_part=True)
+    pos_part_total = positive.row_sums(horizon)
     neg_part_total = pos_part_total - pos_total
-    pos_on_e = a.masked_row_sums(upper_set, horizon, positive_part=True)
-    pos_on_e2 = a.masked_row_sums(lower_set, horizon, positive_part=True)
+    pos_on_e = positive.masked_row_sums(upper_set, horizon)
+    pos_on_e2 = positive.masked_row_sums(lower_set, horizon)
 
     in_s = (pos_on_e >= 1.0 - delta - _FLOAT_SLACK) & (abs_total <= 1.0 + delta + _FLOAT_SLACK)
     in_s2 = (pos_on_e2 >= 1.0 - delta - _FLOAT_SLACK) & (abs_total <= 1.0 + delta + _FLOAT_SLACK)

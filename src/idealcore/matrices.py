@@ -8,27 +8,26 @@ Diagonal and banded matrices gather that CSR in closed form, bit for bit equal
 to the row-by-row assembly (``InfiniteMatrix._gather``) that every other
 matrix uses.
 
-Every row sum comes from ``masked_row_sums``: ``row_sums(H, absolute=True)``
-gives the absolute row sums whose sup ``norm_estimate`` reports.  Masked row
-sums and transforms are linear, so sums, multiples and products take them from
-their operands' own bulk paths instead of their CSR: (B·A)·1_E = B·(A·1_E),
-(A+B)·1_E = A·1_E + B·1_E, (cA)·1_E = c·(A·1_E), and likewise for A·x.  B acts
-on A's values through ``_apply``, the step of ``transform_prefix`` after x is
-read.  Absolute and positive-part sums take this route only for a nonnegative
-composite, where |a| = a⁺ = a (tails add up the same way); a product takes it
-only when its left factor is known to be row-finite and selects no columns
-past ``_SPARSE_IMAGE_FACTOR`` times the horizon.  Everything else reads the
-CSR: signed composites' absolute and positive-part sums, entrywise parts and
-banded matrices.  There each row is summed on its own (``_segment_sums``), bit
-for bit as ``np.sum`` sums that row alone.  Past ``_FLAT_NNZ_LIMIT`` the CSR
-holds the rows up to the one at which the support passes the limit, and a
-bulk computation reads the rows after those one at a time with the same bits,
-so one bulk call builds each row once.  ``abs_sums_are_sums`` says where the
-absolute flag cannot change a sum; sums and nonnegative multiples take it from
-their operands.  ``row_selection`` names the map h of a matrix with
-(A x)_n = x_{h(n)} (rk matrices and the identity), through which A·x keeps the
-level sets of x.  ``find_negative_entry`` reads entries.
-``transform`` computes one entry of A·x with ``math.fsum``.
+Every row sum comes from ``masked_row_sums``, defined once in the base class.
+A masked row sum is A applied to an indicator, A·1_E, so the signed sums, and
+absolute sums where the flag cannot change them (``abs_sums_are_sums``), are
+``transform_prefix`` of ``sequences.indicator(E)``.  Each matrix thus has one
+bulk path, ``transform_prefix`` and its step ``_apply`` after x is read:
+closed forms for Cesàro, diagonal and rk matrices (rk reads a sparse image
+pointwise), the operands' paths for sums and multiples
+((A+B)·x = A·x + B·x, (cA)·x = c·(A·x)), B acting on A's values for a product
+whose left factor is known to be row-finite and selects no columns past
+``_SPARSE_IMAGE_FACTOR`` times the horizon, and the CSR otherwise.  The other
+absolute sums (signed matrices, rows with tails) read the entries: |a_nk|
+times the mask from the CSR, plus the tail bounds.  On the CSR each row is
+summed on its own (``_segment_sums``), bit for bit as ``np.sum`` sums that row
+alone.  Past ``_FLAT_NNZ_LIMIT`` the CSR holds the rows up to the one at which
+the support passes the limit, and a bulk computation reads the rows after
+those one at a time with the same bits, so one bulk call builds each row once.
+``row_selection`` names the map h of a matrix with (A x)_n = x_{h(n)} (rk
+matrices and the identity), through which A·x keeps the level sets of x.
+``find_negative_entry`` reads entries.  ``transform`` computes one entry of
+A·x with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .maps import IndexMap, identity_map
-from .sequences import BoundedSequence
-from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows
+from .sequences import BoundedSequence, indicator
+from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows, omega
 
 __all__ = [
     "MatrixRow",
@@ -251,36 +250,25 @@ class InfiniteMatrix:
     def row_sums(self, horizon: int, absolute: bool = False) -> np.ndarray:
         return self.masked_row_sums(None, horizon, absolute=absolute)
 
-    def masked_row_sums(
-        self,
-        columns: SetDescription | None,
-        horizon: int,
-        absolute: bool = False,
-        positive_part: bool = False,
-    ) -> np.ndarray:
-        """Per-row sums of a_nk (optionally |a_nk| or a_nk^+) over the columns k in the set
-        (all columns when ``columns`` is None).
+    def masked_row_sums(self, columns: SetDescription | None, horizon: int, absolute: bool = False) -> np.ndarray:
+        """Per-row sums of a_nk (|a_nk| when ``absolute``) over the columns k in
+        the set (all columns when ``columns`` is None).
 
-        Tail bounds are added for absolute sums (they dominate the missing mass)
-        and ignored otherwise.  Each row is summed on its own, by ``np.sum``
-        over its entries (times the 0/1 mask), from the CSR or row by row alike.
+        Signed sums are A·1_E, the transform of the set's indicator; so are
+        absolute sums where the flag cannot change them
+        (``abs_sums_are_sums``).  Other absolute sums read the entries: each
+        row's ``np.sum`` of |a_nk| times the 0/1 mask, from the CSR or row by
+        row alike, plus its tail bound (which dominates the missing mass).
         """
-        mask = columns.mask(self.max_support(horizon)) if columns is not None else None
-
-        def entries(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-            if positive_part:
-                values = np.clip(values, 0.0, None)
-            elif absolute:
-                values = np.abs(values)
-            return values if mask is None else values * mask[indices]
-
+        e = omega() if columns is None else columns
+        if not absolute or self.abs_sums_are_sums:
+            return self.transform_prefix(indicator(e), horizon)
+        mask = e.mask(self.max_support(horizon))
         idx, val, ptr, tails = self._flat(horizon)
         out = np.empty(horizon, dtype=np.float64)
-        sums = _segment_sums(entries(val, idx), ptr)
-        out[: ptr.size - 1] = sums + tails if absolute else sums
+        out[: ptr.size - 1] = _segment_sums(np.abs(val) * mask[idx], ptr) + tails
         for n, r in self._rows_past(ptr, horizon):
-            total = np.sum(entries(r.values, r.indices))
-            out[n] = total + r.tail_bound if absolute else total
+            out[n] = np.sum(np.abs(r.values) * mask[r.indices]) + r.tail_bound
         return out
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
@@ -313,13 +301,6 @@ class _CesaroMatrix(InfiniteMatrix):
 
     def max_support(self, horizon: int) -> int:
         return horizon
-
-    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
-        ns = np.arange(1, horizon + 1, dtype=np.float64)
-        if columns is None:
-            return np.ones(horizon, dtype=np.float64)
-        counts = np.cumsum(columns.mask(horizon).astype(np.float64))
-        return counts / ns
 
     def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
         return np.cumsum(xs[:horizon]) / np.arange(1, horizon + 1, dtype=np.float64)
@@ -366,16 +347,6 @@ class _DiagonalMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return horizon
 
-    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
-        d = self._diag_prefix(horizon)
-        if positive_part:
-            d = np.clip(d, 0.0, None)
-        elif absolute:
-            d = np.abs(d)
-        if columns is None:
-            return d
-        return d * columns.mask(horizon)
-
     def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
         return self._diag_prefix(horizon) * xs[:horizon]
 
@@ -397,11 +368,6 @@ class _RkMatrix(InfiniteMatrix):
 
     def max_support(self, horizon: int) -> int:
         return int(self.h.prefix(horizon).max()) + 1 if horizon else 0
-
-    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
-        if columns is None:
-            return np.ones(horizon, dtype=np.float64)
-        return _at_rows(self.h.prefix(horizon), columns.mask, columns.contains, bool).astype(np.float64)
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
         return _at_rows(self.h.prefix(horizon), x.prefix, x.fn, np.float64)
@@ -479,18 +445,7 @@ class _BandedMatrix(InfiniteMatrix):
         return idx, val, _pointers(lengths[:rows]), np.zeros(rows)
 
 
-class _Composite(InfiniteMatrix):
-    """A matrix made from operand matrices; its CSR, where one is read, is the
-    row path's (``InfiniteMatrix._gather``)."""
-
-    def _by_operands(self, absolute: bool, positive_part: bool) -> bool:
-        """Whether the operands' masked row sums give this composite's: always
-        for signed sums, and for absolute and positive-part sums when the
-        composite is nonnegative, where |a| = a⁺ = a."""
-        return bool(self.nonnegative) or not (absolute or positive_part)
-
-
-class _SumMatrix(_Composite):
+class _SumMatrix(InfiniteMatrix):
     def __init__(self, a: InfiniteMatrix, b: InfiniteMatrix):
         bound = None
         if a.norm_bound is not None and b.norm_bound is not None:
@@ -502,7 +457,6 @@ class _SumMatrix(_Composite):
 
     @property
     def abs_sums_are_sums(self) -> bool:
-        # Both operands nonnegative: the sums are the operands' (``_by_operands``).
         return self.a.abs_sums_are_sums and self.b.abs_sums_are_sums
 
     def _row(self, n: int) -> MatrixRow:
@@ -516,12 +470,6 @@ class _SumMatrix(_Composite):
     def max_support(self, horizon: int) -> int:
         return max(self.a.max_support(horizon), self.b.max_support(horizon))
 
-    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
-        if not self._by_operands(absolute, positive_part):
-            return super().masked_row_sums(columns, horizon, absolute, positive_part)
-        return (self.a.masked_row_sums(columns, horizon, absolute, positive_part)
-                + self.b.masked_row_sums(columns, horizon, absolute, positive_part))
-
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
         return self.a.transform_prefix(x, horizon) + self.b.transform_prefix(x, horizon)
 
@@ -529,7 +477,7 @@ class _SumMatrix(_Composite):
         return self.a._apply(xs, horizon) + self.b._apply(xs, horizon)
 
 
-class _ScaledMatrix(_Composite):
+class _ScaledMatrix(InfiniteMatrix):
     def __init__(self, c: float, a: InfiniteMatrix):
         bound = abs(c) * a.norm_bound if a.norm_bound is not None else None
         nonneg = True if (a.nonnegative and c >= 0) else None
@@ -539,7 +487,6 @@ class _ScaledMatrix(_Composite):
 
     @property
     def abs_sums_are_sums(self) -> bool:
-        # Nonnegative: the sums are c times the operand's (``_by_operands``).
         return bool(self.nonnegative) and self.a.abs_sums_are_sums
 
     def _row(self, n: int) -> MatrixRow:
@@ -549,11 +496,6 @@ class _ScaledMatrix(_Composite):
     def max_support(self, horizon: int) -> int:
         return self.a.max_support(horizon)
 
-    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
-        if not self._by_operands(absolute, positive_part):
-            return super().masked_row_sums(columns, horizon, absolute, positive_part)
-        return self.c * self.a.masked_row_sums(columns, horizon, absolute, positive_part)
-
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
         return self.c * self.a.transform_prefix(x, horizon)
 
@@ -561,7 +503,7 @@ class _ScaledMatrix(_Composite):
         return self.c * self.a._apply(xs, horizon)
 
 
-class _ComposedMatrix(_Composite):
+class _ComposedMatrix(InfiniteMatrix):
     """B·A for row-finite B: row n of BA = sum_j b_nj * (row j of A)."""
 
     def __init__(self, b: InfiniteMatrix, a: InfiniteMatrix):
@@ -615,12 +557,6 @@ class _ComposedMatrix(_Composite):
         support = self._left_support(horizon)
         return super().max_support(horizon) if support is None else self.a.max_support(support)
 
-    def masked_row_sums(self, columns, horizon, absolute=False, positive_part=False):
-        support = self._left_support(horizon) if self._by_operands(absolute, positive_part) else None
-        if support is None:
-            return super().masked_row_sums(columns, horizon, absolute, positive_part)
-        return self.b._apply(self.a.masked_row_sums(columns, support, absolute, positive_part), horizon)
-
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
         support = self._left_support(horizon)
         if support is None:
@@ -634,7 +570,7 @@ class _ComposedMatrix(_Composite):
         return self.b._apply(self.a._apply(xs, support), horizon)
 
 
-class _EntrywisePart(_Composite):
+class _EntrywisePart(InfiniteMatrix):
     """Positive or negative part of a base matrix, entrywise."""
 
     def __init__(self, base: InfiniteMatrix, positive: bool):

@@ -124,6 +124,7 @@ def indicator(s: SetDescription, label: str | None = None) -> BoundedSequence:
         bound=1.0,
         label=label or "indicator",
         level_sets=levels,
+        rule=lambda horizon: s.mask(horizon).astype(np.float64),
     )
 
 

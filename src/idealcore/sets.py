@@ -46,7 +46,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -295,11 +295,15 @@ class GeometricBlocks(SetDescription):
             raise ValueError("need base >= 2, modulus >= 2, 0 <= residue < modulus")
 
     def _exponent(self, n: int) -> int:
-        e, p = 0, 1
-        while p * self.base <= n:
-            p *= self.base
-            e += 1
-        return e
+        """The e with base^e <= n < base^(e+1), for n >= 1."""
+        if self.base == 2:
+            return n.bit_length() - 1
+        # The float logarithm may round across a power of the base; one step fixes it.
+        e = int(math.log(n, self.base))
+        p = self.base**e
+        if p > n:
+            return e - 1
+        return e + 1 if p * self.base <= n else e
 
     def contains(self, n: int) -> bool:
         if n < 1:
@@ -791,6 +795,12 @@ def _intersection_cardinality(a: SetDescription, b: SetDescription) -> Cardinali
     if isinstance(a, RootBlocks) and isinstance(b, RootBlocks):
         if a.modulus == b.modulus:
             return Cardinality.INFINITE if a.residue == b.residue else Cardinality.FINITE
+    # Distribute over a union factor: (U ∪ V) ∩ X = (U ∩ X) ∪ (V ∩ X).  Each
+    # step removes one union node, so the recursion ends.
+    for i, f in enumerate(factors):
+        if isinstance(f, Union):
+            others = factors[:i] + factors[i + 1 :]
+            return _cardinality(Union(*(reduce(Intersection, others, part) for part in (f.left, f.right))))
     return Cardinality.UNKNOWN
 
 

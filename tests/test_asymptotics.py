@@ -15,6 +15,7 @@ from idealcore import sets as sd
 FIN = ide.fin()
 Z = ide.density_zero()
 FO_EVENS = ide.fin_oplus_full(sd.evens())
+FO_ROOT = ide.fin_oplus_full(sd.RootBlocks(0, 2))
 
 CFG = asy.CoreConfig(horizon=10**5, grid=1e-2, theta=1e-3)
 FAST = asy.CoreConfig(horizon=10**4, grid=1e-2, theta=1e-3)
@@ -77,17 +78,26 @@ def test_oracle_core_examples():
 
 
 def test_oracle_core_reports_mixed_provenance():
-    # The trace-finite ideal cannot decide the level set of 0 (the odd blocks)
-    # symbolically, so that level falls back to the numeric estimator, whose
-    # prefix and threshold the result records.
+    # The geometric blocks meet the trace, square-root blocks, in sets the
+    # symbolic analysis cannot decide (two families of long runs), so those
+    # levels fall back to the numeric estimator, whose prefix and threshold
+    # the result records.
     blocks = seq.corpus_entry("indicator_blocks")
-    mixed = asy.oracle_core(blocks, FO_EVENS, theta=2e-3)
+    mixed = asy.oracle_core(blocks, FO_ROOT, theta=2e-3)
     assert (mixed.method, mixed.horizon, mixed.theta, mixed.grid) == ("mixed", asy._ORACLE_HORIZON, 2e-3, None)
-    assert asy.cluster_points(blocks, FO_EVENS, FAST).exact is False
+    assert asy.cluster_points(blocks, FO_ROOT, FAST).exact is False
     alternating = seq.corpus_entry("alternating")
     exact = asy.oracle_core(alternating, FIN)
     assert (exact.method, exact.horizon, exact.theta, exact.grid) == ("exact", None, None, None)
     assert asy.cluster_points(alternating, FIN, FAST).exact is True
+
+
+def test_union_level_sets_meeting_the_trace_are_decided_exactly():
+    # The level set of 0, the odd blocks ∪ {0}, meets the evens in the union of
+    # (odd blocks ∩ evens), infinite, and ({0} ∩ evens), finite.
+    blocks = seq.corpus_entry("indicator_blocks")
+    for c in (asy.oracle_core(blocks, FO_EVENS), asy.core(blocks, FO_EVENS, FAST)):
+        assert (c.lo, c.hi, c.method) == (0.0, 1.0, "exact")
 
 
 def test_classify_levels_reports_provenance():
@@ -208,7 +218,7 @@ def test_core_interval_records_method():
     # Finitely-valued: read off the level decisions, so exact or mixed.
     c = asy.core(seq.corpus_entry("alternating"), FIN, FAST)
     assert c.method == "exact" and c.horizon == FAST.horizon and c.grid == FAST.grid
-    assert asy.core(seq.corpus_entry("indicator_blocks"), FO_EVENS, FAST).method == "mixed"
+    assert asy.core(seq.corpus_entry("indicator_blocks"), FO_ROOT, FAST).method == "mixed"
     # A value prefix goes through the grid.
     c = asy.core(seq.corpus_entry("rotation_golden"), FIN, FAST)
     assert c.method == "numeric" and c.horizon == FAST.horizon and c.grid == FAST.grid

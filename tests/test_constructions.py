@@ -114,6 +114,16 @@ def test_only_row_selections_keep_level_sets():
         assert con.transformed_sequence(mat.identity(), y, 1000).level_sets is None
 
 
+def test_value_path_extends_with_the_bits_of_transform_prefix():
+    # A·x built at one horizon and read past it gives the bulk transform's
+    # bits, not a per-index ``math.fsum``.
+    a, x = mat.cesaro(), seq.corpus_entry("rotation_golden")
+    ax = con.transformed_sequence(a, x, 1000)
+    want = a.transform_prefix(x, 3000)
+    assert ax.prefix(1000).tobytes() == want[:1000].tobytes()
+    assert ax.prefix(3000).tobytes() == want.tobytes()
+
+
 _CATALOG = [
     FIN,
     Z,
@@ -146,12 +156,11 @@ def test_identity_keeps_every_core(ideal, label):
 @given(st.sampled_from(_FINITELY_VALUED))
 def test_rk_over_the_evens_carries_the_trace_core_to_fin(label):
     # Thm 2.5: core_{Ax}(Fin) = core_x(Fin ⊕ P(ω) copy) for A = rk(enumeration(evens)).
-    # The image side is decided exactly; the source side may need the estimator
-    # (indicator_blocks' zero level meets the evens in an undecided union).
+    # Both sides are decided exactly.
     x = seq.corpus_entry(label)
     a = mat.rk_matrix(maps.enumeration_map(sd.evens()))
     image = _core_outcome(con.transformed_sequence(a, x, _THEORY_CORE.horizon), FIN)
-    assert image[:2] == _core_outcome(x, FO_EVENS)[:2]
+    assert image == _core_outcome(x, FO_EVENS)
     assert image[2] == "exact"
 
 

@@ -709,7 +709,8 @@ def test_cli_core_and_oracle():
 
 
 def test_cli_mixed_oracle_records_horizon_and_theta():
-    args = ["core", "--sequence", "indicator_blocks", "--ideal", "fin-oplus-evens", "--oracle", "--theta", "0.002"]
+    trace = '{"type": "fin_oplus_full", "trace": {"type": "root_blocks", "residue": 0, "modulus": 2}}'
+    args = ["core", "--sequence", "indicator_blocks", "--ideal", trace, "--oracle", "--theta", "0.002"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)

@@ -391,13 +391,13 @@ def _matrix_kinds():
     }
 
 
-def _row_reference_sums(a, columns, horizon, absolute, positive_part, total=math.fsum):
+def _row_reference_sums(a, columns, horizon, absolute, total=math.fsum):
     """``masked_row_sums`` from ``row``: ``total`` of each row's entries times
     the 0/1 mask, by default exactly rounded (``math.fsum``)."""
     out = []
     for n in range(horizon):
         r = a.row(n)
-        vals = np.clip(r.values, 0.0, None) if positive_part else np.abs(r.values) if absolute else r.values
+        vals = np.abs(r.values) if absolute else r.values
         if columns is not None:
             vals = vals * np.array([columns.contains(k) for k in r.indices.tolist()], dtype=bool)
         out.append(total(vals) + r.tail_bound if absolute else total(vals))
@@ -405,10 +405,8 @@ def _row_reference_sums(a, columns, horizon, absolute, positive_part, total=math
 
 
 # Absolute row sums that come from a closed form of many-entry rows, or from
-# the operands of a nonnegative composite, rather than from the entries.
-_ABS_SUMS_BY_OPERANDS = {
-    "cesaro", "compose_rk_cesaro", "compose_cesaro_rk", "compose_cesaro_cesaro", "compose_rk_rk", "compose_with_tails",
-}
+# the operands of a nonnegative composite without tails, rather than from the entries.
+_ABS_SUMS_BY_OPERANDS = {"cesaro", "compose_rk_cesaro", "compose_cesaro_rk", "compose_cesaro_cesaro", "compose_rk_rk"}
 
 
 @pytest.mark.parametrize("kind", sorted(_matrix_kinds()))
@@ -420,15 +418,15 @@ def test_row_abs_sums_match_row_abs_sum(kind):
     horizon = 300
     got = a.row_sums(horizon, absolute=True)
     if kind in _ABS_SUMS_BY_OPERANDS:
-        want = _row_reference_sums(a, None, horizon, True, False)
+        want = _row_reference_sums(a, None, horizon, True)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     else:
-        assert got.tobytes() == _row_reference_sums(a, None, horizon, True, False, np.sum).tobytes()
+        assert got.tobytes() == _row_reference_sums(a, None, horizon, True, np.sum).tobytes()
 
 
 def test_row_abs_sums_past_the_flat_limit(monkeypatch):
     a = mat.matrix_sum(mat.cesaro(), mat.banded(_signed_rows(), tail_mode="repeat_last"))
-    expected = _row_reference_sums(a, None, 200, True, False, np.sum)
+    expected = _row_reference_sums(a, None, 200, True, np.sum)
     monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", 50)
     assert _gathered(a._flat(200)) < 200
     assert a.row_sums(200, absolute=True).tobytes() == expected.tobytes()
@@ -446,9 +444,10 @@ def test_bulk_calls_past_the_flat_limit_build_each_row_once(monkeypatch):
     # the bits of the full CSR.
     horizon = 60
     xs = seq.corpus_entry("rotation_golden").prefix(horizon)
+    ones = seq.indicator(sd.omega()).prefix(horizon)
     bulk_calls = {
         "abs_sums": lambda a: a.row_sums(horizon, absolute=True),
-        "sums": lambda a: mat.InfiniteMatrix.masked_row_sums(a, None, horizon),
+        "sums": lambda a: mat.InfiniteMatrix._apply(a, ones, horizon),
         "apply": lambda a: mat.InfiniteMatrix._apply(a, xs, horizon),
         "max_support": lambda a: np.array([mat.InfiniteMatrix.max_support(a, horizon)]),
     }
@@ -520,7 +519,7 @@ def test_segment_sums_match_per_row_sums(chunk, monkeypatch):
 def test_row_abs_sums_with_tails_over_mixed_lengths():
     a = _MixedRows()
     horizon = a.ptr.size - 1
-    expected = _row_reference_sums(a, None, horizon, True, False, np.sum)
+    expected = _row_reference_sums(a, None, horizon, True, np.sum)
     assert a.row_sums(horizon, absolute=True).tobytes() == expected.tobytes()
 
 
@@ -701,27 +700,46 @@ def test_product_flat_memory_is_bounded():
     assert peak < 3 * sum(part.nbytes for part in flat)
 
 
-# -- masked row sums and transforms of composites, from their operands -------------
+# -- masked row sums: A applied to an indicator, or the entries -------------------
 
 _COLUMN_SETS = {"all": None, "evens": sd.evens(), "squares": sd.squares(), "explicit": sd.explicit(*range(10))}
-_FLAGS = list(itertools.product((False, True), repeat=2))
+_FLAGS = (False, True)
+
+
+def _indicator(columns):
+    return seq.indicator(sd.omega() if columns is None else columns)
+
+
+def _linear_route(a, absolute):
+    """Whether ``masked_row_sums`` takes A·1_E rather than the entries."""
+    return not absolute or a.abs_sums_are_sums
+
+
+@pytest.mark.parametrize("kind", sorted(_matrix_kinds()) + ["rk_squares"])
+def test_masked_row_sums_are_the_indicators_transform(kind):
+    a = _matrix_kinds()[kind] if kind in _matrix_kinds() else mat.rk_matrix(maps.enumeration_map(sd.squares()))
+    horizon = 300
+    for absolute, columns in itertools.product(_FLAGS, _COLUMN_SETS.values()):
+        if _linear_route(a, absolute):
+            got = a.masked_row_sums(columns, horizon, absolute=absolute)
+            assert got.tobytes() == a.transform_prefix(_indicator(columns), horizon).tobytes(), (columns, absolute)
 
 
 @pytest.mark.parametrize("kind", sorted(_composite_kinds()))
 def test_composite_sums_and_transforms_match_the_rows(kind):
-    # Sums that still read the CSR (absolute or positive-part sums of a signed
-    # composite) equal the CSR's bit for bit.  The rest agree with each row's
-    # exactly rounded sum to 1e-12 relative.
+    # Sums that read the entries (absolute sums of a signed composite or one
+    # with tails) equal each row's own ``np.sum`` bit for bit.  The rest agree
+    # with each row's exactly rounded sum to 1e-12 relative.
     a = _matrix_kinds()[kind]
     horizon = 300
-    for (absolute, positive_part), (name, columns) in itertools.product(_FLAGS, _COLUMN_SETS.items()):
-        got = a.masked_row_sums(columns, horizon, absolute=absolute, positive_part=positive_part)
-        if (absolute or positive_part) and not a.nonnegative:
-            csr = mat.InfiniteMatrix.masked_row_sums(a, columns, horizon, absolute, positive_part)
-            assert got.tobytes() == csr.tobytes(), (name, absolute, positive_part)
+    for absolute, (name, columns) in itertools.product(_FLAGS, _COLUMN_SETS.items()):
+        got = a.masked_row_sums(columns, horizon, absolute=absolute)
+        if not _linear_route(a, absolute):
+            csr = _row_reference_sums(a, columns, horizon, absolute, np.sum)
+            assert got.tobytes() == csr.tobytes(), (name, absolute)
         else:
-            want = _row_reference_sums(a, columns, horizon, absolute, positive_part)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=f"{name} {absolute} {positive_part}")
+            want = _row_reference_sums(a, columns, horizon, absolute)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=f"{name} {absolute}")
     for label in ("alternating", "rotation_golden", "indicator_squares"):
         x = seq.corpus_entry(label)
         want = [mat.transform(a, x, n) for n in range(horizon)]
@@ -735,16 +753,20 @@ def test_csr_sums_are_each_rows_own_sum(kind, monkeypatch):
     horizon = 300
     reference = _matrix_kinds()[kind]
     cases = list(itertools.product(_FLAGS, _COLUMN_SETS.values()))
-    want = [_row_reference_sums(reference, columns, horizon, *flags, np.sum) for flags, columns in cases]
-    xs = seq.corpus_entry("rotation_golden").prefix(reference.max_support(horizon))
+    want = [_row_reference_sums(reference, columns, horizon, absolute, np.sum) for absolute, columns in cases]
+    support = reference.max_support(horizon)
+    xs = seq.corpus_entry("rotation_golden").prefix(support)
     want_ax = np.array([np.sum(r.values * xs[r.indices]) for r in map(reference.row, range(horizon))])
     for limit in (mat._FLAT_NNZ_LIMIT, 50):
         monkeypatch.setattr(mat, "_FLAT_NNZ_LIMIT", limit)
         a = _composite_kinds()[kind]
         assert (_gathered(a._flat(horizon)) < horizon) == (limit == 50)
-        for ((absolute, positive_part), columns), sums in zip(cases, want):
-            got = mat.InfiniteMatrix.masked_row_sums(a, columns, horizon, absolute, positive_part)
-            assert got.tobytes() == sums.tobytes(), (limit, columns, absolute, positive_part)
+        for (absolute, columns), sums in zip(cases, want):
+            if absolute:  # a signed matrix: its absolute sums read the CSR
+                got = a.masked_row_sums(columns, horizon, absolute=True)
+            else:  # the CSR applied to the indicator's values
+                got = mat.InfiniteMatrix._apply(a, _indicator(columns).prefix(support), horizon)
+            assert got.tobytes() == sums.tobytes(), (limit, columns, absolute)
         assert mat.InfiniteMatrix._apply(a, xs, horizon).tobytes() == want_ax.tobytes(), limit
 
 
@@ -758,8 +780,8 @@ def test_product_sums_are_exact_and_read_no_csr(monkeypatch):
     # Row n averages columns 0 … 2n, of which n + 1 are even.
     want = np.array([float(Fraction(n + 1, 2 * n + 1)) for n in range(horizon)])
     assert a.masked_row_sums(sd.evens(), horizon).tobytes() == want.tobytes()
-    for absolute, positive_part in _FLAGS:
-        sums = a.masked_row_sums(sd.evens(), horizon, absolute=absolute, positive_part=positive_part)
+    for absolute in _FLAGS:
+        sums = a.masked_row_sums(sd.evens(), horizon, absolute=absolute)
         assert sums.tobytes() == want.tobytes()
     assert a.row_sums(horizon).tobytes() == np.ones(horizon).tobytes()
     assert a.row_sums(horizon, absolute=True).tobytes() == np.ones(horizon).tobytes()
@@ -780,8 +802,9 @@ def test_sparse_left_factor_keeps_the_csr_route():
     assert a.max_support(horizon) == (horizon - 1) ** 2 + 1
     for columns in (None, sd.ap(1, 3)):
         got = a.masked_row_sums(columns, horizon)
-        assert got.tobytes() == mat.InfiniteMatrix.masked_row_sums(a, columns, horizon).tobytes()
-        want = _row_reference_sums(a, columns, horizon, False, False)
+        csr = mat.InfiniteMatrix._apply(a, _indicator(columns).prefix(a.max_support(horizon)), horizon)
+        assert got.tobytes() == csr.tobytes()
+        want = _row_reference_sums(a, columns, horizon, False)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     x = seq.corpus_entry("rotation_golden")
     got = a.transform_prefix(x, horizon)

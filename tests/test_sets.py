@@ -85,6 +85,23 @@ def test_geometric_blocks_membership():
     assert not any(GB.contains(n) for n in non_members)
 
 
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_geometric_blocks_membership_at_every_power(base):
+    # ``contains`` reads the exponent in constant time; it must agree with the
+    # mask on both sides of every power, and with base^e <= n < base^(e+1) past it.
+    horizon = 2_000_000
+    for residue in range(2):
+        s = sd.GeometricBlocks(base, residue, 2)
+        mask = s.mask(horizon)
+        powers = [base**k for k in range(1, 80) if base**k < 10**40]
+        for p in powers:
+            for n in (p - 1, p, p + 1):
+                if n < horizon:
+                    assert s.contains(n) == mask[n], (base, residue, n)
+                e = s._exponent(n)
+                assert base**e <= n < base ** (e + 1), (base, n)
+
+
 def test_root_blocks_membership():
     # isqrt(n) % 3 == 1 means n in [1,4) or [16,25) or ...
     assert tuple(RB.enumerate_prefix(30).tolist()) == (1, 2, 3, 16, 17, 18, 19, 20, 21, 22, 23, 24)
@@ -197,6 +214,26 @@ def test_predicate_blocks_density():
     ],
 )
 def test_cardinality_rules(s, expected):
+    assert s.cardinality() is expected
+
+
+@pytest.mark.parametrize(
+    "s,expected",
+    [
+        # (odd blocks ∪ {0}) ∩ evens: the blocks' half is infinite.
+        (sd.Intersection(sd.Union(sd.GeometricBlocks(2, 1, 2), sd.explicit(0)), EVENS), sd.Cardinality.INFINITE),
+        # Both halves are finite: squares are never 3 mod 4.
+        (sd.Intersection(sd.ap(3, 4), sd.Union(SQUARES, sd.explicit(0))), sd.Cardinality.FINITE),
+        # A union factor inside a chain of intersections.
+        (
+            sd.Intersection(sd.Intersection(sd.Union(SQUARES, sd.explicit(0)), sd.ap(1, 2)), sd.ap(3, 4)),
+            sd.Cardinality.FINITE,
+        ),
+        # Neither half decided: the union stays unknown.
+        (sd.Intersection(sd.Union(GB, RB), sd.RootBlocks(0, 2)), sd.Cardinality.UNKNOWN),
+    ],
+)
+def test_cardinality_distributes_over_a_union_factor(s, expected):
     assert s.cardinality() is expected
 
 
