@@ -6,7 +6,8 @@ read off one decision per level, with no grid.  ``classify_levels`` is the one
 place where level sets are decided: symbolically when the structural analysis
 applies, by the numeric estimator at the run's ``theta`` otherwise, and each
 decision says which.  ``core``, ``cluster_points`` and ``oracle_core`` all read
-finitely-valued sequences through it.
+finitely-valued sequences through it, and the checkers read the level sets of
+a row selection's row sums through it (``regularity``).
 
 Value prefixes go through the numeric engine: it partitions the value range
 into grid cells of width ``grid`` and keeps a cell iff the index set hitting

@@ -364,6 +364,8 @@ class ExperimentRow:
             "core_x_hi": self.core_x.hi,
             "core_ax_lo": self.core_ax.lo,
             "core_ax_hi": self.core_ax.hi,
+            "core_x_method": self.core_x.method,
+            "core_ax_method": self.core_ax.method,
             "deviation": self.deviation,
         }
 

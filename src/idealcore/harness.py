@@ -54,6 +54,8 @@ _CSV_COLUMNS = [
     "core_x_hi",
     "core_ax_lo",
     "core_ax_hi",
+    "core_x_method",
+    "core_ax_method",
 ]
 
 @dataclass(frozen=True)
@@ -207,6 +209,8 @@ def _csv_rows(bundle: ReportBundle) -> list[dict]:
                     core_x_hi=repr(r["core_x_hi"]),
                     core_ax_lo=repr(r["core_ax_lo"]),
                     core_ax_hi=repr(r["core_ax_hi"]),
+                    core_x_method=r["core_x_method"],
+                    core_ax_method=r["core_ax_method"],
                 )
                 rows.append(row)
         else:

@@ -332,8 +332,11 @@ class ErdosUlamIdeal(_WeightedIdeal):
             d = s.density_bounds()
             if d is not None and d.has_limit:
                 return d.value == 0
-            if isinstance(s, sd.GeometricBlocks):
-                # Blocks carry logarithmic mass 1/modulus, so never null.
+            if isinstance(s, sd.GeometricBlocks) or (
+                isinstance(s, sd.Complement) and isinstance(s.inner, sd.GeometricBlocks)
+            ):
+                # Blocks carry logarithmic mass 1/modulus, and their
+                # complement the rest, so neither is null.
                 return False
         return self._propagate(s)
 

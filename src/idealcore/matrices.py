@@ -26,6 +26,10 @@ the support passes the limit, and a bulk computation reads the rows after
 those one at a time with the same bits, so one bulk call builds each row once.
 ``row_selection`` names the map h of a matrix with (A x)_n = x_{h(n)} (rk
 matrices and the identity), through which A·x keeps the level sets of x.
+``masked_sum_structure`` states what is known exactly of the row sums over a
+set E without summing a row: the level sets h⁻¹(E) (value 1) and its
+complement (value 0) for a row selection, the density of E as their limit for
+Cesàro, and None for every other matrix.
 ``find_negative_entry`` reads entries.  ``transform`` computes one entry of
 A·x with ``math.fsum``.
 """
@@ -40,10 +44,11 @@ import numpy as np
 
 from .maps import IndexMap, identity_map
 from .sequences import BoundedSequence, indicator
-from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows, omega
+from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows, complement, omega, preimage
 
 __all__ = [
     "MatrixRow",
+    "SumStructure",
     "InfiniteMatrix",
     "ComposeUnsupportedError",
     "BandedRowError",
@@ -96,6 +101,20 @@ class MatrixRow:
 _EMPTY_ROW = MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
+@dataclass(frozen=True)
+class SumStructure:
+    """What is known exactly of the row sums s_n of a matrix over a set of columns.
+
+    Either the sums take the value v exactly on the rows of each level set
+    (``levels``: pairs (v, S_v) whose sets partition ω), or they converge to
+    ``limit``.  ``row_sum(n)`` is s_n with the bits of the bulk path.
+    """
+
+    levels: tuple[tuple[float, SetDescription], ...] | None
+    limit: float | None
+    row_sum: Callable[[int], float]
+
+
 def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """``np.sum(values[ptr[n]:ptr[n + 1]])`` for every n, bit for bit.
 
@@ -146,11 +165,20 @@ def _pointers(lengths: np.ndarray) -> np.ndarray:
 def _merged_row(indices: np.ndarray, values: np.ndarray, tail_bound: float = 0.0) -> MatrixRow:
     """The row with the values that share a column summed, columns sorted.
 
-    ``bincount`` adds each column's values in input order starting from 0.0,
-    so the sums are the ones an entry-by-entry accumulation would give.
+    ``indices`` concatenates sorted operand rows, which a stable sort merges
+    run by run, with no sort from scratch.  ``bincount`` adds each column's
+    values in input order starting from 0.0, so the sums are the ones an
+    entry-by-entry accumulation would give.
     """
-    cols, inv = np.unique(indices, return_inverse=True)
-    sums = np.bincount(inv, weights=values, minlength=cols.size)
+    order = np.argsort(indices, kind="stable")
+    ordered = indices[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    column_of = np.empty(ordered.size, dtype=np.intp)
+    column_of[order] = np.cumsum(first) - 1
+    cols = ordered[first]
+    sums = np.bincount(column_of, weights=values, minlength=cols.size)
     return MatrixRow(cols.astype(np.int64, copy=False), sums.astype(np.float64, copy=False), tail_bound)
 
 
@@ -180,6 +208,22 @@ class InfiniteMatrix:
         """The map h with (A x)_n = x_{h(n)} for every x when A is known to be
         one (rk matrices and the identity), else None."""
         return None
+
+    def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
+        """The structure of ``masked_row_sums(columns, ·, absolute)``, or None
+        when none is known.
+
+        A row selection sums a row over E to 1 where h(n) ∈ E and to 0
+        elsewhere: its level sets are h⁻¹(E) and the complement.  Absolute
+        sums have the structure of the sums where they are the sums
+        (``abs_sums_are_sums``), and none otherwise.
+        """
+        h = self.row_selection()
+        if h is None or (absolute and not self.abs_sums_are_sums):
+            return None
+        e = omega() if columns is None else columns
+        ones = preimage(e, h)
+        return SumStructure(((1.0, ones), (0.0, complement(ones))), None, lambda n: float(e.contains(h(n))))
 
     def _row(self, n: int) -> MatrixRow:
         raise NotImplementedError
@@ -301,6 +345,21 @@ class _CesaroMatrix(InfiniteMatrix):
 
     def max_support(self, horizon: int) -> int:
         return horizon
+
+    def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
+        """Row n sums to |E ∩ [0, n]|/(n+1) (its own absolute sum): exactly 1
+        over ω, and tending to the density of E where it exists."""
+        e = omega() if columns is None else columns
+
+        def row_sum(n: int) -> float:
+            return np.count_nonzero(e.mask(n + 1)) / (n + 1.0)
+
+        if e == omega():
+            return SumStructure(((1.0, e),), None, row_sum)
+        d = e.density_bounds()
+        if d is None or not d.has_limit:
+            return None
+        return SumStructure(None, float(d.value), row_sum)
 
     def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
         return np.cumsum(xs[:horizon]) / np.arange(1, horizon + 1, dtype=np.float64)

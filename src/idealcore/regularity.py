@@ -3,9 +3,22 @@
 Every "for all sets E" quantifier is approximated by a finite, exactly
 classified test family, so a Satisfied verdict means "no violation found over
 the family at the horizon"; the checkers are falsifiers/corroborators, and
-each verdict records the horizon and tolerances it used.  Limit conditions are
-decided through the ideal-limit deviation test, limsup conditions through the
-same cluster estimator that powers the core computations.
+each verdict records the horizon and tolerances it used.
+
+A limit or limsup condition on the row sums over E is judged exactly where the
+matrix states their structure (``InfiniteMatrix.masked_sum_structure``) and
+that structure decides it.  A row selection's sums over E are the indicator
+of h⁻¹(E), whose J-cluster points are the values of its J-positive level sets,
+decided by ``asymptotics.classify_levels`` as the cores decide levels; Cesàro's
+sums over E tend to the density of E where it exists, the one J-cluster point
+under every catalog ideal, since each contains Fin.  So the J-limit is the
+target iff every cluster point lies within ``tol`` of it, and the J-limsup is
+the largest cluster point.  Every other condition, and one whose level sets
+the symbolic analysis leaves undecided, is judged on the value prefix of the
+row sums: limit conditions through the ideal-limit deviation test, limsup
+conditions through the same cluster estimator that powers the core
+computations.  Each condition says which (``method``: ``exact`` or
+``numeric``), and a verdict is exact when all of its conditions are.
 
 Checks of one matrix share work through a :class:`CheckMemo` passed as
 ``memo``: the default family per (ideal, seed), the Silverman–Toeplitz verdict
@@ -25,7 +38,7 @@ import copy
 import enum
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -35,6 +48,7 @@ from .asymptotics import (
     CoreConfig,
     CoreInterval,
     InconclusiveCellsError,
+    classify_levels,
     core,
     ideal_lim_check,
     limsup_of_values,
@@ -47,7 +61,7 @@ from .ideals import (
     ideal_to_dict,
     membership,
 )
-from .matrices import InfiniteMatrix, find_negative_entry
+from .matrices import InfiniteMatrix, SumStructure, find_negative_entry
 from .sequences import BoundedSequence
 from .sets import Cardinality, SetDescription
 
@@ -112,12 +126,15 @@ class ConditionReport:
     details: dict
     witness_set: SetDescription | None = None
     witness_row: int | None = None
+    # "exact" (decided symbolically) or "numeric" (decided at the horizon)
+    method: str = "numeric"
 
     def to_dict(self) -> dict:
         out = {
             "name": self.name,
             "ok": self.ok,
             "margin": self.margin,
+            "method": self.method,
             "details": {k: v for k, v in sorted(self.details.items())},
         }
         if self.witness_set is not None:
@@ -137,9 +154,15 @@ class Verdict:
     horizon: int
     tol: float
 
+    @property
+    def method(self) -> str:
+        """``exact`` when every condition is, else ``numeric``."""
+        return "exact" if all(c.method == "exact" for c in self.conditions) else "numeric"
+
     def to_dict(self) -> dict:
         out = {
             "status": self.status.value,
+            "method": self.method,
             "conditions": [c.to_dict() for c in self.conditions],
             "notes": list(self.notes),
             "horizon": self.horizon,
@@ -310,14 +333,55 @@ def _set_label(s: SetDescription) -> str:
     return kind
 
 
+def _exact_points(
+    a: InfiniteMatrix, columns: SetDescription | None, absolute: bool, ideal_j: Ideal, cfg: CheckConfig
+) -> tuple[list[float], SumStructure] | None:
+    """The J-cluster points of A's row sums over ``columns``, ascending, read
+    off their structure, with that structure; None where A states none, where
+    a level set is not decided symbolically, or where no level is positive."""
+    structure = a.masked_sum_structure(columns, absolute=absolute)
+    if structure is None:
+        return None
+    if structure.levels is None:
+        return [structure.limit], structure
+    decisions = classify_levels(structure.levels, ideal_j, cfg.horizon, cfg.theta)
+    points = sorted(v for v, status, _ in decisions if status == "pos")
+    if not points or not all(exact for _, _, exact in decisions):
+        return None
+    return points, structure
+
+
 def _lim_condition(
     name: str,
-    values: np.ndarray,
+    a: InfiniteMatrix,
+    columns: SetDescription | None,
+    absolute: bool,
     target: float,
     ideal_j: Ideal,
     cfg: CheckConfig,
     witness_set: SetDescription | None = None,
 ) -> ConditionReport:
+    """Is the J-limit of A's (absolute) row sums over ``columns`` the target?"""
+    exact = _exact_points(a, columns, absolute, ideal_j, cfg)
+    if exact is not None:
+        points, structure = exact
+        deviation = max(abs(v - target) for v in points)
+        ok = deviation <= cfg.tol
+        details = {
+            "target": target,
+            "tol": cfg.tol,
+            "cluster_points": points,
+            "horizon": cfg.horizon,
+            "value_at_horizon": structure.row_sum(cfg.horizon - 1),
+        }
+        if structure.levels is not None:
+            details["deviation_count"] = sum(
+                int(np.count_nonzero(s.mask(cfg.horizon))) for v, s in structure.levels if abs(v - target) > cfg.tol
+            )
+        return ConditionReport(
+            name, ok, 0.0 if ok else deviation, details, None if ok else witness_set, method="exact"
+        )
+    values = a.masked_row_sums(columns, cfg.horizon, absolute=absolute)
     ok, info = ideal_lim_check(values, target, cfg.tol, ideal_j, cfg.theta)
     margin = float(info.get("witness_deviation", 0.0)) if ok is False else 0.0
     info["value_at_horizon"] = float(values[-1]) if len(values) else 0.0
@@ -333,12 +397,29 @@ def _lim_condition(
 
 def _limsup_condition(
     name: str,
-    values: np.ndarray,
+    a: InfiniteMatrix,
+    columns: SetDescription | None,
+    absolute: bool,
     target: float,
     ideal_j: Ideal,
     cfg: CheckConfig,
     witness_set: SetDescription,
 ) -> ConditionReport:
+    """Is the J-limsup of A's (absolute) row sums over ``columns`` the target?"""
+    exact = _exact_points(a, columns, absolute, ideal_j, cfg)
+    if exact is not None:
+        points, structure = exact
+        details = {
+            "limsup": points[-1],
+            "horizon": cfg.horizon,
+            "value_at_horizon": structure.row_sum(cfg.horizon - 1),
+        }
+        deviation = abs(points[-1] - target)
+        ok = deviation <= cfg.tol
+        return ConditionReport(
+            name, ok, 0.0 if ok else deviation, details, None if ok else witness_set, method="exact"
+        )
+    values = a.masked_row_sums(columns, cfg.horizon, absolute=absolute)
     details = {
         "value_at_horizon": float(values[-1]) if len(values) else 0.0,
         "horizon": len(values),
@@ -382,6 +463,7 @@ def _regular_condition(
         details={"status": base.status.value},
         witness_set=base.witness_set,
         witness_row=base.witness_row,
+        method=base.method,
     )
 
 
@@ -397,7 +479,7 @@ def _family_conditions(
     absolute: bool = True,
 ) -> list[ConditionReport]:
     """One condition ``prefix[E]`` per family set E, judging the row sums of A
-    over the columns in E: ``judge(name, row_sums, target, ideal_j, cfg,
+    over the columns in E: ``judge(name, a, E, absolute, target, ideal_j, cfg,
     witness_set=E)``, where ``judge`` is ``_lim_condition`` (their J-limit is
     the target) or ``_limsup_condition`` (their J-limsup is).
 
@@ -414,13 +496,10 @@ def _family_conditions(
         name = f"{prefix}[{_set_label(e)}]"
         shared = judged.get(e)
         if shared is None:
-            values = a.masked_row_sums(e, cfg.horizon, absolute=absolute)
-            shared = judged[e] = judge(name, values, target, ideal_j, cfg, e)
-        # Scalars are immutable; the lists (inconclusive cells) are copied.
+            shared = judged[e] = judge(name, a, e, absolute, target, ideal_j, cfg, e)
+        # Scalars are immutable; the lists (inconclusive cells, cluster points) are copied.
         details = {k: copy.deepcopy(v) if isinstance(v, list) else v for k, v in shared.details.items()}
-        reports.append(
-            ConditionReport(name, shared.ok, shared.margin, details, shared.witness_set, shared.witness_row)
-        )
+        reports.append(replace(shared, name=name, details=details))
     return reports
 
 
@@ -515,11 +594,11 @@ def _silverman_toeplitz_conditions(
             margin=(sup - _NORM_CAP) if not t1_ok else 0.0,
             details={"sup_rowsum": sup, "certified": certified, "cap": _NORM_CAP},
             witness_row=None if t1_ok else int(np.argmax(abs_sums)),
+            method="exact" if certified else "numeric",
         )
     )
 
-    row_sums = a.row_sums(cfg.horizon)
-    conditions.append(_lim_condition("T2(row-sums)", row_sums, 1.0, ideal_j, cfg))
+    conditions.append(_lim_condition("T2(row-sums)", a, None, False, 1.0, ideal_j, cfg))
 
     conditions += _family_conditions("T3", _lim_condition, 0.0, a, family.sets_in_ideal, ideal_j, cfg, memo)
     return _assemble(conditions, guard_ok, notes, cfg)
@@ -545,7 +624,7 @@ def _allen_conditions(a: InfiniteMatrix, family: TestFamily, cfg: CheckConfig, m
     fin_ideal = FinIdeal()
     conditions = [
         _regular_condition("A1(regular)", a, fin_ideal, fin_ideal, family, cfg, memo),
-        _lim_condition("A2(abs-row-sums)", a.row_sums(cfg.horizon, absolute=True), 1.0, fin_ideal, cfg),
+        _lim_condition("A2(abs-row-sums)", a, None, True, 1.0, fin_ideal, cfg),
     ]
     conditions += _family_conditions("A3", _limsup_condition, 1.0, a, family.sets_infinite, fin_ideal, cfg, memo)
     return _assemble(conditions, True, [], cfg)

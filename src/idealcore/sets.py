@@ -503,11 +503,12 @@ def preimage(s: SetDescription, h: "IndexMap") -> SetDescription:
     """``h⁻¹(S) = {n : h(n) ∈ S}``.
 
     Distributes over unions, intersections, differences and complements.
-    Under an affine h(n) = a·n + b (``h.affine``) the identity returns S, an
-    arithmetic progression becomes one (or the empty set) and an explicit set
-    its solutions; every other leaf becomes a ``Preimage`` node.
+    ω pulls back to ω along every h.  Under an affine h(n) = a·n + b
+    (``h.affine``) the identity returns S, an arithmetic progression becomes
+    one (or the empty set) and an explicit set its solutions; every other leaf
+    becomes a ``Preimage`` node.
     """
-    if h.affine == (1, 0):
+    if h.affine == (1, 0) or s == omega():
         return s
     if isinstance(s, (Union, Intersection, Difference)):
         return type(s)(preimage(s.left, h), preimage(s.right, h))
@@ -562,7 +563,14 @@ def _cached_mask(s: SetDescription, horizon: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Residue normal forms
 
+# The residue-form, density and cardinality analyses are pure functions of a
+# frozen tree, and each recurses into its subtrees: a bounded cache per
+# analysis answers a subtree that an earlier query (or the same one, through
+# another analysis) has already analysed.
+_ANALYSIS_CACHE_SIZE = 4096
 
+
+@lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def _residue_form(s: SetDescription) -> ResidueForm | None:
     if isinstance(s, Explicit):
         start = (max(s.elements) + 1) if s.elements else 0
@@ -620,6 +628,7 @@ def _is_full(d: DensityBounds | None) -> bool:
     return d is not None and d.lower == 1
 
 
+@lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def _density(s: SetDescription) -> DensityBounds | None:
     rf = _residue_form(s)
     if rf is not None:
@@ -687,7 +696,11 @@ def _density(s: SetDescription) -> DensityBounds | None:
 
 
 def _has_long_runs(s: SetDescription) -> bool:
-    """True when the set provably contains arbitrarily long integer runs."""
+    """True when the set provably contains arbitrarily long integer runs: the
+    block families and their complements, whose blocks [b^i, b^(i+1)) or
+    [k², (k+1)²) are those of the other residues."""
+    if isinstance(s, Complement):
+        s = s.inner
     return isinstance(s, (GeometricBlocks, RootBlocks))
 
 
@@ -695,6 +708,7 @@ def _squares_hit_residues(rf: ResidueForm) -> bool:
     return any((x * x) % rf.modulus in rf.residues for x in range(rf.modulus))
 
 
+@lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def _cardinality(s: SetDescription) -> Cardinality:
     rf = _residue_form(s)
     if rf is not None:
@@ -709,6 +723,8 @@ def _cardinality(s: SetDescription) -> Cardinality:
     if isinstance(s, Complement):
         if _cardinality(s.inner) is Cardinality.FINITE:
             return Cardinality.INFINITE
+        if isinstance(s.inner, Preimage):  # (h⁻¹ X)ᶜ = h⁻¹(Xᶜ)
+            return _preimage_cardinality(Preimage(complement(s.inner.inner), s.inner.h))
         return Cardinality.UNKNOWN
     if isinstance(s, Union):
         ca, cb = _cardinality(s.left), _cardinality(s.right)
@@ -733,7 +749,7 @@ def _preimage_cardinality(s: Preimage) -> Cardinality:
         return Cardinality.UNKNOWN
     a, b = s.h.affine
     # A run longer than a holds a value of a·n + b, and the runs grow without bound.
-    if isinstance(s.inner, (GeometricBlocks, RootBlocks)):
+    if _has_long_runs(s.inner):
         return Cardinality.INFINITE
     # a·n + b = k² has a solution n >= 0 for infinitely many k iff r² ≡ b (mod a) for some r.
     if isinstance(s.inner, Squares):
@@ -754,8 +770,11 @@ def _intersection_cardinality(a: SetDescription, b: SetDescription) -> Cardinali
     if a == b:
         return ca
     # Flatten nested intersections and combine the residue-form factors, so
-    # chains like odds ∩ evens ∩ X come out finite regardless of X.
+    # chains like odds ∩ evens ∩ X come out finite regardless of X; a factor
+    # next to its own complement makes the intersection empty.
     factors = _intersection_factors(a) + _intersection_factors(b)
+    if any(isinstance(f, Complement) and f.inner in factors for f in factors):
+        return Cardinality.FINITE
     combined: ResidueForm | None = None
     rest: list[SetDescription] = []
     for f in factors:

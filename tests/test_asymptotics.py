@@ -100,6 +100,13 @@ def test_union_level_sets_meeting_the_trace_are_decided_exactly():
         assert (c.lo, c.hi, c.method) == (0.0, 1.0, "exact")
 
 
+def test_a_level_set_and_its_complement_on_its_own_trace_are_decided_exactly():
+    # Under Fin ⊕ P(squares) the zero level, the non-squares, meets the trace
+    # in nothing: it is null, and the squares lie in the dual filter.
+    core = asy.oracle_core(seq.corpus_entry("indicator_squares"), ide.fin_oplus_full(sd.squares()))
+    assert (core.lo, core.hi, core.method) == (1.0, 1.0, "exact")
+
+
 def test_classify_levels_reports_provenance():
     ideal = ide.fin_times_empty()
     levels = [

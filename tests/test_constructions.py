@@ -364,4 +364,6 @@ def test_experiment_report_serialization():
     )
     d = report.to_dict()
     assert d["rows"][0]["label"] == "alternating"
-    assert set(d["rows"][0]) == {"label", "core_x_lo", "core_x_hi", "core_ax_lo", "core_ax_hi", "deviation"}
+    assert set(d["rows"][0]) == {
+        "label", "core_x_lo", "core_x_hi", "core_ax_lo", "core_ax_hi", "core_x_method", "core_ax_method", "deviation"
+    }

@@ -1,8 +1,10 @@
 """Suite execution, report determinism, config validation, CLI surface."""
 
 import collections
+import csv
 import hashlib
 import importlib.resources
+import io
 import json
 import time
 import weakref
@@ -283,16 +285,30 @@ def test_suite_timings_are_per_item(bundled_runs):
     assert sum(elapsed for _, elapsed in bundle.timings) <= wall
 
 
+def test_experiment_rows_say_how_each_core_was_decided(bundled_runs):
+    # Thm 2.5 on the corpus: level-set entries are decided exactly on both
+    # sides, the two sequences without level sets by the estimator.
+    bundle, _ = bundled_runs["thm25.json"]
+    rows = next(i for i in bundle.items if i["kind"] == "experiment")["experiment"]["rows"]
+    methods = {r["label"]: (r["core_x_method"], r["core_ax_method"]) for r in rows}
+    assert methods.pop("alternating_decay") == methods.pop("rotation_golden") == ("numeric", "numeric")
+    assert set(methods.values()) == {("exact", "exact")}
+    csv_rows = [r for r in csv.DictReader(io.StringIO(harness.render_csv(bundle))) if r["kind"] == "experiment"]
+    assert [(r["corpus_label"], r["core_x_method"], r["core_ax_method"]) for r in csv_rows] == [
+        (r["label"], r["core_x_method"], r["core_ax_method"]) for r in rows
+    ]
+
+
 # sha256 of the (json, csv) reports of the bundled configs.  Only a deliberate
 # change of results, noted in CHANGES.md, may update these hashes.
 _REPORT_SHA256 = {
     "knopp.json": (
-        "76ea35dd1844f3623427991a6fa90176589e5668b244e72d0e928845d9bd0b03",
-        "fd62eac81ec744f0143e8eaa8a6f9c401e4c70c535d452249c23a7ce197aca93",
+        "d56f7ed036b5dfeaff4b83e0718e9a5d233834c56ec69526f3054fd977e407a3",
+        "086dff052213c76fdcc53b137fc52b774406a492553d091f613da6528265c3ae",
     ),
     "thm25.json": (
-        "44d64b939c6d5a3bd77983415351bff4d45f06e8281d22d728c3e90801b2bbe2",
-        "4ec91a0db27a4cd3c0f1c31a00eceebc25132188e579af737e29f992ba2f2858",
+        "b2054feb6e0f2e462f61bd2656d4a459c673726315deb691703e2bb1ffa6ddbb",
+        "8c4006e0820022c9e3bee3fd681c9fffc0171f718d62742071316663d6464bec",
     ),
 }
 
@@ -324,8 +340,8 @@ _GENERIC_SUITE = {
     "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
 }
 _GENERIC_SHA256 = (
-    "7f093330844cef32d007e0409323343aea9ef73adea135a9d5815f86b591b9e8",
-    "c79a1462189c0aa0f9a4a1ac8e2fb7039483f1e374d4d360f526b752476bc0ba",
+    "d15cfd16ee1d941e511020d780fc954a888eaae53b467a519e85a7b18e5e2959",
+    "ed159a0349772696433b686c9ad5aadffa2746e23305dfff9443d742369545e8",
 )
 # Per item of the generic suite: (status, label of the witness set, witness
 # row), both witnesses from the strongest violated condition as the verdict
@@ -389,8 +405,8 @@ _SIGNED_SUITE = {
     "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
 }
 _SIGNED_SHA256 = (
-    "c28f31fd7cd854711de6c3dd95436f756b6974615d4544f6e0e39701773b9672",
-    "8ac2ad120b20d2d9773d5b26fdb124a0fef27a39bf8efb371c1ad802ee0dfef2",
+    "34ac08e00afff6f5b4020b2b66eaee64152be62c0eee44fcf2843f47ce6dac74",
+    "32d50418f0745b228fcd4b0681dba9829ea7cf4ecf04d492f742e74866c257a4",
 )
 
 

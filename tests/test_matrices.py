@@ -220,6 +220,30 @@ def test_row_merge_matches_dict_reference():
         assert _row_triple(c.row(n)) == _dict_merge(products), n
 
 
+def _unique_merge(indices, values):
+    """The row merge that sorted from scratch: ``np.unique`` for the columns
+    and their inverse, then ``bincount``."""
+    cols, inv = np.unique(indices, return_inverse=True)
+    return cols, np.bincount(inv, weights=values, minlength=cols.size)
+
+
+def test_row_merge_of_sorted_runs_matches_the_unique_merge():
+    # Rows arrive as concatenated sorted operand rows that share columns; the
+    # merge must give the columns and the bits of the merge by ``np.unique``.
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        runs = [
+            np.sort(rng.choice(40, size=int(rng.integers(0, 16)), replace=False))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        idx = np.concatenate(runs).astype(np.int64)
+        val = rng.choice([0.0, -0.0, 0.1, 0.2, -0.3, 1e16, -1e16, 1.0 / 3.0], size=idx.size)
+        got = mat._merged_row(idx, val)
+        cols, sums = _unique_merge(idx, val)
+        assert np.array_equal(got.indices, cols)
+        assert got.values.tobytes() == sums.tobytes()
+
+
 def test_bulk_paths_match_scalar():
     x = seq.corpus_entry("alternating")
     for a in (mat.cesaro(), mat.rk_matrix(maps.affine_map(3, 1)), mat.banded([[(0, 1.0), (4, -2.0)]])):
@@ -829,3 +853,42 @@ def test_banded_error_names_the_first_bad_row():
     with pytest.raises(mat.BandedRowError) as err:
         mat.banded([[(0, 1.0)], [], [(2, 1.0), (-4, 1.0)], [(1, 1.0), (1, 1.0)]])
     assert err.value.row == 2 and str(err.value) == "row 2: columns must be distinct naturals, got [2, -4]"
+
+
+_STRUCTURED = {
+    "identity": mat.identity,
+    "rk_affine": lambda: mat.rk_matrix(maps.affine_map(2)),
+    "rk_enumeration": lambda: mat.rk_matrix(maps.enumeration_map(sd.evens())),
+    "rk_squares": lambda: mat.rk_matrix(maps.enumeration_map(sd.squares())),
+    "cesaro": mat.cesaro,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STRUCTURED))
+def test_sum_structure_matches_the_row_sums(kind):
+    # Level sets partition the rows and rebuild the sums bit for bit; a limit
+    # is the density of the columns; ``row_sum`` is each row's sum.
+    a, horizon = _STRUCTURED[kind](), 2000
+    for absolute, columns in itertools.product(_FLAGS, _COLUMN_SETS.values()):
+        structure = a.masked_sum_structure(columns, absolute=absolute)
+        sums = a.masked_row_sums(columns, horizon, absolute=absolute)
+        if structure.levels is None:
+            assert kind == "cesaro" and columns is not None
+            assert structure.limit == float(columns.density_bounds().value)
+            assert abs(sums[-1] - structure.limit) < 0.05
+        else:
+            rebuilt = np.full(horizon, np.nan)
+            for value, level_set in structure.levels:
+                assert np.all(np.isnan(rebuilt[level_set.mask(horizon)]))
+                rebuilt[level_set.mask(horizon)] = value
+            assert rebuilt.tobytes() == sums.tobytes(), (columns, absolute)
+        for n in (0, 1, 7, horizon - 1):
+            assert np.float64(structure.row_sum(n)).tobytes() == sums[n].tobytes(), (columns, n)
+
+
+def test_only_row_selections_and_cesaro_state_a_structure():
+    evens = sd.evens()
+    for a in (mat.scalar_mul(1.0, mat.identity()), mat.diagonal(lambda n: 1.0), mat.banded([[(0, 1.0)]])):
+        assert a.masked_sum_structure(evens) is None, a.label
+    # Cesàro has no limit over a set without a density.
+    assert mat.cesaro().masked_sum_structure(sd.GeometricBlocks(2, 0, 2)) is None

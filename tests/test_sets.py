@@ -211,6 +211,12 @@ def test_predicate_blocks_density():
             sd.Intersection(ODDS, sd.Intersection(EVENS, sd.complement(SQUARES))),
             sd.Cardinality.FINITE,
         ),
+        # a set meets its own complement nowhere, in either order and inside a chain
+        (sd.Intersection(sd.complement(SQUARES), SQUARES), sd.Cardinality.FINITE),
+        (sd.Intersection(SQUARES, sd.complement(SQUARES)), sd.Cardinality.FINITE),
+        (sd.Intersection(sd.Intersection(GB, SQUARES), sd.complement(GB)), sd.Cardinality.FINITE),
+        # the complement of a block family keeps the other blocks
+        (sd.Intersection(SQUARES, sd.complement(RB)), sd.Cardinality.INFINITE),
     ],
 )
 def test_cardinality_rules(s, expected):
@@ -372,6 +378,10 @@ def test_preimage_structure():
     enum_squares = maps.enumeration_map(SQUARES)
     assert sd.preimage(EVENS, enum_squares) == sd.Preimage(EVENS, enum_squares)
     assert sd.preimage(sd.explicit(9), enum_squares).cardinality() is sd.Cardinality.FINITE
+    # Every total map pulls ω back to ω.
+    assert sd.preimage(sd.omega(), enum_squares) == sd.omega()
+    # (h⁻¹ X)ᶜ = h⁻¹(Xᶜ): the other blocks of GB meet every affine image.
+    assert sd.complement(sd.Preimage(GB, double)).cardinality() is sd.Cardinality.INFINITE
     # Two is a square modulo 7 (3² = 9) but not modulo 3.
     assert sd.Preimage(SQUARES, maps.affine_map(7, 2)).cardinality() is sd.Cardinality.INFINITE
     assert sd.Preimage(SQUARES, maps.affine_map(3, 2)).cardinality() is sd.Cardinality.FINITE
