@@ -1,5 +1,12 @@
 """Ideal limsup/liminf, cluster sets, and cores of bounded sequences.
 
+A sequence with a declared limit L (``BoundedSequence.limit``) has the one
+cluster point L under every catalog ideal: each is proper and contains Fin,
+so for every ε the set {n : |x_n − L| > ε} is finite, hence in the ideal,
+and its complement is not.  ``cluster_points`` and ``oracle_core``, and so
+``core``, ``ideal_limsup`` and ``ideal_liminf``, read that limit first, before
+any prefix or level set, and answer [L, L] with method ``exact``.
+
 A finitely-valued sequence (one that carries its level sets) has as cluster
 points exactly the values whose level sets are positive, so its cluster set is
 read off one decision per level, with no grid.  ``classify_levels`` is the one
@@ -106,8 +113,9 @@ class ClusterSet:
 class CoreInterval:
     lo: float
     hi: float
-    # "exact" (every level set decided symbolically), "mixed" (some level sets
-    # decided by the numeric estimator), "numeric" (a value prefix on the grid)
+    # "exact" (a declared limit, or every level set decided symbolically),
+    # "mixed" (some level sets decided by the numeric estimator), "numeric"
+    # (a value prefix on the grid)
     method: str
     horizon: int | None = None
     grid: float | None = None
@@ -294,10 +302,13 @@ def cluster_points(
 ) -> ClusterSet:
     """Cluster-point intervals of the sequence under the ideal.
 
-    ``ends`` reaches ``cluster_of_values`` on the value-prefix path; the level
-    path decides every level.
+    A declared limit L is the one cluster point, exactly.  Otherwise ``ends``
+    reaches ``cluster_of_values`` on the value-prefix path; the level path
+    decides every level.
     """
     cfg = cfg or CoreConfig()
+    if x.limit is not None:
+        return ClusterSet(((x.limit, x.limit),), (), exact=True)
     if _finitely_valued(x):
         return _level_cluster(x, ideal, cfg.horizon, cfg.theta)
     return cluster_of_values(x.prefix(cfg.horizon), ideal, cfg, bound=x.bound, ends=ends)
@@ -345,7 +356,7 @@ def core(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> Cor
     return CoreInterval(
         lo=_inf_of(cluster),
         hi=_sup_of(cluster),
-        method=("exact" if cluster.exact else "mixed") if _finitely_valued(x) else "numeric",
+        method="exact" if cluster.exact else "mixed" if _finitely_valued(x) else "numeric",
         horizon=cfg.horizon,
         grid=cfg.grid,
         theta=cfg.theta,
@@ -356,7 +367,8 @@ _ORACLE_HORIZON = 100_000  # prefix for the levels the symbolic analysis leaves 
 
 
 def oracle_core(x: BoundedSequence, ideal: Ideal, theta: float = DEFAULT_THETA) -> CoreInterval:
-    """Core of a finitely-valued sequence, read off its level-set decisions.
+    """Core of a sequence with a declared limit L, [L, L], or of a
+    finitely-valued sequence, read off its level-set decisions.
 
     Independent of the grid: a value is a cluster point iff its level set is
     positive.  The method is ``"exact"`` when every level set was decided
@@ -366,6 +378,8 @@ def oracle_core(x: BoundedSequence, ideal: Ideal, theta: float = DEFAULT_THETA) 
     :class:`UnsupportedInstanceError` for unstructured sequences, predicate
     level sets and undecided level sets.
     """
+    if x.limit is not None:
+        return CoreInterval(lo=x.limit, hi=x.limit, method="exact")
     if x.level_sets is None:
         raise UnsupportedInstanceError(f"{x.label}: no level-set structure")
     for value, level_set in x.level_sets:

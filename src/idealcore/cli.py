@@ -99,7 +99,7 @@ def check(matrix, ideal_i, ideal_j, theorem, family, horizon, tol, grid, theta, 
         verdict = CHECKS[theorem](a, ii, jj, family=fam, cfg=cfg)
     except (ConfigError, FamilyMisclassifiedError, NegativeEntryError) as exc:
         raise click.ClickException(str(exc))
-    click.echo(json.dumps(verdict.to_dict(), sort_keys=True, indent=2))
+    click.echo(harness.dumps(verdict.to_dict()))
     sys.exit(_STATUS_EXIT[verdict.status])
 
 
@@ -119,7 +119,7 @@ def experiment(config_path, output, fmt):
     if output:
         Path(output).write_text(rendered)
         click.echo(f"wrote {output}", err=True)
-        click.echo(json.dumps(bundle.summary, sort_keys=True, indent=2))
+        click.echo(harness.dumps(bundle.summary))
     else:
         click.echo(rendered, nl=False)
     for name, elapsed in bundle.timings:
@@ -153,7 +153,7 @@ def core_cmd(sequence, ideal, oracle, horizon, grid, theta):
         basis = cfg
     # The horizon, grid and theta the answer rests on.
     result.update(sequence=x.label, ideal=ideal, horizon=basis.horizon, grid=basis.grid, theta=basis.theta)
-    click.echo(json.dumps(result, sort_keys=True, indent=2))
+    click.echo(harness.dumps(result))
     if "status" in result:
         sys.exit(_STATUS_EXIT[Status.INCONCLUSIVE])
 
@@ -178,7 +178,7 @@ def density(set_spec, horizon):
             out["exact"] = None
     except ValueError as exc:  # a ConfigError, or a horizon empirical_density rejects
         raise click.ClickException(str(exc))
-    click.echo(json.dumps(out, sort_keys=True, indent=2))
+    click.echo(harness.dumps(out))
 
 
 @main.command()

@@ -9,12 +9,16 @@
   quantitative bookkeeping that makes the limsup conditions sufficient for
   core preservation: the threshold sets, the row sets where the positive-part
   mass concentrates, and the residual-mass bounds.
-* ``transformed_sequence`` builds A·x.  Row-selection matrices (the identity
-  and rk matrices, ``InfiniteMatrix.row_selection``) keep x's level sets as
-  their preimages h⁻¹(S) (``sets.preimage``), so core(A·x, J) is one decision
-  per level, as core(x, I) is.  Every other matrix (Cesàro, diagonals other
-  than the identity, banded matrices, sums, multiples and products) gives A·x
-  as a value prefix, read on the grid.
+* ``transformed_sequence`` builds A·x.  Where the limit of A·x is known
+  exactly it says so (``BoundedSequence.limit``), and core(A·x, J) is read
+  from it: x has a limit and A keeps limits (Cesàro, and the identity and rk
+  matrices of injective maps), or Cesàro acts on x whose level sets have
+  densities.  Row-selection matrices (the identity and rk matrices,
+  ``InfiniteMatrix.row_selection``) keep x's level sets as their preimages
+  h⁻¹(S) (``sets.preimage``), so core(A·x, J) is one decision per level, as
+  core(x, I) is.  Every other A·x (under diagonals other than the identity,
+  banded matrices, sums, multiples and products, and Cesàro on the rest)
+  is a value prefix, read on the grid.
 * ``core_equality_experiment`` measures core deviation across the corpus.
   Given a ``regularity.CheckMemo`` it reads core(x, I) and core(A·x, J)
   from the memo and computes each only when missing; A·x is built only for a
@@ -27,6 +31,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,13 +74,22 @@ def perturb_identity(a: InfiniteMatrix) -> InfiniteMatrix:
 def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) -> BoundedSequence:
     """A·x as a bounded sequence labelled ``A[x]``.
 
+    A·x gets an exact limit, and no prefix is built here, in two cases:
+
+    * x has a limit L and A keeps limits (``InfiniteMatrix.keeps_limits``:
+      Cesàro and a row selection by an injective map): A·x tends to L;
+    * each level set S_v of x has a row-sum limit ``a.masked_sum_structure(S_v)``
+      (Cesàro over a set with a density d_v): A·x tends to Σ v·d_v, summed
+      exactly, so the order of the levels cannot move a bit.
+
     When A selects rows, (A x)_n = x_{h(n)} (``row_selection``: the identity
     and rk matrices), and x carries level sets free of predicates, A·x takes
     the value v exactly on h⁻¹(S_v): it carries those preimages as its level
     sets, so its core is one decision per level, and it builds no prefix
-    here; one is read, when asked for, from ``a.transform_prefix``.  For every
-    other matrix or sequence the prefix below the horizon is materialized, and
-    a longer one comes from ``a.transform_prefix`` too, with the same bits.
+    here.  In these cases a prefix is read, when asked for, from
+    ``a.transform_prefix``.  For every other matrix or sequence the prefix
+    below the horizon is materialized, and a longer one comes from
+    ``a.transform_prefix`` too, with the same bits.
 
     The declared bound is x's bound for a row selection, else the certified
     matrix norm times x's bound when A has one, else the larger of the row-sum
@@ -83,24 +97,45 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     """
     h, levels = a.row_selection(), x.level_sets
     label = f"{a.label}[{x.label}]"
-    if h is not None and levels is not None and not any(sd.contains_predicate(s) for _, s in levels):
+    selects = h is not None and levels is not None and not any(sd.contains_predicate(s) for _, s in levels)
+    limit = _image_limit(a, x)
+    bound = x.bound if h is not None else None if a.norm_bound is None else a.norm_bound * x.bound
+    if bound is not None and (selects or limit is not None):
         return BoundedSequence(
             fn=lambda n: transform(a, x, n),
-            bound=x.bound,
+            bound=bound,
             label=label,
-            level_sets=tuple((v, sd.preimage(s, h)) for v, s in levels),
+            level_sets=tuple((v, sd.preimage(s, h)) for v, s in levels) if selects else None,
             rule=lambda n: a.transform_prefix(x, n),
+            limit=limit,
         )
     values = a.transform_prefix(x, horizon)
-    if a.norm_bound is not None:
-        bound = a.norm_bound * x.bound
-    else:
+    if bound is None:
         sup = float(np.max(a.row_sums(horizon, absolute=True)))
         bound = max(sup * x.bound, float(np.max(np.abs(values))) if len(values) else 0.0)
     ax = BoundedSequence(
-        fn=lambda n: transform(a, x, n), bound=bound, label=label, rule=lambda n: a.transform_prefix(x, n)
+        fn=lambda n: transform(a, x, n),
+        bound=bound,
+        label=label,
+        rule=lambda n: a.transform_prefix(x, n),
+        limit=limit,
     )
     return ax.seed_prefix(values)
+
+
+def _image_limit(a: InfiniteMatrix, x: BoundedSequence) -> float | None:
+    """The exact limit of A·x where ``transformed_sequence`` knows it, else None."""
+    if x.limit is not None:
+        return x.limit if a.keeps_limits else None
+    if x.level_sets is None:
+        return None
+    total = Fraction(0)
+    for value, level_set in x.level_sets:
+        structure = a.masked_sum_structure(level_set)
+        if structure is None or structure.limit is None:
+            return None
+        total += Fraction(value) * Fraction(structure.limit)
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ the support passes the limit, and a bulk computation reads the rows after
 those one at a time with the same bits, so one bulk call builds each row once.
 ``row_selection`` names the map h of a matrix with (A x)_n = x_{h(n)} (rk
 matrices and the identity), through which A·x keeps the level sets of x.
+``keeps_limits`` says A·x is known to converge to the limit of every
+convergent x: true for Cesàro and for a row selection by an injective map.
 ``masked_sum_structure`` states what is known exactly of the row sums over a
 set E without summing a row: the level sets h⁻¹(E) (value 1) and its
 complement (value 0) for a row selection, the density of E as their limit for
@@ -209,6 +211,15 @@ class InfiniteMatrix:
         one (rk matrices and the identity), else None."""
         return None
 
+    @property
+    def keeps_limits(self) -> bool:
+        """Whether A·x is known to converge to L for every x that converges to
+        L (A is regular in the Silverman–Toeplitz sense): Cesàro, and a row
+        selection by an injective map h, where h(n) → ∞.  False for every
+        other matrix, regular or not."""
+        h = self.row_selection()
+        return h is not None and h.injective
+
     def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
         """The structure of ``masked_row_sums(columns, ·, absolute)``, or None
         when none is known.
@@ -346,6 +357,10 @@ class _CesaroMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return horizon
 
+    @property
+    def keeps_limits(self) -> bool:
+        return True
+
     def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
         """Row n sums to |E ∩ [0, n]|/(n+1) (its own absolute sum): exactly 1
         over ω, and tending to the density of E where it exists."""
@@ -368,6 +383,8 @@ class _CesaroMatrix(InfiniteMatrix):
 class _DiagonalMatrix(InfiniteMatrix):
     """Diagonal entries ``diag(n)``; ``rule``, when given, maps a horizon H to the
     array ``diag(0) … diag(H-1)`` and must agree with ``diag`` bit for bit."""
+
+    _row_finite = True
 
     def __init__(self, diag: Callable[[int], float], label: str,
                  norm_bound: float | None = None, nonnegative: bool | None = None,
@@ -574,6 +591,12 @@ class _ComposedMatrix(InfiniteMatrix):
         self.b, self.a = b, a
         self._row_finite = a._row_finite and b._row_finite
         self._probe()
+
+    @property
+    def abs_sums_are_sums(self) -> bool:
+        # A diagonal factor whose rule may hold −0.0 would carry it into the
+        # product's values on the operand path.
+        return bool(self.nonnegative) and self.a.abs_sums_are_sums and self.b.abs_sums_are_sums
 
     def _probe(self):
         r0 = self.b.row(0)

@@ -6,6 +6,16 @@ many values on symbolically described index sets, an optional level-set map
 ``value -> SetDescription``.  Level sets are what make exact core computations
 possible downstream.
 
+A sequence that converges may declare its exact ``limit`` L together with an
+``envelope`` r(n), nonincreasing to 0, with |x_n − L| <= r(n) for every n;
+``validate_limit`` checks both on a prefix.  Every catalog ideal contains Fin,
+so such a sequence has core {L} under each of them, and ``asymptotics`` reads
+that core off the declared limit, before any prefix or level set.  ``affine``
+and ``combine`` carry limits and envelopes, and
+``constructions.transformed_sequence`` gives A·x the limit that a theorem
+fixes (there with no envelope).  The corpus entry ``alternating_decay``
+declares limit 0 with envelope 1/(n+1).
+
 ``BoundedSequence.prefix`` is the one way to materialize ``x_0 … x_{H-1}``,
 and every route it takes is bit-identical to calling ``fn`` per index:
 
@@ -56,7 +66,11 @@ class BoundedSequence:
     """A total map ω → ℝ with declared bound ``|x_n| <= bound`` and a label.
 
     ``rule``, when given, maps a horizon H to the array ``fn(0) … fn(H-1)``
-    and must agree with ``fn`` bit for bit.
+    and must agree with ``fn`` bit for bit.  ``limit``, when given, is the
+    exact limit L of x_n; ``envelope``, when given, maps a horizon H to
+    r(0) … r(H-1), a bound |x_n − L| <= r(n) that decreases to 0.  A declared
+    limit comes with its envelope; a limit derived from how the sequence was
+    built may have none.
     """
 
     fn: Callable[[int], float]
@@ -64,11 +78,15 @@ class BoundedSequence:
     label: str
     level_sets: tuple[tuple[float, SetDescription], ...] | None = None
     rule: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
+    limit: float | None = None
+    envelope: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
     _cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("bound must be nonnegative")
+        if self.envelope is not None and self.limit is None:
+            raise ValueError("an envelope needs a limit")
 
     def __call__(self, n: int) -> float:
         return float(self.fn(n))
@@ -102,6 +120,25 @@ class BoundedSequence:
         if covered != horizon or np.isnan(out).any():
             raise LevelSetError(f"{self.label}: level sets do not partition the prefix below {horizon}")
         return out
+
+    def validate_limit(self, horizon: int = 10_000) -> None:
+        """Check the declared limit and envelope on a prefix: r is finite,
+        nonnegative and nonincreasing, and |x_n − L| <= r(n) up to a few ulps
+        of rounding; raises ``ValueError`` on a counterexample."""
+        if self.envelope is None:
+            return
+        r = np.asarray(self.envelope(horizon), dtype=np.float64)
+        if r.shape != (horizon,) or not np.all(np.isfinite(r)) or np.any(r < 0.0):
+            raise ValueError(f"{self.label}: envelope is not a finite nonnegative prefix")
+        if np.any(r[1:] > r[:-1]):
+            raise ValueError(f"{self.label}: envelope increases at {int(np.argmax(r[1:] > r[:-1])) + 1}")
+        values = self.prefix(horizon)
+        # A derived sequence (``affine``, ``combine``) carries the rounding of
+        # the operations that built its values and its limit.
+        slack = 4.0 * np.finfo(np.float64).eps * (np.abs(values) + abs(self.limit))
+        outside = np.flatnonzero(np.abs(values - self.limit) > r + slack)
+        if outside.size:
+            raise ValueError(f"{self.label}: |x_n - {self.limit}| exceeds the envelope at n = {outside[0]}")
 
     def seed_prefix(self, values: np.ndarray) -> "BoundedSequence":
         """Pre-populate the prefix cache (used for transformed sequences)."""
@@ -159,8 +196,13 @@ def signed_indicator(
 
 
 def affine(x: BoundedSequence, mul: float, add: float, label: str | None = None) -> BoundedSequence:
-    """Pointwise ``mul * x_n + add``; the declared bound follows the triangle inequality."""
-    levels = None
+    """Pointwise ``mul * x_n + add``; the declared bound follows the triangle
+    inequality, and a limit L and envelope r become mul·L + add and |mul|·r."""
+    levels = limit = envelope = None
+    if x.limit is not None:
+        limit = mul * x.limit + add
+        if x.envelope is not None:
+            envelope = lambda horizon: abs(mul) * x.envelope(horizon)
     if x.level_sets is not None:
         if mul == 0.0:
             levels = ((float(add), sd.omega()),)
@@ -172,11 +214,14 @@ def affine(x: BoundedSequence, mul: float, add: float, label: str | None = None)
         label=label or f"{mul}*{x.label}+{add}",
         level_sets=levels,
         rule=lambda horizon: mul * x.prefix(horizon) + add,
+        limit=limit,
+        envelope=envelope,
     )
 
 
 def combine(x: BoundedSequence, y: BoundedSequence, op: str, label: str | None = None) -> BoundedSequence:
-    """Pointwise sum or difference; level sets compose when both sides have them."""
+    """Pointwise sum or difference; level sets, limits and envelopes compose
+    when both sides have them."""
     if op not in ("add", "sub"):
         raise ValueError("op must be 'add' or 'sub'")
     sign = 1.0 if op == "add" else -1.0
@@ -187,12 +232,19 @@ def combine(x: BoundedSequence, y: BoundedSequence, op: str, label: str | None =
             for vy, sy in y.level_sets:
                 merged.setdefault(vx + sign * vy, []).append(sd.Intersection(sx, sy))
         levels = tuple(sorted((v, sd.union_all(parts)) for v, parts in merged.items()))
+    limit = envelope = None
+    if x.limit is not None and y.limit is not None:
+        limit = x.limit + sign * y.limit
+        if x.envelope is not None and y.envelope is not None:
+            envelope = lambda horizon: x.envelope(horizon) + y.envelope(horizon)
     return BoundedSequence(
         fn=lambda n: x.fn(n) + sign * y.fn(n),
         bound=x.bound + y.bound,
         label=label or f"{x.label}{'+' if op == 'add' else '-'}{y.label}",
         level_sets=levels,
         rule=lambda horizon: x.prefix(horizon) + sign * y.prefix(horizon),
+        limit=limit,
+        envelope=envelope,
     )
 
 
@@ -261,11 +313,14 @@ def _alternating_decay_values(horizon: int) -> np.ndarray:
 
 
 def _alternating_decay() -> BoundedSequence:
+    """(−1)ⁿ/(n+1): limit 0, with |x_n| = 1/(n+1) as its envelope."""
     return BoundedSequence(
         fn=lambda n: (-1.0) ** (n % 2) / (n + 1.0),
         bound=1.0,
         label="alternating_decay",
         rule=_alternating_decay_values,
+        limit=0.0,
+        envelope=lambda horizon: 1.0 / np.arange(1.0, horizon + 1.0),
     )
 
 

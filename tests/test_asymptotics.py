@@ -32,7 +32,9 @@ STRUCTURED = [
 
 
 def _strip_levels(x):
-    return seq.BoundedSequence(x.fn, x.bound, f"{x.label}(numeric)", level_sets=None)
+    """``x`` with its level sets and its declared limit hidden, so its core
+    takes the value-prefix path."""
+    return seq.BoundedSequence(x.fn, x.bound, f"{x.label}(numeric)", level_sets=None, limit=None)
 
 
 def test_cluster_points_examples():
@@ -140,8 +142,8 @@ def test_oracle_equivalence_production_path():
 
 
 def test_oracle_equivalence_forced_numeric():
-    # The grid + positivity-estimator route, with level sets stripped, against
-    # the symbolic oracle.  Pairs whose level sets have slowly decaying sparse
+    # The grid + positivity-estimator route, with level sets and limits
+    # stripped, against the symbolic oracle.  Pairs whose level sets have slowly decaying sparse
     # counts (the squares under the density ideal at this horizon) sit inside
     # the estimator's documented uncertainty band and are excluded.
     for label in STRUCTURED:

@@ -180,6 +180,67 @@ def test_image_cores_read_no_sequence_prefix(ideal, label):
         assert outcomes() == want
 
 
+# -- exact limits ------------------------------------------------------------------
+
+_KEEP_LIMITS = {
+    "identity": mat.identity,
+    "rk(2n)": lambda: mat.rk_matrix(maps.affine_map(2)),
+    "cesaro": mat.cesaro,
+}
+# Cesàro's limits of the finitely-valued entries whose level sets have densities.
+_CESARO_LIMITS = {
+    "alternating": 0.0,
+    "indicator_evens": 0.5,
+    "indicator_squares": 0.0,
+    "periodic_three_level": 0.5,
+    "blockwise_three_level": 4 / 9,
+}
+
+
+@pytest.mark.parametrize("ideal", _CATALOG, ids=lambda i: i.label)
+def test_a_declared_limit_is_the_exact_core_and_matrices_that_keep_limits_keep_it(ideal):
+    x = seq.corpus_entry("alternating_decay")
+    assert _core_outcome(x, ideal) == (0.0, 0.0, "exact")
+    assert asy.oracle_core(x, ideal).as_tuple() == (0.0, 0.0)
+    for name, a in _KEEP_LIMITS.items():
+        assert a().keeps_limits, name
+        assert _core_outcome(con.transformed_sequence(a(), x, _THEORY_CORE.horizon), ideal) == (0.0, 0.0, "exact")
+
+
+@pytest.mark.parametrize("ideal", _CATALOG, ids=lambda i: i.label)
+def test_cesaro_images_of_level_sets_with_densities_have_exact_limits(ideal):
+    # Knopp: Cesàro sends x to Σ v·d_v when each level set S_v has density d_v.
+    for label, limit in _CESARO_LIMITS.items():
+        ax = con.transformed_sequence(mat.cesaro(), seq.corpus_entry(label), _THEORY_CORE.horizon)
+        assert ax.limit == limit, label
+        assert _core_outcome(ax, ideal) == (limit, limit, "exact"), label
+    # The blocks' level sets have no density, so their images stay numeric.
+    for label in ("signed_blocks", "indicator_blocks"):
+        assert con.transformed_sequence(mat.cesaro(), seq.corpus_entry(label), 1000).limit is None
+
+
+def test_exact_image_limits_read_no_sequence_prefix():
+    images = [(a, "alternating_decay") for a in _KEEP_LIMITS.values()]
+    images += [(mat.cesaro, label) for label in _CESARO_LIMITS]
+    with mock.patch.object(seq.BoundedSequence, "prefix", side_effect=AssertionError("prefix read")):
+        for a, label in images:
+            ax = con.transformed_sequence(a(), seq.corpus_entry(label), _THEORY_CORE.horizon)
+            assert asy.core(ax, Z, _THEORY_CORE).method == "exact", (a, label)
+
+
+def test_other_matrices_keep_the_value_path():
+    # A matrix not known to keep limits gives A·x no limit, even for a regular one.
+    x = seq.corpus_entry("alternating_decay")
+    for a in (
+        mat.compose(mat.rk_matrix(maps.affine_map(2)), mat.cesaro()),
+        mat.rk_matrix(maps.IndexMap(lambda n: n // 2, "halves")),
+        mat.scalar_mul(2.0, mat.identity()),
+    ):
+        assert not a.keeps_limits, a.label
+        ax = con.transformed_sequence(a, x, 1000)
+        assert ax.limit is None and _core_outcome(ax, FIN)[2] == "numeric", a.label
+
+
 # -- perturbation ----------------------------------------------------------------
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealcore import asymptotics, constructions, harness, regularity, sequences, specs
 from idealcore.cli import main
@@ -286,13 +288,14 @@ def test_suite_timings_are_per_item(bundled_runs):
 
 
 def test_experiment_rows_say_how_each_core_was_decided(bundled_runs):
-    # Thm 2.5 on the corpus: level-set entries are decided exactly on both
-    # sides, the two sequences without level sets by the estimator.
+    # Thm 2.5 on the corpus: level-set entries and alternating_decay, which
+    # declares its limit, are decided exactly on both sides; rotation_golden,
+    # with neither, by the estimator.
     bundle, _ = bundled_runs["thm25.json"]
     rows = next(i for i in bundle.items if i["kind"] == "experiment")["experiment"]["rows"]
     methods = {r["label"]: (r["core_x_method"], r["core_ax_method"]) for r in rows}
-    assert methods.pop("alternating_decay") == methods.pop("rotation_golden") == ("numeric", "numeric")
-    assert set(methods.values()) == {("exact", "exact")}
+    assert methods.pop("rotation_golden") == ("numeric", "numeric")
+    assert set(methods.values()) == {("exact", "exact")} and "alternating_decay" in methods
     csv_rows = [r for r in csv.DictReader(io.StringIO(harness.render_csv(bundle))) if r["kind"] == "experiment"]
     assert [(r["corpus_label"], r["core_x_method"], r["core_ax_method"]) for r in csv_rows] == [
         (r["label"], r["core_x_method"], r["core_ax_method"]) for r in rows
@@ -303,12 +306,12 @@ def test_experiment_rows_say_how_each_core_was_decided(bundled_runs):
 # change of results, noted in CHANGES.md, may update these hashes.
 _REPORT_SHA256 = {
     "knopp.json": (
-        "d56f7ed036b5dfeaff4b83e0718e9a5d233834c56ec69526f3054fd977e407a3",
-        "086dff052213c76fdcc53b137fc52b774406a492553d091f613da6528265c3ae",
+        "e1fa7b9941685a93dbe25f28f8a06ea6ce490c23e7c22a43cc51c8bd11982933",
+        "83602321aa034f630aad5f2b3eafc37af599005f07d2295c7f3a4bc229c11723",
     ),
     "thm25.json": (
-        "b2054feb6e0f2e462f61bd2656d4a459c673726315deb691703e2bb1ffa6ddbb",
-        "8c4006e0820022c9e3bee3fd681c9fffc0171f718d62742071316663d6464bec",
+        "52b6a42947443e2168ca339f9487b11900dfac11afd6dd414a04c98c03df57ac",
+        "8f85ec3ddc130fc0de8fa60e8667e1ce5efbfc29d58e7ac5704314a3da912a81",
     ),
 }
 
@@ -318,6 +321,38 @@ def test_bundled_reports_are_pinned(bundled_runs, name):
     bundle, _ = bundled_runs[name]
     rendered = (harness.render_json(bundle), harness.render_csv(bundle))
     assert tuple(hashlib.sha256(r.encode()).hexdigest() for r in rendered) == _REPORT_SHA256[name]
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_writes_what_json_writes(value):
+    # Empty and nested containers, tuples, -0.0, NaN, ±inf and non-ASCII text.
+    assert harness.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_dumps_refuses_what_it_cannot_write():
+    # json refuses sets and other objects; reports key every dict by str, so
+    # dumps refuses other keys too, where json would convert them.
+    for value in ({1: "int key"}, {"set": {1}}, object()):
+        with pytest.raises(TypeError):
+            harness.dumps(value)
 
 
 _RK_2N = {"type": "rk", "map": {"type": "affine", "mul": 2}}
@@ -605,7 +640,9 @@ def test_no_transformed_sequence_outlives_its_row(monkeypatch):
 
 
 def test_undecidable_experiment_is_inconclusive():
-    suite = {**_EXPERIMENT_SUITE, "matrices": ["identity"], "ideal_pairs": [["z", "z"]]}
+    # Cesàro's images of signed_blocks, indicator_blocks and rotation_golden
+    # have no exact limit, and the estimator cannot decide their Z-cores.
+    suite = {**_EXPERIMENT_SUITE, "matrices": ["cesaro"], "ideal_pairs": [["z", "z"]]}
     bundle = harness.run_suite(specs.parse_experiment_config(suite))
     (item,) = bundle.items
     assert item["status"] == "inconclusive"
@@ -735,24 +772,34 @@ def test_cli_mixed_oracle_records_horizon_and_theta():
 
 
 @pytest.mark.parametrize(
-    "sequence, ideal, message, cells",
+    "sequence, ideal, horizon, message, cells",
     [
-        ("alternating_decay", "z", "inconclusive cells below the smallest surviving value", 5),
-        ("rotation_golden", "summable_harmonic", "only inconclusive cells survived", 1),
+        ("rotation_golden", "erdos_ulam_log", 5000, "inconclusive cells above the largest surviving value", 1),
+        ("rotation_golden", "summable_harmonic", 20000, "only inconclusive cells survived", 1),
     ],
-    ids=["alternating_decay-z", "rotation_golden-summable_harmonic"],
+    ids=["rotation_golden-erdos_ulam_log", "rotation_golden-summable_harmonic"],
 )
-def test_cli_inconclusive_core_reports_and_exits_2(sequence, ideal, message, cells):
-    args = ["core", "--sequence", sequence, "--ideal", ideal, "--horizon", "20000"]
+def test_cli_inconclusive_core_reports_and_exits_2(sequence, ideal, horizon, message, cells):
+    args = ["core", "--sequence", sequence, "--ideal", ideal, "--horizon", str(horizon)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     payload = json.loads(result.output)
     assert payload["status"] == "inconclusive"
     assert payload["message"] == f"InconclusiveCellsError: {message}"
     assert (payload["sequence"], payload["ideal"]) == (sequence, ideal)
-    assert (payload["horizon"], payload["grid"], payload["theta"]) == (20000, 0.01, 1e-3)
+    assert (payload["horizon"], payload["grid"], payload["theta"]) == (horizon, 0.01, 1e-3)
     assert len(payload["cells"]) == cells
     assert all(lo < hi for lo, hi in payload["cells"])
+
+
+def test_cli_core_of_a_declared_limit_is_exact():
+    # alternating_decay tends to 0, so its core is [0, 0] under every ideal
+    # that contains Fin; the estimator left it inconclusive under Z.
+    args = ["core", "--sequence", "alternating_decay", "--ideal", "z", "--horizon", "20000"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert (payload["lo"], payload["hi"], payload["method"]) == (0.0, 0.0, "exact")
 
 
 def test_cli_check_with_family_file(tmp_path):

@@ -137,6 +137,18 @@ def test_compose_requires_row_finite_left():
         mat.compose(TailRow("tail"), mat.identity())
 
 
+def test_a_diagonal_left_factor_acts_on_the_right_factors_values(monkeypatch):
+    # Diagonal matrices are row-finite, so Id·Cesàro scales Cesàro's closed
+    # form, as rk(identity)·Cesàro does, and builds no row of the product.
+    a = mat.compose(mat.identity(), mat.cesaro())
+    b = mat.compose(mat.rk_matrix(maps.identity_map()), mat.cesaro())
+    x = seq.corpus_entry("rotation_golden")
+    monkeypatch.setattr(mat._ComposedMatrix, "_row", lambda self, n: pytest.fail("a row of the product was built"))
+    assert a.row_sums(3000).tobytes() == b.row_sums(3000).tobytes() == np.ones(3000).tobytes()
+    assert a.row_sums(3000, absolute=True).tobytes() == np.ones(3000).tobytes()
+    assert a.transform_prefix(x, 3000).tobytes() == b.transform_prefix(x, 3000).tobytes()
+
+
 def test_composed_rk_rk_is_rk():
     b = mat.rk_matrix(maps.affine_map(2))
     a = mat.rk_matrix(maps.affine_map(2))
@@ -382,6 +394,9 @@ def _composite_kinds():
         "compose_cesaro_rk": mat.compose(mat.cesaro(), rk_2n),
         "compose_cesaro_cesaro": mat.compose(mat.cesaro(), mat.cesaro()),
         "compose_rk_rk": mat.compose(rk_2n, mat.rk_matrix(maps.affine_map(3, 1))),
+        # Diagonal left factors are row-finite: B acts on A's values.
+        "compose_identity_cesaro": mat.compose(mat.identity(), mat.cesaro()),
+        "compose_diagonal_cesaro": mat.compose(mat.diagonal(lambda n: (-1.0) ** n / (n + 1)), mat.cesaro()),
         "compose_banded_mixed": banded_mixed,
         "product_positive_part": pos,
         "product_negative_part": neg,
@@ -430,7 +445,14 @@ def _row_reference_sums(a, columns, horizon, absolute, total=math.fsum):
 
 # Absolute row sums that come from a closed form of many-entry rows, or from
 # the operands of a nonnegative composite without tails, rather than from the entries.
-_ABS_SUMS_BY_OPERANDS = {"cesaro", "compose_rk_cesaro", "compose_cesaro_rk", "compose_cesaro_cesaro", "compose_rk_rk"}
+_ABS_SUMS_BY_OPERANDS = {
+    "cesaro",
+    "compose_rk_cesaro",
+    "compose_cesaro_rk",
+    "compose_cesaro_cesaro",
+    "compose_rk_rk",
+    "compose_identity_cesaro",
+}
 
 
 @pytest.mark.parametrize("kind", sorted(_matrix_kinds()))

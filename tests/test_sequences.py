@@ -85,6 +85,45 @@ def test_corpus_level_sets_partition_prefix():
         assert np.all(coverage == 1), x.label
 
 
+def test_corpus_limits_hold_on_prefix():
+    declared = [x for x in seq.corpus() if x.limit is not None]
+    assert [x.label for x in declared] == ["alternating_decay"]
+    for x in declared:
+        assert x.envelope is not None
+        x.validate_limit(10**5)
+
+
+def _decay(limit=0.0, envelope=lambda h: 1.0 / np.arange(1.0, h + 1.0)):
+    """(−1)ⁿ/(n+1) with the given declared limit and envelope."""
+    rule = seq.corpus_entry("alternating_decay").rule
+    return seq.BoundedSequence(lambda n: (-1.0) ** n / (n + 1.0), 1.0, "decay", rule=rule, limit=limit, envelope=envelope)
+
+
+def test_validate_limit_refuses_a_false_limit_or_envelope():
+    _decay().validate_limit(1000)
+    with pytest.raises(ValueError, match="exceeds the envelope at n = 1"):
+        _decay(limit=0.5).validate_limit(1000)
+    with pytest.raises(ValueError, match="exceeds the envelope at n = 1"):
+        _decay(envelope=lambda h: 1.0 / np.arange(1.0, h + 1.0) ** 2).validate_limit(1000)
+    with pytest.raises(ValueError, match="increases"):
+        _decay(envelope=lambda h: np.arange(1.0, h + 1.0)).validate_limit(1000)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _decay(envelope=lambda h: np.full(h, -1.0)).validate_limit(1000)
+    with pytest.raises(ValueError, match="needs a limit"):
+        _decay(limit=None)
+
+
+def test_affine_and_combine_carry_limits_and_envelopes():
+    x = seq.corpus_entry("alternating_decay")
+    y = seq.affine(x, -2.0, 0.5)
+    assert y.limit == 0.5
+    y.validate_limit(1000)
+    z = seq.combine(x, y, "sub")
+    assert z.limit == -0.5
+    z.validate_limit(1000)
+    assert seq.combine(x, seq.corpus_entry("alternating"), "add").limit is None
+
+
 def test_prefix_cache_grows():
     x = seq.corpus_entry("alternating")
     a = x.prefix(10)
