@@ -35,13 +35,13 @@ of a cell's window are read off the prefix in index order, with no sort of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
 from .ideals import DEFAULT_THETA, Ideal, MembershipResult, PositivityResult
 from .ideals import decide_membership, estimate_membership
+from .records import record
 from .sequences import BoundedSequence
 from .sets import contains_predicate
 
@@ -75,7 +75,7 @@ class UnsupportedInstanceError(ValueError):
     """The symbolic oracle does not apply to this sequence/ideal pair."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoreConfig:
     """Truncation parameters for the numeric engine."""
 
@@ -92,7 +92,7 @@ class CoreConfig:
             raise ValueError("theta must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClusterSet:
     """Disjoint closed intervals approximating the cluster-point set."""
 
@@ -109,7 +109,7 @@ class ClusterSet:
         return min(lo for lo, _ in self.points)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoreInterval:
     lo: float
     hi: float

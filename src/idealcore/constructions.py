@@ -30,7 +30,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +47,7 @@ from .asymptotics import (
 )
 from .ideals import Ideal
 from .matrices import InfiniteMatrix, identity, matrix_sum, pos_neg_split, rk_matrix, transform
+from .records import record
 from .regularity import CheckConfig, CheckMemo, Status, Verdict, leo_check
 from .sequences import BoundedSequence, affine, combine
 
@@ -142,7 +142,7 @@ def _image_limit(a: InfiniteMatrix, x: BoundedSequence) -> float | None:
 # Core stability under ideal-null perturbations
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StabilityReport:
     status: str  # "confirmed" | "refuted" | "not_applicable"
     core_x: CoreInterval | None
@@ -209,7 +209,7 @@ class CertificateViolationError(RuntimeError):
     """A certificate inequality failed beyond numeric tolerance."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Certificate:
     """Finite-horizon witness data for the sufficiency argument.
 
@@ -385,7 +385,7 @@ def sufficiency_certificate(
 # Core equality experiments
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExperimentRow:
     label: str
     core_x: CoreInterval
@@ -405,7 +405,7 @@ class ExperimentRow:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExperimentReport:
     rows: tuple[ExperimentRow, ...]
     max_deviation: float

@@ -29,7 +29,6 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from . import sequences as seq
 from . import sets as sd
 from .asymptotics import InconclusiveCellsError
 from .constructions import core_equality_experiment
+from .records import record
 from .regularity import CHECKS, CheckMemo
 from .specs import ConfigError, ExperimentConfig, parse_ideal, parse_matrix
 
@@ -62,7 +62,7 @@ _CSV_COLUMNS = [
     "core_ax_method",
 ]
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReportBundle:
     items: tuple[dict, ...]
     resolved_config: dict

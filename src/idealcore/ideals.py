@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -28,6 +27,7 @@ import numpy as np
 
 from . import sets as sd
 from .maps import IndexMap, enumeration_map, identity_map
+from .records import record
 from .sets import Cardinality, SetDescription
 
 __all__ = [
@@ -82,7 +82,7 @@ class PositivityResult(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassificationReport:
     """Catalog metadata; the flags are known facts, not searched properties."""
 
@@ -623,7 +623,7 @@ def classify(ideal: Ideal) -> ClassificationReport:
     return ideal.classify()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RkResult:
     """Outcome of a Rudin–Keisler comparison query against the catalog."""
 

@@ -12,17 +12,17 @@ maps and the enumeration of an arithmetic progression carry it, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .records import field, record
 from .sets import ArithmeticProgression, Cardinality, SetDescription
 
 __all__ = ["IndexMap", "identity_map", "affine_map", "enumeration_map"]
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class IndexMap:
     """A deterministic total map h: ω → ω with declared structural flags.
 

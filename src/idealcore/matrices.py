@@ -31,7 +31,7 @@ convergent x: true for Cesàro and for a row selection by an injective map.
 ``masked_sum_structure`` states what is known exactly of the row sums over a
 set E without summing a row: the level sets h⁻¹(E) (value 1) and its
 complement (value 0) for a row selection, the density of E as their limit for
-Cesàro, and None for every other matrix.
+Cesàro (over ω also the one level 1), and None for every other matrix.
 ``find_negative_entry`` reads entries.  ``transform`` computes one entry of
 A·x with ``math.fsum``.
 """
@@ -39,12 +39,12 @@ A·x with ``math.fsum``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .maps import IndexMap, identity_map
+from .records import record
 from .sequences import BoundedSequence, indicator
 from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows, complement, omega, preimage
 
@@ -87,7 +87,7 @@ class BandedRowError(ValueError):
         self.row, self.reason = row, reason
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatrixRow:
     """A sparse row: sorted column indices, aligned values, and a tail bound.
 
@@ -103,13 +103,13 @@ class MatrixRow:
 _EMPTY_ROW = MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SumStructure:
     """What is known exactly of the row sums s_n of a matrix over a set of columns.
 
-    Either the sums take the value v exactly on the rows of each level set
+    The sums take the value v exactly on the rows of each level set
     (``levels``: pairs (v, S_v) whose sets partition ω), or they converge to
-    ``limit``.  ``row_sum(n)`` is s_n with the bits of the bulk path.
+    ``limit``, or both.  ``row_sum(n)`` is s_n with the bits of the bulk path.
     """
 
     levels: tuple[tuple[float, SetDescription], ...] | None
@@ -370,7 +370,7 @@ class _CesaroMatrix(InfiniteMatrix):
             return np.count_nonzero(e.mask(n + 1)) / (n + 1.0)
 
         if e == omega():
-            return SumStructure(((1.0, e),), None, row_sum)
+            return SumStructure(((1.0, e),), 1.0, row_sum)
         d = e.density_bounds()
         if d is None or not d.has_limit:
             return None

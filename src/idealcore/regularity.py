@@ -9,7 +9,7 @@ A limit or limsup condition on the row sums over E is judged exactly where the
 matrix states their structure (``InfiniteMatrix.masked_sum_structure``) and
 that structure decides it.  A row selection's sums over E are the indicator
 of h⁻¹(E), whose J-cluster points are the values of its J-positive level sets,
-decided by ``asymptotics.classify_levels`` as the cores decide levels; Cesàro's
+each decided symbolically by ``ideals.decide_membership``; Cesàro's
 sums over E tend to the density of E where it exists, the one J-cluster point
 under every catalog ideal, since each contains Fin.  So the J-limit is the
 target iff every cluster point lies within ``tol`` of it, and the J-limsup is
@@ -38,7 +38,6 @@ import copy
 import enum
 import json
 import random
-from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -48,7 +47,6 @@ from .asymptotics import (
     CoreConfig,
     CoreInterval,
     InconclusiveCellsError,
-    classify_levels,
     core,
     ideal_lim_check,
     limsup_of_values,
@@ -58,10 +56,12 @@ from .ideals import (
     FinIdeal,
     Ideal,
     MembershipResult,
+    decide_membership,
     ideal_to_dict,
     membership,
 )
 from .matrices import InfiniteMatrix, SumStructure, find_negative_entry
+from .records import record
 from .sequences import BoundedSequence
 from .sets import Cardinality, SetDescription
 
@@ -102,7 +102,7 @@ class Status(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckConfig:
     horizon: int = 10_000
     tol: float = 1e-2
@@ -118,7 +118,7 @@ class CheckConfig:
         return CoreConfig(horizon=self.horizon, grid=self.grid, theta=self.theta)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConditionReport:
     name: str
     ok: bool | None  # None = inconclusive
@@ -144,7 +144,7 @@ class ConditionReport:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     status: Status
     conditions: tuple[ConditionReport, ...]
@@ -177,7 +177,7 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TestFamily:
     """Finite stand-ins for the theorem quantifiers, exactly classified."""
 
@@ -255,7 +255,6 @@ def _ideal_key(ideal: Ideal):
         return ideal
 
 
-@dataclass
 class CheckMemo:
     """Results that several checks and experiments of a suite share.
 
@@ -272,9 +271,10 @@ class CheckMemo:
     kept.
     """
 
-    families: dict = field(default_factory=dict)
-    cores: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
+    def __init__(self, families: dict | None = None, cores: dict | None = None):
+        self.families = {} if families is None else families
+        self.cores = {} if cores is None else cores
+        self.results = {}
 
     def family(self, ideal: Ideal, seed: int) -> TestFamily:
         key = (_ideal_key(ideal), seed)
@@ -344,10 +344,16 @@ def _exact_points(
         return None
     if structure.levels is None:
         return [structure.limit], structure
-    decisions = classify_levels(structure.levels, ideal_j, cfg.horizon, cfg.theta)
-    points = sorted(v for v, status, _ in decisions if status == "pos")
-    if not points or not all(exact for _, _, exact in decisions):
+    points = []
+    for value, level_set in structure.levels:
+        verdict = decide_membership(level_set, ideal_j)
+        if verdict is None:
+            return None
+        if verdict is not MembershipResult.IN_IDEAL:
+            points.append(value)
+    if not points:
         return None
+    points.sort()
     return points, structure
 
 
@@ -499,7 +505,9 @@ def _family_conditions(
             shared = judged[e] = judge(name, a, e, absolute, target, ideal_j, cfg, e)
         # Scalars are immutable; the lists (inconclusive cells, cluster points) are copied.
         details = {k: copy.deepcopy(v) if isinstance(v, list) else v for k, v in shared.details.items()}
-        reports.append(replace(shared, name=name, details=details))
+        reports.append(ConditionReport(
+            name, shared.ok, shared.margin, details, shared.witness_set, shared.witness_row, shared.method
+        ))
     return reports
 
 

@@ -30,12 +30,12 @@ and every route it takes is bit-identical to calling ``fn`` per index:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import sets as sd
+from .records import field, record
 from .sets import SetDescription
 
 __all__ = [
@@ -61,7 +61,7 @@ class LevelSetError(ValueError):
     """Raised when the level sets of a sequence do not partition a prefix."""
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class BoundedSequence:
     """A total map ω → ℝ with declared bound ``|x_n| <= bound`` and a label.
 

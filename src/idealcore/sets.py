@@ -44,12 +44,13 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+from .records import record
 
 if TYPE_CHECKING:
     from .maps import IndexMap
@@ -103,7 +104,7 @@ class Cardinality(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DensityBounds:
     """Lower/upper asymptotic density information.
 
@@ -127,7 +128,7 @@ class DensityBounds:
         return self.lower
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResidueForm:
     """Eventually periodic normal form.
 
@@ -202,7 +203,7 @@ class SetDescription:
         return complement(self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Explicit(SetDescription):
     """A finite, explicitly listed set."""
 
@@ -220,7 +221,7 @@ class Explicit(SetDescription):
         return np.array(self.elements[: bisect.bisect_left(self.elements, horizon)], dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArithmeticProgression(SetDescription):
     """``{offset, offset + step, offset + 2·step, …}``."""
 
@@ -240,7 +241,7 @@ class ArithmeticProgression(SetDescription):
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Squares(SetDescription):
     """The perfect squares {0, 1, 4, 9, …}."""
 
@@ -252,7 +253,7 @@ class Squares(SetDescription):
         return np.arange(roots, dtype=np.int64) ** 2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Blocks(SetDescription):
     """A finite union of half-open integer intervals ``[lo, hi)``."""
 
@@ -276,7 +277,7 @@ class Blocks(SetDescription):
         return np.concatenate(runs) if runs else np.zeros(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeometricBlocks(SetDescription):
     """Exponential block family ``∪ { [base^i, base^(i+1)) : i ≡ residue (mod modulus) }``.
 
@@ -325,7 +326,7 @@ class GeometricBlocks(SetDescription):
         return lower, upper
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RootBlocks(SetDescription):
     """Square-root block family ``{n : isqrt(n) ≡ residue (mod modulus)}``.
 
@@ -352,7 +353,7 @@ class RootBlocks(SetDescription):
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Union(SetDescription):
     left: SetDescription
     right: SetDescription
@@ -367,7 +368,7 @@ class Union(SetDescription):
         return self.left.mask(horizon) | self.right.mask(horizon)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Intersection(SetDescription):
     left: SetDescription
     right: SetDescription
@@ -383,7 +384,7 @@ class Intersection(SetDescription):
         return self.left.mask(horizon) & self.right.mask(horizon)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Difference(SetDescription):
     left: SetDescription
     right: SetDescription
@@ -399,7 +400,7 @@ class Difference(SetDescription):
         return self.left.mask(horizon) & ~self.right.mask(horizon)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Complement(SetDescription):
     inner: SetDescription
 
@@ -410,7 +411,7 @@ class Complement(SetDescription):
         return ~self.inner.mask(horizon)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Predicate(SetDescription):
     """Membership given only by a total function; no exact density derivable."""
 
@@ -424,7 +425,7 @@ class Predicate(SetDescription):
         return np.fromiter((n for n in range(horizon) if self.contains(n)), dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Preimage(SetDescription):
     """``h⁻¹(inner) = {n : h(n) ∈ inner}`` for an index map h (``preimage`` builds it).
 

@@ -13,7 +13,6 @@ since they never see outside input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -24,6 +23,7 @@ from . import matrices as mat
 from . import sets as sd
 from .constructions import perturb_identity
 from .asymptotics import CoreConfig
+from .records import record
 from .regularity import CHECKS, CheckConfig, TestFamily
 
 __all__ = [
@@ -294,7 +294,7 @@ def parse_family(obj: Any, path: str = "family") -> TestFamily:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExperimentConfig:
     """A fully resolved suite configuration; identical configs give identical reports."""
 

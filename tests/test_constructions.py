@@ -219,6 +219,16 @@ def test_cesaro_images_of_level_sets_with_densities_have_exact_limits(ideal):
         assert con.transformed_sequence(mat.cesaro(), seq.corpus_entry(label), 1000).limit is None
 
 
+@pytest.mark.parametrize("ideal", _CATALOG, ids=lambda i: i.label)
+def test_cesaro_image_of_a_constant_has_its_exact_limit(ideal):
+    # A constant's one level set is ω, where Cesàro's sums are exactly 1 and
+    # so also tend to 1: A·x tends to the constant.
+    x = seq.affine(seq.corpus_entry("indicator_evens"), 0.0, 0.3)
+    ax = con.transformed_sequence(mat.cesaro(), x, _THEORY_CORE.horizon)
+    assert ax.limit == 0.3
+    assert _core_outcome(ax, ideal) == (0.3, 0.3, "exact")
+
+
 def test_exact_image_limits_read_no_sequence_prefix():
     images = [(a, "alternating_decay") for a in _KEEP_LIMITS.values()]
     images += [(mat.cesaro, label) for label in _CESARO_LIMITS]

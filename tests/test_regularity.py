@@ -1,10 +1,13 @@
 """Condition checkers: verdicts, witnesses, guards, and cross-checker coherence."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealcore import asymptotics as asy
 from idealcore import harness, specs
 from idealcore import ideals as ide
 from idealcore import maps
@@ -415,6 +418,16 @@ def test_rk_over_the_evens_exactly_satisfies_leo_for_the_trace_ideal(seed):
     a = mat.rk_matrix(maps.enumeration_map(sd.evens()))
     verdict = reg.leo_check(a, FO_EVENS, FIN, cfg=CheckConfig(horizon=2000, seed=seed))
     assert (verdict.status, verdict.method) == (Status.SATISFIED, "exact")
+
+
+def test_exact_points_estimate_no_level():
+    # Under fin_times_empty the identity's level sets over an infinite pool set
+    # are undecided symbolically, so the condition reads the value prefix and
+    # no level is estimated first.
+    fte = _NAMED_CATALOG["fin_times_empty"]
+    with mock.patch.object(asy, "estimate_membership", side_effect=AssertionError("level estimated")):
+        for columns in (sd.evens(), sd.ap(1, 3), sd.GeometricBlocks(2, 0, 2)):
+            assert reg._exact_points(mat.identity(), columns, False, fte, FAST) is None
 
 
 @pytest.mark.parametrize("absolute", [False, True])
