@@ -77,7 +77,8 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     A·x gets an exact limit, and no prefix is built here, in two cases:
 
     * x has a limit L and A keeps limits (``InfiniteMatrix.keeps_limits``:
-      Cesàro and a row selection by an injective map): A·x tends to L;
+      Cesàro, a row selection by an injective map, and a banded matrix with
+      an identity tail): A·x tends to L;
     * each level set S_v of x has a row-sum limit ``a.masked_sum_structure(S_v)``
       (Cesàro over a set with a density d_v): A·x tends to Σ v·d_v, summed
       exactly, so the order of the levels cannot move a bit.

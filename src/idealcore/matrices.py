@@ -27,11 +27,15 @@ those one at a time with the same bits, so one bulk call builds each row once.
 ``row_selection`` names the map h of a matrix with (A x)_n = x_{h(n)} (rk
 matrices and the identity), through which A·x keeps the level sets of x.
 ``keeps_limits`` says A·x is known to converge to the limit of every
-convergent x: true for Cesàro and for a row selection by an injective map.
-``masked_sum_structure`` states what is known exactly of the row sums over a
-set E without summing a row: the level sets h⁻¹(E) (value 1) and its
-complement (value 0) for a row selection, the density of E as their limit for
-Cesàro (over ω also the one level 1), and None for every other matrix.
+convergent x: true for Cesàro, for a row selection by an injective map and
+for a banded matrix with an identity tail.  ``masked_sum_structure`` states
+what is known exactly of the row sums over a set E without summing a row: the
+level sets h⁻¹(E) (value 1) and its complement (value 0) for a row selection,
+the density of E as their limit for Cesàro (over ω also the one level 1), and
+for a banded matrix one finite level per explicit row sum and the level sets
+of its closed-form tail; None for sums, multiples, products, entrywise parts
+and diagonal matrices other than the identity.  A banded matrix also declares
+its norm, the largest absolute row sum of its explicit rows and its tail.
 ``find_negative_entry`` reads entries.  ``transform`` computes one entry of
 A·x with ``math.fsum``.
 """
@@ -46,7 +50,7 @@ import numpy as np
 from .maps import IndexMap, identity_map
 from .records import record
 from .sequences import BoundedSequence, indicator
-from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows, complement, omega, preimage
+from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows, ap, complement, explicit, omega, preimage
 
 __all__ = [
     "MatrixRow",
@@ -214,20 +218,21 @@ class InfiniteMatrix:
     @property
     def keeps_limits(self) -> bool:
         """Whether A·x is known to converge to L for every x that converges to
-        L (A is regular in the Silverman–Toeplitz sense): Cesàro, and a row
-        selection by an injective map h, where h(n) → ∞.  False for every
-        other matrix, regular or not."""
+        L (A is regular in the Silverman–Toeplitz sense): Cesàro, a row
+        selection by an injective map h, where h(n) → ∞, and a banded matrix
+        with an identity tail.  False for every other matrix, regular or not."""
         h = self.row_selection()
         return h is not None and h.injective
 
     def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
         """The structure of ``masked_row_sums(columns, ·, absolute)``, or None
-        when none is known.
+        when none is known (Cesàro and banded matrices state their own).
 
         A row selection sums a row over E to 1 where h(n) ∈ E and to 0
         elsewhere: its level sets are h⁻¹(E) and the complement.  Absolute
         sums have the structure of the sums where they are the sums
-        (``abs_sums_are_sums``), and none otherwise.
+        (``abs_sums_are_sums``), and none otherwise.  Every other matrix
+        states none.
         """
         h = self.row_selection()
         if h is None or (absolute and not self.abs_sums_are_sums):
@@ -481,8 +486,70 @@ class _BandedMatrix(InfiniteMatrix):
         # Sorted rows, with 0.0 added as ``_merged_row`` adds it (−0.0 becomes 0.0).
         self._cols, self._vals, self._ptr = sorted_cols, vals[order] + 0.0, ptr
         nonneg = bool(np.all(self._vals >= 0.0))
-        super().__init__(label, nonnegative=True if nonneg else None)
+        # The norm is the largest absolute row sum: of the explicit rows, and 1
+        # for an identity tail (a repeated last row is one of the explicit rows).
+        abs_sums = _segment_sums(np.abs(self._vals), ptr)
+        norm = max(float(abs_sums.max()) if abs_sums.size else 0.0, 1.0 if tail_mode == "identity" else 0.0)
+        super().__init__(label, norm_bound=norm, nonnegative=True if nonneg else None)
         self.tail_mode = tail_mode
+        self._singletons: list[SetDescription] | None = None
+
+    @property
+    def keeps_limits(self) -> bool:
+        # With an identity tail the matrix differs from the identity in finitely many rows.
+        return self.tail_mode == "identity"
+
+    def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
+        """Each explicit row n < m sums to its own s_n, a finite level (rows with
+        the same bits share one); the tail rows sum over E to 1 on E ∖ [0, m)
+        and 0 on the rest of [m, ∞) (identity tail), to 0 on [m, ∞) (zero
+        tail), or to s_{m−1} on [m − 1, ∞) (repeated last row).  s_n has the
+        bits of ``masked_row_sums``.  E is read at the explicit columns alone,
+        pointwise where they reach far past their count (``_at_rows``), so a
+        far column builds no long mask."""
+        e = omega() if columns is None else columns
+        m = self._ptr.size - 1
+        hits = _at_rows(self._cols, e.mask, e.contains, bool)
+        if absolute and not self.abs_sums_are_sums:  # |a_nk| times the mask; the rows have no tails
+            head = _segment_sums(np.abs(self._vals) * hits, self._ptr)
+        else:
+            head = _segment_sums(self._vals * hits, self._ptr)
+        if self.tail_mode == "identity":
+            before = explicit(*range(m))
+            tail = ((1.0, e - before), (0.0, complement(e) - before))
+        elif self.tail_mode == "zero":
+            tail = ((0.0, ap(m, 1)),)
+        else:
+            m -= 1
+            tail = ((float(head[m]), ap(m, 1)),)
+        # Rows grouped by the bits of their sums: one sort, each group in row order.
+        order = np.argsort(head[:m].view(np.int64), kind="stable")
+        bits = head[order].view(np.int64)
+        opens = np.ones(m, dtype=bool)
+        np.not_equal(bits[1:], bits[:-1], out=opens[1:])
+        starts = np.flatnonzero(opens)
+        first, ends = order[starts], np.append(starts[1:], m)
+        sets = list(map(self._row_sets().__getitem__, first.tolist()))
+        for i in np.flatnonzero(ends - starts > 1).tolist():
+            sets[i] = explicit(*order[starts[i] : ends[i]].tolist())
+        levels = tuple(zip(head[first].tolist(), sets)) + tail
+        head = head.tolist()
+
+        def row_sum(n: int) -> float:
+            if n < m:
+                return head[n]
+            if self.tail_mode == "identity":
+                return float(e.contains(n))
+            return tail[0][0]
+
+        return SumStructure(levels, None, row_sum)
+
+    def _row_sets(self) -> list[SetDescription]:
+        """{n} for each explicit row n, built once per matrix: the level of a
+        row whose sum no other row shares."""
+        if self._singletons is None:
+            self._singletons = [explicit(n) for n in range(self._ptr.size - 1)]
+        return self._singletons
 
     def _explicit_row(self, n: int) -> MatrixRow:
         p, q = self._ptr[n], self._ptr[n + 1]

@@ -10,7 +10,10 @@ with defaults last) the ``__init__``, ``__repr__``, ``__eq__`` and
   (through ``object.__setattr__`` when frozen) and then calls
   ``__post_init__`` when the class has one;
 * equality needs the exact same type and compares the tuple of fields, and
-  the hash is the hash of that tuple (``eq=False`` keeps identity);
+  the hash is the hash of that tuple (``eq=False`` keeps identity); a frozen
+  record keeps its hash after the first call, out of its pickled state, so a
+  lookup of a set node in a cache or memo hashes its tree once, not at every
+  lookup;
 * the repr is the dataclass text, ``Name(field=value, ...)``, leaving out
   the fields declared with ``field(default=..., repr=False)``.
 
@@ -32,6 +35,8 @@ from operator import attrgetter
 __all__ = ["field", "record"]
 
 _NO_DEFAULT = object()
+# The instance attribute that keeps a frozen record's hash once computed.
+_HASH = "_record_hash"
 
 
 class field:
@@ -114,10 +119,23 @@ def record(*, frozen: bool = False, eq: bool = True):
                 return NotImplemented
 
             def __hash__(self):
-                return hash(values(self))
+                h = self._record_hash
+                if h is None:
+                    h = hash(values(self))
+                    object.__setattr__(self, _HASH, h)
+                return h
+
+            def __getstate__(self):
+                # str hashes differ between processes, so a kept hash is not state.
+                state = self.__dict__.copy()
+                state.pop(_HASH, None)
+                return state
 
             cls.__eq__ = __eq__
             cls.__hash__ = __hash__ if frozen else None
+            if frozen:
+                cls._record_hash = None
+                cls.__getstate__ = __getstate__
 
         if frozen:
             cls.__setattr__ = _frozen_setattr

@@ -11,7 +11,10 @@ that structure decides it.  A row selection's sums over E are the indicator
 of h⁻¹(E), whose J-cluster points are the values of its J-positive level sets,
 each decided symbolically by ``ideals.decide_membership``; Cesàro's
 sums over E tend to the density of E where it exists, the one J-cluster point
-under every catalog ideal, since each contains Fin.  So the J-limit is the
+under every catalog ideal, since each contains Fin.  A banded matrix's explicit
+rows are finite levels, which no J-cluster point comes from, so its closed-form
+tail decides: the identity's levels past the explicit rows, the zero tail's 0
+or the repeated last row's sum.  So the J-limit is the
 target iff every cluster point lies within ``tol`` of it, and the J-limsup is
 the largest cluster point.  Every other condition, and one whose level sets
 the symbolic analysis leaves undecided, is judged on the value prefix of the
@@ -346,6 +349,8 @@ def _exact_points(
         return [structure.limit], structure
     points = []
     for value, level_set in structure.levels:
+        if isinstance(level_set, sd.Explicit):  # finite, so in J: every catalog ideal contains Fin
+            continue
         verdict = decide_membership(level_set, ideal_j)
         if verdict is None:
             return None
@@ -382,7 +387,7 @@ def _lim_condition(
         }
         if structure.levels is not None:
             details["deviation_count"] = sum(
-                int(np.count_nonzero(s.mask(cfg.horizon))) for v, s in structure.levels if abs(v - target) > cfg.tol
+                s.enumerate_prefix(cfg.horizon).size for v, s in structure.levels if abs(v - target) > cfg.tol
             )
         return ConditionReport(
             name, ok, 0.0 if ok else deviation, details, None if ok else witness_set, method="exact"

@@ -210,9 +210,10 @@ class Explicit(SetDescription):
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        if any(e < 0 for e in self.elements):
+        elements = tuple(sorted(set(self.elements)))
+        if elements and elements[0] < 0:
             raise ValueError("elements must be naturals")
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+        object.__setattr__(self, "elements", elements)
 
     def contains(self, n: int) -> bool:
         return n in self.elements
@@ -759,8 +760,11 @@ def _preimage_cardinality(s: Preimage) -> Cardinality:
 
 
 def _intersection_factors(s: SetDescription) -> list[SetDescription]:
+    """The factors of a chain of intersections, a difference A ∖ B being A ∩ Bᶜ."""
     if isinstance(s, Intersection):
         return _intersection_factors(s.left) + _intersection_factors(s.right)
+    if isinstance(s, Difference):
+        return _intersection_factors(s.left) + [complement(s.right)]
     return [s]
 
 

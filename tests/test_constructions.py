@@ -186,6 +186,7 @@ _KEEP_LIMITS = {
     "identity": mat.identity,
     "rk(2n)": lambda: mat.rk_matrix(maps.affine_map(2)),
     "cesaro": mat.cesaro,
+    "banded(identity tail)": lambda: mat.banded([[(0, 0.5), (1, -0.5)], [(3, 2.0)]]),
 }
 # Cesàro's limits of the finitely-valued entries whose level sets have densities.
 _CESARO_LIMITS = {

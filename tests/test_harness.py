@@ -10,9 +10,10 @@ import time
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealcore import asymptotics, constructions, harness, regularity, sequences, specs
@@ -329,6 +330,7 @@ _JSON_LEAVES = (
     | st.integers()
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
     | st.text()
 )
 _JSON_VALUES = st.recursive(
@@ -340,10 +342,20 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# The scalars that the dict and list loops of ``dumps`` write in place, next to
+# those that take the general path: a float subclass, NaN and ±inf.
+_SCALARS = ["text", "é", 0.1, -0.0, 3, True, False, None, np.float64(0.25), np.float64("nan"),
+            float("inf"), -float("inf"), float("nan"), np.float64("-inf")]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_JSON_VALUES)
+@example({f"k{i}": v for i, v in enumerate(_SCALARS)})
+@example(_SCALARS)
+@example((_SCALARS, {"nested": tuple(_SCALARS)}))
 def test_dumps_writes_what_json_writes(value):
-    # Empty and nested containers, tuples, -0.0, NaN, ±inf and non-ASCII text.
+    # Empty and nested containers, tuples, -0.0, NaN, ±inf, numpy floats and
+    # non-ASCII text, as dict values and as list items.
     assert harness.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
@@ -356,8 +368,9 @@ def test_dumps_refuses_what_it_cannot_write():
 
 
 _RK_2N = {"type": "rk", "map": {"type": "affine", "mul": 2}}
-# Composed, summed and banded matrices take the generic row path (row merges and
-# the flat CSR arrays), which the closed-form matrices of the bundled configs skip.
+# Composed and summed matrices take the generic row path (row merges and the
+# flat CSR arrays), which the closed-form matrices of the bundled configs skip;
+# the banded matrix is judged from its closed form.
 _GENERIC_SUITE = {
     "matrices": [
         {"type": "compose", "left": _RK_2N, "right": "cesaro"},
@@ -375,7 +388,7 @@ _GENERIC_SUITE = {
     "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
 }
 _GENERIC_SHA256 = (
-    "d15cfd16ee1d941e511020d780fc954a888eaae53b467a519e85a7b18e5e2959",
+    "91faccf430cd7e266c0defad029ff4a4470bc1dd38768b7e915c5b662a566964",
     "ed159a0349772696433b686c9ad5aadffa2746e23305dfff9443d742369545e8",
 )
 # Per item of the generic suite: (status, label of the witness set, witness
@@ -417,8 +430,9 @@ def test_generic_matrix_verdicts_are_pinned(generic_bundle):
 
 
 # Signed banded rows reach the checkers' negative-entry search (cfo items end in
-# NegativeEntryError), the applicability-guard notes, the row-sum sup past the
-# norm cap and its T1 witness row; identity and Cesaro reach the closed forms.
+# NegativeEntryError), the applicability-guard notes, and a certified norm
+# bound above the cap of an uncertified row-sum sup; identity and Cesaro reach
+# the closed forms.
 _SIGNED_SUITE = {
     "matrices": [
         {
@@ -440,8 +454,8 @@ _SIGNED_SUITE = {
     "cfg": {"check_horizon": 300, "core_horizon": 300, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
 }
 _SIGNED_SHA256 = (
-    "34ac08e00afff6f5b4020b2b66eaee64152be62c0eee44fcf2843f47ce6dac74",
-    "32d50418f0745b228fcd4b0681dba9829ea7cf4ecf04d492f742e74866c257a4",
+    "803b7135e4351b90fc0e526394d0b0aa6d9651d7e1ee8d56370136b613357b99",
+    "c5a9833d2a6023bdd13cea1886bf3fddeff3d4f5652acf30dac7ce18378e854e",
 )
 
 
@@ -545,8 +559,11 @@ def test_a_suite_computes_each_core_once(monkeypatch):
 
 
 _BANDED = {"type": "banded", "rows": [[[0, 0.5], [1, 0.5]], [[1, 1.0]], [[0, 0.25], [2, 0.75]]], "tail": "identity"}
+# A nonnegative matrix that states no structure of its row sums, so each
+# family condition takes the value path and its one limsup estimate.
+_UNSTRUCTURED = {"type": "scaled", "factor": 1.0, "of": _BANDED}
 _SHARING_SUITE = {
-    "matrices": [_BANDED],
+    "matrices": [_UNSTRUCTURED],
     "ideal_pairs": [["fin", "fin"], ["fin-oplus-evens", "fin"]],
     "theorems": ["allen", "cfo", "leo"],
     "cfg": {"check_horizon": 2000, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
@@ -588,7 +605,7 @@ def test_a_suite_judges_each_family_condition_once(monkeypatch):
     assert _conditions(cfo_oplus, "C2") == _conditions(leo_oplus, "L2") != []
 
     # Each verdict has its own reports: changing one leaves the others and the memo as they were.
-    a, cfg = specs.parse_matrix(_BANDED), regularity.CheckConfig(horizon=2000, theta=0.001)
+    a, cfg = specs.parse_matrix(_UNSTRUCTURED), regularity.CheckConfig(horizon=2000, theta=0.001)
     memo = regularity.CheckMemo()
     first = [CHECKS[t](a, fin, fin, cfg=cfg, memo=memo) for t in ("allen", "cfo", "leo")]
     before = [v.to_dict() for v in first]

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idealcore import maps
 from idealcore import matrices as mat
@@ -877,12 +879,23 @@ def test_banded_error_names_the_first_bad_row():
     assert err.value.row == 2 and str(err.value) == "row 2: columns must be distinct naturals, got [2, -4]"
 
 
+# Explicit rows for the banded kinds: an empty row, a row with −0.0 and a far
+# column (read pointwise by the structure, as a mask by the bulk path).
+_BANDED_ROWS = {
+    "nonnegative": [[(0, 0.5), (1, 0.5)], [], [(2, 0.75), (0, 0.25)], [(4, -0.0), (1, 1.0)], [(50_000, 1.0)]],
+    "signed": _signed_rows() + [[(4, -0.0), (1, -0.25)], [(50_000, 2.0), (0, -0.5)]],
+}
 _STRUCTURED = {
     "identity": mat.identity,
     "rk_affine": lambda: mat.rk_matrix(maps.affine_map(2)),
     "rk_enumeration": lambda: mat.rk_matrix(maps.enumeration_map(sd.evens())),
     "rk_squares": lambda: mat.rk_matrix(maps.enumeration_map(sd.squares())),
     "cesaro": mat.cesaro,
+    **{
+        f"banded_{sign}_{tail}": functools.partial(mat.banded, rows, tail_mode=tail)
+        for sign, rows in _BANDED_ROWS.items()
+        for tail in ("identity", "zero", "repeat_last")
+    },
 }
 
 
@@ -908,9 +921,37 @@ def test_sum_structure_matches_the_row_sums(kind):
             assert np.float64(structure.row_sum(n)).tobytes() == sums[n].tobytes(), (columns, n)
 
 
-def test_only_row_selections_and_cesaro_state_a_structure():
+def test_scaled_identity_and_ruleless_diagonal_state_no_structure():
     evens = sd.evens()
-    for a in (mat.scalar_mul(1.0, mat.identity()), mat.diagonal(lambda n: 1.0), mat.banded([[(0, 1.0)]])):
+    for a in (mat.scalar_mul(1.0, mat.identity()), mat.diagonal(lambda n: 1.0)):
         assert a.masked_sum_structure(evens) is None, a.label
     # Cesàro has no limit over a set without a density.
     assert mat.cesaro().masked_sum_structure(sd.GeometricBlocks(2, 0, 2)) is None
+
+
+def test_banded_structure_reads_a_far_column_pointwise(monkeypatch):
+    # A column near 10¹⁵ would need a mask of that length; the structure asks
+    # the set about that column alone.
+    monkeypatch.setattr(sd.SetDescription, "mask", lambda self, horizon: pytest.fail(f"mask({horizon})"))
+    a = mat.banded([[(10**15, 1.0), (1, 0.5)], [(3, 1.0)]], tail_mode="repeat_last")
+    structure = a.masked_sum_structure(sd.evens())
+    assert [structure.row_sum(n) for n in (0, 1, 10**6)] == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("kind", sorted(_STRUCTURED))
+def test_the_norm_bound_dominates_every_absolute_row_sum(kind):
+    a = _STRUCTURED[kind]()
+    assert np.max(a.row_sums(2000, absolute=True)) <= a.norm_bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 60), st.floats(-5, 5), max_size=6).map(lambda d: list(d.items())), max_size=8
+    ),
+    st.sampled_from(["identity", "zero", "repeat_last"]),
+)
+def test_a_banded_norm_bound_is_its_largest_absolute_row_sum(rows, tail):
+    assume(rows or tail != "repeat_last")
+    a = mat.banded(rows, tail_mode=tail)
+    assert a.norm_bound == np.max(a.row_sums(2000, absolute=True))

@@ -476,6 +476,8 @@ _STRUCTURED = {
     "rk(enumeration(evens))": lambda: mat.rk_matrix(maps.enumeration_map(sd.evens())),
     "rk(enumeration(squares))": lambda: mat.rk_matrix(maps.enumeration_map(sd.squares())),
     "cesaro": mat.cesaro,
+    # The banded matrix of the ``checks`` benchmark: explicit rows, then the identity.
+    "banded(identity tail)": lambda: mat.banded([[(0, 0.5), (1, 0.5)], [(1, 1.0)], [(0, 0.25), (2, 0.75)]]),
 }
 
 
@@ -523,3 +525,26 @@ def test_numeric_verdicts_never_contradict_the_exact_ones(kind, pair):
                 assert n.ok == c.ok, (theorem, c.name)
         if exact.method == "exact" and numeric.status is not Status.INCONCLUSIVE:
             assert numeric.status is exact.status, theorem
+
+
+# The banded matrix of the ``checks`` benchmark and its theory answers: it is
+# the identity past row 2, so every condition is read off the identity tail.
+_CHECKS_BANDED = {"type": "banded", "rows": [[[0, 0.5], [1, 0.5]], [[1, 1.0]], [[0, 0.25], [2, 0.75]]], "tail": "identity"}
+_CHECKS_PAIRS = {
+    ("fin", "fin"): Status.SATISFIED,
+    ("z", "z"): Status.SATISFIED,
+    ("erdos-ulam-log", "erdos-ulam-log"): Status.SATISFIED,
+    # The odds lie in Fin ⊕ P(evens), and the sums over them tend to 1, not 0.
+    ("fin-oplus-evens", "fin"): Status.VIOLATED,
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_CHECKS_PAIRS), ids=",".join)
+def test_the_checks_banded_matrix_is_judged_exactly(pair):
+    a = specs.parse_matrix(_CHECKS_BANDED)
+    ideal_i, ideal_j = (specs.parse_ideal(name) for name in pair)
+    cfg, memo = CheckConfig(horizon=5000, tol=0.01, theta=0.001, grid=0.01, seed=0), reg.CheckMemo()
+    expected = {"st": _CHECKS_PAIRS[pair], "allen": Status.SATISFIED, "cfo": _CHECKS_PAIRS[pair], "leo": _CHECKS_PAIRS[pair]}
+    for theorem, status in expected.items():
+        verdict = reg.CHECKS[theorem](a, ideal_i, ideal_j, cfg=cfg, memo=memo)
+        assert (verdict.status, verdict.method) == (status, "exact"), theorem
