@@ -233,9 +233,7 @@ def render_csv(bundle: ReportBundle) -> str:
 
 def _encode(o, indent: str) -> str:
     """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it at this
-    indent: exact types first, then subclasses as their base type.  The dict
-    and list loops write the scalars of exact type (str, finite float, int,
-    None, bool) in place, without a call each."""
+    indent: exact types first, then subclasses as their base type."""
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
@@ -251,45 +249,13 @@ def _encode(o, indent: str) -> str:
         if not o:
             return "{}"
         inner = indent + "  "
-        items = []
-        for k in sorted(o):
-            v = o[k]
-            t = type(v)
-            if t is str:
-                v = encode_basestring_ascii(v)
-            elif t is float and v - v == 0.0:  # finite
-                v = float.__repr__(v)
-            elif t is int:
-                v = int.__repr__(v)
-            elif v is None:
-                v = "null"
-            elif t is bool:
-                v = "true" if v else "false"
-            else:
-                v = _encode(v, inner)
-            items.append(encode_basestring_ascii(k) + ": " + v)
+        items = [encode_basestring_ascii(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if t is list or t is tuple:
         if not o:
             return "[]"
         inner = indent + "  "
-        items = []
-        for v in o:
-            t = type(v)
-            if t is str:
-                v = encode_basestring_ascii(v)
-            elif t is float and v - v == 0.0:  # finite
-                v = float.__repr__(v)
-            elif t is int:
-                v = int.__repr__(v)
-            elif v is None:
-                v = "null"
-            elif t is bool:
-                v = "true" if v else "false"
-            else:
-                v = _encode(v, inner)
-            items.append(v)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        return "[\n" + inner + (",\n" + inner).join([_encode(v, inner) for v in o]) + "\n" + indent + "]"
     if o is None:
         return "null"
     if o is True:

@@ -84,7 +84,8 @@ class ComposeUnsupportedError(ValueError):
 
 
 class BandedRowError(ValueError):
-    """An explicit banded row with a negative or repeated column; ``row`` is its index."""
+    """An explicit banded row with a negative or repeated column or a non-finite
+    entry; ``row`` is its index."""
 
     def __init__(self, row: int, reason: str):
         super().__init__(f"row {row}: {reason}")
@@ -483,6 +484,10 @@ class _BandedMatrix(InfiniteMatrix):
         if bad.size:
             i = int(bad.min())
             raise BandedRowError(i, f"columns must be distinct naturals, got {cols[ptr[i] : ptr[i + 1]].tolist()}")
+        infinite = row_of[~np.isfinite(vals)]
+        if infinite.size:
+            i = int(infinite.min())
+            raise BandedRowError(i, f"entries must be finite, got {vals[ptr[i] : ptr[i + 1]].tolist()}")
         # Sorted rows, with 0.0 added as ``_merged_row`` adds it (−0.0 becomes 0.0).
         self._cols, self._vals, self._ptr = sorted_cols, vals[order] + 0.0, ptr
         nonneg = bool(np.all(self._vals >= 0.0))
@@ -492,7 +497,6 @@ class _BandedMatrix(InfiniteMatrix):
         norm = max(float(abs_sums.max()) if abs_sums.size else 0.0, 1.0 if tail_mode == "identity" else 0.0)
         super().__init__(label, norm_bound=norm, nonnegative=True if nonneg else None)
         self.tail_mode = tail_mode
-        self._singletons: list[SetDescription] | None = None
 
     @property
     def keeps_limits(self) -> bool:
@@ -500,10 +504,10 @@ class _BandedMatrix(InfiniteMatrix):
         return self.tail_mode == "identity"
 
     def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
-        """Each explicit row n < m sums to its own s_n, a finite level (rows with
-        the same bits share one); the tail rows sum over E to 1 on E ∖ [0, m)
-        and 0 on the rest of [m, ∞) (identity tail), to 0 on [m, ∞) (zero
-        tail), or to s_{m−1} on [m − 1, ∞) (repeated last row).  s_n has the
+        """Each explicit row n < m sums to its own s_n, a finite level {n}; the
+        tail rows sum over E to 1 on E ∖ [0, m) and 0 on the rest of [m, ∞)
+        (identity tail), to 0 on [m, ∞) (zero tail), or to s_{m−1} on
+        [m − 1, ∞) (repeated last row).  s_n has the
         bits of ``masked_row_sums``.  E is read at the explicit columns alone,
         pointwise where they reach far past their count (``_at_rows``), so a
         far column builds no long mask."""
@@ -522,17 +526,7 @@ class _BandedMatrix(InfiniteMatrix):
         else:
             m -= 1
             tail = ((float(head[m]), ap(m, 1)),)
-        # Rows grouped by the bits of their sums: one sort, each group in row order.
-        order = np.argsort(head[:m].view(np.int64), kind="stable")
-        bits = head[order].view(np.int64)
-        opens = np.ones(m, dtype=bool)
-        np.not_equal(bits[1:], bits[:-1], out=opens[1:])
-        starts = np.flatnonzero(opens)
-        first, ends = order[starts], np.append(starts[1:], m)
-        sets = list(map(self._row_sets().__getitem__, first.tolist()))
-        for i in np.flatnonzero(ends - starts > 1).tolist():
-            sets[i] = explicit(*order[starts[i] : ends[i]].tolist())
-        levels = tuple(zip(head[first].tolist(), sets)) + tail
+        levels = tuple(zip(head[:m].tolist(), map(explicit, range(m)))) + tail
         head = head.tolist()
 
         def row_sum(n: int) -> float:
@@ -543,13 +537,6 @@ class _BandedMatrix(InfiniteMatrix):
             return tail[0][0]
 
         return SumStructure(levels, None, row_sum)
-
-    def _row_sets(self) -> list[SetDescription]:
-        """{n} for each explicit row n, built once per matrix: the level of a
-        row whose sum no other row shares."""
-        if self._singletons is None:
-            self._singletons = [explicit(n) for n in range(self._ptr.size - 1)]
-        return self._singletons
 
     def _explicit_row(self, n: int) -> MatrixRow:
         p, q = self._ptr[n], self._ptr[n + 1]

@@ -349,8 +349,6 @@ def _exact_points(
         return [structure.limit], structure
     points = []
     for value, level_set in structure.levels:
-        if isinstance(level_set, sd.Explicit):  # finite, so in J: every catalog ideal contains Fin
-            continue
         verdict = decide_membership(level_set, ideal_j)
         if verdict is None:
             return None

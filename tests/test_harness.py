@@ -171,6 +171,9 @@ _SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": [
         (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration"}}, "matrix.map.set"),
         (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration", "set": _AP_NO_STEP}}, "matrix.map.set.step"),
         (specs.parse_matrix, {"type": "banded", "rows": [[[1.5, 1.0]]]}, "matrix.rows[0]"),
+        (specs.parse_matrix, {"type": "banded", "rows": [[[0, 1.0]], [[1, float("inf")]]]}, "matrix.rows[1]"),
+        (specs.parse_matrix, {"type": "banded", "rows": [[[0, float("nan")]]]}, "matrix.rows[0]"),
+        (specs.parse_matrix, {"type": "banded", "rows": [[[0, "-inf"]]], "tail": "repeat_last"}, "matrix.rows[0]"),
         # check --family lists
         (specs.parse_family, [], "family"),
         (specs.parse_family, {"sets_positive": {"type": "squares"}}, "family.sets_positive"),
@@ -342,8 +345,8 @@ _JSON_VALUES = st.recursive(
 )
 
 
-# The scalars that the dict and list loops of ``dumps`` write in place, next to
-# those that take the general path: a float subclass, NaN and ±inf.
+# Scalars of every kind ``dumps`` dispatches on, as dict values and list items:
+# exact types, a float subclass, NaN and ±inf.
 _SCALARS = ["text", "é", 0.1, -0.0, 3, True, False, None, np.float64(0.25), np.float64("nan"),
             float("inf"), -float("inf"), float("nan"), np.float64("-inf")]
 

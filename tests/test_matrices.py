@@ -877,6 +877,9 @@ def test_banded_error_names_the_first_bad_row():
     with pytest.raises(mat.BandedRowError) as err:
         mat.banded([[(0, 1.0)], [], [(2, 1.0), (-4, 1.0)], [(1, 1.0), (1, 1.0)]])
     assert err.value.row == 2 and str(err.value) == "row 2: columns must be distinct naturals, got [2, -4]"
+    with pytest.raises(mat.BandedRowError) as err:
+        mat.banded([[(0, 1.0)], [(1, 0.5), (2, math.nan)], [(0, math.inf)]])
+    assert err.value.row == 1 and str(err.value) == "row 1: entries must be finite, got [0.5, nan]"
 
 
 # Explicit rows for the banded kinds: an empty row, a row with −0.0 and a far
