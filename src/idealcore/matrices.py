@@ -32,10 +32,11 @@ for a banded matrix with an identity tail.  ``masked_sum_structure`` states
 what is known exactly of the row sums over a set E without summing a row: the
 level sets h⁻¹(E) (value 1) and its complement (value 0) for a row selection,
 the density of E as their limit for Cesàro (over ω also the one level 1), and
-for a banded matrix one finite level per explicit row sum and the level sets
-of its closed-form tail; None for sums, multiples, products, entrywise parts
-and diagonal matrices other than the identity.  A banded matrix also declares
-its norm, the largest absolute row sum of its explicit rows and its tail.
+for a banded matrix its explicit row sums as a finite head in front of the
+level sets of its closed-form tail; None for sums, multiples, products,
+entrywise parts and diagonal matrices other than the identity.  A banded
+matrix also declares its norm, the largest absolute row sum of its explicit
+rows and its tail.
 ``find_negative_entry`` reads entries.  ``transform`` computes one entry of
 A·x with ``math.fsum``.
 """
@@ -50,7 +51,7 @@ import numpy as np
 from .maps import IndexMap, identity_map
 from .records import record
 from .sequences import BoundedSequence, indicator
-from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows, ap, complement, explicit, omega, preimage
+from .sets import _SPARSE_IMAGE_FACTOR, SetDescription, _at_rows, complement, omega, preimage
 
 __all__ = [
     "MatrixRow",
@@ -112,14 +113,28 @@ _EMPTY_ROW = MatrixRow(np.zeros(0, dtype=np.int64), np.zeros(0))
 class SumStructure:
     """What is known exactly of the row sums s_n of a matrix over a set of columns.
 
-    The sums take the value v exactly on the rows of each level set
-    (``levels``: pairs (v, S_v) whose sets partition ω), or they converge to
-    ``limit``, or both.  ``row_sum(n)`` is s_n with the bits of the bulk path.
+    ``head`` holds s_0 … s_{m−1}, m = len(head).  From row m on the sums take
+    the value v exactly on the rows of each level set (``levels``: pairs
+    (v, S_v) whose sets partition ω), or they converge to ``limit``, or both.
+    Every catalog ideal contains Fin, so a finite head never moves a J-cluster
+    point: the levels alone decide the cluster points and the limit.
+    ``row_sum(n)`` is s_n with the bits of the bulk path.
     """
 
     levels: tuple[tuple[float, SetDescription], ...] | None
     limit: float | None
     row_sum: Callable[[int], float]
+    head: tuple[float, ...] = ()
+
+    def count_deviations(self, target: float, tol: float, horizon: int) -> int:
+        """How many rows n < horizon have |s_n − target| > tol: the head rows,
+        then the level rows from len(head) on (``levels`` must be given)."""
+        m = min(len(self.head), horizon)
+        count = sum(abs(v - target) > tol for v in self.head[:m])
+        for v, s in self.levels:
+            if abs(v - target) > tol:
+                count += int(np.count_nonzero(s.enumerate_prefix(horizon) >= m))
+        return count
 
 
 def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -504,39 +519,28 @@ class _BandedMatrix(InfiniteMatrix):
         return self.tail_mode == "identity"
 
     def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
-        """Each explicit row n < m sums to its own s_n, a finite level {n}; the
-        tail rows sum over E to 1 on E ∖ [0, m) and 0 on the rest of [m, ∞)
-        (identity tail), to 0 on [m, ∞) (zero tail), or to s_{m−1} on
-        [m − 1, ∞) (repeated last row).  s_n has the
-        bits of ``masked_row_sums``.  E is read at the explicit columns alone,
-        pointwise where they reach far past their count (``_at_rows``), so a
-        far column builds no long mask."""
+        """The explicit rows' sums over E are the head; the tail rows sum to 1
+        on E and 0 on Eᶜ (identity tail, the identity's own levels), to 0
+        (zero tail) or to the last explicit row's sum (repeated last row).
+        The head has the bits of ``masked_row_sums``.  E is read at the
+        explicit columns alone, pointwise where they reach far past their count
+        (``_at_rows``), so a far column builds no long mask."""
         e = omega() if columns is None else columns
-        m = self._ptr.size - 1
         hits = _at_rows(self._cols, e.mask, e.contains, bool)
-        if absolute and not self.abs_sums_are_sums:  # |a_nk| times the mask; the rows have no tails
-            head = _segment_sums(np.abs(self._vals) * hits, self._ptr)
-        else:
-            head = _segment_sums(self._vals * hits, self._ptr)
+        # |a_nk| times the mask for absolute sums that differ; the rows have no tails.
+        vals = np.abs(self._vals) if absolute and not self.abs_sums_are_sums else self._vals
+        head = tuple(_segment_sums(vals * hits, self._ptr).tolist())
         if self.tail_mode == "identity":
-            before = explicit(*range(m))
-            tail = ((1.0, e - before), (0.0, complement(e) - before))
-        elif self.tail_mode == "zero":
-            tail = ((0.0, ap(m, 1)),)
+            levels = ((1.0, e), (0.0, complement(e)))
         else:
-            m -= 1
-            tail = ((float(head[m]), ap(m, 1)),)
-        levels = tuple(zip(head[:m].tolist(), map(explicit, range(m)))) + tail
-        head = head.tolist()
+            levels = ((head[-1] if self.tail_mode == "repeat_last" else 0.0, omega()),)
 
         def row_sum(n: int) -> float:
-            if n < m:
+            if n < len(head):
                 return head[n]
-            if self.tail_mode == "identity":
-                return float(e.contains(n))
-            return tail[0][0]
+            return float(e.contains(n)) if self.tail_mode == "identity" else levels[0][0]
 
-        return SumStructure(levels, None, row_sum)
+        return SumStructure(levels, None, row_sum, head)
 
     def _explicit_row(self, n: int) -> MatrixRow:
         p, q = self._ptr[n], self._ptr[n + 1]

@@ -12,15 +12,14 @@ of h⁻¹(E), whose J-cluster points are the values of its J-positive level sets
 each decided symbolically by ``ideals.decide_membership``; Cesàro's
 sums over E tend to the density of E where it exists, the one J-cluster point
 under every catalog ideal, since each contains Fin.  A banded matrix's explicit
-rows are finite levels, which no J-cluster point comes from, so its closed-form
-tail decides: the identity's levels past the explicit rows, the zero tail's 0
-or the repeated last row's sum.  So the J-limit is the
-target iff every cluster point lies within ``tol`` of it, and the J-limsup is
-the largest cluster point.  Every other condition, and one whose level sets
-the symbolic analysis leaves undecided, is judged on the value prefix of the
-row sums: limit conditions through the ideal-limit deviation test, limsup
-conditions through the same cluster estimator that powers the core
-computations.  Each condition says which (``method``: ``exact`` or
+rows are the structure's finite head, and its closed-form tail states the
+levels: the identity's, the zero tail's 0 or the repeated last row's sum.  So
+the J-limit is the target iff every cluster point lies within ``tol`` of it,
+and the J-limsup is the largest cluster point.  Every other condition, and one
+whose level sets the symbolic analysis leaves undecided, is judged on the value
+prefix of the row sums: limit conditions through the ideal-limit deviation
+test, limsup conditions through the same cluster estimator that powers the
+core computations.  Each condition says which (``method``: ``exact`` or
 ``numeric``), and a verdict is exact when all of its conditions are.
 
 Checks of one matrix share work through a :class:`CheckMemo` passed as
@@ -337,7 +336,7 @@ def _set_label(s: SetDescription) -> str:
 
 
 def _exact_points(
-    a: InfiniteMatrix, columns: SetDescription | None, absolute: bool, ideal_j: Ideal, cfg: CheckConfig
+    a: InfiniteMatrix, columns: SetDescription | None, absolute: bool, ideal_j: Ideal
 ) -> tuple[list[float], SumStructure] | None:
     """The J-cluster points of A's row sums over ``columns``, ascending, read
     off their structure, with that structure; None where A states none, where
@@ -371,7 +370,7 @@ def _lim_condition(
     witness_set: SetDescription | None = None,
 ) -> ConditionReport:
     """Is the J-limit of A's (absolute) row sums over ``columns`` the target?"""
-    exact = _exact_points(a, columns, absolute, ideal_j, cfg)
+    exact = _exact_points(a, columns, absolute, ideal_j)
     if exact is not None:
         points, structure = exact
         deviation = max(abs(v - target) for v in points)
@@ -384,9 +383,7 @@ def _lim_condition(
             "value_at_horizon": structure.row_sum(cfg.horizon - 1),
         }
         if structure.levels is not None:
-            details["deviation_count"] = sum(
-                s.enumerate_prefix(cfg.horizon).size for v, s in structure.levels if abs(v - target) > cfg.tol
-            )
+            details["deviation_count"] = structure.count_deviations(target, cfg.tol, cfg.horizon)
         return ConditionReport(
             name, ok, 0.0 if ok else deviation, details, None if ok else witness_set, method="exact"
         )
@@ -415,7 +412,7 @@ def _limsup_condition(
     witness_set: SetDescription,
 ) -> ConditionReport:
     """Is the J-limsup of A's (absolute) row sums over ``columns`` the target?"""
-    exact = _exact_points(a, columns, absolute, ideal_j, cfg)
+    exact = _exact_points(a, columns, absolute, ideal_j)
     if exact is not None:
         points, structure = exact
         details = {

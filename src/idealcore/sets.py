@@ -760,11 +760,8 @@ def _preimage_cardinality(s: Preimage) -> Cardinality:
 
 
 def _intersection_factors(s: SetDescription) -> list[SetDescription]:
-    """The factors of a chain of intersections, a difference A ∖ B being A ∩ Bᶜ."""
     if isinstance(s, Intersection):
         return _intersection_factors(s.left) + _intersection_factors(s.right)
-    if isinstance(s, Difference):
-        return _intersection_factors(s.left) + [complement(s.right)]
     return [s]
 
 

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from idealcore import ideals as ide
 from idealcore import maps
 from idealcore import matrices as mat
+from idealcore import regularity as reg
 from idealcore import sequences as seq
 from idealcore import sets as sd
 from idealcore import specs
@@ -904,8 +906,9 @@ _STRUCTURED = {
 
 @pytest.mark.parametrize("kind", sorted(_STRUCTURED))
 def test_sum_structure_matches_the_row_sums(kind):
-    # Level sets partition the rows and rebuild the sums bit for bit; a limit
-    # is the density of the columns; ``row_sum`` is each row's sum.
+    # The head and then the level sets on the rows past it partition the rows
+    # and rebuild the sums bit for bit; a limit is the density of the columns;
+    # ``row_sum`` is each row's sum.
     a, horizon = _STRUCTURED[kind](), 2000
     for absolute, columns in itertools.product(_FLAGS, _COLUMN_SETS.values()):
         structure = a.masked_sum_structure(columns, absolute=absolute)
@@ -916,12 +919,38 @@ def test_sum_structure_matches_the_row_sums(kind):
             assert abs(sums[-1] - structure.limit) < 0.05
         else:
             rebuilt = np.full(horizon, np.nan)
+            rebuilt[: len(structure.head)] = structure.head
             for value, level_set in structure.levels:
-                assert np.all(np.isnan(rebuilt[level_set.mask(horizon)]))
-                rebuilt[level_set.mask(horizon)] = value
+                rows = level_set.mask(horizon).copy()
+                rows[: len(structure.head)] = False
+                assert np.all(np.isnan(rebuilt[rows]))
+                rebuilt[rows] = value
             assert rebuilt.tobytes() == sums.tobytes(), (columns, absolute)
         for n in (0, 1, 7, horizon - 1):
             assert np.float64(structure.row_sum(n)).tobytes() == sums[n].tobytes(), (columns, n)
+
+
+# Signed rows past a horizon of 500, so the head is cut at the horizon.
+_LONG_BANDED = [[(n, 1.0), (n + 1, -0.5 * (n % 2))] for n in range(600)]
+
+
+@pytest.mark.parametrize("kind", sorted(_STRUCTURED) + ["banded_longer_than_the_horizon"])
+def test_exact_deviation_count_counts_the_row_sums_off_target(kind):
+    # An exact limit condition counts the rows below the horizon whose sum is
+    # off the target, head rows and level rows alike.  (The rk image of the
+    # squares leaves its levels over evens and squares undecided.)
+    a = mat.banded(_LONG_BANDED) if kind not in _STRUCTURED else _STRUCTURED[kind]()
+    cfg, compared = reg.CheckConfig(horizon=500), 0
+    for absolute, columns in itertools.product(_FLAGS, _COLUMN_SETS.values()):
+        sums = a.masked_row_sums(columns, cfg.horizon, absolute=absolute)
+        for target in (0.0, 0.5, 1.0):
+            c = reg._lim_condition("L", a, columns, absolute, target, ide.fin(), cfg)
+            if c.method != "exact" or "deviation_count" not in c.details:
+                continue
+            want = np.count_nonzero(np.abs(sums - target) > cfg.tol)
+            assert c.details["deviation_count"] == want, (columns, absolute, target)
+            compared += 1
+    assert compared >= (6 if kind == "cesaro" else 12)
 
 
 def test_scaled_identity_and_ruleless_diagonal_state_no_structure():

@@ -71,7 +71,7 @@ _FIELDS = {
         core_equality=False, check_horizon=1000, core_horizon=2000, tol=0.01, grid=0.01, theta=0.001, seed=3,
     ),
     mat.MatrixRow: lambda: dict(indices=_INDICES, values=_VALUES, tail_bound=0.5),
-    mat.SumStructure: lambda: dict(levels=((1.0, sd.omega()),), limit=1.0, row_sum=_row_sum),
+    mat.SumStructure: lambda: dict(levels=((1.0, sd.omega()),), limit=1.0, row_sum=_row_sum, head=(0.5, 1.0)),
     ide.ClassificationReport: lambda: dict(
         is_p_ideal=True, is_p_plus_ideal=True, is_tall=False, is_nowhere_tall=True,
         is_countably_generated=True, canonical_form="Fin",

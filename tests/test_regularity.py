@@ -427,7 +427,18 @@ def test_exact_points_estimate_no_level():
     fte = _NAMED_CATALOG["fin_times_empty"]
     with mock.patch.object(asy, "estimate_membership", side_effect=AssertionError("level estimated")):
         for columns in (sd.evens(), sd.ap(1, 3), sd.GeometricBlocks(2, 0, 2)):
-            assert reg._exact_points(mat.identity(), columns, False, fte, FAST) is None
+            assert reg._exact_points(mat.identity(), columns, False, fte) is None
+
+
+def test_explicit_banded_rows_cost_no_membership_decisions():
+    # The explicit rows are a finite head, so a condition decides the tail's
+    # level sets alone, however many explicit rows the matrix has.
+    counts = []
+    for rows in (3, 2000):
+        with mock.patch.object(reg, "decide_membership", wraps=reg.decide_membership) as decide:
+            reg.leo_check(random_nonneg_matrix(0, horizon=rows), FO_EVENS, FIN, cfg=FAST)
+        counts.append(decide.call_count)
+    assert counts[0] > 0 and counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("absolute", [False, True])
