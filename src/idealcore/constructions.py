@@ -25,7 +25,9 @@
   missing core and dropped as soon as that core is known, so the memo holds
   intervals, never transformed sequences.  ``harness.run_suite`` passes one
   memo per matrix over suite-wide cores, so each core(x, I) is computed once
-  per suite and each core(A·x, J) once per matrix.
+  per suite and each core(A·x, J) once per matrix.  The identity's A·x is x,
+  so its core(A·x, J) is core(x, J), read from the suite-wide cores: it builds
+  no A·x and decides no level set twice.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ Each catalog ideal pairs two decision channels:
   (the indices below the horizon where some event happened), used by the
   cluster-point machinery and by membership queries on predicate sets.  Its
   rules are finite-horizon approximations and are documented per ideal.  The
-  threshold ``theta`` is a run setting (``cfg.theta``, ``--theta``).
+  threshold ``theta`` is a run setting (``cfg.theta``, ``--theta``).  The
+  hits are ascending, distinct and below the horizon, as every caller passes
+  them (``asymptotics.cluster_of_values`` and ``ideal_lim_check``,
+  ``estimate_membership``, ``TraceFinIdeal``'s trace filter), so each
+  estimator splits them at H/2 and H by position instead of by a mask.
 
 ``membership`` combines both channels into the four-way verdict
 in-ideal / positive / in-dual-filter / inconclusive.
@@ -104,11 +108,20 @@ class ClassificationReport:
         return ", ".join(parts) + f"; canonical form: {self.canonical_form}"
 
 
+def _split(hits: np.ndarray, horizon: int) -> tuple[int, int]:
+    """Where H/2 and H fall in the hits: ``hits[:c0]`` is the head below H/2 and
+    ``hits[c0:c1]`` the tail window [H/2, H)."""
+    c0, c1 = np.searchsorted(hits, (horizon // 2, horizon))
+    return int(c0), int(c1)
+
+
 def _tail(hits: np.ndarray, horizon: int) -> np.ndarray:
-    return hits[hits >= horizon // 2]
+    c0, c1 = _split(hits, horizon)
+    return hits[c0:c1]
 
 
 def _support(hits: np.ndarray, horizon: int) -> np.ndarray:
+    """The tail window when it holds a hit, else every hit."""
     tail = _tail(hits, horizon)
     return tail if tail.size else hits
 
@@ -121,23 +134,21 @@ def _max_running_ratio(hits: np.ndarray, horizon: int, weight_table: np.ndarray 
     and their running totals (``_with_totals``).
     """
     n0 = horizon // 2
+    c0, c1 = _split(hits, horizon)
     if weight_table is None:
-        c0 = int(np.searchsorted(hits, n0, side="left"))
         best = c0 / n0 if n0 > 0 else 0.0
-        window = hits[(hits >= n0) & (hits < horizon)]
-        if window.size:
-            # The running ratio peaks right after each hit, at n = h + 1.
-            counts = np.searchsorted(hits, window, side="left") + 1
-            best = max(best, float(np.max(counts / (window + 1))))
+        if c1 > c0:
+            # The running ratio peaks right after each hit h, at n = h + 1, where
+            # the count is h's position plus one.
+            counts = np.arange(c0 + 1, c1 + 1)
+            best = max(best, float(np.max(counts / (hits[c0:c1] + 1))))
         return best
     weights, totals = weight_table
     hit_weights = np.cumsum(weights[hits]) if hits.size else np.zeros(0)
-    c0 = int(np.searchsorted(hits, n0, side="left"))
     mass0 = float(hit_weights[c0 - 1]) if c0 > 0 else 0.0
     best = mass0 / float(totals[n0 - 1]) if n0 > 0 else 0.0
-    window_idx = np.nonzero((hits >= n0) & (hits < horizon))[0]
-    if window_idx.size:
-        ratios = hit_weights[window_idx] / totals[hits[window_idx]]
+    if c1 > c0:
+        ratios = hit_weights[c0:c1] / totals[hits[c0:c1]]
         best = max(best, float(np.max(ratios)))
     return best
 
@@ -186,7 +197,8 @@ class Ideal:
         self, hits: np.ndarray, horizon: int, theta: float
     ) -> tuple[PositivityResult, np.ndarray]:
         """Numeric positivity of an index prefix at threshold ``theta`` (ignored by rules
-        without one); returns (verdict, supporting hits)."""
+        without one); returns (verdict, supporting hits).  ``hits`` must be
+        ascending, distinct and below ``horizon``."""
         raise NotImplementedError
 
     def classify(self) -> ClassificationReport:
@@ -476,19 +488,16 @@ class ColumnBlockIdeal(Ideal):
         return None
 
     def positivity(self, hits, horizon, theta):
-        support = _support(hits, horizon)
-        if hits.size == 0:
-            return PositivityResult.NULL, support
-        cols = _pair_column_table(horizon)[hits]
-        tail = _tail(hits, horizon)
+        c0, c1 = _split(hits, horizon)
+        tail = hits[c0:c1]
         if tail.size == 0:
-            return PositivityResult.NULL, support
-        head_max = int(cols[hits < horizon // 2].max()) if np.any(hits < horizon // 2) else -1
-        tail_max = int(cols[hits >= horizon // 2].max())
-        if tail_max > head_max:
+            return PositivityResult.NULL, hits
+        cols = _pair_column_table(horizon)
+        head_max = int(cols[hits[:c0]].max()) if c0 else -1
+        if int(cols[tail].max()) > head_max:
             # Fresh columns keep appearing: not coverable by the ones seen so far.
-            return PositivityResult.POSITIVE, support
-        return PositivityResult.INCONCLUSIVE, support
+            return PositivityResult.POSITIVE, tail
+        return PositivityResult.INCONCLUSIVE, tail
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(False, True, False, True, True, "Fin×{∅} copy")
@@ -560,12 +569,10 @@ def estimate_membership(
     """Numeric half of :func:`membership`: positivity of S and its complement
     on the prefix below ``horizon`` at threshold ``theta``."""
     mask = s.mask(horizon)
-    hits_s = np.flatnonzero(mask)
-    hits_c = np.flatnonzero(~mask)
-    vs, _ = ideal.positivity(hits_s, horizon, theta)
-    vc, _ = ideal.positivity(hits_c, horizon, theta)
+    vs, _ = ideal.positivity(np.flatnonzero(mask), horizon, theta)
     if vs is PositivityResult.NULL:
         return MembershipResult.IN_IDEAL
+    vc, _ = ideal.positivity(np.flatnonzero(~mask), horizon, theta)
     if vc is PositivityResult.NULL:
         return MembershipResult.IN_DUAL_FILTER
     if vs is PositivityResult.POSITIVE:

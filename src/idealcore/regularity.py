@@ -307,7 +307,12 @@ class CheckMemo:
         compute: Callable[[], CoreInterval],
     ) -> CoreInterval:
         """The core of A·x under ``ideal``, from ``compute()``.  Keyed by x, not
-        by A·x, so A·x is built only when the core is computed and is never kept."""
+        by A·x, so A·x is built only when the core is computed and is never kept.
+        Where A selects rows by the identity map, A·x is x bit for bit, so its
+        core is read from the suite-wide ``cores`` and no A·x is built."""
+        h = a.row_selection()
+        if h is not None and h.affine == (1, 0):
+            return self.core(x, ideal, cfg)
         return self.result(("core", a, x, _ideal_key(ideal), cfg), compute)
 
 

@@ -393,6 +393,43 @@ def test_experiment_identity_zero_deviation_across_ideals():
         assert report.max_deviation == 0.0, ideal.label
 
 
+_EXPERIMENT_PAIRS = {
+    "fin": (FIN, FIN),
+    "z": (Z, Z),
+    "log": (ide.erdos_ulam("log"), ide.erdos_ulam("log")),
+    "fin-oplus-evens,fin": (FO_EVENS, FIN),
+    "fin-times-empty": (ide.fin_times_empty(), ide.fin_times_empty()),
+}
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except asy.InconclusiveCellsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_the_identity_image_core_is_the_core_of_x(monkeypatch):
+    built = con.transformed_sequence
+    transform_calls = []
+    monkeypatch.setattr(con, "transformed_sequence", lambda *args: transform_calls.append(args))
+    identity, suite_memo = mat.identity(), reg.CheckMemo()
+    for name, (ideal_i, ideal_j) in _EXPERIMENT_PAIRS.items():
+        for x in seq.corpus():
+            # The experiment reads core(x, I) before core(A·x, J), so an error of either shows.
+            want = _outcome(lambda: (asy.core(x, ideal_i, _THEORY_CORE), asy.core(x, ideal_j, _THEORY_CORE))[1])
+            # The A·x the identity used to build has that core too.
+            assert _outcome(lambda: asy.core(built(identity, x, _THEORY_CORE.horizon), ideal_j, _THEORY_CORE)) == want
+            for memo in (suite_memo, None):
+                got = _outcome(
+                    lambda: con.core_equality_experiment(
+                        identity, ideal_i, ideal_j, [x], _THEORY_CORE, memo=memo
+                    ).rows[0].core_ax
+                )
+                assert got == want, (name, x.label)
+    assert transform_calls == []
+
+
 def test_rk_cluster_transfer():
     a = mat.rk_matrix(maps.enumeration_map(sd.evens()))
     for label in ("alternating", "periodic_three_level", "blockwise_three_level", "indicator_blocks"):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idealcore import ideals as ide
 from idealcore import sets as sd
@@ -274,6 +276,127 @@ def test_weight_totals_match_cumsum(horizon):
         for t in (table, custom):
             got = ide._max_running_ratio(hits, horizon, t)
             assert got == _max_running_ratio_reference(hits, horizon, np.array(t[0]))
+
+
+# The estimators as boolean masks over the hits, the form they had before they
+# split the sorted hits by position; the kernels must match them bit for bit.
+
+
+def _tail_by_mask(hits, horizon):
+    return hits[hits >= horizon // 2]
+
+
+def _support_by_mask(hits, horizon):
+    tail = _tail_by_mask(hits, horizon)
+    return tail if tail.size else hits
+
+
+def _running_ratio_by_mask(hits, horizon, weight_table=None):
+    n0 = horizon // 2
+    if weight_table is None:
+        c0 = int(np.searchsorted(hits, n0, side="left"))
+        best = c0 / n0 if n0 > 0 else 0.0
+        window = hits[(hits >= n0) & (hits < horizon)]
+        if window.size:
+            counts = np.searchsorted(hits, window, side="left") + 1
+            best = max(best, float(np.max(counts / (window + 1))))
+        return best
+    weights, totals = weight_table
+    hit_weights = np.cumsum(weights[hits]) if hits.size else np.zeros(0)
+    c0 = int(np.searchsorted(hits, n0, side="left"))
+    mass0 = float(hit_weights[c0 - 1]) if c0 > 0 else 0.0
+    best = mass0 / float(totals[n0 - 1]) if n0 > 0 else 0.0
+    window_idx = np.nonzero((hits >= n0) & (hits < horizon))[0]
+    if window_idx.size:
+        best = max(best, float(np.max(hit_weights[window_idx] / totals[hits[window_idx]])))
+    return best
+
+
+def _density_by_mask(hits, horizon, theta, weight_table=None):
+    support = _support_by_mask(hits, horizon)
+    if hits.size == 0:
+        return PR.NULL, support
+    est = _running_ratio_by_mask(hits, horizon, weight_table)
+    if est > theta:
+        return PR.POSITIVE, support
+    if est < theta / 10.0:
+        return PR.NULL, support
+    return PR.INCONCLUSIVE, support
+
+
+def _fin_by_mask(hits, horizon):
+    tail = _tail_by_mask(hits, horizon)
+    return (PR.POSITIVE if tail.size else PR.NULL), tail
+
+
+def _positivity_by_mask(ideal, hits, horizon, theta):
+    if isinstance(ideal, ide.FinIdeal):
+        return _fin_by_mask(hits, horizon)
+    if isinstance(ideal, ide.DensityZeroIdeal):
+        return _density_by_mask(hits, horizon, theta)
+    if isinstance(ideal, ide.ErdosUlamIdeal):
+        return _density_by_mask(hits, horizon, theta, ideal._weight_table(horizon))
+    if isinstance(ideal, ide.SummableIdeal):
+        support = _support_by_mask(hits, horizon)
+        if hits.size == 0:
+            return PR.NULL, support
+        total = float(np.sum(ideal._weight_table(horizon)[0][hits]))
+        return (PR.POSITIVE if total > ideal.cutoff else PR.INCONCLUSIVE), support
+    if isinstance(ideal, ide.TraceFinIdeal):
+        mask = ideal.trace.mask(horizon)
+        return _fin_by_mask(hits[mask[hits]] if hits.size else hits, horizon)
+    assert isinstance(ideal, ide.ColumnBlockIdeal)
+    support = _support_by_mask(hits, horizon)
+    if hits.size == 0:
+        return PR.NULL, support
+    cols = ide._pair_column_table(horizon)[hits]
+    if _tail_by_mask(hits, horizon).size == 0:
+        return PR.NULL, support
+    head_max = int(cols[hits < horizon // 2].max()) if np.any(hits < horizon // 2) else -1
+    tail_max = int(cols[hits >= horizon // 2].max())
+    return (PR.POSITIVE if tail_max > head_max else PR.INCONCLUSIVE), support
+
+
+_KERNEL_IDEALS = {
+    "fin": FIN,
+    "z": Z,
+    "log": EU,
+    "log(custom)": ide.erdos_ulam(lambda n: 1.0 + (n % 7)),
+    "summable": SUM,
+    # A cutoff the harmonic sums below these horizons can pass, so POSITIVE is reached.
+    "summable(cutoff 2)": ide.summable(cutoff=2.0),
+    "fin-oplus-evens": FO_EVENS,
+    "fin-times-empty": ide.fin_times_empty(),
+}
+# Where the hits lie: every index, the head below H/2, the tail from H/2 on.
+_REGIONS = {"all": lambda h: (0, h), "head": lambda h: (0, h // 2), "tail": lambda h: (h // 2, h)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_KERNEL_IDEALS)),
+    horizon=st.sampled_from([2, 3, 1001, 20000]),
+    region=st.sampled_from(sorted(_REGIONS)),
+    density=st.sampled_from([0.0, 1e-4, 5e-4, 2e-3, 0.05, 0.5, 1.0]),
+    last=st.booleans(),
+    theta=st.sampled_from([ide.DEFAULT_THETA, 0.05, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+@example(name="fin-times-empty", horizon=2, region="all", density=0.0, last=False, theta=1e-3, seed=0)
+@example(name="z", horizon=20000, region="tail", density=1.0, last=True, theta=1e-3, seed=0)
+@example(name="log", horizon=3, region="head", density=1.0, last=True, theta=1e-3, seed=0)
+def test_positivity_kernels_match_the_mask_formulas(name, horizon, region, density, last, theta, seed):
+    # Hits as every caller passes them: ascending, distinct, below the horizon.
+    lo, hi = _REGIONS[region](horizon)
+    picked = np.random.default_rng(seed).random(hi - lo) < density
+    hits = np.flatnonzero(picked) + lo
+    if last:
+        hits = np.union1d(hits, [horizon - 1])
+    ideal = _KERNEL_IDEALS[name]
+    verdict, support = ideal.positivity(hits, horizon, theta)
+    want_verdict, want_support = _positivity_by_mask(ideal, hits, horizon, theta)
+    assert verdict is want_verdict
+    assert support.tolist() == want_support.tolist()
 
 
 def test_trace_positivity_filters():
