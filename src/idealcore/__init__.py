@@ -19,6 +19,7 @@ from .asymptotics import (
     UnsupportedInstanceError,
     cluster_points,
     core,
+    cores,
     ideal_liminf,
     ideal_limsup,
     oracle_core,
@@ -29,6 +30,7 @@ from .constructions import (
     ExperimentReport,
     StabilityReport,
     core_equality_experiment,
+    core_equality_experiments,
     core_stability_check,
     perturb_identity,
     sufficiency_certificate,

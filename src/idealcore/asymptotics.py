@@ -30,12 +30,21 @@ decide cells from the ends of the value range inward (``_scan_end``) and leave
 the cells between undecided; their answers and errors are those of the full
 scan.  ``cluster_points`` and ``cluster_of_values`` decide every cell.  The hits
 of a cell's window are read off the prefix in index order, with no sort of it.
+
+The per-prefix work does not depend on the ideal: a ``_CellTable`` sorts the
+prefix and finds its hit cells once, and reads each decided cell's hits once.
+``cores(x, ideals, cfg)`` reads x's core under several ideals from one table,
+each ideal with its own end scans and estimator, and returns each ideal's
+interval or the exception it raised; ``core`` and ``cluster_of_values`` are
+its one-ideal case, the same code with a table of their own.  No table
+outlives the call that built it.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import groupby
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +67,7 @@ __all__ = [
     "ideal_liminf",
     "limsup_of_values",
     "core",
+    "cores",
     "oracle_core",
     "ideal_lim_check",
 ]
@@ -198,6 +208,55 @@ def _scan_end(decide, cells: list[int], order: range) -> None:
             return
 
 
+class _CellTable:
+    """The hit cells of one value prefix (``_hit_cells``), sorted and gridded
+    once, and the hits of each cell's window once read, for every ideal that
+    decides cells of it: each ideal keeps its own verdicts and witnesses.
+    """
+
+    def __init__(self, values: np.ndarray, bound: float, grid: float):
+        self.values, self.grid = values, grid
+        self.cells, self.lo, self.hi = _hit_cells(np.sort(values), bound, grid)
+        self._hits: list[np.ndarray | None] = [None] * len(self.cells)
+
+    def hits(self, k: int) -> np.ndarray:
+        """The hits of cell k's window in index order, without an argsort of
+        the prefix; read-only, as every ideal reads the same array."""
+        hits = self._hits[k]
+        if hits is None:
+            values = self.values
+            hits = self._hits[k] = np.flatnonzero((values >= self.lo[k]) & (values <= self.hi[k]))
+            hits.setflags(write=False)
+        return hits
+
+    def cluster(self, ideal: Ideal, theta: float, ends: str | None = None) -> ClusterSet:
+        """The cluster set under ``ideal`` (see ``cluster_of_values``)."""
+        values, cells = self.values, self.cells
+        decided: dict[int, tuple[int, str, float, float]] = {}
+
+        def decide(k: int) -> str:
+            if k not in decided:
+                verdict, support = ideal.positivity(self.hits(k), len(values), theta)
+                if verdict is PositivityResult.POSITIVE:
+                    witness = values[support]
+                    decided[k] = (cells[k], "pos", float(witness.min()), float(witness.max()))
+                else:
+                    decided[k] = (cells[k], "inc" if verdict is PositivityResult.INCONCLUSIVE else "null", 0.0, 0.0)
+            return decided[k][1]
+
+        if ends is None:
+            for k in range(len(cells)):
+                decide(k)
+        if ends in ("hi", "both"):
+            _scan_end(decide, cells, range(len(cells) - 1, -1, -1))
+        if ends in ("lo", "both"):
+            _scan_end(decide, cells, range(len(cells)))
+        points, inconclusive = _merge([decided[k] for k in sorted(decided)], self.grid)
+        if not points and not inconclusive:
+            raise InconclusiveCellsError("no cell survived; sequence prefix may be empty")
+        return ClusterSet(points, inconclusive, exact=False)
+
+
 def cluster_of_values(
     values: np.ndarray,
     ideal: Ideal,
@@ -217,32 +276,7 @@ def cluster_of_values(
     values = np.asarray(values, dtype=np.float64)
     if bound is None:
         bound = float(np.max(np.abs(values))) if values.size else 0.0
-    cells, lo, hi = _hit_cells(np.sort(values), bound, cfg.grid)
-    decided: dict[int, tuple[int, str, float, float]] = {}
-
-    def decide(k: int) -> str:
-        if k not in decided:
-            # the hits of the window in index order, without an argsort of the prefix
-            hits = np.flatnonzero((values >= lo[k]) & (values <= hi[k]))
-            verdict, support = ideal.positivity(hits, len(values), cfg.theta)
-            if verdict is PositivityResult.POSITIVE:
-                witness = values[support]
-                decided[k] = (cells[k], "pos", float(witness.min()), float(witness.max()))
-            else:
-                decided[k] = (cells[k], "inc" if verdict is PositivityResult.INCONCLUSIVE else "null", 0.0, 0.0)
-        return decided[k][1]
-
-    if ends is None:
-        for k in range(len(cells)):
-            decide(k)
-    if ends in ("hi", "both"):
-        _scan_end(decide, cells, range(len(cells) - 1, -1, -1))
-    if ends in ("lo", "both"):
-        _scan_end(decide, cells, range(len(cells)))
-    points, inconclusive = _merge([decided[k] for k in sorted(decided)], cfg.grid)
-    if not points and not inconclusive:
-        raise InconclusiveCellsError("no cell survived; sequence prefix may be empty")
-    return ClusterSet(points, inconclusive, exact=False)
+    return _CellTable(values, bound, cfg.grid).cluster(ideal, cfg.theta, ends)
 
 
 _LEVEL_STATUS = {
@@ -349,18 +383,58 @@ def limsup_of_values(
     return _sup_of(cluster_of_values(values, ideal, cfg, bound=bound, ends="hi"))
 
 
+def _core_reader(x: BoundedSequence, cfg: CoreConfig) -> Callable[[Ideal], CoreInterval]:
+    """The function that reads x's core under one ideal.  A value prefix is
+    sorted and gridded here, once, into the ``_CellTable`` that every ideal
+    read by the function shares; it goes with the function."""
+    if x.limit is not None or _finitely_valued(x):
+        method = "mixed"  # unless every level, or the limit, was decided exactly
+
+        def cluster(ideal: Ideal) -> ClusterSet:
+            return cluster_points(x, ideal, cfg)
+
+    else:
+        method, table = "numeric", _CellTable(x.prefix(cfg.horizon), x.bound, cfg.grid)
+
+        def cluster(ideal: Ideal) -> ClusterSet:
+            return table.cluster(ideal, cfg.theta, "both")
+
+    def read(ideal: Ideal) -> CoreInterval:
+        found = cluster(ideal)
+        return CoreInterval(
+            lo=_inf_of(found),
+            hi=_sup_of(found),
+            method="exact" if found.exact else method,
+            horizon=cfg.horizon,
+            grid=cfg.grid,
+            theta=cfg.theta,
+        )
+
+    return read
+
+
 def core(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> CoreInterval:
     """The core interval [ideal liminf, ideal limsup] at the configured truncation."""
-    cfg = cfg or CoreConfig()
-    cluster = cluster_points(x, ideal, cfg, ends="both")
-    return CoreInterval(
-        lo=_inf_of(cluster),
-        hi=_sup_of(cluster),
-        method="exact" if cluster.exact else "mixed" if _finitely_valued(x) else "numeric",
-        horizon=cfg.horizon,
-        grid=cfg.grid,
-        theta=cfg.theta,
-    )
+    return _core_reader(x, cfg or CoreConfig())(ideal)
+
+
+def cores(x: BoundedSequence, ideals, cfg: CoreConfig | None = None) -> list[CoreInterval | Exception]:
+    """``core(x, ideal, cfg)`` for each of ``ideals``, in order: its interval,
+    or the exception it raises, without the frames it was raised through (so
+    a kept exception keeps no sequence or prefix alive).  A value prefix is
+    sorted and gridded once for all the ideals, and each cell's hits are read
+    once; each ideal then decides the cells its end scans reach."""
+    try:
+        read = _core_reader(x, cfg or CoreConfig())
+    except Exception as exc:
+        return [exc.with_traceback(None)] * len(ideals)
+    out: list[CoreInterval | Exception] = []
+    for ideal in ideals:
+        try:
+            out.append(read(ideal))
+        except Exception as exc:
+            out.append(exc.with_traceback(None))
+    return out
 
 
 _ORACLE_HORIZON = 100_000  # prefix for the levels the symbolic analysis leaves open

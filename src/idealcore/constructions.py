@@ -19,15 +19,19 @@
   core(x, I) is.  Every other A·x (under diagonals other than the identity,
   banded matrices, sums, multiples and products, and Cesàro on the rest)
   is a value prefix, read on the grid.
-* ``core_equality_experiment`` measures core deviation across the corpus.
+* ``core_equality_experiments`` measures core deviation across the corpus
+  for several ideal pairs of one matrix, entry by entry: for each corpus
+  entry x, core(x, I) under the distinct I of the live pairs, then one A·x
+  for all of them and core(A·x, J) under their distinct J, and A·x is dropped
+  before the next entry.  ``core_equality_experiment`` is its one-pair case.
   Given a ``regularity.CheckMemo`` it reads core(x, I) and core(A·x, J)
   from the memo and computes each only when missing; A·x is built only for a
-  missing core and dropped as soon as that core is known, so the memo holds
-  intervals, never transformed sequences.  ``harness.run_suite`` passes one
-  memo per matrix over suite-wide cores, so each core(x, I) is computed once
-  per suite and each core(A·x, J) once per matrix.  The identity's A·x is x,
-  so its core(A·x, J) is core(x, J), read from the suite-wide cores: it builds
-  no A·x and decides no level set twice.
+  missing core, so the memo holds intervals, never transformed sequences.
+  ``harness.run_suite`` runs each matrix's pairs in one call, with one memo
+  per matrix over suite-wide cores, so each core(x, I) is computed once per
+  suite, each A·x once per matrix and each core(A·x, J) once per matrix.  The
+  identity's A·x is x, so its core(A·x, J) is core(x, J), read from the
+  suite-wide cores: it builds no A·x and decides no level set twice.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "ExperimentRow",
     "ExperimentReport",
     "core_equality_experiment",
+    "core_equality_experiments",
     "transformed_sequence",
 ]
 
@@ -422,9 +427,52 @@ class ExperimentReport:
         }
 
 
-def _image_core(a: InfiniteMatrix, x: BoundedSequence, ideal: Ideal, cfg: CoreConfig) -> CoreInterval:
-    """core(A·x, J); A·x lives only in this call."""
-    return core(transformed_sequence(a, x, cfg.horizon), ideal, cfg)
+def core_equality_experiments(
+    a: InfiniteMatrix,
+    pairs: list[tuple[Ideal, Ideal]],
+    corpus_entries: list[BoundedSequence],
+    cfg: CoreConfig | None = None,
+    *,
+    memo: CheckMemo | None = None,
+) -> list[ExperimentReport | Exception]:
+    """``core_equality_experiment`` for each ideal pair (I, J), run entry by
+    entry: the report of each pair, or the first exception its cores raised.
+
+    For each corpus entry x, in label order, x's cores are read under the
+    distinct I of the pairs still live, then A·x is built once and its cores
+    are read under the distinct J of the pairs still live after that; A·x is
+    dropped before the next entry.  A pair whose core raised is dropped from
+    later entries, so it computes only the cores its own experiment would,
+    cx before cax.  Cores already in ``memo`` are read from it.
+    """
+    cfg = cfg or CoreConfig()
+    memo = memo or CheckMemo()
+    rows: list[list[ExperimentRow]] = [[] for _ in pairs]
+    failed: list[Exception | None] = [None] * len(pairs)
+    for x in sorted(corpus_entries, key=lambda s: s.label):
+        live = [p for p, exc in enumerate(failed) if exc is None]
+        cxs = memo.cores_of(x, [pairs[p][0] for p in live], cfg)
+        for p, cx in zip(live, cxs):
+            if isinstance(cx, Exception):
+                failed[p] = cx
+        live_cx = [(p, cx) for p, cx in zip(live, cxs) if failed[p] is None]
+        if not live_cx:
+            continue
+        caxs = memo.image_cores(
+            a, x, [pairs[p][1] for p, _ in live_cx], cfg, lambda: transformed_sequence(a, x, cfg.horizon)
+        )
+        for (p, cx), cax in zip(live_cx, caxs):
+            if isinstance(cax, Exception):
+                failed[p] = cax
+            else:
+                deviation = max(abs(cx.lo - cax.lo), abs(cx.hi - cax.hi))
+                rows[p].append(ExperimentRow(x.label, cx, cax, deviation))
+    return [exc if exc is not None else _report(r) for exc, r in zip(failed, rows)]
+
+
+def _report(rows: list[ExperimentRow]) -> ExperimentReport:
+    worst = max(rows, key=lambda r: r.deviation)
+    return ExperimentReport(tuple(rows), worst.deviation, worst.label)
 
 
 def core_equality_experiment(
@@ -439,15 +487,10 @@ def core_equality_experiment(
     """Compare core(x, I) against core(A x, J) across the corpus.
 
     Rows are ordered by corpus label; the summary flags the largest endpoint
-    deviation.  Cores already in ``memo`` are read from it.
+    deviation.  Cores already in ``memo`` are read from it.  The one-pair case
+    of ``core_equality_experiments``; raises the first exception of its cores.
     """
-    cfg = cfg or CoreConfig()
-    memo = memo or CheckMemo()
-    rows: list[ExperimentRow] = []
-    for x in sorted(corpus_entries, key=lambda s: s.label):
-        cx = memo.core(x, ideal_i, cfg)
-        cax = memo.image_core(a, x, ideal_j, cfg, lambda: _image_core(a, x, ideal_j, cfg))
-        deviation = max(abs(cx.lo - cax.lo), abs(cx.hi - cax.hi))
-        rows.append(ExperimentRow(x.label, cx, cax, deviation))
-    worst = max(rows, key=lambda r: r.deviation)
-    return ExperimentReport(tuple(rows), worst.deviation, worst.label)
+    (report,) = core_equality_experiments(a, [(ideal_i, ideal_j)], corpus_entries, cfg, memo=memo)
+    if isinstance(report, Exception):
+        raise report
+    return report

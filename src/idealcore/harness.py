@@ -6,14 +6,19 @@ and each default test family is built once per (ideal, seed).  A matrix is
 parsed once for its group of items (its ideal pairs times its theorems and
 experiment).  Shared results live in a ``regularity.CheckMemo``: each
 core(x, I) of a corpus entry once per suite, and, within a group, the
-Silverman–Toeplitz verdict of each pair, the Allen verdict, each family
+Silverman–Toeplitz verdict of each pair, the Allen verdict and each family
 condition (the row sums over one family set judged under J: T3, A3, C2 and
 L2, so the C2 and L2 of a nonnegative matrix and its (Fin, Fin) A3 are one
-computation) and each core(A·x, J) once.  When the group ends the matrix goes,
-with every row and CSR cached on it and its memo entries.  Each item's entry in
-``ReportBundle.timings`` is its wall time, so the first item of a group
-carries the matrix parse, and the first item to need a shared result carries
-its cost.  An item that raises ``InconclusiveCellsError`` (an experiment
+computation).  The group's first experiment item runs the experiments of all
+its pairs entry by entry (``constructions.core_equality_experiments``): for
+each corpus entry x, one A·x serves every J, at most one A·x is alive at a
+time, and each value prefix is gridded once for all the ideals that read it;
+each experiment item then reports its own pair's outcome.  When the group ends
+the matrix goes, with every row and CSR cached on it and its memo entries.
+Each item's entry in ``ReportBundle.timings`` is its wall time, so the first
+item of a group carries the matrix parse, and the first item to need a shared
+result carries its cost: the first experiment item carries every pair's
+experiment.  An item that raises ``InconclusiveCellsError`` (an experiment
 whose cores the estimators cannot decide) is ``inconclusive``, with the
 estimator's message.  Written reports embed the fully resolved configuration
 and contain no timestamps, making identical configs produce byte-identical
@@ -36,7 +41,7 @@ from . import ideals as ide
 from . import sequences as seq
 from . import sets as sd
 from .asymptotics import InconclusiveCellsError
-from .constructions import core_equality_experiment
+from .constructions import core_equality_experiments
 from .records import record
 from .regularity import CHECKS, CheckMemo
 from .specs import ConfigError, ExperimentConfig, parse_ideal, parse_matrix
@@ -94,6 +99,29 @@ def _parse_once(cache: dict, parse, spec):
     return cache[key]
 
 
+def _parsed_pairs(config: ExperimentConfig, parsed: dict) -> dict[int, tuple]:
+    """The ideal pairs of the suite by position, parsed; a pair whose spec
+    fails to parse is left out, and its items report that failure."""
+    pairs = {}
+    for p, (ispec, jspec) in enumerate(config.ideal_pairs):
+        try:
+            pairs[p] = (_parse_once(parsed, parse_ideal, ispec), _parse_once(parsed, parse_ideal, jspec))
+        except Exception:
+            continue
+    return pairs
+
+
+def _fail(payload: dict, exc: Exception) -> None:
+    """Record an item's exception: ``inconclusive`` with the message of an
+    ``InconclusiveCellsError``, ``error`` otherwise."""
+    if isinstance(exc, InconclusiveCellsError):
+        payload["status"] = "inconclusive"
+        payload["message"] = f"{type(exc).__name__}: {exc}"
+    else:
+        payload["status"] = "error"
+        payload["error"] = f"{type(exc).__name__}: {exc}"
+
+
 def _run_group(
     mspec,
     config: ExperimentConfig,
@@ -106,14 +134,16 @@ def _run_group(
 
     The first item parses the matrix; the group's items share it and ``memo``,
     and both go, with every row and CSR cached on the matrix, when the group
-    returns.  ``parsed`` holds the suite's ideals and corpus.
+    returns.  The first experiment item runs the experiments of every pair,
+    entry by entry (``core_equality_experiments``), and each experiment item
+    reports its pair's outcome.  ``parsed`` holds the suite's ideals and corpus.
     """
     cfg = config.check_config()
     kinds = [("check", theorem) for theorem in config.theorems]
     if config.core_equality:
         kinds.append(("experiment", ""))
-    a = None
-    for ispec, jspec in config.ideal_pairs:
+    a = experiments = None
+    for p, (ispec, jspec) in enumerate(config.ideal_pairs):
         for kind, theorem in kinds:
             i = len(results)
             t0 = time.perf_counter()
@@ -135,18 +165,21 @@ def _run_group(
                     payload["status"] = verdict.status.value
                     payload["verdict"] = verdict.to_dict()
                 else:
-                    corpus_entries = _parse_once(parsed, _select_corpus, config.corpus_labels)
-                    report = core_equality_experiment(
-                        a, ideal_i, ideal_j, corpus_entries, config.core_config(), memo=memo
-                    )
-                    payload["status"] = "satisfied" if report.max_deviation <= config.tol else "violated"
-                    payload["experiment"] = report.to_dict()
-            except InconclusiveCellsError as exc:
-                payload["status"] = "inconclusive"
-                payload["message"] = f"{type(exc).__name__}: {exc}"
+                    if experiments is None:
+                        pairs = _parsed_pairs(config, parsed)
+                        corpus_entries = _parse_once(parsed, _select_corpus, config.corpus_labels)
+                        reports = core_equality_experiments(
+                            a, list(pairs.values()), corpus_entries, config.core_config(), memo=memo
+                        )
+                        experiments = dict(zip(pairs, reports))
+                    report = experiments[p]
+                    if isinstance(report, Exception):
+                        _fail(payload, report)
+                    else:
+                        payload["status"] = "satisfied" if report.max_deviation <= config.tol else "violated"
+                        payload["experiment"] = report.to_dict()
             except Exception as exc:  # collected per item, never aborts the suite
-                payload["status"] = "error"
-                payload["error"] = f"{type(exc).__name__}: {exc}"
+                _fail(payload, exc)
             results.append(payload)
             timings.append((f"item{i}", time.perf_counter() - t0))
 

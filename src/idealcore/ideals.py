@@ -175,7 +175,10 @@ def _with_totals(w: np.ndarray) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=4)
+_KEPT_TABLES = 4  # weight tables kept per weight sequence, one per horizon
+
+
+@lru_cache(maxsize=_KEPT_TABLES)
 def _harmonic_weights(horizon: int) -> np.ndarray:
     """``_with_totals`` of the weights 1/(n+1) below the horizon."""
     return _with_totals(1.0 / (np.arange(horizon, dtype=np.float64) + 1.0))
@@ -309,16 +312,27 @@ class _WeightedIdeal(Ideal):
             self.weight_fn, self.weights = None, preset
         else:
             raise ValueError(f"weights must be {preset!r} or a callable")
+        self._tables: dict[int, np.ndarray] = {}  # a custom weight table per horizon
         super().__init__(f"{label}({self.weights})")
 
     def _weight_table(self, horizon: int) -> np.ndarray:
-        """The weights below the horizon and their running totals (``_with_totals``)."""
+        """The weights below the horizon and their running totals (``_with_totals``).
+
+        A custom callable is evaluated once per index and horizon: the ideal
+        keeps the tables of ``_KEPT_TABLES`` horizons, dropping the oldest
+        first, as ``_harmonic_weights`` keeps the preset's.  A prefix with a
+        weight that is not positive raises each time and is not kept."""
         if self.weight_fn is None:
             return _harmonic_weights(horizon)
-        w = np.fromiter((self.weight_fn(n) for n in range(horizon)), dtype=np.float64, count=horizon)
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        return _with_totals(w)
+        table = self._tables.get(horizon)
+        if table is None:
+            w = np.fromiter((self.weight_fn(n) for n in range(horizon)), dtype=np.float64, count=horizon)
+            if np.any(w <= 0):
+                raise ValueError("weights must be positive")
+            if len(self._tables) >= _KEPT_TABLES:
+                del self._tables[next(iter(self._tables))]
+            table = self._tables[horizon] = _with_totals(w)
+        return table
 
 
 class ErdosUlamIdeal(_WeightedIdeal):

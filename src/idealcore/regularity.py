@@ -49,7 +49,7 @@ from .asymptotics import (
     CoreConfig,
     CoreInterval,
     InconclusiveCellsError,
-    core,
+    cores,
     ideal_lim_check,
     limsup_of_values,
 )
@@ -265,12 +265,15 @@ class CheckMemo:
     Silverman–Toeplitz and Allen verdicts per (matrix, ideals, family,
     config), the family conditions per (judge, matrix, absoluteness, J,
     config, target), as a table by family set (see ``_family_conditions``),
-    and the core of A·x per (matrix, x, ideal, config).  Keys hold the matrix, the sets and the
-    sequence themselves, so a memo keeps them alive:
+    and the core of A·x per (matrix, x, ideal, config).  Keys hold the matrix,
+    the sets and the sequence themselves, so a memo keeps them alive:
     ``harness.run_suite`` gives each matrix its own memo over one suite-wide
     ``families`` and ``cores``.  A caller without a memo makes a fresh one,
-    so a direct call computes everything itself.  A result that raises is not
-    kept.
+    so a direct call computes everything itself.  Cores are read for several
+    ideals at once (``cores_of``, ``image_cores``): the missing ones come from
+    one ``asymptotics.cores`` call, so a value prefix is gridded once for all
+    of them.  The memo keeps intervals only, never a sequence built for a core
+    or a cell table; a result that raises is returned, not kept.
     """
 
     def __init__(self, families: dict | None = None, cores: dict | None = None):
@@ -284,36 +287,58 @@ class CheckMemo:
             self.families[key] = default_family(ideal, seed)
         return self.families[key]
 
-    def core(self, x: BoundedSequence, ideal: Ideal, cfg: CoreConfig) -> CoreInterval:
-        key = (x, _ideal_key(ideal), cfg)
-        if key not in self.cores:
-            self.cores[key] = core(x, ideal, cfg)
-        return self.cores[key]
-
-    def result(
-        self, key: tuple, compute: Callable[[], Verdict | CoreInterval | dict]
-    ) -> Verdict | CoreInterval | dict:
+    def result(self, key: tuple, compute: Callable[[], Verdict | dict]) -> Verdict | dict:
         result = self.results.get(key)
         if result is None:
             result = self.results[key] = compute()
         return result
 
-    def image_core(
+    def cores_of(self, x: BoundedSequence, ideals: list[Ideal], cfg: CoreConfig) -> list[CoreInterval | Exception]:
+        """x's core under each of ``ideals``, or the exception it raised, from
+        the suite-wide ``cores`` where kept."""
+        keys = [(x, _ideal_key(ideal), cfg) for ideal in ideals]
+        return self._read(self.cores, keys, ideals, lambda: x, cfg)
+
+    def image_cores(
         self,
         a: InfiniteMatrix,
         x: BoundedSequence,
-        ideal: Ideal,
+        ideals: list[Ideal],
         cfg: CoreConfig,
-        compute: Callable[[], CoreInterval],
-    ) -> CoreInterval:
-        """The core of A·x under ``ideal``, from ``compute()``.  Keyed by x, not
-        by A·x, so A·x is built only when the core is computed and is never kept.
-        Where A selects rows by the identity map, A·x is x bit for bit, so its
-        core is read from the suite-wide ``cores`` and no A·x is built."""
+        build: Callable[[], BoundedSequence],
+    ) -> list[CoreInterval | Exception]:
+        """The core of A·x under each of ``ideals``, or the exception it raised.
+        Keyed by x, not by A·x, so A·x is built by ``build()`` only when a core
+        is missing, once for all of them, and is never kept.  Where A selects
+        rows by the identity map, A·x is x bit for bit, so its cores are read
+        from the suite-wide ``cores`` and no A·x is built."""
         h = a.row_selection()
         if h is not None and h.affine == (1, 0):
-            return self.core(x, ideal, cfg)
-        return self.result(("core", a, x, _ideal_key(ideal), cfg), compute)
+            return self.cores_of(x, ideals, cfg)
+        keys = [("core", a, x, _ideal_key(ideal), cfg) for ideal in ideals]
+        return self._read(self.results, keys, ideals, build, cfg)
+
+    @staticmethod
+    def _read(table: dict, keys: list, ideals: list[Ideal], sequence, cfg: CoreConfig) -> list:
+        """The core under each ideal from ``table`` where kept; the missing
+        ones from one ``asymptotics.cores`` call on ``sequence()`` over their
+        distinct keys.  Intervals are kept, exceptions only returned."""
+        missing: dict = {}
+        for key, ideal in zip(keys, ideals):
+            if key not in table:
+                missing.setdefault(key, ideal)
+        raised = {}
+        if missing:
+            try:
+                found = cores(sequence(), list(missing.values()), cfg)
+            except Exception as exc:  # ``sequence()`` raised
+                found = [exc.with_traceback(None)] * len(missing)
+            for key, outcome in zip(missing, found):
+                if isinstance(outcome, Exception):
+                    raised[key] = outcome
+                else:
+                    table[key] = outcome
+        return [raised[key] if key in raised else table[key] for key in keys]
 
 
 def _resolve_family(family: TestFamily | None, ideal: Ideal, seed: int, memo: CheckMemo) -> TestFamily:

@@ -443,3 +443,62 @@ def test_end_scans_decide_few_cells():
     fin = _CountingFin()
     assert asy.limsup_of_values(np.tile([0.505, -0.505], 500), fin, cfg) == 0.505
     assert len(fin.calls) == 1
+
+
+def _core_outcome(thunk):
+    """``thunk()``, or the type, message and cells of the exception it raises."""
+    try:
+        return thunk()
+    except Exception as exc:  # every outcome is compared
+        return (type(exc), str(exc), getattr(exc, "cells", None))
+
+
+def _kept_outcome(result):
+    """An outcome of ``cores`` in the form ``_core_outcome`` gives."""
+    if isinstance(result, Exception):
+        return (type(result), str(result), getattr(result, "cells", None))
+    return result
+
+
+_ENTRIES = [*seq.corpus(), *(_strip_levels(x) for x in seq.corpus())]
+
+
+@st.composite
+def _sequences(draw):
+    """A corpus entry, its copy with the structure hidden, or a sequence
+    without structure that repeats a drawn value prefix."""
+    if draw(st.booleans()):
+        return _ENTRIES[draw(st.integers(0, len(_ENTRIES) - 1))]
+    values, grid = draw(_GRIDDED_PREFIXES)
+    prefix = np.resize(values, 4000) if values.size else np.zeros(4000)
+    bound = float(np.max(np.abs(prefix))) + grid
+    return seq.BoundedSequence(lambda n: float(prefix[n]), bound, "drawn", rule=lambda h: prefix[:h])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _sequences(),
+    st.lists(st.sampled_from(_CATALOG), min_size=1, max_size=8),
+    st.sampled_from([(1000, 0.01), (1000, 0.1), (4000, 0.05)]),
+    st.sampled_from([1e-3, 0.05]),
+)
+def test_batched_cores_match_each_core(x, ideals, truncation, theta):
+    """``cores`` gives, ideal by ideal, what ``core`` gives alone: the same
+    interval, or the same exception with the same message and cells."""
+    horizon, grid = truncation
+    cfg = asy.CoreConfig(horizon=horizon, grid=grid, theta=theta)
+    alone = [_core_outcome(lambda: asy.core(x, ideal, cfg)) for ideal in ideals]
+    assert [_kept_outcome(r) for r in asy.cores(x, ideals, cfg)] == alone
+
+
+def test_batched_cores_report_inconclusive_cells():
+    # The band of test_inconclusive_cells_propagate: Z leaves its top cell
+    # undecided, so its core raises, and Fin's does not.
+    band = sd.Predicate(lambda n: n % 3000 == 0, name="band")
+    x = seq.BoundedSequence(seq.indicator(band).fn, 1.0, "band")
+    fin_core, z_error = asy.cores(x, [FIN, Z], CFG)
+    assert fin_core == asy.core(x, FIN, CFG)
+    assert isinstance(z_error, asy.InconclusiveCellsError) and z_error.__traceback__ is None
+    with pytest.raises(asy.InconclusiveCellsError) as alone:
+        asy.core(x, Z, CFG)
+    assert (str(z_error), z_error.cells) == (str(alone.value), alone.value.cells) != (str(alone.value), ())

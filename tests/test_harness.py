@@ -527,30 +527,33 @@ _EXPERIMENT_SUITE = {
 
 def test_a_suite_computes_each_core_once(monkeypatch):
     core_calls, transform_calls = [], []
-    core = regularity.core
+    cores = regularity.cores
     transformed = constructions.transformed_sequence
 
-    def counting_core(x, ideal, cfg):
-        core_calls.append((x.label, ideal.label))
-        return core(x, ideal, cfg)
+    def counting_cores(x, ideals, cfg):
+        core_calls.extend((x.label, ideal.label) for ideal in ideals)
+        return cores(x, ideals, cfg)
 
     def counting_transform(a, x, horizon):
         transform_calls.append((a.label, x.label, horizon))
         return transformed(a, x, horizon)
 
-    monkeypatch.setattr(regularity, "core", counting_core)
+    monkeypatch.setattr(regularity, "cores", counting_cores)
     monkeypatch.setattr(constructions, "transformed_sequence", counting_transform)
     bundle = harness.run_suite(specs.parse_experiment_config(_EXPERIMENT_SUITE))
     assert {i["status"] for i in bundle.items} <= {"satisfied", "violated"}
     labels = [x.label for x in sequences.corpus()]
+    x_calls = [call for call in core_calls if call[0] in labels]
+    image_calls = [call for call in core_calls if call[0] not in labels]
     # core(x, I) once per (corpus entry, I) for the whole suite: I is Fin, Fin ⊕ P(evens) or log.
-    assert len(core_calls) == len(set(core_calls)) == 3 * len(labels)
-    # One A·x per (matrix, entry, J), J being Fin or log, for the rk and Cesàro matrices:
-    # the (fin-oplus-evens, fin) and ({"type": "fin"}, fin) items read the Fin cores of the
-    # (fin, fin) item.  The identity reads core(x, J) from the suite's cores and builds no A·x.
+    assert len(x_calls) == len(set(x_calls)) == 3 * len(labels)
+    # core(A·x, J) once per (matrix, entry, J), J being Fin or log, for the rk and Cesàro
+    # matrices, whose experiments run entry by entry: one A·x per (matrix, entry) serves
+    # every pair.  The identity reads core(x, J) from the suite's cores and builds no A·x.
+    assert len(image_calls) == len(set(image_calls)) == 2 * 2 * len(labels)
     per_row = collections.Counter(transform_calls)
     assert len(per_row) == (len(_EXPERIMENT_SUITE["matrices"]) - 1) * len(labels)
-    assert set(per_row.values()) == {2}
+    assert set(per_row.values()) == {1}
 
     # A direct call has no memo to read from and computes every core itself.
     a, fin = specs.parse_matrix("cesaro"), specs.parse_ideal("fin")
@@ -559,7 +562,46 @@ def test_a_suite_computes_each_core_once(monkeypatch):
     transform_calls.clear()
     for _ in range(2):
         constructions.core_equality_experiment(a, fin, fin, corpus, cfg)
-    assert len(core_calls) == len(transform_calls) == 2 * len(labels)
+    assert len(core_calls) == 2 * len(transform_calls) == 4 * len(labels)
+
+
+# The benchmark's experiments suite: three matrices, five pairs, the whole corpus.
+_ENTRY_BY_ENTRY_SUITE = {
+    "matrices": [
+        "identity",
+        {"type": "rk", "map": {"type": "enumeration", "set": {"type": "arithmetic_progression", "offset": 0, "step": 2}}},
+        "cesaro",
+    ],
+    "ideal_pairs": [
+        ["fin", "fin"],
+        ["z", "z"],
+        ["erdos-ulam-log", "erdos-ulam-log"],
+        ["fin-oplus-evens", "fin"],
+        ["fin-times-empty", "fin-times-empty"],
+    ],
+    "theorems": [],
+    "core_equality": True,
+    "cfg": {"check_horizon": 20000, "core_horizon": 20000, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
+}
+
+
+def test_experiments_share_each_image_and_cell_table(monkeypatch):
+    """Run entry by entry, a matrix's experiments build one A·x per corpus
+    entry for all its pairs, and the cores of one value prefix under several
+    ideals share one cell table."""
+    counts = collections.Counter()
+    for module, name in [(constructions, "transformed_sequence"), (asymptotics, "_hit_cells")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _name=name, _f=original: counts.update([_name]) or _f(*args)
+        )
+    bundle = harness.run_suite(specs.parse_experiment_config(_ENTRY_BY_ENTRY_SUITE))
+    statuses = collections.Counter(item["status"] for item in bundle.items)
+    assert statuses == {"violated": 9, "satisfied": 5, "inconclusive": 1}
+    # 2 matrices that build A·x (rk and Cesàro) times 9 entries, against 67 with
+    # one A·x per (matrix, entry, J); 5 value prefixes (rotation_golden, its rk
+    # image and 3 Cesàro images) against 19 with one table per (prefix, ideal).
+    assert counts == {"transformed_sequence": 18, "_hit_cells": 5}
 
 
 _BANDED = {"type": "banded", "rows": [[[0, 0.5], [1, 0.5]], [[1, 1.0]], [[0, 0.25], [2, 0.75]]], "tail": "identity"}

@@ -492,6 +492,47 @@ def test_custom_weight_sequences():
         ide.membership(sd.Predicate(lambda n: n % 2 == 0), bad)
 
 
+@pytest.mark.parametrize("make", [ide.erdos_ulam, lambda fn: ide.summable(fn, cutoff=3.0)])
+def test_custom_weight_tables_are_built_once_per_horizon(make):
+    calls = []
+
+    def weight(n):
+        calls.append(n)
+        return 1.0 + (n % 7) / (n + 1)
+
+    ideal = make(weight)
+    horizon, theta = 20_000, 1e-3
+    expected = ide._with_totals(np.array([1.0 + (n % 7) / (n + 1) for n in range(horizon)]))
+    rng = np.random.default_rng(0)
+    for density in (0.0, 0.001, 0.1, 0.5):
+        hits = np.flatnonzero(rng.random(horizon) < density)
+        got = ideal.positivity(hits, horizon, theta)
+        if ideal.kind == "erdos_ulam":
+            want = ide._density_positivity(hits, horizon, theta, lambda h: expected)
+        else:
+            total = float(np.sum(expected[0][hits]))
+            want = (PR.NULL if hits.size == 0 else PR.POSITIVE if total > 3.0 else PR.INCONCLUSIVE,)
+        assert got[0] is want[0]
+        assert np.array_equal(got[1], ide._support(hits, horizon))
+    # the weight function ran once per index of the one horizon, and the table is bit-identical
+    assert len(calls) == horizon
+    table = ideal._weight_table(horizon)
+    assert table.tobytes() == expected.tobytes() and not table.flags.writeable
+    # the ideal keeps a bounded number of tables; a dropped horizon is rebuilt
+    for h in range(100, 100 + 2 * ide._KEPT_TABLES):
+        ideal._weight_table(h)
+    assert len(ideal._tables) == ide._KEPT_TABLES
+    calls.clear()
+    assert ideal._weight_table(horizon).tobytes() == expected.tobytes()
+    assert len(calls) == horizon
+    # a weight that is not positive raises on every call
+    bad = make(lambda n: -1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive"):
+            bad._weight_table(100)
+    assert bad._tables == {}
+
+
 def test_ideal_json_roundtrip():
     catalog = [FIN, Z, EU, SUM, FO_EVENS, ide.fin_times_empty()]
     for ideal in catalog + [ide.countably_generated([]), ide.countably_generated([ODDS])]:
