@@ -418,7 +418,7 @@ def core(x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None) -> Cor
     return _core_reader(x, cfg or CoreConfig())(ideal)
 
 
-def cores(x: BoundedSequence, ideals, cfg: CoreConfig | None = None) -> list[CoreInterval | Exception]:
+def cores(x: BoundedSequence, ideals: list[Ideal], cfg: CoreConfig | None = None) -> list[CoreInterval | Exception]:
     """``core(x, ideal, cfg)`` for each of ``ideals``, in order: its interval,
     or the exception it raises, without the frames it was raised through (so
     a kept exception keeps no sequence or prefix alive).  A value prefix is

@@ -319,7 +319,9 @@ class CheckMemo:
         return self._read(self.results, keys, ideals, build, cfg)
 
     @staticmethod
-    def _read(table: dict, keys: list, ideals: list[Ideal], sequence, cfg: CoreConfig) -> list:
+    def _read(
+        table: dict, keys: list, ideals: list[Ideal], sequence: Callable[[], BoundedSequence], cfg: CoreConfig
+    ) -> list[CoreInterval | Exception]:
         """The core under each ideal from ``table`` where kept; the missing
         ones from one ``asymptotics.cores`` call on ``sequence()`` over their
         distinct keys.  Intervals are kept, exceptions only returned."""

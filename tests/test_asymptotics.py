@@ -491,6 +491,15 @@ def test_batched_cores_match_each_core(x, ideals, truncation, theta):
     assert [_kept_outcome(r) for r in asy.cores(x, ideals, cfg)] == alone
 
 
+@pytest.mark.parametrize("x", _ENTRIES, ids=lambda x: x.label)
+def test_batched_cores_match_each_core_on_the_corpus(x):
+    """Every corpus entry and its copy with the structure hidden, under the
+    whole catalog at once."""
+    cfg = asy.CoreConfig(horizon=2000, grid=0.01, theta=0.05)
+    alone = [_core_outcome(lambda: asy.core(x, ideal, cfg)) for ideal in _CATALOG]
+    assert [_kept_outcome(r) for r in asy.cores(x, _CATALOG, cfg)] == alone
+
+
 def test_batched_cores_report_inconclusive_cells():
     # The band of test_inconclusive_cells_propagate: Z leaves its top cell
     # undecided, so its core raises, and Fin's does not.

@@ -569,7 +569,10 @@ def test_a_suite_computes_each_core_once(monkeypatch):
 _ENTRY_BY_ENTRY_SUITE = {
     "matrices": [
         "identity",
-        {"type": "rk", "map": {"type": "enumeration", "set": {"type": "arithmetic_progression", "offset": 0, "step": 2}}},
+        {
+            "type": "rk",
+            "map": {"type": "enumeration", "set": {"type": "arithmetic_progression", "offset": 0, "step": 2}},
+        },
         "cesaro",
     ],
     "ideal_pairs": [
@@ -589,12 +592,20 @@ def test_experiments_share_each_image_and_cell_table(monkeypatch):
     """Run entry by entry, a matrix's experiments build one A·x per corpus
     entry for all its pairs, and the cores of one value prefix under several
     ideals share one cell table."""
-    counts = collections.Counter()
+    counts, z_images = collections.Counter(), []
     for module, name in [(constructions, "transformed_sequence"), (asymptotics, "_hit_cells")]:
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, _name=name, _f=original: counts.update([_name]) or _f(*args)
         )
+    cores = regularity.cores
+
+    def watched_cores(x, ideals, cfg):
+        if x.label.startswith("Cesaro["):
+            z_images.extend(x.label for ideal in ideals if ideal.kind == "density_zero")
+        return cores(x, ideals, cfg)
+
+    monkeypatch.setattr(regularity, "cores", watched_cores)
     bundle = harness.run_suite(specs.parse_experiment_config(_ENTRY_BY_ENTRY_SUITE))
     statuses = collections.Counter(item["status"] for item in bundle.items)
     assert statuses == {"violated": 9, "satisfied": 5, "inconclusive": 1}
@@ -602,6 +613,10 @@ def test_experiments_share_each_image_and_cell_table(monkeypatch):
     # one A·x per (matrix, entry, J); 5 value prefixes (rotation_golden, its rk
     # image and 3 Cesàro images) against 19 with one table per (prefix, ideal).
     assert counts == {"transformed_sequence": 18, "_hit_cells": 5}
+    # Cesàro's (z, z) pair raises at indicator_blocks, the fourth entry by label,
+    # and reads no Z-core of a later entry's image.
+    labels = sorted(x.label for x in sequences.corpus())
+    assert z_images == [f"Cesaro[{label}]" for label in labels[: labels.index("indicator_blocks") + 1]]
 
 
 _BANDED = {"type": "banded", "rows": [[[0, 0.5], [1, 0.5]], [[1, 1.0]], [[0, 0.25], [2, 0.75]]], "tail": "identity"}
