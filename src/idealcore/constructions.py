@@ -24,13 +24,14 @@
   entry x, core(x, I) under the distinct I of the live pairs, then one A·x
   for all of them and core(A·x, J) under their distinct J, and A·x is dropped
   before the next entry.  ``core_equality_experiment`` is its one-pair case.
-  Given a ``regularity.CheckMemo`` it reads core(x, I) and core(A·x, J)
-  from the memo and computes each only when missing; A·x is built only for a
-  missing core, so the memo holds intervals, never transformed sequences.
-  ``harness.run_suite`` runs each matrix's pairs in one call, with one memo
-  per matrix over suite-wide cores, so each core(x, I) is computed once per
-  suite, each A·x once per matrix and each core(A·x, J) once per matrix.  The
-  identity's A·x is x, so its core(A·x, J) is core(x, J), read from the
+  Given a ``regularity.CheckMemo`` it reads core(x, I) from the memo's
+  suite-wide cores and computes it only when missing.  A call visits each
+  (entry, J) once, so core(A·x, J) is computed once per (matrix, entry, J)
+  and is not kept: the memo holds the intervals of corpus entries, never a
+  transformed sequence or its cores.  ``harness.run_suite`` runs each
+  matrix's pairs in one call, with one memo per matrix over suite-wide cores,
+  so each core(x, I) is computed once per suite and each A·x once per matrix.
+  The identity's A·x is x, so its core(A·x, J) is core(x, J), read from the
   suite-wide cores: it builds no A·x and decides no level set twice.
 """
 

@@ -4,16 +4,17 @@ Suite items run one after another in declaration order, matrix by matrix.
 Each ideal spec is parsed once per suite, the corpus is built once per suite,
 and each default test family is built once per (ideal, seed).  A matrix is
 parsed once for its group of items (its ideal pairs times its theorems and
-experiment).  Shared results live in a ``regularity.CheckMemo``: each
-core(x, I) of a corpus entry once per suite, and, within a group, the
-Silverman–Toeplitz verdict of each pair, the Allen verdict and each family
-condition (the row sums over one family set judged under J: T3, A3, C2 and
-L2, so the C2 and L2 of a nonnegative matrix and its (Fin, Fin) A3 are one
-computation).  The group's first experiment item runs the experiments of all
-its pairs entry by entry (``constructions.core_equality_experiments``): for
-each corpus entry x, one A·x serves every J, at most one A·x is alive at a
-time, and each value prefix is gridded once for all the ideals that read it;
-each experiment item then reports its own pair's outcome.  When the group ends
+experiment).  Shared results live in a ``regularity.CheckMemo``, keyed by
+values (``"z"`` and ``"density_zero"`` are one ideal): each core(x, I) of a
+corpus entry once per suite, and, within a group, the Silverman–Toeplitz
+verdict of each pair, the Allen verdict and each family condition (the row
+sums over one family set judged under J: T3, A3, C2 and L2, so the C2 and L2
+of a nonnegative matrix and its (Fin, Fin) A3 are one computation).  The
+group's first experiment item runs the experiments of all its pairs entry by
+entry (``constructions.core_equality_experiments``): for each corpus entry x,
+one A·x serves every J, at most one A·x is alive at a time, each value prefix
+is gridded once, and each core(A·x, J) is computed once and not kept; each
+experiment item then reports its own pair's outcome.  When the group ends
 the matrix goes, with every row and CSR cached on it and its memo entries.
 Each item's entry in ``ReportBundle.timings`` is its wall time, so the first
 item of a group carries the matrix parse, and the first item to need a shared

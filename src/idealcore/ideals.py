@@ -188,9 +188,20 @@ class Ideal:
     """Base class for catalog ideals."""
 
     kind: str = "abstract"
+    # Ideals are values: equal, and hash equal, when of the same class and
+    # equal in these attributes, however they were built, spelled or parsed.
+    _defined_by: tuple[str, ...] = ()
 
     def __init__(self, label: str):
         self.label = label
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, name) == getattr(other, name) for name in self._defined_by)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.__class__, *(getattr(self, name) for name in self._defined_by)))
 
     def decide_in(self, s: SetDescription) -> bool | None:
         """Exact tri-state decision of ``S ∈ I``; ``None`` when underivable."""
@@ -303,7 +314,10 @@ class DensityZeroIdeal(Ideal):
 
 class _WeightedIdeal(Ideal):
     """An ideal defined by a weight sequence: the named preset (weights 1/(n+1))
-    or a custom callable, whose evaluated prefix must be positive."""
+    or a custom callable, whose evaluated prefix must be positive.  Two custom
+    weights are equal iff they are the same callable."""
+
+    _defined_by = ("weights", "weight_fn")
 
     def __init__(self, label: str, weights: str | Callable[[int], float], preset: str):
         if callable(weights):
@@ -382,10 +396,13 @@ class SummableIdeal(_WeightedIdeal):
     """
 
     kind = "summable"
+    _defined_by = ("weights", "weight_fn", "cutoff")
 
     def __init__(self, weights: str | Callable[[int], float] = "harmonic", cutoff: float = SUMMABLE_CUTOFF):
         super().__init__("Summable", weights, "harmonic")
         self.cutoff = float(cutoff)
+        if not self.cutoff > 0:
+            raise ValueError(f"cutoff must be positive, got {cutoff!r}")
 
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
@@ -423,6 +440,7 @@ class TraceFinIdeal(Ideal):
     when T is cofinite); ``countably_generated`` builds one from its generators."""
 
     kind = "fin_oplus_full"
+    _defined_by = ("trace",)
 
     def __init__(self, trace: SetDescription):
         if trace.cardinality() is not Cardinality.INFINITE:

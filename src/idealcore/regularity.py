@@ -30,15 +30,15 @@ judged under J).  A condition is judged once per matrix, set, J and config
 and handed to each checker under its own name, so CFO's C2 and Leo's L2 of a
 nonnegative matrix, whose absolute row sums are its row sums, are one
 computation, and Allen's A3 is Leo's L2 under (Fin, Fin).  The core equality
-experiment shares its cores through the same memo.  A memo changes no result;
-a caller without one makes its own.
+experiments read corpus entries' cores through the same memo.  Memo keys are
+values, ideals included.  A memo changes no result; a caller without one
+makes its own.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
-import json
 import random
 from typing import Callable
 
@@ -59,7 +59,6 @@ from .ideals import (
     Ideal,
     MembershipResult,
     decide_membership,
-    ideal_to_dict,
     membership,
 )
 from .matrices import InfiniteMatrix, SumStructure, find_negative_entry
@@ -247,33 +246,22 @@ def default_family(ideal: Ideal, seed: int = 0) -> TestFamily:
     return TestFamily(tuple(in_ideal), tuple(positive), tuple(infinite))
 
 
-def _ideal_key(ideal: Ideal):
-    """An ideal as a memo key: its JSON encoding, so that equal ideals parsed
-    apart (or built by ``allen_check``) share entries; an ideal without an
-    encoding is its own key."""
-    try:
-        return json.dumps(ideal_to_dict(ideal), sort_keys=True)
-    except ValueError:
-        return ideal
-
-
 class CheckMemo:
     """Results that several checks and experiments of a suite share.
 
     ``families`` holds the default family per (ideal, seed) and ``cores`` the
     core of a sequence per (sequence, ideal, config); ``results`` holds the
     Silverman–Toeplitz and Allen verdicts per (matrix, ideals, family,
-    config), the family conditions per (judge, matrix, absoluteness, J,
-    config, target), as a table by family set (see ``_family_conditions``),
-    and the core of A·x per (matrix, x, ideal, config).  Keys hold the matrix,
-    the sets and the sequence themselves, so a memo keeps them alive:
+    config) and the family conditions per (judge, matrix, absoluteness, J,
+    config, target), as a table by family set (see ``_family_conditions``).
+    Keys are the values themselves: equal ideals, however spelled or parsed,
+    share entries, and a memo keeps its matrix, sets and sequences alive, so
     ``harness.run_suite`` gives each matrix its own memo over one suite-wide
     ``families`` and ``cores``.  A caller without a memo makes a fresh one,
-    so a direct call computes everything itself.  Cores are read for several
-    ideals at once (``cores_of``, ``image_cores``): the missing ones come from
-    one ``asymptotics.cores`` call, so a value prefix is gridded once for all
-    of them.  The memo keeps intervals only, never a sequence built for a core
-    or a cell table; a result that raises is returned, not kept.
+    so a direct call computes everything itself.  The cores of A·x
+    (``image_cores``) are not kept: an experiment asks for each (matrix,
+    entry, J) once.  The memo keeps intervals only, never a sequence or a
+    cell table; a result that raises is returned, not kept.
     """
 
     def __init__(self, families: dict | None = None, cores: dict | None = None):
@@ -282,7 +270,7 @@ class CheckMemo:
         self.results = {}
 
     def family(self, ideal: Ideal, seed: int) -> TestFamily:
-        key = (_ideal_key(ideal), seed)
+        key = (ideal, seed)
         if key not in self.families:
             self.families[key] = default_family(ideal, seed)
         return self.families[key]
@@ -295,9 +283,13 @@ class CheckMemo:
 
     def cores_of(self, x: BoundedSequence, ideals: list[Ideal], cfg: CoreConfig) -> list[CoreInterval | Exception]:
         """x's core under each of ``ideals``, or the exception it raised, from
-        the suite-wide ``cores`` where kept."""
-        keys = [(x, _ideal_key(ideal), cfg) for ideal in ideals]
-        return self._read(self.cores, keys, ideals, lambda: x, cfg)
+        the suite-wide ``cores`` where kept; the missing ones from one
+        ``asymptotics.cores`` call, so a value prefix is gridded once for all
+        of them.  Intervals are kept, exceptions only returned."""
+        missing = list(dict.fromkeys(i for i in ideals if (x, i, cfg) not in self.cores))
+        found = dict(zip(missing, cores(x, missing, cfg))) if missing else {}
+        self.cores.update(((x, i, cfg), c) for i, c in found.items() if not isinstance(c, Exception))
+        return [found[i] if i in found else self.cores[x, i, cfg] for i in ideals]
 
     def image_cores(
         self,
@@ -307,40 +299,20 @@ class CheckMemo:
         cfg: CoreConfig,
         build: Callable[[], BoundedSequence],
     ) -> list[CoreInterval | Exception]:
-        """The core of A·x under each of ``ideals``, or the exception it raised.
-        Keyed by x, not by A·x, so A·x is built by ``build()`` only when a core
-        is missing, once for all of them, and is never kept.  Where A selects
-        rows by the identity map, A·x is x bit for bit, so its cores are read
-        from the suite-wide ``cores`` and no A·x is built."""
+        """The core of A·x under each of ``ideals``, or the exception it raised:
+        A·x is built by ``build()`` once and read in one ``asymptotics.cores``
+        call over the distinct ideals, and neither it nor its cores are kept.
+        Where A selects rows by the identity map, A·x is x bit for bit, so its
+        cores are read from the suite-wide ``cores`` and no A·x is built."""
         h = a.row_selection()
         if h is not None and h.affine == (1, 0):
             return self.cores_of(x, ideals, cfg)
-        keys = [("core", a, x, _ideal_key(ideal), cfg) for ideal in ideals]
-        return self._read(self.results, keys, ideals, build, cfg)
-
-    @staticmethod
-    def _read(
-        table: dict, keys: list, ideals: list[Ideal], sequence: Callable[[], BoundedSequence], cfg: CoreConfig
-    ) -> list[CoreInterval | Exception]:
-        """The core under each ideal from ``table`` where kept; the missing
-        ones from one ``asymptotics.cores`` call on ``sequence()`` over their
-        distinct keys.  Intervals are kept, exceptions only returned."""
-        missing: dict = {}
-        for key, ideal in zip(keys, ideals):
-            if key not in table:
-                missing.setdefault(key, ideal)
-        raised = {}
-        if missing:
-            try:
-                found = cores(sequence(), list(missing.values()), cfg)
-            except Exception as exc:  # ``sequence()`` raised
-                found = [exc.with_traceback(None)] * len(missing)
-            for key, outcome in zip(missing, found):
-                if isinstance(outcome, Exception):
-                    raised[key] = outcome
-                else:
-                    table[key] = outcome
-        return [raised[key] if key in raised else table[key] for key in keys]
+        distinct = list(dict.fromkeys(ideals))
+        try:
+            found = dict(zip(distinct, cores(build(), distinct, cfg)))
+        except Exception as exc:  # ``build()`` raised
+            return [exc.with_traceback(None)] * len(ideals)
+        return [found[ideal] for ideal in ideals]
 
 
 def _resolve_family(family: TestFamily | None, ideal: Ideal, seed: int, memo: CheckMemo) -> TestFamily:
@@ -528,7 +500,7 @@ def _family_conditions(
     its own report, named by its prefix, with its own copy of the details.
     """
     absolute = absolute and not a.abs_sums_are_sums
-    judged = memo.result(("conditions", judge, a, absolute, _ideal_key(ideal_j), cfg, target), dict)
+    judged = memo.result(("conditions", judge, a, absolute, ideal_j, cfg, target), dict)
     reports = []
     for e in sets:
         name = f"{prefix}[{_set_label(e)}]"
@@ -604,7 +576,7 @@ def _silverman_toeplitz(
 ) -> Verdict:
     """``silverman_toeplitz_check`` on a family that is already classified,
     computed once per memo."""
-    key = ("st", a, _ideal_key(ideal_i), _ideal_key(ideal_j), family, cfg)
+    key = ("st", a, ideal_i, ideal_j, family, cfg)
     return memo.result(key, lambda: _silverman_toeplitz_conditions(a, ideal_i, ideal_j, family, cfg, memo))
 
 

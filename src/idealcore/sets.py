@@ -810,12 +810,13 @@ def _intersection_cardinality(a: SetDescription, b: SetDescription) -> Cardinali
     for x, y in ((a, b), (b, a)):
         if isinstance(x, Squares) and _has_long_runs(y):
             return Cardinality.INFINITE
-    if isinstance(a, GeometricBlocks) and isinstance(b, GeometricBlocks):
-        if a.base == b.base and a.modulus == b.modulus:
-            return Cardinality.INFINITE if a.residue == b.residue else Cardinality.FINITE
-    if isinstance(a, RootBlocks) and isinstance(b, RootBlocks):
-        if a.modulus == b.modulus:
-            return Cardinality.INFINITE if a.residue == b.residue else Cardinality.FINITE
+    # Blocks of one base (or root blocks) meet exactly in the blocks whose
+    # index solves both congruences, infinitely many by the CRT or none.
+    if (isinstance(a, GeometricBlocks) and isinstance(b, GeometricBlocks) and a.base == b.base) or (
+        isinstance(a, RootBlocks) and isinstance(b, RootBlocks)
+    ):
+        solvable = (a.residue - b.residue) % math.gcd(a.modulus, b.modulus) == 0
+        return Cardinality.INFINITE if solvable else Cardinality.FINITE
     # Distribute over a union factor: (U ∪ V) ∩ X = (U ∩ X) ∪ (V ∩ X).  Each
     # step removes one union node, so the recursion ends.
     for i, f in enumerate(factors):

@@ -181,6 +181,8 @@ def parse_ideal(obj: Any, path: str = "ideal") -> ide.Ideal:
         return _build(ide.erdos_ulam, f"{path}.weights", obj.get("weights", "log"))
     if kind == "summable":
         cutoff = _number(obj, "cutoff", path, float, ide.SUMMABLE_CUTOFF)
+        if not cutoff > 0:
+            raise ConfigError(f"{path}.cutoff", f"must be positive, got {cutoff!r}")
         return _build(ide.summable, f"{path}.weights", obj.get("weights", "harmonic"), cutoff)
     if kind == "fin_oplus_full":
         trace = parse_set(_require(obj, "trace", path), f"{path}.trace")

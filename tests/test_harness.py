@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idealcore import asymptotics, constructions, harness, regularity, sequences, specs
+from idealcore import asymptotics, constructions, harness, ideals, regularity, sequences, specs
 from idealcore.cli import main
 from idealcore.regularity import CHECKS
 
@@ -105,6 +105,17 @@ _EVENS_AND_ODDS = {
     "type": "intersection",
     "left": {"type": "ap", "offset": 0, "step": 2},
     "right": {"type": "ap", "offset": 1, "step": 2},
+}
+# Empty, though no residue form shows it: block exponents (or roots) ≡ 0 mod 2 and ≡ 1 mod 4.
+_EMPTY_BLOCKS = {
+    "type": "intersection",
+    "left": {"type": "geometric_blocks", "base": 2, "residue": 0, "modulus": 2},
+    "right": {"type": "geometric_blocks", "base": 2, "residue": 1, "modulus": 4},
+}
+_EMPTY_ROOTS = {
+    "type": "intersection",
+    "left": {"type": "root_blocks", "residue": 0, "modulus": 2},
+    "right": {"type": "root_blocks", "residue": 1, "modulus": 4},
 }
 _SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": ["st"]}
 
@@ -203,6 +214,12 @@ _SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": [
             {"type": "rk", "map": {"type": "enumeration", "set": {"type": "explicit", "elements": [1, 2, 3]}}},
             "matrix.map.set",
         ),
+        # blocks of one base, or root blocks, with congruences no block index solves
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration", "set": _EMPTY_BLOCKS}}, "matrix.map.set"),
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration", "set": _EMPTY_ROOTS}}, "matrix.map.set"),
+        # a summable cutoff must be positive
+        (specs.parse_ideal, {"type": "summable", "cutoff": -5}, "ideal.cutoff"),
+        (specs.parse_ideal, {"type": "summable", "cutoff": 0}, "ideal.cutoff"),
     ],
 )
 def test_malformed_specs_name_the_field(parse, spec, path):
@@ -617,6 +634,44 @@ def test_experiments_share_each_image_and_cell_table(monkeypatch):
     # and reads no Z-core of a later entry's image.
     labels = sorted(x.label for x in sequences.corpus())
     assert z_images == [f"Cesaro[{label}]" for label in labels[: labels.index("indicator_blocks") + 1]]
+
+
+# The benchmark's checks suite at a smaller horizon: 4 matrices, 4 pairs, 4 theorems.
+_CHECKS_SUITE = {
+    "matrices": [
+        "cesaro",
+        "identity",
+        _ENTRY_BY_ENTRY_SUITE["matrices"][1],
+        {"type": "banded", "rows": [[[0, 0.5], [1, 0.5]], [[1, 1.0]], [[0, 0.25], [2, 0.75]]], "tail": "identity"},
+    ],
+    "ideal_pairs": [["fin", "fin"], ["z", "z"], ["erdos-ulam-log", "erdos-ulam-log"], ["fin-oplus-evens", "fin"]],
+    "theorems": ["st", "allen", "cfo", "leo"],
+    "cfg": {"check_horizon": 2000, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
+}
+
+
+def test_memo_keys_hold_ideals_and_no_image_core(monkeypatch):
+    """Memo keys hold the ideals themselves, so running the benchmark's
+    experiments suite and a checks-shaped suite encodes no ideal as JSON, and
+    no memo keeps a core of A·x, which each experiment computes once."""
+    encoded, memos = [], []
+    for module in (ideals, regularity, constructions, harness, specs):
+        if hasattr(module, "ideal_to_dict"):
+            original = module.ideal_to_dict
+            monkeypatch.setattr(module, "ideal_to_dict", lambda ideal, _f=original: encoded.append(ideal) or _f(ideal))
+    experiments = harness.core_equality_experiments
+
+    def watched(a, pairs, corpus_entries, cfg, *, memo):
+        memos.append(memo)
+        return experiments(a, pairs, corpus_entries, cfg, memo=memo)
+
+    monkeypatch.setattr(harness, "core_equality_experiments", watched)
+    for suite in (_ENTRY_BY_ENTRY_SUITE, _CHECKS_SUITE):
+        harness.run_suite(specs.parse_experiment_config(suite))
+    assert encoded == []
+    assert len(memos) == len(_ENTRY_BY_ENTRY_SUITE["matrices"])
+    kept = [key for memo in memos for key, value in memo.results.items() if isinstance(value, asymptotics.CoreInterval)]
+    assert kept == []
 
 
 _BANDED = {"type": "banded", "rows": [[[0, 0.5], [1, 0.5]], [[1, 1.0]], [[0, 0.25], [2, 0.75]]], "tail": "identity"}

@@ -560,3 +560,96 @@ def test_countably_generated_is_the_trace_finite_copy_of_the_complement():
     # A spec of the countably generated kind parses to the same trace-finite ideal.
     spec = {"type": "countably_generated", "generators": [{"type": "ap", "offset": 1, "step": 2}]}
     assert ide.ideal_to_dict(specs.parse_ideal(spec)) == ide.ideal_to_dict(gen)
+
+
+# -- value semantics -------------------------------------------------------------
+
+# Each catalog ideal, built by its constructor, then under every spelling the
+# spec parser accepts for it.
+_SPELLINGS = {
+    "fin": [FIN, "fin", "Fin", {"type": "fin"}],
+    "z": [Z, "z", "density_zero", "density-zero", {"type": "density_zero"}, {"type": "z"}],
+    "erdos_ulam_log": [
+        EU,
+        "erdos_ulam_log",
+        "erdos-ulam-log",
+        {"type": "erdos_ulam"},
+        {"type": "erdos_ulam", "weights": "log"},
+    ],
+    "summable": [
+        SUM,
+        "summable_harmonic",
+        {"type": "summable"},
+        {"type": "summable", "weights": "harmonic", "cutoff": 1000},
+        {"type": "summable_harmonic"},
+    ],
+    "fin_oplus_evens": [
+        FO_EVENS,
+        "fin_oplus_evens",
+        "fin-oplus-evens",
+        {"type": "fin_oplus_full", "trace": {"type": "ap", "offset": 0, "step": 2}},
+    ],
+    "fin_oplus_complement_of_odds": [
+        ide.countably_generated([ODDS]),
+        ide.fin_oplus_full(sd.complement(ODDS)),
+        {"type": "countably_generated", "generators": [{"type": "arithmetic_progression", "offset": 1, "step": 2}]},
+    ],
+    "fin_times_empty": [ide.fin_times_empty(), "fin_times_empty", "fin-times-empty", {"type": "fin_times_empty"}],
+}
+
+
+def _built(spelling):
+    return spelling if isinstance(spelling, ide.Ideal) else specs.parse_ideal(spelling)
+
+
+@pytest.mark.parametrize("name", sorted(_SPELLINGS))
+def test_every_spelling_of_an_ideal_is_one_value(name):
+    built = [_built(spelling) for spelling in _SPELLINGS[name]]
+    for ideal in built:
+        assert ideal == built[0] and hash(ideal) == hash(built[0])
+        assert {ideal: name}[built[0]] == name
+    others = [_built(spelling) for other, spellings in _SPELLINGS.items() if other != name for spelling in spellings]
+    assert all(ideal != other for ideal in built for other in others)
+
+
+def test_encoded_ideals_parse_back_equal():
+    catalog = [spellings[0] for spellings in _SPELLINGS.values()]
+    for ideal in catalog + [ide.countably_generated([]), ide.summable(cutoff=2.0)]:
+        rebuilt = specs.parse_ideal(ide.ideal_to_dict(ideal))
+        assert rebuilt == ideal and hash(rebuilt) == hash(ideal)
+
+
+def test_ideals_of_different_definitions_are_unequal():
+    pairs = [
+        (FIN, ide.countably_generated([])),  # the same sets, but another kind
+        (EU, SUM),
+        (FO_EVENS, ide.fin_oplus_full(ODDS)),
+        (FO_EVENS, ide.fin_oplus_full(sd.ap(0, 4))),
+        (SUM, ide.summable(cutoff=2.0)),
+        (ide.summable(cutoff=2.0), ide.summable(cutoff=3.0)),
+    ]
+    for a, b in pairs:
+        assert a != b and b != a
+    assert FIN != "fin" and FIN != None  # noqa: E711
+
+
+def test_custom_weight_ideals_are_equal_iff_their_callable_is_the_same():
+    def weight(n):
+        return 1.0 / (n + 1)
+
+    def twin(n):
+        return 1.0 / (n + 1)
+
+    for make in (ide.erdos_ulam, ide.summable):
+        assert make(weight) == make(weight) and hash(make(weight)) == hash(make(weight))
+        assert make(weight) != make(twin)
+    assert ide.erdos_ulam(weight) != EU and ide.summable(weight) != SUM
+    assert ide.erdos_ulam(weight) != ide.summable(weight)
+    assert ide.summable(weight, cutoff=3.0) != ide.summable(weight, cutoff=4.0)
+
+
+@pytest.mark.parametrize("cutoff", [-5, 0, -0.0, float("nan")])
+def test_summable_cutoff_must_be_positive(cutoff):
+    """A cutoff of -5 read explicit(3) as positive, against the exact in-ideal."""
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        ide.summable(cutoff=cutoff)

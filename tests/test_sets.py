@@ -235,8 +235,8 @@ def test_cardinality_rules(s, expected):
             sd.Intersection(sd.Intersection(sd.Union(SQUARES, sd.explicit(0)), sd.ap(1, 2)), sd.ap(3, 4)),
             sd.Cardinality.FINITE,
         ),
-        # Neither half decided: the union stays unknown.
-        (sd.Intersection(sd.Union(GB, RB), sd.RootBlocks(0, 2)), sd.Cardinality.UNKNOWN),
+        # Neither half decided (blocks of another base): the union stays unknown.
+        (sd.Intersection(sd.Union(GB, RB), sd.GeometricBlocks(3, 0, 2)), sd.Cardinality.UNKNOWN),
     ],
 )
 def test_cardinality_distributes_over_a_union_factor(s, expected):
@@ -249,6 +249,30 @@ def test_cardinality_squares_qr_rule_matches_enumeration():
     hit = sd.Intersection(SQUARES, sd.ap(1, 8))
     assert hit.cardinality() is sd.Cardinality.INFINITE
     assert len(hit.enumerate_prefix(10**5)) > 10
+
+
+# Blocks of one base, or root blocks, meet in the blocks whose index solves both
+# congruences: by the CRT infinitely many blocks, or none.
+_CONGRUENCES = [(r1, m1, r2, m2) for m1 in range(2, 7) for m2 in range(2, 7) for r1 in range(m1) for r2 in range(m2)]
+
+
+def _blocks_meet(r1, m1, r2, m2) -> bool:
+    """Whether some block index solves both congruences, searched over one period."""
+    return any(e % m1 == r1 and e % m2 == r2 for e in range(math.lcm(m1, m2)))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda r, m: sd.GeometricBlocks(2, r, m), lambda r, m: sd.GeometricBlocks(3, r, m), sd.RootBlocks],
+    ids=["geometric_base_2", "geometric_base_3", "root"],
+)
+def test_same_base_blocks_intersect_by_the_crt(family):
+    for r1, m1, r2, m2 in _CONGRUENCES:
+        s = sd.Intersection(family(r1, m1), family(r2, m2))
+        met = _blocks_meet(r1, m1, r2, m2)
+        assert s.cardinality() is (sd.Cardinality.INFINITE if met else sd.Cardinality.FINITE), (r1, m1, r2, m2)
+        if not met:
+            assert not s.mask(5000).any()
 
 
 # -- hypothesis: random expression trees ---------------------------------------
