@@ -95,9 +95,10 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     and rk matrices), and x carries level sets free of predicates, A·x takes
     the value v exactly on h⁻¹(S_v): it carries those preimages as its level
     sets, so its core is one decision per level, and it builds no prefix
-    here.  In these cases a prefix is read, when asked for, from
-    ``a.transform_prefix``.  For every other matrix or sequence the prefix
-    below the horizon is materialized, and a longer one comes from
+    here.  In these cases values are read, when asked for, from
+    ``a.transform_prefix`` below the largest index read.  For every other
+    matrix or sequence the prefix below the horizon is materialized and kept
+    as it is (``seed_prefix``), and the values of a longer one come from
     ``a.transform_prefix`` too, with the same bits.
 
     The declared bound is x's bound for a row selection, else the certified
@@ -109,13 +110,17 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     selects = h is not None and levels is not None and not any(sd.contains_predicate(s) for _, s in levels)
     limit = _image_limit(a, x)
     bound = x.bound if h is not None else None if a.norm_bound is None else a.norm_bound * x.bound
+
+    def values_at(ns: np.ndarray) -> np.ndarray:
+        return a.transform_prefix(x, int(ns.max()) + 1)[ns] if ns.size else np.zeros(0)
+
     if bound is not None and (selects or limit is not None):
         return BoundedSequence(
             fn=lambda n: transform(a, x, n),
             bound=bound,
             label=label,
             level_sets=tuple((v, sd.preimage(s, h)) for v, s in levels) if selects else None,
-            rule=lambda n: a.transform_prefix(x, n),
+            rule=values_at,
             limit=limit,
         )
     values = a.transform_prefix(x, horizon)
@@ -126,7 +131,7 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
         fn=lambda n: transform(a, x, n),
         bound=bound,
         label=label,
-        rule=lambda n: a.transform_prefix(x, n),
+        rule=values_at,
         limit=limit,
     )
     return ax.seed_prefix(values)

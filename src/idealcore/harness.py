@@ -298,7 +298,11 @@ def _encode(o, indent: str) -> str:
         return "false"
     if t is int:
         return int.__repr__(o)
-    for base in (str, int, float, list, tuple, dict):
+    if isinstance(o, str):
+        # As json does: the string data, not ``str(o)``, which a subclass
+        # such as a (str, Enum) member overrides.
+        return encode_basestring_ascii(o)
+    for base in (int, float, list, tuple, dict):
         if isinstance(o, base):
             return _encode(base(o), indent)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

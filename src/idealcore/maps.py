@@ -5,9 +5,12 @@ identity and affine maps carry closed-form array rules, and an enumeration map
 slices the int64 array of the elements it has discovered.  A map built from a
 bare callable takes the scalar path, ``fn`` per index.
 
-``affine = (mul, add)`` declares h(n) = mul·n + add.  The identity, the affine
-maps and the enumeration of an arithmetic progression carry it, and
-``sets.preimage`` reads it to pull sets back along h exactly.
+``affine = (mul, add)`` declares h(n) = mul·n + add.  The identity and the
+affine maps carry it, and so does the enumeration of an arithmetic
+progression, which is the affine map n -> step·n + offset under the
+enumeration's label; ``sets.preimage`` reads it to pull sets back along h
+exactly.  A row-selection matrix reads x at the values of its map's prefix
+(``BoundedSequence.at``), so a map's prefix is all of the map that A·x reads.
 """
 
 from __future__ import annotations
@@ -69,9 +72,13 @@ def identity_map() -> IndexMap:
 def affine_map(mul: int, add: int = 0) -> IndexMap:
     if mul < 1 or add < 0:
         raise ValueError("need mul >= 1 and add >= 0")
+    return _affine(mul, add, f"n -> {mul}*n+{add}")
+
+
+def _affine(mul: int, add: int, label: str) -> IndexMap:
     return IndexMap(
         lambda n: mul * n + add,
-        f"n -> {mul}*n+{add}",
+        label,
         injective=True,
         affine=(mul, add),
         rule=lambda horizon: mul * np.arange(horizon, dtype=np.int64) + add,
@@ -81,15 +88,18 @@ def affine_map(mul: int, add: int = 0) -> IndexMap:
 def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMap:
     """The increasing enumeration ``n -> t_n`` of an infinite set.
 
-    Elements are discovered lazily by doubling the enumeration horizon, so the
-    map stays cheap for structured sets while remaining total for any infinite
-    description.  The search reads ``enumerate_prefix`` and keeps the int64
-    array it returns, never a mask: for a sparse set such as the squares, or a
-    union of sparse sets, the horizon runs far ahead of the count, and only
-    the members found are stored.  A target that is provably finite is refused
-    with ``ValueError``.  The enumeration of an arithmetic progression is the
-    affine map ``n -> step·n + offset`` and says so.
+    The enumeration of an arithmetic progression is the affine map
+    ``n -> step·n + offset``, with its rule and this map's label, and reads
+    no set.  For any other set, elements are discovered lazily by doubling
+    the enumeration horizon, so the map stays cheap for structured sets while
+    remaining total for any infinite description.  The search reads
+    ``enumerate_prefix`` and keeps the int64 array it returns, never a mask:
+    for a sparse set such as the squares, or a union of sparse sets, the
+    horizon runs far ahead of the count, and only the members found are
+    stored.  A target that is provably finite is refused with ``ValueError``.
     """
+    if isinstance(target, ArithmeticProgression):
+        return _affine(target.step, target.offset, label or "enumeration")
     if target.cardinality() is Cardinality.FINITE:
         raise ValueError(f"enumeration target {target!r} is finite")
     state = {"horizon": 1024, "found": np.zeros(0, dtype=np.int64)}
@@ -108,7 +118,4 @@ def enumeration_map(target: SetDescription, label: str | None = None) -> IndexMa
                     raise RuntimeError("enumeration horizon exhausted; set looks finite")
         return state["found"][:count]
 
-    affine = (target.step, target.offset) if isinstance(target, ArithmeticProgression) else None
-    return IndexMap(
-        lambda n: int(first(n + 1)[n]), label or "enumeration", injective=True, affine=affine, rule=first
-    )
+    return IndexMap(lambda n: int(first(n + 1)[n]), label or "enumeration", injective=True, rule=first)

@@ -13,8 +13,9 @@ A masked row sum is A applied to an indicator, A·1_E, so the signed sums, and
 absolute sums where the flag cannot change them (``abs_sums_are_sums``), are
 ``transform_prefix`` of ``sequences.indicator(E)``.  Each matrix thus has one
 bulk path, ``transform_prefix`` and its step ``_apply`` after x is read:
-closed forms for Cesàro, diagonal and rk matrices (rk reads a sparse image
-pointwise), the operands' paths for sums and multiples
+closed forms for Cesàro, diagonal and rk matrices (rk(h)·x reads x at
+h(0) … h(H−1) alone, ``x.at(h.prefix(H))``, never x's prefix below the
+largest of them), the operands' paths for sums and multiples
 ((A+B)·x = A·x + B·x, (cA)·x = c·(A·x)), B acting on A's values for a product
 whose left factor is known to be row-finite and selects no columns past
 ``_SPARSE_IMAGE_FACTOR`` times the horizon, and the CSR otherwise.  The other
@@ -467,7 +468,7 @@ class _RkMatrix(InfiniteMatrix):
         return int(self.h.prefix(horizon).max()) + 1 if horizon else 0
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
-        return _at_rows(self.h.prefix(horizon), x.prefix, x.fn, np.float64)
+        return x.at(self.h.prefix(horizon))
 
     def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
         return xs[self.h.prefix(horizon)]

@@ -16,15 +16,22 @@ and ``combine`` carry limits and envelopes, and
 fixes (there with no envelope).  The corpus entry ``alternating_decay``
 declares limit 0 with envelope 1/(n+1).
 
-``BoundedSequence.prefix`` is the one way to materialize ``x_0 … x_{H-1}``,
-and every route it takes is bit-identical to calling ``fn`` per index:
+``BoundedSequence.at`` is the one index read: the values at an int64 index
+array, in any order and with repeats.  A sequence with a closed form states
+it pointwise as its ``rule`` (indices -> values): the corpus's closed forms,
+``indicator`` (its set's mask read at the indices) and the pointwise
+``affine``/``combine`` operations, which read their operands with ``at``.  A
+sequence without a rule is read through ``sets._at_rows``: a gather from its
+prefix, or ``fn`` per index when the indices are sparse.
 
-* an array ``rule`` (horizon -> values) when the sequence has one: the closed
-  forms of the corpus and the pointwise ``affine``/``combine`` operations;
+``BoundedSequence.prefix`` materializes ``x_0 … x_{H-1}`` and keeps it; a
+longer prefix extends the kept one.  Every route is bit-identical to calling
+``fn`` per index:
+
+* ``at`` on the new indices when the sequence has a rule;
 * otherwise, for level sets free of predicates, ``out[S.mask(H)] = value`` per
   level, after checking that the level sets partition the prefix;
-* otherwise the scalar path, ``fn`` per index, which extends the cached prefix
-  from its current length.
+* otherwise the scalar path, ``fn`` per index from the kept length on.
 """
 
 from __future__ import annotations
@@ -65,9 +72,9 @@ class LevelSetError(ValueError):
 class BoundedSequence:
     """A total map ω → ℝ with declared bound ``|x_n| <= bound`` and a label.
 
-    ``rule``, when given, maps a horizon H to the array ``fn(0) … fn(H-1)``
-    and must agree with ``fn`` bit for bit.  ``limit``, when given, is the
-    exact limit L of x_n; ``envelope``, when given, maps a horizon H to
+    ``rule``, when given, maps an int64 index array to a new float64 array of
+    the values ``fn`` gives at those indices, bit for bit.  ``limit``, when
+    given, is the exact limit L of x_n; ``envelope``, when given, maps a horizon H to
     r(0) … r(H-1), a bound |x_n − L| <= r(n) that decreases to 0.  A declared
     limit comes with its envelope; a limit derived from how the sequence was
     built may have none.
@@ -77,7 +84,7 @@ class BoundedSequence:
     bound: float
     label: str
     level_sets: tuple[tuple[float, SetDescription], ...] | None = None
-    rule: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
+    rule: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     limit: float | None = None
     envelope: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
     _cache: np.ndarray | None = field(default=None, repr=False)
@@ -91,21 +98,32 @@ class BoundedSequence:
     def __call__(self, n: int) -> float:
         return float(self.fn(n))
 
+    def at(self, ns: np.ndarray) -> np.ndarray:
+        """Values x_n at the int64 indices ``ns``: the rule where there is one,
+        else a gather from the prefix, or ``fn`` per index when the indices
+        are sparse (``sets._at_rows``)."""
+        ns = np.asarray(ns, dtype=np.int64)
+        if self.rule is not None:
+            return np.asarray(self.rule(ns), dtype=np.float64)
+        return sd._at_rows(ns, self.prefix, self.fn, np.float64)
+
     def prefix(self, horizon: int) -> np.ndarray:
         """Values ``x_0 … x_{horizon-1}``; cached and grown monotonically."""
-        if self._cache is None or len(self._cache) < horizon:
+        cache = self._cache
+        if cache is None or len(cache) < horizon:
+            start = 0 if cache is None else len(cache)
             if self.rule is not None:
-                arr = np.asarray(self.rule(horizon), dtype=np.float64)
+                arr = self.at(np.arange(start, horizon))
             elif self.level_sets is not None and not any(
                 sd.contains_predicate(s) for _, s in self.level_sets
             ):
-                arr = self._from_level_sets(horizon)
+                arr, start = self._from_level_sets(horizon), 0
             else:
-                start = 0 if self._cache is None else len(self._cache)
-                tail = np.fromiter(
+                arr = np.fromiter(
                     (self.fn(n) for n in range(start, horizon)), dtype=np.float64, count=horizon - start
                 )
-                arr = tail if self._cache is None else np.concatenate((self._cache, tail))
+            if start:
+                arr = np.concatenate((cache, arr))
             arr.setflags(write=False)
             self._cache = arr
         return self._cache[:horizon]
@@ -141,8 +159,9 @@ class BoundedSequence:
             raise ValueError(f"{self.label}: |x_n - {self.limit}| exceeds the envelope at n = {outside[0]}")
 
     def seed_prefix(self, values: np.ndarray) -> "BoundedSequence":
-        """Pre-populate the prefix cache (used for transformed sequences)."""
-        arr = np.asarray(values, dtype=np.float64).copy()
+        """Keep ``values``, a new float64 array of x_0 … x_{H-1} that the
+        caller hands over, as the prefix cache: made read-only, not copied."""
+        arr = np.asarray(values, dtype=np.float64)
         arr.setflags(write=False)
         if self._cache is None or len(self._cache) < len(arr):
             self._cache = arr
@@ -161,7 +180,7 @@ def indicator(s: SetDescription, label: str | None = None) -> BoundedSequence:
         bound=1.0,
         label=label or "indicator",
         level_sets=levels,
-        rule=lambda horizon: s.mask(horizon).astype(np.float64),
+        rule=lambda ns: sd._at_rows(ns, s.mask, s.contains, bool).astype(np.float64),
     )
 
 
@@ -213,7 +232,7 @@ def affine(x: BoundedSequence, mul: float, add: float, label: str | None = None)
         bound=abs(mul) * x.bound + abs(add),
         label=label or f"{mul}*{x.label}+{add}",
         level_sets=levels,
-        rule=lambda horizon: mul * x.prefix(horizon) + add,
+        rule=lambda ns: mul * x.at(ns) + add,
         limit=limit,
         envelope=envelope,
     )
@@ -242,7 +261,7 @@ def combine(x: BoundedSequence, y: BoundedSequence, op: str, label: str | None =
         bound=x.bound + y.bound,
         label=label or f"{x.label}{'+' if op == 'add' else '-'}{y.label}",
         level_sets=levels,
-        rule=lambda horizon: x.prefix(horizon) + sign * y.prefix(horizon),
+        rule=lambda ns: x.at(ns) + sign * y.at(ns),
         limit=limit,
         envelope=envelope,
     )
@@ -298,18 +317,25 @@ def _indicator_blocks() -> BoundedSequence:
     )
 
 
+def _rotation_golden_values(ns: np.ndarray) -> np.ndarray:
+    # For v >= 0, v − floor(v) is exact (Sterbenz), so it has the bits of
+    # math.modf(v)[0], in half the time of np.modf.
+    v = ns * GOLDEN
+    v -= np.floor(v)
+    return v
+
+
 def _rotation_golden() -> BoundedSequence:
     return BoundedSequence(
         fn=lambda n: math.modf(n * GOLDEN)[0],
         bound=1.0,
         label="rotation_golden",
-        rule=lambda horizon: np.modf(np.arange(horizon) * GOLDEN)[0],
+        rule=_rotation_golden_values,
     )
 
 
-def _alternating_decay_values(horizon: int) -> np.ndarray:
-    n = np.arange(horizon)
-    return np.where(n % 2, -1.0, 1.0) / (n + 1.0)
+def _alternating_decay_values(ns: np.ndarray) -> np.ndarray:
+    return np.where(ns % 2, -1.0, 1.0) / (ns + 1.0)
 
 
 def _alternating_decay() -> BoundedSequence:

@@ -360,7 +360,7 @@ def _assert_ends_match_full_scan(values, ideal, cfg, bound):
         lambda: asy._sup_of(_per_cell_cluster(values, ideal, cfg, bound))
     )
     prefix = np.resize(values, cfg.horizon) if values.size else np.zeros(cfg.horizon)
-    x = seq.BoundedSequence(lambda n: float(prefix[n]), bound, "drawn", rule=lambda h: prefix[:h])
+    x = seq.BoundedSequence(lambda n: float(prefix[n]), bound, "drawn", rule=lambda ns: prefix[ns])
 
     def reference(read):
         return _outcome(lambda: read(_per_cell_cluster(prefix, ideal, cfg, bound)))
@@ -428,7 +428,7 @@ class _CountingFin(ide.FinIdeal):
 
 def test_end_scans_decide_few_cells():
     horizon = 20_000
-    x = seq.BoundedSequence(math.sin, 1.0, "sin", rule=lambda h: np.sin(np.arange(h, dtype=np.float64)))
+    x = seq.BoundedSequence(math.sin, 1.0, "sin", rule=lambda ns: np.sin(ns.astype(np.float64)))
     cfg = asy.CoreConfig(horizon=horizon)
     fin = _CountingFin()
     assert asy.core(x, fin, cfg).as_tuple() == pytest.approx((-1.0, 1.0), abs=1e-3)
@@ -472,7 +472,7 @@ def _sequences(draw):
     values, grid = draw(_GRIDDED_PREFIXES)
     prefix = np.resize(values, 4000) if values.size else np.zeros(4000)
     bound = float(np.max(np.abs(prefix))) + grid
-    return seq.BoundedSequence(lambda n: float(prefix[n]), bound, "drawn", rule=lambda h: prefix[:h])
+    return seq.BoundedSequence(lambda n: float(prefix[n]), bound, "drawn", rule=lambda ns: prefix[ns])
 
 
 @settings(max_examples=80, deadline=None)

@@ -49,6 +49,18 @@ def test_enumeration_map_matches_affine_for_evens():
     h.validate_flags(2000)
 
 
+@pytest.mark.parametrize("offset,step", [(0, 1), (0, 2), (1, 2), (1, 3), (5, 7)])
+def test_enumeration_of_a_progression_is_its_affine_map(offset, step):
+    before = sd._cached_mask.cache_info()
+    h = maps.enumeration_map(sd.ap(offset, step), label="enum")
+    expected = maps.affine_map(step, offset).prefix(5000)
+    values = h.prefix(5000)
+    assert values.dtype == expected.dtype and values.tobytes() == expected.tobytes()
+    assert (h.affine, h.label, h(4999)) == ((step, offset), "enum", int(expected[-1]))
+    after = sd._cached_mask.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)  # no mask read or built
+
+
 def test_enumeration_map_of_sparse_union_keeps_no_mask():
     # The 20 000th member is near 4e8; a mask up to that horizon would take ~400 MB.
     h = maps.enumeration_map(sd.Union(sd.squares(), sd.explicit(2, 3)))

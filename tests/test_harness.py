@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import enum
 import hashlib
 import importlib.resources
 import io
@@ -117,6 +118,13 @@ _EMPTY_ROOTS = {
     "left": {"type": "root_blocks", "residue": 0, "modulus": 2},
     "right": {"type": "root_blocks", "residue": 1, "modulus": 4},
 }
+# Base-2 exponents ≡ 2 (mod 4) against base-4 blocks, which cover the base-2
+# exponents ≡ 0, 1 (mod 4).
+_EMPTY_POWER_BLOCKS = {
+    "type": "intersection",
+    "left": {"type": "geometric_blocks", "base": 2, "residue": 2, "modulus": 4},
+    "right": {"type": "geometric_blocks", "base": 4, "residue": 0, "modulus": 2},
+}
 _SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": ["st"]}
 
 
@@ -217,6 +225,8 @@ _SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": [
         # blocks of one base, or root blocks, with congruences no block index solves
         (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration", "set": _EMPTY_BLOCKS}}, "matrix.map.set"),
         (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration", "set": _EMPTY_ROOTS}}, "matrix.map.set"),
+        # blocks of bases that are powers of one base, with no base exponent in both
+        (specs.parse_matrix, {"type": "rk", "map": {"type": "enumeration", "set": _EMPTY_POWER_BLOCKS}}, "matrix.map.set"),
         # a summable cutoff must be positive
         (specs.parse_ideal, {"type": "summable", "cutoff": -5}, "ideal.cutoff"),
         (specs.parse_ideal, {"type": "summable", "cutoff": 0}, "ideal.cutoff"),
@@ -362,10 +372,16 @@ _JSON_VALUES = st.recursive(
 )
 
 
+class _Mode(str, enum.Enum):
+    """A str subclass whose ``str()`` is not its string data."""
+
+    ON = "on"
+
+
 # Scalars of every kind ``dumps`` dispatches on, as dict values and list items:
-# exact types, a float subclass, NaN and ±inf.
+# exact types, a float and a str subclass, NaN and ±inf.
 _SCALARS = ["text", "é", 0.1, -0.0, 3, True, False, None, np.float64(0.25), np.float64("nan"),
-            float("inf"), -float("inf"), float("nan"), np.float64("-inf")]
+            float("inf"), -float("inf"), float("nan"), np.float64("-inf"), _Mode.ON]
 
 
 @settings(max_examples=100, deadline=None)
@@ -373,9 +389,11 @@ _SCALARS = ["text", "é", 0.1, -0.0, 3, True, False, None, np.float64(0.25), np.
 @example({f"k{i}": v for i, v in enumerate(_SCALARS)})
 @example(_SCALARS)
 @example((_SCALARS, {"nested": tuple(_SCALARS)}))
+@example({_Mode.ON: _Mode.ON, "a": [_Mode.ON], "z": {_Mode.ON: 1}})
 def test_dumps_writes_what_json_writes(value):
-    # Empty and nested containers, tuples, -0.0, NaN, ±inf, numpy floats and
-    # non-ASCII text, as dict values and as list items.
+    # Empty and nested containers, tuples, -0.0, NaN, ±inf, numpy floats,
+    # (str, Enum) members and non-ASCII text, as dict keys and values and as
+    # list items.
     assert harness.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 

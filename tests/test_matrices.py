@@ -330,6 +330,27 @@ def test_rk_over_sparse_map_reads_the_image_only():
     assert np.array_equal(sums, [float(columns.contains(int(k))) for k in hs])
 
 
+_SELECTIONS = {
+    "2n": lambda: maps.affine_map(2),
+    "2n+1": lambda: maps.affine_map(2, 1),
+    "enumeration(evens)": lambda: maps.enumeration_map(sd.evens()),
+    "enumeration(ap(1,3))": lambda: maps.enumeration_map(sd.ap(1, 3)),
+    "enumeration(squares)": lambda: maps.enumeration_map(sd.squares()),
+}
+
+
+@pytest.mark.parametrize("h", sorted(_SELECTIONS))
+def test_rk_transform_is_a_gather_from_a_long_prefix(h):
+    # rk(h)·x reads x at h(0) … h(H−1); a fresh copy of x gives the prefix up
+    # to the largest of them (1e6 for the squares at H = 1000).
+    horizon = 1000
+    a = mat.rk_matrix(_SELECTIONS[h]())
+    rows = a.h.prefix(horizon)
+    for x in seq.corpus():
+        long = seq.corpus_entry(x.label).prefix(int(rows.max()) + 1)
+        assert a.transform_prefix(x, horizon).tobytes() == long[rows].tobytes(), x.label
+
+
 def test_find_negative_entry():
     assert mat.find_negative_entry(mat.cesaro(), 100) is None
     a = mat.banded([[(0, 1.0)], [(3, -0.1)]], tail_mode="identity")

@@ -236,7 +236,7 @@ def test_lru_cache_hits_on_an_equal_separately_built_node():
 _IDENTITY_RECORDS = {
     "IndexMap": lambda: maps.IndexMap(abs, "abs", True, (1, 0), rule=lambda h: np.arange(h)),
     "Predicate": lambda: sd.Predicate(abs, "nonzero"),
-    "BoundedSequence": lambda: seq.BoundedSequence(abs, 1.0, "x", rule=lambda h: np.zeros(h)),
+    "BoundedSequence": lambda: seq.BoundedSequence(abs, 1.0, "x", rule=lambda ns: np.zeros(len(ns))),
 }
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from idealcore import maps
+from idealcore import matrices as mat
 from idealcore import sequences as seq
 from idealcore import sets as sd
 
@@ -188,3 +190,67 @@ def test_level_sets_must_partition_the_prefix(levels):
     x = seq.BoundedSequence(lambda n: float(n % 2 == 0), bound=1.0, label="bad", level_sets=levels)
     with pytest.raises(seq.LevelSetError, match="partition"):
         x.prefix(100)
+
+
+def _read_by_index():
+    """Every corpus entry, the derived sequences and both indicator kinds."""
+    return (
+        seq.corpus()
+        + _derived()
+        + [
+            seq.indicator(sd.GeometricBlocks(3, 1, 2), label="indicator_blocks_3"),
+            seq.signed_indicator(sd.evens(), sd.ap(1, 4), label="signed_evens_1mod4"),
+        ]
+    )
+
+
+_INDEX_ARRAYS = {
+    "empty": np.zeros(0, dtype=np.int64),
+    "unsorted": np.random.default_rng(0).permutation(5000),
+    "repeated": np.array([7, 7, 0, 3, 7, 0, 4096, 3]),
+    # The largest index far exceeds the count: read per index, not a prefix.
+    "sparse": 7 * np.arange(300, dtype=np.int64)[::-1] ** 2,
+    "scattered": np.random.default_rng(1).integers(0, 10**6, 64),
+}
+
+
+@pytest.mark.parametrize("index", range(len(_read_by_index())))
+def test_at_is_bit_identical_to_fn(index):
+    x = _read_by_index()[index]
+    # One sequence reads every array in turn, so each read meets the prefix
+    # that the reads before it left.
+    for name, ns in _INDEX_ARRAYS.items():
+        values = x.at(ns)
+        expected = np.array([x.fn(int(n)) for n in ns], dtype=np.float64)
+        assert values.dtype == np.float64 and values.shape == ns.shape, (x.label, name)
+        assert values.tobytes() == expected.tobytes(), (x.label, name)
+
+
+def _counting_rotation():
+    """rotation_golden, and the sizes of the index arrays its rule is given."""
+    x = seq.corpus_entry("rotation_golden")
+    sizes, rule = [], x.rule
+
+    def counted(ns):
+        sizes.append(len(ns))
+        return rule(ns)
+
+    x.rule = counted
+    return x, sizes
+
+
+def test_growing_a_prefix_evaluates_only_the_new_indices():
+    x, sizes = _counting_rotation()
+    x.prefix(100)
+    x.prefix(250)
+    x.prefix(200)
+    assert sizes == [100, 150]
+    assert x.prefix(250).tobytes() == np.array([x.fn(n) for n in range(250)]).tobytes()
+
+
+def test_rk_2n_reads_rotation_golden_at_the_selected_indices_only():
+    # The rule runs on h(0) … h(H−1), H indices, not on the prefix below 2H−1.
+    x, sizes = _counting_rotation()
+    values = mat.rk_matrix(maps.affine_map(2)).transform_prefix(x, 5000)
+    assert sizes == [5000]
+    assert values.tobytes() == np.array([x.fn(2 * n) for n in range(5000)]).tobytes()

@@ -275,6 +275,45 @@ def test_same_base_blocks_intersect_by_the_crt(family):
             assert not s.mask(5000).any()
 
 
+# Geometric blocks of bases c^k1 and c^k2 are sets of base-c exponents: base
+# c^k covers exponent e of base c in its block e // k.
+_POWER_BASES = [(2, 1, 2), (2, 2, 1), (2, 1, 3), (2, 2, 3), (2, 3, 4), (3, 1, 2), (3, 2, 3)]
+_SMALL_CONGRUENCES = [(r1, m1, r2, m2) for m1 in range(2, 5) for m2 in range(2, 5) for r1 in range(m1) for r2 in range(m2)]
+
+
+def _exponents_meet(k1, r1, m1, k2, r2, m2) -> bool:
+    """Whether some base-c exponent lies in both families, searched over one period."""
+    period = math.lcm(k1 * m1, k2 * m2)
+    return any((e // k1) % m1 == r1 and (e // k2) % m2 == r2 for e in range(period))
+
+
+@pytest.mark.parametrize("c,k1,k2", _POWER_BASES, ids=[f"{c}^{k1}_{c}^{k2}" for c, k1, k2 in _POWER_BASES])
+def test_blocks_of_power_related_bases_intersect_by_the_crt(c, k1, k2):
+    for r1, m1, r2, m2 in _SMALL_CONGRUENCES:
+        s = sd.Intersection(sd.GeometricBlocks(c**k1, r1, m1), sd.GeometricBlocks(c**k2, r2, m2))
+        met = _exponents_meet(k1, r1, m1, k2, r2, m2)
+        assert s.cardinality() is (sd.Cardinality.INFINITE if met else sd.Cardinality.FINITE), (r1, m1, r2, m2)
+        if not met:
+            assert not s.mask(2**16).any()
+
+
+def test_blocks_of_unrelated_bases_stay_undecided():
+    # 2 and 6, or 4 and 8 against 3: no base has both as powers.
+    for b1, b2 in ((2, 3), (2, 6), (4, 3), (8, 12)):
+        s = sd.Intersection(sd.GeometricBlocks(b1, 0, 2), sd.GeometricBlocks(b2, 1, 2))
+        assert s.cardinality() is sd.Cardinality.UNKNOWN, (b1, b2)
+
+
+def test_an_empty_intersection_of_power_related_blocks_has_no_enumeration_map():
+    # Base-2 exponents ≡ 2 (mod 4) against base-4 blocks covering the base-2
+    # exponents ≡ 0, 1 (mod 4).  The map is refused at construction, never
+    # called: a lazy search would double its horizon towards 2^40.
+    empty = sd.Intersection(sd.GeometricBlocks(2, 2, 4), sd.GeometricBlocks(4, 0, 2))
+    assert empty.cardinality() is sd.Cardinality.FINITE
+    with pytest.raises(ValueError, match="finite"):
+        maps.enumeration_map(empty)
+
+
 # -- hypothesis: random expression trees ---------------------------------------
 
 _atoms = st.sampled_from(
