@@ -3,9 +3,9 @@
 The package computes cores [ideal-liminf, ideal-limsup] of bounded sequences
 under a catalog of ideals on the naturals, represents infinite summability
 matrices lazily, decides the classical matrix characterizations of core
-preservation at configurable finite truncation (with exact symbolic oracles on
-structured instances), and ships the explicit constructions that realize core
-equality across distinct ideals.
+preservation at configurable finite truncation (exactly, by symbolic level-set
+decisions, on structured instances), and ships the explicit constructions that
+realize core equality across distinct ideals.
 
 Sequences, index maps and matrices cache what they compute, without locks:
 library objects are not to be shared across threads.
@@ -16,13 +16,11 @@ from .asymptotics import (
     CoreConfig,
     CoreInterval,
     InconclusiveCellsError,
-    UnsupportedInstanceError,
     cluster_points,
     core,
     cores,
     ideal_liminf,
     ideal_limsup,
-    oracle_core,
 )
 from .constructions import (
     Certificate,

@@ -3,18 +3,22 @@
 A sequence with a declared limit L (``BoundedSequence.limit``) has the one
 cluster point L under every catalog ideal: each is proper and contains Fin,
 so for every ε the set {n : |x_n − L| > ε} is finite, hence in the ideal,
-and its complement is not.  ``cluster_points`` and ``oracle_core``, and so
-``core``, ``ideal_limsup`` and ``ideal_liminf``, read that limit first, before
-any prefix or level set, and answer [L, L] with method ``exact``.
+and its complement is not.  ``cluster_points``, and so ``core``,
+``ideal_limsup`` and ``ideal_liminf``, read that limit first, before any
+prefix or level set, and answer [L, L] with method ``exact``.
 
 A finitely-valued sequence (one that carries its level sets) has as cluster
 points exactly the values whose level sets are positive, so its cluster set is
 read off one decision per level, with no grid.  ``classify_levels`` is the one
 place where level sets are decided: symbolically when the structural analysis
 applies, by the numeric estimator at the run's ``theta`` otherwise, and each
-decision says which.  ``core``, ``cluster_points`` and ``oracle_core`` all read
-finitely-valued sequences through it, and the checkers read the level sets of
-a row selection's row sums through it (``regularity``).
+decision says which.  ``core`` and ``cluster_points`` read finitely-valued
+sequences through it, and the checkers read the level sets of a row
+selection's row sums through it (``regularity``).
+
+A core names only the settings it rests on: an ``exact`` one none, a
+``mixed`` one the horizon and theta its estimated levels were judged at, and
+a ``numeric`` one the horizon, grid and theta of its value prefix.
 
 Value prefixes go through the numeric engine: it partitions the value range
 into grid cells of width ``grid`` and keeps a cell iff the index set hitting
@@ -52,14 +56,12 @@ from .ideals import DEFAULT_THETA, Ideal, MembershipResult, PositivityResult
 from .ideals import decide_membership, estimate_membership
 from .records import record
 from .sequences import BoundedSequence
-from .sets import contains_predicate
 
 __all__ = [
     "CoreConfig",
     "CoreInterval",
     "ClusterSet",
     "InconclusiveCellsError",
-    "UnsupportedInstanceError",
     "classify_levels",
     "cluster_points",
     "cluster_of_values",
@@ -68,7 +70,6 @@ __all__ = [
     "limsup_of_values",
     "core",
     "cores",
-    "oracle_core",
     "ideal_lim_check",
 ]
 
@@ -79,10 +80,6 @@ class InconclusiveCellsError(RuntimeError):
     def __init__(self, message: str, cells: tuple[tuple[float, float], ...] = ()):
         super().__init__(message)
         self.cells = cells
-
-
-class UnsupportedInstanceError(ValueError):
-    """The symbolic oracle does not apply to this sequence/ideal pair."""
 
 
 @record(frozen=True)
@@ -96,6 +93,8 @@ class CoreConfig:
     def __post_init__(self):
         if self.horizon < 100:
             raise ValueError("horizon must be at least 100")
+        if not math.isfinite(self.grid):
+            raise ValueError("grid resolution must be finite")
         if self.grid <= 0:
             raise ValueError("grid resolution must be positive")
         if not 0 < self.theta < 1:
@@ -125,7 +124,8 @@ class CoreInterval:
     hi: float
     # "exact" (a declared limit, or every level set decided symbolically),
     # "mixed" (some level sets decided by the numeric estimator), "numeric"
-    # (a value prefix on the grid)
+    # (a value prefix on the grid); the settings below are those the method
+    # rests on, and None where it rests on none
     method: str
     horizon: int | None = None
     grid: float | None = None
@@ -401,14 +401,10 @@ def _core_reader(x: BoundedSequence, cfg: CoreConfig) -> Callable[[Ideal], CoreI
 
     def read(ideal: Ideal) -> CoreInterval:
         found = cluster(ideal)
-        return CoreInterval(
-            lo=_inf_of(found),
-            hi=_sup_of(found),
-            method="exact" if found.exact else method,
-            horizon=cfg.horizon,
-            grid=cfg.grid,
-            theta=cfg.theta,
-        )
+        lo, hi = _inf_of(found), _sup_of(found)
+        if found.exact:
+            return CoreInterval(lo, hi, "exact")
+        return CoreInterval(lo, hi, method, cfg.horizon, cfg.grid if method == "numeric" else None, cfg.theta)
 
     return read
 
@@ -435,41 +431,6 @@ def cores(x: BoundedSequence, ideals: list[Ideal], cfg: CoreConfig | None = None
         except Exception as exc:
             out.append(exc.with_traceback(None))
     return out
-
-
-_ORACLE_HORIZON = 100_000  # prefix for the levels the symbolic analysis leaves open
-
-
-def oracle_core(x: BoundedSequence, ideal: Ideal, theta: float = DEFAULT_THETA) -> CoreInterval:
-    """Core of a sequence with a declared limit L, [L, L], or of a
-    finitely-valued sequence, read off its level-set decisions.
-
-    Independent of the grid: a value is a cluster point iff its level set is
-    positive.  The method is ``"exact"`` when every level set was decided
-    symbolically and ``"mixed"`` when the numeric estimator decided some of
-    them on the prefix below ``_ORACLE_HORIZON`` at threshold ``theta``; a
-    mixed result records that horizon and threshold.  Raises
-    :class:`UnsupportedInstanceError` for unstructured sequences, predicate
-    level sets and undecided level sets.
-    """
-    if x.limit is not None:
-        return CoreInterval(lo=x.limit, hi=x.limit, method="exact")
-    if x.level_sets is None:
-        raise UnsupportedInstanceError(f"{x.label}: no level-set structure")
-    for value, level_set in x.level_sets:
-        if contains_predicate(level_set):
-            raise UnsupportedInstanceError(f"{x.label}: predicate level set for value {value}")
-    try:
-        cluster = _level_cluster(x, ideal, _ORACLE_HORIZON, theta)
-    except InconclusiveCellsError:
-        raise UnsupportedInstanceError(f"{x.label}: no positively attained value") from None
-    if cluster.inconclusive:
-        raise UnsupportedInstanceError(
-            f"{x.label}: membership of the level set of {cluster.inconclusive[0][0]} is undecided"
-        )
-    if cluster.exact:
-        return CoreInterval(lo=cluster.inf, hi=cluster.sup, method="exact")
-    return CoreInterval(lo=cluster.inf, hi=cluster.sup, method="mixed", horizon=_ORACLE_HORIZON, theta=theta)
 
 
 def ideal_lim_check(

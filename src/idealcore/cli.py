@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from . import harness
-from .asymptotics import CoreConfig, InconclusiveCellsError, core, oracle_core, UnsupportedInstanceError
+from .asymptotics import CoreConfig, InconclusiveCellsError, core
 from .ideals import DEFAULT_THETA, empirical_density, exact_density, UnsupportedSetError
 from .regularity import (
     CHECKS,
@@ -130,11 +130,10 @@ def experiment(config_path, output, fmt):
 @main.command(name="core")
 @click.option("--sequence", required=True, help="corpus entry label")
 @click.option("--ideal", default="fin", show_default=True)
-@click.option("--oracle", is_flag=True, help="use the exact symbolic oracle instead of the grid")
 @_horizon
 @_grid
 @_theta
-def core_cmd(sequence, ideal, oracle, horizon, grid, theta):
+def core_cmd(sequence, ideal, horizon, grid, theta):
     """Compute the core interval of a corpus sequence under an ideal; exit code 2 when inconclusive."""
     try:
         x = corpus_entry(sequence)
@@ -143,10 +142,10 @@ def core_cmd(sequence, ideal, oracle, horizon, grid, theta):
     cfg = _run_config(CoreConfig, horizon=horizon or _default_horizon() or 100_000, grid=grid, theta=theta)
     try:
         ii = _ideal_arg(ideal, "--ideal")
-        interval = oracle_core(x, ii, cfg.theta) if oracle else core(x, ii, cfg)
+        interval = core(x, ii, cfg)
         result = {"lo": interval.lo, "hi": interval.hi, "method": interval.method}
         basis = interval
-    except (ConfigError, UnsupportedInstanceError) as exc:
+    except ConfigError as exc:
         raise click.ClickException(str(exc))
     except InconclusiveCellsError as exc:
         result = {"status": "inconclusive", "message": f"{type(exc).__name__}: {exc}", "cells": exc.cells}

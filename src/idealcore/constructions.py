@@ -45,12 +45,10 @@ from . import sets as sd
 from .asymptotics import (
     CoreConfig,
     CoreInterval,
-    UnsupportedInstanceError,
     classify_levels,
     core,
     ideal_lim_check,
     ideal_limsup,
-    oracle_core,
 )
 from .ideals import Ideal
 from .matrices import InfiniteMatrix, identity, matrix_sum, pos_neg_split, rk_matrix, transform
@@ -197,8 +195,9 @@ def core_stability_check(
     """Confirm that cores agree whenever the difference has ideal limit zero.
 
     Not applicable when the difference test fails or is inconclusive.  A
-    refutation on a structured instance with exact oracles indicates an
-    implementation bug, since the underlying statement is a theorem.
+    refutation on a structured instance whose cores are both ``exact``
+    indicates an implementation bug, since the underlying statement is a
+    theorem.
     """
     cfg = cfg or CoreConfig()
     diff = combine(x, y, "sub", label=f"{x.label}-{y.label}")
@@ -312,10 +311,7 @@ def sufficiency_certificate(
     if leo_verdict.status is Status.VIOLATED:
         raise ValueError("matrix violates the limsup conditions; no certificate exists")
 
-    try:
-        eta = oracle_core(x, ideal_i, core_cfg.theta).hi
-    except UnsupportedInstanceError:
-        eta = ideal_limsup(x, ideal_i, core_cfg)
+    eta = ideal_limsup(x, ideal_i, core_cfg)
     # Translate only when the upper endpoint is not safely positive; the
     # shrinkage chain needs eta - delta >= 0.
     delta_probe = min(eps / (2.0 + max(eta, 0.0) + 4.0 * x.bound), 1.0)

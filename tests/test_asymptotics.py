@@ -1,4 +1,4 @@
-"""Cluster sets, ideal limsup/liminf, cores, and the symbolic oracle."""
+"""Cluster sets, ideal limsup/liminf, cores and their provenance."""
 
 import math
 
@@ -29,6 +29,13 @@ STRUCTURED = [
     "blockwise_three_level",
     "indicator_blocks",
 ]
+LOG = ide.erdos_ulam("log")
+
+# (corpus label, ideal label) pairs whose value-prefix core deviates from the
+# core read off their level sets: the estimators read the squares as positive
+# under the density and log ideals (ROADMAP item 1).
+KNOWN_DEFECTS = (("indicator_squares", Z.label), ("indicator_squares", LOG.label))
+_KNOWN_DEFECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the squares read positive under z and log")
 
 
 def _strip_levels(x):
@@ -69,27 +76,22 @@ def test_core_examples():
     assert asy.core(seq.corpus_entry("alternating"), FIN, FAST).as_tuple() == (-1.0, 1.0)
     assert asy.core(seq.corpus_entry("indicator_evens"), Z, FAST).as_tuple() == (0.0, 1.0)
     assert asy.core(seq.corpus_entry("indicator_squares"), Z, FAST).as_tuple() == (0.0, 0.0)
+    signed = asy.core(seq.signed_indicator(sd.evens(), sd.odds()), FIN, FAST)
+    assert (signed.lo, signed.hi, signed.method) == (-1.0, 1.0, "exact")
 
 
-def test_oracle_core_examples():
-    assert asy.oracle_core(seq.corpus_entry("indicator_evens"), Z).as_tuple() == (0.0, 1.0)
-    assert asy.oracle_core(seq.corpus_entry("indicator_squares"), Z).as_tuple() == (0.0, 0.0)
-    x = seq.signed_indicator(sd.evens(), sd.odds())
-    assert asy.oracle_core(x, FIN).as_tuple() == (-1.0, 1.0)
-    assert asy.oracle_core(x, FIN).method == "exact"
-
-
-def test_oracle_core_reports_mixed_provenance():
+def test_core_reports_mixed_provenance():
     # The geometric blocks meet the trace, square-root blocks, in sets the
     # symbolic analysis cannot decide (two families of long runs), so those
     # levels fall back to the numeric estimator, whose prefix and threshold
-    # the result records.
+    # the result records; no grid was read.
     blocks = seq.corpus_entry("indicator_blocks")
-    mixed = asy.oracle_core(blocks, FO_ROOT, theta=2e-3)
-    assert (mixed.method, mixed.horizon, mixed.theta, mixed.grid) == ("mixed", asy._ORACLE_HORIZON, 2e-3, None)
+    cfg = asy.CoreConfig(horizon=FAST.horizon, grid=FAST.grid, theta=2e-3)
+    mixed = asy.core(blocks, FO_ROOT, cfg)
+    assert (mixed.method, mixed.horizon, mixed.theta, mixed.grid) == ("mixed", cfg.horizon, 2e-3, None)
     assert asy.cluster_points(blocks, FO_ROOT, FAST).exact is False
     alternating = seq.corpus_entry("alternating")
-    exact = asy.oracle_core(alternating, FIN)
+    exact = asy.core(alternating, FIN, FAST)
     assert (exact.method, exact.horizon, exact.theta, exact.grid) == ("exact", None, None, None)
     assert asy.cluster_points(alternating, FIN, FAST).exact is True
 
@@ -98,14 +100,14 @@ def test_union_level_sets_meeting_the_trace_are_decided_exactly():
     # The level set of 0, the odd blocks ∪ {0}, meets the evens in the union of
     # (odd blocks ∩ evens), infinite, and ({0} ∩ evens), finite.
     blocks = seq.corpus_entry("indicator_blocks")
-    for c in (asy.oracle_core(blocks, FO_EVENS), asy.core(blocks, FO_EVENS, FAST)):
-        assert (c.lo, c.hi, c.method) == (0.0, 1.0, "exact")
+    c = asy.core(blocks, FO_EVENS, FAST)
+    assert (c.lo, c.hi, c.method) == (0.0, 1.0, "exact")
 
 
 def test_a_level_set_and_its_complement_on_its_own_trace_are_decided_exactly():
     # Under Fin ⊕ P(squares) the zero level, the non-squares, meets the trace
     # in nothing: it is null, and the squares lie in the dual filter.
-    core = asy.oracle_core(seq.corpus_entry("indicator_squares"), ide.fin_oplus_full(sd.squares()))
+    core = asy.core(seq.corpus_entry("indicator_squares"), ide.fin_oplus_full(sd.squares()), FAST)
     assert (core.lo, core.hi, core.method) == (1.0, 1.0, "exact")
 
 
@@ -123,38 +125,33 @@ def test_classify_levels_reports_provenance():
     ]
 
 
-def test_oracle_refuses_unstructured():
-    with pytest.raises(asy.UnsupportedInstanceError):
-        asy.oracle_core(seq.corpus_entry("rotation_golden"), FIN)
+def test_core_of_unstructured_or_predicate_levels_is_never_exact():
+    assert asy.core(seq.corpus_entry("rotation_golden"), FIN, FAST).method == "numeric"
     predicate_levels = seq.indicator(sd.Predicate(lambda n: n % 2 == 0))
-    with pytest.raises(asy.UnsupportedInstanceError):
-        asy.oracle_core(predicate_levels, FIN)
+    assert asy.core(predicate_levels, FIN, FAST).method == "mixed"
 
 
-def test_oracle_equivalence_production_path():
-    for label in STRUCTURED:
-        x = seq.corpus_entry(label)
-        for ideal in (FIN, Z, FO_EVENS):
-            numeric = asy.core(x, ideal, CFG)
-            oracle = asy.oracle_core(x, ideal)
-            assert abs(numeric.lo - oracle.lo) <= CFG.grid, (label, ideal.label)
-            assert abs(numeric.hi - oracle.hi) <= CFG.grid, (label, ideal.label)
-
-
-def test_oracle_equivalence_forced_numeric():
-    # The grid + positivity-estimator route, with level sets and limits
-    # stripped, against the symbolic oracle.  Pairs whose level sets have slowly decaying sparse
-    # counts (the squares under the density ideal at this horizon) sit inside
-    # the estimator's documented uncertainty band and are excluded.
-    for label in STRUCTURED:
-        x = seq.corpus_entry(label)
-        for ideal in (FIN, Z, FO_EVENS):
-            if label == "indicator_squares" and ideal is not FIN:
-                continue
-            numeric = asy.core(_strip_levels(x), ideal, CFG)
-            oracle = asy.oracle_core(x, ideal)
-            assert abs(numeric.lo - oracle.lo) <= CFG.grid, (label, ideal.label)
-            assert abs(numeric.hi - oracle.hi) <= CFG.grid, (label, ideal.label)
+@pytest.mark.parametrize(
+    "label, ideal",
+    [
+        pytest.param(
+            label,
+            ideal,
+            marks=[_KNOWN_DEFECT] if (label, ideal.label) in KNOWN_DEFECTS else [],
+            id=f"{label}-{ideal.label}",
+        )
+        for label in STRUCTURED
+        for ideal in (FIN, Z, FO_EVENS, LOG)
+    ],
+)
+def test_forced_numeric_core_matches_the_level_core(label, ideal):
+    # The grid + positivity-estimator route, with level sets and limit
+    # stripped, against the core read off the level sets.
+    x = seq.corpus_entry(label)
+    numeric = asy.core(_strip_levels(x), ideal, CFG)
+    levels = asy.core(x, ideal, CFG)
+    assert abs(numeric.lo - levels.lo) <= CFG.grid
+    assert abs(numeric.hi - levels.hi) <= CFG.grid
 
 
 def test_core_monotone_in_ideal():
@@ -221,12 +218,14 @@ def test_config_validation():
         asy.CoreConfig(horizon=10)
     with pytest.raises(ValueError):
         asy.CoreConfig(grid=0.0)
+    for grid in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="grid resolution must be finite"):
+            asy.CoreConfig(grid=grid)
 
 
 def test_core_interval_records_method():
     # Finitely-valued: read off the level decisions, so exact or mixed.
-    c = asy.core(seq.corpus_entry("alternating"), FIN, FAST)
-    assert c.method == "exact" and c.horizon == FAST.horizon and c.grid == FAST.grid
+    assert asy.core(seq.corpus_entry("alternating"), FIN, FAST).method == "exact"
     assert asy.core(seq.corpus_entry("indicator_blocks"), FO_ROOT, FAST).method == "mixed"
     # A value prefix goes through the grid.
     c = asy.core(seq.corpus_entry("rotation_golden"), FIN, FAST)

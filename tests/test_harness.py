@@ -898,23 +898,26 @@ def test_cli_experiment(tmp_path):
     assert json.loads(blob)["exit_code"] == 1
 
 
-def test_cli_core_and_oracle():
+def test_cli_core_names_the_settings_it_rests_on():
     runner = CliRunner()
+    result = runner.invoke(main, ["core", "--sequence", "rotation_golden", "--ideal", "fin", "--horizon", "10000"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["method"] == "numeric"
+    assert (payload["horizon"], payload["grid"], payload["theta"]) == (10000, 0.01, 1e-3)
     result = runner.invoke(main, ["core", "--sequence", "alternating", "--ideal", "fin", "--horizon", "10000"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert (payload["lo"], payload["hi"]) == (-1.0, 1.0)
-    assert payload["horizon"] == 10000
-    assert payload["theta"] == 1e-3
-    result = runner.invoke(main, ["core", "--sequence", "indicator_squares", "--ideal", "z", "--oracle"])
+    result = runner.invoke(main, ["core", "--sequence", "indicator_squares", "--ideal", "z"])
     payload = json.loads(result.output)
     assert payload["method"] == "exact" and (payload["lo"], payload["hi"]) == (0.0, 0.0)
-    assert payload["horizon"] is None and payload["theta"] is None
+    assert (payload["horizon"], payload["grid"], payload["theta"]) == (None, None, None)
 
 
-def test_cli_mixed_oracle_records_horizon_and_theta():
+def test_cli_mixed_core_records_horizon_and_theta():
     trace = '{"type": "fin_oplus_full", "trace": {"type": "root_blocks", "residue": 0, "modulus": 2}}'
-    args = ["core", "--sequence", "indicator_blocks", "--ideal", trace, "--oracle", "--theta", "0.002"]
+    args = ["core", "--sequence", "indicator_blocks", "--ideal", trace, "--theta", "0.002"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
@@ -985,7 +988,7 @@ def test_cli_density():
 def test_cli_env_default_horizon(monkeypatch):
     runner = CliRunner()
     monkeypatch.setenv("IDEALCORE_DEFAULT_HORIZON", "12345")
-    result = runner.invoke(main, ["core", "--sequence", "alternating", "--ideal", "fin"])
+    result = runner.invoke(main, ["core", "--sequence", "rotation_golden", "--ideal", "fin"])
     assert result.exit_code == 0
     assert json.loads(result.output)["horizon"] == 12345
 
@@ -1090,12 +1093,26 @@ def test_cli_small_horizon_is_a_cli_error(args):
     "args, message",
     [
         (["core", "--sequence", "alternating_decay", "--ideal", "z", "--theta", "-1"], "theta must lie in (0, 1)"),
-        (["core", "--sequence", "indicator_squares", "--oracle", "--theta", "2"], "theta must lie in (0, 1)"),
-        (["core", "--sequence", "indicator_squares", "--oracle", "--horizon", "50"], "horizon must be at least 100"),
+        (["core", "--sequence", "indicator_squares", "--theta", "2"], "theta must lie in (0, 1)"),
+        (["core", "--sequence", "indicator_squares", "--horizon", "50"], "horizon must be at least 100"),
+        (["core", "--sequence", "rotation_golden", "--horizon", "1000", "--grid", "nan"], "grid resolution must be finite"),
+        (["core", "--sequence", "rotation_golden", "--horizon", "1000", "--grid", "inf"], "grid resolution must be finite"),
         (["check", "--matrix", "identity", "--theorem", "st", "--tol", "-1"], "tol must be nonnegative"),
         (["check", "--matrix", "identity", "--theorem", "st", "--theta", "0"], "theta must lie in (0, 1)"),
+        (["check", "--matrix", "cesaro", "--theorem", "leo", "--horizon", "1000", "--grid", "nan"], "grid resolution must be finite"),
+        (["check", "--matrix", "cesaro", "--theorem", "leo", "--horizon", "1000", "--grid", "-inf"], "grid resolution must be finite"),
     ],
-    ids=["core-theta", "oracle-theta", "oracle-horizon", "check-tol", "check-theta"],
+    ids=[
+        "core-theta",
+        "core-theta-above-one",
+        "core-horizon",
+        "core-grid-nan",
+        "core-grid-inf",
+        "check-tol",
+        "check-theta",
+        "check-grid-nan",
+        "check-grid-minus-inf",
+    ],
 )
 def test_cli_out_of_range_settings_are_cli_errors(args, message):
     result = CliRunner().invoke(main, args)
