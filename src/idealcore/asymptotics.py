@@ -171,18 +171,18 @@ def _hit_cells(sv: np.ndarray, bound: float, grid: float):
     return cand[hit].astype(np.int64).tolist(), lo[hit].tolist(), hi[hit].tolist()
 
 
-def _merge(cells: list[tuple[int, str, float, float]], grid: float):
-    """Merge runs of adjacent cells ``(index, status, wmin, wmax)`` of one status,
+def _merge(cells: list[tuple[int, PositivityResult, float, float]], grid: float):
+    """Merge runs of adjacent cells ``(index, verdict, wmin, wmax)`` of one verdict,
     given in ascending index order (a missing index splits a run): the value
     range of each positive run, the cell range of each inconclusive run."""
     points: list[tuple[float, float]] = []
     inconclusive: list[tuple[float, float]] = []
     # along a run of adjacent cells, index minus list position stays the same
-    for (status, _), group in groupby(enumerate(cells), key=lambda pc: (pc[1][1], pc[1][0] - pc[0])):
+    for (verdict, _), group in groupby(enumerate(cells), key=lambda pc: (pc[1][1], pc[1][0] - pc[0])):
         run = [cell for _, cell in group]
-        if status == "pos":
+        if verdict is PositivityResult.POSITIVE:
             points.append((min(c[2] for c in run), max(c[3] for c in run)))
-        elif status == "inc":
+        elif verdict is PositivityResult.INCONCLUSIVE:
             inconclusive.append((run[0][0] * grid, (run[-1][0] + 1) * grid))
     return tuple(points), tuple(inconclusive)
 
@@ -199,12 +199,12 @@ def _scan_end(decide, cells: list[int], order: range) -> None:
     """
     steps = iter(order)
     for k in steps:
-        if decide(k) == "pos":
+        if decide(k) is PositivityResult.POSITIVE:
             break
     else:
         return
     for k in steps:
-        if abs(cells[k] - cells[k - order.step]) != 1 or decide(k) != "inc":
+        if abs(cells[k] - cells[k - order.step]) != 1 or decide(k) is not PositivityResult.INCONCLUSIVE:
             return
 
 
@@ -232,16 +232,16 @@ class _CellTable:
     def cluster(self, ideal: Ideal, theta: float, ends: str | None = None) -> ClusterSet:
         """The cluster set under ``ideal`` (see ``cluster_of_values``)."""
         values, cells = self.values, self.cells
-        decided: dict[int, tuple[int, str, float, float]] = {}
+        decided: dict[int, tuple[int, PositivityResult, float, float]] = {}
 
-        def decide(k: int) -> str:
+        def decide(k: int) -> PositivityResult:
             if k not in decided:
                 verdict, support = ideal.positivity(self.hits(k), len(values), theta)
                 if verdict is PositivityResult.POSITIVE:
                     witness = values[support]
-                    decided[k] = (cells[k], "pos", float(witness.min()), float(witness.max()))
+                    decided[k] = (cells[k], verdict, float(witness.min()), float(witness.max()))
                 else:
-                    decided[k] = (cells[k], "inc" if verdict is PositivityResult.INCONCLUSIVE else "null", 0.0, 0.0)
+                    decided[k] = (cells[k], verdict, 0.0, 0.0)
             return decided[k][1]
 
         if ends is None:
@@ -280,20 +280,22 @@ def cluster_of_values(
 
 
 _LEVEL_STATUS = {
-    MembershipResult.IN_IDEAL: "null",
-    MembershipResult.POSITIVE: "pos",
-    MembershipResult.IN_DUAL_FILTER: "pos",
-    MembershipResult.INCONCLUSIVE: "inc",
+    MembershipResult.IN_IDEAL: PositivityResult.NULL,
+    MembershipResult.POSITIVE: PositivityResult.POSITIVE,
+    MembershipResult.IN_DUAL_FILTER: PositivityResult.POSITIVE,
+    MembershipResult.INCONCLUSIVE: PositivityResult.INCONCLUSIVE,
 }
 
 
-def classify_levels(levels, ideal: Ideal, horizon: int, theta: float) -> list[tuple[float, str, bool]]:
-    """Decide each ``(value, level set)`` pair: ``(value, status, exact)`` per level.
+def classify_levels(levels, ideal: Ideal, horizon: int, theta: float) -> list[tuple[float, PositivityResult, bool]]:
+    """Decide each ``(value, level set)`` pair: ``(value, verdict, exact)`` per level.
 
-    ``status`` is ``"pos"`` (positive, or in the dual filter), ``"null"`` (in
-    the ideal) or ``"inc"`` (undecided).  ``exact`` says the symbolic analysis
-    decided the level; otherwise the ideal's positivity estimator judged the
-    level set and its complement on the prefix below ``horizon`` at ``theta``.
+    The verdict is the level set's positivity, in the estimator's vocabulary:
+    ``POSITIVE`` when it is positive or in the dual filter, ``NULL`` when it
+    lies in the ideal, ``INCONCLUSIVE`` when neither is decided.  ``exact``
+    says the symbolic analysis (``decide_membership``) decided the level;
+    otherwise ``estimate_membership`` judged the level set and its complement
+    with the ideal's ``positivity`` on the prefix below ``horizon`` at ``theta``.
     """
     out = []
     for value, level_set in levels:
@@ -320,8 +322,8 @@ def _level_cluster(x: BoundedSequence, ideal: Ideal, horizon: int, theta: float)
     ``exact`` says every level was decided symbolically.
     """
     decisions = classify_levels(x.level_sets, ideal, horizon, theta)
-    positive = {v for v, status, _ in decisions if status == "pos"}
-    undecided = {v for v, status, _ in decisions if status == "inc"} - positive
+    positive = {v for v, verdict, _ in decisions if verdict is PositivityResult.POSITIVE}
+    undecided = {v for v, verdict, _ in decisions if verdict is PositivityResult.INCONCLUSIVE} - positive
     if not positive and not undecided:
         raise InconclusiveCellsError("no positively attained value")
     return ClusterSet(

@@ -50,7 +50,7 @@ from .asymptotics import (
     ideal_lim_check,
     ideal_limsup,
 )
-from .ideals import Ideal
+from .ideals import Ideal, PositivityResult
 from .matrices import InfiniteMatrix, identity, matrix_sum, pos_neg_split, rk_matrix, transform
 from .records import record
 from .regularity import CheckConfig, CheckMemo, Status, Verdict, leo_check
@@ -176,10 +176,10 @@ def _difference_is_null(d: BoundedSequence, ideal: Ideal, cfg: CoreConfig, tol: 
     """Is the ideal limit of the difference sequence 0 (within tol)?"""
     if d.level_sets is not None:
         big = [(value, level_set) for value, level_set in d.level_sets if abs(value) > tol]
-        statuses = {status for _, status, _ in classify_levels(big, ideal, cfg.horizon, cfg.theta)}
-        if "pos" in statuses:
+        verdicts = {verdict for _, verdict, _ in classify_levels(big, ideal, cfg.horizon, cfg.theta)}
+        if PositivityResult.POSITIVE in verdicts:
             return False
-        if statuses <= {"null"}:
+        if verdicts <= {PositivityResult.NULL}:
             return True
     ok, _ = ideal_lim_check(d.prefix(cfg.horizon), 0.0, tol, ideal, cfg.theta)
     return ok

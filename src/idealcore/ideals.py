@@ -6,14 +6,20 @@ Each catalog ideal pairs two decision channels:
   on a :class:`~idealcore.sets.SetDescription`, derived from the structural
   density/cardinality analysis.  ``None`` means "not derivable", never a guess.
 * ``positivity(hits, horizon, theta)``: a numeric estimator on an index prefix
-  (the indices below the horizon where some event happened), used by the
-  cluster-point machinery and by membership queries on predicate sets.  Its
-  rules are finite-horizon approximations and are documented per ideal.  The
-  threshold ``theta`` is a run setting (``cfg.theta``, ``--theta``).  The
-  hits are ascending, distinct and below the horizon, as every caller passes
-  them (``asymptotics.cluster_of_values`` and ``ideal_lim_check``,
-  ``estimate_membership``, ``TraceFinIdeal``'s trace filter), so each
-  estimator splits them at H/2 and H by position instead of by a mask.
+  (the indices below the horizon where some event happened, ascending and
+  distinct).  ``Ideal.positivity`` keeps the hits the ideal counts
+  (``_counted``), splits them once at H/2 and H, c0 of them below H/2 and c1
+  below H, and returns the ideal's verdict (``_judge``) with one support: the
+  counted hits in the tail window [H/2, H) when it holds one, else every
+  counted hit.  An empty prefix is null.  ``theta`` is a run setting:
+  - Fin, and the trace-finite ideals on the hits in their trace: positive iff
+    c1 > c0, else null.
+  - Z and Erdős–Ulam: the (weighted) upper-density estimate
+    ``_max_running_ratio`` in the band ``_band``: above theta positive, below
+    theta/10 null, in between inconclusive.
+  - Summable: a weighted sum above the cutoff is positive, else inconclusive.
+  - Fin×∅: null with no tail hit, positive when a tail hit opens a column of
+    the pairing that no head hit reached (a fresh column), else inconclusive.
 
 ``membership`` combines both channels into the four-way verdict
 in-ideal / positive / in-dual-filter / inconclusive.
@@ -108,33 +114,17 @@ class ClassificationReport:
         return ", ".join(parts) + f"; canonical form: {self.canonical_form}"
 
 
-def _split(hits: np.ndarray, horizon: int) -> tuple[int, int]:
-    """Where H/2 and H fall in the hits: ``hits[:c0]`` is the head below H/2 and
-    ``hits[c0:c1]`` the tail window [H/2, H)."""
-    c0, c1 = np.searchsorted(hits, (horizon // 2, horizon))
-    return int(c0), int(c1)
-
-
-def _tail(hits: np.ndarray, horizon: int) -> np.ndarray:
-    c0, c1 = _split(hits, horizon)
-    return hits[c0:c1]
-
-
-def _support(hits: np.ndarray, horizon: int) -> np.ndarray:
-    """The tail window when it holds a hit, else every hit."""
-    tail = _tail(hits, horizon)
-    return tail if tail.size else hits
-
-
-def _max_running_ratio(hits: np.ndarray, horizon: int, weight_table: np.ndarray | None = None) -> float:
+def _max_running_ratio(
+    hits: np.ndarray, c0: int, c1: int, horizon: int, weight_table: np.ndarray | None = None
+) -> float:
     """Max over n in [horizon/2, horizon) of (weighted) count of hits in [0, n) over the
     (weighted) measure of [0, n).  This is the documented upper-density estimate.
 
+    ``hits[:c0]`` lie below horizon/2 and ``hits[c0:c1]`` in the tail window.
     ``weight_table``, when given, holds two rows: the weights below the horizon
     and their running totals (``_with_totals``).
     """
     n0 = horizon // 2
-    c0, c1 = _split(hits, horizon)
     if weight_table is None:
         best = c0 / n0 if n0 > 0 else 0.0
         if c1 > c0:
@@ -144,7 +134,7 @@ def _max_running_ratio(hits: np.ndarray, horizon: int, weight_table: np.ndarray 
             best = max(best, float(np.max(counts / (hits[c0:c1] + 1))))
         return best
     weights, totals = weight_table
-    hit_weights = np.cumsum(weights[hits]) if hits.size else np.zeros(0)
+    hit_weights = np.cumsum(weights[hits])
     mass0 = float(hit_weights[c0 - 1]) if c0 > 0 else 0.0
     best = mass0 / float(totals[n0 - 1]) if n0 > 0 else 0.0
     if c1 > c0:
@@ -153,19 +143,13 @@ def _max_running_ratio(hits: np.ndarray, horizon: int, weight_table: np.ndarray 
     return best
 
 
-def _density_positivity(hits: np.ndarray, horizon: int, theta: float, weight_table=None):
-    """The (weighted, when ``weight_table`` maps a horizon to the weight table) upper-density
-    estimate against the band: above ``theta`` positive, below ``theta/10`` null,
-    in between inconclusive."""
-    support = _support(hits, horizon)
-    if hits.size == 0:
-        return PositivityResult.NULL, support
-    est = _max_running_ratio(hits, horizon, weight_table(horizon) if weight_table else None)
-    if est > theta:
-        return PositivityResult.POSITIVE, support
-    if est < theta / 10.0:
-        return PositivityResult.NULL, support
-    return PositivityResult.INCONCLUSIVE, support
+def _band(estimate: float, theta: float) -> PositivityResult:
+    """Above ``theta`` positive, below ``theta/10`` null, in between inconclusive."""
+    if estimate > theta:
+        return PositivityResult.POSITIVE
+    if estimate < theta / 10.0:
+        return PositivityResult.NULL
+    return PositivityResult.INCONCLUSIVE
 
 
 def _with_totals(w: np.ndarray) -> np.ndarray:
@@ -211,8 +195,22 @@ class Ideal:
         self, hits: np.ndarray, horizon: int, theta: float
     ) -> tuple[PositivityResult, np.ndarray]:
         """Numeric positivity of an index prefix at threshold ``theta`` (ignored by rules
-        without one); returns (verdict, supporting hits).  ``hits`` must be
-        ascending, distinct and below ``horizon``."""
+        without one); returns (verdict, support), the support being the counted
+        hits of the tail window [H/2, H) when it holds one, else every counted
+        hit.  ``hits`` must be ascending, distinct and below ``horizon``."""
+        hits = self._counted(hits, horizon)
+        if not hits.size:
+            return PositivityResult.NULL, hits
+        c0, c1 = (int(c) for c in np.searchsorted(hits, (horizon // 2, horizon)))
+        return self._judge(hits, c0, c1, horizon, theta), hits[c0:c1] if c1 > c0 else hits
+
+    def _counted(self, hits: np.ndarray, horizon: int) -> np.ndarray:
+        """The hits the rule reads."""
+        return hits
+
+    def _judge(self, hits: np.ndarray, c0: int, c1: int, horizon: int, theta: float) -> PositivityResult:
+        """The ideal's rule on nonempty counted hits, ``hits[:c0]`` below H/2 and
+        ``hits[c0:c1]`` in the tail window."""
         raise NotImplementedError
 
     def classify(self) -> ClassificationReport:
@@ -271,23 +269,15 @@ class FinIdeal(Ideal):
             return False
         return None
 
-    def positivity(self, hits, horizon, theta):
-        tail = _tail(hits, horizon)
-        if tail.size:
-            return PositivityResult.POSITIVE, tail
-        return PositivityResult.NULL, tail
+    def _judge(self, hits, c0, c1, horizon, theta):
+        return PositivityResult.POSITIVE if c1 > c0 else PositivityResult.NULL
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(True, True, False, True, True, "Fin")
 
 
 class DensityZeroIdeal(Ideal):
-    """Sets of asymptotic density zero (the statistical-null ideal).
-
-    Numeric rule: the upper-density estimate over the tail half-window is
-    compared against the positivity threshold; estimates above ``theta`` are
-    positive, below ``theta/10`` null, in between inconclusive.
-    """
+    """Sets of asymptotic density zero (the statistical-null ideal)."""
 
     kind = "density_zero"
 
@@ -305,8 +295,8 @@ class DensityZeroIdeal(Ideal):
                 return d.upper == 0 if d.exact else False
         return self._propagate(s)
 
-    def positivity(self, hits, horizon, theta):
-        return _density_positivity(hits, horizon, theta)
+    def _judge(self, hits, c0, c1, horizon, theta):
+        return _band(_max_running_ratio(hits, c0, c1, horizon), theta)
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(True, False, True, False, False, "Z")
@@ -380,8 +370,8 @@ class ErdosUlamIdeal(_WeightedIdeal):
                 return False
         return self._propagate(s)
 
-    def positivity(self, hits, horizon, theta):
-        return _density_positivity(hits, horizon, theta, self._weight_table)
+    def _judge(self, hits, c0, c1, horizon, theta):
+        return _band(_max_running_ratio(hits, c0, c1, horizon, self._weight_table(horizon)), theta)
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(True, False, True, False, False, f"Erdos-Ulam({self.weights})")
@@ -390,9 +380,8 @@ class ErdosUlamIdeal(_WeightedIdeal):
 class SummableIdeal(_WeightedIdeal):
     """Sets whose weight series converges (harmonic preset: sum of 1/(n+1)).
 
-    Numeric rule (a documented heuristic): a partial sum above the divergence
-    cutoff counts as positive; otherwise the estimator is inconclusive, since
-    convergence cannot be witnessed on a prefix.
+    Its numeric rule is a heuristic: convergence cannot be witnessed on a
+    prefix, so no nonempty prefix is null.
     """
 
     kind = "summable"
@@ -422,14 +411,9 @@ class SummableIdeal(_WeightedIdeal):
             return False
         return self._propagate(s)
 
-    def positivity(self, hits, horizon, theta):
-        support = _support(hits, horizon)
-        if hits.size == 0:
-            return PositivityResult.NULL, support
+    def _judge(self, hits, c0, c1, horizon, theta):
         total = float(np.sum(self._weight_table(horizon)[0][hits]))
-        if total > self.cutoff:
-            return PositivityResult.POSITIVE, support
-        return PositivityResult.INCONCLUSIVE, support
+        return PositivityResult.POSITIVE if total > self.cutoff else PositivityResult.INCONCLUSIVE
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(True, True, True, False, False, "summable(harmonic)")
@@ -456,13 +440,11 @@ class TraceFinIdeal(Ideal):
             return False
         return None
 
-    def positivity(self, hits, horizon, theta):
-        mask = self.trace.mask(horizon)
-        traced = hits[mask[hits]] if hits.size else hits
-        tail = _tail(traced, horizon)
-        if tail.size:
-            return PositivityResult.POSITIVE, tail
-        return PositivityResult.NULL, tail
+    _judge = FinIdeal._judge
+
+    def _counted(self, hits, horizon):
+        """The hits on the trace."""
+        return hits[self.trace.mask(horizon)[hits]] if hits.size else hits
 
     def classify(self) -> ClassificationReport:
         cofinite = sd.complement(self.trace).cardinality() is Cardinality.FINITE
@@ -519,17 +501,15 @@ class ColumnBlockIdeal(Ideal):
             return True
         return None
 
-    def positivity(self, hits, horizon, theta):
-        c0, c1 = _split(hits, horizon)
-        tail = hits[c0:c1]
-        if tail.size == 0:
-            return PositivityResult.NULL, hits
+    def _judge(self, hits, c0, c1, horizon, theta):
+        if c1 == c0:
+            return PositivityResult.NULL
         cols = _pair_column_table(horizon)
         head_max = int(cols[hits[:c0]].max()) if c0 else -1
-        if int(cols[tail].max()) > head_max:
+        if int(cols[hits[c0:c1]].max()) > head_max:
             # Fresh columns keep appearing: not coverable by the ones seen so far.
-            return PositivityResult.POSITIVE, tail
-        return PositivityResult.INCONCLUSIVE, tail
+            return PositivityResult.POSITIVE
+        return PositivityResult.INCONCLUSIVE
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(False, True, False, True, True, "Fin×{∅} copy")

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
 import random
 from typing import Callable
 
@@ -112,7 +113,9 @@ class CheckConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol >= 0:
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
+        if self.tol < 0:
             raise ValueError("tol must be nonnegative")
 
     def core_config(self) -> CoreConfig:

@@ -119,9 +119,9 @@ def test_classify_levels_reports_provenance():
         (2.0, ideal.generator(0)),  # one column: the estimator cannot tell
     ]
     assert asy.classify_levels(levels, ideal, 10_000, 1e-3) == [
-        (0.0, "null", True),
-        (1.0, "pos", False),
-        (2.0, "inc", False),
+        (0.0, ide.PositivityResult.NULL, True),
+        (1.0, ide.PositivityResult.POSITIVE, False),
+        (2.0, ide.PositivityResult.INCONCLUSIVE, False),
     ]
 
 
@@ -247,14 +247,14 @@ def _per_cell_cluster(values, ideal, cfg, bound=None):
         a = int(np.searchsorted(sv, (i - asy._ENLARGE) * cfg.grid, side="left"))
         b = int(np.searchsorted(sv, (i + 1 + asy._ENLARGE) * cfg.grid, side="right"))
         if a == b:
-            cells.append((i, "null", 0.0, 0.0))
+            cells.append((i, ide.PositivityResult.NULL, 0.0, 0.0))
             continue
         verdict, support = ideal.positivity(np.sort(order[a:b]), len(values), cfg.theta)
         if verdict is ide.PositivityResult.POSITIVE:
             witness = values[support]
-            cells.append((i, "pos", float(witness.min()), float(witness.max())))
+            cells.append((i, verdict, float(witness.min()), float(witness.max())))
         else:
-            cells.append((i, "inc" if verdict is ide.PositivityResult.INCONCLUSIVE else "null", 0.0, 0.0))
+            cells.append((i, verdict, 0.0, 0.0))
     points, inconclusive = asy._merge(cells, cfg.grid)
     if not points and not inconclusive:
         raise asy.InconclusiveCellsError("no cell survived; sequence prefix may be empty")

@@ -1098,6 +1098,7 @@ def test_cli_small_horizon_is_a_cli_error(args):
         (["core", "--sequence", "rotation_golden", "--horizon", "1000", "--grid", "nan"], "grid resolution must be finite"),
         (["core", "--sequence", "rotation_golden", "--horizon", "1000", "--grid", "inf"], "grid resolution must be finite"),
         (["check", "--matrix", "identity", "--theorem", "st", "--tol", "-1"], "tol must be nonnegative"),
+        (["check", "--matrix", "cesaro", "--theorem", "allen", "--tol", "inf"], "tol must be finite"),
         (["check", "--matrix", "identity", "--theorem", "st", "--theta", "0"], "theta must lie in (0, 1)"),
         (["check", "--matrix", "cesaro", "--theorem", "leo", "--horizon", "1000", "--grid", "nan"], "grid resolution must be finite"),
         (["check", "--matrix", "cesaro", "--theorem", "leo", "--horizon", "1000", "--grid", "-inf"], "grid resolution must be finite"),
@@ -1109,6 +1110,7 @@ def test_cli_small_horizon_is_a_cli_error(args):
         "core-grid-nan",
         "core-grid-inf",
         "check-tol",
+        "check-tol-inf",
         "check-theta",
         "check-grid-nan",
         "check-grid-minus-inf",

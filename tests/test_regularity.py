@@ -1,5 +1,6 @@
 """Condition checkers: verdicts, witnesses, guards, and cross-checker coherence."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,14 @@ Z = ide.density_zero()
 FO_EVENS = ide.fin_oplus_full(sd.evens())
 CFG = CheckConfig()
 FAST = CheckConfig(horizon=2000)
+
+
+@pytest.mark.parametrize(
+    "tol, message", [(math.inf, "finite"), (math.nan, "finite"), (-1.0, "nonnegative")], ids=["inf", "nan", "negative"]
+)
+def test_check_config_refuses_a_tol_out_of_range(tol, message):
+    with pytest.raises(ValueError, match=f"tol must be {message}"):
+        CheckConfig(tol=tol)
 
 
 def random_nonneg_matrix(seed: int, horizon: int = 2000) -> mat.InfiniteMatrix:
