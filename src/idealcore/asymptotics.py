@@ -156,15 +156,20 @@ def _hit_cells(sv: np.ndarray, bound: float, grid: float):
     """The cells of the range whose window holds a value of the sorted prefix
     ``sv``, ascending, with the float bounds ``lo`` and ``hi`` of each window.
 
-    A value v lies only in the windows of the cells next to ``floor(v / grid)``,
-    so only those cells are searched, two vectorized ``searchsorted`` calls in
-    all; the other cells of the range hold no value.
+    The candidate cells are searched with two vectorized ``searchsorted``
+    calls in all.  A range no longer than the prefix is searched whole, with
+    no temporary the size of the prefix.  In a longer one, a value v lies only
+    in the windows of the cells next to ``floor(v / grid)``, so only those
+    cells are searched; the other cells of the range hold no value.
     """
     span = _cell_range(bound, grid)
-    near = sv / grid
-    np.floor(near, out=near)  # ascending, like sv
-    cand = _distinct(np.sort((_distinct(near)[:, None] + np.arange(-2.0, 3.0)).ravel()))
-    cand = cand[(cand >= span.start) & (cand < span.stop)]
+    if len(span) <= sv.size:
+        cand = np.arange(span.start, span.stop, dtype=np.float64)
+    else:
+        near = sv / grid
+        np.floor(near, out=near)  # ascending, like sv
+        cand = _distinct(np.sort((_distinct(near)[:, None] + np.arange(-2.0, 3.0)).ravel()))
+        cand = cand[(cand >= span.start) & (cand < span.stop)]
     lo = (cand - _ENLARGE) * grid
     hi = (cand + 1 + _ENLARGE) * grid
     hit = np.searchsorted(sv, lo, side="left") < np.searchsorted(sv, hi, side="right")

@@ -152,6 +152,12 @@ def _band(estimate: float, theta: float) -> PositivityResult:
     return PositivityResult.INCONCLUSIVE
 
 
+def _not_null(d: sd.DensityBounds | None) -> bool:
+    """The bounds show a positive upper density: a lower bound above 0, or an
+    exact upper bound above 0 (an inexact upper bound shows nothing)."""
+    return d is not None and (d.lower > 0 or (d.exact and d.upper > 0))
+
+
 def _with_totals(w: np.ndarray) -> np.ndarray:
     """The weights ``w`` and their running totals, as the two rows of one read-only array."""
     table = np.stack((w, np.cumsum(w)))
@@ -220,7 +226,8 @@ class Ideal:
         return f"<Ideal {self.label}>"
 
     # Generic sound propagation through the boolean structure.  Used by the
-    # density-style ideals; the trace ideals reduce to cardinality instead.
+    # density-style ideals and Fin×∅; the trace ideals reduce to cardinality
+    # instead.
     def _propagate(self, s: SetDescription) -> bool | None:
         if isinstance(s, sd.Union):
             a, b = self.decide_in(s.left), self.decide_in(s.right)
@@ -288,11 +295,10 @@ class DensityZeroIdeal(Ideal):
         if s.cardinality() is Cardinality.FINITE:
             return True
         d = s.density_bounds()
-        if d is not None:
-            if d.upper == 0:
-                return True
-            if d.exact or d.lower > 0:
-                return d.upper == 0 if d.exact else False
+        if d is not None and d.upper == 0:
+            return True
+        if _not_null(d):
+            return False
         return self._propagate(s)
 
     def _judge(self, hits, c0, c1, horizon, theta):
@@ -344,7 +350,8 @@ class ErdosUlamIdeal(_WeightedIdeal):
 
     The ``log`` preset (weights 1/(n+1)) is the logarithmic-density ideal; for
     it, exact decisions are available whenever the natural density limit
-    exists, since the logarithmic density then agrees with it.  Custom weight
+    exists, since the logarithmic density then agrees with it, and a set of
+    lower density above 0 is positive.  Custom weight
     callables get numeric decisions only; divergence of their sum is the
     caller's contract (presets are known divergent), positivity of the
     evaluated prefix is checked.
@@ -362,11 +369,8 @@ class ErdosUlamIdeal(_WeightedIdeal):
             d = s.density_bounds()
             if d is not None and d.has_limit:
                 return d.value == 0
-            if isinstance(s, sd.GeometricBlocks) or (
-                isinstance(s, sd.Complement) and isinstance(s.inner, sd.GeometricBlocks)
-            ):
-                # Blocks carry logarithmic mass 1/modulus, and their
-                # complement the rest, so neither is null.
+            if d is not None and d.lower > 0:
+                # The lower logarithmic density is at least the lower natural one.
                 return False
         return self._propagate(s)
 
@@ -400,14 +404,8 @@ class SummableIdeal(_WeightedIdeal):
             return None  # custom weights decide numerically only
         if isinstance(s, sd.Squares):
             return True
-        d = s.density_bounds()
-        if d is not None:
-            # A harmonically summable set must have upper density zero.
-            if d.exact and d.upper > 0:
-                return False
-            if d.lower > 0:
-                return False
-        if isinstance(s, (sd.GeometricBlocks, sd.RootBlocks)):
+        # A harmonically summable set must have upper density zero.
+        if _not_null(s.density_bounds()):
             return False
         return self._propagate(s)
 
@@ -483,9 +481,11 @@ def _pair_column_table(horizon: int) -> np.ndarray:
 class ColumnBlockIdeal(Ideal):
     """Sets covered by finitely many columns of the Cantor pairing (a Fin×{∅} copy).
 
-    Exact decisions are limited to finite sets; coverage by infinitely many
-    generators cannot be certified structurally, so most queries come back
-    inconclusive.  The entry exists mainly for its classification metadata.
+    Exact decisions: finite sets are in the ideal; a set that the density
+    analysis shows not to be density-null (a lower bound above 0, or an exact
+    upper bound above 0) is positive, as are the squares; unions, differences
+    and complements propagate.  No infinite set is decided in the ideal, since
+    coverage by finitely many columns cannot be certified structurally.
     """
 
     kind = "fin_times_empty"
@@ -499,7 +499,14 @@ class ColumnBlockIdeal(Ideal):
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
             return True
-        return None
+        # Fin×∅ ⊆ Z: K columns hold at most K·√(2N) members below N, so a set
+        # that is not density-null is covered by no finite set of columns.  A
+        # square s² in column k solves the Pell equation (2w+1)² − 8s² = 1 − 8k,
+        # whose solutions grow geometrically: K columns hold O(K·log N) of the
+        # √N squares below N, so the squares meet infinitely many columns.
+        if _not_null(s.density_bounds()) or isinstance(s, sd.Squares):
+            return False
+        return self._propagate(s)
 
     def _judge(self, hits, c0, c1, horizon, theta):
         if c1 == c0:

@@ -232,9 +232,10 @@ def default_family(ideal: Ideal, seed: int = 0) -> TestFamily:
 
     ``membership`` decides a set symbolically when the structural analysis
     applies and otherwise falls back to the ideal's numeric estimator on the
-    prefix below 100 000; under ``fin_times_empty`` most sets of the pool are
-    classified that way.  Only sets whose verdict is inconclusive are left out
-    of the in-ideal and positive slots.  Every certifiably infinite pool set is
+    prefix below 100 000.  Under each named catalog ideal, ``fin_times_empty``
+    included, every pool set is decided symbolically; custom weights take the
+    estimator.  Only sets whose verdict is inconclusive are left out of the
+    in-ideal and positive slots.  Every certifiably infinite pool set is
     listed as infinite.
     """
     in_ideal, positive, infinite = [], [], []

@@ -94,9 +94,13 @@ _LCM_CAP = 10**6
 # Masks kept by ``SetDescription.mask``; at a 200k horizon each takes 200 kB.
 _MASK_CACHE_SIZE = 64
 
-# ``_at_rows`` reads pointwise once the largest row exceeds this multiple of
-# the number of rows (a sparse image, such as that of the squares' enumeration).
+# ``_at_rows`` reads pointwise once the span of the rows exceeds this multiple
+# of their number (a sparse image, such as that of the squares' enumeration).
 _SPARSE_IMAGE_FACTOR = 16
+
+# Rows dense in their span but far from 0 read a prefix longer than
+# ``_SPARSE_IMAGE_FACTOR`` times their number only up to this length.
+_FAR_PREFIX_CAP = 1 << 22
 
 
 class Cardinality(enum.Enum):
@@ -451,14 +455,24 @@ class Preimage(SetDescription):
 def _at_rows(rows: np.ndarray, prefix: Callable, point: Callable, dtype) -> np.ndarray:
     """``prefix(support)[rows]``, where support is 1 + the largest row.
 
-    When the rows are sparse (e.g. the image of the squares) the largest one
-    far exceeds their count, so ``point(n)`` is read per row instead of a
-    prefix that long.
+    When the rows are sparse (e.g. the image of the squares) their span, from
+    the smallest to the largest, far exceeds their count, so ``point(n)`` is
+    read per row instead of a prefix that long.  Rows dense in their span
+    but far from 0, such as the indices that grow a prefix by a little, read
+    the prefix up to them when it is at most ``_FAR_PREFIX_CAP`` long, and
+    per row beyond, so a far shift such as n ↦ n + 10⁹ builds no such
+    prefix.  A contiguous ascending run [a, b) is a copy of the slice
+    ``prefix(b)[a:b]``.
     """
-    support = int(rows.max()) + 1 if rows.size else 0
-    if support > _SPARSE_IMAGE_FACTOR * rows.size:
+    if not rows.size:
+        return prefix(0)[rows]
+    lo, hi = int(rows.min()), int(rows.max())
+    dense = _SPARSE_IMAGE_FACTOR * rows.size
+    if hi - lo + 1 > dense or hi >= max(dense, _FAR_PREFIX_CAP):
         return np.fromiter((point(n) for n in rows.tolist()), dtype=dtype, count=rows.size)
-    return prefix(support)[rows]
+    if hi - lo + 1 == rows.size and not np.count_nonzero(rows[1:] <= rows[:-1]):
+        return prefix(hi + 1)[lo:].copy()
+    return prefix(hi + 1)[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +705,12 @@ def _density(s: SetDescription) -> DensityBounds | None:
             return None
         if s.h.affine is None:
             return _bounds(_ZERO, _ONE, False)
+        if _has_long_runs(s.inner):
+            # A run of length L holds L/a values of a·n + b, up to one, and S
+            # has o(N) runs below a·N + b, so {n < N : a·n + b ∈ S} counts
+            # |S ∩ [0, a·N)|/a + o(N): the ratios of S read at multiples of
+            # a, with the same extremes.
+            return d
         # {n < N : a·n + b ∈ S} has at most |S ∩ [0, a·N + b)| members.
         upper = min(_ONE, s.h.affine[0] * d.upper)
         return _bounds(_ZERO, upper, upper == 0)
@@ -701,13 +721,24 @@ def _density(s: SetDescription) -> DensityBounds | None:
 # Cardinality analysis
 
 
-def _has_long_runs(s: SetDescription) -> bool:
-    """True when the set provably contains arbitrarily long integer runs: the
-    block families and their complements, whose blocks [b^i, b^(i+1)) or
-    [k², (k+1)²) are those of the other residues."""
+def _is_block_family(s: SetDescription) -> bool:
+    """The block families and their complements, whose blocks [b^i, b^(i+1))
+    or [k², (k+1)²) are those of the other residues."""
     if isinstance(s, Complement):
         s = s.inner
     return isinstance(s, (GeometricBlocks, RootBlocks))
+
+
+def _has_long_runs(s: SetDescription) -> bool:
+    """True when the set and its complement are unions of o(N) runs below N
+    whose lengths grow without bound: the block families, their complements
+    and their preimages under affine maps, which divide each run by the
+    multiplier."""
+    if isinstance(s, Complement):
+        s = s.inner
+    if isinstance(s, Preimage) and s.h.affine is not None:
+        return _has_long_runs(s.inner)
+    return _is_block_family(s)
 
 
 def _squares_hit_residues(rf: ResidueForm) -> bool:
@@ -821,8 +852,10 @@ def _intersection_cardinality(a: SetDescription, b: SetDescription) -> Cardinali
                 return Cardinality.INFINITE
             if isinstance(y, Squares):
                 return Cardinality.INFINITE if _squares_hit_residues(combined) else Cardinality.FINITE
+    # A root block [k², (k+1)²) starts at a square, and a geometric block is
+    # longer than the gaps 2k + 1 between the squares near it.
     for x, y in ((a, b), (b, a)):
-        if isinstance(x, Squares) and _has_long_runs(y):
+        if isinstance(x, Squares) and _is_block_family(y):
             return Cardinality.INFINITE
     # Root blocks meet exactly in the blocks whose index solves both
     # congruences, infinitely many by the CRT or none.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealcore import asymptotics as asy
@@ -442,6 +442,39 @@ def test_end_scans_decide_few_cells():
     fin = _CountingFin()
     assert asy.limsup_of_values(np.tile([0.505, -0.505], 500), fin, cfg) == 0.505
     assert len(fin.calls) == 1
+
+
+def _hit_cells_near_values(sv, bound, grid):
+    """``_hit_cells`` as it searched every range: only the cells within two of
+    ``floor(v / grid)`` for some value v."""
+    span = asy._cell_range(bound, grid)
+    near = np.unique(np.floor(sv / grid))
+    cand = np.unique((near[:, None] + np.arange(-2.0, 3.0)).ravel())
+    cand = cand[(cand >= span.start) & (cand < span.stop)]
+    lo = (cand - asy._ENLARGE) * grid
+    hi = (cand + 1 + asy._ENLARGE) * grid
+    hit = np.searchsorted(sv, lo, side="left") < np.searchsorted(sv, hi, side="right")
+    return cand[hit].astype(np.int64).tolist(), lo[hit].tolist(), hi[hit].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=600),
+    st.sampled_from([0.01, 0.03, 0.1, 0.5]),
+    st.sampled_from([1.0, 1.5, 8.0]),
+)
+@example([-0.5, 0.73], 0.01, 1.0)  # 2 values, 148 cells
+@example(np.linspace(-1.0, 1.0, 2000).tolist(), 0.01, 1.0)  # 2000 values, 202 cells
+def test_hit_cells_match_the_search_near_each_value(values, grid, widen):
+    # The cells near the values hold every hit cell, so searching the whole
+    # range, when it is no longer than the prefix, finds the same cells and
+    # windows bit for bit; a wide bound makes the range longer than the prefix.
+    sv = np.sort(np.array(values))
+    bound = float(np.max(np.abs(sv))) * widen
+    got = asy._hit_cells(sv, bound, grid)
+    want = _hit_cells_near_values(sv, bound, grid)
+    assert got[0] == want[0]
+    assert np.array(got[1:]).tobytes() == np.array(want[1:]).tobytes()
 
 
 def _core_outcome(thunk):

@@ -654,6 +654,20 @@ def test_experiments_share_each_image_and_cell_table(monkeypatch):
     assert z_images == [f"Cesaro[{label}]" for label in labels[: labels.index("indicator_blocks") + 1]]
 
 
+def test_experiments_estimate_at_most_one_level(monkeypatch):
+    """The benchmark's experiments suite decides its level sets in closed form
+    but one, {2j²} under fin_times_empty: the estimator runs at most once."""
+    estimated = []
+    original = asymptotics.estimate_membership
+    monkeypatch.setattr(
+        asymptotics,
+        "estimate_membership",
+        lambda s, ideal, *args: estimated.append((s, ideal.label)) or original(s, ideal, *args),
+    )
+    harness.run_suite(specs.parse_experiment_config(_ENTRY_BY_ENTRY_SUITE))
+    assert len(estimated) <= 1, estimated
+
+
 # The benchmark's checks suite at a smaller horizon: 4 matrices, 4 pairs, 4 theorems.
 _CHECKS_SUITE = {
     "matrices": [

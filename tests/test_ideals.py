@@ -1,5 +1,6 @@
 """Ideal catalog: membership decisions, densities, classification, RK witnesses."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealcore import ideals as ide
+from idealcore import maps
 from idealcore import sets as sd
 from idealcore import specs
 from idealcore.ideals import MembershipResult as MR
@@ -244,6 +246,107 @@ def test_fin_times_empty_reads_a_hit_at_the_last_index():
     # With index 54 in the head, column 9 is no longer fresh.
     verdict, _ = fte.positivity(np.array([0, 54, horizon - 1]), horizon, ide.DEFAULT_THETA)
     assert verdict is PR.INCONCLUSIVE
+
+
+# -- positivity in closed form ---------------------------------------------------
+
+FTE = ide.fin_times_empty()
+# Sets that the closed-form rules decide Fin×∅-positive: the squares by the Pell
+# argument, the others as sets that are not density-null.
+_FTE_POSITIVE = {
+    "squares": SQUARES,
+    "ap(1,3)": sd.ap(1, 3),
+    "root_blocks(1,3)": sd.RootBlocks(1, 3),
+    "geometric_blocks(2,0,2)": sd.GeometricBlocks(2, 0, 2),
+    "co-squares": sd.complement(SQUARES),
+    "geometric_blocks(2,1,2)@2n": sd.preimage(sd.GeometricBlocks(2, 1, 2), maps.affine_map(2)),
+    "root_blocks(0,3)@3n+1": sd.preimage(sd.RootBlocks(0, 3), maps.affine_map(3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FTE_POSITIVE))
+def test_fin_times_empty_positive_sets_meet_ever_more_columns(name):
+    # K columns cover no set that meets more than K of them.  Each set decided
+    # positive meets more columns below H as H doubles from 2^12 to 2^20: over
+    # every two doublings, the period of the geometric blocks, which open no
+    # column in the octaves between their blocks.
+    s = _FTE_POSITIVE[name]
+    assert FTE.decide_in(s) is False
+    hits = s.enumerate_prefix(2**20)
+    _, first = np.unique(ide._pair_columns(hits), return_index=True)
+    opened = np.sort(hits[first])  # the member that first meets each column
+    counts = np.searchsorted(opened, [2**k for k in range(12, 21)])
+    assert np.all(counts[2:] > counts[:-2]), counts
+
+
+def test_column_zero_is_not_decided_positive():
+    # {n : 8n + 1 is a square} is the triangular numbers, column 0 of the
+    # pairing, so it lies in Fin×∅ although it is an infinite preimage of the
+    # squares.
+    s = sd.preimage(SQUARES, maps.affine_map(8, 1))
+    assert set(ide._pair_columns(s.enumerate_prefix(10**5)).tolist()) == {0}
+    assert s.cardinality() is sd.Cardinality.INFINITE
+    assert FTE.decide_in(s) is None
+
+
+_NON_AFFINE = [maps.enumeration_map(s) for s in (SQUARES, sd.GeometricBlocks(2, 0, 2), sd.RootBlocks(1, 3))]
+_FAR_PREIMAGES = st.builds(
+    sd.Preimage,
+    st.sampled_from([sd.ap(2, 5), EVENS, SQUARES, sd.GeometricBlocks(2, 0, 2), sd.RootBlocks(0, 3)]),
+    st.sampled_from(_NON_AFFINE),
+)
+_FINITE = st.lists(st.integers(0, 50), max_size=4).map(lambda e: sd.explicit(*e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        _FAR_PREIMAGES,
+        st.builds(sd.complement, _FAR_PREIMAGES),
+        st.builds(sd.Union, _FAR_PREIMAGES, _FINITE),
+        st.builds(sd.Difference, _FAR_PREIMAGES, _FINITE),
+    )
+)
+@example(sd.Preimage(sd.ap(2, 5), maps.enumeration_map(SQUARES)))
+def test_an_inexact_upper_bound_decides_no_set_positive(s):
+    # Preimages under maps that are not affine have the bounds [0, 1], inexact,
+    # which show nothing: no square is 2 mod 5, so the first example is empty.
+    d = s.density_bounds()
+    assert not d.exact and d.lower == 0
+    for ideal in (FTE, Z, SUM):
+        assert ideal.decide_in(s) is not False, (ideal.label, s)
+
+
+def test_affine_preimages_of_blocks_are_positive_on_both_sides():
+    # Their bounds are those of the block family, exact: neither the set nor
+    # its complement is null under Z, log, Fin×∅ or the summable ideal.
+    for family, (a, c) in itertools.product(
+        (sd.GeometricBlocks(2, 0, 2), sd.RootBlocks(2, 3), sd.complement(sd.GeometricBlocks(3, 1, 2))),
+        ((2, 0), (5, 1)),
+    ):
+        s = sd.preimage(family, maps.affine_map(a, c))
+        for ideal in (Z, EU, FTE, SUM):
+            assert ide.decide_membership(s, ideal) is MR.POSITIVE, (ideal.label, family, a, c)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [sd.GeometricBlocks(2, 0, 2), sd.GeometricBlocks(2, 1, 2), sd.RootBlocks(0, 3), sd.RootBlocks(1, 3), sd.RootBlocks(2, 3)],
+    ids=["gb(2,0,2)", "gb(2,1,2)", "rb(0,3)", "rb(1,3)", "rb(2,3)"],
+)
+def test_affine_preimages_of_blocks_keep_the_family_bounds(family):
+    # {n : a·n + c ∈ S} reads S's counting ratio at multiples of a, up to the
+    # o(1) that S's runs add.  Over [2^12, 2^17], 2.5 periods of the geometric
+    # blocks, the extremes of the running ratio meet S's exact bounds up to
+    # 10^-3, or for the root blocks up to the O(1/√N) swing of their count.
+    want = family.density_bounds()
+    tol = 1e-3 if isinstance(family, sd.GeometricBlocks) else 2**-6
+    for a, c in itertools.product((2, 3, 4, 5), (0, 1)):
+        p = sd.preimage(family, maps.affine_map(a, c))
+        assert p.density_bounds() == want and want.exact, (a, c)
+        extremes = [ide.empirical_density(p, 2**k) for k in range(13, 18)]
+        assert abs(min(lo for lo, _ in extremes) - float(want.lower)) <= tol, (a, c)
+        assert abs(max(hi for _, hi in extremes) - float(want.upper)) <= tol, (a, c)
 
 
 @pytest.mark.parametrize("horizon", [2, 3, 100, 1001, 20000])

@@ -196,13 +196,14 @@ def test_default_family_is_exactly_classified():
 
 
 def test_default_family_classification_provenance():
-    for ideal in (FIN, FO_EVENS):
-        fam = reg.default_family(ideal, seed=0)
+    # Every pool set is decided symbolically, under fin_times_empty too, whose
+    # closed-form rules decide positive sets: none is estimated or left out.
+    for ideal in (FIN, FO_EVENS, ide.fin_times_empty()):
+        with mock.patch.object(ide, "estimate_membership", side_effect=AssertionError("set estimated")):
+            fam = reg.default_family(ideal, seed=0)
         for s in fam.sets_in_ideal + fam.sets_positive:
             assert ide.decide_membership(s, ideal) is not None, (ideal.label, s)
-    fte = ide.fin_times_empty()
-    fam = reg.default_family(fte, seed=0)
-    assert any(ide.decide_membership(s, fte) is None for s in fam.sets_in_ideal + fam.sets_positive)
+        assert len(fam.sets_in_ideal) + len(fam.sets_positive) == len(reg._default_pool(0)), ideal.label
 
 
 def test_family_validation_rejects_misclassification():
@@ -430,13 +431,18 @@ def test_rk_over_the_evens_exactly_satisfies_leo_for_the_trace_ideal(seed):
 
 
 def test_exact_points_estimate_no_level():
-    # Under fin_times_empty the identity's level sets over an infinite pool set
-    # are undecided symbolically, so the condition reads the value prefix and
-    # no level is estimated first.
+    # Where the identity's level sets over the columns are undecided
+    # symbolically (a predicate under fin_times_empty, any infinite set under
+    # custom weights), the condition reads the value prefix and no level is
+    # estimated first.
     fte = _NAMED_CATALOG["fin_times_empty"]
+    custom = ide.erdos_ulam(lambda n: 1.0 / (n + 1))
+    cases = [(fte, sd.Predicate(lambda n: n % 3 == 1, name="1 mod 3"))] + [
+        (custom, columns) for columns in (sd.evens(), sd.ap(1, 3), sd.GeometricBlocks(2, 0, 2))
+    ]
     with mock.patch.object(asy, "estimate_membership", side_effect=AssertionError("level estimated")):
-        for columns in (sd.evens(), sd.ap(1, 3), sd.GeometricBlocks(2, 0, 2)):
-            assert reg._exact_points(mat.identity(), columns, False, fte) is None
+        for ideal, columns in cases:
+            assert reg._exact_points(mat.identity(), columns, False, ideal) is None, (ideal.label, columns)
 
 
 def test_explicit_banded_rows_cost_no_membership_decisions():

@@ -1,5 +1,8 @@
 """Bounded sequences: constructors, level sets, and the fixed corpus."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,8 @@ _INDEX_ARRAYS = {
     # The largest index far exceeds the count: read per index, not a prefix.
     "sparse": 7 * np.arange(300, dtype=np.int64)[::-1] ** 2,
     "scattered": np.random.default_rng(1).integers(0, 10**6, 64),
+    # A contiguous run far past its count: read as a slice of one prefix.
+    "late_run": np.arange(20_000, 20_300, dtype=np.int64),
 }
 
 
@@ -246,6 +251,32 @@ def test_growing_a_prefix_evaluates_only_the_new_indices():
     x.prefix(200)
     assert sizes == [100, 150]
     assert x.prefix(250).tobytes() == np.array([x.fn(n) for n in range(250)]).tobytes()
+
+
+def test_growing_an_indicator_prefix_reads_no_index_alone():
+    # The new indices 100 000 … 100 999 are a contiguous run, a slice of one
+    # mask, however small the growth against the prefix.
+    s = sd.GeometricBlocks(2, 0, 2)
+    x = seq.indicator(s)
+    x.prefix(100_000)
+    with mock.patch.object(sd.GeometricBlocks, "contains", autospec=True, side_effect=sd.GeometricBlocks.contains) as contains:
+        values = x.prefix(101_000)
+    assert contains.call_count == 0
+    assert values.tobytes() == s.mask(101_000).astype(np.float64).tobytes()
+
+
+def test_a_far_run_is_read_per_index_without_a_long_mask():
+    # Dense in its span but 10⁸ out: per index, not a mask of 10⁸ entries.
+    s = sd.GeometricBlocks(2, 0, 2)
+    ns = np.arange(10**8, 10**8 + 1000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        values = seq.indicator(s).at(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tolist() == [float(s.contains(int(n))) for n in ns]
+    assert peak < 2**20
 
 
 def test_rk_2n_reads_rotation_golden_at_the_selected_indices_only():

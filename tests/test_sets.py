@@ -452,6 +452,19 @@ def test_preimage_structure():
         sd.set_to_dict(sd.Preimage(SQUARES, double))
 
 
+def test_the_squares_rule_for_blocks_does_not_reach_their_preimages():
+    # A preimage under a·n + c keeps long runs, but those of the root blocks
+    # shrink to about 2√(n/a), shorter than the gaps between squares:
+    # isqrt(4j²) = 2j is even, so no square lies in this preimage.
+    p = sd.preimage(sd.RootBlocks(1, 2), maps.affine_map(4))
+    assert sd._has_long_runs(p) and sd._has_long_runs(sd.complement(p))
+    s = sd.Intersection(SQUARES, p)
+    assert s.enumerate_prefix(10**5).size == 0
+    assert s.cardinality() is not sd.Cardinality.INFINITE
+    # Residue classes still meet it: a run longer than the modulus holds each residue.
+    assert sd.Intersection(sd.ap(1, 7), p).cardinality() is sd.Cardinality.INFINITE
+
+
 def test_sparse_preimage_mask_reads_members_pointwise():
     # h(19 999) is about 4e8: the mask reads the evens at h's values, never a prefix that long.
     p = sd.Preimage(EVENS, maps.enumeration_map(SQUARES))
