@@ -7,6 +7,17 @@ and its complement is not.  ``cluster_points``, and so ``core``,
 ``ideal_limsup`` and ``ideal_liminf``, read that limit first, before any
 prefix or level set, and answer [L, L] with method ``exact``.
 
+A sequence equidistributed on [lo, hi) along every integer-polynomial
+subsequence (``BoundedSequence.equidistributed``) has every point of [lo, hi]
+as a cluster point under each ideal that decides a hit set of it positive:
+the rules that decide one (``sets.Hits``) decide them all alike.  Fin, Z,
+log, summable and Fin×∅ read the hit set's exact positive density, and a
+trace ideal whose trace is an arithmetic progression or the squares reads
+that the hit set meets it infinitely often.  ``cluster_points`` and ``core``
+answer [lo, hi] with method ``exact`` then, and read no prefix; under an
+ideal that leaves the hit set undecided (a custom-weight ``erdos_ulam``) the
+core takes the value-prefix path below.
+
 A finitely-valued sequence (one that carries its level sets) has as cluster
 points exactly the values whose level sets are positive, so its cluster set is
 read off one decision per level, with no grid.  ``classify_levels`` is the one
@@ -56,6 +67,7 @@ from .ideals import DEFAULT_THETA, Ideal, MembershipResult, PositivityResult
 from .ideals import decide_membership, estimate_membership
 from .records import record
 from .sequences import BoundedSequence
+from .sets import _distinct
 
 __all__ = [
     "CoreConfig",
@@ -144,14 +156,6 @@ def _cell_range(bound: float, grid: float) -> range:
     return range(lo, hi)
 
 
-def _distinct(ascending: np.ndarray) -> np.ndarray:
-    """The distinct values of an ascending array (``np.unique`` without its
-    hash table, which costs about 1 MB per call)."""
-    first = np.ones(ascending.size, dtype=bool)
-    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
-    return ascending[first]
-
-
 def _hit_cells(sv: np.ndarray, bound: float, grid: float):
     """The cells of the range whose window holds a value of the sorted prefix
     ``sv``, ascending, with the float bounds ``lo`` and ``hi`` of each window.
@@ -168,7 +172,7 @@ def _hit_cells(sv: np.ndarray, bound: float, grid: float):
     else:
         near = sv / grid
         np.floor(near, out=near)  # ascending, like sv
-        cand = _distinct(np.sort((_distinct(near)[:, None] + np.arange(-2.0, 3.0)).ravel()))
+        cand = _distinct((_distinct(near)[:, None] + np.arange(-2.0, 3.0)).ravel())
         cand = cand[(cand >= span.start) & (cand < span.stop)]
     lo = (cand - _ENLARGE) * grid
     hi = (cand + 1 + _ENLARGE) * grid
@@ -338,21 +342,41 @@ def _level_cluster(x: BoundedSequence, ideal: Ideal, horizon: int, theta: float)
     )
 
 
+def _equidistributed_cluster(x: BoundedSequence, ideal: Ideal) -> ClusterSet | None:
+    """[lo, hi], exactly, when x is equidistributed on [lo, hi) and the ideal
+    decides the hit set of a subinterval positive; else None.
+
+    Every value lies in [lo, hi), so no cluster point lies outside [lo, hi].
+    The rules that decide a hit set read only that its subinterval is not
+    empty (``sets.Hits``), so the ideal decides the hit set of every
+    subinterval positive: every point of [lo, hi] is a cluster point.
+    """
+    if x.equidistributed is None:
+        return None
+    lo, hi = x.equidistributed
+    if ideal.decide_in(x.hits(lo, (lo + hi) / 2)) is False:
+        return ClusterSet(((lo, hi),), (), exact=True)
+    return None
+
+
 def cluster_points(
     x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None, *, ends: str | None = None
 ) -> ClusterSet:
     """Cluster-point intervals of the sequence under the ideal.
 
-    A declared limit L is the one cluster point, exactly.  Otherwise ``ends``
-    reaches ``cluster_of_values`` on the value-prefix path; the level path
-    decides every level.
+    A declared limit L is the one cluster point, exactly, and so is the
+    range of an equidistribution the ideal decides (``_equidistributed_cluster``).
+    Otherwise ``ends`` reaches ``cluster_of_values`` on the value-prefix
+    path; the level path decides every level.
     """
     cfg = cfg or CoreConfig()
     if x.limit is not None:
         return ClusterSet(((x.limit, x.limit),), (), exact=True)
     if _finitely_valued(x):
         return _level_cluster(x, ideal, cfg.horizon, cfg.theta)
-    return cluster_of_values(x.prefix(cfg.horizon), ideal, cfg, bound=x.bound, ends=ends)
+    return _equidistributed_cluster(x, ideal) or cluster_of_values(
+        x.prefix(cfg.horizon), ideal, cfg, bound=x.bound, ends=ends
+    )
 
 
 def _sup_of(cluster: ClusterSet) -> float:
@@ -392,8 +416,9 @@ def limsup_of_values(
 
 def _core_reader(x: BoundedSequence, cfg: CoreConfig) -> Callable[[Ideal], CoreInterval]:
     """The function that reads x's core under one ideal.  A value prefix is
-    sorted and gridded here, once, into the ``_CellTable`` that every ideal
-    read by the function shares; it goes with the function."""
+    sorted and gridded, once, into the ``_CellTable`` that every ideal read by
+    the function shares, when the first ideal that the equidistribution of x
+    leaves undecided needs it; it goes with the function."""
     if x.limit is not None or _finitely_valued(x):
         method = "mixed"  # unless every level, or the limit, was decided exactly
 
@@ -401,10 +426,16 @@ def _core_reader(x: BoundedSequence, cfg: CoreConfig) -> Callable[[Ideal], CoreI
             return cluster_points(x, ideal, cfg)
 
     else:
-        method, table = "numeric", _CellTable(x.prefix(cfg.horizon), x.bound, cfg.grid)
+        method, table = "numeric", None
 
         def cluster(ideal: Ideal) -> ClusterSet:
-            return table.cluster(ideal, cfg.theta, "both")
+            nonlocal table
+            found = _equidistributed_cluster(x, ideal)
+            if found is None:
+                if table is None:
+                    table = _CellTable(x.prefix(cfg.horizon), x.bound, cfg.grid)
+                found = table.cluster(ideal, cfg.theta, "both")
+            return found
 
     def read(ideal: Ideal) -> CoreInterval:
         found = cluster(ideal)
@@ -425,8 +456,8 @@ def cores(x: BoundedSequence, ideals: list[Ideal], cfg: CoreConfig | None = None
     """``core(x, ideal, cfg)`` for each of ``ideals``, in order: its interval,
     or the exception it raises, without the frames it was raised through (so
     a kept exception keeps no sequence or prefix alive).  A value prefix is
-    sorted and gridded once for all the ideals, and each cell's hits are read
-    once; each ideal then decides the cells its end scans reach."""
+    sorted and gridded at most once for all the ideals, and each cell's hits
+    are read once; each ideal then decides the cells its end scans reach."""
     try:
         read = _core_reader(x, cfg or CoreConfig())
     except Exception as exc:

@@ -13,12 +13,13 @@
   exactly it says so (``BoundedSequence.limit``), and core(A·x, J) is read
   from it: x has a limit and A keeps limits (Cesàro, and the identity and rk
   matrices of injective maps), or Cesàro acts on x whose level sets have
-  densities.  Row-selection matrices (the identity and rk matrices,
-  ``InfiniteMatrix.row_selection``) keep x's level sets as their preimages
-  h⁻¹(S) (``sets.preimage``), so core(A·x, J) is one decision per level, as
-  core(x, I) is.  Every other A·x (under diagonals other than the identity,
-  banded matrices, sums, multiples and products, and Cesàro on the rest)
-  is a value prefix, read on the grid.
+  densities or is equidistributed.  Row-selection matrices (the identity and
+  rk matrices, ``InfiniteMatrix.row_selection``) keep x's level sets as their
+  preimages h⁻¹(S) (``sets.preimage``), so core(A·x, J) is one decision per
+  level, as core(x, I) is, and an affine one keeps x's equidistribution.
+  Every other A·x (under diagonals other than the identity, banded matrices,
+  sums, multiples and products, and Cesàro on the rest) is a value prefix,
+  read on the grid.
 * ``core_equality_experiments`` measures core deviation across the corpus
   for several ideal pairs of one matrix, entry by entry: for each corpus
   entry x, core(x, I) under the distinct I of the live pairs, then one A·x
@@ -80,21 +81,25 @@ def perturb_identity(a: InfiniteMatrix) -> InfiniteMatrix:
 def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) -> BoundedSequence:
     """A·x as a bounded sequence labelled ``A[x]``.
 
-    A·x gets an exact limit, and no prefix is built here, in two cases:
+    A·x gets an exact limit, and no prefix is built here, in three cases:
 
     * x has a limit L and A keeps limits (``InfiniteMatrix.keeps_limits``:
       Cesàro, a row selection by an injective map, and a banded matrix with
       an identity tail): A·x tends to L;
     * each level set S_v of x has a row-sum limit ``a.masked_sum_structure(S_v)``
       (Cesàro over a set with a density d_v): A·x tends to Σ v·d_v, summed
-      exactly, so the order of the levels cannot move a bit.
+      exactly, so the order of the levels cannot move a bit;
+    * x is equidistributed on [lo, hi) and A is Cesàro (``_image_limit``):
+      A·x tends to (lo + hi)/2.
 
     When A selects rows, (A x)_n = x_{h(n)} (``row_selection``: the identity
     and rk matrices), and x carries level sets free of predicates, A·x takes
     the value v exactly on h⁻¹(S_v): it carries those preimages as its level
     sets, so its core is one decision per level, and it builds no prefix
     here.  In these cases values are read, when asked for, from
-    ``a.transform_prefix`` below the largest index read.  For every other
+    ``a.transform_prefix`` below the largest index read.  When h is affine
+    and x is equidistributed, so is A·x, on the same range: it declares so,
+    builds no prefix, and reads x at h(n) in closed form.  For every other
     matrix or sequence the prefix below the horizon is materialized and kept
     as it is (``seed_prefix``), and the values of a longer one come from
     ``a.transform_prefix`` too, with the same bits.
@@ -108,6 +113,17 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     selects = h is not None and levels is not None and not any(sd.contains_predicate(s) for _, s in levels)
     limit = _image_limit(a, x)
     bound = x.bound if h is not None else None if a.norm_bound is None else a.norm_bound * x.bound
+
+    if h is not None and h.affine is not None and x.equidistributed is not None:
+        # A polynomial subsequence of x∘h is one of x, since h is affine.
+        (mul, add), rule = h.affine, x.rule
+        return BoundedSequence(
+            fn=lambda n: transform(a, x, n),
+            bound=bound,
+            label=label,
+            rule=lambda ns: rule(mul * ns + add),
+            equidistributed=x.equidistributed,
+        )
 
     def values_at(ns: np.ndarray) -> np.ndarray:
         return a.transform_prefix(x, int(ns.max()) + 1)[ns] if ns.size else np.zeros(0)
@@ -139,6 +155,18 @@ def _image_limit(a: InfiniteMatrix, x: BoundedSequence) -> float | None:
     """The exact limit of A·x where ``transformed_sequence`` knows it, else None."""
     if x.limit is not None:
         return x.limit if a.keeps_limits else None
+    if x.equidistributed is not None:
+        # Step functions on hit sets approximate x uniformly, so a
+        # nonnegative matrix that keeps limits and sums each hit set to its
+        # share in the limit (Cesàro: its density) averages x to the middle
+        # of its range.  Its rule for a hit set reads only that share, so one
+        # subinterval speaks for all (``sets.Hits``).
+        lo, hi = x.equidistributed
+        half = x.hits(lo, (lo + hi) / 2)
+        structure = a.masked_sum_structure(half) if a.nonnegative and a.keeps_limits else None
+        if structure is not None and structure.limit == float(half.density_bounds().value):
+            return (lo + hi) / 2
+        return None
     if x.level_sets is None:
         return None
     total = Fraction(0)
@@ -356,7 +384,7 @@ def sufficiency_certificate(
             raise CertificateViolationError(f"upper bound fails by {-upper_margin}")
 
     neg_mass_margin = off_support_margin = None
-    all_rows = np.union1d(s_rows, s2_rows)
+    all_rows = sd._distinct(np.concatenate((s_rows, s2_rows)))
     if all_rows.size:
         neg_mass_margin = float(2.0 * delta - np.max(neg_part_total[all_rows]))
         if neg_mass_margin < -_FLOAT_SLACK:

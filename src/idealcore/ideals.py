@@ -483,9 +483,11 @@ class ColumnBlockIdeal(Ideal):
 
     Exact decisions: finite sets are in the ideal; a set that the density
     analysis shows not to be density-null (a lower bound above 0, or an exact
-    upper bound above 0) is positive, as are the squares; unions, differences
-    and complements propagate.  No infinite set is decided in the ideal, since
-    coverage by finitely many columns cannot be certified structurally.
+    upper bound above 0) is positive, as are the squares and each infinite
+    {n : a·n + c is a square} but the triangular numbers (a = 8m², c = m²),
+    which are column 0 and in the ideal; unions, differences and complements
+    propagate.  No other infinite set is decided in the ideal, since coverage
+    by finitely many columns cannot be certified structurally.
     """
 
     kind = "fin_times_empty"
@@ -506,6 +508,19 @@ class ColumnBlockIdeal(Ideal):
         # √N squares below N, so the squares meet infinitely many columns.
         if _not_null(s.density_bounds()) or isinstance(s, sd.Squares):
             return False
+        if isinstance(s, sd.Preimage) and isinstance(s.inner, sd.Squares) and s.h.affine is not None:
+            # E = {n : a·n + c is a square}, infinite here, has of the order
+            # of √N members below N.  A member n = w(w+1)/2 + k of column k
+            # solves 8s² − a(2w+1)² = 8c + a(8k − 1).  When 2a is not a
+            # square this is Pell-type, with O(log N) solutions below N per
+            # k; when 2a = (2u)² the left side is 2(2s − u(2w+1))(2s + u(2w+1)),
+            # and a right side other than 0 has finitely many solutions.
+            # Either way K columns hold o(√N) members of E below N: E is
+            # positive.  The right side is 0 only for k = 0, a = 8m² and
+            # c = m², where 8n + 1 = (s/m)² makes E the triangular numbers,
+            # column 0 itself.
+            a, c = s.h.affine
+            return a == 8 * c and math.isqrt(c) ** 2 == c
         return self._propagate(s)
 
     def _judge(self, hits, c0, c1, horizon, theta):

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .records import field, record
-from .sets import ArithmeticProgression, Cardinality, SetDescription
+from .sets import ArithmeticProgression, Cardinality, SetDescription, _distinct
 
 __all__ = ["IndexMap", "identity_map", "affine_map", "enumeration_map"]
 
@@ -54,7 +54,7 @@ class IndexMap:
         values = self.prefix(horizon)
         if np.any(values < 0):
             raise ValueError(f"{self.label}: negative value on prefix")
-        if self.injective and len(np.unique(values)) != horizon:
+        if self.injective and len(_distinct(values)) != horizon:
             raise ValueError(f"{self.label}: declared injective but repeats a value")
         if self.affine is not None:
             mul, add = self.affine

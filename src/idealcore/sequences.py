@@ -16,6 +16,15 @@ and ``combine`` carry limits and envelopes, and
 fixes (there with no envelope).  The corpus entry ``alternating_decay``
 declares limit 0 with envelope 1/(n+1).
 
+A sequence may instead declare that it is ``equidistributed`` on [lo, hi)
+along every integer-polynomial subsequence, as ``rotation_golden`` is on
+[0, 1) by Weyl's theorem.  Its hit sets {n : a <= x_n < b}
+(``BoundedSequence.hits``, ``sets.Hits``) then have the exact density
+(b − a)/(hi − lo) and meet every infinite residue class and the squares
+infinitely often, so ``asymptotics`` reads its core [lo, hi] off one hit
+set's decision; ``constructions.transformed_sequence`` keeps the declaration
+through rk(h) with h affine and gives Cesàro·x the limit (lo + hi)/2.
+
 ``BoundedSequence.at`` is the one index read: the values at an int64 index
 array, in any order and with repeats.  A sequence with a closed form states
 it pointwise as its ``rule`` (indices -> values): the corpus's closed forms,
@@ -28,6 +37,8 @@ prefix, or ``fn`` per index when the indices are sparse.
 longer prefix extends the kept one.  Every route is bit-identical to calling
 ``fn`` per index:
 
+* ``prefix_rule`` for a prefix that starts at 0, when the sequence has one:
+  an ``indicator``'s is its set's mask as floats, with no index array;
 * ``at`` on the new indices when the sequence has a rule;
 * otherwise, for level sets free of predicates, ``out[S.mask(H)] = value`` per
   level, after checking that the level sets partition the prefix;
@@ -73,11 +84,16 @@ class BoundedSequence:
     """A total map ω → ℝ with declared bound ``|x_n| <= bound`` and a label.
 
     ``rule``, when given, maps an int64 index array to a new float64 array of
-    the values ``fn`` gives at those indices, bit for bit.  ``limit``, when
-    given, is the exact limit L of x_n; ``envelope``, when given, maps a horizon H to
-    r(0) … r(H-1), a bound |x_n − L| <= r(n) that decreases to 0.  A declared
-    limit comes with its envelope; a limit derived from how the sequence was
-    built may have none.
+    the values ``fn`` gives at those indices, bit for bit; ``prefix_rule``,
+    when given, maps a horizon H to a new float64 array of x_0 … x_{H-1}, with
+    the same bits.  ``limit``, when given, is the exact limit L of x_n;
+    ``envelope``, when given, maps a horizon H to r(0) … r(H-1), a bound
+    |x_n − L| <= r(n) that decreases to 0.  A declared limit comes with its
+    envelope; a limit derived from how the sequence was built may have none.
+    ``equidistributed``, when given, is an interval [lo, hi) that holds every
+    value and on which x is equidistributed along every integer-polynomial
+    subsequence p(0), p(1), …; its hit sets (``hits``) read the values
+    through ``rule``, which it needs.
     """
 
     fn: Callable[[int], float]
@@ -87,6 +103,8 @@ class BoundedSequence:
     rule: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     limit: float | None = None
     envelope: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
+    equidistributed: tuple[float, float] | None = None
+    prefix_rule: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
     _cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -94,6 +112,12 @@ class BoundedSequence:
             raise ValueError("bound must be nonnegative")
         if self.envelope is not None and self.limit is None:
             raise ValueError("an envelope needs a limit")
+        if self.equidistributed is not None:
+            lo, hi = self.equidistributed
+            if self.rule is None:
+                raise ValueError("an equidistribution needs a rule")
+            if not -self.bound <= lo < hi <= self.bound:
+                raise ValueError(f"equidistribution range [{lo}, {hi}) is empty or exceeds the bound")
 
     def __call__(self, n: int) -> float:
         return float(self.fn(n))
@@ -112,7 +136,9 @@ class BoundedSequence:
         cache = self._cache
         if cache is None or len(cache) < horizon:
             start = 0 if cache is None else len(cache)
-            if self.rule is not None:
+            if self.prefix_rule is not None and not start:
+                arr = self.prefix_rule(horizon)
+            elif self.rule is not None:
                 arr = self.at(np.arange(start, horizon))
             elif self.level_sets is not None and not any(
                 sd.contains_predicate(s) for _, s in self.level_sets
@@ -167,6 +193,11 @@ class BoundedSequence:
             self._cache = arr
         return self
 
+    def hits(self, lo: float, hi: float) -> SetDescription:
+        """``{n : lo <= x_n < hi}`` for [lo, hi) inside the declared
+        equidistribution range, with its exact density (``sets.Hits``)."""
+        return sd.Hits(self.rule, lo, hi, self.equidistributed)
+
     @property
     def structured(self) -> bool:
         return self.level_sets is not None
@@ -181,6 +212,7 @@ def indicator(s: SetDescription, label: str | None = None) -> BoundedSequence:
         label=label or "indicator",
         level_sets=levels,
         rule=lambda ns: sd._at_rows(ns, s.mask, s.contains, bool).astype(np.float64),
+        prefix_rule=lambda horizon: s.mask(horizon).astype(np.float64),
     )
 
 
@@ -326,11 +358,15 @@ def _rotation_golden_values(ns: np.ndarray) -> np.ndarray:
 
 
 def _rotation_golden() -> BoundedSequence:
+    """{nα} for the golden ratio α.  α is irrational, so by Weyl (1916) p(n)α
+    mod 1 is equidistributed on [0, 1) for every integer polynomial p of
+    positive degree: so is every polynomial subsequence of {nα}."""
     return BoundedSequence(
         fn=lambda n: math.modf(n * GOLDEN)[0],
         bound=1.0,
         label="rotation_golden",
         rule=_rotation_golden_values,
+        equidistributed=(0.0, 1.0),
     )
 
 

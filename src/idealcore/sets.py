@@ -29,6 +29,11 @@ on h⁻¹(S_v), so ``constructions.transformed_sequence`` gives A·x the
 preimages of x's level sets for the identity and rk matrices (and for no
 other matrix).
 
+``Hits`` is the set where an equidistributed sequence falls in a subinterval
+of its range (``BoundedSequence.hits``): its mask reads the sequence's values,
+and it states its exact density and that it meets every infinite residue
+class and the squares infinitely often.
+
 Every non-predicate description additionally supports an exact density
 analysis: the asymptotic density exists and is a rational, or the set
 oscillates and its exact lower/upper densities are known (block families), or
@@ -72,6 +77,7 @@ __all__ = [
     "Complement",
     "Predicate",
     "Preimage",
+    "Hits",
     "ap",
     "evens",
     "odds",
@@ -371,7 +377,8 @@ class Union(SetDescription):
         return self.left.contains(n) or self.right.contains(n)
 
     def _enumerate(self, horizon: int) -> np.ndarray:
-        return np.union1d(self.left.enumerate_prefix(horizon), self.right.enumerate_prefix(horizon))
+        left, right = self.left.enumerate_prefix(horizon), self.right.enumerate_prefix(horizon)
+        return _distinct(np.concatenate((left, right)))
 
     def _mask(self, horizon: int) -> np.ndarray:
         return self.left.mask(horizon) | self.right.mask(horizon)
@@ -450,6 +457,49 @@ class Preimage(SetDescription):
 
     def _mask(self, horizon: int) -> np.ndarray:
         return _at_rows(self.h.prefix(horizon), self.inner.mask, self.inner.contains, bool)
+
+
+@record(frozen=True)
+class Hits(SetDescription):
+    """``{n : lo <= x_n < hi}`` for a sequence x that declares itself
+    equidistributed on ``span`` = [start, stop) along every integer-polynomial
+    subsequence (``BoundedSequence.equidistributed``), with
+    start <= lo < hi <= stop; ``values`` is x's index rule.
+
+    Along every polynomial subsequence p(0), p(1), … the share of hits tends
+    to (hi − lo)/(stop − start).  So the set has that exact density, and it
+    meets every infinite residue class (a linear polynomial) and the squares
+    infinitely often.  These facts read only that hi > lo: every rule decides
+    the hit sets of all subintervals of the span alike.
+    """
+
+    values: Callable[[np.ndarray], np.ndarray]
+    lo: float
+    hi: float
+    span: tuple[float, float]
+
+    def __post_init__(self):
+        start, stop = self.span
+        if not start <= self.lo < self.hi <= stop:
+            raise ValueError(f"[{self.lo}, {self.hi}) is not a subinterval of [{start}, {stop})")
+
+    def contains(self, n: int) -> bool:
+        return self.lo <= float(self.values(np.array([n], dtype=np.int64))[0]) < self.hi
+
+    def _mask(self, horizon: int) -> np.ndarray:
+        values = self.values(np.arange(horizon, dtype=np.int64))
+        return (values >= self.lo) & (values < self.hi)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: a sort and a mask of the first of each
+    run.  ``np.unique`` (and ``np.union1d``, which calls it) hashes in numpy
+    2.4: the union of ``GeometricBlocks(2, 1, 2)`` and {0} below 2²⁰, 699 051
+    members, took 0.74 s there against 11 ms here, on a 2-vCPU machine."""
+    ascending = np.sort(values)
+    first = np.ones(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
+    return ascending[first]
 
 
 def _at_rows(rows: np.ndarray, prefix: Callable, point: Callable, dtype) -> np.ndarray:
@@ -662,6 +712,10 @@ def _density(s: SetDescription) -> DensityBounds | None:
     if isinstance(s, RootBlocks):
         d = Fraction(1, s.modulus)
         return _bounds(d, d, True)
+    if isinstance(s, Hits):
+        start, stop = s.span
+        d = (Fraction(s.hi) - Fraction(s.lo)) / (Fraction(stop) - Fraction(start))
+        return _bounds(d, d, True)
     if isinstance(s, Complement):
         d = _density(s.inner)
         if d is None:
@@ -847,15 +901,17 @@ def _intersection_cardinality(a: SetDescription, b: SetDescription) -> Cardinali
             return Cardinality.INFINITE
         if len(rest) == 1:
             y = rest[0]
-            # Residue-class tails meet every set with unbounded runs.
-            if _has_long_runs(y):
+            # Residue-class tails meet every set with unbounded runs, and hold
+            # hits of an equidistributed sequence with positive density.
+            if _has_long_runs(y) or isinstance(y, Hits):
                 return Cardinality.INFINITE
             if isinstance(y, Squares):
                 return Cardinality.INFINITE if _squares_hit_residues(combined) else Cardinality.FINITE
-    # A root block [k², (k+1)²) starts at a square, and a geometric block is
-    # longer than the gaps 2k + 1 between the squares near it.
+    # A root block [k², (k+1)²) starts at a square, a geometric block is
+    # longer than the gaps 2k + 1 between the squares near it, and the squares
+    # are a polynomial subsequence, along which hits have positive density.
     for x, y in ((a, b), (b, a)):
-        if isinstance(x, Squares) and _is_block_family(y):
+        if isinstance(x, Squares) and (_is_block_family(y) or isinstance(y, Hits)):
             return Cardinality.INFINITE
     # Root blocks meet exactly in the blocks whose index solves both
     # congruences, infinitely many by the CRT or none.

@@ -39,8 +39,8 @@ _KNOWN_DEFECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the squar
 
 
 def _strip_levels(x):
-    """``x`` with its level sets and its declared limit hidden, so its core
-    takes the value-prefix path."""
+    """``x`` with its level sets, its declared limit and its equidistribution
+    hidden, so its core takes the value-prefix path."""
     return seq.BoundedSequence(x.fn, x.bound, f"{x.label}(numeric)", level_sets=None, limit=None)
 
 
@@ -126,7 +126,7 @@ def test_classify_levels_reports_provenance():
 
 
 def test_core_of_unstructured_or_predicate_levels_is_never_exact():
-    assert asy.core(seq.corpus_entry("rotation_golden"), FIN, FAST).method == "numeric"
+    assert asy.core(_strip_levels(seq.corpus_entry("rotation_golden")), FIN, FAST).method == "numeric"
     predicate_levels = seq.indicator(sd.Predicate(lambda n: n % 2 == 0))
     assert asy.core(predicate_levels, FIN, FAST).method == "mixed"
 
@@ -228,7 +228,7 @@ def test_core_interval_records_method():
     assert asy.core(seq.corpus_entry("alternating"), FIN, FAST).method == "exact"
     assert asy.core(seq.corpus_entry("indicator_blocks"), FO_ROOT, FAST).method == "mixed"
     # A value prefix goes through the grid.
-    c = asy.core(seq.corpus_entry("rotation_golden"), FIN, FAST)
+    c = asy.core(_strip_levels(seq.corpus_entry("rotation_golden")), FIN, FAST)
     assert c.method == "numeric" and c.horizon == FAST.horizon and c.grid == FAST.grid
 
 

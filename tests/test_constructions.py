@@ -126,10 +126,16 @@ def test_only_row_selections_keep_level_sets():
         assert con.transformed_sequence(mat.identity(), y, 1000).level_sets is None
 
 
+def _undeclared(x):
+    """x with its equidistribution hidden, and its rule kept, so its core and
+    its images take the value path."""
+    return seq.BoundedSequence(x.fn, x.bound, f"{x.label}(numeric)", rule=x.rule)
+
+
 def test_value_path_extends_with_the_bits_of_transform_prefix():
     # A·x built at one horizon and read past it gives the bulk transform's
     # bits, not a per-index ``math.fsum``.
-    a, x = mat.cesaro(), seq.corpus_entry("rotation_golden")
+    a, x = mat.cesaro(), _undeclared(seq.corpus_entry("rotation_golden"))
     ax = con.transformed_sequence(a, x, 1000)
     want = a.transform_prefix(x, 3000)
     assert ax.prefix(1000).tobytes() == want[:1000].tobytes()
@@ -263,6 +269,83 @@ def test_other_matrices_keep_the_value_path():
         assert ax.limit is None and _core_outcome(ax, FIN)[2] == "numeric", a.label
 
 
+# -- equidistributed sequences -------------------------------------------------------
+
+# One ideal per case of the hit-set rules: a density (Fin, Z, log, summable,
+# and Fin×∅ through Z) or a trace that is an arithmetic progression or the squares.
+_EQUIDISTRIBUTED_CASES = [*_CATALOG, ide.fin_oplus_full(sd.ap(1, 3)), ide.fin_oplus_full(sd.squares())]
+
+
+def _rotation_images():
+    """rotation_golden and its rk(a·n + c) images, a in 1..5 and c in {0, 1},
+    each equidistributed on [0, 1) along every polynomial subsequence (Weyl)."""
+    x = seq.corpus_entry("rotation_golden")
+    images = {"rotation_golden": x}
+    for a in range(1, 6):
+        for c in (0, 1):
+            images[f"rk({a}n+{c})"] = con.transformed_sequence(mat.rk_matrix(maps.affine_map(a, c)), x, 1000)
+    return images
+
+
+@pytest.mark.parametrize("ideal", _EQUIDISTRIBUTED_CASES, ids=lambda i: i.label)
+def test_equidistributed_cores_are_exact(ideal):
+    # Each catalog ideal decides every hit set positive, whatever its
+    # subinterval, so the core is [0, 1], read with no prefix.
+    images = _rotation_images()
+    with mock.patch.object(seq.BoundedSequence, "prefix", side_effect=AssertionError("prefix read")):
+        for name, x in images.items():
+            assert x.equidistributed == (0.0, 1.0) and x.level_sets is None, name
+            assert _core_outcome(x, ideal) == (0.0, 1.0, "exact"), name
+            for lo, hi in ((0.0, 0.01), (0.37, 0.38), (0.99, 1.0), (0.0, 1.0)):
+                assert ide.decide_membership(x.hits(lo, hi), ideal) is not ide.MembershipResult.IN_IDEAL
+                assert ideal.decide_in(x.hits(lo, hi)) is False, (name, lo, hi)
+
+
+@pytest.mark.parametrize("name", sorted(_rotation_images()))
+def test_numeric_cores_of_equidistributed_sequences_lie_near_the_exact_one(name):
+    # Where the estimator decides, the undeclared copy's core at H = 10⁵ lies
+    # inside [0, 1], within two grid cells of its ends.  Along the squares the
+    # tail window [H/2, H) holds only 93 indices, whose values leave gaps of
+    # a few hundredths: there the ends lie within 0.05.
+    x = _undeclared(_rotation_images()[name])
+    decided = 0
+    for ideal, got in zip(_EQUIDISTRIBUTED_CASES, asy.cores(x, _EQUIDISTRIBUTED_CASES, CORE)):
+        if isinstance(got, asy.InconclusiveCellsError):
+            continue
+        tol = 0.05 if getattr(ideal, "trace", None) == sd.squares() else 2 * CORE.grid
+        assert got.method == "numeric", (name, ideal.label)
+        assert 0.0 <= got.lo <= tol and 1.0 - tol <= got.hi <= 1.0, (name, ideal.label, got)
+        decided += 1
+    assert decided == len(_EQUIDISTRIBUTED_CASES) - 1, name  # all but summable's
+
+
+def test_cesaro_means_of_equidistributed_sequences_tend_to_the_middle():
+    # Cesàro·x has the exact limit 1/2, and the means over [H/4, H) at
+    # H = 2²⁰ lie within 10⁻³ of it.
+    horizon = 2**20
+    for name, x in _rotation_images().items():
+        assert con.transformed_sequence(mat.cesaro(), x, 1000).limit == 0.5, name
+        means = mat.cesaro().transform_prefix(x, horizon)[horizon // 4 :]
+        assert np.max(np.abs(means - 0.5)) <= 1e-3, name
+
+
+def test_an_undecided_ideal_keeps_the_value_path(monkeypatch):
+    # A custom-weight Erdős–Ulam ideal decides no hit set, so under it the
+    # core of rotation_golden goes through the grid: one cell table, built
+    # only when such an ideal is read and shared by every such read.
+    x = seq.corpus_entry("rotation_golden")
+    custom = ide.erdos_ulam(lambda n: 1.0 / (n + 1.0))
+    assert custom.decide_in(x.hits(0.0, 0.5)) is None
+    tables, hit_cells = [], asy._hit_cells
+    monkeypatch.setattr(asy, "_hit_cells", lambda *args: tables.append(args) or hit_cells(*args))
+    assert [c.method for c in asy.cores(x, [FIN, Z, FO_EVENS], FAST_CORE)] == ["exact"] * 3
+    assert tables == []
+    got = asy.cores(x, [FIN, custom, Z, custom], FAST_CORE)
+    assert [c.method for c in got] == ["exact", "numeric", "exact", "numeric"] and len(tables) == 1
+    assert got[1] == got[3]
+    assert abs(got[1].lo - 0.0) <= 2 * FAST_CORE.grid and abs(got[1].hi - 1.0) <= 2 * FAST_CORE.grid
+
+
 # -- perturbation ----------------------------------------------------------------
 
 
@@ -321,6 +404,33 @@ def test_certificate_identity_instance():
     assert cert.delta == pytest.approx(0.1 / 7.0)
     assert cert.lower_margin >= 0 and cert.upper_margin >= 0
     assert cert.neg_mass_margin >= 0 and cert.off_support_margin >= 0
+
+
+def test_distinct_values_are_found_without_np_unique(monkeypatch):
+    # np.unique, and np.union1d through it, hashes in numpy 2.4: the union
+    # enumeration, the injectivity check and the certificate's rows sort
+    # instead (``sets._distinct``), with the same results.
+    blocks = sd.GeometricBlocks(2, 1, 2)
+    union = sd.Union(blocks, sd.explicit(0, 2, 3, 5000))
+    want = np.union1d(blocks.enumerate_prefix(5000), [0, 2, 3])
+    cases = [
+        (mat.identity(), seq.corpus_entry("indicator_evens"), 0.1, FIN),
+        (mat.rk_matrix(maps.affine_map(2)), seq.indicator(sd.ap(0, 4)), 0.05, FO_EVENS),
+    ]
+    certificates = [con.sufficiency_certificate(a, x, eps, i, FIN).to_dict() for a, x, eps, i in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hashed")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np, "union1d", refuse)
+    got = union.enumerate_prefix(5000)
+    assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    assert sd.Union(sd.explicit(), sd.explicit()).enumerate_prefix(10).tolist() == []
+    maps.enumeration_map(sd.squares()).validate_flags(2000)
+    with pytest.raises(ValueError, match="repeats a value"):
+        maps.IndexMap(lambda n: n // 2, "halves", injective=True).validate_flags(100)
+    assert [con.sufficiency_certificate(a, x, eps, i, FIN).to_dict() for a, x, eps, i in cases] == certificates
 
 
 def test_certificate_rk_instance():

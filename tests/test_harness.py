@@ -17,9 +17,10 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idealcore import asymptotics, constructions, harness, ideals, regularity, sequences, specs
+from idealcore import asymptotics, cli, constructions, harness, ideals, regularity, sequences, specs
 from idealcore.cli import main
 from idealcore.regularity import CHECKS
+from tests.test_asymptotics import _strip_levels
 
 
 def _bundled_path(name):
@@ -310,6 +311,14 @@ def test_thm25_suite(bundled_runs):
     assert experiment["experiment"]["max_deviation"] <= 1e-2
 
 
+def test_thm25_grids_no_value_prefix(monkeypatch):
+    # Every core of Thm 2.5's experiment is exact, rotation_golden's and its
+    # image's by their equidistribution, so no value prefix is gridded.
+    monkeypatch.setattr(asymptotics, "_hit_cells", lambda *args: pytest.fail("a value prefix was gridded"))
+    bundle = harness.run_suite(specs.parse_experiment_config(_bundled("thm25.json")))
+    assert [i["status"] for i in bundle.items] == ["satisfied", "satisfied"]
+
+
 def test_suite_timings_are_per_item(bundled_runs):
     # Items run one at a time, so their own times cannot add up to more than
     # the suite's wall time.
@@ -319,14 +328,14 @@ def test_suite_timings_are_per_item(bundled_runs):
 
 
 def test_experiment_rows_say_how_each_core_was_decided(bundled_runs):
-    # Thm 2.5 on the corpus: level-set entries and alternating_decay, which
-    # declares its limit, are decided exactly on both sides; rotation_golden,
-    # with neither, by the estimator.
+    # Thm 2.5 on the corpus: level-set entries, alternating_decay, which
+    # declares its limit, and rotation_golden, which declares its
+    # equidistribution, are decided exactly on both sides.
     bundle, _ = bundled_runs["thm25.json"]
     rows = next(i for i in bundle.items if i["kind"] == "experiment")["experiment"]["rows"]
     methods = {r["label"]: (r["core_x_method"], r["core_ax_method"]) for r in rows}
-    assert methods.pop("rotation_golden") == ("numeric", "numeric")
-    assert set(methods.values()) == {("exact", "exact")} and "alternating_decay" in methods
+    assert set(methods.values()) == {("exact", "exact")}
+    assert {"alternating_decay", "rotation_golden"} <= set(methods)
     csv_rows = [r for r in csv.DictReader(io.StringIO(harness.render_csv(bundle))) if r["kind"] == "experiment"]
     assert [(r["corpus_label"], r["core_x_method"], r["core_ax_method"]) for r in csv_rows] == [
         (r["label"], r["core_x_method"], r["core_ax_method"]) for r in rows
@@ -341,8 +350,8 @@ _REPORT_SHA256 = {
         "83602321aa034f630aad5f2b3eafc37af599005f07d2295c7f3a4bc229c11723",
     ),
     "thm25.json": (
-        "52b6a42947443e2168ca339f9487b11900dfac11afd6dd414a04c98c03df57ac",
-        "8f85ec3ddc130fc0de8fa60e8667e1ce5efbfc29d58e7ac5704314a3da912a81",
+        "244f5b284a119ffb17447863639e4bc91152b700450b6021a3592ee65a7284cf",
+        "48fcd258d796acec027a8fa491b1641caf44107d08bdbd65dc8906896a602e4d",
     ),
 }
 
@@ -645,18 +654,18 @@ def test_experiments_share_each_image_and_cell_table(monkeypatch):
     statuses = collections.Counter(item["status"] for item in bundle.items)
     assert statuses == {"violated": 9, "satisfied": 5, "inconclusive": 1}
     # 2 matrices that build A·x (rk and Cesàro) times 9 entries, against 67 with
-    # one A·x per (matrix, entry, J); 5 value prefixes (rotation_golden, its rk
-    # image and 3 Cesàro images) against 19 with one table per (prefix, ideal).
-    assert counts == {"transformed_sequence": 18, "_hit_cells": 5}
+    # one A·x per (matrix, entry, J); 2 value prefixes (the Cesàro images of
+    # the two block entries) against 7 with one table per (prefix, ideal).
+    assert counts == {"transformed_sequence": 18, "_hit_cells": 2}
     # Cesàro's (z, z) pair raises at indicator_blocks, the fourth entry by label,
     # and reads no Z-core of a later entry's image.
     labels = sorted(x.label for x in sequences.corpus())
     assert z_images == [f"Cesaro[{label}]" for label in labels[: labels.index("indicator_blocks") + 1]]
 
 
-def test_experiments_estimate_at_most_one_level(monkeypatch):
-    """The benchmark's experiments suite decides its level sets in closed form
-    but one, {2j²} under fin_times_empty: the estimator runs at most once."""
+def test_experiments_estimate_no_level(monkeypatch):
+    """The benchmark's experiments suite decides every level set in closed
+    form, {2j²} under fin_times_empty included: the estimator never runs."""
     estimated = []
     original = asymptotics.estimate_membership
     monkeypatch.setattr(
@@ -665,7 +674,7 @@ def test_experiments_estimate_at_most_one_level(monkeypatch):
         lambda s, ideal, *args: estimated.append((s, ideal.label)) or original(s, ideal, *args),
     )
     harness.run_suite(specs.parse_experiment_config(_ENTRY_BY_ENTRY_SUITE))
-    assert len(estimated) <= 1, estimated
+    assert estimated == []
 
 
 # The benchmark's checks suite at a smaller horizon: 4 matrices, 4 pairs, 4 theorems.
@@ -805,8 +814,8 @@ def test_no_transformed_sequence_outlives_its_row(monkeypatch):
 
 
 def test_undecidable_experiment_is_inconclusive():
-    # Cesàro's images of signed_blocks, indicator_blocks and rotation_golden
-    # have no exact limit, and the estimator cannot decide their Z-cores.
+    # Cesàro's images of signed_blocks and indicator_blocks have no exact
+    # limit, and the estimator cannot decide their Z-cores.
     suite = {**_EXPERIMENT_SUITE, "matrices": ["cesaro"], "ideal_pairs": [["z", "z"]]}
     bundle = harness.run_suite(specs.parse_experiment_config(suite))
     (item,) = bundle.items
@@ -912,13 +921,25 @@ def test_cli_experiment(tmp_path):
     assert json.loads(blob)["exit_code"] == 1
 
 
-def test_cli_core_names_the_settings_it_rests_on():
+def _undeclared_entry(label):
+    """The corpus entry with its structure hidden, so its core takes the value path."""
+    return _strip_levels(sequences.corpus_entry(label))
+
+
+def test_cli_core_names_the_settings_it_rests_on(monkeypatch):
     runner = CliRunner()
-    result = runner.invoke(main, ["core", "--sequence", "rotation_golden", "--ideal", "fin", "--horizon", "10000"])
+    args = ["core", "--sequence", "rotation_golden", "--ideal", "fin", "--horizon", "10000"]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "corpus_entry", _undeclared_entry)
+        result = runner.invoke(main, args)
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["method"] == "numeric"
     assert (payload["horizon"], payload["grid"], payload["theta"]) == (10000, 0.01, 1e-3)
+    # rotation_golden itself declares its equidistribution: exact, on no setting.
+    payload = json.loads(runner.invoke(main, args).output)
+    assert (payload["lo"], payload["hi"], payload["method"]) == (0.0, 1.0, "exact")
+    assert (payload["horizon"], payload["grid"], payload["theta"]) == (None, None, None)
     result = runner.invoke(main, ["core", "--sequence", "alternating", "--ideal", "fin", "--horizon", "10000"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -947,14 +968,15 @@ def test_cli_mixed_core_records_horizon_and_theta():
     ],
     ids=["rotation_golden-erdos_ulam_log", "rotation_golden-summable_harmonic"],
 )
-def test_cli_inconclusive_core_reports_and_exits_2(sequence, ideal, horizon, message, cells):
+def test_cli_inconclusive_core_reports_and_exits_2(sequence, ideal, horizon, message, cells, monkeypatch):
+    monkeypatch.setattr(cli, "corpus_entry", _undeclared_entry)
     args = ["core", "--sequence", sequence, "--ideal", ideal, "--horizon", str(horizon)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     payload = json.loads(result.output)
     assert payload["status"] == "inconclusive"
     assert payload["message"] == f"InconclusiveCellsError: {message}"
-    assert (payload["sequence"], payload["ideal"]) == (sequence, ideal)
+    assert (payload["sequence"], payload["ideal"]) == (f"{sequence}(numeric)", ideal)
     assert (payload["horizon"], payload["grid"], payload["theta"]) == (horizon, 0.01, 1e-3)
     assert len(payload["cells"]) == cells
     assert all(lo < hi for lo, hi in payload["cells"])
@@ -1001,6 +1023,7 @@ def test_cli_density():
 
 def test_cli_env_default_horizon(monkeypatch):
     runner = CliRunner()
+    monkeypatch.setattr(cli, "corpus_entry", _undeclared_entry)
     monkeypatch.setenv("IDEALCORE_DEFAULT_HORIZON", "12345")
     result = runner.invoke(main, ["core", "--sequence", "rotation_golden", "--ideal", "fin"])
     assert result.exit_code == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from idealcore import ideals as ide
 from idealcore import maps
+from idealcore import sequences as seq
 from idealcore import sets as sd
 from idealcore import specs
 from idealcore.ideals import MembershipResult as MR
@@ -251,10 +252,16 @@ def test_fin_times_empty_reads_a_hit_at_the_last_index():
 # -- positivity in closed form ---------------------------------------------------
 
 FTE = ide.fin_times_empty()
-# Sets that the closed-form rules decide Fin×∅-positive: the squares by the Pell
-# argument, the others as sets that are not density-null.
+# Sets that the closed-form rules decide Fin×∅-positive: the squares and the
+# infinite {n : a·n + c is a square} by the Pell argument, the others as sets
+# that are not density-null.
 _FTE_POSITIVE = {
     "squares": SQUARES,
+    **{
+        f"squares@{a}n+{c}": sd.preimage(SQUARES, maps.affine_map(a, c))
+        for a, c in ((2, 0), (2, 1), (3, 1), (8, 0), (8, 4))
+    },
+    "rotation_golden hits [0, 1/2)": seq.corpus_entry("rotation_golden").hits(0.0, 0.5),
     "ap(1,3)": sd.ap(1, 3),
     "root_blocks(1,3)": sd.RootBlocks(1, 3),
     "geometric_blocks(2,0,2)": sd.GeometricBlocks(2, 0, 2),
@@ -279,14 +286,15 @@ def test_fin_times_empty_positive_sets_meet_ever_more_columns(name):
     assert np.all(counts[2:] > counts[:-2]), counts
 
 
-def test_column_zero_is_not_decided_positive():
-    # {n : 8n + 1 is a square} is the triangular numbers, column 0 of the
-    # pairing, so it lies in Fin×∅ although it is an infinite preimage of the
-    # squares.
-    s = sd.preimage(SQUARES, maps.affine_map(8, 1))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_column_zero_is_not_decided_positive(m):
+    # {n : 8m²n + m² is a square} = {n : 8n + 1 is a square} is the triangular
+    # numbers, column 0 of the pairing, so it lies in Fin×∅ although it is an
+    # infinite preimage of the squares.
+    s = sd.preimage(SQUARES, maps.affine_map(8 * m * m, m * m))
     assert set(ide._pair_columns(s.enumerate_prefix(10**5)).tolist()) == {0}
     assert s.cardinality() is sd.Cardinality.INFINITE
-    assert FTE.decide_in(s) is None
+    assert FTE.decide_in(s) is True
 
 
 _NON_AFFINE = [maps.enumeration_map(s) for s in (SQUARES, sd.GeometricBlocks(2, 0, 2), sd.RootBlocks(1, 3))]

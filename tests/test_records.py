@@ -254,7 +254,8 @@ def test_identity_record_reprs_leave_out_hidden_fields():
     assert repr(sd.Predicate(abs)) == f"Predicate(fn={abs!r}, name='predicate')"
     x = seq.BoundedSequence(abs, 2.0, "y", limit=0.0, envelope=lambda n: np.ones(n))
     x.prefix(4)
-    assert repr(x) == f"BoundedSequence(fn={abs!r}, bound=2.0, label='y', level_sets=None, limit=0.0)"
+    want = f"BoundedSequence(fn={abs!r}, bound=2.0, label='y', level_sets=None, limit=0.0, equidistributed=None)"
+    assert repr(x) == want
 
 
 def test_frozen_identity_records_refuse_assignment_and_sequences_accept_it():

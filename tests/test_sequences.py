@@ -221,6 +221,9 @@ _INDEX_ARRAYS = {
 
 @pytest.mark.parametrize("index", range(len(_read_by_index())))
 def test_at_is_bit_identical_to_fn(index):
+    # A prefix read from 0 (an indicator's straight from its mask) has the same bits.
+    fresh = _read_by_index()[index]
+    assert fresh.prefix(5000).tobytes() == np.array([fresh.fn(n) for n in range(5000)]).tobytes(), fresh.label
     x = _read_by_index()[index]
     # One sequence reads every array in turn, so each read meets the prefix
     # that the reads before it left.
@@ -263,6 +266,14 @@ def test_growing_an_indicator_prefix_reads_no_index_alone():
         values = x.prefix(101_000)
     assert contains.call_count == 0
     assert values.tobytes() == s.mask(101_000).astype(np.float64).tobytes()
+
+
+def test_a_fresh_indicator_prefix_is_its_mask():
+    # A prefix that starts at 0 reads the mask, with no index array.
+    s = sd.GeometricBlocks(2, 0, 2)
+    x = seq.indicator(s)
+    x.rule = lambda ns: pytest.fail("read by index")
+    assert x.prefix(10**5).tobytes() == s.mask(10**5).astype(np.float64).tobytes()
 
 
 def test_a_far_run_is_read_per_index_without_a_long_mask():
