@@ -23,15 +23,10 @@ from .asymptotics import (
     ideal_limsup,
 )
 from .constructions import (
-    Certificate,
-    CertificateViolationError,
     ExperimentReport,
-    StabilityReport,
     core_equality_experiment,
     core_equality_experiments,
-    core_stability_check,
     perturb_identity,
-    sufficiency_certificate,
     transformed_sequence,
 )
 from .ideals import (

@@ -23,7 +23,8 @@ along every integer-polynomial subsequence, as ``rotation_golden`` is on
 (b − a)/(hi − lo) and meet every infinite residue class and the squares
 infinitely often, so ``asymptotics`` reads its core [lo, hi] off one hit
 set's decision; ``constructions.transformed_sequence`` keeps the declaration
-through rk(h) with h affine and gives Cesàro·x the limit (lo + hi)/2.
+through rk(h) with h affine and gives Cesàro·x the limit (lo + hi)/2, and
+``affine`` with mul > 0 moves it to the image range.
 
 ``BoundedSequence.at`` is the one index read: the values at an int64 index
 array, in any order and with repeats.  A sequence with a closed form states
@@ -248,8 +249,17 @@ def signed_indicator(
 
 def affine(x: BoundedSequence, mul: float, add: float, label: str | None = None) -> BoundedSequence:
     """Pointwise ``mul * x_n + add``; the declared bound follows the triangle
-    inequality, and a limit L and envelope r become mul·L + add and |mul|·r."""
-    levels = limit = envelope = None
+    inequality, and a limit L and envelope r become mul·L + add and |mul|·r.
+
+    An equidistribution on [lo, hi) moves to [mul·lo + add, mul·hi + add) when
+    mul > 0 and the largest float below hi maps below mul·hi + add: rounding
+    is monotone, so then no value maps onto the open end.  For mul < 0 the
+    image is open at its lower end, and the sequence is read by its values."""
+    levels = limit = envelope = equidistributed = None
+    if x.equidistributed is not None and mul > 0.0:
+        lo, hi = x.equidistributed
+        if mul * np.nextafter(hi, -np.inf) + add < mul * hi + add:
+            equidistributed = (mul * lo + add, mul * hi + add)
     if x.limit is not None:
         limit = mul * x.limit + add
         if x.envelope is not None:
@@ -267,6 +277,7 @@ def affine(x: BoundedSequence, mul: float, add: float, label: str | None = None)
         rule=lambda ns: mul * x.at(ns) + add,
         limit=limit,
         envelope=envelope,
+        equidistributed=equidistributed,
     )
 
 

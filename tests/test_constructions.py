@@ -1,4 +1,4 @@
-"""Constructions: RK matrices, perturbations, stability, certificates, experiments."""
+"""Constructions: RK matrices, perturbations, images A·x and core-equality experiments."""
 
 import tracemalloc
 from unittest import mock
@@ -300,6 +300,24 @@ def test_equidistributed_cores_are_exact(ideal):
                 assert ideal.decide_in(x.hits(lo, hi)) is False, (name, lo, hi)
 
 
+def test_affine_images_keep_an_equidistribution():
+    # mul·x + add with mul > 0 is equidistributed on the image range, so its
+    # core is that range, read with no prefix, and no value rounds onto its
+    # open end.  A shift by 0.4 would round 1 − 2⁻⁵³ onto 1.4 itself, so it
+    # declares nothing and keeps the value path, as mul < 0 does.
+    x = seq.corpus_entry("rotation_golden")
+    for mul, add, want in ((2.0, -1.0, (-1.0, 1.0)), (3.0, 0.1, (0.1, 3.1)), (0.5, 0.0, (0.0, 0.5))):
+        y = seq.affine(x, mul, add)
+        assert y.equidistributed == want, (mul, add)
+        values = y.at(np.arange(10**5))
+        assert np.all((want[0] <= values) & (values < want[1])), (mul, add)
+        with mock.patch.object(seq.BoundedSequence, "prefix", side_effect=AssertionError("prefix read")):
+            for ideal in _EQUIDISTRIBUTED_CASES:
+                assert _core_outcome(y, ideal) == (*want, "exact"), (mul, add, ideal.label)
+    assert seq.affine(x, 1.0, 0.4).equidistributed is None
+    assert seq.affine(x, -1.0, 0.0).equidistributed is None
+
+
 @pytest.mark.parametrize("name", sorted(_rotation_images()))
 def test_numeric_cores_of_equidistributed_sequences_lie_near_the_exact_one(name):
     # Where the estimator decides, the undeclared copy's core at H = 10⁵ lies
@@ -359,64 +377,16 @@ def test_perturb_identity():
     assert np.allclose(sums, base.row_sums(100) + 1.0)
 
 
-# -- core stability ----------------------------------------------------------------
-
-
-def test_stability_harmonic_perturbation():
-    x = seq.corpus_entry("alternating")
-    y = seq.BoundedSequence(lambda n: x.fn(n) + 1.0 / (n + 1), bound=2.0, label="alt+1/(n+1)")
-    report = con.core_stability_check(x, y, FIN, CORE)
-    assert report.status == "confirmed"
-    assert report.deviation <= 1e-2
-
-
-def test_stability_squares_perturbation_under_density_ideal():
-    x = seq.corpus_entry("indicator_evens")
-    y = seq.combine(x, seq.indicator(sd.squares()), "add", label="evens+squares")
-    report = con.core_stability_check(x, y, Z, CORE)
-    assert report.status == "confirmed" and report.deviation == 0.0
-
-
-def test_stability_not_applicable_for_shift():
-    x = seq.corpus_entry("alternating")
-    report = con.core_stability_check(x, seq.affine(x, 1.0, 1.0), FIN, FAST_CORE)
-    assert report.status == "not_applicable"
-    assert "not ideal-null" in report.note
-
-
-def test_stability_report_serialization():
-    x = seq.corpus_entry("alternating")
-    y = seq.BoundedSequence(lambda n: x.fn(n) + 1.0 / (n + 1), bound=2.0, label="y")
-    d = con.core_stability_check(x, y, FIN, FAST_CORE).to_dict()
-    assert d["status"] == "confirmed" and d["core_x"] == (-1.0, 1.0)
-
-
-# -- sufficiency certificate ----------------------------------------------------------
-
-
-def test_certificate_identity_instance():
-    # Untranslated because the upper core endpoint is already positive;
-    # the shrinkage factor is then eps / (2 + 1 + 4).
-    cert = con.sufficiency_certificate(mat.identity(), seq.corpus_entry("indicator_evens"), 0.1, FIN, FIN)
-    assert cert.status == "verified"
-    assert cert.kappa == 0.0 and cert.eta == 1.0
-    assert cert.delta == pytest.approx(0.1 / 7.0)
-    assert cert.lower_margin >= 0 and cert.upper_margin >= 0
-    assert cert.neg_mass_margin >= 0 and cert.off_support_margin >= 0
+# -- distinct values ------------------------------------------------------------------
 
 
 def test_distinct_values_are_found_without_np_unique(monkeypatch):
     # np.unique, and np.union1d through it, hashes in numpy 2.4: the union
-    # enumeration, the injectivity check and the certificate's rows sort
-    # instead (``sets._distinct``), with the same results.
+    # enumeration and the injectivity check sort instead (``sets._distinct``),
+    # with the same results.
     blocks = sd.GeometricBlocks(2, 1, 2)
     union = sd.Union(blocks, sd.explicit(0, 2, 3, 5000))
     want = np.union1d(blocks.enumerate_prefix(5000), [0, 2, 3])
-    cases = [
-        (mat.identity(), seq.corpus_entry("indicator_evens"), 0.1, FIN),
-        (mat.rk_matrix(maps.affine_map(2)), seq.indicator(sd.ap(0, 4)), 0.05, FO_EVENS),
-    ]
-    certificates = [con.sufficiency_certificate(a, x, eps, i, FIN).to_dict() for a, x, eps, i in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("hashed")
@@ -429,59 +399,6 @@ def test_distinct_values_are_found_without_np_unique(monkeypatch):
     maps.enumeration_map(sd.squares()).validate_flags(2000)
     with pytest.raises(ValueError, match="repeats a value"):
         maps.IndexMap(lambda n: n // 2, "halves", injective=True).validate_flags(100)
-    assert [con.sufficiency_certificate(a, x, eps, i, FIN).to_dict() for a, x, eps, i in cases] == certificates
-
-
-def test_certificate_rk_instance():
-    a = mat.rk_matrix(maps.affine_map(2))
-    x = seq.indicator(sd.ap(0, 4), label="indicator_ap04")
-    cert = con.sufficiency_certificate(a, x, 0.05, FO_EVENS, FIN)
-    assert cert.status == "verified"
-    assert cert.eta == 1.0 and cert.delta == pytest.approx(0.05 / 7.0)
-    # the concentration rows are exactly the even rows below the horizon
-    assert cert.s_rows[:4] == (0, 2, 4, 6)
-    assert all(m >= 0 for m in (cert.lower_margin, cert.upper_margin,
-                                cert.neg_mass_margin, cert.off_support_margin))
-
-
-def test_certificate_translates_negative_sequences():
-    x = seq.affine(seq.corpus_entry("indicator_evens"), -1.0, 0.0, label="neg_evens")
-    cert = con.sufficiency_certificate(mat.identity(), x, 0.1, FIN, FIN)
-    assert cert.kappa == x.bound + 1.0
-    assert cert.eta >= 1.0
-    assert cert.eta_original == pytest.approx(0.0)
-    assert cert.status == "verified"
-
-
-def test_certificate_eps_monotonicity():
-    a = mat.rk_matrix(maps.affine_map(2))
-    x = seq.indicator(sd.ap(0, 4), label="indicator_ap04")
-    big = con.sufficiency_certificate(a, x, 0.1, FO_EVENS, FIN)
-    small = con.sufficiency_certificate(a, x, 0.05, FO_EVENS, FIN)
-    assert small.delta < big.delta
-    horizon = 2000
-    big_set = set(big.upper_threshold_set.enumerate_prefix(horizon))
-    small_set = set(small.upper_threshold_set.enumerate_prefix(horizon))
-    assert small_set <= big_set
-
-
-def test_certificate_rejects_bad_eps_and_violators():
-    with pytest.raises(ValueError):
-        con.sufficiency_certificate(mat.identity(), seq.corpus_entry("alternating"), 0.0, FIN, FIN)
-    with pytest.raises(ValueError):
-        con.sufficiency_certificate(mat.cesaro(), seq.corpus_entry("alternating"), 0.1, FIN, FIN)
-
-
-def test_certificate_empty_witness_set():
-    # The upper threshold set lives beyond the horizon, so no concentration
-    # row is found below it; that is a reported outcome, not a failure.
-    far = sd.ap(100_001, 2)
-    x = seq.indicator(far, label="far_indicator")
-    cfg = reg.CheckConfig(horizon=2000)
-    cert = con.sufficiency_certificate(mat.identity(), x, 0.1, FIN, FIN, cfg=cfg)
-    assert cert.status == "empty-witness-set"
-    assert cert.s_rows == ()
-    assert cert.upper_margin is not None
 
 
 # -- core equality experiments -----------------------------------------------------------

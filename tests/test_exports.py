@@ -1,6 +1,7 @@
 """Every exported name resolves: a name deleted from a module but left in its
 ``__all__`` or in the package's imports fails here, not only under
-``from idealcore.<module> import *``."""
+``from idealcore.<module> import *``.  Every name the package imports is in
+its module's ``__all__``."""
 
 import ast
 import importlib
@@ -21,14 +22,30 @@ def test_every_name_in_a_modules_all_resolves(name):
     assert missing == []
 
 
-def test_every_name_the_package_imports_resolves():
+def _package_imports():
+    """(module, name) for each name ``idealcore/__init__.py`` imports from a module."""
     tree = ast.parse(Path(idealcore.__file__).read_text())
-    imported = [
+    return [
         (node.module, alias.name)
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     ]
+
+
+def test_every_name_the_package_imports_resolves():
+    imported = _package_imports()
     assert imported
     missing = [(module, name) for module, name in imported if not hasattr(importlib.import_module(f"idealcore.{module}"), name)]
     assert missing == []
+
+
+def test_every_name_the_package_imports_is_in_its_modules_all():
+    # The package's imports and each module's ``__all__`` name the same
+    # exports, so removing one means editing both lists.
+    unlisted = [
+        (module, name)
+        for module, name in _package_imports()
+        if name not in getattr(importlib.import_module(f"idealcore.{module}"), "__all__", ())
+    ]
+    assert unlisted == []

@@ -49,13 +49,6 @@ _FIELDS = {
     sd.Difference: lambda: dict(left=sd.ArithmeticProgression(0, 2), right=sd.Squares()),
     sd.Complement: lambda: dict(inner=sd.Explicit((0, 5))),
     sd.Preimage: lambda: dict(inner=sd.ArithmeticProgression(0, 3), h=_H),
-    con.StabilityReport: lambda: dict(status="confirmed", core_x=_CORE, core_y=None, deviation=0.0, note="n"),
-    con.Certificate: lambda: dict(
-        eps=0.1, eta=1.0, eta_original=0.5, kappa=0.5, delta=0.02, bound=1.0,
-        upper_threshold_set=_EVENS, lower_threshold_set=_ODDS, s_rows=(1, 2), s_prime_rows=(3,),
-        lower_margin=None, upper_margin=0.5, neg_mass_margin=None, off_support_margin=0.25,
-        status="verified", horizon=100,
-    ),
     con.ExperimentRow: lambda: dict(label="x", core_x=_CORE, core_ax=_CORE, deviation=0.0),
     con.ExperimentReport: lambda: dict(
         rows=(con.ExperimentRow("x", _CORE, _CORE, 0.0),), max_deviation=0.0, worst_label="x"
