@@ -300,22 +300,35 @@ def test_equidistributed_cores_are_exact(ideal):
                 assert ideal.decide_in(x.hits(lo, hi)) is False, (name, lo, hi)
 
 
-def test_affine_images_keep_an_equidistribution():
+# (mul, add) with mul > 0 and the image range [mul·lo + add, mul·hi + add) of
+# rotation_golden's [0, 1).
+_AFFINE_IMAGES = [(2.0, -1.0, (-1.0, 1.0)), (3.0, 0.1, (0.1, 3.1)), (0.5, 0.0, (0.0, 0.5))]
+
+
+@pytest.mark.parametrize("ideal", _EQUIDISTRIBUTED_CASES, ids=lambda i: i.label)
+def test_affine_images_keep_an_equidistribution(ideal):
     # mul·x + add with mul > 0 is equidistributed on the image range, so its
-    # core is that range, read with no prefix, and no value rounds onto its
-    # open end.  A shift by 0.4 would round 1 − 2⁻⁵³ onto 1.4 itself, so it
-    # declares nothing and keeps the value path, as mul < 0 does.
+    # core is that range, read with no prefix.
     x = seq.corpus_entry("rotation_golden")
-    for mul, add, want in ((2.0, -1.0, (-1.0, 1.0)), (3.0, 0.1, (0.1, 3.1)), (0.5, 0.0, (0.0, 0.5))):
-        y = seq.affine(x, mul, add)
-        assert y.equidistributed == want, (mul, add)
-        values = y.at(np.arange(10**5))
-        assert np.all((want[0] <= values) & (values < want[1])), (mul, add)
-        with mock.patch.object(seq.BoundedSequence, "prefix", side_effect=AssertionError("prefix read")):
-            for ideal in _EQUIDISTRIBUTED_CASES:
-                assert _core_outcome(y, ideal) == (*want, "exact"), (mul, add, ideal.label)
-    assert seq.affine(x, 1.0, 0.4).equidistributed is None
-    assert seq.affine(x, -1.0, 0.0).equidistributed is None
+    with mock.patch.object(seq.BoundedSequence, "prefix", side_effect=AssertionError("prefix read")):
+        for mul, add, want in _AFFINE_IMAGES:
+            y = seq.affine(x, mul, add)
+            assert y.equidistributed == want, (mul, add)
+            assert _core_outcome(y, ideal) == (*want, "exact"), (mul, add)
+
+
+@pytest.mark.parametrize("mul, add, want", _AFFINE_IMAGES)
+def test_affine_image_values_lie_in_the_declared_range(mul, add, want):
+    # No value rounds onto the open end of the declared range.
+    values = seq.affine(seq.corpus_entry("rotation_golden"), mul, add).at(np.arange(10**5))
+    assert np.all((want[0] <= values) & (values < want[1]))
+
+
+@pytest.mark.parametrize("mul, add", [(1.0, 0.4), (-1.0, 0.0)])
+def test_affine_images_that_may_reach_an_open_end_declare_nothing(mul, add):
+    # A shift by 0.4 would round 1 − 2⁻⁵³ onto 1.4 itself, and mul < 0 maps
+    # [0, 1) onto a range open at its lower end: both keep the value path.
+    assert seq.affine(seq.corpus_entry("rotation_golden"), mul, add).equidistributed is None
 
 
 @pytest.mark.parametrize("name", sorted(_rotation_images()))

@@ -33,6 +33,10 @@ def _row_sum(n: int) -> float:
     return 1.0
 
 
+def _halves(ns: np.ndarray) -> np.ndarray:
+    return ns % 2 / 2
+
+
 # Per value class, the fields of one instance in declaration order, built
 # afresh on each call (leaves with identity equality are shared).
 _FIELDS = {
@@ -49,6 +53,7 @@ _FIELDS = {
     sd.Difference: lambda: dict(left=sd.ArithmeticProgression(0, 2), right=sd.Squares()),
     sd.Complement: lambda: dict(inner=sd.Explicit((0, 5))),
     sd.Preimage: lambda: dict(inner=sd.ArithmeticProgression(0, 3), h=_H),
+    sd.Hits: lambda: dict(values=_halves, lo=0.25, hi=0.75, span=(0.0, 1.0)),
     con.ExperimentRow: lambda: dict(label="x", core_x=_CORE, core_ax=_CORE, deviation=0.0),
     con.ExperimentReport: lambda: dict(
         rows=(con.ExperimentRow("x", _CORE, _CORE, 0.0),), max_deviation=0.0, worst_label="x"
