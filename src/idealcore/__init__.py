@@ -33,7 +33,6 @@ from .ideals import (
     ClassificationReport,
     Ideal,
     MembershipResult,
-    classify,
     countably_generated,
     density_zero,
     empirical_density,

@@ -14,9 +14,9 @@ the rules that decide one (``sets.Hits``) decide them all alike.  Fin, Z,
 log, summable and Fin×∅ read the hit set's exact positive density, and a
 trace ideal whose trace is an arithmetic progression or the squares reads
 that the hit set meets it infinitely often.  ``cluster_points`` and ``core``
-answer [lo, hi] with method ``exact`` then, and read no prefix; under an
-ideal that leaves the hit set undecided (a custom-weight ``erdos_ulam``) the
-core takes the value-prefix path below.
+answer [lo, hi] with method ``exact`` then, and read no prefix.  A sequence
+that declares no equidistribution, or an ideal that leaves the hit set
+undecided, takes the value-prefix path below.
 
 A finitely-valued sequence (one that carries its level sets) has as cluster
 points exactly the values whose level sets are positive, so its cluster set is

@@ -339,7 +339,7 @@ def list_catalog() -> str:
     catalog: list[ide.Ideal] = [
         ide.fin(),
         ide.density_zero(),
-        ide.erdos_ulam("log"),
+        ide.erdos_ulam(),
         ide.summable(),
         ide.fin_oplus_full(sd.evens()),
         ide.fin_times_empty(),

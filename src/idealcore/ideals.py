@@ -14,10 +14,11 @@ Each catalog ideal pairs two decision channels:
   counted hit.  An empty prefix is null.  ``theta`` is a run setting:
   - Fin, and the trace-finite ideals on the hits in their trace: positive iff
     c1 > c0, else null.
-  - Z and Erdős–Ulam: the (weighted) upper-density estimate
-    ``_max_running_ratio`` in the band ``_band``: above theta positive, below
-    theta/10 null, in between inconclusive.
-  - Summable: a weighted sum above the cutoff is positive, else inconclusive.
+  - Z and Erdős–Ulam: the upper-density estimate ``_max_running_ratio``, with
+    the log weights 1/(n+1) for Erdős–Ulam, in the band ``_band``: above
+    theta positive, below theta/10 null, in between inconclusive.
+  - Summable: a sum of the weights 1/(n+1) above the cutoff is positive, else
+    inconclusive.
   - Fin×∅: null with no tail hit, positive when a tail hit opens a column of
     the pairing that no head hit reached (a fresh column), else inconclusive.
 
@@ -31,7 +32,6 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "estimate_membership",
     "exact_density",
     "empirical_density",
-    "classify",
     "rk_below",
     "RkResult",
     "ideal_to_dict",
@@ -122,7 +121,7 @@ def _max_running_ratio(
 
     ``hits[:c0]`` lie below horizon/2 and ``hits[c0:c1]`` in the tail window.
     ``weight_table``, when given, holds two rows: the weights below the horizon
-    and their running totals (``_with_totals``).
+    and their running totals (``_harmonic_weights``).
     """
     n0 = horizon // 2
     if weight_table is None:
@@ -158,32 +157,27 @@ def _not_null(d: sd.DensityBounds | None) -> bool:
     return d is not None and (d.lower > 0 or (d.exact and d.upper > 0))
 
 
-def _with_totals(w: np.ndarray) -> np.ndarray:
-    """The weights ``w`` and their running totals, as the two rows of one read-only array."""
-    table = np.stack((w, np.cumsum(w)))
-    table.setflags(write=False)
-    return table
-
-
-_KEPT_TABLES = 4  # weight tables kept per weight sequence, one per horizon
+_KEPT_TABLES = 4  # harmonic weight tables kept, one per horizon
 
 
 @lru_cache(maxsize=_KEPT_TABLES)
 def _harmonic_weights(horizon: int) -> np.ndarray:
-    """``_with_totals`` of the weights 1/(n+1) below the horizon."""
-    return _with_totals(1.0 / (np.arange(horizon, dtype=np.float64) + 1.0))
+    """The weights 1/(n+1) below the horizon and their running totals, as the
+    two rows of one read-only array."""
+    w = 1.0 / (np.arange(horizon, dtype=np.float64) + 1.0)
+    table = np.stack((w, np.cumsum(w)))
+    table.setflags(write=False)
+    return table
 
 
 class Ideal:
     """Base class for catalog ideals."""
 
     kind: str = "abstract"
+    label: str = "abstract"
     # Ideals are values: equal, and hash equal, when of the same class and
     # equal in these attributes, however they were built, spelled or parsed.
     _defined_by: tuple[str, ...] = ()
-
-    def __init__(self, label: str):
-        self.label = label
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -264,9 +258,7 @@ class FinIdeal(Ideal):
     """Finite sets.  Numeric rule: positive iff a hit lands in the tail window."""
 
     kind = "fin"
-
-    def __init__(self):
-        super().__init__("Fin")
+    label = "Fin"
 
     def decide_in(self, s: SetDescription) -> bool | None:
         card = s.cardinality()
@@ -287,9 +279,7 @@ class DensityZeroIdeal(Ideal):
     """Sets of asymptotic density zero (the statistical-null ideal)."""
 
     kind = "density_zero"
-
-    def __init__(self):
-        super().__init__("DensityZero")
+    label = "DensityZero"
 
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
@@ -308,91 +298,49 @@ class DensityZeroIdeal(Ideal):
         return ClassificationReport(True, False, True, False, False, "Z")
 
 
-class _WeightedIdeal(Ideal):
-    """An ideal defined by a weight sequence: the named preset (weights 1/(n+1))
-    or a custom callable, whose evaluated prefix must be positive.  Two custom
-    weights are equal iff they are the same callable."""
+class ErdosUlamIdeal(Ideal):
+    """The logarithmic-density ideal: the Erdős–Ulam ideal of the weights 1/(n+1).
 
-    _defined_by = ("weights", "weight_fn")
-
-    def __init__(self, label: str, weights: str | Callable[[int], float], preset: str):
-        if callable(weights):
-            self.weight_fn, self.weights = weights, "custom"
-        elif weights == preset:
-            self.weight_fn, self.weights = None, preset
-        else:
-            raise ValueError(f"weights must be {preset!r} or a callable")
-        self._tables: dict[int, np.ndarray] = {}  # a custom weight table per horizon
-        super().__init__(f"{label}({self.weights})")
-
-    def _weight_table(self, horizon: int) -> np.ndarray:
-        """The weights below the horizon and their running totals (``_with_totals``).
-
-        A custom callable is evaluated once per index and horizon: the ideal
-        keeps the tables of ``_KEPT_TABLES`` horizons, dropping the oldest
-        first, as ``_harmonic_weights`` keeps the preset's.  A prefix with a
-        weight that is not positive raises each time and is not kept."""
-        if self.weight_fn is None:
-            return _harmonic_weights(horizon)
-        table = self._tables.get(horizon)
-        if table is None:
-            w = np.fromiter((self.weight_fn(n) for n in range(horizon)), dtype=np.float64, count=horizon)
-            if np.any(w <= 0):
-                raise ValueError("weights must be positive")
-            if len(self._tables) >= _KEPT_TABLES:
-                del self._tables[next(iter(self._tables))]
-            table = self._tables[horizon] = _with_totals(w)
-        return table
-
-
-class ErdosUlamIdeal(_WeightedIdeal):
-    """Weighted-density-zero ideal for a divergent weight sequence.
-
-    The ``log`` preset (weights 1/(n+1)) is the logarithmic-density ideal; for
-    it, exact decisions are available whenever the natural density limit
-    exists, since the logarithmic density then agrees with it, and a set of
-    lower density above 0 is positive.  Custom weight
-    callables get numeric decisions only; divergence of their sum is the
-    caller's contract (presets are known divergent), positivity of the
-    evaluated prefix is checked.
+    Exact decisions are available whenever the natural density limit exists,
+    since the logarithmic density then agrees with it, and a set of lower
+    density above 0 is positive.
     """
 
     kind = "erdos_ulam"
-
-    def __init__(self, weights: str | Callable[[int], float] = "log"):
-        super().__init__("ErdosUlam", weights, "log")
+    weights = "log"
+    label = f"ErdosUlam({weights})"
 
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
             return True
-        if self.weights == "log":
-            d = s.density_bounds()
-            if d is not None and d.has_limit:
-                return d.value == 0
-            if d is not None and d.lower > 0:
-                # The lower logarithmic density is at least the lower natural one.
-                return False
+        d = s.density_bounds()
+        if d is not None and d.has_limit:
+            return d.value == 0
+        if d is not None and d.lower > 0:
+            # The lower logarithmic density is at least the lower natural one.
+            return False
         return self._propagate(s)
 
     def _judge(self, hits, c0, c1, horizon, theta):
-        return _band(_max_running_ratio(hits, c0, c1, horizon, self._weight_table(horizon)), theta)
+        return _band(_max_running_ratio(hits, c0, c1, horizon, _harmonic_weights(horizon)), theta)
 
     def classify(self) -> ClassificationReport:
         return ClassificationReport(True, False, True, False, False, f"Erdos-Ulam({self.weights})")
 
 
-class SummableIdeal(_WeightedIdeal):
-    """Sets whose weight series converges (harmonic preset: sum of 1/(n+1)).
+class SummableIdeal(Ideal):
+    """Sets whose harmonic series (the sum of 1/(n+1) over the set) converges.
 
     Its numeric rule is a heuristic: convergence cannot be witnessed on a
     prefix, so no nonempty prefix is null.
     """
 
     kind = "summable"
-    _defined_by = ("weights", "weight_fn", "cutoff")
+    weights = "harmonic"
+    label = f"Summable({weights})"
+    _defined_by = ("cutoff",)
 
-    def __init__(self, weights: str | Callable[[int], float] = "harmonic", cutoff: float = SUMMABLE_CUTOFF):
-        super().__init__("Summable", weights, "harmonic")
+    def __init__(self, cutoff: float = SUMMABLE_CUTOFF):
         self.cutoff = float(cutoff)
         if not self.cutoff > 0:
             raise ValueError(f"cutoff must be positive, got {cutoff!r}")
@@ -400,8 +348,6 @@ class SummableIdeal(_WeightedIdeal):
     def decide_in(self, s: SetDescription) -> bool | None:
         if s.cardinality() is Cardinality.FINITE:
             return True
-        if self.weights != "harmonic":
-            return None  # custom weights decide numerically only
         if isinstance(s, sd.Squares):
             return True
         # A harmonically summable set must have upper density zero.
@@ -410,11 +356,11 @@ class SummableIdeal(_WeightedIdeal):
         return self._propagate(s)
 
     def _judge(self, hits, c0, c1, horizon, theta):
-        total = float(np.sum(self._weight_table(horizon)[0][hits]))
+        total = float(np.sum(_harmonic_weights(horizon)[0][hits]))
         return PositivityResult.POSITIVE if total > self.cutoff else PositivityResult.INCONCLUSIVE
 
     def classify(self) -> ClassificationReport:
-        return ClassificationReport(True, True, True, False, False, "summable(harmonic)")
+        return ClassificationReport(True, True, True, False, False, f"summable({self.weights})")
 
 
 class TraceFinIdeal(Ideal):
@@ -422,12 +368,12 @@ class TraceFinIdeal(Ideal):
     when T is cofinite); ``countably_generated`` builds one from its generators."""
 
     kind = "fin_oplus_full"
+    label = "FinOplusFull"
     _defined_by = ("trace",)
 
     def __init__(self, trace: SetDescription):
         if trace.cardinality() is not Cardinality.INFINITE:
             raise ValueError("trace set must be certifiably infinite")
-        super().__init__("FinOplusFull")
         self.trace = trace
 
     def decide_in(self, s: SetDescription) -> bool | None:
@@ -491,9 +437,7 @@ class ColumnBlockIdeal(Ideal):
     """
 
     kind = "fin_times_empty"
-
-    def __init__(self):
-        super().__init__("FinTimesEmpty")
+    label = "FinTimesEmpty"
 
     def generator(self, column: int) -> SetDescription:
         return sd.Predicate(lambda n, c=column: _pair_column(n) == c, name=f"column_{column}")
@@ -549,12 +493,12 @@ def density_zero() -> DensityZeroIdeal:
     return DensityZeroIdeal()
 
 
-def erdos_ulam(weights: str | Callable[[int], float] = "log") -> ErdosUlamIdeal:
-    return ErdosUlamIdeal(weights)
+def erdos_ulam() -> ErdosUlamIdeal:
+    return ErdosUlamIdeal()
 
 
-def summable(weights: str | Callable[[int], float] = "harmonic", cutoff: float = SUMMABLE_CUTOFF) -> SummableIdeal:
-    return SummableIdeal(weights, cutoff)
+def summable(cutoff: float = SUMMABLE_CUTOFF) -> SummableIdeal:
+    return SummableIdeal(cutoff)
 
 
 def fin_oplus_full(trace: SetDescription) -> TraceFinIdeal:
@@ -660,10 +604,6 @@ def empirical_density(s: SetDescription, horizon: int) -> tuple[float, float]:
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def classify(ideal: Ideal) -> ClassificationReport:
-    return ideal.classify()
-
-
 @record(frozen=True)
 class RkResult:
     """Outcome of a Rudin–Keisler comparison query against the catalog."""
@@ -711,12 +651,8 @@ def ideal_to_dict(ideal: Ideal) -> dict:
     if isinstance(ideal, DensityZeroIdeal):
         return {"type": "density_zero"}
     if isinstance(ideal, ErdosUlamIdeal):
-        if ideal.weights == "custom":
-            raise ValueError("custom weight callables have no JSON encoding")
         return {"type": "erdos_ulam", "weights": ideal.weights}
     if isinstance(ideal, SummableIdeal):
-        if ideal.weights == "custom":
-            raise ValueError("custom weight callables have no JSON encoding")
         return {"type": "summable", "weights": ideal.weights, "cutoff": ideal.cutoff}
     if isinstance(ideal, TraceFinIdeal):
         return {"type": "fin_oplus_full", "trace": sd.set_to_dict(ideal.trace)}

@@ -232,11 +232,10 @@ def default_family(ideal: Ideal, seed: int = 0) -> TestFamily:
 
     ``membership`` decides a set symbolically when the structural analysis
     applies and otherwise falls back to the ideal's numeric estimator on the
-    prefix below 100 000.  Under each named catalog ideal, ``fin_times_empty``
-    included, every pool set is decided symbolically; custom weights take the
-    estimator.  Only sets whose verdict is inconclusive are left out of the
-    in-ideal and positive slots.  Every certifiably infinite pool set is
-    listed as infinite.
+    prefix below 100 000.  Under each catalog ideal, ``fin_times_empty``
+    included, every pool set is decided symbolically.  Only sets whose verdict
+    is inconclusive are left out of the in-ideal and positive slots.  Every
+    certifiably infinite pool set is listed as infinite.
     """
     in_ideal, positive, infinite = [], [], []
     for s in _default_pool(seed):

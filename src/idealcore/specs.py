@@ -162,6 +162,20 @@ _IDEAL_SHORTHAND = {
 }
 
 
+# The fields each ideal type reads; a spec with any other field is refused.
+_IDEAL_FIELDS = {
+    "fin": ("type",),
+    "density_zero": ("type",),
+    "erdos_ulam": ("type", "weights"),
+    "summable": ("type", "weights", "cutoff"),
+    "fin_oplus_full": ("type", "trace"),
+    "countably_generated": ("type", "generators"),
+    "fin_times_empty": ("type",),
+}
+# The one weight sequence of each weighted ideal type.
+_WEIGHTS = {cls.kind: cls.weights for cls in (ide.ErdosUlamIdeal, ide.SummableIdeal)}
+
+
 def parse_ideal(obj: Any, path: str = "ideal") -> ide.Ideal:
     if isinstance(obj, str):
         key = obj.strip().lower().replace("-", "_")
@@ -173,17 +187,22 @@ def parse_ideal(obj: Any, path: str = "ideal") -> ide.Ideal:
         raise ConfigError(f"{path}.theta", "theta is a run setting, not part of an ideal: set cfg.theta or --theta")
     if _IDEAL_SHORTHAND.get(kind, {}).keys() == {"type"}:
         kind = _IDEAL_SHORTHAND[kind]["type"]
+    fields = _IDEAL_FIELDS.get(kind)
+    if fields is None:
+        raise ConfigError(f"{path}.type", f"unknown ideal type {kind!r}")
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}", f"unknown field; {kind} ideals read only: {', '.join(fields)}")
+    if "weights" in obj and obj["weights"] != _WEIGHTS[kind]:
+        raise ConfigError(f"{path}.weights", f"must be {_WEIGHTS[kind]!r}, got {obj['weights']!r}")
     if kind == "fin":
         return ide.fin()
     if kind == "density_zero":
         return ide.density_zero()
     if kind == "erdos_ulam":
-        return _build(ide.erdos_ulam, f"{path}.weights", obj.get("weights", "log"))
+        return ide.erdos_ulam()
     if kind == "summable":
-        cutoff = _number(obj, "cutoff", path, float, ide.SUMMABLE_CUTOFF)
-        if not cutoff > 0:
-            raise ConfigError(f"{path}.cutoff", f"must be positive, got {cutoff!r}")
-        return _build(ide.summable, f"{path}.weights", obj.get("weights", "harmonic"), cutoff)
+        return _build(ide.summable, f"{path}.cutoff", _number(obj, "cutoff", path, float, ide.SUMMABLE_CUTOFF))
     if kind == "fin_oplus_full":
         trace = parse_set(_require(obj, "trace", path), f"{path}.trace")
         return _build(ide.fin_oplus_full, f"{path}.trace", trace)
@@ -192,9 +211,7 @@ def parse_ideal(obj: Any, path: str = "ideal") -> ide.Ideal:
             parse_set(g, f"{path}.generators[{i}]") for i, g in enumerate(_list(obj, "generators", path, ()))
         ]
         return _build(ide.countably_generated, f"{path}.generators", generators)
-    if kind == "fin_times_empty":
-        return ide.fin_times_empty()
-    raise ConfigError(f"{path}.type", f"unknown ideal type {kind!r}")
+    return ide.fin_times_empty()  # the one type left
 
 
 def parse_index_map(obj: Any, path: str = "map") -> maps.IndexMap:

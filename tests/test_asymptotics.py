@@ -29,7 +29,7 @@ STRUCTURED = [
     "blockwise_three_level",
     "indicator_blocks",
 ]
-LOG = ide.erdos_ulam("log")
+LOG = ide.erdos_ulam()
 
 # (corpus label, ideal label) pairs whose value-prefix core deviates from the
 # core read off their level sets: the estimators read the squares as positive
@@ -183,7 +183,7 @@ def test_reflection_and_translation():
 
 
 def test_cluster_nonempty_across_catalog():
-    ideals = [FIN, Z, FO_EVENS, ide.erdos_ulam("log"), ide.summable()]
+    ideals = [FIN, Z, FO_EVENS, ide.erdos_ulam(), ide.summable()]
     for x in seq.corpus():
         for ideal in ideals:
             cs = asy.cluster_points(x, ideal, FAST)
@@ -264,7 +264,7 @@ def _per_cell_cluster(values, ideal, cfg, bound=None):
 _CATALOG = [
     ide.fin(),
     ide.density_zero(),
-    ide.erdos_ulam("log"),
+    ide.erdos_ulam(),
     ide.summable(),
     ide.fin_oplus_full(sd.evens()),
     ide.countably_generated([sd.evens()]),

@@ -145,7 +145,7 @@ def test_value_path_extends_with_the_bits_of_transform_prefix():
 _CATALOG = [
     FIN,
     Z,
-    ide.erdos_ulam("log"),
+    ide.erdos_ulam(),
     ide.summable(),
     FO_EVENS,
     ide.countably_generated([sd.evens()]),
@@ -359,21 +359,22 @@ def test_cesaro_means_of_equidistributed_sequences_tend_to_the_middle():
         assert np.max(np.abs(means - 0.5)) <= 1e-3, name
 
 
-def test_an_undecided_ideal_keeps_the_value_path(monkeypatch):
-    # A custom-weight Erdős–Ulam ideal decides no hit set, so under it the
-    # core of rotation_golden goes through the grid: one cell table, built
-    # only when such an ideal is read and shared by every such read.
+def test_an_undeclared_sequence_keeps_the_value_path(monkeypatch):
+    # Every catalog ideal decides the hit sets of rotation_golden, so its
+    # cores read no cell table.  With its equidistribution hidden, its cores
+    # go through the grid: one cell table, built only when such a sequence is
+    # read and shared by every ideal read on it.
     x = seq.corpus_entry("rotation_golden")
-    custom = ide.erdos_ulam(lambda n: 1.0 / (n + 1.0))
-    assert custom.decide_in(x.hits(0.0, 0.5)) is None
     tables, hit_cells = [], asy._hit_cells
     monkeypatch.setattr(asy, "_hit_cells", lambda *args: tables.append(args) or hit_cells(*args))
     assert [c.method for c in asy.cores(x, [FIN, Z, FO_EVENS], FAST_CORE)] == ["exact"] * 3
     assert tables == []
-    got = asy.cores(x, [FIN, custom, Z, custom], FAST_CORE)
-    assert [c.method for c in got] == ["exact", "numeric", "exact", "numeric"] and len(tables) == 1
+    log = ide.erdos_ulam()
+    got = asy.cores(_undeclared(x), [FIN, log, Z, log], FAST_CORE)
+    assert [c.method for c in got] == ["numeric"] * 4 and len(tables) == 1
     assert got[1] == got[3]
-    assert abs(got[1].lo - 0.0) <= 2 * FAST_CORE.grid and abs(got[1].hi - 1.0) <= 2 * FAST_CORE.grid
+    for c in got:
+        assert abs(c.lo - 0.0) <= 2 * FAST_CORE.grid and abs(c.hi - 1.0) <= 2 * FAST_CORE.grid, c
 
 
 # -- perturbation ----------------------------------------------------------------
@@ -446,7 +447,7 @@ def test_experiment_identity_zero_deviation_across_ideals():
 _EXPERIMENT_PAIRS = {
     "fin": (FIN, FIN),
     "z": (Z, Z),
-    "log": (ide.erdos_ulam("log"), ide.erdos_ulam("log")),
+    "log": (ide.erdos_ulam(), ide.erdos_ulam()),
     "fin-oplus-evens,fin": (FO_EVENS, FIN),
     "fin-times-empty": (ide.fin_times_empty(), ide.fin_times_empty()),
 }

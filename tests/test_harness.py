@@ -102,6 +102,48 @@ def test_ideal_spec_theta_is_a_config_error():
     assert err.value.path == "config.ideal_pairs[0][0].theta"
 
 
+@pytest.mark.parametrize(
+    "spec, preset",
+    [
+        ({"type": "erdos_ulam", "weights": "bogus"}, "log"),
+        ({"type": "summable", "weights": "log"}, "harmonic"),
+    ],
+)
+def test_ideal_spec_weights_name_the_one_preset(spec, preset):
+    with pytest.raises(specs.ConfigError) as err:
+        specs.parse_ideal(spec)
+    assert str(err.value) == f"ideal.weights: must be {preset!r}, got {spec['weights']!r}"
+
+
+# Each catalog ideal type, the fields of a spec of it that parses, and the
+# fields the type reads.
+_IDEAL_FIELDS = {
+    "fin": ({}, ("type",)),
+    "density_zero": ({}, ("type",)),
+    "erdos_ulam": ({"weights": "log"}, ("type", "weights")),
+    "summable": ({"weights": "harmonic", "cutoff": 5}, ("type", "weights", "cutoff")),
+    "fin_oplus_full": ({"trace": {"type": "ap", "offset": 0, "step": 2}}, ("type", "trace")),
+    "countably_generated": ({"generators": [{"type": "squares"}]}, ("type", "generators")),
+    "fin_times_empty": ({}, ("type",)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_IDEAL_FIELDS))
+def test_ideal_specs_refuse_fields_their_type_does_not_read(kind):
+    # A misspelt or misplaced field used to be dropped, so {"type":
+    # "summable", "cutof": 5} read as the cutoff 1000.
+    fields, accepted = _IDEAL_FIELDS[kind]
+    spec = {"type": kind, **fields}
+    specs.parse_ideal(spec)
+    for stray in ("cutof", "weigths", "weights", "cutoff", "trace", "generators"):
+        if stray in accepted:
+            continue
+        with pytest.raises(specs.ConfigError) as err:
+            specs.parse_ideal({**spec, stray: 5}, "config.ideal_pairs[0][1]")
+        assert err.value.path == f"config.ideal_pairs[0][1].{stray}"
+        assert str(err.value).endswith(f"{kind} ideals read only: {', '.join(accepted)}")
+
+
 _AP_NO_STEP = {"type": "arithmetic_progression", "offset": 1}
 _EVENS_AND_ODDS = {
     "type": "intersection",
@@ -164,6 +206,7 @@ _SUITE = {"matrices": ["cesaro"], "ideal_pairs": [["fin", "fin"]], "theorems": [
         (specs.parse_ideal, {"type": "hausdorff"}, "ideal.type"),
         (specs.parse_ideal, {"type": "z", "theta": 0.1}, "ideal.theta"),
         (specs.parse_ideal, {"type": "erdos_ulam", "weights": "sqrt"}, "ideal.weights"),
+        (specs.parse_ideal, {"type": "summable", "weights": "log"}, "ideal.weights"),
         (specs.parse_ideal, {"type": "summable", "cutoff": "big"}, "ideal.cutoff"),
         (specs.parse_ideal, {"type": "fin_oplus_full"}, "ideal.trace"),
         (specs.parse_ideal, {"type": "fin_oplus_full", "trace": {"type": "explicit", "elements": [1]}}, "ideal.trace"),

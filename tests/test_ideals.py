@@ -22,7 +22,7 @@ SQUARES = sd.squares()
 
 FIN = ide.fin()
 Z = ide.density_zero()
-EU = ide.erdos_ulam("log")
+EU = ide.erdos_ulam()
 SUM = ide.summable()
 FO_EVENS = ide.fin_oplus_full(EVENS)
 
@@ -83,8 +83,6 @@ def test_construction_validation():
         ide.fin_oplus_full(sd.explicit(1, 2))
     with pytest.raises(ValueError):
         ide.countably_generated([sd.complement(sd.explicit(0))])
-    with pytest.raises(ValueError):
-        ide.erdos_ulam("bogus")
 
 
 # -- ideal axioms on exact decisions --------------------------------------------
@@ -365,16 +363,13 @@ def test_weight_totals_match_cumsum(horizon):
     assert np.array_equal(table[0], weights)
     assert np.array_equal(table[1], np.cumsum(weights))
     assert ide._harmonic_weights.cache_info().maxsize <= 4
-    custom = ide.erdos_ulam(lambda n: 1.0 + (n % 7))._weight_table(horizon)
-    assert np.array_equal(custom[1], np.cumsum(custom[0]))
     rng = np.random.default_rng(horizon)
     for density in (0.0, 0.001, 0.1, 0.9):
         hits = np.flatnonzero(rng.random(horizon) < density)
         hits = np.union1d(hits, [horizon - 1]) if density else hits
         c0, c1 = np.searchsorted(hits, (horizon // 2, horizon))
-        for t in (table, custom):
-            got = ide._max_running_ratio(hits, int(c0), int(c1), horizon, t)
-            assert got == _running_ratio_by_mask(hits, horizon, np.array(t[0]))
+        got = ide._max_running_ratio(hits, int(c0), int(c1), horizon, table)
+        assert got == _running_ratio_by_mask(hits, horizon, np.array(table[0]))
 
 
 # The estimators as boolean masks over the hits, the form they had before they
@@ -436,12 +431,12 @@ def _positivity_by_mask(ideal, hits, horizon, theta):
     if isinstance(ideal, ide.DensityZeroIdeal):
         return _density_by_mask(hits, horizon, theta)
     if isinstance(ideal, ide.ErdosUlamIdeal):
-        return _density_by_mask(hits, horizon, theta, ideal._weight_table(horizon)[0])
+        return _density_by_mask(hits, horizon, theta, ide._harmonic_weights(horizon)[0])
     if isinstance(ideal, ide.SummableIdeal):
         support = _support_by_mask(hits, horizon)
         if hits.size == 0:
             return PR.NULL, support
-        total = float(np.sum(ideal._weight_table(horizon)[0][hits]))
+        total = float(np.sum(ide._harmonic_weights(horizon)[0][hits]))
         return (PR.POSITIVE if total > ideal.cutoff else PR.INCONCLUSIVE), support
     if isinstance(ideal, ide.TraceFinIdeal):
         mask = ideal.trace.mask(horizon)
@@ -462,7 +457,6 @@ _KERNEL_IDEALS = {
     "fin": FIN,
     "z": Z,
     "log": EU,
-    "log(custom)": ide.erdos_ulam(lambda n: 1.0 + (n % 7)),
     "summable": SUM,
     # A cutoff the harmonic sums below these horizons can pass, so POSITIVE is reached.
     "summable(cutoff 2)": ide.summable(cutoff=2.0),
@@ -586,65 +580,10 @@ def test_rk_below_fin_identity():
 
 def test_rk_below_unknowns():
     assert not ide.rk_below(Z, FIN).has_witness
-    eu_pair = ide.rk_below(EU, ide.erdos_ulam("log"))
+    eu_pair = ide.rk_below(EU, ide.erdos_ulam())
     assert not eu_pair.has_witness
     assert "known to exist" in eu_pair.note
     assert not ide.rk_below(SUM, Z).has_witness
-
-
-def test_custom_weight_sequences():
-    counting = ide.summable(lambda n: 1.0, cutoff=100.0)
-    assert ide.membership(EVENS, counting) is MR.POSITIVE
-    assert ide.membership(sd.explicit(1, 2, 3), counting) is MR.IN_IDEAL
-    eu = ide.erdos_ulam(lambda n: 1.0 / (n + 1))
-    assert ide.membership(EVENS, eu) is MR.POSITIVE
-    with pytest.raises(ValueError):
-        ide.ideal_to_dict(eu)
-    bad = ide.erdos_ulam(lambda n: -1.0)
-    with pytest.raises(ValueError):
-        ide.membership(sd.Predicate(lambda n: n % 2 == 0), bad)
-
-
-@pytest.mark.parametrize("make", [ide.erdos_ulam, lambda fn: ide.summable(fn, cutoff=3.0)])
-def test_custom_weight_tables_are_built_once_per_horizon(make):
-    calls = []
-
-    def weight(n):
-        calls.append(n)
-        return 1.0 + (n % 7) / (n + 1)
-
-    ideal = make(weight)
-    horizon, theta = 20_000, 1e-3
-    expected = ide._with_totals(np.array([1.0 + (n % 7) / (n + 1) for n in range(horizon)]))
-    rng = np.random.default_rng(0)
-    for density in (0.0, 0.001, 0.1, 0.5):
-        hits = np.flatnonzero(rng.random(horizon) < density)
-        got = ideal.positivity(hits, horizon, theta)
-        if ideal.kind == "erdos_ulam":
-            c0, c1 = np.searchsorted(hits, (horizon // 2, horizon))
-            want = ide._band(ide._max_running_ratio(hits, int(c0), int(c1), horizon, expected), theta)
-        else:
-            total = float(np.sum(expected[0][hits]))
-            want = PR.NULL if hits.size == 0 else PR.POSITIVE if total > 3.0 else PR.INCONCLUSIVE
-        assert got[0] is want
-        assert np.array_equal(got[1], _support_by_mask(hits, horizon))
-    # the weight function ran once per index of the one horizon, and the table is bit-identical
-    assert len(calls) == horizon
-    table = ideal._weight_table(horizon)
-    assert table.tobytes() == expected.tobytes() and not table.flags.writeable
-    # the ideal keeps a bounded number of tables; a dropped horizon is rebuilt
-    for h in range(100, 100 + 2 * ide._KEPT_TABLES):
-        ideal._weight_table(h)
-    assert len(ideal._tables) == ide._KEPT_TABLES
-    calls.clear()
-    assert ideal._weight_table(horizon).tobytes() == expected.tobytes()
-    assert len(calls) == horizon
-    # a weight that is not positive raises on every call
-    bad = make(lambda n: -1.0)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="positive"):
-            bad._weight_table(100)
-    assert bad._tables == {}
 
 
 def test_ideal_json_roundtrip():
@@ -745,21 +684,6 @@ def test_ideals_of_different_definitions_are_unequal():
     for a, b in pairs:
         assert a != b and b != a
     assert FIN != "fin" and FIN != None  # noqa: E711
-
-
-def test_custom_weight_ideals_are_equal_iff_their_callable_is_the_same():
-    def weight(n):
-        return 1.0 / (n + 1)
-
-    def twin(n):
-        return 1.0 / (n + 1)
-
-    for make in (ide.erdos_ulam, ide.summable):
-        assert make(weight) == make(weight) and hash(make(weight)) == hash(make(weight))
-        assert make(weight) != make(twin)
-    assert ide.erdos_ulam(weight) != EU and ide.summable(weight) != SUM
-    assert ide.erdos_ulam(weight) != ide.summable(weight)
-    assert ide.summable(weight, cutoff=3.0) != ide.summable(weight, cutoff=4.0)
 
 
 @pytest.mark.parametrize("cutoff", [-5, 0, -0.0, float("nan")])

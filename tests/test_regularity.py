@@ -400,7 +400,7 @@ def test_verdict_serialization():
 _NAMED_CATALOG = {
     "fin": FIN,
     "z": Z,
-    "log": ide.erdos_ulam("log"),
+    "log": ide.erdos_ulam(),
     "summable": ide.summable(),
     "fin_oplus_evens": FO_EVENS,
     "generated_by_evens": ide.countably_generated([sd.evens()]),
@@ -432,17 +432,18 @@ def test_rk_over_the_evens_exactly_satisfies_leo_for_the_trace_ideal(seed):
 
 def test_exact_points_estimate_no_level():
     # Where the identity's level sets over the columns are undecided
-    # symbolically (a predicate under fin_times_empty, any infinite set under
-    # custom weights), the condition reads the value prefix and no level is
-    # estimated first.
-    fte = _NAMED_CATALOG["fin_times_empty"]
-    custom = ide.erdos_ulam(lambda n: 1.0 / (n + 1))
-    cases = [(fte, sd.Predicate(lambda n: n % 3 == 1, name="1 mod 3"))] + [
-        (custom, columns) for columns in (sd.evens(), sd.ap(1, 3), sd.GeometricBlocks(2, 0, 2))
+    # symbolically (a predicate, under every catalog ideal), the condition
+    # reads the value prefix and no level is estimated first.
+    predicates = [
+        sd.Predicate(lambda n: n % 2 == 0, name="evens"),
+        sd.Predicate(lambda n: n % 3 == 1, name="1 mod 3"),
+        sd.Predicate(lambda n: n.bit_length() % 2 == 1, name="[4^k, 2*4^k)"),
     ]
     with mock.patch.object(asy, "estimate_membership", side_effect=AssertionError("level estimated")):
-        for ideal, columns in cases:
-            assert reg._exact_points(mat.identity(), columns, False, ideal) is None, (ideal.label, columns)
+        for ideal in _CATALOG:
+            for columns in predicates:
+                assert mat.identity().masked_sum_structure(columns, absolute=False).levels is not None
+                assert reg._exact_points(mat.identity(), columns, False, ideal) is None, (ideal.label, columns)
 
 
 def test_explicit_banded_rows_cost_no_membership_decisions():
