@@ -34,10 +34,14 @@ what is known exactly of the row sums over a set E without summing a row: the
 level sets h⁻¹(E) (value 1) and its complement (value 0) for a row selection,
 the density of E as their limit for Cesàro (over ω also the one level 1), and
 for a banded matrix its explicit row sums as a finite head in front of the
-level sets of its closed-form tail; None for sums, multiples, products,
-entrywise parts and diagonal matrices other than the identity.  A banded
-matrix also declares its norm, the largest absolute row sum of its explicit
-rows and its tail.
+level sets of its closed-form tail.  Composites state theirs from their
+operands': a multiple scales them, a sum adds them on the intersections of
+the level sets (a limit added to levels gives levels that are limits along
+their sets), and a product in which one factor selects rows reads the other
+factor's at h(n) (rk(h)·A) or over h⁻¹(E) (B·rk(h)).  None for other products,
+entrywise parts, diagonal matrices other than the identity, and absolute sums
+that read the entries.  A banded matrix also declares its norm, the largest
+absolute row sum of its explicit rows and its tail.
 ``find_negative_entry`` reads entries.  ``transform`` computes one entry of
 A·x with ``math.fsum``.
 """
@@ -119,17 +123,22 @@ class SumStructure:
     (v, S_v) whose sets partition ω), or they converge to ``limit``, or both.
     Every catalog ideal contains Fin, so a finite head never moves a J-cluster
     point: the levels alone decide the cluster points and the limit.
-    ``row_sum(n)`` is s_n with the bits of the bulk path.
+    ``row_sum(n)`` is s_n with the bits of the bulk path.  With
+    ``levels_are_limits`` each value v is the limit of the sums along its set
+    rather than the sums themselves (a limit added to levels): the J-cluster
+    points are the same, but no row is known to be off a target.
     """
 
     levels: tuple[tuple[float, SetDescription], ...] | None
     limit: float | None
     row_sum: Callable[[int], float]
     head: tuple[float, ...] = ()
+    levels_are_limits: bool = False
 
     def count_deviations(self, target: float, tol: float, horizon: int) -> int:
         """How many rows n < horizon have |s_n − target| > tol: the head rows,
-        then the level rows from len(head) on (``levels`` must be given)."""
+        then the level rows from len(head) on (``levels`` must be given, and
+        be the sums themselves)."""
         m = min(len(self.head), horizon)
         count = sum(abs(v - target) > tol for v in self.head[:m])
         for v, s in self.levels:
@@ -203,6 +212,13 @@ def _merged_row(indices: np.ndarray, values: np.ndarray, tail_bound: float = 0.0
     cols = ordered[first]
     sums = np.bincount(column_of, weights=values, minlength=cols.size)
     return MatrixRow(cols.astype(np.int64, copy=False), sums.astype(np.float64, copy=False), tail_bound)
+
+
+def _meet(s: SetDescription, t: SetDescription) -> SetDescription:
+    """S ∩ T, with an ω left out."""
+    if s == omega():
+        return t
+    return s if t == omega() else s & t
 
 
 class InfiniteMatrix:
@@ -594,6 +610,35 @@ class _SumMatrix(InfiniteMatrix):
     def abs_sums_are_sums(self) -> bool:
         return self.a.abs_sums_are_sums and self.b.abs_sums_are_sums
 
+    def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
+        """The operands' structures added, as the bulk path adds their sums.
+
+        Two sets of levels give v_a + v_b on the intersections of their level
+        sets, after the longer of the two heads; two limits add; levels and a
+        limit L give the levels v + L, limits along their sets, for which a
+        head says nothing.  Absolute sums that read the entries state none.
+        """
+        if absolute and not self.abs_sums_are_sums:
+            return None
+        sa, sb = self.a.masked_sum_structure(columns), self.b.masked_sum_structure(columns)
+        if sa is None or sb is None:
+            return None
+        limit = None if sa.limit is None or sb.limit is None else sa.limit + sb.limit
+
+        def row_sum(n: int) -> float:
+            return sa.row_sum(n) + sb.row_sum(n)
+
+        if sa.levels is None and sb.levels is None:
+            return SumStructure(None, limit, row_sum)
+        if sa.levels is not None and sb.levels is not None:
+            levels = tuple((va + vb, _meet(ea, eb)) for va, ea in sa.levels for vb, eb in sb.levels)
+            along = sa.levels_are_limits or sb.levels_are_limits
+        else:
+            leveled, other = (sa, sb) if sa.levels is not None else (sb, sa)
+            levels, along = tuple((v + other.limit, e) for v, e in leveled.levels), True
+        head = () if along else tuple(map(row_sum, range(max(len(sa.head), len(sb.head)))))
+        return SumStructure(levels, limit, row_sum, head, along)
+
     def _row(self, n: int) -> MatrixRow:
         ra, rb = self.a.row(n), self.b.row(n)
         return _merged_row(
@@ -623,6 +668,23 @@ class _ScaledMatrix(InfiniteMatrix):
     @property
     def abs_sums_are_sums(self) -> bool:
         return bool(self.nonnegative) and self.a.abs_sums_are_sums
+
+    def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
+        """A's structure times c: the values c·v, the limit c·L and the head
+        c·s_n, as the bulk path scales A's sums.  Absolute sums that read the
+        entries (c < 0, or signed A) state none."""
+        if absolute and not self.abs_sums_are_sums:
+            return None
+        s, c = self.a.masked_sum_structure(columns), self.c
+        if s is None:
+            return None
+        return SumStructure(
+            None if s.levels is None else tuple((c * v, e) for v, e in s.levels),
+            None if s.limit is None else c * s.limit,
+            lambda n: c * s.row_sum(n),
+            tuple(c * v for v in s.head),
+            s.levels_are_limits,
+        )
 
     def _row(self, n: int) -> MatrixRow:
         r = self.a.row(n)
@@ -656,6 +718,49 @@ class _ComposedMatrix(InfiniteMatrix):
         # A diagonal factor whose rule may hold −0.0 would carry it into the
         # product's values on the operand path.
         return bool(self.nonnegative) and self.a.abs_sums_are_sums and self.b.abs_sums_are_sums
+
+    def masked_sum_structure(self, columns: SetDescription | None, absolute: bool = False) -> SumStructure | None:
+        """Where one factor selects rows and B acts on A's values at every
+        horizon (``_on_values``), so that the product's sums are B applied to
+        A's sums, bit for bit.
+
+        rk(h)·A sums row n as A sums row h(n): A's level sets pulled back by
+        h, A's limit (an affine h is injective), and A's head rows read at the
+        n with h(n) below its length.  B·rk(h) sums over E as B sums over
+        h⁻¹(E).  Other products, and absolute sums that read the entries,
+        state none.
+        """
+        if (absolute and not self.abs_sums_are_sums) or not self._on_values():
+            return None
+        e = omega() if columns is None else columns
+        h = self.b.row_selection()
+        if h is None:
+            g = self.a.row_selection()
+            return None if g is None else self.b.masked_sum_structure(preimage(e, g))
+        s = self.a.masked_sum_structure(e)
+        if s is None:
+            return None
+        (mul, add), head = h.affine, len(s.head)
+        return SumStructure(
+            None if s.levels is None else tuple((v, preimage(level, h)) for v, level in s.levels),
+            s.limit,
+            lambda n: s.row_sum(h(n)),
+            tuple(s.row_sum(h(n)) for n in range(max(0, -(-(head - add) // mul)))),
+            s.levels_are_limits,
+        )
+
+    def _on_values(self) -> bool:
+        """Whether ``_left_support`` is never None: B is Cesàro or diagonal
+        (columns below the horizon), or selects rows by n ↦ mul·n + add with
+        mul and add + 1 at most ``_SPARSE_IMAGE_FACTOR``, whose columns stay
+        below that factor times every horizon."""
+        if isinstance(self.b, (_CesaroMatrix, _DiagonalMatrix)):
+            return True
+        h = self.b.row_selection()
+        if h is None or h.affine is None:
+            return False
+        mul, add = h.affine
+        return mul <= _SPARSE_IMAGE_FACTOR and add < _SPARSE_IMAGE_FACTOR
 
     def _probe(self):
         r0 = self.b.row(0)

@@ -13,7 +13,10 @@ each decided symbolically by ``ideals.decide_membership``; Cesàro's
 sums over E tend to the density of E where it exists, the one J-cluster point
 under every catalog ideal, since each contains Fin.  A banded matrix's explicit
 rows are the structure's finite head, and its closed-form tail states the
-levels: the identity's, the zero tail's 0 or the repeated last row's sum.  So
+levels: the identity's, the zero tail's 0 or the repeated last row's sum.
+Composites state theirs from their operands'; where a sum adds a limit to
+levels, the levels are limits along their sets, with the same cluster points
+but no rows to count.  So
 the J-limit is the target iff every cluster point lies within ``tol`` of it,
 and the J-limsup is the largest cluster point.  Every other condition, and one
 whose level sets the symbolic analysis leaves undecided, is judged on the value
@@ -389,7 +392,7 @@ def _lim_condition(
             "horizon": cfg.horizon,
             "value_at_horizon": structure.row_sum(cfg.horizon - 1),
         }
-        if structure.levels is not None:
+        if structure.levels is not None and not structure.levels_are_limits:
             details["deviation_count"] = structure.count_deviations(target, cfg.tol, cfg.horizon)
         return ConditionReport(
             name, ok, 0.0 if ok else deviation, details, None if ok else witness_set, method="exact"

@@ -110,11 +110,34 @@ def _build(make, path: str, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
+def _read_only(obj: dict, fields: tuple[str, ...], kind: str, noun: str, path: str) -> None:
+    """Refuse a field that a spec of this kind does not read, such as a
+    misspelt one; ``noun`` names the kinds in the error, e.g. "sets"."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}", f"unknown field; {kind} {noun} read only: {', '.join(fields)}")
+
+
 _SET_PAIRS = {"union": sd.Union, "intersection": sd.Intersection, "difference": sd.Difference}
+# The fields each set type reads; a spec with any other field is refused.
+_SET_FIELDS = {
+    "arithmetic_progression": ("type", "offset", "step"),
+    "ap": ("type", "offset", "step"),
+    "explicit": ("type", "elements"),
+    "squares": ("type",),
+    "blocks": ("type", "intervals"),
+    "geometric_blocks": ("type", "base", "residue", "modulus"),
+    "root_blocks": ("type", "residue", "modulus"),
+    **dict.fromkeys(_SET_PAIRS, ("type", "left", "right")),
+    "complement": ("type", "of"),
+}
 
 
 def parse_set(obj: Any, path: str = "set") -> sd.SetDescription:
     kind = _kind(obj, path, "set spec must be an object")
+    if kind not in _SET_FIELDS:
+        raise ConfigError(f"{path}.type", f"unknown set type {kind!r}")
+    _read_only(obj, _SET_FIELDS[kind], kind, "sets", path)
     if kind in ("arithmetic_progression", "ap"):
         return _build(sd.ArithmeticProgression, path, *_integers(obj, path, "offset", "step"))
     if kind == "explicit":
@@ -141,9 +164,7 @@ def parse_set(obj: Any, path: str = "set") -> sd.SetDescription:
     if kind in _SET_PAIRS:
         left = parse_set(_require(obj, "left", path), f"{path}.left")
         return _SET_PAIRS[kind](left, parse_set(_require(obj, "right", path), f"{path}.right"))
-    if kind == "complement":
-        return sd.complement(parse_set(_require(obj, "of", path), f"{path}.of"))
-    raise ConfigError(f"{path}.type", f"unknown set type {kind!r}")
+    return sd.complement(parse_set(_require(obj, "of", path), f"{path}.of"))  # the one type left
 
 
 # Ideal names, accepted wherever an ideal spec is; a name that stands for a bare
@@ -152,7 +173,7 @@ _IDEAL_SHORTHAND = {
     "fin": {"type": "fin"},
     "z": {"type": "density_zero"},
     "density_zero": {"type": "density_zero"},
-    "erdos_ulam_log": {"type": "erdos_ulam", "weights": "log"},
+    "erdos_ulam_log": {"type": "erdos_ulam"},
     "summable_harmonic": {"type": "summable"},
     "fin_oplus_evens": {
         "type": "fin_oplus_full",
@@ -190,9 +211,7 @@ def parse_ideal(obj: Any, path: str = "ideal") -> ide.Ideal:
     fields = _IDEAL_FIELDS.get(kind)
     if fields is None:
         raise ConfigError(f"{path}.type", f"unknown ideal type {kind!r}")
-    for key in obj:
-        if key not in fields:
-            raise ConfigError(f"{path}.{key}", f"unknown field; {kind} ideals read only: {', '.join(fields)}")
+    _read_only(obj, fields, kind, "ideals", path)
     if "weights" in obj and obj["weights"] != _WEIGHTS[kind]:
         raise ConfigError(f"{path}.weights", f"must be {_WEIGHTS[kind]!r}, got {obj['weights']!r}")
     if kind == "fin":
@@ -214,17 +233,24 @@ def parse_ideal(obj: Any, path: str = "ideal") -> ide.Ideal:
     return ide.fin_times_empty()  # the one type left
 
 
+_MAP_FIELDS = {"identity": ("type",), "affine": ("type", "mul", "add"), "enumeration": ("type", "set")}
+
+
 def parse_index_map(obj: Any, path: str = "map") -> maps.IndexMap:
     kind = _kind(obj, path, "index map spec must be an object")
+    if kind not in _MAP_FIELDS:
+        raise ConfigError(f"{path}.type", f"unknown index map type {kind!r}")
+    _read_only(obj, _MAP_FIELDS[kind], kind, "maps", path)
     if kind == "identity":
         return maps.identity_map()
     if kind == "affine":
         mul, add = _number(obj, "mul", path, _integral), _number(obj, "add", path, _integral, 0)
         return _build(maps.affine_map, path, mul, add)
-    if kind == "enumeration":
-        target = f"{path}.set"
-        return _build(maps.enumeration_map, target, parse_set(_require(obj, "set", path), target))
-    raise ConfigError(f"{path}.type", f"unknown index map type {kind!r}")
+    target = f"{path}.set"  # an enumeration, the one type left
+    return _build(maps.enumeration_map, target, parse_set(_require(obj, "set", path), target))
+
+
+_DIAGONAL_FIELDS = {"constant": ("kind", "value"), "geometric": ("kind", "ratio"), "harmonic": ("kind",)}
 
 
 def _parse_diagonal_values(obj: Any, path: str):
@@ -232,6 +258,9 @@ def _parse_diagonal_values(obj: Any, path: str):
     if not isinstance(obj, dict):
         raise ConfigError(path, "diagonal values spec must be an object")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _DIAGONAL_FIELDS:
+        raise ConfigError(f"{path}.kind", f"unknown diagonal kind {kind!r}")
+    _read_only(obj, _DIAGONAL_FIELDS[kind], kind, "diagonal values", path)
     if kind == "constant":
         value = _number(obj, "value", path)
         return (lambda n: value), (lambda horizon: np.full(horizon, value)), abs(value)
@@ -241,9 +270,22 @@ def _parse_diagonal_values(obj: Any, path: str):
             raise ConfigError(f"{path}.ratio", "ratio must lie in [-1, 1] for a bounded matrix")
         # No array rule: ratio ** np.arange(H) can differ from ratio**n in the last ulp.
         return (lambda n: ratio**n), None, 1.0
-    if kind == "harmonic":
-        return (lambda n: 1.0 / (n + 1.0)), (lambda horizon: 1.0 / (np.arange(horizon) + 1.0)), 1.0
-    raise ConfigError(f"{path}.kind", f"unknown diagonal kind {kind!r}")
+    return (lambda n: 1.0 / (n + 1.0)), (lambda horizon: 1.0 / (np.arange(horizon) + 1.0)), 1.0  # harmonic
+
+
+_MATRIX_FIELDS = {
+    "cesaro": ("type",),
+    "identity": ("type",),
+    "zero": ("type",),
+    "scaled_identity": ("type", "factor"),
+    "diagonal": ("type", "values"),
+    "rk": ("type", "map"),
+    "banded": ("type", "rows", "tail"),
+    "sum": ("type", "terms"),
+    "scaled": ("type", "factor", "of"),
+    "compose": ("type", "left", "right"),
+    "perturb_identity": ("type", "of"),
+}
 
 
 def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
@@ -253,6 +295,9 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
             raise ConfigError(path, f"unknown matrix name {obj!r}; known: cesaro, identity, zero")
         obj = {"type": key}
     kind = _kind(obj, path, "matrix spec must be a name or an object")
+    if kind not in _MATRIX_FIELDS:
+        raise ConfigError(f"{path}.type", f"unknown matrix type {kind!r}")
+    _read_only(obj, _MATRIX_FIELDS[kind], kind, "matrices", path)
     if kind == "cesaro":
         return mat.cesaro()
     if kind == "identity":
@@ -297,9 +342,7 @@ def parse_matrix(obj: Any, path: str = "matrix") -> mat.InfiniteMatrix:
             return mat.compose(left, right)
         except mat.ComposeUnsupportedError as exc:
             raise ConfigError(path, str(exc)) from exc
-    if kind == "perturb_identity":
-        return perturb_identity(parse_matrix(_require(obj, "of", path), f"{path}.of"))
-    raise ConfigError(f"{path}.type", f"unknown matrix type {kind!r}")
+    return perturb_identity(parse_matrix(_require(obj, "of", path), f"{path}.of"))  # the one type left
 
 
 def parse_family(obj: Any, path: str = "family") -> TestFamily:

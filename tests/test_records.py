@@ -69,7 +69,9 @@ _FIELDS = {
         core_equality=False, check_horizon=1000, core_horizon=2000, tol=0.01, grid=0.01, theta=0.001, seed=3,
     ),
     mat.MatrixRow: lambda: dict(indices=_INDICES, values=_VALUES, tail_bound=0.5),
-    mat.SumStructure: lambda: dict(levels=((1.0, sd.omega()),), limit=1.0, row_sum=_row_sum, head=(0.5, 1.0)),
+    mat.SumStructure: lambda: dict(
+        levels=((1.0, sd.omega()),), limit=1.0, row_sum=_row_sum, head=(0.5, 1.0), levels_are_limits=True
+    ),
     ide.ClassificationReport: lambda: dict(
         is_p_ideal=True, is_p_plus_ideal=True, is_tall=False, is_nowhere_tall=True,
         is_countably_generated=True, canonical_form="Fin",
@@ -213,6 +215,7 @@ def test_defaults_fill_trailing_fields():
     assert asy.CoreConfig() == asy.CoreConfig(100_000, 0.01, ide.DEFAULT_THETA)
     assert reg.CheckConfig(horizon=20) == reg.CheckConfig(20, 1e-2, ide.DEFAULT_THETA, 1e-2, 0)
     assert mat.MatrixRow(_INDICES, _VALUES).tail_bound == 0.0
+    assert mat.SumStructure(None, 1.0, _row_sum) == mat.SumStructure(None, 1.0, _row_sum, (), False)
     assert reg.ConditionReport("T", None, 0.0, {}).method == "numeric"
     with pytest.raises(TypeError):
         asy.CoreInterval(0.0, 1.0)

@@ -67,11 +67,14 @@ def test_cesaro_is_regular():
 
 
 def test_double_identity_violates_row_sums():
+    # 2·Id states its sums over ω as the one level 2 (and 0 on the empty
+    # complement): an exact violation on every row, which names no row.
     verdict = reg.silverman_toeplitz_check(mat.scalar_mul(2.0, mat.identity()), FIN, FIN)
-    assert verdict.status is Status.VIOLATED
-    assert verdict.witness_row is not None
+    assert verdict.status is Status.VIOLATED and verdict.method == "exact"
+    assert verdict.witness_row is None
     t2 = next(c for c in verdict.conditions if c.name.startswith("T2"))
-    assert t2.ok is False and t2.details["witness_value"] == 2.0
+    assert t2.ok is False and t2.details["cluster_points"] == [2.0]
+    assert t2.details["deviation_count"] == CFG.horizon
 
 
 def test_rk_double_is_regular():
@@ -483,7 +486,7 @@ def test_exact_conditions_report_horizon_and_value_without_sets():
         "value_at_horizon": 0.0,
         "deviation_count": 32,  # 2n is a square for n = 2m², m < 32
     }
-    numeric = reg.silverman_toeplitz_check(mat.scalar_mul(2.0, mat.identity()), FIN, FIN, cfg=FAST)
+    numeric = reg.silverman_toeplitz_check(mat.diagonal(lambda n: 2.0), FIN, FIN, cfg=FAST)
     assert numeric.method == "numeric" and numeric.to_dict()["method"] == "numeric"
 
 
