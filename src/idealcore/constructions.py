@@ -70,8 +70,10 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
       Cesàro, a row selection by an injective map, and a banded matrix with
       an identity tail): A·x tends to L;
     * each level set S_v of x has a row-sum limit ``a.masked_sum_structure(S_v)``
-      (Cesàro over a set with a density d_v): A·x tends to Σ v·d_v, summed
-      exactly, so the order of the levels cannot move a bit;
+      (Cesàro over a set with a density d_v, and the composites that keep
+      such a limit: a product with a row selection, a multiple, a sum of two
+      limits): A·x tends to Σ v·d_v, summed exactly, so the order of the
+      levels cannot move a bit;
     * x is equidistributed on [lo, hi) and A is Cesàro (``_image_limit``):
       A·x tends to (lo + hi)/2.
 

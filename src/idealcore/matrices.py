@@ -750,10 +750,11 @@ class _ComposedMatrix(InfiniteMatrix):
         )
 
     def _on_values(self) -> bool:
-        """Whether ``_left_support`` is never None: B is Cesàro or diagonal
-        (columns below the horizon), or selects rows by n ↦ mul·n + add with
-        mul and add + 1 at most ``_SPARSE_IMAGE_FACTOR``, whose columns stay
-        below that factor times every horizon."""
+        """Whether B acts on A's values at every horizon, which
+        ``_left_support`` then grants without a look at the horizon: B is
+        Cesàro or diagonal (columns below the horizon), or selects rows by
+        n ↦ mul·n + add with mul and add + 1 at most ``_SPARSE_IMAGE_FACTOR``,
+        whose columns stay below that factor times every horizon."""
         if isinstance(self.b, (_CesaroMatrix, _DiagonalMatrix)):
             return True
         h = self.b.row_selection()
@@ -790,8 +791,11 @@ class _ComposedMatrix(InfiniteMatrix):
         pass unseen, and its columns must reach no further than
         ``_SPARSE_IMAGE_FACTOR`` times the horizon (a sparse image, such as
         rk(enumeration(squares))), or A would be read on a longer prefix than
-        the CSR path reads.
+        the CSR path reads.  Where ``_on_values`` holds, B acts on A's values
+        at this horizon too, as the product's sum structure assumes.
         """
+        if self._on_values():
+            return self.b.max_support(horizon)
         if not self.b._row_finite:
             return None
         support = self.b.max_support(horizon)

@@ -256,6 +256,23 @@ def test_exact_image_limits_read_no_sequence_prefix():
             assert asy.core(ax, Z, _THEORY_CORE).method == "exact", (a, label)
 
 
+def test_composite_images_of_level_sets_have_the_limits_of_their_row_sums():
+    # rk(2n)·Cesàro keeps Cesàro's limit over each level set and a multiple
+    # scales it, so A·x has an exact limit and core; Cesàro + Id sums over a
+    # level set to its density plus its indicator, which has no limit.
+    x = seq.corpus_entry("indicator_evens")
+    limits = [
+        (mat.compose(mat.rk_matrix(maps.affine_map(2)), mat.cesaro()), 0.5),
+        (mat.scalar_mul(-0.3, mat.cesaro()), -0.15),
+    ]
+    with mock.patch.object(seq.BoundedSequence, "prefix", side_effect=AssertionError("prefix read")):
+        for a, limit in limits:
+            ax = con.transformed_sequence(a, x, _THEORY_CORE.horizon)
+            assert ax.limit == limit, a.label
+            assert _core_outcome(ax, FIN) == (limit, limit, "exact"), a.label
+    assert con.transformed_sequence(mat.matrix_sum(mat.cesaro(), mat.identity()), x, 1000).limit is None
+
+
 def test_other_matrices_keep_the_value_path():
     # A matrix not known to keep limits gives A·x no limit, even for a regular one.
     x = seq.corpus_entry("alternating_decay")
