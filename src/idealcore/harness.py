@@ -5,27 +5,30 @@ Each ideal spec is parsed once per suite, the corpus is built once per suite,
 and each default test family is built once per (ideal, seed).  A matrix is
 parsed once for its group of items (its ideal pairs times its theorems and
 experiment).  Shared results live in a ``regularity.CheckMemo``, keyed by
-values (``"z"`` and ``"density_zero"`` are one ideal): each core(x, I) of a
-corpus entry once per suite, and, within a group, the Silverman–Toeplitz
-verdict of each pair, the Allen verdict and each family condition (the row
-sums over one family set judged under J: T3, A3, C2 and L2, so the C2 and L2
-of a nonnegative matrix and its (Fin, Fin) A3 are one computation).  The
-group's first experiment item runs the experiments of all its pairs entry by
-entry (``constructions.core_equality_experiments``): for each corpus entry x,
-one A·x serves every J, at most one A·x is alive at a time, each value prefix
-is gridded once, and each core(A·x, J) is computed once and not kept; each
-experiment item then reports its own pair's outcome.  When the group ends
-the matrix goes, with every row and CSR cached on it and its memo entries.
-Each item's entry in ``ReportBundle.timings`` is its wall time, so the first
-item of a group carries the matrix parse, and the first item to need a shared
-result carries its cost: the first experiment item carries every pair's
-experiment.  An item that raises ``InconclusiveCellsError`` (an experiment
-whose cores the estimators cannot decide) is ``inconclusive``, with the
-estimator's message.  Written reports embed the fully resolved configuration
-and contain no timestamps, making identical configs produce byte-identical
-files.  Timings live only in the returned bundle.  ``dumps`` writes every
-indented JSON text, reports and CLI output alike, with the bytes of
-``json.dumps(..., sort_keys=True, indent=2)``.
+values (``"z"`` and ``"density_zero"`` are one ideal): once per suite, each
+core(x, I) of a corpus entry, each symbolic decision of a level set under J
+and each family set's label; within a group, the Silverman–Toeplitz verdict of
+each pair, the Allen verdict, each family condition (the row sums over one
+family set judged under J: T3, A3, C2 and L2, so the C2 and L2 of a
+nonnegative matrix and its (Fin, Fin) A3 are one computation, and their
+reports share one read-only set of details) and each row-sum structure the
+matrix states over a set, once per absoluteness.  The group's first experiment
+item runs the experiments of all its pairs entry by entry
+(``constructions.core_equality_experiments``): for each corpus entry x, one
+A·x serves every J, at most one A·x is alive at a time, each value prefix is
+gridded once, and each core(A·x, J) is computed once and not kept; each
+experiment item then reports its own pair's outcome.  When the group ends the
+matrix goes, with every row and CSR cached on it and its memo entries, its
+structures included.  Each item's entry in ``ReportBundle.timings`` is its
+wall time, so the first item of a group carries the matrix parse, and the
+first item to need a shared result carries its cost: the first experiment item
+carries every pair's experiment.  An item that raises
+``InconclusiveCellsError`` (an experiment whose cores the estimators cannot
+decide) is ``inconclusive``, with the estimator's message.  Written reports
+embed the fully resolved configuration and contain no timestamps, making
+identical configs produce byte-identical files.  Timings live only in the
+returned bundle.  ``dumps`` writes every indented JSON text, reports and CLI
+output alike, with the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -192,8 +195,9 @@ def run_suite(config: ExperimentConfig) -> ReportBundle:
     parsed: dict = {}
     families: dict = {}
     cores: dict = {}
+    sets: dict = {}
     for mspec in config.matrices:
-        _run_group(mspec, config, parsed, CheckMemo(families, cores), results, timings)
+        _run_group(mspec, config, parsed, CheckMemo(families, cores, sets), results, timings)
 
     counts = {"satisfied": 0, "violated": 0, "inconclusive": 0, "error": 0}
     for r in results:
@@ -265,9 +269,19 @@ def render_csv(bundle: ReportBundle) -> str:
     return buf.getvalue()
 
 
-def _encode(o, indent: str) -> str:
+class _KeyPrefixes(dict):
+    """Each dict key's escaped ``"key": `` prefix, made at its first lookup."""
+
+    def __missing__(self, key):
+        prefix = self[key] = encode_basestring_ascii(key) + ": "
+        return prefix
+
+
+def _encode(o, indent: str, keys: _KeyPrefixes) -> str:
     """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it at this
-    indent: exact types first, then subclasses as their base type."""
+    indent: exact types first, then subclasses as their base type.  A dict's
+    str, int and finite float values are written inline, after the ``"key": ``
+    prefix that ``keys`` keeps for each key."""
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
@@ -283,13 +297,24 @@ def _encode(o, indent: str) -> str:
         if not o:
             return "{}"
         inner = indent + "  "
-        items = [encode_basestring_ascii(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+        items = []
+        for k in sorted(o):
+            v = o[k]
+            tv = type(v)
+            if tv is str:
+                items.append(keys[k] + encode_basestring_ascii(v))
+            elif tv is int:
+                items.append(keys[k] + int.__repr__(v))
+            elif tv is float and v - v == 0.0:  # finite
+                items.append(keys[k] + float.__repr__(v))
+            else:
+                items.append(keys[k] + _encode(v, inner, keys))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if t is list or t is tuple:
         if not o:
             return "[]"
         inner = indent + "  "
-        return "[\n" + inner + (",\n" + inner).join([_encode(v, inner) for v in o]) + "\n" + indent + "]"
+        return "[\n" + inner + (",\n" + inner).join([_encode(v, inner, keys) for v in o]) + "\n" + indent + "]"
     if o is None:
         return "null"
     if o is True:
@@ -304,17 +329,20 @@ def _encode(o, indent: str) -> str:
         return encode_basestring_ascii(o)
     for base in (int, float, list, tuple, dict):
         if isinstance(o, base):
-            return _encode(base(o), indent)
+            return _encode(base(o), indent, keys)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where
     every dict key is a str.  With ``indent``, ``json`` takes its pure-Python
-    encoder; this one dispatches on the exact type, joins strings recursively
-    and escapes them with the C ``encode_basestring_ascii``, in about half the
-    time.  Reports and the CLI's JSON output go through it."""
-    return _encode(obj, "")
+    encoder; this one dispatches on the exact type, writes a dict's str, int
+    and finite float values inline, joins strings recursively and escapes
+    them with the C ``encode_basestring_ascii``.  Each key's escaped
+    ``"key": `` prefix is made once per call, in a table that goes with the
+    call, so no state outlives it.  Reports and the CLI's JSON output go
+    through it."""
+    return _encode(obj, "", _KeyPrefixes())
 
 
 def render_json(bundle: ReportBundle) -> str:

@@ -83,6 +83,9 @@ _CACHE_SUPPORT_LIMIT = 1024
 _FLAT_NNZ_LIMIT = 4_000_000
 # Entries that ``_segment_sums`` gathers into one block of equal-length rows.
 _MERGE_CHUNK = 1 << 16
+# The relative margin of a multiple's norm bound over |c|·‖A‖: 256 units of
+# roundoff (see ``_ScaledMatrix.__init__``).
+_SCALED_NORM_SLACK = 2.0**-45
 
 
 class ComposeUnsupportedError(ValueError):
@@ -659,7 +662,17 @@ class _SumMatrix(InfiniteMatrix):
 
 class _ScaledMatrix(InfiniteMatrix):
     def __init__(self, c: float, a: InfiniteMatrix):
-        bound = abs(c) * a.norm_bound if a.norm_bound is not None else None
+        """c·A, whose norm bound is |c|·‖A‖ rounded up by ``_SCALED_NORM_SLACK``.
+
+        Where c < 0 its absolute row sums read the entries: each row adds the
+        rounded |c·a_nk|, each up to one unit of roundoff over its exact
+        value, and numpy's pairwise sum of m of them errs by at most about
+        (log₂ m + 11) units of the sum.  So the sums can pass |c|·‖A‖ itself
+        (−0.3·Cesàro reaches 0.30000000000000016, 3 ulps over 0.3), and no
+        fixed number of ``math.nextafter`` steps covers every c; the slack
+        covers any row that fits in memory, and the rounding of the bound.
+        """
+        bound = abs(c) * a.norm_bound * (1.0 + _SCALED_NORM_SLACK) if a.norm_bound is not None else None
         nonneg = True if (a.nonnegative and c >= 0) else None
         super().__init__(f"{c}*{a.label}", norm_bound=bound, nonnegative=nonneg)
         self.c, self.a = float(c), a

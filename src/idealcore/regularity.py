@@ -30,21 +30,25 @@ Checks of one matrix share work through a :class:`CheckMemo` passed as
 that every characterization's regularity condition reads, the Allen verdict,
 and each family condition (T3, A3, C2, L2: the row sums over one family set,
 judged under J).  A condition is judged once per matrix, set, J and config
-and handed to each checker under its own name, so CFO's C2 and Leo's L2 of a
-nonnegative matrix, whose absolute row sums are its row sums, are one
-computation, and Allen's A3 is Leo's L2 under (Fin, Fin).  The core equality
-experiments read corpus entries' cores through the same memo.  Memo keys are
-values, ideals included.  A memo changes no result; a caller without one
-makes its own.
+and handed to each checker under its own name, with the judged report's own
+details, which are read-only: so CFO's C2 and Leo's L2 of a nonnegative
+matrix, whose absolute row sums are its row sums, are one computation, and
+Allen's A3 is Leo's L2 under (Fin, Fin).  Below the conditions, each row-sum
+structure is asked of the matrix once per (set, absoluteness), each level set
+is decided once per J and each family set is labelled once, so T2, A2
+and the family conditions of every J read one structure per set.  The core
+equality experiments read corpus entries' cores through the same memo.  Memo
+keys are values, ideals included.  A memo changes no result; a caller without
+one makes its own.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 import random
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -89,6 +93,8 @@ __all__ = [
 
 # Uncertified row-sum sups above this flag a boundedness violation.
 _NORM_CAP = 1e3
+# A memo table's mark for a key it has not seen (a kept result may be None).
+_MISSING = object()
 
 
 class FamilyMisclassifiedError(ValueError):
@@ -125,16 +131,36 @@ class CheckConfig:
         return CoreConfig(horizon=self.horizon, grid=self.grid, theta=self.theta)
 
 
+def _frozen(value):
+    """``value`` with every list in it a tuple."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
+def _listed(value):
+    """``value`` with every tuple in it a list, as JSON writes it."""
+    return list(map(_listed, value)) if type(value) is tuple else value
+
+
 @record(frozen=True)
 class ConditionReport:
+    """One condition of a verdict.  ``details`` is read-only: a mapping proxy
+    whose lists are stored as tuples, so reports can share it.  Details
+    passed as a mapping proxy are another report's and are kept as they are;
+    ``to_dict`` gives them back as a plain dict with lists."""
+
     name: str
     ok: bool | None  # None = inconclusive
     margin: float
-    details: dict
+    details: Mapping
     witness_set: SetDescription | None = None
     witness_row: int | None = None
     # "exact" (decided symbolically) or "numeric" (decided at the horizon)
     method: str = "numeric"
+
+    def __post_init__(self):
+        if type(self.details) is not MappingProxyType:
+            details = MappingProxyType({k: _frozen(v) for k, v in self.details.items()})
+            object.__setattr__(self, "details", details)
 
     def to_dict(self) -> dict:
         out = {
@@ -142,7 +168,7 @@ class ConditionReport:
             "ok": self.ok,
             "margin": self.margin,
             "method": self.method,
-            "details": {k: v for k, v in sorted(self.details.items())},
+            "details": {k: _listed(v) if type(v) is tuple else v for k, v in sorted(self.details.items())},
         }
         if self.witness_set is not None:
             out["witness_set"] = sd.set_to_dict(self.witness_set)
@@ -260,20 +286,28 @@ class CheckMemo:
     Silverman–Toeplitz and Allen verdicts per (matrix, ideals, family,
     config) and the family conditions per (judge, matrix, absoluteness, J,
     config, target), as a table by family set (see ``_family_conditions``).
-    Keys are the values themselves: equal ideals, however spelled or parsed,
-    share entries, and a memo keeps its matrix, sets and sequences alive, so
-    ``harness.run_suite`` gives each matrix its own memo over one suite-wide
-    ``families`` and ``cores``.  A caller without a memo makes a fresh one,
-    so a direct call computes everything itself.  The cores of A·x
-    (``image_cores``) are not kept: an experiment asks for each (matrix,
-    entry, J) once.  The memo keeps intervals only, never a sequence or a
-    cell table; a result that raises is returned, not kept.
+    Two tables serve the conditions below that: ``structures`` holds A's
+    ``masked_sum_structure(E, absolute)`` per (matrix, E, absoluteness),
+    None included, and ``sets`` holds ``decide_membership(S, J)`` per (S, J)
+    and each family set's label per set.  Keys are the values themselves:
+    equal ideals, however spelled or parsed, share entries, and a memo keeps
+    its matrix, sets and sequences alive, so ``harness.run_suite`` gives each
+    matrix its own memo, whose ``results`` and ``structures`` go with it,
+    over one suite-wide ``families``, ``cores`` and ``sets``.  A caller
+    without a memo makes a fresh one, so a direct call computes everything
+    itself.  The cores of A·x (``image_cores``) are not kept: an experiment
+    asks for each (matrix, entry, J) once.  The memo keeps intervals only,
+    never a sequence or a cell table; a result that raises is returned, not
+    kept.  The condition reports it keeps have read-only details, so every
+    checker that reads one shares it.
     """
 
-    def __init__(self, families: dict | None = None, cores: dict | None = None):
+    def __init__(self, families: dict | None = None, cores: dict | None = None, sets: dict | None = None):
         self.families = {} if families is None else families
         self.cores = {} if cores is None else cores
+        self.sets = {} if sets is None else sets
         self.results = {}
+        self.structures = {}
 
     def family(self, ideal: Ideal, seed: int) -> TestFamily:
         key = (ideal, seed)
@@ -286,6 +320,29 @@ class CheckMemo:
         if result is None:
             result = self.results[key] = compute()
         return result
+
+    def structure(self, a: InfiniteMatrix, columns: SetDescription | None, absolute: bool) -> SumStructure | None:
+        """``a.masked_sum_structure(columns, absolute=absolute)``, asked once."""
+        key = (a, columns, absolute)
+        structure = self.structures.get(key, _MISSING)
+        if structure is _MISSING:
+            structure = self.structures[key] = a.masked_sum_structure(columns, absolute=absolute)
+        return structure
+
+    def decide(self, s: SetDescription, ideal: Ideal) -> MembershipResult | None:
+        """``decide_membership(s, ideal)``, decided once."""
+        key = (s, ideal)
+        verdict = self.sets.get(key, _MISSING)
+        if verdict is _MISSING:
+            verdict = self.sets[key] = decide_membership(s, ideal)
+        return verdict
+
+    def label(self, s: SetDescription) -> str:
+        """The family set's label in condition names, made once."""
+        label = self.sets.get(s)
+        if label is None:
+            label = self.sets[s] = _set_label(s)
+        return label
 
     def cores_of(self, x: BoundedSequence, ideals: list[Ideal], cfg: CoreConfig) -> list[CoreInterval | Exception]:
         """x's core under each of ``ideals``, or the exception it raised, from
@@ -346,19 +403,21 @@ def _set_label(s: SetDescription) -> str:
 
 
 def _exact_points(
-    a: InfiniteMatrix, columns: SetDescription | None, absolute: bool, ideal_j: Ideal
+    a: InfiniteMatrix, columns: SetDescription | None, absolute: bool, ideal_j: Ideal, memo: CheckMemo | None = None
 ) -> tuple[list[float], SumStructure] | None:
     """The J-cluster points of A's row sums over ``columns``, ascending, read
     off their structure, with that structure; None where A states none, where
-    a level set is not decided symbolically, or where no level is positive."""
-    structure = a.masked_sum_structure(columns, absolute=absolute)
+    a level set is not decided symbolically, or where no level is positive.
+    The structure and the level decisions are read through ``memo``."""
+    memo = memo or CheckMemo()
+    structure = memo.structure(a, columns, absolute)
     if structure is None:
         return None
     if structure.levels is None:
         return [structure.limit], structure
     points = []
     for value, level_set in structure.levels:
-        verdict = decide_membership(level_set, ideal_j)
+        verdict = memo.decide(level_set, ideal_j)
         if verdict is None:
             return None
         if verdict is not MembershipResult.IN_IDEAL:
@@ -378,9 +437,10 @@ def _lim_condition(
     ideal_j: Ideal,
     cfg: CheckConfig,
     witness_set: SetDescription | None = None,
+    memo: CheckMemo | None = None,
 ) -> ConditionReport:
     """Is the J-limit of A's (absolute) row sums over ``columns`` the target?"""
-    exact = _exact_points(a, columns, absolute, ideal_j)
+    exact = _exact_points(a, columns, absolute, ideal_j, memo)
     if exact is not None:
         points, structure = exact
         deviation = max(abs(v - target) for v in points)
@@ -420,9 +480,10 @@ def _limsup_condition(
     ideal_j: Ideal,
     cfg: CheckConfig,
     witness_set: SetDescription,
+    memo: CheckMemo | None = None,
 ) -> ConditionReport:
     """Is the J-limsup of A's (absolute) row sums over ``columns`` the target?"""
-    exact = _exact_points(a, columns, absolute, ideal_j)
+    exact = _exact_points(a, columns, absolute, ideal_j, memo)
     if exact is not None:
         points, structure = exact
         details = {
@@ -496,27 +557,26 @@ def _family_conditions(
 ) -> list[ConditionReport]:
     """One condition ``prefix[E]`` per family set E, judging the row sums of A
     over the columns in E: ``judge(name, a, E, absolute, target, ideal_j, cfg,
-    witness_set=E)``, where ``judge`` is ``_lim_condition`` (their J-limit is
-    the target) or ``_limsup_condition`` (their J-limsup is).
+    witness_set=E, memo=memo)``, where ``judge`` is ``_lim_condition`` (their
+    J-limit is the target) or ``_limsup_condition`` (their J-limsup is).
 
     Each condition is judged once per memo, keyed by everything the judge
     reads: the memo holds one table of judged sets per (judge, matrix,
     absoluteness, J, config, target), where the absolute flag drops out if
     A's absolute row sums are its row sums bit for bit.  Every caller gets
-    its own report, named by its prefix, with its own copy of the details.
+    its own report, named by its prefix, over the judged report's read-only
+    details.
     """
     absolute = absolute and not a.abs_sums_are_sums
     judged = memo.result(("conditions", judge, a, absolute, ideal_j, cfg, target), dict)
     reports = []
     for e in sets:
-        name = f"{prefix}[{_set_label(e)}]"
+        name = f"{prefix}[{memo.label(e)}]"
         shared = judged.get(e)
         if shared is None:
-            shared = judged[e] = judge(name, a, e, absolute, target, ideal_j, cfg, e)
-        # Scalars are immutable; the lists (inconclusive cells, cluster points) are copied.
-        details = {k: copy.deepcopy(v) if isinstance(v, list) else v for k, v in shared.details.items()}
+            shared = judged[e] = judge(name, a, e, absolute, target, ideal_j, cfg, e, memo)
         reports.append(ConditionReport(
-            name, shared.ok, shared.margin, details, shared.witness_set, shared.witness_row, shared.method
+            name, shared.ok, shared.margin, shared.details, shared.witness_set, shared.witness_row, shared.method
         ))
     return reports
 
@@ -616,7 +676,7 @@ def _silverman_toeplitz_conditions(
         )
     )
 
-    conditions.append(_lim_condition("T2(row-sums)", a, None, False, 1.0, ideal_j, cfg))
+    conditions.append(_lim_condition("T2(row-sums)", a, None, False, 1.0, ideal_j, cfg, memo=memo))
 
     conditions += _family_conditions("T3", _lim_condition, 0.0, a, family.sets_in_ideal, ideal_j, cfg, memo)
     return _assemble(conditions, guard_ok, notes, cfg)
@@ -642,7 +702,7 @@ def _allen_conditions(a: InfiniteMatrix, family: TestFamily, cfg: CheckConfig, m
     fin_ideal = FinIdeal()
     conditions = [
         _regular_condition("A1(regular)", a, fin_ideal, fin_ideal, family, cfg, memo),
-        _lim_condition("A2(abs-row-sums)", a, None, True, 1.0, fin_ideal, cfg),
+        _lim_condition("A2(abs-row-sums)", a, None, True, 1.0, fin_ideal, cfg, memo=memo),
     ]
     conditions += _family_conditions("A3", _limsup_condition, 1.0, a, family.sets_infinite, fin_ideal, cfg, memo)
     return _assemble(conditions, True, [], cfg)

@@ -884,16 +884,65 @@ def test_a_suite_judges_each_family_condition_once(monkeypatch):
     assert len(_conditions(cfo, "C2")) == len(fin_family.sets_positive)
     assert _conditions(cfo_oplus, "C2") == _conditions(leo_oplus, "L2") != []
 
-    # Each verdict has its own reports: changing one leaves the others and the memo as they were.
+    # The verdicts share their reports' details, which are read-only: no change
+    # to one can be made, so the others and the memo stay as they were.
     a, cfg = specs.parse_matrix(_UNSTRUCTURED), regularity.CheckConfig(horizon=2000, theta=0.001)
     memo = regularity.CheckMemo()
     first = [CHECKS[t](a, fin, fin, cfg=cfg, memo=memo) for t in ("allen", "cfo", "leo")]
     before = [v.to_dict() for v in first]
     for condition in first[1].conditions:
-        condition.details["limsup_estimate"] = -1.0
+        with pytest.raises(TypeError):
+            condition.details["limsup_estimate"] = -1.0
     assert first[0].to_dict() == before[0] and first[2].to_dict() == before[2]
     again = [CHECKS[t](a, fin, fin, cfg=cfg, memo=memo) for t in ("allen", "cfo", "leo")]
     assert [v.to_dict() for v in again] == before
+
+
+# The benchmark's ``checks`` suite at seed 0: four matrices, four ideal pairs
+# and the four theorems, 64 checks with 752 conditions.
+_CHECKS_SUITE = {
+    "matrices": [
+        "cesaro",
+        "identity",
+        {"type": "rk", "map": {"type": "enumeration", "set": {"type": "arithmetic_progression", "offset": 0, "step": 2}}},
+        _BANDED,
+    ],
+    "ideal_pairs": [["fin", "fin"], ["z", "z"], ["erdos-ulam-log", "erdos-ulam-log"], ["fin-oplus-evens", "fin"]],
+    "theorems": ["st", "allen", "cfo", "leo"],
+    "core_equality": False,
+    "cfg": {"check_horizon": 5000, "core_horizon": 5000, "tol": 0.01, "grid": 0.01, "theta": 0.001, "seed": 0},
+}
+
+
+def test_a_suite_asks_each_structure_decision_and_label_once(monkeypatch):
+    # The cost guard of the checks suite: every condition of a matrix reads
+    # its row-sum structure over a set once per absoluteness, every level set
+    # is decided once per J across the suite, and every family set is
+    # labelled once.  Before the memo kept them, the suite asked 220
+    # structures, made 338 decisions and 500 labels.
+    structures, decisions, labels = collections.Counter(), collections.Counter(), collections.Counter()
+
+    def watched_parse(spec, *args):
+        a = specs.parse_matrix(spec, *args)
+        own = a.masked_sum_structure
+
+        def counting_structure(columns, absolute=False):
+            structures[a.label, columns, absolute] += 1
+            return own(columns, absolute=absolute)
+
+        a.masked_sum_structure = counting_structure
+        return a
+
+    decide, label = regularity.decide_membership, regularity._set_label
+    monkeypatch.setattr(harness, "parse_matrix", watched_parse)
+    monkeypatch.setattr(regularity, "decide_membership", lambda s, j: decisions.update([(s, j)]) or decide(s, j))
+    monkeypatch.setattr(regularity, "_set_label", lambda s: labels.update([s]) or label(s))
+    bundle = harness.run_suite(specs.parse_experiment_config(_CHECKS_SUITE))
+    assert len(bundle.items) == 64 and all("verdict" in item for item in bundle.items)
+    assert sum(len(item["verdict"]["conditions"]) for item in bundle.items) == 752
+    assert set(structures.values()) == {1} and len(structures) == 72
+    assert set(decisions.values()) == {1} and len(decisions) == 156
+    assert set(labels.values()) == {1} and len(labels) == 16
 
 
 # The benchmark's ``compose`` suite: products with a row selection and Cesàro

@@ -1,5 +1,6 @@
 """Condition checkers: verdicts, witnesses, guards, and cross-checker coherence."""
 
+import json
 import math
 from unittest import mock
 
@@ -73,7 +74,7 @@ def test_double_identity_violates_row_sums():
     assert verdict.status is Status.VIOLATED and verdict.method == "exact"
     assert verdict.witness_row is None
     t2 = next(c for c in verdict.conditions if c.name.startswith("T2"))
-    assert t2.ok is False and t2.details["cluster_points"] == [2.0]
+    assert t2.ok is False and t2.details["cluster_points"] == (2.0,)
     assert t2.details["deviation_count"] == CFG.horizon
 
 
@@ -481,13 +482,47 @@ def test_exact_conditions_report_horizon_and_value_without_sets():
     assert t3.details == {
         "target": 0.0,
         "tol": FAST.tol,
-        "cluster_points": [0.0],
+        "cluster_points": (0.0,),
         "horizon": FAST.horizon,
         "value_at_horizon": 0.0,
         "deviation_count": 32,  # 2n is a square for n = 2m², m < 32
     }
     numeric = reg.silverman_toeplitz_check(mat.diagonal(lambda n: 2.0), FIN, FIN, cfg=FAST)
     assert numeric.method == "numeric" and numeric.to_dict()["method"] == "numeric"
+
+
+def test_condition_details_are_read_only():
+    verdict = reg.silverman_toeplitz_check(mat.scalar_mul(2.0, mat.identity()), FIN, FIN, cfg=FAST)
+    t2 = next(c for c in verdict.conditions if c.name.startswith("T2"))
+    with pytest.raises(AttributeError):
+        t2.details = {}
+    with pytest.raises(TypeError):
+        t2.details["target"] = 2.0
+    with pytest.raises(TypeError):
+        del t2.details["target"]
+    points = t2.details["cluster_points"]
+    with pytest.raises(TypeError):
+        points[0] = 1.0
+    with pytest.raises(AttributeError):
+        points.append(1.0)
+    # The details are a copy: changing the dict a report was made from changes nothing.
+    made_from = {"cells": [[0.0, 0.5]]}
+    report = reg.ConditionReport("C", None, 0.0, made_from)
+    made_from["cells"][0].append(1.0)
+    made_from["new"] = 1
+    assert dict(report.details) == {"cells": ((0.0, 0.5),)}
+
+
+def test_a_verdict_dict_holds_lists_and_is_json():
+    # The CLI's path: ``json.dumps`` of ``to_dict``, nested lists included.
+    verdict = reg.silverman_toeplitz_check(mat.rk_matrix(maps.affine_map(2)), Z, Z, cfg=FAST)
+    d = verdict.to_dict()
+    t3 = next(c for c in d["conditions"] if c["name"] == "T3[squares]")
+    assert type(t3["details"]) is dict and t3["details"]["cluster_points"] == [0.0]
+    cells = reg.ConditionReport("C", None, 0.0, {"inconclusive_cells": [[0.1, 0.2], [0.3, 0.4]]}).to_dict()
+    assert cells["details"] == {"inconclusive_cells": [[0.1, 0.2], [0.3, 0.4]]}
+    assert json.loads(json.dumps(d, sort_keys=True, indent=2)) == d
+    assert json.dumps(d, sort_keys=True, indent=2) == harness.dumps(d)
 
 
 def _numeric_only(a: mat.InfiniteMatrix) -> mat.InfiniteMatrix:
