@@ -93,8 +93,6 @@ __all__ = [
 
 # Uncertified row-sum sups above this flag a boundedness violation.
 _NORM_CAP = 1e3
-# A memo table's mark for a key it has not seen (a kept result may be None).
-_MISSING = object()
 
 
 class FamilyMisclassifiedError(ValueError):
@@ -161,6 +159,11 @@ class ConditionReport:
         if type(self.details) is not MappingProxyType:
             details = MappingProxyType({k: _frozen(v) for k, v in self.details.items()})
             object.__setattr__(self, "details", details)
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; its dict does, and ``__post_init__`` wraps it again.
+        fields = (self.name, self.ok, self.margin, dict(self.details), self.witness_set, self.witness_row, self.method)
+        return type(self), fields
 
     def to_dict(self) -> dict:
         out = {
@@ -324,18 +327,16 @@ class CheckMemo:
     def structure(self, a: InfiniteMatrix, columns: SetDescription | None, absolute: bool) -> SumStructure | None:
         """``a.masked_sum_structure(columns, absolute=absolute)``, asked once."""
         key = (a, columns, absolute)
-        structure = self.structures.get(key, _MISSING)
-        if structure is _MISSING:
-            structure = self.structures[key] = a.masked_sum_structure(columns, absolute=absolute)
-        return structure
+        if key not in self.structures:
+            self.structures[key] = a.masked_sum_structure(columns, absolute=absolute)
+        return self.structures[key]
 
     def decide(self, s: SetDescription, ideal: Ideal) -> MembershipResult | None:
         """``decide_membership(s, ideal)``, decided once."""
         key = (s, ideal)
-        verdict = self.sets.get(key, _MISSING)
-        if verdict is _MISSING:
-            verdict = self.sets[key] = decide_membership(s, ideal)
-        return verdict
+        if key not in self.sets:
+            self.sets[key] = decide_membership(s, ideal)
+        return self.sets[key]
 
     def label(self, s: SetDescription) -> str:
         """The family set's label in condition names, made once."""

@@ -1,7 +1,10 @@
 """Condition checkers: verdicts, witnesses, guards, and cross-checker coherence."""
 
+import copy
 import json
 import math
+import pickle
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
@@ -523,6 +526,13 @@ def test_a_verdict_dict_holds_lists_and_is_json():
     assert cells["details"] == {"inconclusive_cells": [[0.1, 0.2], [0.3, 0.4]]}
     assert json.loads(json.dumps(d, sort_keys=True, indent=2)) == d
     assert json.dumps(d, sort_keys=True, indent=2) == harness.dumps(d)
+
+
+def test_a_verdict_with_read_only_details_pickles_and_copies():
+    verdict = reg.silverman_toeplitz_check(mat.cesaro(), FIN, FIN, cfg=FAST)
+    for twin in (pickle.loads(pickle.dumps(verdict)), copy.deepcopy(verdict)):
+        assert twin == verdict and twin.to_dict() == verdict.to_dict()
+        assert all(type(c.details) is MappingProxyType for c in twin.conditions)
 
 
 def _numeric_only(a: mat.InfiniteMatrix) -> mat.InfiniteMatrix:
