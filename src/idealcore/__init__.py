@@ -56,7 +56,6 @@ from .matrices import (
     identity,
     matrix_sum,
     norm_estimate,
-    pos_neg_split,
     rk_matrix,
     scalar_mul,
     transform,

@@ -46,6 +46,8 @@ the cells between undecided; their answers and errors are those of the full
 scan.  ``cluster_points`` and ``cluster_of_values`` decide every cell.  The hits
 of a cell's window are read off the prefix in index order, with no sort of it.
 
+``cluster_points`` and ``core`` choose among the limit, the levels, the
+equidistribution and the value prefix in one place, ``_cluster_reader``.
 The per-prefix work does not depend on the ideal: a ``_CellTable`` sorts the
 prefix and finds its hit cells once, and reads each decided cell's hits once.
 ``cores(x, ideals, cfg)`` reads x's core under several ideals from one table,
@@ -359,24 +361,48 @@ def _equidistributed_cluster(x: BoundedSequence, ideal: Ideal) -> ClusterSet | N
     return None
 
 
+def _cluster_reader(
+    x: BoundedSequence, cfg: CoreConfig, ends: str | None
+) -> tuple[str, Callable[[Ideal], ClusterSet]]:
+    """The function that reads x's cluster set under one ideal, and the
+    method of a cluster set it reads that is not exact.
+
+    A declared limit L is the one cluster point, exactly.  A finitely-valued
+    sequence is read one decision per level (``_level_cluster``, method
+    ``mixed``).  Otherwise the range of an equidistribution the ideal decides
+    is the cluster set, exactly (``_equidistributed_cluster``), and else the
+    value prefix is (method ``numeric``): it is sorted and gridded, once, into
+    the ``_CellTable`` that every ideal read by the function shares, when the
+    first ideal that needs it is read, and each ideal decides the cells that
+    ``ends`` asks for (``_CellTable.cluster``); the table goes with the
+    function.
+    """
+    if x.limit is not None:
+        found = ClusterSet(((x.limit, x.limit),), (), exact=True)
+        return "exact", lambda ideal: found
+    if _finitely_valued(x):
+        return "mixed", lambda ideal: _level_cluster(x, ideal, cfg.horizon, cfg.theta)
+    table = None
+
+    def cluster(ideal: Ideal) -> ClusterSet:
+        nonlocal table
+        found = _equidistributed_cluster(x, ideal)
+        if found is None:
+            if table is None:
+                table = _CellTable(x.prefix(cfg.horizon), x.bound, cfg.grid)
+            found = table.cluster(ideal, cfg.theta, ends)
+        return found
+
+    return "numeric", cluster
+
+
 def cluster_points(
     x: BoundedSequence, ideal: Ideal, cfg: CoreConfig | None = None, *, ends: str | None = None
 ) -> ClusterSet:
-    """Cluster-point intervals of the sequence under the ideal.
-
-    A declared limit L is the one cluster point, exactly, and so is the
-    range of an equidistribution the ideal decides (``_equidistributed_cluster``).
-    Otherwise ``ends`` reaches ``cluster_of_values`` on the value-prefix
-    path; the level path decides every level.
-    """
-    cfg = cfg or CoreConfig()
-    if x.limit is not None:
-        return ClusterSet(((x.limit, x.limit),), (), exact=True)
-    if _finitely_valued(x):
-        return _level_cluster(x, ideal, cfg.horizon, cfg.theta)
-    return _equidistributed_cluster(x, ideal) or cluster_of_values(
-        x.prefix(cfg.horizon), ideal, cfg, bound=x.bound, ends=ends
-    )
+    """Cluster-point intervals of the sequence under the ideal
+    (``_cluster_reader``); ``ends`` reaches the value-prefix path, as in
+    ``cluster_of_values``, and the level path decides every level."""
+    return _cluster_reader(x, cfg or CoreConfig(), ends)[1](ideal)
 
 
 def _sup_of(cluster: ClusterSet) -> float:
@@ -415,27 +441,9 @@ def limsup_of_values(
 
 
 def _core_reader(x: BoundedSequence, cfg: CoreConfig) -> Callable[[Ideal], CoreInterval]:
-    """The function that reads x's core under one ideal.  A value prefix is
-    sorted and gridded, once, into the ``_CellTable`` that every ideal read by
-    the function shares, when the first ideal that the equidistribution of x
-    leaves undecided needs it; it goes with the function."""
-    if x.limit is not None or _finitely_valued(x):
-        method = "mixed"  # unless every level, or the limit, was decided exactly
-
-        def cluster(ideal: Ideal) -> ClusterSet:
-            return cluster_points(x, ideal, cfg)
-
-    else:
-        method, table = "numeric", None
-
-        def cluster(ideal: Ideal) -> ClusterSet:
-            nonlocal table
-            found = _equidistributed_cluster(x, ideal)
-            if found is None:
-                if table is None:
-                    table = _CellTable(x.prefix(cfg.horizon), x.bound, cfg.grid)
-                found = table.cluster(ideal, cfg.theta, "both")
-            return found
+    """The function that reads x's core under one ideal: the two ends of its
+    cluster set, from one ``_cluster_reader`` for every ideal it reads."""
+    method, cluster = _cluster_reader(x, cfg, "both")
 
     def read(ideal: Ideal) -> CoreInterval:
         found = cluster(ideal)
@@ -458,10 +466,7 @@ def cores(x: BoundedSequence, ideals: list[Ideal], cfg: CoreConfig | None = None
     a kept exception keeps no sequence or prefix alive).  A value prefix is
     sorted and gridded at most once for all the ideals, and each cell's hits
     are read once; each ideal then decides the cells its end scans reach."""
-    try:
-        read = _core_reader(x, cfg or CoreConfig())
-    except Exception as exc:
-        return [exc.with_traceback(None)] * len(ideals)
+    read = _core_reader(x, cfg or CoreConfig())
     out: list[CoreInterval | Exception] = []
     for ideal in ideals:
         try:

@@ -115,13 +115,12 @@ def experiment(config_path, output, fmt):
         bundle = harness.run_suite(config)
     except ConfigError as exc:
         raise click.ClickException(str(exc))
-    rendered = harness.render_csv(bundle) if fmt == "csv" else harness.render_json(bundle)
     if output:
-        Path(output).write_text(rendered)
+        harness.write_reports(bundle, output, fmt)
         click.echo(f"wrote {output}", err=True)
         click.echo(harness.dumps(bundle.summary))
     else:
-        click.echo(rendered, nl=False)
+        click.echo(harness.render_csv(bundle) if fmt == "csv" else harness.render_json(bundle), nl=False)
     for name, elapsed in bundle.timings:
         click.echo(f"{name}: {elapsed:.3f}s", err=True)
     sys.exit(bundle.summary["exit_code"])

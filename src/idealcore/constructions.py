@@ -40,7 +40,7 @@ import numpy as np
 from . import sets as sd
 from .asymptotics import CoreConfig, CoreInterval
 from .ideals import Ideal
-from .matrices import InfiniteMatrix, identity, matrix_sum, rk_matrix, transform
+from .matrices import InfiniteMatrix, identity, matrix_sum, rk_matrix
 from .records import record
 from .regularity import CheckMemo
 from .sequences import BoundedSequence
@@ -87,7 +87,9 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     builds no prefix, and reads x at h(n) in closed form.  For every other
     matrix or sequence the prefix below the horizon is materialized and kept
     as it is (``seed_prefix``), and the values of a longer one come from
-    ``a.transform_prefix`` too, with the same bits.
+    ``a.transform_prefix`` too, with the same bits.  ``fn`` reads one index
+    on the path of the rule (x at mul·n + add, or ``a.transform_prefix``
+    below n + 1), so (A·x)(n) has the bits of A·x's prefix at n.
 
     The declared bound is x's bound for a row selection, else the certified
     matrix norm times x's bound when A has one, else the larger of the row-sum
@@ -103,7 +105,7 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
         # A polynomial subsequence of x∘h is one of x, since h is affine.
         (mul, add), rule = h.affine, x.rule
         return BoundedSequence(
-            fn=lambda n: transform(a, x, n),
+            fn=lambda n: x.fn(mul * n + add),
             bound=bound,
             label=label,
             rule=lambda ns: rule(mul * ns + add),
@@ -113,9 +115,12 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
     def values_at(ns: np.ndarray) -> np.ndarray:
         return a.transform_prefix(x, int(ns.max()) + 1)[ns] if ns.size else np.zeros(0)
 
+    def fn(n: int) -> float:
+        return float(values_at(np.array([n], dtype=np.int64))[0])
+
     if bound is not None and (selects or limit is not None):
         return BoundedSequence(
-            fn=lambda n: transform(a, x, n),
+            fn=fn,
             bound=bound,
             label=label,
             level_sets=tuple((v, sd.preimage(s, h)) for v, s in levels) if selects else None,
@@ -127,7 +132,7 @@ def transformed_sequence(a: InfiniteMatrix, x: BoundedSequence, horizon: int) ->
         sup = float(np.max(a.row_sums(horizon, absolute=True)))
         bound = max(sup * x.bound, float(np.max(np.abs(values))) if len(values) else 0.0)
     ax = BoundedSequence(
-        fn=lambda n: transform(a, x, n),
+        fn=fn,
         bound=bound,
         label=label,
         rule=values_at,

@@ -12,13 +12,15 @@ Every row sum comes from ``masked_row_sums``, defined once in the base class.
 A masked row sum is A applied to an indicator, A·1_E, so the signed sums, and
 absolute sums where the flag cannot change them (``abs_sums_are_sums``), are
 ``transform_prefix`` of ``sequences.indicator(E)``.  Each matrix thus has one
-bulk path, ``transform_prefix`` and its step ``_apply`` after x is read:
-closed forms for Cesàro, diagonal and rk matrices (rk(h)·x reads x at
-h(0) … h(H−1) alone, ``x.at(h.prefix(H))``, never x's prefix below the
-largest of them), the operands' paths for sums and multiples
-((A+B)·x = A·x + B·x, (cA)·x = c·(A·x)), B acting on A's values for a product
-whose left factor is known to be row-finite and selects no columns past
-``_SPARSE_IMAGE_FACTOR`` times the horizon, and the CSR otherwise.  The other
+bulk path, ``_apply(read, H)``, where ``read`` maps an int64 index array to
+the values of x there; ``transform_prefix(x, H)`` is ``_apply(x.at, H)``,
+defined in the base class alone.  Cesàro and diagonal matrices read x at
+0 … H−1 and apply their closed forms; rk(h) reads x at h(0) … h(H−1) alone,
+never x's prefix below the largest of them; sums and multiples take their
+operands' paths ((A+B)·x = A·x + B·x, (cA)·x = c·(A·x)); a product whose left
+factor is known to be row-finite and selects no columns past
+``_SPARSE_IMAGE_FACTOR`` times the horizon hands B the reader of A's values;
+and the CSR reads x below ``max_support(H)``.  The other
 absolute sums (signed matrices, rows with tails) read the entries: |a_nk|
 times the mask from the CSR, plus the tail bounds.  On the CSR each row is
 summed on its own (``_segment_sums``), bit for bit as ``np.sum`` sums that row
@@ -39,11 +41,12 @@ operands': a multiple scales them, a sum adds them on the intersections of
 the level sets (a limit added to levels gives levels that are limits along
 their sets), and a product in which one factor selects rows reads the other
 factor's at h(n) (rk(h)·A) or over h⁻¹(E) (B·rk(h)).  None for other products,
-entrywise parts, diagonal matrices other than the identity, and absolute sums
-that read the entries.  A banded matrix also declares its norm, the largest
+diagonal matrices other than the identity, and absolute sums that read the
+entries.  A banded matrix also declares its norm, the largest
 absolute row sum of its explicit rows and its tail.
 ``find_negative_entry`` reads entries.  ``transform`` computes one entry of
-A·x with ``math.fsum``.
+A·x from row n with ``math.fsum``: the compensated reference that tests
+compare the bulk path against; the program reads A·x through ``_apply``.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ __all__ = [
     "matrix_sum",
     "scalar_mul",
     "compose",
-    "pos_neg_split",
     "transform",
     "norm_estimate",
     "find_negative_entry",
@@ -225,7 +227,7 @@ def _meet(s: SetDescription, t: SetDescription) -> SetDescription:
 
 
 class InfiniteMatrix:
-    """Base class; subclasses define ``_row`` and may override the bulk paths."""
+    """Base class; subclasses define ``_row`` and may override ``_apply`` and ``_gather``."""
 
     # True where every row is known to carry a zero tail bound.
     _row_finite = False
@@ -369,13 +371,14 @@ class InfiniteMatrix:
 
     def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
         """The transformed values (A x)_n for n below the horizon."""
-        support = self.max_support(horizon)
-        return self._apply(x.prefix(support) if support else np.zeros(0), horizon)
+        return self._apply(x.at, horizon)
 
-    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
-        """(A x)_n for n below the horizon, where ``xs`` holds x_0 … x_{S-1}
-        for some S >= ``max_support(horizon)``."""
+    def _apply(self, read: Callable[[np.ndarray], np.ndarray], horizon: int) -> np.ndarray:
+        """(A x)_n for n below the horizon, where ``read`` maps an int64 index
+        array to the values of x there.  The CSR reads x below
+        ``max_support(horizon)``."""
         idx, val, ptr, _ = self._flat(horizon)
+        xs = read(np.arange(self.max_support(horizon)))
         out = np.empty(horizon, dtype=np.float64)
         out[: ptr.size - 1] = _segment_sums(val * xs[idx], ptr)
         for n, r in self._rows_past(ptr, horizon):
@@ -417,8 +420,8 @@ class _CesaroMatrix(InfiniteMatrix):
             return None
         return SumStructure(None, float(d.value), row_sum)
 
-    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
-        return np.cumsum(xs[:horizon]) / np.arange(1, horizon + 1, dtype=np.float64)
+    def _apply(self, read: Callable[[np.ndarray], np.ndarray], horizon: int) -> np.ndarray:
+        return np.cumsum(read(np.arange(horizon))) / np.arange(1, horizon + 1, dtype=np.float64)
 
 
 class _DiagonalMatrix(InfiniteMatrix):
@@ -464,8 +467,8 @@ class _DiagonalMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return horizon
 
-    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
-        return self._diag_prefix(horizon) * xs[:horizon]
+    def _apply(self, read: Callable[[np.ndarray], np.ndarray], horizon: int) -> np.ndarray:
+        return self._diag_prefix(horizon) * read(np.arange(horizon))
 
 
 class _RkMatrix(InfiniteMatrix):
@@ -486,11 +489,8 @@ class _RkMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return int(self.h.prefix(horizon).max()) + 1 if horizon else 0
 
-    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
-        return x.at(self.h.prefix(horizon))
-
-    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
-        return xs[self.h.prefix(horizon)]
+    def _apply(self, read: Callable[[np.ndarray], np.ndarray], horizon: int) -> np.ndarray:
+        return read(self.h.prefix(horizon))
 
 
 class _BandedMatrix(InfiniteMatrix):
@@ -653,11 +653,8 @@ class _SumMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return max(self.a.max_support(horizon), self.b.max_support(horizon))
 
-    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
-        return self.a.transform_prefix(x, horizon) + self.b.transform_prefix(x, horizon)
-
-    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
-        return self.a._apply(xs, horizon) + self.b._apply(xs, horizon)
+    def _apply(self, read: Callable[[np.ndarray], np.ndarray], horizon: int) -> np.ndarray:
+        return self.a._apply(read, horizon) + self.b._apply(read, horizon)
 
 
 class _ScaledMatrix(InfiniteMatrix):
@@ -706,11 +703,8 @@ class _ScaledMatrix(InfiniteMatrix):
     def max_support(self, horizon: int) -> int:
         return self.a.max_support(horizon)
 
-    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
-        return self.c * self.a.transform_prefix(x, horizon)
-
-    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
-        return self.c * self.a._apply(xs, horizon)
+    def _apply(self, read: Callable[[np.ndarray], np.ndarray], horizon: int) -> np.ndarray:
+        return self.c * self.a._apply(read, horizon)
 
 
 class _ComposedMatrix(InfiniteMatrix):
@@ -820,38 +814,11 @@ class _ComposedMatrix(InfiniteMatrix):
         support = self._left_support(horizon)
         return super().max_support(horizon) if support is None else self.a.max_support(support)
 
-    def transform_prefix(self, x: BoundedSequence, horizon: int) -> np.ndarray:
+    def _apply(self, read: Callable[[np.ndarray], np.ndarray], horizon: int) -> np.ndarray:
         support = self._left_support(horizon)
         if support is None:
-            return super().transform_prefix(x, horizon)
-        return self.b._apply(self.a.transform_prefix(x, support), horizon)
-
-    def _apply(self, xs: np.ndarray, horizon: int) -> np.ndarray:
-        support = self._left_support(horizon)
-        if support is None:
-            return super()._apply(xs, horizon)
-        return self.b._apply(self.a._apply(xs, support), horizon)
-
-
-class _EntrywisePart(InfiniteMatrix):
-    """Positive or negative part of a base matrix, entrywise."""
-
-    def __init__(self, base: InfiniteMatrix, positive: bool):
-        sign = "+" if positive else "-"
-        super().__init__(f"{base.label}{sign}", norm_bound=base.norm_bound, nonnegative=True)
-        self.base = base
-        self._row_finite = base._row_finite
-        self.positive = positive
-
-    def _row(self, n: int) -> MatrixRow:
-        r = self.base.row(n)
-        if self.positive:
-            keep = r.values > 0.0
-            vals = r.values[keep]
-        else:
-            keep = r.values < 0.0
-            vals = -r.values[keep]
-        return MatrixRow(r.indices[keep], vals, r.tail_bound)
+            return super()._apply(read, horizon)
+        return self.b._apply(self.a._apply(read, support).__getitem__, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -899,13 +866,11 @@ def compose(b: InfiniteMatrix, a: InfiniteMatrix) -> InfiniteMatrix:
     return _ComposedMatrix(b, a)
 
 
-def pos_neg_split(a: InfiniteMatrix) -> tuple[InfiniteMatrix, InfiniteMatrix]:
-    """Entrywise split A = A⁺ − A⁻ with A⁺, A⁻ >= 0 and disjoint supports."""
-    return _EntrywisePart(a, True), _EntrywisePart(a, False)
-
-
 def transform(a: InfiniteMatrix, x: BoundedSequence, n: int) -> float:
-    """(A x)_n over the stored support, compensated; error is at most tail * bound."""
+    """(A x)_n over the stored support, compensated; error is at most tail * bound.
+
+    The reference that tests compare the bulk path (``transform_prefix``)
+    against; nothing in the program reads A·x through it."""
     r = a.row(n)
     return math.fsum(v * x.fn(int(k)) for k, v in zip(r.indices.tolist(), r.values.tolist()))
 

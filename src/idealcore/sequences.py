@@ -31,18 +31,19 @@ array, in any order and with repeats.  A sequence with a closed form states
 it pointwise as its ``rule`` (indices -> values): the corpus's closed forms,
 ``indicator`` (its set's mask read at the indices) and the pointwise
 ``affine``/``combine`` operations, which read their operands with ``at``.  A
-sequence without a rule is read through ``sets._at_rows``: a gather from its
-prefix, or ``fn`` per index when the indices are sparse.
+sequence that states no rule but carries level sets free of predicates gets
+one from them (``_level_rule``): ``out[S ∋ n] = value`` per level, each set
+read at the indices through ``sets._at_rows``, after checking that the level
+sets partition the indices read.  A sequence without a rule is read through
+``sets._at_rows``: a gather from its prefix, or ``fn`` per index when the
+indices are sparse.
 
 ``BoundedSequence.prefix`` materializes ``x_0 … x_{H-1}`` and keeps it; a
-longer prefix extends the kept one.  Every route is bit-identical to calling
+longer prefix extends the kept one.  Both routes are bit-identical to calling
 ``fn`` per index:
 
-* ``prefix_rule`` for a prefix that starts at 0, when the sequence has one:
-  an ``indicator``'s is its set's mask as floats, with no index array;
-* ``at`` on the new indices when the sequence has a rule;
-* otherwise, for level sets free of predicates, ``out[S.mask(H)] = value`` per
-  level, after checking that the level sets partition the prefix;
+* ``at`` on the new indices when the sequence has a rule (a contiguous run,
+  so an ``indicator`` or a level set reads a slice of its mask);
 * otherwise the scalar path, ``fn`` per index from the kept length on.
 """
 
@@ -85,9 +86,9 @@ class BoundedSequence:
     """A total map ω → ℝ with declared bound ``|x_n| <= bound`` and a label.
 
     ``rule``, when given, maps an int64 index array to a new float64 array of
-    the values ``fn`` gives at those indices, bit for bit; ``prefix_rule``,
-    when given, maps a horizon H to a new float64 array of x_0 … x_{H-1}, with
-    the same bits.  ``limit``, when given, is the exact limit L of x_n;
+    the values ``fn`` gives at those indices, bit for bit; a sequence whose
+    level sets hold no predicate has one from them when none is given.
+    ``limit``, when given, is the exact limit L of x_n;
     ``envelope``, when given, maps a horizon H to r(0) … r(H-1), a bound
     |x_n − L| <= r(n) that decreases to 0.  A declared limit comes with its
     envelope; a limit derived from how the sequence was built may have none.
@@ -105,7 +106,6 @@ class BoundedSequence:
     limit: float | None = None
     envelope: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
     equidistributed: tuple[float, float] | None = None
-    prefix_rule: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
     _cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -113,6 +113,10 @@ class BoundedSequence:
             raise ValueError("bound must be nonnegative")
         if self.envelope is not None and self.limit is None:
             raise ValueError("an envelope needs a limit")
+        if self.rule is None and self.level_sets is not None and not any(
+            sd.contains_predicate(s) for _, s in self.level_sets
+        ):
+            self.rule = _level_rule(self.level_sets, self.label)
         if self.equidistributed is not None:
             lo, hi = self.equidistributed
             if self.rule is None:
@@ -137,14 +141,8 @@ class BoundedSequence:
         cache = self._cache
         if cache is None or len(cache) < horizon:
             start = 0 if cache is None else len(cache)
-            if self.prefix_rule is not None and not start:
-                arr = self.prefix_rule(horizon)
-            elif self.rule is not None:
+            if self.rule is not None:
                 arr = self.at(np.arange(start, horizon))
-            elif self.level_sets is not None and not any(
-                sd.contains_predicate(s) for _, s in self.level_sets
-            ):
-                arr, start = self._from_level_sets(horizon), 0
             else:
                 arr = np.fromiter(
                     (self.fn(n) for n in range(start, horizon)), dtype=np.float64, count=horizon - start
@@ -154,17 +152,6 @@ class BoundedSequence:
             arr.setflags(write=False)
             self._cache = arr
         return self._cache[:horizon]
-
-    def _from_level_sets(self, horizon: int) -> np.ndarray:
-        out = np.full(horizon, np.nan)
-        covered = 0
-        for value, level_set in self.level_sets:
-            mask = level_set.mask(horizon)
-            out[mask] = value
-            covered += int(np.count_nonzero(mask))
-        if covered != horizon or np.isnan(out).any():
-            raise LevelSetError(f"{self.label}: level sets do not partition the prefix below {horizon}")
-        return out
 
     def validate_limit(self, horizon: int = 10_000) -> None:
         """Check the declared limit and envelope on a prefix: r is finite,
@@ -213,8 +200,28 @@ def indicator(s: SetDescription, label: str | None = None) -> BoundedSequence:
         label=label or "indicator",
         level_sets=levels,
         rule=lambda ns: sd._at_rows(ns, s.mask, s.contains, bool).astype(np.float64),
-        prefix_rule=lambda horizon: s.mask(horizon).astype(np.float64),
     )
+
+
+def _level_rule(
+    levels: tuple[tuple[float, SetDescription], ...], label: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The rule of a sequence given by its level sets: value v where S_v holds
+    the index, each set read at the indices (``sets._at_rows``); raises
+    :class:`LevelSetError` unless the sets partition the indices read."""
+
+    def rule(ns: np.ndarray) -> np.ndarray:
+        out = np.full(ns.size, np.nan)
+        covered = 0
+        for value, level_set in levels:
+            hit = sd._at_rows(ns, level_set.mask, level_set.contains, bool)
+            out[hit] = value
+            covered += int(np.count_nonzero(hit))
+        if covered != ns.size or np.isnan(out).any():
+            raise LevelSetError(f"{label}: level sets do not partition the indices read")
+        return out
+
+    return rule
 
 
 def signed_indicator(

@@ -396,9 +396,15 @@ class ExperimentConfig:
         }
 
 
+# The fields a suite config and its ``cfg`` read; a config with any other field is refused.
+_CONFIG_FIELDS = ("matrices", "ideal_pairs", "theorems", "core_equality", "corpus_labels", "cfg")
+_CFG_FIELDS = ("check_horizon", "core_horizon", "tol", "grid", "theta", "seed")
+
+
 def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config", "must be a JSON object")
+    _read_only(obj, _CONFIG_FIELDS, "suite", "configs", "config")
     matrices = obj.get("matrices", [])
     if not isinstance(matrices, list) or not matrices:
         raise ConfigError("config.matrices", "need a nonempty list of matrix specs")
@@ -418,7 +424,9 @@ def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> Exp
     for i, t in enumerate(theorems):
         if t not in CHECKS:
             raise ConfigError(f"config.theorems[{i}]", f"unknown theorem {t!r}; known: {tuple(CHECKS)}")
-    core_equality = bool(obj.get("core_equality", False))
+    core_equality = obj.get("core_equality", False)
+    if not isinstance(core_equality, bool):
+        raise ConfigError("config.core_equality", f"must be true or false, got {core_equality!r}")
     if not theorems and not core_equality:
         raise ConfigError("config", "nothing to run: no theorems and core_equality is false")
     labels = obj.get("corpus_labels", ["all"])
@@ -427,6 +435,7 @@ def parse_experiment_config(obj: Any, default_horizon: int | None = None) -> Exp
     cfg = obj.get("cfg", {})
     if not isinstance(cfg, dict):
         raise ConfigError("config.cfg", "must be an object")
+    _read_only(cfg, _CFG_FIELDS, "suite", "settings", "config.cfg")
     config = ExperimentConfig(
         matrices=tuple(matrices),
         ideal_pairs=tuple((p[0], p[1]) for p in pairs),

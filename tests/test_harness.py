@@ -379,6 +379,35 @@ def test_out_of_range_cfg_values_are_config_errors(cfg, message):
     assert str(err.value) == f"config.cfg: {message}"
 
 
+_SUITE_FIELDS = "matrices, ideal_pairs, theorems, core_equality, corpus_labels, cfg"
+_CFG_FIELDS = "check_horizon, core_horizon, tol, grid, theta, seed"
+
+
+@pytest.mark.parametrize(
+    "config, path, message",
+    [
+        # a stray key used to be ignored
+        ({**_SUITE, "theorem": "leo"}, "config.theorem", f"unknown field; suite configs read only: {_SUITE_FIELDS}"),
+        # a misspelt setting used to run at its default (horizon 10 000)
+        (
+            {**_SUITE, "cfg": {"check_horizn": 500}},
+            "config.cfg.check_horizn",
+            f"unknown field; suite settings read only: {_CFG_FIELDS}",
+        ),
+        # a string used to be read as its truth value, so "false" ran the experiments
+        ({**_SUITE, "core_equality": "false"}, "config.core_equality", "must be true or false, got 'false'"),
+        ({**_SUITE, "core_equality": 1}, "config.core_equality", "must be true or false, got 1"),
+        ({**_SUITE, "core_equality": None}, "config.core_equality", "must be true or false, got None"),
+    ],
+    ids=["stray-key", "misspelt-setting", "core-equality-string", "core-equality-int", "core-equality-null"],
+)
+def test_suite_configs_refuse_what_they_do_not_read(config, path, message):
+    with pytest.raises(specs.ConfigError) as err:
+        specs.parse_experiment_config(config)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_integral_values_and_numeric_strings_parse_as_integers():
     assert specs.parse_set({"type": "ap", "offset": "1", "step": 2.0}) == specs.parse_set(
         {"type": "arithmetic_progression", "offset": 1, "step": 2}
@@ -1125,6 +1154,17 @@ def test_cli_experiment(tmp_path):
     # a JSON summary accompanies the written table (runner mixes stderr in)
     blob = result.output[result.output.index("{") : result.output.rindex("}") + 1]
     assert json.loads(blob)["exit_code"] == 1
+
+
+def test_cli_experiment_writes_into_a_new_directory(tmp_path, monkeypatch):
+    # The report goes through ``harness.write_reports``, which makes the
+    # directory, with the bytes of ``render_json``.
+    monkeypatch.delenv("IDEALCORE_DEFAULT_HORIZON", raising=False)
+    out_path = tmp_path / "new" / "dir" / "report.json"
+    result = CliRunner().invoke(main, ["experiment", "--config", str(_bundled_path("thm25.json")), "--output", str(out_path)])
+    assert result.exit_code == 0, result.output
+    want = harness.render_json(harness.run_suite(specs.parse_experiment_config(_bundled("thm25.json"))))
+    assert out_path.read_bytes() == want.encode()
 
 
 def _undeclared_entry(label):

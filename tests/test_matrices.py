@@ -86,16 +86,6 @@ def test_transform_bounded_by_rowsum():
         assert abs(mat.transform(a, x, n)) <= abs_sums[n] * x.bound + 1e-12
 
 
-def test_pos_neg_split():
-    a = mat.banded([[(0, 1.0), (1, -2.0)]], tail_mode="zero")
-    pos, neg = mat.pos_neg_split(a)
-    assert pos.row(0).indices.tolist() == [0] and pos.row(0).values.tolist() == [1.0]
-    assert neg.row(0).indices.tolist() == [1] and neg.row(0).values.tolist() == [2.0]
-    # nonnegative matrices have an empty negative part
-    _, neg_c = mat.pos_neg_split(mat.cesaro())
-    assert len(neg_c.row(5).indices) == 0
-
-
 def _entries(a, rows, cols):
     out = np.zeros((rows, cols))
     for n in range(rows):
@@ -105,22 +95,10 @@ def _entries(a, rows, cols):
     return out
 
 
-def test_split_reconstruction_window():
-    a = mat.banded([[(0, 0.5), (1, -0.25), (3, 1.5)], [(2, -1.0)]], tail_mode="identity")
-    pos, neg = mat.pos_neg_split(a)
-    window = _entries(a, 100, 100)
-    rebuilt = _entries(pos, 100, 100) - _entries(neg, 100, 100)
-    assert np.array_equal(window, rebuilt)
-    assert np.all(_entries(pos, 100, 100) * _entries(neg, 100, 100) == 0)
-
-
 def test_matrix_sum_and_scalar():
     a = mat.cesaro()
     assert np.array_equal(_entries(mat.matrix_sum(a, mat.zero_matrix()), 100, 100), _entries(a, 100, 100))
-    flipped = mat.scalar_mul(-1.0, a)
-    pos, neg = mat.pos_neg_split(flipped)
-    assert len(pos.row(5).indices) == 0
-    assert np.allclose(_entries(neg, 50, 50), _entries(a, 50, 50))
+    assert np.array_equal(_entries(mat.scalar_mul(-1.0, a), 50, 50), -_entries(a, 50, 50))
 
 
 def test_compose_rk_selects_rows():
@@ -402,11 +380,10 @@ def _signed_rows():
 
 
 def _composite_kinds():
-    """Products, sums, multiples and parts, whose CSR is the row path's."""
+    """Products, sums and multiples, whose CSR is the row path's."""
     rk_2n = mat.rk_matrix(maps.affine_map(2))
     mixed = mat.matrix_sum(mat.matrix_sum(mat.cesaro(), mat.identity()), mat.scalar_mul(-0.3, mat.cesaro()))
     banded_mixed = mat.compose(mat.banded(_signed_rows(), tail_mode="repeat_last"), mixed)
-    pos, neg = mat.pos_neg_split(banded_mixed)
     # Row 1 is -1 times a row of zeros: the products are -0.0, which merging turns into 0.0.
     negative_zero = mat.compose(
         mat.banded([[(0, -1.0), (1, 2.0)], [(1, -1.0)]], tail_mode="zero"),
@@ -423,8 +400,6 @@ def _composite_kinds():
         "compose_identity_cesaro": mat.compose(mat.identity(), mat.cesaro()),
         "compose_diagonal_cesaro": mat.compose(mat.diagonal(lambda n: (-1.0) ** n / (n + 1)), mat.cesaro()),
         "compose_banded_mixed": banded_mixed,
-        "product_positive_part": pos,
-        "product_negative_part": neg,
         "compose_negative_zero": negative_zero,
         # Nonnegative, with tails from row 100 on: absolute sums add them up.
         "compose_with_tails": mat.compose(
@@ -440,7 +415,6 @@ def _matrix_kinds():
     evens = maps.enumeration_map(sd.evens())
     rk_2n = mat.rk_matrix(maps.affine_map(2))
     signed = {tail: mat.banded(_signed_rows(), tail_mode=tail) for tail in ("identity", "zero", "repeat_last")}
-    pos, neg = mat.pos_neg_split(signed["repeat_last"])
     return {
         **_composite_kinds(),
         "cesaro": mat.cesaro(),
@@ -449,8 +423,6 @@ def _matrix_kinds():
         "rk_affine": rk_2n,
         "rk_enumeration": mat.rk_matrix(evens),
         **{f"banded_{tail}": m for tail, m in signed.items()},
-        "positive_part": pos,
-        "negative_part": neg,
         "tail_bound": _TailRows("tails"),
     }
 
@@ -514,8 +486,8 @@ def test_bulk_calls_past_the_flat_limit_build_each_row_once(monkeypatch):
     # after those: each row once (rows past 1024 entries are not cached), with
     # the bits of the full CSR.
     horizon = 60
-    xs = seq.corpus_entry("rotation_golden").prefix(horizon)
-    ones = seq.indicator(sd.omega()).prefix(horizon)
+    xs = seq.corpus_entry("rotation_golden").prefix(horizon).__getitem__
+    ones = seq.indicator(sd.omega()).prefix(horizon).__getitem__
     bulk_calls = {
         "abs_sums": lambda a: a.row_sums(horizon, absolute=True),
         "sums": lambda a: mat.InfiniteMatrix._apply(a, ones, horizon),
@@ -684,16 +656,13 @@ def test_composite_flat_none_decision_matches_row_assembly(limit, monkeypatch):
         _assert_same_flat(_composite_kinds()[kind]._flat(50), want)
 
 
-@pytest.mark.parametrize("part", ["scaled", "positive", "negative"])
+@pytest.mark.parametrize("part", ["scaled"])
 def test_nested_fallback_builds_rows_once(part, monkeypatch):
     # A composite's CSR is the row path's alone: past the nnz limit no operand
     # CSR is gathered, and the rows of the inner product are built as often
     # as the row assembly builds them.
     def build():
-        product = mat.compose(mat.cesaro(), mat.cesaro())
-        if part == "scaled":
-            return mat.scalar_mul(-1.0, product)
-        return mat.pos_neg_split(product)[part == "negative"]
+        return mat.scalar_mul(-1.0, mat.compose(mat.cesaro(), mat.cesaro()))
 
     calls = []
     row = mat.InfiniteMatrix.row
@@ -836,9 +805,9 @@ def test_csr_sums_are_each_rows_own_sum(kind, monkeypatch):
             if absolute:  # a signed matrix: its absolute sums read the CSR
                 got = a.masked_row_sums(columns, horizon, absolute=True)
             else:  # the CSR applied to the indicator's values
-                got = mat.InfiniteMatrix._apply(a, _indicator(columns).prefix(support), horizon)
+                got = mat.InfiniteMatrix._apply(a, _indicator(columns).at, horizon)
             assert got.tobytes() == sums.tobytes(), (limit, columns, absolute)
-        assert mat.InfiniteMatrix._apply(a, xs, horizon).tobytes() == want_ax.tobytes(), limit
+        assert mat.InfiniteMatrix._apply(a, xs.__getitem__, horizon).tobytes() == want_ax.tobytes(), limit
 
 
 def test_product_sums_are_exact_and_read_no_csr(monkeypatch):
@@ -873,13 +842,13 @@ def test_sparse_left_factor_keeps_the_csr_route():
     assert a.max_support(horizon) == (horizon - 1) ** 2 + 1
     for columns in (None, sd.ap(1, 3)):
         got = a.masked_row_sums(columns, horizon)
-        csr = mat.InfiniteMatrix._apply(a, _indicator(columns).prefix(a.max_support(horizon)), horizon)
+        csr = mat.InfiniteMatrix._apply(a, _indicator(columns).at, horizon)
         assert got.tobytes() == csr.tobytes()
         want = _row_reference_sums(a, columns, horizon, False)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     x = seq.corpus_entry("rotation_golden")
     got = a.transform_prefix(x, horizon)
-    assert got.tobytes() == mat.InfiniteMatrix._apply(a, x.prefix(a.max_support(horizon)), horizon).tobytes()
+    assert got.tobytes() == mat.InfiniteMatrix._apply(a, x.at, horizon).tobytes()
     np.testing.assert_allclose(got, [mat.transform(a, x, n) for n in range(horizon)], rtol=0, atol=1e-10)
 
 

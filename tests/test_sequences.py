@@ -193,6 +193,9 @@ def test_level_sets_must_partition_the_prefix(levels):
     x = seq.BoundedSequence(lambda n: float(n % 2 == 0), bound=1.0, label="bad", level_sets=levels)
     with pytest.raises(seq.LevelSetError, match="partition"):
         x.prefix(100)
+    # The rule from the level sets checks the indices it reads, in any order.
+    with pytest.raises(seq.LevelSetError, match="partition"):
+        x.at(np.array([7, 5, 1, 6, 0]))
 
 
 def _read_by_index():
@@ -234,6 +237,20 @@ def test_at_is_bit_identical_to_fn(index):
         assert values.tobytes() == expected.tobytes(), (x.label, name)
 
 
+@pytest.mark.parametrize("name", ["unsorted", "repeated", "sparse"])
+def test_level_set_entries_read_their_levels_at_the_indices(name):
+    # A corpus entry given by its level sets has a rule from them, so ``at``
+    # reads each level set at the indices and builds no prefix.
+    entries = [x for x in seq.corpus() if x.level_sets is not None]
+    assert len(entries) == 7
+    ns = _INDEX_ARRAYS[name]
+    for x in entries:
+        assert x.rule is not None, x.label
+        values = x.at(ns)
+        assert x._cache is None, x.label
+        assert values.tobytes() == np.array([x.fn(int(n)) for n in ns], dtype=np.float64).tobytes(), x.label
+
+
 def _counting_rotation():
     """rotation_golden, and the sizes of the index arrays its rule is given."""
     x = seq.corpus_entry("rotation_golden")
@@ -269,11 +286,14 @@ def test_growing_an_indicator_prefix_reads_no_index_alone():
 
 
 def test_a_fresh_indicator_prefix_is_its_mask():
-    # A prefix that starts at 0 reads the mask, with no index array.
+    # A prefix that starts at 0 is one contiguous run of indices: a slice of
+    # the mask, with no index read alone.
     s = sd.GeometricBlocks(2, 0, 2)
     x = seq.indicator(s)
-    x.rule = lambda ns: pytest.fail("read by index")
-    assert x.prefix(10**5).tobytes() == s.mask(10**5).astype(np.float64).tobytes()
+    with mock.patch.object(sd.GeometricBlocks, "contains", autospec=True, side_effect=sd.GeometricBlocks.contains) as contains:
+        values = x.prefix(10**5)
+    assert contains.call_count == 0
+    assert values.tobytes() == s.mask(10**5).astype(np.float64).tobytes()
 
 
 def test_a_far_run_is_read_per_index_without_a_long_mask():
