@@ -149,15 +149,15 @@ _ONE_READ_MATRICES = {
     "cesaro+identity": lambda: con.perturb_identity(mat.cesaro()),
     "rk_2n.cesaro": lambda: mat.compose(mat.rk_matrix(maps.affine_map(2)), mat.cesaro()),
 }
-# Every index below 64, then a stride through the rest, and the last one.
+# Every index below 64, then a stride through the rest, and the last one:
+# one ax(n) computes A·x below n + 1, so not every index is read.
 _ONE_READ_INDICES = np.unique(np.r_[0:64, 64:3000:23, 2999]).tolist()
 
 
 @pytest.mark.parametrize("kind", sorted(_ONE_READ_MATRICES))
 def test_a_value_of_ax_is_its_prefix_value(kind):
     # fn reads one index on the bulk path that its rule and prefix read, so
-    # ax(n) has the bits of ax.prefix(H)[n]; a per-index ``math.fsum`` of the
-    # row differed from them, at 642 of 3000 indices of Cesàro·indicator_blocks.
+    # ax(n) has the bits of ax.prefix(H)[n], not those of a compensated sum.
     for x in seq.corpus():
         ax = con.transformed_sequence(_ONE_READ_MATRICES[kind](), x, 1000)
         prefix = ax.prefix(3000)
