@@ -400,6 +400,10 @@ def _composite_kinds():
         "compose_identity_cesaro": mat.compose(mat.identity(), mat.cesaro()),
         "compose_diagonal_cesaro": mat.compose(mat.diagonal(lambda n: (-1.0) ** n / (n + 1)), mat.cesaro()),
         "compose_banded_mixed": banded_mixed,
+        # Composites over a signed product: the outer CSR is gathered from the
+        # product's rows, and its absolute sums read those entries.
+        "multiple_of_banded_mixed": mat.scalar_mul(-0.5, banded_mixed),
+        "sum_of_banded_mixed": mat.matrix_sum(banded_mixed, mat.banded(_signed_rows(), tail_mode="zero")),
         "compose_negative_zero": negative_zero,
         # Nonnegative, with tails from row 100 on: absolute sums add them up.
         "compose_with_tails": mat.compose(
@@ -656,13 +660,16 @@ def test_composite_flat_none_decision_matches_row_assembly(limit, monkeypatch):
         _assert_same_flat(_composite_kinds()[kind]._flat(50), want)
 
 
-@pytest.mark.parametrize("part", ["scaled"])
+@pytest.mark.parametrize("part", ["scaled", "sum"])
 def test_nested_fallback_builds_rows_once(part, monkeypatch):
     # A composite's CSR is the row path's alone: past the nnz limit no operand
     # CSR is gathered, and the rows of the inner product are built as often
     # as the row assembly builds them.
     def build():
-        return mat.scalar_mul(-1.0, mat.compose(mat.cesaro(), mat.cesaro()))
+        product = mat.compose(mat.cesaro(), mat.cesaro())
+        if part == "scaled":
+            return mat.scalar_mul(-1.0, product)
+        return mat.matrix_sum(mat.banded(_signed_rows(), tail_mode="zero"), product)
 
     calls = []
     row = mat.InfiniteMatrix.row
